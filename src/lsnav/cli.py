@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sphere:N | product:N1,N2 | ellipsoid:a,b,c | stiefel:FRAME_DIM | @spec.json")
     p.add_argument("--r", type=int, default=2, help="number of waypoints for the nav field")
     p.add_argument("--seeds", type=int, default=200)
-    p.add_argument("--step", type=float, default=1e-2)
+    p.add_argument("--step", type=float, default=1e-2,
+                   help="initial step of the adaptive Dormand-Prince 5(4) flows")
     p.add_argument("--max-time", type=float, default=200.0)
     p.add_argument("--grad-tol", type=float, default=1e-8)
     p.add_argument("--cluster-tol", type=float, default=1e-4)

@@ -5,9 +5,15 @@ the C^1 ramp that is 1 below 1 and the identity above 2.  It satisfies
 |X| <= 2 min(|grad F|, 1) and DF(X) >= min(|grad F|, |grad F|^2), so the
 negative flow is a strict Lyapunov descent away from critical points.
 
-Flows integrate with fixed-step RK4 and re-projection onto the manifold after
-every stage.  Seed batches are vectorized; detection clusters converged
-endpoints by value, then by structural label or point distance.
+Batched flows to critical points integrate with an adaptive Dormand-Prince
+5(4) pair (first same as last), re-projecting onto the manifold after every
+stage; ``FlowConfig.step`` is the initial step of every row.  A step is
+accepted only when its local error estimate meets min(ATOL, RTOL |y - x|)
+and F has not moved against the flow beyond rounding, so flows stay
+Lyapunov-monotone; a row rejected down to a step below STEP_FLOOR stops
+unconverged.  Single traces (``integrate_flow``) and the time-1 map keep
+fixed-step RK4 at ``step``.  Seed batches are vectorized; detection clusters
+converged endpoints by value, then by structural label or point distance.
 """
 from __future__ import annotations
 
@@ -128,23 +134,82 @@ def _rk4_step(vfield, project, x, h):
     return project(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def _flow_batch(vfield, project, grad_norm, starts, cfg: FlowConfig):
-    """Flow a batch until grad_norm <= grad_tol per row or max_time elapses.
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2).
+# Row j gives stage j+2 from the earlier stages; the last row is the
+# fifth-order solution, whose vector field is the next step's first stage.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+# Fifth- minus fourth-order weights: the local error estimate.
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
+ATOL = 1e-9            # local error bound per step
+RTOL = 1e-3            # local error bound relative to the step's displacement
+STEP_FLOOR = 1e-8      # a row rejected down to a step below this stops unconverged
+LYAPUNOV_SLACK = 1e-13  # rounding allowance on F, relative to 1 + |F|
+
+
+def _dp54_step(vfield, project, x, k1, h):
+    """One projected Dormand-Prince step of sizes h (shape (n, 1)) from x with
+    first stage k1; returns (new point, its vector field, local error norm)."""
+    ks = [k1]
+    for row in _DP_A:
+        y = project(x + h * sum(a * k for a, k in zip(row, ks) if a))
+        ks.append(vfield(y))
+    err = h[:, 0] * np.linalg.norm(sum(e * k for e, k in zip(_DP_E, ks) if e), axis=-1)
+    return y, ks[-1], err
+
+
+def _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg: FlowConfig):
+    """Adaptive Dormand-Prince 5(4) flow of a batch, one step size per row.
+
+    A row stops once grad_norm <= grad_tol, after max_time, or when a
+    rejection leaves its step below STEP_FLOOR.  A step is accepted when its
+    error estimate is at most min(ATOL, RTOL |y - x|) and ``lyapunov`` has
+    not increased beyond rounding; the relative half of the bound keeps steps
+    inside the stability region as rows approach the critical set.  Since
+    the floor lies far above the steps whose change of ``lyapunov`` is
+    rounding, a row rejected again and again reaches it within a few dozen
+    steps.
     Returns (endpoints, final gradient norms, converged mask).
     """
     x = project(np.array(starts, dtype=float))
     n = x.shape[0]
-    active = np.ones(n, dtype=bool)
     gn = np.asarray(grad_norm(x), dtype=float)
-    active &= gn > cfg.grad_tol
-    t = 0.0
-    while active.any() and t < cfg.max_time:
-        h = min(cfg.step, cfg.max_time - t)
-        x[active] = _rk4_step(vfield, project, x[active], h)
-        t += h
-        gn[active] = grad_norm(x[active])
-        active = active & (gn > cfg.grad_tol)
+    active = gn > cfg.grad_tol
+    idx = np.flatnonzero(active)
+    k = np.zeros_like(x)
+    lyap = np.zeros(n)
+    if idx.size:
+        k[idx] = vfield(x[idx])
+        lyap[idx] = lyapunov(x[idx])
+    t = np.zeros(n)
+    h = np.full(n, cfg.step)
+    while idx.size:
+        hs = np.minimum(h[idx], cfg.max_time - t[idx])
+        x0 = x[idx]
+        y, ky, err = _dp54_step(vfield, project, x0, k[idx], hs[:, None])
+        ly = lyapunov(y)
+        tol = np.minimum(ATOL, RTOL * np.linalg.norm(y - x0, axis=-1))
+        monotone = ly <= lyap[idx] + LYAPUNOV_SLACK * (1.0 + np.abs(lyap[idx]))
+        ok = (err <= tol) & monotone
+        fac = np.clip(0.9 * (tol / np.maximum(err, 1e-300)) ** 0.2, 0.2, 5.0)
+        h[idx] = hs * np.where(monotone, fac, np.minimum(fac, 0.5))
+        acc = idx[ok]
+        if acc.size:
+            x[acc] = y[ok]
+            k[acc] = ky[ok]
+            lyap[acc] = ly[ok]
+            t[acc] += hs[ok]
+            gn[acc] = grad_norm(x[acc])
+        active[idx] = ((gn[idx] > cfg.grad_tol) & (t[idx] < cfg.max_time)
+                       & (ok | (h[idx] >= STEP_FLOOR)))
+        idx = np.flatnonzero(active)
     return x, gn, gn <= cfg.grad_tol
 
 
@@ -232,7 +297,13 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None,
 
 
 def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction: int = -1):
-    """Batched flow; returns (endpoints, gradient norms, converged mask)."""
+    """Batched adaptive flow of direction * pseudo-gradient to the critical set.
+
+    Dormand-Prince 5(4) with projection after every stage, starting from
+    step cfg.step in every row; F never moves against ``direction``.  Rows
+    that do not reach cfg.grad_tol (by max_time or the step floor) are
+    reported unconverged.  Returns (endpoints, gradient norms, converged mask).
+    """
     cfg = cfg or FlowConfig()
 
     def vfield(x):
@@ -241,7 +312,10 @@ def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction
     def project(x):
         return mf.project_points(field.spec, x)
 
-    return _flow_batch(vfield, project, field.gradient_norm, starts, cfg)
+    def lyapunov(x):
+        return -direction * field.value_at(x)
+
+    return _flow_batch(vfield, project, field.gradient_norm, lyapunov, starts, cfg)
 
 
 def time_one_map(field: ScalarField, starts, cfg: FlowConfig = None):
@@ -442,6 +516,8 @@ def find_critical_components(field: ScalarField, seeds, cfg: FlowConfig = None,
     """
     cfg = cfg or FlowConfig()
     seeds = _as_coords(seeds)
+    if seeds.shape[0] == 0:
+        raise NoConvergedSeeds("seed set is empty")
     candidates = []
     end, _gn, conv = flow_endpoints(field, seeds, cfg, direction=-1)
     candidates.append(end[conv])
@@ -450,7 +526,7 @@ def find_critical_components(field: ScalarField, seeds, cfg: FlowConfig = None,
         candidates.append(end[conv])
     if newton:
         candidates.append(newton_critical_search(field, seeds, tol=min(cfg.grad_tol, 1e-10)))
-    pool = np.vstack([c for c in candidates if c.shape[0]])
+    pool = np.vstack(candidates)
     if pool.shape[0] == 0:
         raise NoConvergedSeeds("no stage of the detection pipeline converged")
     return detect_critical(field, pool, cfg, point_merge_dist=point_merge_dist)

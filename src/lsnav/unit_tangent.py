@@ -368,11 +368,13 @@ def _anchored_project(spec: StiefelV2, coords):
 
 def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
                             direction: int = -1):
-    """Batched flow of the vertical pseudo-gradient.
+    """Batched adaptive flow of the vertical pseudo-gradient.
 
-    The vector field has zero base component and the post-step projection is
-    anchored at the first column, so trajectories stay in their fiber
-    exactly.  Terminates on the vertical gradient norm.
+    The vector field has zero base component and the projection after every
+    stage is anchored at the first column, so trajectories stay in their
+    fiber exactly.  Integrates with the adaptive Dormand-Prince 5(4) driver of
+    ``flow_endpoints`` from initial step cfg.step, never moving f against
+    ``direction``; terminates on the vertical gradient norm.
     """
     from .flow import _flow_batch
 
@@ -388,7 +390,10 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     def grad_norm(x):
         return np.linalg.norm(vertical_gradient_coords(field, x), axis=-1)
 
-    return _flow_batch(vfield, project, grad_norm, starts, cfg)
+    def lyapunov(x):
+        return -direction * field.value_at(x)
+
+    return _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg)
 
 
 # ---------------------------------------------------------------------------

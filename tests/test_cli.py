@@ -137,6 +137,14 @@ def test_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_critfind_empty_seed_set(capsys):
+    code, out, err = run_cli(capsys, "critfind", "--field", "nav",
+                             "--manifold", "sphere:1", "--seeds", "0")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "NoConvergedSeeds"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["critfind", "--field", "bogus", "--manifold", "sphere:1"])

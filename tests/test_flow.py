@@ -175,6 +175,26 @@ def test_step_halving_changes_endpoint_little():
     assert np.max(np.linalg.norm(end1 - end2, axis=1)) <= 1e-6
 
 
+def test_flow_stops_when_every_step_raises_the_value():
+    # value = x[-1] contradicts the gradient -e_last, so every descent step
+    # raises F and is rejected until the step falls below the floor
+    calls = []
+
+    def grad(x):
+        calls.append(x.shape[0])
+        g = np.zeros_like(x)
+        g[..., -1] = -1.0
+        return g
+
+    field = ScalarField(Sphere(2), lambda x: x[..., -1], grad)
+    seeds = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.6, 0.0, -0.8]])
+    end, _gn, conv = flow_endpoints(field, seeds)
+    assert not conv.any()
+    assert np.allclose(end, seeds, atol=1e-15)
+    # a few dozen rejected steps, not max_time / STEP_FLOOR of them
+    assert len(calls) < 250
+
+
 def test_descent_diagnostic_nav():
     rng = np.random.default_rng(5)
     field = nav_field(Sphere(1), 2)

@@ -251,21 +251,38 @@ def test_sum_function_critical_iff_every_entry_critical():
         assert tuple_critical == entries_critical
 
 
+# Rows of riemannian_gradient that fixed-step RK4 at step 1e-2 evaluated on
+# the flows below (stiefel:4, 50 seeds from rng 16, both directions); the
+# adaptive driver must need at least four times fewer.
+FIXED_STEP_GRADIENT_ROWS = 962_150
+
+
 def test_vertical_flow_reaches_rotational_sections():
     rng = np.random.default_rng(16)
     field = f_ut_field(SPEC)
     seeds = random_points(SPEC, 50, rng)
-    end, gn, conv = vertical_flow_endpoints(field, seeds)
-    assert conv.all()
-    x1 = end[:, :4]
-    x2 = end[:, 4:]
-    dist = np.minimum(
-        np.linalg.norm(x2 - mult_i(x1), axis=1),
-        np.linalg.norm(x2 + mult_i(x1), axis=1),
-    )
-    assert dist.max() <= 1e-5
-    # fibers preserved exactly
-    assert np.array_equal(end[:, :4], seeds[:, :4])
+    rows = []
+    grad = field.riemannian_gradient
+
+    def counted(x):
+        rows.append(x.shape[0])
+        return grad(x)
+
+    field.riemannian_gradient = counted
+    for direction in (-1, +1):
+        end, _gn, conv = vertical_flow_endpoints(field, seeds, direction=direction)
+        assert conv.all()
+        x1 = end[:, :4]
+        x2 = end[:, 4:]
+        dist = np.minimum(
+            np.linalg.norm(x2 - mult_i(x1), axis=1),
+            np.linalg.norm(x2 + mult_i(x1), axis=1),
+        )
+        assert dist.max() <= 1e-5
+        # f never moves against the flow, and fibers are preserved exactly
+        assert (direction * (field.value_at(end) - field.value_at(seeds)) >= 0).all()
+        assert np.array_equal(end[:, :4], seeds[:, :4])
+    assert 4 * sum(rows) <= FIXED_STEP_GRADIENT_ROWS
 
 
 def test_sigma_u_r2_formula():
