@@ -46,19 +46,25 @@ from .unit_tangent import FiberTuple, f_ut_field, fiber_fibration, sigma_u_plann
 
 
 def _parse_manifold(text: str):
-    """sphere:N | product:N1,N2,... | ellipsoid:a,b,c | stiefel:FRAME_DIM | @spec.json"""
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return spec_from_json(json.load(fh))
-    kind, _, rest = text.partition(":")
-    if kind == "sphere":
-        return Sphere(int(rest))
-    if kind == "product":
-        return ProductSpheres(tuple(int(v) for v in rest.split(",")))
-    if kind == "ellipsoid":
-        return Ellipsoid(tuple(float(v) for v in rest.split(",")))
-    if kind == "stiefel":
-        return StiefelV2(int(rest))
+    """sphere:N | product:N1,N2,... | ellipsoid:a,b,c | stiefel:FRAME_DIM | @spec.json
+
+    Invalid specs and unreadable files raise ArgumentTypeError, which argparse
+    reports as a usage error."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:]) as fh:
+                return spec_from_json(json.load(fh))
+        kind, _, rest = text.partition(":")
+        if kind == "sphere":
+            return Sphere(int(rest))
+        if kind == "product":
+            return ProductSpheres(tuple(int(v) for v in rest.split(",")))
+        if kind == "ellipsoid":
+            return Ellipsoid(tuple(float(v) for v in rest.split(",")))
+        if kind == "stiefel":
+            return StiefelV2(int(rest))
+    except (LsnavError, OSError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(
         f"unknown manifold {text!r} (use sphere:N, product:N1,N2, ellipsoid:a,b,c, "
         "stiefel:FRAME_DIM, or @file.json)"

@@ -11,8 +11,8 @@ stage; ``FlowConfig.step`` is the initial step of every row.  A step is
 accepted only when its local error estimate meets min(ATOL, RTOL |y - x|)
 and F has not moved against the flow beyond rounding, so flows stay
 Lyapunov-monotone; a row rejected down to a step below STEP_FLOOR stops
-unconverged.  Single traces (``integrate_flow``) and the time-1 map keep
-fixed-step RK4 at ``step``.  Seed batches are vectorized; detection clusters
+unconverged.  The same driver records single traces (``integrate_flow``)
+and runs the time-1 map.  Seed batches are vectorized; detection clusters
 converged endpoints by value, then by structural label or point distance.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import manifolds as mf
-from .errors import NegativeInput, NoConvergedSeeds
+from .errors import LsnavError, NegativeInput, NoConvergedSeeds
 from .manifolds import PointOnM, TangentVector
 
 
@@ -126,14 +126,6 @@ def pseudo_gradient(field: ScalarField, p: PointOnM) -> TangentVector:
 # Integration
 # ---------------------------------------------------------------------------
 
-def _rk4_step(vfield, project, x, h):
-    k1 = vfield(x)
-    k2 = vfield(project(x + 0.5 * h * k1))
-    k3 = vfield(project(x + 0.5 * h * k2))
-    k4 = vfield(project(x + h * k3))
-    return project(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2).
 # Row j gives stage j+2 from the earlier stages; the last row is the
 # fifth-order solution, whose vector field is the next step's first stage.
@@ -165,19 +157,21 @@ def _dp54_step(vfield, project, x, k1, h):
     return y, ks[-1], err
 
 
-def _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg: FlowConfig):
+def _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg: FlowConfig,
+                max_time=None, record=None):
     """Adaptive Dormand-Prince 5(4) flow of a batch, one step size per row.
 
-    A row stops once grad_norm <= grad_tol, after max_time, or when a
-    rejection leaves its step below STEP_FLOOR.  A step is accepted when its
-    error estimate is at most min(ATOL, RTOL |y - x|) and ``lyapunov`` has
-    not increased beyond rounding; the relative half of the bound keeps steps
-    inside the stability region as rows approach the critical set.  Since
-    the floor lies far above the steps whose change of ``lyapunov`` is
-    rounding, a row rejected again and again reaches it within a few dozen
-    steps.
-    Returns (endpoints, final gradient norms, converged mask).
+    A row stops once grad_norm <= grad_tol, after max_time (default
+    cfg.max_time), or when a rejection leaves its step below STEP_FLOOR.  A
+    step is accepted when its error estimate is at most min(ATOL, RTOL |y - x|)
+    and ``lyapunov`` has not increased beyond rounding; the relative half of
+    the bound keeps steps inside the stability region as rows approach the
+    critical set.  Since the floor lies far above the steps whose change of
+    ``lyapunov`` is rounding, a row rejected again and again reaches it within
+    a few dozen steps.  ``record(t, x, gn)`` sees the starts and every pass
+    that accepts a step.  Returns (endpoints, final gradient norms, converged mask).
     """
+    max_time = cfg.max_time if max_time is None else max_time
     x = project(np.array(starts, dtype=float))
     n = x.shape[0]
     gn = np.asarray(grad_norm(x), dtype=float)
@@ -190,8 +184,10 @@ def _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg: FlowConfig):
         lyap[idx] = lyapunov(x[idx])
     t = np.zeros(n)
     h = np.full(n, cfg.step)
+    if record is not None:
+        record(t, x, gn)
     while idx.size:
-        hs = np.minimum(h[idx], cfg.max_time - t[idx])
+        hs = np.minimum(h[idx], max_time - t[idx])
         x0 = x[idx]
         y, ky, err = _dp54_step(vfield, project, x0, k[idx], hs[:, None])
         ly = lyapunov(y)
@@ -207,7 +203,9 @@ def _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg: FlowConfig):
             lyap[acc] = ly[ok]
             t[acc] += hs[ok]
             gn[acc] = grad_norm(x[acc])
-        active[idx] = ((gn[idx] > cfg.grad_tol) & (t[idx] < cfg.max_time)
+            if record is not None:
+                record(t, x, gn)
+        active[idx] = ((gn[idx] > cfg.grad_tol) & (t[idx] < max_time)
                        & (ok | (h[idx] >= STEP_FLOOR)))
         idx = np.flatnonzero(active)
     return x, gn, gn <= cfg.grad_tol
@@ -257,14 +255,10 @@ class FlowTrace:
         }
 
 
-def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None,
-                   direction: int = -1) -> FlowTrace:
-    """Integrate the flow of direction * pseudo-gradient from a single point.
-
-    Fixed-step RK4 with projection after every stage; terminates once the
-    gradient norm falls below cfg.grad_tol or max_time is reached.
-    """
-    cfg = cfg or FlowConfig()
+def _pseudo_gradient_flow(field: ScalarField, starts, cfg: FlowConfig, direction: int,
+                          max_time=None, record=None):
+    """Run ``_flow_batch`` on the flow of direction * pseudo-gradient of ``field``,
+    re-projecting onto field.spec and holding -direction * F monotone."""
 
     def vfield(x):
         return direction * pseudo_gradient_coords(field, x)
@@ -272,20 +266,30 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None,
     def project(x):
         return mf.project_points(field.spec, x)
 
-    x = project(start.coords[None, :].copy())
-    times = [0.0]
-    coords = [x[0].copy()]
-    t = 0.0
-    gn = float(field.gradient_norm(x)[0])
-    gns = [gn]
-    while gn > cfg.grad_tol and t < cfg.max_time:
-        h = min(cfg.step, cfg.max_time - t)
-        x = _rk4_step(vfield, project, x, h)
-        t += h
-        gn = float(field.gradient_norm(x)[0])
-        times.append(t)
+    def lyapunov(x):
+        return -direction * field.value_at(x)
+
+    return _flow_batch(vfield, project, field.gradient_norm, lyapunov, starts, cfg,
+                       max_time, record)
+
+
+def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None,
+                   direction: int = -1) -> FlowTrace:
+    """Integrate the flow of direction * pseudo-gradient from a single point.
+
+    Records the start and every accepted step of the adaptive driver of
+    ``flow_endpoints``, so times increase strictly but unevenly and F never
+    moves against ``direction``.  Stops like a row of ``flow_endpoints``.
+    """
+    cfg = cfg or FlowConfig()
+    times, coords, gns = [], [], []
+
+    def record(t, x, gn):
+        times.append(t[0])
         coords.append(x[0].copy())
-        gns.append(gn)
+        gns.append(gn[0])
+
+    _pseudo_gradient_flow(field, start.coords[None, :], cfg, direction, record=record)
     coords = np.array(coords)
     return FlowTrace(
         times=np.array(times),
@@ -304,39 +308,18 @@ def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction
     that do not reach cfg.grad_tol (by max_time or the step floor) are
     reported unconverged.  Returns (endpoints, gradient norms, converged mask).
     """
-    cfg = cfg or FlowConfig()
-
-    def vfield(x):
-        return direction * pseudo_gradient_coords(field, x)
-
-    def project(x):
-        return mf.project_points(field.spec, x)
-
-    def lyapunov(x):
-        return -direction * field.value_at(x)
-
-    return _flow_batch(vfield, project, field.gradient_norm, lyapunov, starts, cfg)
+    return _pseudo_gradient_flow(field, starts, cfg or FlowConfig(), direction)
 
 
 def time_one_map(field: ScalarField, starts, cfg: FlowConfig = None):
     """Time-1 map of the negative pseudo-gradient flow, batched.
 
-    Integrates for exactly unit time with n = round(1/step) equal RK4 steps.
+    Runs the adaptive driver of ``flow_endpoints`` to t = 1 from initial step
+    cfg.step, whatever cfg.max_time is; the last step of each row is cut to
+    land on t = 1.  A row whose gradient norm reaches cfg.grad_tol stops there,
+    before t = 1, as does a row stopped by the step floor.
     """
-    cfg = cfg or FlowConfig()
-
-    def vfield(x):
-        return -pseudo_gradient_coords(field, x)
-
-    def project(x):
-        return mf.project_points(field.spec, x)
-
-    x = project(np.array(starts, dtype=float))
-    n = max(1, int(round(1.0 / cfg.step)))
-    h = 1.0 / n
-    for _ in range(n):
-        x = _rk4_step(vfield, project, x, h)
-    return x
+    return _pseudo_gradient_flow(field, starts, cfg or FlowConfig(), -1, max_time=1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +395,7 @@ def _cluster_endpoints(field, endpoints, cfg, point_merge_dist):
             for p in pts:
                 try:
                     lab = field.classifier(p)
-                except Exception:
+                except LsnavError:
                     lab = None
                 labels.append(lab if lab is not None else "unclassified")
             labels = np.array(labels, dtype=object)

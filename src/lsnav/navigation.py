@@ -21,6 +21,7 @@ import numpy as np
 
 from . import manifolds as mf
 from .errors import (
+    InvalidEnvironment,
     InvalidPoint,
     NoPairsFound,
     NotCriticalTuple,
@@ -423,10 +424,12 @@ def _alignment_residual(fld, x, y):
 
 
 def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LSNAV_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Worker threads for the pair search: LSNAV_THREADS (default 1), at most
+    the CPU count.  Anything but a positive integer raises InvalidEnvironment."""
+    text = os.environ.get("LSNAV_THREADS", "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise InvalidEnvironment(f"LSNAV_THREADS must be a positive integer, got {text!r}")
+    return min(int(text), os.cpu_count() or 1)
 
 
 def _run_chunked(fn, arr, workers):

@@ -145,10 +145,26 @@ def test_critfind_empty_seed_set(capsys):
     assert json.loads(err)["error"] == "NoConvergedSeeds"
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize("field, manifold", [
+    ("bogus", "sphere:1"),
+    ("height", "sphere:0"),
+    ("height", "stiefel:3"),
+    ("height", "@no-such-spec.json"),
+], ids=["unknown-field", "sphere-0", "stiefel-3", "missing-spec-file"])
+def test_usage_error_exit_code(field, manifold):
     with pytest.raises(SystemExit) as exc:
-        main(["critfind", "--field", "bogus", "--manifold", "sphere:1"])
+        main(["critfind", "--field", field, "--manifold", manifold])
     assert exc.value.code == 2
+
+
+def test_invalid_thread_count_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("LSNAV_THREADS", "abc")
+    code, out, err = run_cli(capsys, "pairs", "--sphere", "2", "--seeds", "50")
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidEnvironment"
+    assert "'abc'" in payload["message"]
 
 
 def test_verify_subset(capsys):

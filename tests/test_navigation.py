@@ -1,7 +1,10 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
-from lsnav.errors import NotCriticalTuple, WrongSpec
+from lsnav.errors import InvalidEnvironment, NotCriticalTuple, WrongSpec
 from lsnav.manifolds import (
     Ellipsoid,
     ImplicitHypersurface,
@@ -15,6 +18,7 @@ from lsnav.navigation import (
     NavTuple,
     PairSearchConfig,
     SignPattern,
+    _worker_count,
     classify_sphere_critical,
     critical_tuple,
     find_parallel_pairs,
@@ -214,3 +218,20 @@ def test_parallel_pairs_thread_workers_same_result(monkeypatch):
     monkeypatch.setenv("LSNAV_THREADS", "4")
     threaded = find_parallel_pairs(Ellipsoid((1.0, 2.0, 3.0)), cfg)
     assert base.to_json() == threaded.to_json()
+
+
+def test_worker_count_default_and_cap(monkeypatch):
+    # _worker_count only reads the variable; no thread is started here
+    monkeypatch.delenv("LSNAV_THREADS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv("LSNAV_THREADS", "1")
+    assert _worker_count() == 1
+    monkeypatch.setenv("LSNAV_THREADS", "64")
+    assert _worker_count() == min(64, os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_worker_count_rejects_invalid_values(monkeypatch, value):
+    monkeypatch.setenv("LSNAV_THREADS", value)
+    with pytest.raises(InvalidEnvironment, match=re.escape(repr(value))):
+        _worker_count()
