@@ -180,21 +180,25 @@ def spec_to_json(spec) -> dict:
 
 
 def spec_from_json(obj: dict):
-    kind = obj.get("kind")
-    if kind == "sphere":
-        return Sphere(int(obj["dim"]))
-    if kind == "product_spheres":
-        return ProductSpheres(tuple(obj["dims"]))
-    if kind == "ellipsoid":
-        return Ellipsoid(tuple(obj["semiaxes"]))
-    if kind == "implicit_hypersurface":
-        fld = builtin_field(obj["field"]["name"], obj["field"]["params"])
-        level = obj.get("level")
-        return ImplicitHypersurface(fld, default_level(fld) if level is None else float(level))
-    if kind == "stiefel_v2":
-        return StiefelV2(int(obj["frame_dim"]))
-    if kind == "euclidean":
-        return Euclidean(int(obj["dim"]))
+    """The spec of a ``spec_to_json`` object; a missing or ill-typed field raises WrongSpec."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    try:
+        if kind == "sphere":
+            return Sphere(int(obj["dim"]))
+        if kind == "product_spheres":
+            return ProductSpheres(tuple(obj["dims"]))
+        if kind == "ellipsoid":
+            return Ellipsoid(tuple(obj["semiaxes"]))
+        if kind == "implicit_hypersurface":
+            fld = builtin_field(obj["field"]["name"], obj["field"]["params"])
+            level = obj.get("level")
+            return ImplicitHypersurface(fld, default_level(fld) if level is None else float(level))
+        if kind == "stiefel_v2":
+            return StiefelV2(int(obj["frame_dim"]))
+        if kind == "euclidean":
+            return Euclidean(int(obj["dim"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WrongSpec(f"{kind} spec has a missing or ill-typed field: {exc!r}") from None
     raise WrongSpec(f"unknown manifold kind {kind!r}")
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -326,75 +325,65 @@ def _hypersurface_of(spec):
     raise WrongSpec("parallel-pair search needs a hypersurface (ellipsoid, implicit, sphere)")
 
 
+def _pair_chord(z):
+    """x, y, the chord length |x - y| (at least 1e-12) and the unit chord d of z = (x, y)."""
+    z = np.asarray(z, dtype=float)
+    n = z.shape[-1] // 2
+    x, y = z[..., :n], z[..., n:]
+    chord = x - y
+    dist = np.maximum(np.linalg.norm(chord, axis=-1, keepdims=True), 1e-12)
+    return x, y, dist, chord / dist
+
+
 def pair_system_residual(fld, level, z):
     """Residual of the parallel-pair system at z = (x, y), vectorized.
 
     Components: g(x) - level, g(y) - level, then the 2x2 minors of
-    (grad g(x), d) and (grad g(y), d) with d the normalized chord.  Minors
-    avoid Lagrange multipliers at the cost of redundancy, handled by
-    least-squares steps.
+    (grad g(x), d) and (grad g(y), d) with d the normalized chord, each in
+    the order of ``itertools.combinations(range(n), 2)``.  Minors avoid
+    Lagrange multipliers at the cost of redundancy, handled by least-squares
+    steps.
     """
-    z = np.asarray(z, dtype=float)
-    n = z.shape[-1] // 2
-    x, y = z[..., :n], z[..., n:]
-    chord = x - y
-    dist = np.linalg.norm(chord, axis=-1, keepdims=True)
-    d = chord / np.maximum(dist, 1e-12)
+    x, y, _, d = _pair_chord(z)
     gx = fld.grad(x)
     gy = fld.grad(y)
-    parts = [fld.value(x) - level, fld.value(y) - level]
-    for u in (gx, gy):
-        for a, b in combinations(range(n), 2):
-            parts.append(u[..., a] * d[..., b] - u[..., b] * d[..., a])
-    return np.stack(parts, axis=-1)
+    a, b = np.triu_indices(x.shape[-1], 1)
+    k = a.size
+    # filled in place so the rows stay C-ordered: LM's row norms sum in that order
+    out = np.empty(x.shape[:-1] + (2 + 2 * k,))
+    out[..., 0] = fld.value(x) - level
+    out[..., 1] = fld.value(y) - level
+    out[..., 2:2 + k] = gx[..., a] * d[..., b] - gx[..., b] * d[..., a]
+    out[..., 2 + k:] = gy[..., a] * d[..., b] - gy[..., b] * d[..., a]
+    return out
 
 
 def pair_system_jacobian(fld, level, z):
     """Analytic Jacobian of pair_system_residual with respect to (x, y)."""
-    z = np.asarray(z, dtype=float)
-    n = z.shape[-1] // 2
-    x, y = z[..., :n], z[..., n:]
-    chord = x - y
-    dist = np.linalg.norm(chord, axis=-1, keepdims=True)
-    dist = np.maximum(dist, 1e-12)
-    d = chord / dist
+    x, y, dist, d = _pair_chord(z)
+    n = x.shape[-1]
     # derivative of the normalized chord: (I - d d^T)/|x-y| wrt x, negated wrt y
-    eye = np.eye(n)
-    dd_dx = (eye - d[..., :, None] * d[..., None, :]) / dist[..., None]
+    dd_dx = (np.eye(n) - d[..., :, None] * d[..., None, :]) / dist[..., None]
     gx = fld.grad(x)
     gy = fld.grad(y)
     hx = fld.hess(x)
     hy = fld.hess(y)
-    m = 2 + 2 * (n * (n - 1) // 2)
-    jac = np.zeros(z.shape[:-1] + (m, 2 * n))
+    a, b = np.triu_indices(n, 1)
+    k = a.size
+    jac = np.zeros(x.shape[:-1] + (2 + 2 * k, 2 * n))
     jac[..., 0, :n] = gx
     jac[..., 1, n:] = gy
-    row = 2
-    for a, b in combinations(range(n), 2):
-        # minor of (grad g(x), d)
-        jac[..., row, :n] = (
-            hx[..., a, :] * d[..., b, None]
-            - hx[..., b, :] * d[..., a, None]
-            + gx[..., a, None] * dd_dx[..., b, :]
-            - gx[..., b, None] * dd_dx[..., a, :]
-        )
-        jac[..., row, n:] = -(
-            gx[..., a, None] * dd_dx[..., b, :]
-            - gx[..., b, None] * dd_dx[..., a, :]
-        )
-        row += 1
-    for a, b in combinations(range(n), 2):
-        # minor of (grad g(y), d)
-        jac[..., row, n:] = (
-            hy[..., a, :] * d[..., b, None]
-            - hy[..., b, :] * d[..., a, None]
-            - (gy[..., a, None] * dd_dx[..., b, :] - gy[..., b, None] * dd_dx[..., a, :])
-        )
-        jac[..., row, :n] = (
-            gy[..., a, None] * dd_dx[..., b, :]
-            - gy[..., b, None] * dd_dx[..., a, :]
-        )
-        row += 1
+    # minors of (grad g(x), d): rows 2 .. 2+k
+    ga = gx[..., a, None] * dd_dx[..., b, :]
+    gb = gx[..., b, None] * dd_dx[..., a, :]
+    jac[..., 2:2 + k, :n] = (
+        hx[..., a, :] * d[..., b, None] - hx[..., b, :] * d[..., a, None] + ga - gb
+    )
+    jac[..., 2:2 + k, n:] = -(ga - gb)
+    # minors of (grad g(y), d): the last k rows
+    gyd = gy[..., a, None] * dd_dx[..., b, :] - gy[..., b, None] * dd_dx[..., a, :]
+    jac[..., 2 + k:, :n] = gyd
+    jac[..., 2 + k:, n:] = hy[..., a, :] * d[..., b, None] - hy[..., b, :] * d[..., a, None] - gyd
     return jac
 
 
@@ -443,6 +432,39 @@ def _run_chunked(fn, arr, workers):
     return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
+def _dedup_pairs(x, y, tol, cap):
+    """Representatives of the unordered pairs {x_i, y_i}, as rows (x, y): each
+    pair in canonical order (decided on coordinates rounded to tol/10, so
+    solver noise cannot flip it), the pairs sorted, then a pair kept unless it
+    lies within tol of a kept pair in either order; at most cap + 1 kept."""
+    n = x.shape[1]
+    diff = np.round(x / (0.1 * tol)).astype(int) - np.round(y / (0.1 * tol)).astype(int)
+    swap = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] > 0  # x > y as tuples
+    cand = np.concatenate([x, y], axis=1)
+    cand[swap] = np.concatenate([y[swap], x[swap]], axis=1)
+    cand = cand[np.lexsort(cand.T[::-1])]
+
+    def near(rows, kept):
+        swapped = np.concatenate([kept[:, n:], kept[:, :n]], axis=1)
+        return (np.minimum(np.linalg.norm(rows[:, None] - kept, axis=-1),
+                           np.linalg.norm(rows[:, None] - swapped, axis=-1)) <= tol).any(axis=1)
+
+    # each block of 256 candidates is screened against the pairs kept so far
+    # at once; its survivors are settled in order, each new pair masking the rest
+    kept = np.empty((cap + 1, 2 * n))
+    k = 0
+    for start in range(0, len(cand), 256):
+        block = cand[start:start + 256]
+        masked = near(block, kept[:k])
+        while k <= cap and not masked.all():
+            kept[k] = block[masked.argmin()]
+            masked |= near(block, kept[k:k + 1])
+            k += 1
+        if k > cap:
+            break
+    return kept[:k]
+
+
 def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     """Multistart damped Newton for pairs with a common tangent plane.
 
@@ -452,6 +474,7 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     larger family and the census reports a continuum instead of a count.
     """
     search = search or PairSearchConfig()
+    workers = _worker_count()
     surf = _hypersurface_of(spec)
     fld, level = surf.field, surf.level
     rng = np.random.default_rng(search.rng_seed)
@@ -462,7 +485,7 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     z0 = z0[sep > 10 * search.min_separation]
 
     solve = lambda chunk: _gauss_newton_pairs(fld, level, chunk, search)
-    z, rn = _run_chunked(solve, z0, _worker_count())
+    z, rn = _run_chunked(solve, z0, workers)
 
     n = fld.ambient_dim
     good = rn <= search.residual_tol
@@ -474,30 +497,7 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     if n_converged == 0:
         raise NoPairsFound("no admissible pair converged; try more seeds")
 
-    # canonical order inside each unordered pair (on rounded coordinates so
-    # solver noise cannot flip it), then greedy dedup against both orders
-    grid = 0.1 * search.dedup_tol
-    xr = np.round(x / grid).astype(int)
-    yr = np.round(y / grid).astype(int)
-    swap = np.array([tuple(a) > tuple(b) for a, b in zip(xr, yr)])
-    x[swap], y[swap] = y[swap].copy(), x[swap].copy()
-    cand = np.concatenate([x, y], axis=1)
-    order = np.lexsort(cand.T[::-1])
-    cand = cand[order]
-    kept = []
-    kept_swapped = []
-    cap = 4 * search.continuum_threshold
-    for row in cand:
-        if kept:
-            dist = np.linalg.norm(np.array(kept) - row, axis=-1)
-            dist_sw = np.linalg.norm(np.array(kept_swapped) - row, axis=-1)
-            if (np.minimum(dist, dist_sw) <= search.dedup_tol).any():
-                continue
-        kept.append(row)
-        kept_swapped.append(np.concatenate([row[n:], row[:n]]))
-        if len(kept) > cap:
-            break
-    reps = np.array(kept)
+    reps = _dedup_pairs(x, y, search.dedup_tol, 4 * search.continuum_threshold)
 
     nn = None
     if reps.shape[0] > 1:
@@ -510,12 +510,9 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
         return PairCensus(pairs=[], alpha="continuum", n_converged=n_converged,
                           nn_distance=nn)
 
-    pairs = []
-    for row in reps:
-        px, py = row[:n], row[n:]
-        val = float(np.sum((px - py) ** 2))
-        ares = float(_alignment_residual(fld, px[None], py[None])[0])
-        pairs.append(CriticalPair(px, py, val, ares))
+    x, y = reps[:, :n], reps[:, n:]
+    pairs = [CriticalPair(px, py, float(np.sum((px - py) ** 2)), float(ares))
+             for px, py, ares in zip(x, y, _alignment_residual(fld, x, y))]
     pairs.sort(key=lambda p: (p.value, tuple(p.x), tuple(p.y)))
     return PairCensus(pairs=pairs, alpha=len(pairs), n_converged=n_converged,
                       nn_distance=nn)

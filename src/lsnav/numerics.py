@@ -15,8 +15,12 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int,
     which keeps iterates from tunneling between basins when the Jacobian is
     rank-deficient (flat valleys, solution continua).  An optional ``retract``
     maps trial points back onto a constraint set after each step.  Rows whose
-    residual or Jacobian stops being finite are abandoned and report an
-    infinite residual norm.
+    residual is not finite at the start, or whose Jacobian stops being
+    finite, are abandoned and report an infinite residual norm; a trial point
+    with a non-finite residual is rejected like any other worse point.
+
+    The residual is evaluated at the starts and once per trial point; an
+    accepted trial keeps the residual it was judged by.
 
     Returns (z, residual_norms).
     """
@@ -29,7 +33,6 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int,
     dead = ~np.isfinite(rn)
     rn[dead] = np.inf
     lam = np.full(n, lam0)
-    eye = np.eye(d)
     for _ in range(max_iter):
         active = (rn > tol) & ~dead
         if not active.any():
@@ -39,8 +42,10 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int,
         ra = res[act_idx]
         la = lam[act_idx]
         jac = jacobian(za)
-        jtj = np.einsum("nmi,nmj->nij", jac, jac)
-        jtr = np.einsum("nmi,nm->ni", jac, ra)
+        jt = np.swapaxes(jac, -1, -2)
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are dropped below
+            jtj = jt @ jac
+            jtr = (jt @ ra[..., None])[..., 0]
         bad = ~(np.isfinite(jtj).all(axis=(1, 2)) & np.isfinite(jtr).all(axis=1))
         if bad.any():
             dead[act_idx[bad]] = True
@@ -54,14 +59,13 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int,
         # shift survives rounding whatever the residual scale is
         diag = np.einsum("nii->ni", jtj)
         scale = np.maximum(diag, 1.0)
-        prev = rn[act_idx]
         accepted = np.zeros(len(za), dtype=bool)
-        best_z = za.copy()
         for _ in range(8):
             todo = ~accepted
             if not todo.any():
                 break
-            a = jtj[todo] + (la[todo, None] * scale[todo])[:, :, None] * eye
+            a = jtj[todo]
+            a.reshape(len(a), d * d)[:, :: d + 1] += la[todo, None] * scale[todo]
             try:
                 delta = -np.linalg.solve(a, jtr[todo, :, None])[..., 0]
             except np.linalg.LinAlgError:
@@ -73,21 +77,15 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int,
             trial = za[todo] + delta
             if retract is not None:
                 trial = retract(trial)
-            trn = np.linalg.norm(residual(trial), axis=-1)
-            trn = np.where(np.isfinite(trn), trn, np.inf)
-            good = trn < prev[todo]
+            tres = residual(trial)
+            trn = np.linalg.norm(tres, axis=-1)
             idx = np.flatnonzero(todo)
+            good = trn < rn[act_idx[idx]]  # False for a non-finite trial norm
             gi = idx[good]
-            best_z[gi] = trial[good]
+            z[act_idx[gi]], res[act_idx[gi]], rn[act_idx[gi]] = trial[good], tres[good], trn[good]
             accepted[gi] = True
             la[gi] = np.maximum(la[gi] * 0.3, lam_min)
             bi = idx[~good]
             la[bi] = np.minimum(la[bi] * 10.0, lam_max)
-        z[act_idx] = best_z
-        res_new = residual(best_z)
-        res[act_idx] = res_new
-        new_rn = np.linalg.norm(res_new, axis=-1)
-        rn[act_idx] = np.where(np.isfinite(new_rn), new_rn, np.inf)
-        dead[act_idx] |= ~np.isfinite(new_rn)
         lam[act_idx] = la
     return z, rn

@@ -150,8 +150,12 @@ def test_critfind_empty_seed_set(capsys):
     ("height", "sphere:0"),
     ("height", "stiefel:3"),
     ("height", "@no-such-spec.json"),
-], ids=["unknown-field", "sphere-0", "stiefel-3", "missing-spec-file"])
-def test_usage_error_exit_code(field, manifold):
+    ("height", "@sphere-without-dim.json"),
+], ids=["unknown-field", "sphere-0", "stiefel-3", "missing-spec-file", "spec-missing-field"])
+def test_usage_error_exit_code(field, manifold, tmp_path, monkeypatch):
+    # the spec file of the spec-missing-field case; no other case reads it
+    (tmp_path / "sphere-without-dim.json").write_text('{"kind": "sphere"}')
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["critfind", "--field", field, "--manifold", manifold])
     assert exc.value.code == 2

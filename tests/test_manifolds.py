@@ -9,6 +9,7 @@ from lsnav.errors import (
     NotTangent,
     OddLength,
     SingularInput,
+    WrongSpec,
 )
 from lsnav.manifolds import (
     Ellipsoid,
@@ -223,3 +224,22 @@ def test_implicit_spec_default_level():
                   "params": {"major_radius": 2.0, "minor_radius": 0.5}},
     })
     assert spec.level == 0.25
+
+
+@pytest.mark.parametrize("obj, match", [
+    ({"kind": "sphere"}, "'dim'"),
+    ({"kind": "sphere", "dim": "two"}, "sphere spec .*'two'"),
+    ({"kind": "product_spheres", "dims": 3}, "product_spheres spec .*not iterable"),
+    ({"kind": "ellipsoid"}, "'semiaxes'"),
+    ({"kind": "implicit_hypersurface", "field": {"name": "torus_of_revolution"}}, "'params'"),
+    ({"kind": "implicit_hypersurface",
+      "field": {"name": "torus_of_revolution", "params": {"major_radius": 2.0}}},
+     "'minor_radius'"),
+    ({"kind": "stiefel_v2", "frame_dim": None}, "stiefel_v2 spec .*NoneType"),
+    ([1, 2], "unknown manifold kind"),
+], ids=["sphere-no-dim", "sphere-bad-dim", "product-bad-dims", "ellipsoid-no-semiaxes",
+        "implicit-no-params", "implicit-no-minor-radius", "stiefel-bad-frame-dim",
+        "not-an-object"])
+def test_spec_from_json_names_missing_and_ill_typed_fields(obj, match):
+    with pytest.raises(WrongSpec, match=match):
+        spec_from_json(obj)

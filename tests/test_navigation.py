@@ -1,9 +1,11 @@
 import os
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from lsnav import manifolds as mf
 from lsnav.errors import InvalidEnvironment, NotCriticalTuple, WrongSpec
 from lsnav.manifolds import (
     Ellipsoid,
@@ -18,6 +20,7 @@ from lsnav.navigation import (
     NavTuple,
     PairSearchConfig,
     SignPattern,
+    _dedup_pairs,
     _worker_count,
     classify_sphere_critical,
     critical_tuple,
@@ -25,6 +28,8 @@ from lsnav.navigation import (
     nav_field,
     nav_gradient,
     nav_value,
+    pair_system_jacobian,
+    pair_system_residual,
     pattern_value,
     random_critical_tuple,
 )
@@ -235,3 +240,112 @@ def test_worker_count_rejects_invalid_values(monkeypatch, value):
     monkeypatch.setenv("LSNAV_THREADS", value)
     with pytest.raises(InvalidEnvironment, match=re.escape(repr(value))):
         _worker_count()
+
+
+PAIR_SURFACES = {
+    "torus": ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25),
+    "ellipsoid-4d": Ellipsoid((1.0, 1.5, 2.0, 3.0)),
+}
+
+
+def _pair_starts(surf, count, seed):
+    pts = random_points(surf, 2 * count, np.random.default_rng(seed))
+    z = np.concatenate([pts[:count], pts[count:]], axis=1)
+    n = surf.ambient_dim
+    return z[np.linalg.norm(z[:, :n] - z[:, n:], axis=1) > 1e-2]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
+def test_pair_system_jacobian_matches_central_differences(name):
+    # criterion 6 checks only the 3-D ellipsoid, whose Hessian is diagonal;
+    # the torus Hessian is not, and the 4-D ellipsoid has six minors per side
+    surf = PAIR_SURFACES[name]
+    fld, level = surf.field, surf.level
+    z = _pair_starts(surf, 300, seed=4)
+    jac = pair_system_jacobian(fld, level, z)
+    n = surf.ambient_dim
+    assert jac.shape == (len(z), 2 + n * (n - 1), 2 * n)
+    fd = np.empty_like(jac)
+    h = 1e-6 * (1.0 + np.linalg.norm(z, axis=-1))
+    for k in range(z.shape[1]):
+        step = np.zeros_like(z)
+        step[:, k] = h
+        fd[:, :, k] = (pair_system_residual(fld, level, z + step)
+                       - pair_system_residual(fld, level, z - step)) / (2.0 * h)[:, None]
+    num = np.linalg.norm(jac - fd, axis=(1, 2))
+    den = np.maximum(np.linalg.norm(jac, axis=(1, 2)), 1.0)
+    assert np.max(num / den) <= 1e-5
+
+
+def _reference_pair_residual(fld, level, z):
+    """The pair residual built one minor at a time, in combinations order."""
+    n = z.shape[-1] // 2
+    x, y = z[..., :n], z[..., n:]
+    chord = x - y
+    d = chord / np.maximum(np.linalg.norm(chord, axis=-1, keepdims=True), 1e-12)
+    parts = [fld.value(x) - level, fld.value(y) - level]
+    for u in (fld.grad(x), fld.grad(y)):
+        for a, b in combinations(range(n), 2):
+            parts.append(u[..., a] * d[..., b] - u[..., b] * d[..., a])
+    return np.stack(parts, axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
+def test_pair_system_residual_matches_reference_loop(name):
+    surf = PAIR_SURFACES[name]
+    z = _pair_starts(surf, 200, seed=5)
+    got = pair_system_residual(surf.field, surf.level, z)
+    assert np.array_equal(got, _reference_pair_residual(surf.field, surf.level, z))
+    assert got.flags.c_contiguous
+    # a single point gives the same row
+    assert np.array_equal(pair_system_residual(surf.field, surf.level, z[0]), got[0])
+
+
+def _reference_dedup(x, y, tol, cap):
+    """Greedy pair dedup one candidate at a time, as a list of kept rows."""
+    n = x.shape[1]
+    grid = 0.1 * tol
+    xr = np.round(x / grid).astype(int)
+    yr = np.round(y / grid).astype(int)
+    swap = np.array([tuple(a) > tuple(b) for a, b in zip(xr, yr)])
+    x, y = x.copy(), y.copy()
+    x[swap], y[swap] = y[swap].copy(), x[swap].copy()
+    cand = np.concatenate([x, y], axis=1)
+    cand = cand[np.lexsort(cand.T[::-1])]
+    kept, kept_swapped = [], []
+    for row in cand:
+        if kept:
+            dist = np.linalg.norm(np.array(kept) - row, axis=-1)
+            dist_sw = np.linalg.norm(np.array(kept_swapped) - row, axis=-1)
+            if (np.minimum(dist, dist_sw) <= tol).any():
+                continue
+        kept.append(row)
+        kept_swapped.append(np.concatenate([row[n:], row[:n]]))
+        if len(kept) > cap:
+            break
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("spread, cap", [(0.0, 200), (3e-3, 200), (1.0, 200), (1.0, 40)])
+def test_dedup_pairs_matches_reference_loop(spread, cap):
+    # clusters of noisy copies of a few pairs, stored in either order, plus a
+    # scattered family when spread is large (more distinct pairs than the cap)
+    rng = np.random.default_rng(6)
+    centres = rng.normal(size=(5, 6))
+    rows = centres[rng.integers(0, 5, size=700)] + 2e-4 * rng.normal(size=(700, 6))
+    rows = np.concatenate([rows, spread * rng.normal(size=(300, 6))])
+    flip = rng.random(len(rows)) < 0.5
+    rows[flip] = np.concatenate([rows[flip, 3:], rows[flip, :3]], axis=1)
+    x, y = rows[:, :3], rows[:, 3:]
+    got = _dedup_pairs(x, y, 1e-3, cap)
+    assert np.array_equal(got, _reference_dedup(x, y, 1e-3, cap))
+
+
+def test_parallel_pairs_reads_thread_count_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("seeds were sampled before LSNAV_THREADS was checked")
+
+    monkeypatch.setenv("LSNAV_THREADS", "abc")
+    monkeypatch.setattr(mf, "random_points", no_sampling)
+    with pytest.raises(InvalidEnvironment):
+        find_parallel_pairs(Ellipsoid((1.0, 2.0, 3.0)), PairSearchConfig(n_seeds=50))

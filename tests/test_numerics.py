@@ -1,0 +1,73 @@
+import numpy as np
+
+from lsnav.numerics import levenberg_marquardt
+
+
+def _linear(a, b):
+    """Residual z -> A z - b, the same for every row, and its Jacobian."""
+    def residual(z):
+        return z @ a.T - b
+
+    def jacobian(z):
+        return np.broadcast_to(a, (len(z),) + a.shape).copy()
+
+    return residual, jacobian
+
+
+def test_lm_evaluates_each_point_once():
+    # the residual is evaluated at the starts and at trial points only: an
+    # accepted trial keeps the residual it was judged by
+    seen = []
+
+    def residual(z):
+        seen.append(np.array(z))
+        # one equation in two unknowns: each start converges to its own point of the circle
+        return np.sum(z * z, axis=-1, keepdims=True) - 1.0
+
+    def jacobian(z):
+        return 2.0 * z[:, None, :]
+
+    z0 = np.random.default_rng(0).uniform(-2.0, 2.0, size=(40, 2))
+    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-12, max_iter=60)
+    assert (rn <= 1e-12).all()
+    assert np.array_equal(seen[0], z0)
+    rows = np.concatenate(seen)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    # the reported norms are those of the residual at the returned points
+    assert np.array_equal(np.linalg.norm(residual(z), axis=-1), rn)
+
+
+def test_lm_abandons_non_finite_rows():
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(4, 2))
+    residual, linear_jacobian = _linear(a, a @ np.array([0.3, -0.2]))
+
+    def jacobian(z):
+        j = linear_jacobian(z)
+        j[(z[:, 0] > 5.0) & (z[:, 0] < 8.0)] = np.inf
+        return j
+
+    z0 = rng.uniform(-1.0, 1.0, size=(6, 2))
+    z0[0, 0] = np.nan  # residual not finite at the start
+    z0[1] = 10.0  # on its way to the solution, row 1 crosses the band 5 < x < 8
+    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-10, max_iter=100)
+    assert np.isinf(rn[:2]).all()
+    assert (rn[2:] <= 1e-10).all()
+    assert 5.0 < z[1, 0] < 8.0
+
+
+def test_lm_matches_lstsq_on_linear_problems():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(7, 3))
+    z0 = rng.uniform(-3.0, 3.0, size=(30, 3))
+    # consistent: the least-squares solution has a zero residual
+    b = a @ np.array([0.4, -1.2, 2.0])
+    want, *_ = np.linalg.lstsq(a, b, rcond=None)
+    z, rn = levenberg_marquardt(*_linear(a, b), z0, tol=1e-13, max_iter=200)
+    assert np.max(np.abs(z - want)) <= 1e-10
+    # inconsistent: LM stops at the least-squares residual norm
+    b = rng.normal(size=7)
+    want, *_ = np.linalg.lstsq(a, b, rcond=None)
+    best = np.linalg.norm(a @ want - b)
+    z, rn = levenberg_marquardt(*_linear(a, b), z0, tol=1e-13, max_iter=200)
+    assert np.max(np.abs(rn - best)) <= 1e-10 * best
