@@ -88,25 +88,27 @@ def _emit(args, payload, text_renderer=None):
 
 
 def _flow_config(args) -> FlowConfig:
-    return FlowConfig(step=args.step, max_time=args.max_time,
-                      grad_tol=args.grad_tol, cluster_tol=args.cluster_tol)
+    try:
+        return FlowConfig(step=args.step, max_time=args.max_time,
+                          grad_tol=args.grad_tol, cluster_tol=args.cluster_tol)
+    except ValueError as exc:
+        raise LsnavError(str(exc)) from None
 
 
 def cmd_critfind(args) -> int:
     rng = np.random.default_rng(args.seed)
     spec = args.manifold
+    cfg = _flow_config(args)
     if args.field == "nav":
         field = nav_field(spec, args.r)
     elif args.field == "ut-f":
         if not isinstance(spec, StiefelV2):
             raise LsnavError("field ut-f lives on a frame manifold (stiefel:FRAME_DIM)")
         field = f_ut_field(spec)
-    elif args.field == "height":
+    else:  # "height"; argparse restricts the choices
         field = height_field(spec)
-    else:  # pragma: no cover - argparse restricts choices
-        raise LsnavError(f"unknown field {args.field}")
     seeds = random_points(field.spec, args.seeds, rng)
-    comps = find_critical_components(field, seeds, _flow_config(args))
+    comps = find_critical_components(field, seeds, cfg)
     payload = components_to_json(comps)
 
     def text():

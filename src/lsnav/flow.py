@@ -54,7 +54,7 @@ class FlowConfig:
     cluster_tol: float = 1e-4
 
     def __post_init__(self):
-        if min(self.step, self.max_time, self.grad_tol, self.cluster_tol) <= 0:
+        if not all(v > 0 for v in (self.step, self.max_time, self.grad_tol, self.cluster_tol)):
             raise ValueError("all flow parameters must be strictly positive")
         if not self.step < self.max_time:
             raise ValueError("step must be smaller than max_time")

@@ -82,17 +82,6 @@ class NavTuple:
         }
 
 
-def power_spec(spec, r: int):
-    """The manifold M^r as a product-of-spheres spec (slot-major layout)."""
-    if isinstance(spec, Sphere):
-        return ProductSpheres((spec.dim,) * r)
-    if isinstance(spec, ProductSpheres):
-        return ProductSpheres(spec.dims * r)
-    if isinstance(spec, mf.Euclidean):
-        return mf.Euclidean(spec.dim * r)
-    raise WrongSpec("power spec is only defined for spheres and their products")
-
-
 # ---------------------------------------------------------------------------
 # Values and gradients
 # ---------------------------------------------------------------------------
@@ -127,7 +116,6 @@ def nav_gradient(t: NavTuple):
 
 def nav_field(spec, r: int) -> ScalarField:
     """The navigation function as a scalar field on M^r (flat coordinates)."""
-    pspec = power_spec(spec, r)
     d = spec.ambient_dim
 
     def value(x):
@@ -148,7 +136,7 @@ def nav_field(spec, r: int) -> ScalarField:
             except NotCriticalTuple:
                 return None
 
-    return ScalarField(pspec, value, grad, name=f"nav(r={r})", classifier=classifier)
+    return ScalarField(spec.power(r), value, grad, name=f"nav(r={r})", classifier=classifier)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +193,9 @@ def classify_sphere_critical(t: NavTuple, tol: float = 1e-9) -> SignPattern:
     """
     if not isinstance(t.spec, (Sphere, ProductSpheres)):
         raise WrongSpec("structural classification needs a sphere or product of spheres")
-    blocks = mf.sphere_blocks(t.spec)
     signs = []
     ok = True
-    for s, e in blocks:
+    for s, e in mf.sphere_blocks(t.spec):
         x1 = t.points[0, s:e]
         factor = [1]
         for i in range(1, t.r):

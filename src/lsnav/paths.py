@@ -32,7 +32,7 @@ from .errors import (
     TargetDomainMiss,
     WrongSpec,
 )
-from .manifolds import PointOnM, ProductSpheres, Sphere, TangentVector
+from .manifolds import PointOnM, Sphere, TangentVector
 from .navigation import NavTuple, SignPattern, classify_sphere_critical
 
 CONTINUITY_TOL = 1e-9
@@ -114,7 +114,7 @@ class SampledSegment:
         t_hi = self.times[idx + 1]
         w = ((ts - t_lo) / (t_hi - t_lo))[..., None]
         out = (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
-        if spec is not None and not isinstance(spec, mf.Euclidean):
+        if spec is not None:
             out = mf.project_points(spec, out)
         return out
 
@@ -176,14 +176,10 @@ class PathSpec:
     @property
     def ambient_dim(self) -> int:
         seg = self.segments[0]
-        if isinstance(seg, ConstantSegment):
-            return seg.point.size
-        if isinstance(seg, GreatCircleSegment):
-            return seg.start.size
-        return seg.values.shape[-1]
+        return seg.eval(np.array([seg.t0])).shape[-1]
 
     def constraint_residual(self, n_samples: int = 256) -> float:
-        if self.spec is None or isinstance(self.spec, mf.Euclidean):
+        if self.spec is None:
             return 0.0
         ts = np.linspace(0.0, 1.0, n_samples)
         return float(np.max(mf.constraint_residual(self.spec, self.eval_many(ts))))
@@ -278,21 +274,14 @@ def plan_product_odd_spheres(t: NavTuple, pattern: SignPattern,
     pattern; no snapping.
     """
     spec = t.spec
-    if isinstance(spec, Sphere):
-        dims = (spec.dim,)
-    elif isinstance(spec, ProductSpheres):
-        dims = spec.dims
-    else:
-        raise WrongSpec("planner needs a sphere or a product of spheres")
-    if any(d % 2 == 0 for d in dims):
+    found = classify_sphere_critical(t, tol=tol)  # WrongSpec unless spheres
+    if any(d % 2 == 0 for d in spec.dims):
         raise EvenDimension("every factor must be an odd-dimensional sphere")
-    found = classify_sphere_critical(t, tol=tol)
     if found.signs != pattern.signs:
         raise PatternMismatch(
             f"tuple realizes pattern {found.label}, not {pattern.label}"
         )
-    blocks = mf.sphere_blocks(spec) if isinstance(spec, ProductSpheres) \
-        else ((0, spec.ambient_dim),)
+    blocks = mf.sphere_blocks(spec)
     r = t.r
     base = t.points[0]
     segments = []

@@ -145,20 +145,53 @@ def test_critfind_empty_seed_set(capsys):
     assert json.loads(err)["error"] == "NoConvergedSeeds"
 
 
+# spec files read by the usage-error cases below, written into tmp_path
+SPEC_FILES = {
+    "sphere-without-dim.json": {"kind": "sphere"},
+    "euclidean-dim-0.json": {"kind": "euclidean", "dim": 0},
+    "euclidean-dim-negative.json": {"kind": "euclidean", "dim": -3},
+    "ellipsoid-nan.json": {"kind": "ellipsoid", "semiaxes": [1, "nan"]},
+    "ellipsoid-inf.json": {"kind": "ellipsoid", "semiaxes": [1, "inf"]},
+    "sphere-fractional-dim.json": {"kind": "sphere", "dim": 2.7},
+    "product-fractional-dims.json": {"kind": "product_spheres", "dims": [1.5, 3]},
+    "stiefel-fractional-frame-dim.json": {"kind": "stiefel_v2", "frame_dim": 4.9},
+    "sphere-bool-dim.json": {"kind": "sphere", "dim": True},
+}
+
+
 @pytest.mark.parametrize("field, manifold", [
     ("bogus", "sphere:1"),
     ("height", "sphere:0"),
     ("height", "stiefel:3"),
     ("height", "@no-such-spec.json"),
     ("height", "@sphere-without-dim.json"),
-], ids=["unknown-field", "sphere-0", "stiefel-3", "missing-spec-file", "spec-missing-field"])
+    ("height", "ellipsoid:1,nan"),
+] + [("height", "@" + name) for name in list(SPEC_FILES)[1:]],
+    ids=["unknown-field", "sphere-0", "stiefel-3", "missing-spec-file", "spec-missing-field",
+         "ellipsoid-nan-arg"] + [name[:-5] for name in list(SPEC_FILES)[1:]])
 def test_usage_error_exit_code(field, manifold, tmp_path, monkeypatch):
-    # the spec file of the spec-missing-field case; no other case reads it
-    (tmp_path / "sphere-without-dim.json").write_text('{"kind": "sphere"}')
+    for name, spec in SPEC_FILES.items():
+        (tmp_path / name).write_text(json.dumps(spec))
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["critfind", "--field", field, "--manifold", manifold])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--step", "-1", "strictly positive"),
+    ("--max-time", "0", "strictly positive"),
+    ("--step", "300", "smaller than max_time"),
+    ("--grad-tol", "nan", "strictly positive"),
+], ids=["negative-step", "zero-max-time", "step-above-max-time", "nan-grad-tol"])
+def test_invalid_flow_parameters_exit_code(option, value, message, capsys):
+    code, out, err = run_cli(capsys, "critfind", "--field", "nav", "--manifold", "sphere:1",
+                             "--r", "2", "--seeds", "20", option, value)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "LsnavError"
+    assert message in payload["message"]
 
 
 def test_invalid_thread_count_exit_code(capsys, monkeypatch):

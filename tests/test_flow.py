@@ -302,6 +302,17 @@ def test_flow_config_validation():
         FlowConfig(step=10.0, max_time=5.0)
 
 
+@pytest.mark.parametrize("name", ["step", "max_time", "grad_tol", "cluster_tol"])
+def test_flow_config_rejects_nan(name):
+    with pytest.raises(ValueError):
+        FlowConfig(**{name: float("nan")})
+
+
+def test_flow_config_accepts_a_large_first_step():
+    # the adaptive driver shrinks a first step that is too large
+    assert FlowConfig(step=5.0).step == 5.0
+
+
 def test_detect_critical_distance_clustering_without_classifier():
     rng = np.random.default_rng(7)
     spec = Sphere(2)

@@ -27,6 +27,7 @@ from lsnav.manifolds import (
     spec_to_json,
     tangent_project,
 )
+from lsnav.navigation import find_parallel_pairs, nav_field
 from lsnav.paths import geodesic_to_antipode
 
 ALL_SPECS = [
@@ -207,6 +208,23 @@ def test_spec_json_round_trip():
         back = spec_from_json(spec_to_json(spec))
         assert back.ambient_dim == spec.ambient_dim
         assert type(back) is type(spec)
+        assert spec_to_json(back) == spec_to_json(spec)
+
+
+@pytest.mark.parametrize("operation, spec, match", [
+    (mf.sphere_blocks, Ellipsoid((1.0, 2.0, 3.0)), "Ellipsoid has no sphere-block"),
+    (mf.sphere_blocks, ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25),
+     "ImplicitHypersurface has no sphere-block"),
+    (mf.sphere_blocks, Euclidean(3), "Euclidean has no sphere-block"),
+    (lambda s: nav_field(s, 2), Ellipsoid((1.0, 2.0, 3.0)), "Ellipsoid has no power"),
+    (lambda s: nav_field(s, 2), StiefelV2(4), "StiefelV2 has no power"),
+    (find_parallel_pairs, StiefelV2(4), "needs a hypersurface"),
+], ids=["blocks-ellipsoid", "blocks-implicit", "blocks-euclidean", "power-ellipsoid",
+        "power-stiefel", "pairs-stiefel"])
+def test_unsupported_operation_raises_wrong_spec(operation, spec, match):
+    # a kind without the operation says so; it never ends in an AttributeError
+    with pytest.raises(WrongSpec, match=match):
+        operation(spec)
 
 
 def test_euclidean_is_flat():
@@ -237,9 +255,20 @@ def test_implicit_spec_default_level():
      "'minor_radius'"),
     ({"kind": "stiefel_v2", "frame_dim": None}, "stiefel_v2 spec .*NoneType"),
     ([1, 2], "unknown manifold kind"),
+    ({"kind": "euclidean", "dim": 0}, "euclidean dimension must be >= 1"),
+    ({"kind": "euclidean", "dim": -3}, "euclidean dimension must be >= 1"),
+    ({"kind": "ellipsoid", "semiaxes": [1, "nan"]}, "finite, strictly positive"),
+    ({"kind": "ellipsoid", "semiaxes": [1, "inf"]}, "finite, strictly positive"),
+    ({"kind": "sphere", "dim": 2.7}, "sphere spec .*2.7"),
+    ({"kind": "product_spheres", "dims": [1.5, 3]}, "product_spheres spec .*1.5"),
+    ({"kind": "stiefel_v2", "frame_dim": 4.9}, "stiefel_v2 spec .*4.9"),
+    ({"kind": "sphere", "dim": True}, "sphere spec .*True"),
+    ({"kind": "stiefel_v2", "frame_dim": True}, "stiefel_v2 spec .*True"),
 ], ids=["sphere-no-dim", "sphere-bad-dim", "product-bad-dims", "ellipsoid-no-semiaxes",
         "implicit-no-params", "implicit-no-minor-radius", "stiefel-bad-frame-dim",
-        "not-an-object"])
+        "not-an-object", "euclidean-dim-0", "euclidean-dim-negative", "ellipsoid-nan",
+        "ellipsoid-inf", "sphere-fractional-dim", "product-fractional-dims",
+        "stiefel-fractional-frame-dim", "sphere-bool-dim", "stiefel-bool-frame-dim"])
 def test_spec_from_json_names_missing_and_ill_typed_fields(obj, match):
     with pytest.raises(WrongSpec, match=match):
         spec_from_json(obj)
