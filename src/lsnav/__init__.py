@@ -22,7 +22,6 @@ from .flow import (
     height_field,
     integrate_flow,
     newton_critical_search,
-    pseudo_gradient,
     rho,
 )
 from .manifolds import (
@@ -70,16 +69,13 @@ from .paths import (
 from .unit_tangent import (
     FiberTuple,
     Trivialization,
-    VerticalDecomposition,
     df_ut,
     f_ut,
     f_ut_field,
     fiber_fibration,
-    fiber_vertical_gradient,
     sigma_u_planner,
     su_trivialization,
     vertical_flow_endpoints,
-    vertical_project,
     vertical_proportionality_scan,
 )
 

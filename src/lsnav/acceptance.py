@@ -23,6 +23,7 @@ from .bounds import (
 )
 from .flow import (
     FlowConfig,
+    ScalarField,
     descent_diagnostic,
     find_critical_components,
     integrate_flow,
@@ -45,6 +46,7 @@ from .paths import (
     plan_product_odd_spheres,
 )
 from .unit_tangent import (
+    FiberTuple,
     f_ut_field,
     base_height_field,
     fiber_fibration,
@@ -54,7 +56,7 @@ from .unit_tangent import (
     vertical_flow_endpoints,
     vertical_gradient_coords,
     vertical_proportionality_scan,
-    _direct_fiber_vertical,
+    _orthonormalize,
 )
 
 
@@ -355,6 +357,27 @@ def check_gradients(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 # 7. Vertical structure
 # ---------------------------------------------------------------------------
+
+def _direct_fiber_vertical(field: ScalarField, t: FiberTuple) -> np.ndarray:
+    """Project the ambient gradient of the sum function onto the vertical space
+    of the fiber product, built from an explicit orthonormal basis."""
+    spec = field.spec
+    r, amb = t.r, spec.ambient_dim
+    grad = field.euclidean_gradient_at(t.entries).reshape(-1)
+    basis = []
+    for i in range(r):
+        x1, x2 = mf.frame_columns(spec, t.entries[i])
+        span = _orthonormalize(np.stack([x1, x2]))
+        comp = np.eye(spec.frame_dim) - span.T @ span
+        w = _orthonormalize(comp)
+        for row in w:
+            cand = np.zeros(r * amb)
+            cand[i * amb + spec.frame_dim : (i + 1) * amb] = row
+            basis.append(cand)
+    basis = np.array(basis)
+    coeff = basis @ grad
+    return (coeff @ basis).reshape(r, amb)
+
 
 def check_vertical_structure(seed: int = 0) -> CriterionResult:
     t0 = time.time()

@@ -48,8 +48,8 @@ from .unit_tangent import FiberTuple, f_ut_field, fiber_fibration, sigma_u_plann
 def _parse_manifold(text: str):
     """sphere:N | product:N1,N2,... | ellipsoid:a,b,c | stiefel:FRAME_DIM | @spec.json
 
-    Invalid specs and unreadable files raise ArgumentTypeError, which argparse
-    reports as a usage error."""
+    Invalid specs, unparsable numbers and unreadable files raise
+    ArgumentTypeError, which argparse reports as a usage error."""
     try:
         if text.startswith("@"):
             with open(text[1:]) as fh:
@@ -63,12 +63,49 @@ def _parse_manifold(text: str):
             return Ellipsoid(tuple(float(v) for v in rest.split(",")))
         if kind == "stiefel":
             return StiefelV2(int(rest))
-    except (LsnavError, OSError) as exc:
+    except (LsnavError, OSError, ValueError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError(
         f"unknown manifold {text!r} (use sphere:N, product:N1,N2, ellipsoid:a,b,c, "
         "stiefel:FRAME_DIM, or @file.json)"
     )
+
+
+def _checked(parse, ok, expected: str):
+    """An argparse type: parse(text) when that succeeds and passes ok, else a
+    usage error saying what was expected."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+def _numbers(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _surface(kind: str):
+    """An argparse type reading ``pairs --KIND TEXT`` as ``--manifold KIND:TEXT``."""
+    return lambda text: _parse_manifold(f"{kind}:{text}")
+
+
+def _torus(text: str) -> ImplicitHypersurface:
+    major, minor = _radii(text)
+    return ImplicitHypersurface(torus_of_revolution_field(major, minor), minor**2)
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_radii = _checked(_numbers, lambda v: len(v) == 2, "major,minor radii")
+_criteria = _checked(lambda text: [int(v) for v in text.split(",")],
+                     lambda only: all(1 <= k <= len(acceptance.ALL_CHECKS) for k in only),
+                     f"criterion numbers 1 to {len(acceptance.ALL_CHECKS)}")
 
 
 def _emit(args, payload, text_renderer=None):
@@ -123,8 +160,11 @@ def cmd_critfind(args) -> int:
 
 def _load_tuple(path: str) -> np.ndarray:
     with open(path) as fh:
-        data = json.load(fh)
-    return np.asarray(data, dtype=float)
+        try:
+            return np.asarray(json.load(fh), dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise LsnavError(f"tuple file {path} is not a JSON array of coordinate arrays: "
+                             f"{exc}") from None
 
 
 def cmd_plan(args) -> int:
@@ -150,15 +190,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_pairs(args) -> int:
-    if args.ellipsoid:
-        spec = Ellipsoid(tuple(float(v) for v in args.ellipsoid.split(",")))
-    elif args.sphere is not None:
-        spec = Sphere(args.sphere)
-    elif args.torus:
-        major, minor = (float(v) for v in args.torus.split(","))
-        fld = torus_of_revolution_field(major, minor)
-        spec = ImplicitHypersurface(fld, minor**2)
-    else:
+    spec = args.ellipsoid or args.sphere or args.torus
+    if spec is None:
         raise LsnavError("choose a surface: --ellipsoid, --sphere or --torus")
     census = find_parallel_pairs(
         spec, PairSearchConfig(n_seeds=args.seeds, rng_seed=args.seed)
@@ -190,10 +223,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = None
-    if args.only:
-        only = [int(v) for v in args.only.split(",")]
-    results = acceptance.run(only=only, seed=args.seed)
+    results = acceptance.run(only=args.only, seed=args.seed)
     passed = all(r.passed for r in results)
     print(("ALL PASS" if passed else "FAILURES PRESENT")
           + f"  ({sum(r.passed for r in results)}/{len(results)})")
@@ -227,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifold", type=_parse_manifold, required=True,
                    help="sphere:N | product:N1,N2 | ellipsoid:a,b,c | stiefel:FRAME_DIM | @spec.json")
     p.add_argument("--r", type=int, default=2, help="number of waypoints for the nav field")
-    p.add_argument("--seeds", type=int, default=200)
+    p.add_argument("--seeds", type=_positive_int, default=200)
     p.add_argument("--step", type=float, default=1e-2,
                    help="initial step of the adaptive Dormand-Prince 5(4) flows")
     p.add_argument("--max-time", type=float, default=200.0)
@@ -259,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "T_x M = T_y M perpendicular to the chord; their count "
                     "bounds TC(M) - 1 from below.",
     )
-    p.add_argument("--ellipsoid", help="semiaxes a,b,c")
-    p.add_argument("--sphere", type=int, help="sphere dimension n")
-    p.add_argument("--torus", help="major,minor radii of a torus of revolution")
-    p.add_argument("--seeds", type=int, default=10000)
+    p.add_argument("--ellipsoid", type=_surface("ellipsoid"), help="semiaxes a,b,c")
+    p.add_argument("--sphere", type=_surface("sphere"), help="sphere dimension n")
+    p.add_argument("--torus", type=_torus, help="major,minor radii of a torus of revolution")
+    p.add_argument("--seeds", type=_positive_int, default=10000)
     common_io(p)
     p.set_defaults(fn=cmd_pairs)
 
@@ -290,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run every acceptance criterion at its pinned tolerance "
                     "and print one pass/fail line per criterion.",
     )
-    p.add_argument("--only", help="comma-separated criterion numbers, e.g. 3,9")
+    p.add_argument("--only", type=_criteria,
+                   help="comma-separated criterion numbers, e.g. 3,9")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 

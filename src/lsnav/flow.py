@@ -26,7 +26,7 @@ import numpy as np
 
 from . import manifolds as mf
 from .errors import LsnavError, NegativeInput, NoConvergedSeeds
-from .manifolds import PointOnM, TangentVector
+from .manifolds import PointOnM
 
 
 def rho(s):
@@ -66,7 +66,7 @@ class ScalarField:
 
     ``value`` and ``euclidean_gradient`` take coordinate arrays of shape
     (..., ambient_dim) and broadcast.  When no analytic gradient is given,
-    central finite differences with step 1e-6 * (1 + |x|) are used.
+    central finite differences with step FD_SCALE * (1 + |x|) are used.
     ``classifier`` optionally maps a critical point to a structural label.
     """
 
@@ -75,7 +75,6 @@ class ScalarField:
     euclidean_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
     classifier: Optional[Callable[[np.ndarray], Optional[str]]] = None
-    fd_scale: float = 1e-6
 
     def value_at(self, coords):
         return np.asarray(self.value(np.asarray(coords, dtype=float)), dtype=float)
@@ -87,9 +86,9 @@ class ScalarField:
         return self.fd_gradient(coords)
 
     def fd_gradient(self, coords):
-        """Central finite differences of ``value``, step 1e-6 * (1 + |x|)."""
+        """Central finite differences of ``value``, step FD_SCALE * (1 + |x|)."""
         coords = np.asarray(coords, dtype=float)
-        h = self.fd_scale * (1.0 + np.linalg.norm(coords, axis=-1))
+        h = FD_SCALE * (1.0 + np.linalg.norm(coords, axis=-1))
         grad = np.empty_like(coords)
         for k in range(coords.shape[-1]):
             plus = coords.copy()
@@ -116,12 +115,6 @@ def pseudo_gradient_coords(field: ScalarField, coords):
     return np.asarray(h)[..., None] * grad
 
 
-def pseudo_gradient(field: ScalarField, p: PointOnM) -> TangentVector:
-    """Pseudo-gradient at a point, as a tangent vector."""
-    vec = pseudo_gradient_coords(field, p.coords)
-    return TangentVector(p, vec)
-
-
 # ---------------------------------------------------------------------------
 # Integration
 # ---------------------------------------------------------------------------
@@ -144,6 +137,9 @@ ATOL = 1e-9            # local error bound per step
 RTOL = 1e-3            # local error bound relative to the step's displacement
 STEP_FLOOR = 1e-8      # a row rejected down to a step below this stops unconverged
 LYAPUNOV_SLACK = 1e-13  # rounding allowance on F, relative to 1 + |F|
+FD_SCALE = 1e-6        # finite-difference gradient step, relative to 1 + |x|
+POINT_MERGE_DIST = 0.5  # single-linkage distance when a field has no classifier
+NEWTON_FD_STEP = 1e-7  # its finite-difference Jacobian step, relative to 1 + |x|
 
 
 def _dp54_step(vfield, project, x, k1, h):
@@ -221,10 +217,6 @@ class FlowTrace:
     grad_norms: np.ndarray
     spec: mf.ManifoldSpec
 
-    @property
-    def points(self):
-        return [PointOnM(c, self.spec) for c in self.coords]
-
     def max_value_increase(self) -> float:
         """Largest Lyapunov violation along the trace (0 for monotone descent)."""
         if len(self.values) < 2:
@@ -273,13 +265,12 @@ def _pseudo_gradient_flow(field: ScalarField, starts, cfg: FlowConfig, direction
                        max_time, record)
 
 
-def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None,
-                   direction: int = -1) -> FlowTrace:
-    """Integrate the flow of direction * pseudo-gradient from a single point.
+def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) -> FlowTrace:
+    """Integrate the descending pseudo-gradient flow from a single point.
 
     Records the start and every accepted step of the adaptive driver of
     ``flow_endpoints``, so times increase strictly but unevenly and F never
-    moves against ``direction``.  Stops like a row of ``flow_endpoints``.
+    increases.  Stops like a row of ``flow_endpoints``.
     """
     cfg = cfg or FlowConfig()
     times, coords, gns = [], [], []
@@ -289,7 +280,7 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None,
         coords.append(x[0].copy())
         gns.append(gn[0])
 
-    _pseudo_gradient_flow(field, start.coords[None, :], cfg, direction, record=record)
+    _pseudo_gradient_flow(field, start.coords[None, :], cfg, -1, record=record)
     coords = np.array(coords)
     return FlowTrace(
         times=np.array(times),
@@ -333,11 +324,6 @@ class CriticalComponent:
     value: float
     representatives: np.ndarray
     label: str = "unclassified"
-    spec: mf.ManifoldSpec = None
-
-    @property
-    def points(self):
-        return [PointOnM(c, self.spec) for c in self.representatives]
 
     def to_json(self) -> dict:
         return {
@@ -381,7 +367,10 @@ def _distance_clusters(points, threshold):
     return labels
 
 
-def _cluster_endpoints(field, endpoints, cfg, point_merge_dist):
+def _cluster_endpoints(field, endpoints, cfg):
+    """Group converged points into components: by value, with gaps larger than
+    10 * cluster_tol, then by the field's structural classifier (or by point
+    distance at POINT_MERGE_DIST when none is set)."""
     values = field.value_at(endpoints)
     order = np.argsort(values, kind="stable")
     endpoints = endpoints[order]
@@ -403,59 +392,56 @@ def _cluster_endpoints(field, endpoints, cfg, point_merge_dist):
                 sel = labels == lab
                 components.append((float(np.mean(vals[sel])), pts[sel], str(lab)))
         else:
-            cl = _distance_clusters(pts, point_merge_dist)
+            cl = _distance_clusters(pts, POINT_MERGE_DIST)
             for c in range(cl.max() + 1):
                 sel = cl == c
                 components.append((float(np.mean(vals[sel])), pts[sel], "unclassified"))
     out = []
     for val, pts, lab in components:
         key = np.lexsort(pts.T[::-1])
-        out.append(CriticalComponent(val, pts[key], lab, field.spec))
+        out.append(CriticalComponent(val, pts[key], lab))
     out.sort(key=lambda c: (c.value, c.label))
     return out
 
 
-def detect_critical(field: ScalarField, seeds, cfg: FlowConfig = None,
-                    direction: int = -1, point_merge_dist: float = 0.5):
-    """Flow every seed and cluster the converged endpoints into components.
+def detect_critical(field: ScalarField, seeds, cfg: FlowConfig = None):
+    """Flow every seed down and cluster the converged endpoints into components.
 
-    Endpoints with gradient norm above cfg.grad_tol are discarded; values are
-    grouped when separated by gaps larger than 10 * cluster_tol, then split by
-    the field's structural classifier (or by point distance when none is set).
-    Raises NoConvergedSeeds when no flow converges, which at the numerical
-    level signals Palais-Smale trouble.
+    Endpoints with gradient norm above cfg.grad_tol are discarded; the rest
+    are clustered by value, then by the field's classifier or by point
+    distance (see ``_cluster_endpoints``).  Raises
+    NoConvergedSeeds when no flow converges, which at the numerical level
+    signals Palais-Smale trouble.
     """
     cfg = cfg or FlowConfig()
     seeds = _as_coords(seeds)
     if seeds.shape[0] == 0:
         raise NoConvergedSeeds("seed set is empty")
-    endpoints, gn, converged = flow_endpoints(field, seeds, cfg, direction)
+    endpoints, gn, converged = flow_endpoints(field, seeds, cfg, -1)
     if not converged.any():
         raise NoConvergedSeeds(
             f"no seed reached gradient norm {cfg.grad_tol} within time {cfg.max_time}"
         )
-    return _cluster_endpoints(field, endpoints[converged], cfg, point_merge_dist)
+    return _cluster_endpoints(field, endpoints[converged], cfg)
 
 
 def _as_coords(seeds):
-    if isinstance(seeds, np.ndarray):
-        return np.atleast_2d(np.asarray(seeds, dtype=float))
-    return np.atleast_2d(np.array([p.coords for p in seeds], dtype=float))
+    return np.atleast_2d(np.asarray(seeds, dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # Newton refinement (finds components of every index, including saddles)
 # ---------------------------------------------------------------------------
 
-def newton_critical_search(field: ScalarField, seeds, *, tol: float = 1e-10,
-                           max_iter: int = 80, fd_step: float = 1e-7):
+def newton_critical_search(field: ScalarField, seeds, *, tol: float = 1e-10):
     """Multistart damped Newton on the projected gradient G(x) = 0.
 
     Unlike descent flows, whose generic trajectories only reach extremal
     components, Newton iterations converge to critical points of any index.
     Jacobians of G (composed with the manifold projection) are taken by
-    central differences; Levenberg-Marquardt damping with a step cap keeps
-    the iteration stable where the covariant Hessian degenerates.
+    central differences of step NEWTON_FD_STEP * (1 + |x|); Levenberg-Marquardt
+    damping with a step cap keeps the iteration stable where the covariant
+    Hessian degenerates, for at most numerics.LM_MAX_ITER iterations.
     Returns the converged points as an array (possibly empty).
     """
     from .numerics import levenberg_marquardt
@@ -467,7 +453,7 @@ def newton_critical_search(field: ScalarField, seeds, *, tol: float = 1e-10,
         return field.riemannian_gradient(pts)
 
     def jacobian(pts):
-        h = fd_step * (1.0 + np.linalg.norm(pts, axis=-1))
+        h = NEWTON_FD_STEP * (1.0 + np.linalg.norm(pts, axis=-1))
         jac = np.empty(pts.shape + (d,))
         for k in range(d):
             plus = pts.copy()
@@ -483,36 +469,30 @@ def newton_critical_search(field: ScalarField, seeds, *, tol: float = 1e-10,
     def retract(pts):
         return mf.project_points(field.spec, pts)
 
-    z, rn = levenberg_marquardt(residual, jacobian, x, tol=tol,
-                                max_iter=max_iter, retract=retract)
+    z, rn = levenberg_marquardt(residual, jacobian, x, tol=tol, retract=retract)
     return z[rn <= tol]
 
 
-def find_critical_components(field: ScalarField, seeds, cfg: FlowConfig = None,
-                             *, bidirectional: bool = True, newton: bool = True,
-                             point_merge_dist: float = 0.5):
+def find_critical_components(field: ScalarField, seeds, cfg: FlowConfig = None):
     """Full detection pipeline: descent flow, ascent flow, Newton refinement.
 
-    Candidate endpoints from every stage are handed to detect_critical as
-    seeds (already-critical seeds terminate immediately), so clustering and
-    labeling are uniform.
+    Every candidate the stages return has already converged, so the pooled
+    candidates are clustered once, without another flow: by value, then by
+    the field's classifier or by point distance (see ``_cluster_endpoints``).
     """
     cfg = cfg or FlowConfig()
     seeds = _as_coords(seeds)
     if seeds.shape[0] == 0:
         raise NoConvergedSeeds("seed set is empty")
     candidates = []
-    end, _gn, conv = flow_endpoints(field, seeds, cfg, direction=-1)
-    candidates.append(end[conv])
-    if bidirectional:
-        end, _gn, conv = flow_endpoints(field, seeds, cfg, direction=+1)
+    for direction in (-1, +1):
+        end, _gn, conv = flow_endpoints(field, seeds, cfg, direction=direction)
         candidates.append(end[conv])
-    if newton:
-        candidates.append(newton_critical_search(field, seeds, tol=min(cfg.grad_tol, 1e-10)))
+    candidates.append(newton_critical_search(field, seeds, tol=min(cfg.grad_tol, 1e-10)))
     pool = np.vstack(candidates)
     if pool.shape[0] == 0:
         raise NoConvergedSeeds("no stage of the detection pipeline converged")
-    return detect_critical(field, pool, cfg, point_merge_dist=point_merge_dist)
+    return _cluster_endpoints(field, pool, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,9 @@ class ProductSpheres(_SphereBlocks):
             raise WrongSpec("product requires factor dimensions >= 1")
 
 
-def _project_hypersurface(field, level, coords, tol=HYPERSURFACE_NEWTON_TOL,
-                          cap=HYPERSURFACE_NEWTON_CAP, soft=False):
-    """Damped Newton steps along grad g until |g - level| <= tol.
+def _project_hypersurface(field, level, coords, soft=False):
+    """Damped Newton steps along grad g until |g - level| <= HYPERSURFACE_NEWTON_TOL,
+    for at most HYPERSURFACE_NEWTON_CAP iterations.
 
     With soft=True returns (points, ok_mask) instead of raising on
     non-convergent or singular rows.
@@ -157,8 +157,8 @@ def _project_hypersurface(field, level, coords, tol=HYPERSURFACE_NEWTON_TOL,
     flat = x.reshape(-1, x.shape[-1])
     ok = np.ones(flat.shape[0], dtype=bool)
     res = field.value(flat) - level
-    for _ in range(cap):
-        active = ok & (np.abs(res) > tol)
+    for _ in range(HYPERSURFACE_NEWTON_CAP):
+        active = ok & (np.abs(res) > HYPERSURFACE_NEWTON_TOL)
         if not active.any():
             break
         xa = flat[active]
@@ -170,7 +170,7 @@ def _project_hypersurface(field, level, coords, tol=HYPERSURFACE_NEWTON_TOL,
                 raise SingularInput("constraint gradient vanishes along projection path")
             idx = np.flatnonzero(active)[sing]
             ok[idx] = False
-            active = ok & (np.abs(res) > tol)
+            active = ok & (np.abs(res) > HYPERSURFACE_NEWTON_TOL)
             if not active.any():
                 break
             xa = flat[active]
@@ -191,12 +191,11 @@ def _project_hypersurface(field, level, coords, tol=HYPERSURFACE_NEWTON_TOL,
             best_res[worse] = field.value(trial) - level
         flat[active] = best_x
         res[active] = best_res
-    bad = ok & (np.abs(res) > tol)
+    bad = ok & (np.abs(res) > HYPERSURFACE_NEWTON_TOL)
     if bad.any():
         if not soft:
-            raise NoConvergence(
-                f"hypersurface projection above tolerance after {cap} iterations"
-            )
+            raise NoConvergence(f"hypersurface projection above tolerance after "
+                                f"{HYPERSURFACE_NEWTON_CAP} iterations")
         ok[bad] = False
     if soft:
         return flat.reshape(x.shape), ok.reshape(x.shape[:-1])

@@ -27,19 +27,17 @@ from .errors import (
     WrongSpec,
 )
 from .flow import ScalarField
-from .manifolds import (
-    Ellipsoid,
-    ImplicitHypersurface,
-    PointOnM,
-    ProductSpheres,
-    Sphere,
-    TangentVector,
-)
+from .manifolds import Ellipsoid, ImplicitHypersurface, ProductSpheres, Sphere
 
 
 # ---------------------------------------------------------------------------
 # Tuples on M^r
 # ---------------------------------------------------------------------------
+
+def _require_slots(r: int):
+    if r < 2:
+        raise InvalidPoint("navigation tuples need r >= 2 slots")
+
 
 @dataclass(frozen=True, eq=False)
 class NavTuple:
@@ -52,8 +50,7 @@ class NavTuple:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.spec.ambient_dim:
             raise InvalidPoint("points must be an (r, ambient_dim) array")
-        if pts.shape[0] < 2:
-            raise InvalidPoint("navigation tuples need r >= 2 slots")
+        _require_slots(pts.shape[0])
         res = mf.constraint_residual(self.spec, pts)
         if not (res <= mf.POINT_TOL).all():
             raise InvalidPoint(f"tuple slot violates constraint ({res.max():.3e})")
@@ -66,9 +63,6 @@ class NavTuple:
     @property
     def flat(self) -> np.ndarray:
         return self.points.reshape(-1)
-
-    def point(self, i: int) -> PointOnM:
-        return PointOnM(self.points[i], self.spec)
 
     @classmethod
     def from_flat(cls, spec, r: int, flat) -> "NavTuple":
@@ -104,18 +98,15 @@ def nav_value(t: NavTuple) -> float:
     return float(_chain_value(t.points))
 
 
-def nav_gradient(t: NavTuple):
-    """Factor-wise tangent projections of the chain gradient, one per slot."""
-    grad = _chain_euclidean_gradient(t.points)
-    out = []
-    for i in range(t.r):
-        vec = mf.project_tangent(t.spec, t.points[i], grad[i])
-        out.append(TangentVector(t.point(i), vec))
-    return out
+def nav_gradient(t: NavTuple) -> np.ndarray:
+    """Riemannian gradient of F at t on M^r: the chain gradient projected onto
+    the tangent space of each slot, as an (r, ambient_dim) array."""
+    return mf.project_tangent(t.spec, t.points, _chain_euclidean_gradient(t.points))
 
 
 def nav_field(spec, r: int) -> ScalarField:
-    """The navigation function as a scalar field on M^r (flat coordinates)."""
+    """The navigation function as a scalar field on M^r (flat coordinates), r >= 2."""
+    _require_slots(r)
     d = spec.ambient_dim
 
     def value(x):
@@ -214,7 +205,7 @@ def classify_sphere_critical(t: NavTuple, tol: float = 1e-9) -> SignPattern:
         signs.append(tuple(factor))
     if ok:
         return SignPattern(tuple(signs))
-    grad = np.concatenate([g.vec for g in nav_gradient(t)])
+    grad = nav_gradient(t).reshape(-1)
     witness = float(np.linalg.norm(grad))
     direction = grad / witness if witness > 0 else grad
     raise NotCriticalTuple(
@@ -251,15 +242,19 @@ def random_critical_tuple(spec, r: int, rng: np.random.Generator) -> NavTuple:
 # Parallel-pair search on hypersurfaces
 # ---------------------------------------------------------------------------
 
+PAIR_RESIDUAL_TOL = 1e-11     # residual norm of a converged pair
+PAIR_DEDUP_TOL = 1e-3         # pairs this close (in either order) are one pair
+PAIR_MIN_SEPARATION = 1e-3    # pairs with |x - y| below this lie on the diagonal
+CONTINUUM_THRESHOLD = 50      # more distinct pairs than this form a continuum
+
+
 @dataclass(frozen=True)
 class PairSearchConfig:
+    """Seed pairs and RNG seed of one census; the solver settings are the
+    module constants above."""
+
     n_seeds: int = 10000
     rng_seed: int = 0
-    max_iter: int = 80
-    residual_tol: float = 1e-11
-    dedup_tol: float = 1e-3
-    min_separation: float = 1e-3
-    continuum_threshold: int = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,15 +369,14 @@ def pair_system_jacobian(fld, level, z):
     return jac
 
 
-def _gauss_newton_pairs(fld, level, z0, cfg: PairSearchConfig):
+def _gauss_newton_pairs(fld, level, z0):
     from .numerics import levenberg_marquardt
 
     return levenberg_marquardt(
         lambda z: pair_system_residual(fld, level, z),
         lambda z: pair_system_jacobian(fld, level, z),
         z0,
-        tol=cfg.residual_tol,
-        max_iter=cfg.max_iter,
+        tol=PAIR_RESIDUAL_TOL,
     )
 
 
@@ -469,22 +463,22 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     z0 = np.concatenate([pts[: search.n_seeds], pts[search.n_seeds:]], axis=1)
     # drop nearly coincident seed pairs, the diagonal is a spurious solution set
     sep = np.linalg.norm(z0[:, : fld.ambient_dim] - z0[:, fld.ambient_dim:], axis=-1)
-    z0 = z0[sep > 10 * search.min_separation]
+    z0 = z0[sep > 10 * PAIR_MIN_SEPARATION]
 
-    solve = lambda chunk: _gauss_newton_pairs(fld, level, chunk, search)
+    solve = lambda chunk: _gauss_newton_pairs(fld, level, chunk)
     z, rn = _run_chunked(solve, z0, workers)
 
     n = fld.ambient_dim
-    good = rn <= search.residual_tol
+    good = rn <= PAIR_RESIDUAL_TOL
     x, y = z[good, :n], z[good, n:]
     sep = np.linalg.norm(x - y, axis=-1)
-    keep = sep >= search.min_separation
+    keep = sep >= PAIR_MIN_SEPARATION
     x, y = x[keep], y[keep]
     n_converged = int(keep.sum())
     if n_converged == 0:
         raise NoPairsFound("no admissible pair converged; try more seeds")
 
-    reps = _dedup_pairs(x, y, search.dedup_tol, 4 * search.continuum_threshold)
+    reps = _dedup_pairs(x, y, PAIR_DEDUP_TOL, 4 * CONTINUUM_THRESHOLD)
 
     nn = None
     if reps.shape[0] > 1:
@@ -493,7 +487,7 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
         np.fill_diagonal(dmat, np.inf)
         nn = float(dmat.min())
 
-    if reps.shape[0] > search.continuum_threshold:
+    if reps.shape[0] > CONTINUUM_THRESHOLD:
         return PairCensus(pairs=[], alpha="continuum", n_converged=n_converged,
                           nn_distance=nn)
 

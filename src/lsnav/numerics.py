@@ -3,15 +3,20 @@ from __future__ import annotations
 
 import numpy as np
 
+LM_LAM0 = 1e-3       # initial damping, in units of max(diag J^T J, 1)
+LM_LAM_MIN = 1e-12   # damping bounds
+LM_LAM_MAX = 1e8
+LM_STEP_CAP = 0.5    # largest step norm
+LM_MAX_ITER = 80     # iterations per row
 
-def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int,
-                        retract=None, lam0: float = 1e-3, lam_min: float = 1e-12,
-                        lam_max: float = 1e8, step_cap: float = 0.5):
+
+def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int = LM_MAX_ITER,
+                        retract=None):
     """Damped least-squares iteration on a batch of starting points.
 
     residual(z) -> (n, m), jacobian(z) -> (n, m, d) with z of shape (n, d).
     Solves (J^T J + lam I) delta = -J^T r per row; accepted steps shrink the
-    damping, rejected ones grow it.  Steps are capped at step_cap in norm,
+    damping, rejected ones grow it.  Steps are capped at LM_STEP_CAP in norm,
     which keeps iterates from tunneling between basins when the Jacobian is
     rank-deficient (flat valleys, solution continua).  An optional ``retract``
     maps trial points back onto a constraint set after each step.  Rows whose
@@ -32,7 +37,7 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int,
     rn = np.linalg.norm(res, axis=-1)
     dead = ~np.isfinite(rn)
     rn[dead] = np.inf
-    lam = np.full(n, lam0)
+    lam = np.full(n, LM_LAM0)
     for _ in range(max_iter):
         active = (rn > tol) & ~dead
         if not active.any():
@@ -71,9 +76,9 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int,
             except np.linalg.LinAlgError:
                 delta = -np.einsum("nij,nj->ni", np.linalg.pinv(a), jtr[todo])
             norms = np.linalg.norm(delta, axis=-1)
-            over = norms > step_cap
+            over = norms > LM_STEP_CAP
             if over.any():
-                delta[over] *= (step_cap / norms[over])[:, None]
+                delta[over] *= (LM_STEP_CAP / norms[over])[:, None]
             trial = za[todo] + delta
             if retract is not None:
                 trial = retract(trial)
@@ -84,8 +89,8 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int,
             gi = idx[good]
             z[act_idx[gi]], res[act_idx[gi]], rn[act_idx[gi]] = trial[good], tres[good], trn[good]
             accepted[gi] = True
-            la[gi] = np.maximum(la[gi] * 0.3, lam_min)
+            la[gi] = np.maximum(la[gi] * 0.3, LM_LAM_MIN)
             bi = idx[~good]
-            la[bi] = np.minimum(la[bi] * 10.0, lam_max)
+            la[bi] = np.minimum(la[bi] * 10.0, LM_LAM_MAX)
         lam[act_idx] = la
     return z, rn

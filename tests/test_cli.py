@@ -138,11 +138,14 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_critfind_empty_seed_set(capsys):
-    code, out, err = run_cli(capsys, "critfind", "--field", "nav",
-                             "--manifold", "sphere:1", "--seeds", "0")
-    assert code == 1
-    assert out == ""
-    assert json.loads(err)["error"] == "NoConvergedSeeds"
+    # an empty seed set is a usage error; the library's own NoConvergedSeeds
+    # for it is tested in test_flow.py::test_no_converged_seeds
+    with pytest.raises(SystemExit) as exc:
+        main(["critfind", "--field", "nav", "--manifold", "sphere:1", "--seeds", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seeds: expected an integer >= 1, got '0'" in captured.err
 
 
 # spec files read by the usage-error cases below, written into tmp_path
@@ -228,3 +231,66 @@ def test_pairs_torus(capsys):
                            "--seeds", "2000", "--seed", "0")
     assert code == 0
     assert json.loads(out)["alpha"] == "continuum"
+
+
+# tuple files read by the bad-input cases below, written into tmp_path
+TUPLE_FILES = {
+    "object.json": '{"points": [[1, 0], [-1, 0]]}',
+    "malformed.json": "[[1, 0], [-1,",
+}
+NAV = ["critfind", "--field", "nav", "--manifold", "sphere:1", "--seeds", "20"]
+PLAN = ["plan", "--planner", "product-spheres", "--manifold", "sphere:1", "--tuple"]
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (NAV + ["--seeds", "-1"], 2, "argument --seeds: expected an integer >= 1, got '-1'"),
+    (NAV + ["--seeds", "x"], 2, "argument --seeds: expected an integer >= 1, got 'x'"),
+    (["pairs", "--sphere", "2", "--seeds", "-5"], 2,
+     "argument --seeds: expected an integer >= 1, got '-5'"),
+    (["pairs", "--ellipsoid", "1,2,x"], 2,
+     "argument --ellipsoid: could not convert string to float: 'x'"),
+    (["pairs", "--ellipsoid", "1,2,nan"], 2,
+     "argument --ellipsoid: ellipsoid requires >= 2 finite, strictly positive semiaxes"),
+    (["pairs", "--ellipsoid", "1,-2,3"], 2,
+     "argument --ellipsoid: ellipsoid requires >= 2 finite, strictly positive semiaxes"),
+    (["pairs", "--sphere", "0"], 2, "argument --sphere: sphere dimension must be >= 1"),
+    (["pairs", "--torus", "2"], 2, "argument --torus: expected major,minor radii, got '2'"),
+    (["pairs", "--torus", "2,0.5,1"], 2,
+     "argument --torus: expected major,minor radii, got '2,0.5,1'"),
+    (["verify", "--only", "x"], 2, "argument --only: expected criterion numbers 1 to 10, got 'x'"),
+    (["verify", "--only", "99"], 2,
+     "argument --only: expected criterion numbers 1 to 10, got '99'"),
+    (["verify", "--only", "3,0"], 2,
+     "argument --only: expected criterion numbers 1 to 10, got '3,0'"),
+    (NAV + ["--r", "1"], 1, "InvalidPoint"),
+    (NAV + ["--r", "0"], 1, "InvalidPoint"),
+    (PLAN + ["object.json"], 1, "LsnavError"),
+    (PLAN + ["malformed.json"], 1, "LsnavError"),
+], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
+        "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
+        "pairs-sphere-0", "pairs-torus-one-radius", "pairs-torus-three-radii",
+        "verify-only-non-numeric", "verify-only-99", "verify-only-0", "nav-r-1", "nav-r-0",
+        "plan-tuple-object", "plan-tuple-malformed"])
+def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, monkeypatch,
+                                               capsys):
+    # exit 2 with argparse's usage message, or exit 1 with a JSON error on
+    # stderr; never a traceback and never output on stdout
+    for name, text in TUPLE_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.err.startswith("usage: lsnav")
+        assert expected in captured.err
+    else:
+        payload = json.loads(captured.err)
+        assert payload["error"] == expected
+        if argv[0] == "critfind":
+            assert payload["message"] == "navigation tuples need r >= 2 slots"

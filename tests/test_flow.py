@@ -12,7 +12,6 @@ from lsnav.flow import (
     height_field,
     integrate_flow,
     newton_critical_search,
-    pseudo_gradient,
     pseudo_gradient_coords,
     rho,
     time_one_map,
@@ -47,7 +46,7 @@ def test_pseudo_gradient_small_gradient_branch():
                                             np.zeros_like(x[..., 0]),
                                             np.full_like(x[..., 0], 0.5)], axis=-1))
     p = PointOnM(np.array([1.0, 0.0, 0.0]), spec)
-    x_vec = pseudo_gradient(field, p).vec
+    x_vec = pseudo_gradient_coords(field, p.coords)
     assert np.allclose(x_vec, [0.0, 0.0, 0.5], atol=1e-14)
 
 
@@ -58,7 +57,7 @@ def test_pseudo_gradient_large_gradient_branch():
                                             np.zeros_like(x[..., 0]),
                                             np.full_like(x[..., 0], 4.0)], axis=-1))
     p = PointOnM(np.array([1.0, 0.0, 0.0]), spec)
-    x_vec = pseudo_gradient(field, p).vec
+    x_vec = pseudo_gradient_coords(field, p.coords)
     assert abs(np.linalg.norm(x_vec) - 1.0) < 1e-14
 
 
@@ -66,7 +65,7 @@ def test_pseudo_gradient_zero_at_critical():
     spec = Sphere(2)
     field = height_field(spec)
     south = PointOnM(np.array([0.0, 0.0, -1.0]), spec)
-    assert np.linalg.norm(pseudo_gradient(field, south).vec) == 0.0
+    assert np.linalg.norm(pseudo_gradient_coords(field, south.coords)) == 0.0
 
 
 def test_pseudo_gradient_contract_random():
@@ -205,6 +204,9 @@ def test_no_converged_seeds():
     with pytest.raises(NoConvergedSeeds):
         detect_critical(field, equator, FlowConfig(step=1e-2, max_time=0.05,
                                                    grad_tol=1e-12))
+    for detect in (detect_critical, find_critical_components):
+        with pytest.raises(NoConvergedSeeds, match="seed set is empty"):
+            detect(field, np.empty((0, 3)))
 
 
 def test_step_halving_changes_endpoint_little():

@@ -64,14 +64,16 @@ def test_nav_value_zero_iff_diagonal():
 
 def test_nav_gradient_diagonal_zero():
     t = _tuple_s1(E1, E1, E1)
-    assert all(np.linalg.norm(g.vec) == 0.0 for g in nav_gradient(t))
+    grads = nav_gradient(t)
+    assert grads.shape == (3, 2)
+    assert (np.linalg.norm(grads, axis=1) == 0.0).all()
 
 
 def test_nav_gradient_antipodal_projects_to_zero():
     # Euclidean gradient (4 e1, -4 e1) is normal at both slots
     t = _tuple_s1(E1, -E1)
     grads = nav_gradient(t)
-    assert all(np.linalg.norm(g.vec) <= 1e-14 for g in grads)
+    assert (np.linalg.norm(grads, axis=1) <= 1e-14).all()
     # consistent with structural criticality
     classify_sphere_critical(t)
 
@@ -116,11 +118,14 @@ def test_classify_gradient_consistency():
     for _ in range(500):
         t = random_critical_tuple(spec, 3, rng)
         classify_sphere_critical(t, tol=tol)
-        grad = np.concatenate([g.vec for g in nav_gradient(t)])
+        grad = nav_gradient(t).reshape(-1)
         assert np.linalg.norm(grad) <= 10 * tol
     for _ in range(500):
         t = NavTuple(spec, random_points(spec, 3, rng))
-        grad = np.concatenate([g.vec for g in nav_gradient(t)])
+        grads = nav_gradient(t)
+        # each slot's row is tangent to M at that slot
+        assert (mf.tangency_residual(spec, t.points, grads) <= mf.TANGENT_TOL).all()
+        grad = grads.reshape(-1)
         if np.linalg.norm(grad) > 10 * tol:
             with pytest.raises(NotCriticalTuple):
                 classify_sphere_critical(t, tol=tol)

@@ -7,6 +7,7 @@ from lsnav.errors import (
     WrongDimension,
 )
 from lsnav.manifolds import (
+    TANGENT_TOL,
     PointOnM,
     StiefelV2,
     frame_columns,
@@ -14,6 +15,7 @@ from lsnav.manifolds import (
     mult_i,
     mult_j,
     random_points,
+    tangency_residual,
     tangent_project,
 )
 from lsnav.unit_tangent import (
@@ -23,7 +25,6 @@ from lsnav.unit_tangent import (
     f_ut,
     f_ut_field,
     fiber_fibration,
-    fiber_vertical_gradient,
     random_fiber_tuple,
     sigma_u_planner,
     su_trivialization,
@@ -31,7 +32,6 @@ from lsnav.unit_tangent import (
     unitary_apply,
     vertical_flow_endpoints,
     vertical_gradient_coords,
-    vertical_project,
     vertical_project_coords,
     vertical_proportionality_scan,
 )
@@ -113,16 +113,16 @@ def test_vertical_project_examples():
     p = _frame(e[0], e[1])
     # (0, e3) is already vertical
     y = tangent_project(p, frame_flat(np.zeros(4), e[2]))
-    dec = vertical_project(p, y)
-    assert np.allclose(dec.vertical.vec, y.vec, atol=1e-14)
-    assert np.linalg.norm(dec.horizontal.vec) <= 1e-14
+    ver = vertical_project_coords(SPEC, p.coords, y.vec)
+    assert np.allclose(ver, y.vec, atol=1e-14)
+    assert np.linalg.norm(y.vec - ver) <= 1e-14
     # a tangent vector with base movement splits with zero vertical base column
     rng = np.random.default_rng(5)
     y2 = tangent_project(p, rng.standard_normal(8))
-    dec2 = vertical_project(p, y2)
-    assert np.linalg.norm(dec2.vertical.vec[:4]) == 0.0
+    ver2 = vertical_project_coords(SPEC, p.coords, y2.vec)
+    assert np.linalg.norm(ver2[:4]) == 0.0
     if np.linalg.norm(y2.vec[:4]) > 1e-12:
-        assert np.linalg.norm(dec2.horizontal.vec[:4]) > 1e-12
+        assert np.linalg.norm((y2.vec - ver2)[:4]) > 1e-12
 
 
 def test_vertical_decomposition_reconstructs():
@@ -131,9 +131,13 @@ def test_vertical_decomposition_reconstructs():
         coords = _random_frame(rng)
         p = PointOnM(coords, SPEC)
         y = tangent_project(p, rng.standard_normal(8))
-        dec = vertical_project(p, y)
-        assert np.max(np.abs(dec.vertical.vec + dec.horizontal.vec - y.vec)) <= 1e-12
-        assert abs(np.dot(dec.vertical.vec, dec.horizontal.vec)) <= 1e-12
+        ver = vertical_project_coords(SPEC, coords, y.vec)
+        hor = y.vec - ver
+        assert np.max(np.abs(ver + hor - y.vec)) <= 1e-12
+        assert abs(np.dot(ver, hor)) <= 1e-12
+        # both parts are tangent to the frame manifold
+        assert tangency_residual(SPEC, coords, ver) <= TANGENT_TOL
+        assert tangency_residual(SPEC, coords, hor) <= TANGENT_TOL
 
 
 def test_vertical_projection_against_explicit_basis():
@@ -192,16 +196,18 @@ def test_fiber_vertical_gradient_critical_tuple_zero():
     rng = np.random.default_rng(12)
     field = f_ut_field(SPEC)
     t = random_fiber_tuple(SPEC, 3, rng, critical_mask=[True, True, True])
-    grads = fiber_vertical_gradient(field, t)
-    assert all(np.linalg.norm(g.vec) <= 1e-12 for g in grads)
+    grads = vertical_gradient_coords(field, t.entries)
+    assert (np.linalg.norm(grads, axis=1) <= 1e-12).all()
 
 
 def test_fiber_vertical_gradient_mixed_tuple():
     rng = np.random.default_rng(13)
     field = f_ut_field(SPEC)
     t = random_fiber_tuple(SPEC, 2, rng, critical_mask=[True, False])
-    grads = fiber_vertical_gradient(field, t)
-    norms = [np.linalg.norm(g.vec) for g in grads]
+    grads = vertical_gradient_coords(field, t.entries)
+    # each entry's row is tangent to the frame manifold at that entry
+    assert (tangency_residual(SPEC, t.entries, grads) <= TANGENT_TOL).all()
+    norms = np.linalg.norm(grads, axis=1)
     assert norms[0] <= 1e-12
     assert norms[1] > 1e-6
 
