@@ -15,6 +15,8 @@ from typing import Optional
 
 from .errors import UnknownComplexity, UnknownSpace
 
+VALUE_TOL = 1e-6  # critical values closer than this are one level
+
 
 @dataclass(frozen=True)
 class ComponentComplexity:
@@ -105,15 +107,14 @@ class BoundResult:
         return "\n".join(lines)
 
 
-def ls_upper_bound(inp: BoundInput, lambda_cut: float = math.inf,
-                   value_tol: float = 1e-6) -> BoundResult:
+def ls_upper_bound(inp: BoundInput, lambda_cut: float = math.inf) -> BoundResult:
     """Sum over values <= lambda_cut of the per-value maximum complexity.
 
-    Values within value_tol of each other count as one critical level.
+    Values within VALUE_TOL of each other count as one critical level.
     Raises UnknownComplexity listing the components whose complexity is
     needed but unassigned.
     """
-    comps = [c for c in inp.components if c.value <= lambda_cut + value_tol]
+    comps = [c for c in inp.components if c.value <= lambda_cut + VALUE_TOL]
     if not comps:
         return BoundResult(bound=0, breakdown=())
     missing = [(c.value, c.label) for c in comps if c.complexity is None]
@@ -127,7 +128,7 @@ def ls_upper_bound(inp: BoundInput, lambda_cut: float = math.inf,
     level_value = comps[0].value
     level_max = comps[0].complexity
     for c in comps[1:]:
-        if c.value - level_value > value_tol:
+        if c.value - level_value > VALUE_TOL:
             breakdown.append((level_value, level_max))
             level_value, level_max = c.value, c.complexity
         else:

@@ -158,13 +158,26 @@ def cmd_critfind(args) -> int:
     return 0
 
 
-def _load_tuple(path: str) -> np.ndarray:
+def _load_json(path: str, expected: str, convert):
+    """convert(contents of the JSON file at path); a malformed file, or one
+    that convert rejects, is an LsnavError saying what was expected."""
     with open(path) as fh:
         try:
-            return np.asarray(json.load(fh), dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise LsnavError(f"tuple file {path} is not a JSON array of coordinate arrays: "
-                             f"{exc}") from None
+            return convert(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LsnavError(f"{path} is not {expected}: {exc}") from None
+
+
+def _load_tuple(path: str) -> np.ndarray:
+    return _load_json(path, "a JSON array of coordinate arrays",
+                      lambda data: np.asarray(data, dtype=float))
+
+
+def _load_components(path: str) -> BoundInput:
+    return _load_json(
+        path, 'a JSON object {"components": [{"value": ..., "complexity": ...}, ...]}',
+        lambda data: BoundInput.plain((float(c["value"]), c.get("complexity"), c.get("label", ""))
+                                      for c in data["components"]))
 
 
 def cmd_plan(args) -> int:
@@ -213,11 +226,7 @@ def cmd_bound(args) -> int:
             raise LsnavError("--product-spheres needs --k and --r")
         result = product_spheres_bound(args.k, args.r)
     else:
-        with open(args.components) as fh:
-            data = json.load(fh)
-        entries = [(c["value"], c.get("complexity"), c.get("label", ""))
-                   for c in data["components"]]
-        result = ls_upper_bound(BoundInput.plain(entries), lambda_cut=args.lambda_cut)
+        result = ls_upper_bound(_load_components(args.components), lambda_cut=args.lambda_cut)
     _emit(args, result.to_json(), result.table)
     return 0
 
@@ -333,13 +342,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except LsnavError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFound", "message": str(exc)}),
-              file=sys.stderr)
+    except (LsnavError, OSError) as exc:
+        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return 1
 
 

@@ -555,10 +555,9 @@ def descent_diagnostic(field: ScalarField, samples, cfg: FlowConfig = None) -> D
 # Simple built-in fields
 # ---------------------------------------------------------------------------
 
-def height_field(spec, axis: int = -1) -> ScalarField:
-    """Coordinate height function f(x) = x[axis]."""
-    d = spec.ambient_dim
-    axis = axis % d
+def height_field(spec) -> ScalarField:
+    """Coordinate height function f(x) = x[-1], the last ambient coordinate."""
+    axis = spec.ambient_dim - 1
 
     def value(x):
         return np.asarray(x, dtype=float)[..., axis]

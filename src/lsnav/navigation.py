@@ -29,6 +29,8 @@ from .errors import (
 from .flow import ScalarField
 from .manifolds import Ellipsoid, ImplicitHypersurface, ProductSpheres, Sphere
 
+# sign tolerance of the classifiers that label flow endpoints (nav and ut-f)
+CLASSIFY_TOL = 1e-4
 
 # ---------------------------------------------------------------------------
 # Tuples on M^r
@@ -123,7 +125,7 @@ def nav_field(spec, r: int) -> ScalarField:
         def classifier(coords):
             t = NavTuple.from_flat(spec, r, coords)
             try:
-                return classify_sphere_critical(t, tol=1e-4).label
+                return classify_sphere_critical(t, tol=CLASSIFY_TOL).label
             except NotCriticalTuple:
                 return None
 
@@ -175,6 +177,15 @@ def pattern_value(p: SignPattern) -> float:
     return 4.0 * sum(p.flips)
 
 
+def slot_signs(ref, pts, tol: float) -> np.ndarray:
+    """Per row of pts: +1 if within tol of ref, else -1 if within tol of -ref,
+    else 0.  The +1 test goes first, so it wins when |ref| <= tol."""
+    pts = np.asarray(pts, dtype=float)
+    plus = np.linalg.norm(pts - ref, axis=-1) <= tol
+    minus = np.linalg.norm(pts + ref, axis=-1) <= tol
+    return np.where(plus, 1, np.where(minus, -1, 0))
+
+
 def classify_sphere_critical(t: NavTuple, tol: float = 1e-9) -> SignPattern:
     """Accept a tuple iff every slot of every factor is within tol of +-(slot 1).
 
@@ -184,26 +195,9 @@ def classify_sphere_critical(t: NavTuple, tol: float = 1e-9) -> SignPattern:
     """
     if not isinstance(t.spec, (Sphere, ProductSpheres)):
         raise WrongSpec("structural classification needs a sphere or product of spheres")
-    signs = []
-    ok = True
-    for s, e in mf.sphere_blocks(t.spec):
-        x1 = t.points[0, s:e]
-        factor = [1]
-        for i in range(1, t.r):
-            xi = t.points[i, s:e]
-            d_plus = np.linalg.norm(xi - x1)
-            d_minus = np.linalg.norm(xi + x1)
-            if d_plus <= tol:
-                factor.append(1)
-            elif d_minus <= tol:
-                factor.append(-1)
-            else:
-                ok = False
-                break
-        if not ok:
-            break
-        signs.append(tuple(factor))
-    if ok:
+    signs = [slot_signs(t.points[0, s:e], t.points[:, s:e], tol)
+             for s, e in mf.sphere_blocks(t.spec)]
+    if all(factor.all() for factor in signs):
         return SignPattern(tuple(signs))
     grad = nav_gradient(t).reshape(-1)
     witness = float(np.linalg.norm(grad))

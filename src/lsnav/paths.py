@@ -6,10 +6,13 @@ block stay put), and sampled segments with linear interpolation re-projected
 onto the manifold.  The evaluation fibration sends a path to its values at
 the r equally spaced times (0, 1/(r-1), ..., 1).
 
-Planners produce sections of that fibration on critical sets: the sequential
-planner on products of odd spheres walks antipodal great circles with initial
-direction i*x, and two conversion routines turn diagonal-ending deformations
-(or a deformation composed with a section on its image) into sections.
+Planners produce sections of that fibration on critical sets.
+``sign_flip_path`` turns a sign pattern into a path, constant where
+consecutive signs agree and an antipodal great circle where they flip; the
+sequential planner on products of odd spheres (initial direction i*x) and the
+fiberwise planner of ``unit_tangent`` both build their paths with it.  Two
+conversion routines turn diagonal-ending deformations (or a deformation
+composed with a section on its image) into sections.
 """
 from __future__ import annotations
 
@@ -33,9 +36,10 @@ from .errors import (
     WrongSpec,
 )
 from .manifolds import PointOnM, Sphere, TangentVector
-from .navigation import NavTuple, SignPattern, classify_sphere_critical
+from .navigation import NavTuple, SignPattern, classify_sphere_critical, critical_tuple
 
 CONTINUITY_TOL = 1e-9
+KNOTS_PER_PIECE = 64  # knots of each sampled piece of a converted section
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +264,24 @@ def geodesic_to_antipode(x: PointOnM, direction: TangentVector, t0: float,
 
 
 # ---------------------------------------------------------------------------
-# Sequential planner on products of odd spheres
+# Sign-flip paths; the sequential planner on products of odd spheres
 # ---------------------------------------------------------------------------
+
+def sign_flip_path(spec, starts, directions) -> PathSpec:
+    """Path through len(starts) pieces on equal subintervals: piece j stays at
+    starts[j] where row j of directions is zero, otherwise it is the blockwise
+    great circle from starts[j] along that row over spec's blocks."""
+    blocks = mf.sphere_blocks(spec)
+    n = len(starts)
+    segments = []
+    for j, (start, direction) in enumerate(zip(starts, directions)):
+        t0, t1 = j / n, (j + 1) / n
+        if direction.any():
+            segments.append(GreatCircleSegment(start, direction, t0, t1, blocks))
+        else:
+            segments.append(ConstantSegment(start, t0, t1))
+    return PathSpec(tuple(segments), spec)
+
 
 def plan_product_odd_spheres(t: NavTuple, pattern: SignPattern,
                              tol: float = 1e-9) -> PathSpec:
@@ -281,26 +301,12 @@ def plan_product_odd_spheres(t: NavTuple, pattern: SignPattern,
         raise PatternMismatch(
             f"tuple realizes pattern {found.label}, not {pattern.label}"
         )
-    blocks = mf.sphere_blocks(spec)
-    r = t.r
-    base = t.points[0]
-    segments = []
-    for ell in range(r - 1):
-        t0, t1 = ell / (r - 1), (ell + 1) / (r - 1)
-        start = np.zeros(spec.ambient_dim)
-        direction = np.zeros(spec.ambient_dim)
-        moving = False
-        for (b0, b1), factor in zip(blocks, pattern.signs):
-            p = factor[ell] * base[b0:b1]
-            start[b0:b1] = p
-            if factor[ell + 1] != factor[ell]:
-                direction[b0:b1] = mf.mult_i(p)
-                moving = True
-        if moving:
-            segments.append(GreatCircleSegment(start, direction, t0, t1, blocks))
-        else:
-            segments.append(ConstantSegment(start, t0, t1))
-    return PathSpec(tuple(segments), spec)
+    starts = critical_tuple(spec, pattern, t.points[0]).points[:-1]
+    # (r-1, ambient_dim) mask: the blocks whose sign changes after each slot
+    flips = np.array([np.diff(factor) != 0 for factor in pattern.signs])
+    widths = [e - s for s, e in mf.sphere_blocks(spec)]
+    moving = np.repeat(flips, widths, axis=0).T
+    return sign_flip_path(spec, starts, np.where(moving, mf.mult_i(starts), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +340,13 @@ class DeformationHandle:
                 )
 
 
-def _sampled_piece(t0, t1, fn, knots):
-    ts = np.linspace(t0, t1, knots)
+def _sampled_piece(t0, t1, fn):
+    ts = np.linspace(t0, t1, KNOTS_PER_PIECE)
     vals = np.array([fn(tt) for tt in ts])
     return SampledSegment(ts, vals)
 
 
-def deformation_to_section(h: DeformationHandle, a: NavTuple, r: int,
-                           knots_per_piece: int = 64) -> PathSpec:
+def deformation_to_section(h: DeformationHandle, a: NavTuple, r: int) -> PathSpec:
     """Path through the slots of a, riding the deformation to the diagonal
     and back between consecutive slots.
 
@@ -360,17 +365,14 @@ def deformation_to_section(h: DeformationHandle, a: NavTuple, r: int,
         mid = (j - 0.5) / (r - 1)
         hi = j / (r - 1)
         segments.append(_sampled_piece(
-            lo, mid, lambda tt, j=j: h.component(j - 1, a, 2.0 * ((r - 1) * tt - j + 1)),
-            knots_per_piece))
+            lo, mid, lambda tt, j=j: h.component(j - 1, a, 2.0 * ((r - 1) * tt - j + 1))))
         segments.append(_sampled_piece(
-            mid, hi, lambda tt, j=j: h.component(j, a, 2.0 * (j - (r - 1) * tt)),
-            knots_per_piece))
+            mid, hi, lambda tt, j=j: h.component(j, a, 2.0 * (j - (r - 1) * tt))))
     return PathSpec(tuple(segments), a.spec)
 
 
 def compose_section_through_deformation(phi: DeformationHandle, s_target,
-                                        x: NavTuple, r: int,
-                                        knots_per_piece: int = 64) -> PathSpec:
+                                        x: NavTuple, r: int) -> PathSpec:
     """Section at x from a section defined on the deformed tuple.
 
     Each of the r-1 subintervals splits in three: ride the deformation
@@ -394,17 +396,14 @@ def compose_section_through_deformation(phi: DeformationHandle, s_target,
         a2 = (j - 1.0 / 3.0) / (r - 1)
         hi = j / (r - 1)
         segments.append(_sampled_piece(
-            lo, a1, lambda tt, j=j: phi.component(j - 1, x, 3.0 * (r - 1) * tt - 3 * j + 3),
-            knots_per_piece))
+            lo, a1, lambda tt, j=j: phi.component(j - 1, x, 3.0 * (r - 1) * tt - 3 * j + 3)))
         seg_lo, seg_hi = (j - 1) / (r - 1), j / (r - 1)
         segments.append(_sampled_piece(
             a1, a2,
             lambda tt, j=j, lo_=seg_lo, hi_=seg_hi: eval_path(
                 target_path,
                 float(np.clip(3.0 * tt + (1.0 - 2.0 * j) / (r - 1), lo_, hi_)),
-            ),
-            knots_per_piece))
+            )))
         segments.append(_sampled_piece(
-            a2, hi, lambda tt, j=j: phi.component(j, x, 3.0 * j - 3.0 * (r - 1) * tt),
-            knots_per_piece))
+            a2, hi, lambda tt, j=j: phi.component(j, x, 3.0 * j - 3.0 * (r - 1) * tt)))
     return PathSpec(tuple(segments), x.spec)

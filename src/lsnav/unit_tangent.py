@@ -26,7 +26,8 @@ from .errors import (
 )
 from .flow import FlowConfig, ScalarField, rho
 from .manifolds import PointOnM, StiefelV2, TangentVector, mult_i, mult_j
-from .paths import ConstantSegment, GreatCircleSegment, PathSpec
+from .navigation import CLASSIFY_TOL, slot_signs
+from .paths import PathSpec, sign_flip_path
 
 
 def _require_frames(spec) -> StiefelV2:
@@ -66,17 +67,13 @@ def df_ut(p: PointOnM, y: TangentVector) -> float:
     return float(np.dot(mult_i(y1), x2) + np.dot(mult_i(x1), y2))
 
 
-def sign_classifier(spec: StiefelV2, tol: float = 1e-4):
+def sign_classifier(spec: StiefelV2):
     """Label a frame '+i' or '-i' according to which rotational section it sits on."""
+    labels = {1: "+i", -1: "-i", 0: None}
 
     def classify(coords):
         x1, x2 = mf.frame_columns(spec, coords)
-        ix = mult_i(x1)
-        if np.linalg.norm(x2 - ix) <= tol:
-            return "+i"
-        if np.linalg.norm(x2 + ix) <= tol:
-            return "-i"
-        return None
+        return labels[int(slot_signs(mult_i(x1), x2, CLASSIFY_TOL))]
 
     return classify
 
@@ -92,22 +89,22 @@ def f_ut_field(spec: StiefelV2) -> ScalarField:
     )
 
 
-def base_height_field(spec: StiefelV2, axis: int = 0) -> ScalarField:
-    """f(X) = <x1, e_axis>: depends on the base only, so its vertical gradient
+def base_height_field(spec: StiefelV2) -> ScalarField:
+    """f(X) = <x1, e_0>: depends on the base only, so its vertical gradient
     vanishes identically.  The standard counterexample to vertical
     proportionality."""
     _require_frames(spec)
 
     def value(x):
         x1, _ = mf.frame_columns(spec, x)
-        return x1[..., axis]
+        return x1[..., 0]
 
     def grad(x):
         g = np.zeros_like(np.asarray(x, dtype=float))
-        g[..., axis] = 1.0
+        g[..., 0] = 1.0
         return g
 
-    return ScalarField(spec, value, grad, name=f"base-height(axis={axis})")
+    return ScalarField(spec, value, grad, name="base-height(axis=0)")
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +264,10 @@ def fiber_tangent_basis(spec: StiefelV2, t: FiberTuple) -> np.ndarray:
     return _orthonormalize(np.array(raw))
 
 
-def _orthonormalize(rows, tol=1e-10):
+def _orthonormalize(rows):
+    """Orthonormal rows spanning rows; R pivots at or below 1e-10 count as rank loss."""
     q, r = np.linalg.qr(rows.T)
-    keep = np.abs(np.diag(r)) > tol
+    keep = np.abs(np.diag(r)) > 1e-10
     return q.T[keep]
 
 
@@ -362,30 +360,15 @@ def sigma_u_planner(t: FiberTuple, tol: float = 1e-9) -> PathSpec:
         )
     x = t.basepoint
     ix = mult_i(x)
-    signs = []
-    for i in range(t.r):
-        v = t.entries[i, spec.frame_dim:]
-        if np.linalg.norm(v - ix) <= tol:
-            signs.append(1)
-        elif np.linalg.norm(v + ix) <= tol:
-            signs.append(-1)
-        else:
-            raise NotCriticalFiberTuple(
-                f"entry {i} is not on a rotational section (tolerance {tol})"
-            )
-    jx = mult_j(x)
-    r = t.r
-    blocks = mf.sphere_blocks(spec)
-    segments = []
-    for j in range(r - 1):
-        t0, t1 = j / (r - 1), (j + 1) / (r - 1)
-        start = mf.frame_flat(x, signs[j] * ix)
-        if signs[j + 1] == signs[j]:
-            segments.append(ConstantSegment(start, t0, t1))
-        else:
-            direction = mf.frame_flat(np.zeros_like(jx), jx)
-            segments.append(GreatCircleSegment(start, direction, t0, t1, blocks))
-    return PathSpec(tuple(segments), spec)
+    signs = slot_signs(ix, t.entries[:, spec.frame_dim:], tol)
+    if not signs.all():
+        raise NotCriticalFiberTuple(
+            f"entry {int(np.argmin(signs != 0))} is not on a rotational section (tolerance {tol})"
+        )
+    flips = (signs[1:] != signs[:-1])[:, None]
+    starts = mf.frame_flat(np.tile(x, (t.r - 1, 1)), signs[:-1, None] * ix)
+    directions = np.where(flips, mf.frame_flat(np.zeros_like(x), mult_j(x)), 0.0)
+    return sign_flip_path(spec, starts, directions)
 
 
 def fiber_fibration(p: PathSpec, r: int) -> FiberTuple:
@@ -443,6 +426,10 @@ def _complete_unitary(b: np.ndarray) -> np.ndarray:
     return cols
 
 
+# where a Trivialization is defined, as reported by its to_json
+TRIVIALIZATION_DOMAIN = "unit vectors b; Gram-Schmidt pivots re-anchor near -b0"
+
+
 @dataclass(eq=False)
 class Trivialization:
     """Fiberwise identification over a neighborhood of b0.
@@ -454,7 +441,6 @@ class Trivialization:
 
     spec: StiefelV2
     b0: np.ndarray
-    domain: str = "unit vectors b; Gram-Schmidt pivots re-anchor near -b0"
 
     def section(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -483,7 +469,7 @@ class Trivialization:
         payload = {
             "schema": "v1",
             "basepoint": [float(v) for v in self.b0],
-            "domain": self.domain,
+            "domain": TRIVIALIZATION_DOMAIN,
         }
         if b is not None:
             payload["matrix"] = matrix_to_json(self.section(b))

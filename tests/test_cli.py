@@ -233,13 +233,18 @@ def test_pairs_torus(capsys):
     assert json.loads(out)["alpha"] == "continuum"
 
 
-# tuple files read by the bad-input cases below, written into tmp_path
-TUPLE_FILES = {
+# files read by the bad-input cases below, written into tmp_path
+INPUT_FILES = {
     "object.json": '{"points": [[1, 0], [-1, 0]]}',
     "malformed.json": "[[1, 0], [-1,",
+    "comps-array.json": '[{"value": 0, "complexity": 1}]',
+    "comps-no-value.json": '{"components": [{"complexity": 1}]}',
+    "comps-text-value.json": '{"components": [{"value": "four", "complexity": 1}]}',
+    "comps-zero.json": '{"components": [{"value": 0, "complexity": 0}]}',
 }
 NAV = ["critfind", "--field", "nav", "--manifold", "sphere:1", "--seeds", "20"]
 PLAN = ["plan", "--planner", "product-spheres", "--manifold", "sphere:1", "--tuple"]
+BOUND = ["bound", "--components"]
 
 
 @pytest.mark.parametrize("argv, code, expected", [
@@ -266,16 +271,24 @@ PLAN = ["plan", "--planner", "product-spheres", "--manifold", "sphere:1", "--tup
     (NAV + ["--r", "0"], 1, "InvalidPoint"),
     (PLAN + ["object.json"], 1, "LsnavError"),
     (PLAN + ["malformed.json"], 1, "LsnavError"),
+    (PLAN + ["."], 1, "IsADirectoryError"),
+    (BOUND + ["malformed.json"], 1, "LsnavError"),
+    (BOUND + ["comps-array.json"], 1, "LsnavError"),
+    (BOUND + ["comps-no-value.json"], 1, "LsnavError"),
+    (BOUND + ["comps-text-value.json"], 1, "LsnavError"),
+    (BOUND + ["comps-zero.json"], 1, "LsnavError"),
 ], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-sphere-0", "pairs-torus-one-radius", "pairs-torus-three-radii",
         "verify-only-non-numeric", "verify-only-99", "verify-only-0", "nav-r-1", "nav-r-0",
-        "plan-tuple-object", "plan-tuple-malformed"])
+        "plan-tuple-object", "plan-tuple-malformed", "plan-tuple-directory",
+        "bound-components-malformed", "bound-components-array", "bound-components-no-value",
+        "bound-components-text-value", "bound-components-zero-complexity"])
 def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, monkeypatch,
                                                capsys):
     # exit 2 with argparse's usage message, or exit 1 with a JSON error on
     # stderr; never a traceback and never output on stdout
-    for name, text in TUPLE_FILES.items():
+    for name, text in INPUT_FILES.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     try:

@@ -32,6 +32,7 @@ from lsnav.navigation import (
     pair_system_residual,
     pattern_value,
     random_critical_tuple,
+    slot_signs,
 )
 
 E1 = np.array([1.0, 0.0])
@@ -100,6 +101,42 @@ def test_classify_examples():
     pat0 = classify_sphere_critical(diag)
     assert pat0.signs == ((1, 1, 1),)
     assert pattern_value(pat0) == 0.0
+
+
+def _slot_signs_loop(ref, rows, tol):
+    out = []
+    for row in rows:
+        if np.linalg.norm(row - ref) <= tol:
+            out.append(1)
+        elif np.linalg.norm(row + ref) <= tol:
+            out.append(-1)
+        else:
+            out.append(0)
+    return out
+
+
+def test_slot_signs_matches_row_loop():
+    rng = np.random.default_rng(5)
+    tol = 1e-3
+    for d in (2, 4, 7):
+        ref = rng.standard_normal(d)
+        ref /= np.linalg.norm(ref)
+        unit = rng.standard_normal((6, d))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        rows = np.concatenate([
+            rng.standard_normal((20, d)),
+            [ref, -ref],
+            ref + 0.5 * tol * unit[:3], -ref + 0.5 * tol * unit[3:],
+            ref + 2.0 * tol * unit[:3], -ref + 2.0 * tol * unit[3:],
+        ])
+        got = slot_signs(ref, rows, tol)
+        assert got.tolist() == _slot_signs_loop(ref, rows, tol)
+        assert got.tolist()[20:] == [1, -1] + [1] * 3 + [-1] * 3 + [0] * 6
+        assert int(slot_signs(ref, -ref, tol)) == -1  # a single row
+    # |ref| <= tol: a row within tol of both +ref and -ref counts as +1
+    ref = np.full(3, 0.1 * tol)
+    rows = np.array([np.zeros(3), -ref, 0.5 * ref, -ref - 0.8 * tol * ref / np.linalg.norm(ref)])
+    assert slot_signs(ref, rows, tol).tolist() == _slot_signs_loop(ref, rows, tol) == [1, 1, 1, -1]
 
 
 def test_classify_rejects_with_witness():

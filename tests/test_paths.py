@@ -128,6 +128,33 @@ def test_plan_two_factor_mixed_pattern():
     assert np.allclose(mid[2:], base[2:], atol=1e-12)  # factor 2 constant on leg 1
 
 
+def test_plan_pieces_follow_the_flips():
+    # a constant piece exactly where no block flips; every great circle turns
+    # the flipping blocks by i and has a +0.0 direction on the others
+    from lsnav.manifolds import mult_i
+
+    rng = np.random.default_rng(3)
+    spec = ProductSpheres((1, 3))
+    pat = SignPattern(((1, -1, -1, -1, 1), (1, 1, 1, -1, 1)))
+    t = critical_tuple(spec, pat, random_points(spec, 1, rng)[0])
+    path = plan_product_odd_spheres(t, pat)
+    assert [type(s) for s in path.segments] == [
+        GreatCircleSegment, ConstantSegment, GreatCircleSegment, GreatCircleSegment]
+    for ell, seg in enumerate(path.segments):
+        moving = [f[ell] != f[ell + 1] for f in pat.signs]
+        if not any(moving):
+            assert np.array_equal(seg.point, t.points[ell])
+            continue
+        assert np.array_equal(seg.start, t.points[ell])
+        for (b0, b1), m in zip(spec.blocks(), moving):
+            block = seg.direction[b0:b1]
+            if m:
+                assert np.array_equal(block, mult_i(t.points[ell, b0:b1]))
+            else:
+                assert np.array_equal(block, np.zeros(b1 - b0))
+                assert not np.signbit(block).any()
+
+
 def test_plan_rejects_mismatch_and_even_dims():
     t = NavTuple(Sphere(1), np.array([E1, -E1]))
     with pytest.raises(PatternMismatch):

@@ -333,6 +333,39 @@ def test_sigma_u_r3_alternating():
     assert np.max(np.linalg.norm(vals[:, :4] - x, axis=1)) == 0.0
 
 
+def test_sigma_u_pieces_follow_the_flips():
+    # constant where consecutive signs agree; across a flip the direction is
+    # (0, j x), with +0.0 on the base block
+    from lsnav.paths import ConstantSegment, GreatCircleSegment
+
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(8)
+    x /= np.linalg.norm(x)
+    ix, jx = mult_i(x), mult_j(x)
+    signs = (1, -1, -1, 1, 1)
+    t = FiberTuple(StiefelV2(8), np.stack([frame_flat(x, s * ix) for s in signs]))
+    path = sigma_u_planner(t)
+    assert [type(s) for s in path.segments] == [
+        GreatCircleSegment, ConstantSegment, GreatCircleSegment, ConstantSegment]
+    for j, seg in enumerate(path.segments):
+        if isinstance(seg, ConstantSegment):
+            assert np.array_equal(seg.point, t.entries[j])
+            continue
+        assert np.array_equal(seg.start, t.entries[j])
+        assert np.array_equal(seg.direction, frame_flat(np.zeros(8), jx))
+        assert not np.signbit(seg.direction[:8]).any()
+
+
+def test_sigma_u_names_the_first_entry_off_the_sections():
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal(4)
+    x /= np.linalg.norm(x)
+    ix, jx = mult_i(x), mult_j(x)
+    t = FiberTuple(SPEC, np.stack([frame_flat(x, v) for v in (ix, -ix, jx, -jx)]))
+    with pytest.raises(NotCriticalFiberTuple, match="entry 2 is not on a rotational section"):
+        sigma_u_planner(t)
+
+
 def test_sigma_u_rejects_noncritical_and_bad_dimension():
     rng = np.random.default_rng(20)
     t = random_fiber_tuple(SPEC, 2, rng, critical_mask=[True, False])
