@@ -25,8 +25,12 @@ class ComponentComplexity:
     label: str = ""
 
     def __post_init__(self):
-        if self.complexity is not None and self.complexity < 1:
-            raise ValueError("assigned complexities are >= 1")
+        c = self.complexity
+        if not math.isfinite(self.value):
+            raise ValueError(f"component values are finite, got {self.value!r}")
+        if c is not None and (isinstance(c, bool) or not (float(c).is_integer() and c >= 1)):
+            raise ValueError(f"assigned complexities are integers >= 1, got {c!r}")
+        object.__setattr__(self, "complexity", c if c is None else int(c))
 
 
 @dataclass(frozen=True)

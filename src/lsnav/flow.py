@@ -38,12 +38,9 @@ def rho(s):
     s = np.asarray(s, dtype=float)
     if (s < 0).any():
         raise NegativeInput("rho is defined for nonnegative arguments")
-    t = s - 1.0
-    blend = 1.0 + 2.0 * t**2 - t**3
-    out = np.where(s <= 1.0, 1.0, np.where(s >= 2.0, s, blend))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    t = np.clip(s - 1.0, 0.0, 1.0)
+    out = np.where(s >= 2.0, s, 1.0 + 2.0 * t**2 - t**3)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass

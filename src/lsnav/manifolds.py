@@ -16,7 +16,7 @@ All array-level functions are vectorized over leading axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import accumulate
+from functools import cached_property
 
 import numpy as np
 
@@ -78,41 +78,35 @@ class _SphereBlocks(ManifoldSpec):
         return sum(d + 1 for d in self.dims)
 
     def blocks(self) -> tuple:
-        ends = list(accumulate(d + 1 for d in self.dims))
-        return tuple(zip([0] + ends[:-1], ends))
+        starts, sizes = self._segments
+        return tuple(zip(starts.tolist(), (starts + sizes).tolist()))
 
     def power(self, r: int) -> "ProductSpheres":
         return ProductSpheres(self.dims * r)
 
+    @cached_property
+    def _segments(self) -> tuple:
+        """Block starts (for np.add.reduceat) and sizes (for np.repeat back)."""
+        sizes = np.array(self.dims) + 1
+        return np.cumsum(sizes) - sizes, sizes
+
+    def _block_dots(self, u, v):
+        return np.add.reduceat(u * v, self._segments[0], axis=-1)
+
     def residual(self, coords):
-        res = np.zeros(coords.shape[:-1])
-        for s, e in self.blocks():
-            res = np.maximum(res, np.abs(np.linalg.norm(coords[..., s:e], axis=-1) - 1.0))
-        return res
+        return np.abs(np.sqrt(self._block_dots(coords, coords)) - 1.0).max(axis=-1)
 
     def tangency(self, coords, vec):
-        res = np.zeros(coords.shape[:-1])
-        for s, e in self.blocks():
-            dot = np.sum(coords[..., s:e] * vec[..., s:e], axis=-1)
-            res = np.maximum(res, np.abs(dot))
-        return res
+        return np.abs(self._block_dots(coords, vec)).max(axis=-1)
 
     def project(self, coords):
-        out = coords.copy()
-        for s, e in self.blocks():
-            nrm = np.linalg.norm(out[..., s:e], axis=-1, keepdims=True)
-            if (nrm < 1e-15).any():
-                raise SingularInput("cannot normalize a zero block")
-            out[..., s:e] /= nrm
-        return out
+        nrm = np.sqrt(self._block_dots(coords, coords))
+        if (nrm < 1e-15).any():
+            raise SingularInput("cannot normalize a zero block")
+        return coords / np.repeat(nrm, self._segments[1], axis=-1)
 
     def project_tangent(self, coords, w):
-        out = w.copy()
-        for s, e in self.blocks():
-            x = coords[..., s:e]
-            dot = np.sum(x * out[..., s:e], axis=-1, keepdims=True)
-            out[..., s:e] -= dot * x
-        return out
+        return w - np.repeat(self._block_dots(coords, w), self._segments[1], axis=-1) * coords
 
 
 @dataclass(frozen=True)
@@ -302,32 +296,42 @@ class StiefelV2(ManifoldSpec):
         m = self.frame_dim
         return ((0, m), (m, 2 * m))
 
+    def _rows(self, coords):  # (..., 2, frame_dim) views: row k is column k of the frame
+        return coords.reshape(coords.shape[:-1] + (2, self.frame_dim))
+
     def residual(self, coords):
-        x = frame_matrix(self, coords)
-        gram = np.swapaxes(x, -1, -2) @ x
-        return np.linalg.norm(gram - np.eye(2), axis=(-2, -1))
+        x = self._rows(coords)
+        return np.linalg.norm(x @ np.swapaxes(x, -1, -2) - np.eye(2), axis=(-2, -1))
 
     def tangency(self, coords, vec):
-        x = frame_matrix(self, coords)
-        y = frame_matrix(self, vec)
-        xty = np.swapaxes(x, -1, -2) @ y
+        xty = self._rows(coords) @ np.swapaxes(self._rows(vec), -1, -2)
         return np.linalg.norm(xty + np.swapaxes(xty, -1, -2), axis=(-2, -1))
 
     def project(self, coords):
-        """The polar factor of the frame matrix."""
-        u, s, vh = np.linalg.svd(frame_matrix(self, coords), full_matrices=False)
-        if (s[..., -1] < 1e-12).any():
+        """The polar factor of the frame matrix X, in closed form: Gram-Schmidt, run twice,
+        gives X = [e1 e2] [[r11, r12], [0, r22]], whose 2x2 factor has the polar factor
+        [[k, r12], [-r12, k]] / t with k = r11 + r22 and t = hypot(k, r12) = sigma_1 + sigma_2."""
+        x1, x2 = frame_columns(self, coords)
+        r11 = np.sqrt(_dot(x1, x1))
+        e1 = x1 / np.maximum(r11, 1e-300)  # a zero x1 gives r11 r22 = 0 below
+        c1 = _dot(e1, x2)
+        p = x2 - c1 * e1
+        c2 = _dot(e1, p)
+        p -= c2 * e1
+        r12, r22 = c1 + c2, np.sqrt(_dot(p, p))
+        k, t = r11 + r22, np.hypot(r11 + r22, r12)
+        sigma_max = 0.5 * (t + np.hypot(r11 - r22, r12))
+        if not (r11 * r22 > 1e-12 * sigma_max).all():  # sigma_min = r11 r22 / sigma_max
             raise SingularInput("rank-deficient frame has no polar factor")
-        q = u @ vh
-        return frame_flat(q[..., 0], q[..., 1])
+        e2 = p / r22
+        return frame_flat(k * e1 - r12 * e2, r12 * e1 + k * e2) / t
 
     def project_tangent(self, coords, w):
-        x = frame_matrix(self, coords)
-        y = frame_matrix(self, w)
-        xty = np.swapaxes(x, -1, -2) @ y
+        """W - X sym(X^T W), on the row views (X sym)^T = sym X^T."""
+        x, y = self._rows(coords), self._rows(w)
+        xty = x @ np.swapaxes(y, -1, -2)
         sym = 0.5 * (xty + np.swapaxes(xty, -1, -2))
-        out = y - x @ sym
-        return frame_flat(out[..., 0], out[..., 1])
+        return (y - sym @ x).reshape(w.shape)
 
 
 @dataclass(frozen=True)
@@ -393,14 +397,13 @@ def frame_columns(spec: StiefelV2, coords):
     return coords[..., :m], coords[..., m:]
 
 
-def frame_matrix(spec: StiefelV2, coords):
-    """Flat frame coordinates as a (..., frame_dim, 2) matrix."""
-    x1, x2 = frame_columns(spec, coords)
-    return np.stack([x1, x2], axis=-1)
-
-
 def frame_flat(x1, x2):
     return np.concatenate([x1, x2], axis=-1)
+
+
+def _dot(u, v):
+    """Row-wise dot products over the last axis, kept as a length-1 axis."""
+    return np.einsum("...i,...i->...", u, v)[..., None]
 
 
 def sphere_blocks(spec) -> tuple:
@@ -477,10 +480,6 @@ class TangentVector:
         res = float(tangency_residual(self.base.spec, self.base.coords, vec))
         if not res <= TANGENT_TOL:
             raise NotTangent(f"tangency residual {res:.3e} exceeds {TANGENT_TOL}")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
 
 
 def project_to_manifold(spec, ambient) -> PointOnM:

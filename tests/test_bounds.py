@@ -94,3 +94,12 @@ def test_bound_result_json_and_table():
 def test_component_complexity_validation():
     with pytest.raises(ValueError):
         ComponentComplexity(0.0, 0)
+    for bad in (1.5, 2.7, 0.5, math.inf, math.nan, True):
+        with pytest.raises(ValueError):
+            ComponentComplexity(0.0, bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ComponentComplexity(bad, 1)
+    whole = ComponentComplexity(4.0, 2.0)
+    assert whole.complexity == 2 and type(whole.complexity) is int
+    assert ComponentComplexity(4.0, None).complexity is None

@@ -241,6 +241,11 @@ INPUT_FILES = {
     "comps-no-value.json": '{"components": [{"complexity": 1}]}',
     "comps-text-value.json": '{"components": [{"value": "four", "complexity": 1}]}',
     "comps-zero.json": '{"components": [{"value": 0, "complexity": 0}]}',
+    "comps-fractional.json": '{"components": [{"value": 0, "complexity": 1.5}, '
+                             '{"value": 4, "complexity": 2.7}]}',
+    "comps-nan-value.json": '{"components": [{"value": NaN, "complexity": 1}, '
+                            '{"value": 4, "complexity": 1}]}',
+    "comps-infinite-value.json": '{"components": [{"value": Infinity, "complexity": 1}]}',
 }
 NAV = ["critfind", "--field", "nav", "--manifold", "sphere:1", "--seeds", "20"]
 PLAN = ["plan", "--planner", "product-spheres", "--manifold", "sphere:1", "--tuple"]
@@ -277,13 +282,18 @@ BOUND = ["bound", "--components"]
     (BOUND + ["comps-no-value.json"], 1, "LsnavError"),
     (BOUND + ["comps-text-value.json"], 1, "LsnavError"),
     (BOUND + ["comps-zero.json"], 1, "LsnavError"),
+    (BOUND + ["comps-fractional.json"], 1, "LsnavError"),
+    (BOUND + ["comps-nan-value.json"], 1, "LsnavError"),
+    (BOUND + ["comps-infinite-value.json"], 1, "LsnavError"),
 ], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-sphere-0", "pairs-torus-one-radius", "pairs-torus-three-radii",
         "verify-only-non-numeric", "verify-only-99", "verify-only-0", "nav-r-1", "nav-r-0",
         "plan-tuple-object", "plan-tuple-malformed", "plan-tuple-directory",
         "bound-components-malformed", "bound-components-array", "bound-components-no-value",
-        "bound-components-text-value", "bound-components-zero-complexity"])
+        "bound-components-text-value", "bound-components-zero-complexity",
+        "bound-components-fractional-complexity", "bound-components-nan-value",
+        "bound-components-infinite-value"])
 def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, monkeypatch,
                                                capsys):
     # exit 2 with argparse's usage message, or exit 1 with a JSON error on

@@ -29,6 +29,15 @@ def test_rho_branches():
         rho(-0.1)
 
 
+def test_rho_matches_three_branch_formula():
+    s = np.concatenate([np.linspace(0.0, 3.0, 3001), [1.0, 2.0, np.nextafter(1.0, 2.0),
+                                                      np.nextafter(2.0, 1.0), 1e6]])
+    t = s - 1.0
+    three = np.where(s <= 1.0, 1.0, np.where(s >= 2.0, s, 1.0 + 2.0 * t**2 - t**3))
+    assert np.array_equal(rho(s), three)
+    assert rho(1.0) == 1.0 and rho(2.0) == 2.0
+
+
 def test_rho_monotone_and_below_identity():
     s = np.linspace(0.0, 3.0, 20001)
     vals = rho(s)

@@ -116,13 +116,13 @@ def test_stiefel_tangent_against_least_squares_basis():
     rng = np.random.default_rng(2)
     spec = StiefelV2(4)
     x = random_points(spec, 1, rng)[0]
-    xm = mf.frame_matrix(spec, x)
+    xm = x.reshape(2, 4).T  # frame matrix: columns x1, x2
 
     rows = []
     for k in range(8):
         e = np.zeros(8)
         e[k] = 1.0
-        ym = mf.frame_matrix(spec, e)
+        ym = e.reshape(2, 4).T
         c = xm.T @ ym + ym.T @ xm
         rows.append([c[0, 0], c[1, 1], c[0, 1]])
     constraint = np.array(rows).T  # (3, 8), tangent space is its null space
@@ -272,3 +272,118 @@ def test_implicit_spec_default_level():
 def test_spec_from_json_names_missing_and_ill_typed_fields(obj, match):
     with pytest.raises(WrongSpec, match=match):
         spec_from_json(obj)
+
+
+# Loop and SVD references for the vectorized kernels.
+
+def _sphere_kernels_by_loop(spec, coords, w):
+    """residual, tangency, project and project_tangent, one sphere block at a time."""
+    res = np.zeros(coords.shape[:-1])
+    tan = np.zeros(coords.shape[:-1])
+    proj, ptan = coords.copy(), w.copy()
+    for s, e in spec.blocks():
+        x = coords[..., s:e]
+        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+        dot = np.sum(x * w[..., s:e], axis=-1, keepdims=True)
+        res = np.maximum(res, np.abs(nrm[..., 0] - 1.0))
+        tan = np.maximum(tan, np.abs(dot[..., 0]))
+        proj[..., s:e] = x / nrm
+        ptan[..., s:e] -= dot * x
+    return res, tan, proj, ptan
+
+
+SPHERE_KERNEL_SPECS = [Sphere(1), ProductSpheres((3, 3, 3)), ProductSpheres((1, 3, 1, 3))]
+
+
+@pytest.mark.parametrize("spec", SPHERE_KERNEL_SPECS, ids=lambda s: str(s.dims))
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["d", "n-d", "r-n-d"])
+def test_sphere_kernels_match_block_loop(spec, lead):
+    rng = np.random.default_rng(len(lead) + spec.ambient_dim)
+    shape = lead + (spec.ambient_dim,)
+    raw = rng.standard_normal(shape)
+    w = rng.standard_normal(shape)
+    on = mf.project_points(spec, raw)
+    for coords in (raw, on):
+        ref = _sphere_kernels_by_loop(spec, coords, w)
+        ours = (mf.constraint_residual(spec, coords), mf.tangency_residual(spec, coords, w),
+                mf.project_points(spec, coords), mf.project_tangent(spec, coords, w))
+        for got, want in zip(ours, ref):
+            # segment sums may add in another order: 1e-15 relative to max(1, |value|)
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))).all()
+
+
+@pytest.mark.parametrize("spec", SPHERE_KERNEL_SPECS, ids=lambda s: str(s.dims))
+def test_zero_sphere_block_in_one_row_raises(spec):
+    rng = np.random.default_rng(3)
+    for row in range(4):
+        for s, e in spec.blocks():
+            x = rng.standard_normal((4, spec.ambient_dim))
+            x[row, s:e] = 0.0
+            with pytest.raises(SingularInput):
+                mf.project_points(spec, x)
+
+
+def _polar_by_svd(spec, coords):
+    m = spec.frame_dim
+    u, _, vh = np.linalg.svd(np.stack([coords[..., :m], coords[..., m:]], axis=-1),
+                             full_matrices=False)
+    q = u @ vh
+    return np.concatenate([q[..., 0], q[..., 1]], axis=-1)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_closed_form_polar_factor_matches_svd(m):
+    spec = StiefelV2(m)
+    x = np.random.default_rng(m).standard_normal((10_000, 2 * m))
+    q = mf.project_points(spec, x)
+    assert np.max(np.abs(q - _polar_by_svd(spec, x))) <= 1e-12
+    assert np.max(mf.constraint_residual(spec, q)) <= 1e-12
+
+
+def test_rank_deficient_frame_raises():
+    spec = StiefelV2(4)
+    rng = np.random.default_rng(5)
+    x1 = rng.standard_normal(4)
+    for x2 in (x1, 2.0 * x1, -x1, np.zeros(4)):
+        for first, second in ((x1, x2), (x2, x1)):
+            batch = rng.standard_normal((3, 8))
+            batch[1] = np.concatenate([first, second])
+            with pytest.raises(SingularInput):
+                mf.project_points(spec, batch)
+    with pytest.raises(SingularInput):
+        mf.project_points(spec, np.zeros(8))
+
+
+def test_polar_factor_of_nearly_dependent_columns_is_orthonormal():
+    # the Gram-matrix form sqrt(ac - b^2) loses sigma_min below sqrt(eps) sigma_max;
+    # the factor must stay on the manifold and within cond * 1e-14 of the SVD's
+    spec = StiefelV2(4)
+    rng = np.random.default_rng(6)
+    x1 = rng.standard_normal(4)
+    for eps in (1e-6, 1e-8, 1e-10):
+        x = np.concatenate([x1, 0.3 * x1 + eps * rng.standard_normal(4)])
+        sv = np.linalg.svd(x.reshape(2, 4).T, compute_uv=False)
+        q = mf.project_points(spec, x)
+        assert float(mf.constraint_residual(spec, q)) <= 1e-12
+        assert np.max(np.abs(q - _polar_by_svd(spec, x))) <= 1e-14 * sv[0] / sv[1]
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_stiefel_kernels_match_matrix_form(m):
+    spec = StiefelV2(m)
+    rng = np.random.default_rng(m + 1)
+    x = random_points(spec, 200, rng).reshape(4, 50, 2 * m)
+    w = rng.standard_normal(x.shape)
+    xm = np.stack([x[..., :m], x[..., m:]], axis=-1)
+    wm = np.stack([w[..., :m], w[..., m:]], axis=-1)
+    xtw = np.swapaxes(xm, -1, -2) @ wm
+    sym = 0.5 * (xtw + np.swapaxes(xtw, -1, -2))
+    out = wm - xm @ sym
+    want = np.concatenate([out[..., 0], out[..., 1]], axis=-1)
+    assert np.max(np.abs(mf.project_tangent(spec, x, w) - want)) <= 1e-15
+    gram = np.swapaxes(xm, -1, -2) @ xm
+    assert np.max(np.abs(mf.constraint_residual(spec, x)
+                         - np.linalg.norm(gram - np.eye(2), axis=(-2, -1)))) <= 1e-15
+    assert np.max(np.abs(mf.tangency_residual(spec, x, w)
+                         - np.linalg.norm(xtw + np.swapaxes(xtw, -1, -2), axis=(-2, -1)))) <= 1e-15
