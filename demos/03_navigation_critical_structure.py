@@ -3,9 +3,10 @@
 F(x_1,...,x_r) = sum |x_i - x_{i+1}|^2 vanishes exactly on the diagonal of
 M^r.  On spheres and products of spheres its critical tuples have every slot
 equal to +-(first slot) factorwise, with value 4 per consecutive sign change.
-Descent and ascent flows find the extremal components; the intermediate
-(saddle) components have measure-zero basins, so the pipeline adds a damped
-Newton search on the projected gradient.
+Descent and ascent flows find the extremal components only: the intermediate
+(saddle) components have measure-zero basins.  The detection pipeline
+therefore runs a damped Newton search on the projected gradient, which
+reaches critical points of every index.
 """
 import numpy as np
 

@@ -1,8 +1,11 @@
-"""Microbenchmark of the flow's per-kind geometry kernels.
+"""Microbenchmark of the per-kind geometry kernels and of the Newton stage.
 
 Times ``project_points``, ``project_tangent`` and ``flow.rho`` at batch sizes
 1, 500 and 5000 on sphere:1^2, (S^3)^3, (S^1 x S^3)^2, stiefel:4 and
-stiefel:8, for one or more source trees of lsnav in one process:
+stiefel:8, and ``flow.newton_critical_search`` at 1 and 500 seeds on the nav
+field of sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and
+the height on the torus of revolution (2, 0.5), for one or more source trees
+of lsnav in one process:
 
     python3 scripts/bench_kernels.py change=src
     python3 scripts/bench_kernels.py parent=/path/to/parent/src change=src > BENCH_kernels.json
@@ -12,7 +15,9 @@ module, so the trees are timed alternately, repeat by repeat, and a change of
 host speed hits all of them alike.  Every figure is the median and quartiles
 over REPEATS repeats of the time per call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
-Gaussian batch, once per batch size, under the kind ``"-"``.
+Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
+Newton median stand the Levenberg-Marquardt iterations and Jacobian rows of
+one call, counted in an untimed call.
 
 Kernel times on a shared host are noisy: treat them as a guide to where the
 time goes, and the benchmark's ``solve_ref`` as the end-to-end evidence.
@@ -33,6 +38,8 @@ BATCHES = (1, 500, 5000)
 MANIFOLDS = ("sphere:1^2", "(S^3)^3", "(S^1xS^3)^2", "stiefel:4", "stiefel:8")
 REPEATS = 9
 MIN_REPEAT_S = 0.01  # calls per repeat are chosen so that one repeat takes at least this
+NEWTON_PROBLEMS = ("nav sphere:1 r=2", "nav (S^3)^3", "ut-f stiefel:4", "height torus(2,0.5)")
+NEWTON_BATCHES = (1, 500)
 
 
 def load_tree(label: str, src: str):
@@ -72,7 +79,45 @@ def cases(lsnav):
     for n in BATCHES:
         norms = 2.0 * np.abs(np.random.default_rng([0, n]).standard_normal(n))
         out.append(("rho", "-", n, lambda g=norms: lsnav.flow.rho(g)))
+    for name in NEWTON_PROBLEMS:
+        field = newton_field(lsnav, name)
+        for n in NEWTON_BATCHES:
+            seeds = mf.random_points(field.spec, n, np.random.default_rng([1, n]))
+            out.append(("newton_critical_search", name, n,
+                        lambda f=field, x=seeds: lsnav.flow.newton_critical_search(f, x)))
     return out
+
+
+def newton_field(lsnav, name: str):
+    mf = lsnav.manifolds
+    if name == "height torus(2,0.5)":
+        fld = lsnav.constraints.torus_of_revolution_field(2.0, 0.5)
+        return lsnav.flow.height_field(mf.ImplicitHypersurface(fld, 0.25))
+    return {"nav sphere:1 r=2": lambda: lsnav.navigation.nav_field(mf.Sphere(1), 2),
+            "nav (S^3)^3": lambda: lsnav.navigation.nav_field(mf.Sphere(3), 3),
+            "ut-f stiefel:4": lambda: lsnav.unit_tangent.f_ut_field(mf.StiefelV2(4))}[name]()
+
+
+def lm_counts(lsnav, call) -> dict:
+    """Levenberg-Marquardt iterations and Jacobian rows of one call of ``call``."""
+    numerics = lsnav.numerics
+    solve = numerics.levenberg_marquardt
+    counts = {"lm_iterations": 0, "jacobian_rows": 0}
+
+    def counted(residual, jacobian, z0, **kwargs):
+        def counted_jacobian(z):
+            counts["lm_iterations"] += 1
+            counts["jacobian_rows"] += len(z)
+            return jacobian(z)
+
+        return solve(residual, counted_jacobian, z0, **kwargs)
+
+    numerics.levenberg_marquardt = counted
+    try:
+        call()
+    finally:
+        numerics.levenberg_marquardt = solve
+    return counts
 
 
 def calls_per_repeat(call) -> int:
@@ -89,7 +134,8 @@ def calls_per_repeat(call) -> int:
 
 
 def run(trees: dict) -> dict:
-    per_tree = {label: cases(load_tree(label, src)) for label, src in trees.items()}
+    modules = {label: load_tree(label, src) for label, src in trees.items()}
+    per_tree = {label: cases(module) for label, module in modules.items()}
     first = next(iter(per_tree.values()))
     results = {label: [] for label in trees}
     for i, (kernel, kind, n, _) in enumerate(first):
@@ -104,10 +150,13 @@ def run(trees: dict) -> dict:
                 times[label].append((time.perf_counter() - start) / calls * 1e6)
         for label, ts in times.items():
             q1, med, q3 = statistics.quantiles(ts, n=4)
-            results[label].append({"kernel": kernel, "kind": kind, "batch": n,
-                                   "calls": calls * REPEATS, "rows": calls * REPEATS * n,
-                                   "us_per_call_median": round(med, 2),
-                                   "us_per_call_q1": round(q1, 2), "us_per_call_q3": round(q3, 2)})
+            record = {"kernel": kernel, "kind": kind, "batch": n,
+                      "calls": calls * REPEATS, "rows": calls * REPEATS * n,
+                      "us_per_call_median": round(med, 2),
+                      "us_per_call_q1": round(q1, 2), "us_per_call_q3": round(q3, 2)}
+            if kernel == "newton_critical_search":
+                record.update(lm_counts(modules[label], per_tree[label][i][3]))
+            results[label].append(record)
     return {"host": {"machine": platform.machine(), "processor": platform.processor(),
                      "cpus": os.cpu_count(), "python": platform.python_version(),
                      "numpy": np.__version__},

@@ -126,8 +126,7 @@ def _emit(args, payload, text_renderer=None):
 
 def _flow_config(args) -> FlowConfig:
     try:
-        return FlowConfig(step=args.step, max_time=args.max_time,
-                          grad_tol=args.grad_tol, cluster_tol=args.cluster_tol)
+        return FlowConfig(grad_tol=args.grad_tol, cluster_tol=args.cluster_tol)
     except ValueError as exc:
         raise LsnavError(str(exc)) from None
 
@@ -255,23 +254,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "critfind",
-        help="detect critical components of a scalar field by pseudo-gradient "
-             "flow plus damped-Newton refinement",
+        help="detect critical components of a scalar field by damped Newton "
+             "on its Riemannian gradient",
         description="Detect critical components of a named field: 'nav' is the "
                     "chained squared-distance navigation function on M^r, "
                     "'ut-f' the invariant function <i x, v> on a unit tangent "
-                    "bundle, 'height' a coordinate height function.",
+                    "bundle, 'height' a coordinate height function.  Newton's "
+                    "method with the analytic Riemannian Hessian runs from every "
+                    "seed; converged points are grouped by value, then by the "
+                    "field's structural label, or by distance with clusters "
+                    "joined when continuation along the Hessian kernel connects "
+                    "them through the critical set.",
     )
     p.add_argument("--field", choices=["nav", "ut-f", "height"], required=True)
     p.add_argument("--manifold", type=_parse_manifold, required=True,
                    help="sphere:N | product:N1,N2 | ellipsoid:a,b,c | stiefel:FRAME_DIM | @spec.json")
     p.add_argument("--r", type=int, default=2, help="number of waypoints for the nav field")
     p.add_argument("--seeds", type=_positive_int, default=200)
-    p.add_argument("--step", type=float, default=1e-2,
-                   help="initial step of the adaptive Dormand-Prince 5(4) flows")
-    p.add_argument("--max-time", type=float, default=200.0)
-    p.add_argument("--grad-tol", type=float, default=1e-8)
-    p.add_argument("--cluster-tol", type=float, default=1e-4)
+    p.add_argument("--grad-tol", type=float, default=1e-8,
+                   help="gradient tolerance of a critical point; Newton runs to "
+                        "min(this, 1e-10)")
+    p.add_argument("--cluster-tol", type=float, default=1e-4,
+                   help="critical values closer than 10x this form one level")
     common_io(p)
     p.set_defaults(fn=cmd_critfind)
 

@@ -12,8 +12,16 @@ accepted only when its local error estimate meets min(ATOL, RTOL |y - x|)
 and F has not moved against the flow beyond rounding, so flows stay
 Lyapunov-monotone; a row rejected down to a step below STEP_FLOOR stops
 unconverged.  The same driver records single traces (``integrate_flow``)
-and runs the time-1 map.  Seed batches are vectorized; detection clusters
-converged endpoints by value, then by structural label or point distance.
+and runs the time-1 map; ``detect_critical`` clusters flow endpoints.
+
+``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
+gradient, with the analytic Riemannian Hessian (the manifold's projection of
+the field's Euclidean Hessian plus its Weingarten term) as Jacobian, reaches
+critical points of every index from every seed.  The converged points are
+clustered by value, then by structural label, or by point distance followed
+by a Morse-Bott merge: clusters on one critical manifold are joined when
+predictor-corrector continuation along the Hessian kernel walks from one to
+the other, so disjoint critical sets stay apart.
 """
 from __future__ import annotations
 
@@ -62,8 +70,12 @@ class ScalarField:
     """A scalar field on a manifold with an ambient (Euclidean) gradient.
 
     ``value`` and ``euclidean_gradient`` take coordinate arrays of shape
-    (..., ambient_dim) and broadcast.  When no analytic gradient is given,
-    central finite differences with step FD_SCALE * (1 + |x|) are used.
+    (..., ambient_dim) and broadcast; ``euclidean_hessian`` returns an array
+    that broadcasts to (..., ambient_dim, ambient_dim), so a constant Hessian
+    may be one matrix.  When no analytic gradient is given,
+    central finite differences of ``value`` with step FD_SCALE * (1 + |x|) are
+    used; when no Hessian is given, central differences of the gradient with
+    step FD_HESSIAN_SCALE * (1 + |x|).
     ``classifier`` optionally maps a critical point to a structural label.
     """
 
@@ -72,6 +84,7 @@ class ScalarField:
     euclidean_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
     classifier: Optional[Callable[[np.ndarray], Optional[str]]] = None
+    euclidean_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def value_at(self, coords):
         return np.asarray(self.value(np.asarray(coords, dtype=float)), dtype=float)
@@ -84,24 +97,51 @@ class ScalarField:
 
     def fd_gradient(self, coords):
         """Central finite differences of ``value``, step FD_SCALE * (1 + |x|)."""
+        return _central_differences(self.value_at, np.asarray(coords, dtype=float), FD_SCALE)
+
+    def euclidean_hessian_at(self, coords):
         coords = np.asarray(coords, dtype=float)
-        h = FD_SCALE * (1.0 + np.linalg.norm(coords, axis=-1))
-        grad = np.empty_like(coords)
-        for k in range(coords.shape[-1]):
-            plus = coords.copy()
-            minus = coords.copy()
-            plus[..., k] += h
-            minus[..., k] -= h
-            grad[..., k] = (self.value_at(plus) - self.value_at(minus)) / (2.0 * h)
-        return grad
+        if self.euclidean_hessian is not None:
+            d = coords.shape[-1]
+            return np.broadcast_to(self.euclidean_hessian(coords), coords.shape + (d,))
+        return self.fd_hessian(coords)
+
+    def fd_hessian(self, coords):
+        """Central differences of ``euclidean_gradient_at`` in the ambient space (no
+        projection), step FD_HESSIAN_SCALE * (1 + |x|), symmetrized."""
+        hess = _central_differences(self.euclidean_gradient_at, np.asarray(coords, dtype=float),
+                                    FD_HESSIAN_SCALE)
+        return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
     def riemannian_gradient(self, coords):
         """Tangent projection of the ambient gradient (induced metric)."""
         coords = np.asarray(coords, dtype=float)
         return mf.project_tangent(self.spec, coords, self.euclidean_gradient_at(coords))
 
+    def riemannian_hessian(self, coords):
+        """The Riemannian Hessian at coords as (..., d, d) matrices: the tangent
+        projection of the ambient Hessian plus the Weingarten term of the manifold."""
+        coords = np.asarray(coords, dtype=float)
+        return self.spec.riemannian_hessian(coords, self.euclidean_gradient_at(coords),
+                                            self.euclidean_hessian_at(coords))
+
     def gradient_norm(self, coords):
         return np.linalg.norm(self.riemannian_gradient(coords), axis=-1)
+
+
+def _central_differences(fn, coords, scale):
+    """Central differences of fn along each ambient coordinate, step scale * (1 + |x|),
+    stacked on a new last axis."""
+    h = scale * (1.0 + np.linalg.norm(coords, axis=-1))
+    cols = []
+    for k in range(coords.shape[-1]):
+        plus = coords.copy()
+        minus = coords.copy()
+        plus[..., k] += h
+        minus[..., k] -= h
+        diff = fn(plus) - fn(minus)
+        cols.append(diff / (2.0 * h).reshape(h.shape + (1,) * (diff.ndim - h.ndim)))
+    return np.stack(cols, axis=-1)
 
 
 def pseudo_gradient_coords(field: ScalarField, coords):
@@ -135,8 +175,11 @@ RTOL = 1e-3            # local error bound relative to the step's displacement
 STEP_FLOOR = 1e-8      # a row rejected down to a step below this stops unconverged
 LYAPUNOV_SLACK = 1e-13  # rounding allowance on F, relative to 1 + |F|
 FD_SCALE = 1e-6        # finite-difference gradient step, relative to 1 + |x|
+FD_HESSIAN_SCALE = 1e-4  # finite-difference Hessian step, relative to 1 + |x|
 POINT_MERGE_DIST = 0.5  # single-linkage distance when a field has no classifier
-NEWTON_FD_STEP = 1e-7  # its finite-difference Jacobian step, relative to 1 + |x|
+MERGE_KERNEL_TOL = 1e-6  # Hessian eigenvalues below this, relative to 1 + the largest, are 0
+MERGE_STEP = 0.5 * POINT_MERGE_DIST  # predictor step of the Morse-Bott continuation
+MERGE_MAX_STEPS = 100   # predictor-corrector steps per continuation walk
 
 
 def _dp54_step(vfield, project, x, k1, h):
@@ -364,10 +407,107 @@ def _distance_clusters(points, threshold):
     return labels
 
 
+def _tangent_kernel(field, coords):
+    """Projectors (n, d, d) onto the kernel of the Riemannian Hessian in the tangent
+    spaces at coords.  The eigenvectors E of eigenvalues at most MERGE_KERNEL_TOL
+    (relative to 1 + the largest) span that kernel plus the normal space, which
+    the Hessian maps to zero; P E E^T P drops the normal part."""
+    lam, vec = np.linalg.eigh(field.riemannian_hessian(coords))
+    small = np.abs(lam) <= MERGE_KERNEL_TOL * (1.0 + np.abs(lam).max(axis=-1, keepdims=True))
+    kernel_rows = np.swapaxes(vec * small[:, None, :], -1, -2)
+    pe = mf.project_tangent(field.spec, coords[:, None, :], kernel_rows)
+    return np.swapaxes(pe, -1, -2) @ pe
+
+
+def _follow_kernel(field, pts, starts, targets, others, cfg):
+    """Predictor-corrector continuation along the critical set (Allgower & Georg,
+    Numerical Continuation Methods, 1990) from pts[starts] toward pts[targets].
+
+    Each step predicts MERGE_STEP along the Hessian-kernel component of the
+    direction to the target and corrects with Levenberg-Marquardt on the
+    Riemannian gradient.  A walk stops when the kernel gives no direction, the
+    corrector does not converge, moves more than MERGE_STEP or changes the value
+    by more than cluster_tol, or the target is no nearer.  It arrives when it is
+    within POINT_MERGE_DIST of a point of pts allowed by its row of ``others``.
+    Returns, per walk, the index of the point it arrived at, or -1.
+    """
+    from .numerics import levenberg_marquardt
+
+    y = pts[starts]
+    goal = pts[targets]
+    level = field.value_at(y)
+    dist = np.linalg.norm(goal - y, axis=-1)
+    hit = np.full(len(starts), -1)
+    idx = np.arange(len(starts))
+    for _ in range(MERGE_MAX_STEPS):
+        ya = y[idx]
+        u = np.einsum("nij,nj->ni", _tangent_kernel(field, ya), goal[idx] - ya)
+        un = np.linalg.norm(u, axis=-1)
+        pred = mf.project_points(field.spec, ya + MERGE_STEP * u / np.maximum(un, 1e-300)[:, None])
+        z, rn = levenberg_marquardt(field.riemannian_gradient, field.riemannian_hessian, pred,
+                                    tol=cfg.grad_tol, retract=_retraction(field))
+        nd = np.linalg.norm(goal[idx] - z, axis=-1)
+        ok = ((un > 1e-12) & (rn <= cfg.grad_tol) & (nd < dist[idx])
+              & (np.linalg.norm(z - pred, axis=-1) <= MERGE_STEP)
+              & (np.abs(field.value_at(z) - level[idx]) <= cfg.cluster_tol))
+        y[idx], dist[idx] = z, nd
+        near = ((np.linalg.norm(z[:, None, :] - pts[None, :, :], axis=-1) <= POINT_MERGE_DIST)
+                & others[idx] & ok[:, None])
+        arrived = near.any(axis=-1)
+        hit[idx[arrived]] = np.argmax(near[arrived], axis=-1)
+        idx = idx[ok & ~arrived]
+        if idx.size == 0:
+            break
+    return hit
+
+
+def _morse_bott_merge(field, pts, labels, cfg):
+    """Merge the single-linkage clusters (labels over rows of pts, all at one
+    value) that are connected through the critical set.
+
+    A cluster whose Hessian kernel is trivial at its first point is an isolated
+    critical point and stays alone.  Otherwise every component walks, by
+    ``_follow_kernel``, from its point nearest to the nearest component it has
+    not yet walked toward, and is united with whatever component it arrives at;
+    this repeats until no component has such a neighbour.  Disjoint critical
+    sets are never united, because a walk stays on the critical set.
+    """
+    k = labels.max() + 1
+    if k == 1:
+        return labels
+    first = np.unique(labels, return_index=True)[1]
+    walkable = np.trace(_tangent_kernel(field, pts[first]), axis1=-2, axis2=-1) > 0.5
+    tried = ~np.outer(walkable, walkable)
+    root = np.arange(k)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    while True:
+        comp = root[labels]
+        open_ = (comp[:, None] != comp[None, :]) & ~tried[labels[:, None], labels[None, :]]
+        gap = np.where(open_, dist, np.inf)
+        starts, targets = [], []
+        for c in np.unique(comp):
+            rows = np.flatnonzero(comp == c)
+            i, j = np.unravel_index(np.argmin(gap[rows]), (rows.size, len(pts)))
+            if np.isfinite(gap[rows[i], j]):
+                starts.append(rows[i])
+                targets.append(j)
+        if not starts:
+            return np.unique(comp, return_inverse=True)[1]
+        for i, j in zip(starts, targets):
+            a, b = root == comp[i], root == comp[j]
+            tried |= np.outer(a, b) | np.outer(b, a)
+        hit = _follow_kernel(field, pts, np.array(starts), np.array(targets),
+                             comp[None, :] != comp[starts][:, None], cfg)
+        for i, j in zip(starts, hit):
+            if j >= 0:
+                root[root == root[labels[j]]] = root[labels[i]]
+
+
 def _cluster_endpoints(field, endpoints, cfg):
     """Group converged points into components: by value, with gaps larger than
-    10 * cluster_tol, then by the field's structural classifier (or by point
-    distance at POINT_MERGE_DIST when none is set)."""
+    10 * cluster_tol, then by the field's structural classifier, or, when none
+    is set, by point distance at POINT_MERGE_DIST followed by the Morse-Bott
+    merge of clusters connected through the critical set."""
     values = field.value_at(endpoints)
     order = np.argsort(values, kind="stable")
     endpoints = endpoints[order]
@@ -389,7 +529,7 @@ def _cluster_endpoints(field, endpoints, cfg):
                 sel = labels == lab
                 components.append((float(np.mean(vals[sel])), pts[sel], str(lab)))
         else:
-            cl = _distance_clusters(pts, POINT_MERGE_DIST)
+            cl = _morse_bott_merge(field, pts, _distance_clusters(pts, POINT_MERGE_DIST), cfg)
             for c in range(cl.max() + 1):
                 sel = cl == c
                 components.append((float(np.mean(vals[sel])), pts[sel], "unclassified"))
@@ -435,61 +575,38 @@ def newton_critical_search(field: ScalarField, seeds, *, tol: float = 1e-10):
 
     Unlike descent flows, whose generic trajectories only reach extremal
     components, Newton iterations converge to critical points of any index.
-    Jacobians of G (composed with the manifold projection) are taken by
-    central differences of step NEWTON_FD_STEP * (1 + |x|); Levenberg-Marquardt
-    damping with a step cap keeps the iteration stable where the covariant
-    Hessian degenerates, for at most numerics.LM_MAX_ITER iterations.
-    Returns the converged points as an array (possibly empty).
+    The Jacobian of G is the field's Riemannian Hessian; Levenberg-Marquardt
+    damping with a step cap keeps the iteration stable where that Hessian
+    degenerates, for at most numerics.LM_MAX_ITER iterations.  Seeds that are
+    not finite are dropped.  Returns the converged points as an array
+    (possibly empty).
     """
     from .numerics import levenberg_marquardt
 
-    x = mf.project_points(field.spec, _as_coords(seeds))
-    d = x.shape[-1]
-
-    def residual(pts):
-        return field.riemannian_gradient(pts)
-
-    def jacobian(pts):
-        h = NEWTON_FD_STEP * (1.0 + np.linalg.norm(pts, axis=-1))
-        jac = np.empty(pts.shape + (d,))
-        for k in range(d):
-            plus = pts.copy()
-            minus = pts.copy()
-            plus[:, k] += h
-            minus[:, k] -= h
-            jac[:, :, k] = (
-                residual(mf.project_points(field.spec, plus))
-                - residual(mf.project_points(field.spec, minus))
-            ) / (2.0 * h)[:, None]
-        return jac
-
-    def retract(pts):
-        return mf.project_points(field.spec, pts)
-
-    z, rn = levenberg_marquardt(residual, jacobian, x, tol=tol, retract=retract)
+    z, rn = levenberg_marquardt(field.riemannian_gradient, field.riemannian_hessian,
+                                _as_coords(seeds), tol=tol, retract=_retraction(field))
     return z[rn <= tol]
 
 
-def find_critical_components(field: ScalarField, seeds, cfg: FlowConfig = None):
-    """Full detection pipeline: descent flow, ascent flow, Newton refinement.
+def _retraction(field):
+    return lambda pts: mf.project_points(field.spec, pts)
 
-    Every candidate the stages return has already converged, so the pooled
-    candidates are clustered once, without another flow: by value, then by
-    the field's classifier or by point distance (see ``_cluster_endpoints``).
+
+def find_critical_components(field: ScalarField, seeds, cfg: FlowConfig = None):
+    """Newton-first detection: ``newton_critical_search`` from every seed, then
+    one clustering of the converged points by value, then by the field's
+    classifier or by point distance with the Morse-Bott merge (see
+    ``_cluster_endpoints``).  Of cfg it reads only grad_tol and cluster_tol;
+    the flows are not run (``detect_critical`` clusters flow endpoints).
     """
     cfg = cfg or FlowConfig()
     seeds = _as_coords(seeds)
     if seeds.shape[0] == 0:
         raise NoConvergedSeeds("seed set is empty")
-    candidates = []
-    for direction in (-1, +1):
-        end, _gn, conv = flow_endpoints(field, seeds, cfg, direction=direction)
-        candidates.append(end[conv])
-    candidates.append(newton_critical_search(field, seeds, tol=min(cfg.grad_tol, 1e-10)))
-    pool = np.vstack(candidates)
-    if pool.shape[0] == 0:
-        raise NoConvergedSeeds("no stage of the detection pipeline converged")
-    return _cluster_endpoints(field, pool, cfg)
+    found = newton_critical_search(field, seeds, tol=min(cfg.grad_tol, 1e-10))
+    if found.shape[0] == 0:
+        raise NoConvergedSeeds("no seed converged under Newton's method")
+    return _cluster_endpoints(field, found, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -565,4 +682,5 @@ def height_field(spec) -> ScalarField:
         g[..., axis] = 1.0
         return g
 
-    return ScalarField(spec, value, grad, name=f"height(axis={axis})")
+    return ScalarField(spec, value, grad, name=f"height(axis={axis})",
+                       euclidean_hessian=lambda x: np.zeros((spec.ambient_dim,) * 2))

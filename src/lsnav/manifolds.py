@@ -69,6 +69,18 @@ class ManifoldSpec:
         """The inverse of ``to_json``: the fields go to the constructor by name."""
         return cls(**{k: v for k, v in obj.items() if k != "kind"})
 
+    def riemannian_hessian(self, coords, egrad, ehess):
+        """The Riemannian Hessian of F, a (..., d, d) matrix, from the ambient gradient
+        egrad and Hessian ehess of F at coords: P ehess P plus the Weingarten term
+        (Absil, Mahony & Trumpf, "An extrinsic look at the Riemannian Hessian", 2013).
+        Each kind's ``weingarten(coords, egrad, vec)`` gives that term on tangent vectors
+        vec: the tangent part of the derivative of the tangent projection along vec,
+        applied to egrad.  The matrix maps normal vectors to zero and is symmetric."""
+        x = coords[..., None, :]
+        p = self.project_tangent(x, np.broadcast_to(np.eye(self.ambient_dim), ehess.shape))
+        php = self.project_tangent(x, np.swapaxes(ehess @ p, -1, -2))
+        return php + self.weingarten(x, egrad[..., None, :], p)
+
 
 class _SphereBlocks(ManifoldSpec):
     """Shared geometry of Sphere and ProductSpheres: a unit S^d per entry d of ``dims``."""
@@ -107,6 +119,10 @@ class _SphereBlocks(ManifoldSpec):
 
     def project_tangent(self, coords, w):
         return w - np.repeat(self._block_dots(coords, w), self._segments[1], axis=-1) * coords
+
+    def weingarten(self, coords, egrad, vec):
+        """-<x_b, egrad_b> v_b on each block b."""
+        return -np.repeat(self._block_dots(coords, egrad), self._segments[1], axis=-1) * vec
 
 
 @dataclass(frozen=True)
@@ -219,6 +235,13 @@ class _Hypersurface(ManifoldSpec):
         gn2 = np.maximum(np.sum(g * g, axis=-1, keepdims=True), 1e-300)
         return w - (np.sum(g * w, axis=-1, keepdims=True) / gn2) * g
 
+    def weingarten(self, coords, egrad, vec):
+        """-(<n, egrad> / |grad g|) P hess(g) v with n = grad g / |grad g|."""
+        g = self.field.grad(coords)
+        scale = _dot(g, egrad) / np.maximum(_dot(g, g), 1e-300)
+        hv = (self.field.hess(coords) @ vec[..., None])[..., 0]
+        return -scale * self.project_tangent(coords, hv)
+
     def sample(self, n: int, rng: np.random.Generator):
         d = self.ambient_dim
         box = self.field.bounding_box
@@ -310,28 +333,40 @@ class StiefelV2(ManifoldSpec):
     def project(self, coords):
         """The polar factor of the frame matrix X, in closed form: Gram-Schmidt, run twice,
         gives X = [e1 e2] [[r11, r12], [0, r22]], whose 2x2 factor has the polar factor
-        [[k, r12], [-r12, k]] / t with k = r11 + r22 and t = hypot(k, r12) = sigma_1 + sigma_2."""
+        [[k, r12], [-r12, k]] / t with k = r11 + r22 and t = hypot(k, r12) = sigma_1 + sigma_2.
+        A row with a non-finite entry comes out as a NaN row; a finite rank-deficient
+        frame raises SingularInput."""
         x1, x2 = frame_columns(self, coords)
-        r11 = np.sqrt(_dot(x1, x1))
-        e1 = x1 / np.maximum(r11, 1e-300)  # a zero x1 gives r11 r22 = 0 below
-        c1 = _dot(e1, x2)
-        p = x2 - c1 * e1
-        c2 = _dot(e1, p)
-        p -= c2 * e1
-        r12, r22 = c1 + c2, np.sqrt(_dot(p, p))
-        k, t = r11 + r22, np.hypot(r11 + r22, r12)
-        sigma_max = 0.5 * (t + np.hypot(r11 - r22, r12))
-        if not (r11 * r22 > 1e-12 * sigma_max).all():  # sigma_min = r11 r22 / sigma_max
-            raise SingularInput("rank-deficient frame has no polar factor")
-        e2 = p / r22
-        return frame_flat(k * e1 - r12 * e2, r12 * e1 + k * e2) / t
+        with np.errstate(invalid="ignore"):  # a non-finite entry makes its row NaN throughout
+            r11 = np.sqrt(_dot(x1, x1))
+            e1 = x1 / np.maximum(r11, 1e-300)  # a zero x1 gives r11 r22 = 0 below
+            c1 = _dot(e1, x2)
+            p = x2 - c1 * e1
+            c2 = _dot(e1, p)
+            p -= c2 * e1
+            r12, r22 = c1 + c2, np.sqrt(_dot(p, p))
+            k, t = r11 + r22, np.hypot(r11 + r22, r12)
+            sigma_max = 0.5 * (t + np.hypot(r11 - r22, r12))
+            low = ~(r11 * r22 > 1e-12 * sigma_max)[..., 0]  # sigma_min = r11 r22 / sigma_max
+            if low.any() and np.isfinite(coords[low]).all(axis=-1).any():
+                raise SingularInput("rank-deficient frame has no polar factor")
+            e2 = p / r22
+            return frame_flat(k * e1 - r12 * e2, r12 * e1 + k * e2) / t
 
     def project_tangent(self, coords, w):
         """W - X sym(X^T W), on the row views (X sym)^T = sym X^T."""
         x, y = self._rows(coords), self._rows(w)
+        return (y - self._sym(x, y) @ x).reshape(w.shape)
+
+    def weingarten(self, coords, egrad, vec):
+        """-P(V sym(X^T egrad)); on the row views V S is S V^T, since S is symmetric."""
+        vs = self._sym(self._rows(coords), self._rows(egrad)) @ self._rows(vec)
+        return -self.project_tangent(coords, vs.reshape(vec.shape))
+
+    @staticmethod
+    def _sym(x, y):  # sym(X^T Y) from the row views
         xty = x @ np.swapaxes(y, -1, -2)
-        sym = 0.5 * (xty + np.swapaxes(xty, -1, -2))
-        return (y - sym @ x).reshape(w.shape)
+        return 0.5 * (xty + np.swapaxes(xty, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -364,6 +399,9 @@ class Euclidean(ManifoldSpec):
 
     def project_tangent(self, coords, w):
         return w.copy()
+
+    def weingarten(self, coords, egrad, vec):
+        return np.zeros(np.broadcast_shapes(coords.shape, vec.shape))
 
 
 def _integer(value) -> int:

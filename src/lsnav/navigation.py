@@ -120,6 +120,11 @@ def nav_field(spec, r: int) -> ScalarField:
         g = _chain_euclidean_gradient(x.reshape(x.shape[:-1] + (r, d)))
         return g.reshape(x.shape)
 
+    # F = |(D (x) I_d) x|^2 with D the (r-1, r) difference matrix of consecutive
+    # slots, so its Hessian is the constant 2 (D^T D (x) I_d), D^T D the path Laplacian
+    diff = np.eye(r - 1, r) - np.eye(r - 1, r, k=1)
+    hess = np.kron(2.0 * diff.T @ diff, np.eye(d))
+
     classifier = None
     if isinstance(spec, (Sphere, ProductSpheres)):
         def classifier(coords):
@@ -129,7 +134,8 @@ def nav_field(spec, r: int) -> ScalarField:
             except NotCriticalTuple:
                 return None
 
-    return ScalarField(spec.power(r), value, grad, name=f"nav(r={r})", classifier=classifier)
+    return ScalarField(spec.power(r), value, grad, name=f"nav(r={r})", classifier=classifier,
+                       euclidean_hessian=lambda x: hess)
 
 
 # ---------------------------------------------------------------------------

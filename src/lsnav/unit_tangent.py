@@ -80,12 +80,16 @@ def sign_classifier(spec: StiefelV2):
 
 def f_ut_field(spec: StiefelV2) -> ScalarField:
     _require_frames(spec)
+    # f = x2^T A x1 with A x = i x is bilinear, so its gradient is H x with the constant
+    # symmetric H = [[0, A^T], [A, 0]], whose rows are the gradients at the unit vectors
+    hess = f_ut_euclidean_gradient(spec, np.eye(spec.ambient_dim))
     return ScalarField(
         spec,
         value=lambda x: f_ut_coords(spec, x),
         euclidean_gradient=lambda x: f_ut_euclidean_gradient(spec, x),
         name="ut-f",
         classifier=sign_classifier(spec),
+        euclidean_hessian=lambda x: hess,
     )
 
 
@@ -104,7 +108,8 @@ def base_height_field(spec: StiefelV2) -> ScalarField:
         g[..., 0] = 1.0
         return g
 
-    return ScalarField(spec, value, grad, name="base-height(axis=0)")
+    return ScalarField(spec, value, grad, name="base-height(axis=0)",
+                       euclidean_hessian=lambda x: np.zeros((spec.ambient_dim,) * 2))
 
 
 # ---------------------------------------------------------------------------

@@ -182,11 +182,11 @@ def test_usage_error_exit_code(field, manifold, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("option, value, message", [
-    ("--step", "-1", "strictly positive"),
-    ("--max-time", "0", "strictly positive"),
-    ("--step", "300", "smaller than max_time"),
+    ("--grad-tol", "-1", "strictly positive"),
+    ("--cluster-tol", "0", "strictly positive"),
+    ("--cluster-tol", "nan", "strictly positive"),
     ("--grad-tol", "nan", "strictly positive"),
-], ids=["negative-step", "zero-max-time", "step-above-max-time", "nan-grad-tol"])
+], ids=["negative-grad-tol", "zero-cluster-tol", "nan-cluster-tol", "nan-grad-tol"])
 def test_invalid_flow_parameters_exit_code(option, value, message, capsys):
     code, out, err = run_cli(capsys, "critfind", "--field", "nav", "--manifold", "sphere:1",
                              "--r", "2", "--seeds", "20", option, value)
@@ -195,6 +195,15 @@ def test_invalid_flow_parameters_exit_code(option, value, message, capsys):
     payload = json.loads(err)
     assert payload["error"] == "LsnavError"
     assert message in payload["message"]
+
+
+def test_flow_only_options_are_gone_from_critfind(capsys):
+    # detection runs no flow, so the flow's step and horizon are not options
+    for option in ("--step", "--max-time"):
+        with pytest.raises(SystemExit) as exc:
+            main(["critfind", "--field", "nav", "--manifold", "sphere:1", option, "0.01"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_invalid_thread_count_exit_code(capsys, monkeypatch):

@@ -306,6 +306,93 @@ def test_fd_gradient_fallback():
     assert np.max(rel) <= 1e-5
 
 
+def test_fd_hessian_fallback():
+    # no Hessian given: central differences of the gradient, analytic or not
+    spec = Sphere(2)
+    rng = np.random.default_rng(6)
+    pts = random_points(spec, 50, rng)
+    exact = 6.0 * pts[:, :, None] * np.eye(3)
+    for grad in (lambda x: 3.0 * x**2, None):
+        field = ScalarField(spec, lambda x: np.sum(x**3, axis=-1), grad)
+        fd = field.euclidean_hessian_at(pts)
+        assert fd.shape == (50, 3, 3)
+        assert np.abs(fd - exact).max() <= (1e-8 if grad else 1e-4) * np.abs(exact).max()
+
+
+def _gradient_differences(field, x, t=1e-6):
+    cols = []
+    for k in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
+        e[k] = t
+        cols.append((field.euclidean_gradient_at(x + e) - field.euclidean_gradient_at(x - e))
+                    / (2.0 * t))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("name", ["nav-s1-r3", "nav-product-r2", "ut-f", "height",
+                                  "base-height"])
+def test_field_hessians_match_gradient_differences(name):
+    from lsnav.manifolds import StiefelV2
+    from lsnav.unit_tangent import base_height_field, f_ut_field
+
+    field = {"nav-s1-r3": lambda: nav_field(Sphere(1), 3),
+             "nav-product-r2": lambda: nav_field(ProductSpheres((1, 3)), 2),
+             "ut-f": lambda: f_ut_field(StiefelV2(4)),
+             "height": lambda: height_field(Sphere(2)),
+             "base-height": lambda: base_height_field(StiefelV2(4))}[name]()
+    assert field.euclidean_hessian is not None
+    x = np.random.default_rng(12).standard_normal((5, field.spec.ambient_dim))
+    hess = field.euclidean_hessian_at(x)
+    assert hess.shape == (5,) + (field.spec.ambient_dim,) * 2
+    assert np.abs(hess - _gradient_differences(field, x)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["ut-f-stiefel:4", "nav-sphere:1"])
+def test_nan_seed_does_not_abort_detection(case):
+    from lsnav.manifolds import StiefelV2
+    from lsnav.unit_tangent import f_ut_field
+
+    field = f_ut_field(StiefelV2(4)) if case.startswith("ut-f") else nav_field(Sphere(1), 2)
+    seeds = random_points(field.spec, 24, np.random.default_rng(3))
+    with_nan = np.insert(seeds, 10, np.nan, axis=0)
+    assert [(c.value, c.label) for c in find_critical_components(field, with_nan)] == \
+        [(c.value, c.label) for c in find_critical_components(field, seeds)]
+
+
+def _torus():
+    from lsnav.constraints import torus_of_revolution_field
+    from lsnav.manifolds import ImplicitHypersurface
+
+    return ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
+
+
+@pytest.mark.parametrize("n_seeds", [50, 100, 400])
+def test_torus_height_gives_one_component_per_critical_circle(n_seeds):
+    # the circles z = +-r are Morse-Bott: Newton lands on them at scattered
+    # points, which continuation along the Hessian kernel joins up
+    surface = _torus()
+    field = height_field(surface)
+    for rng_seed in range(3):
+        seeds = random_points(surface, n_seeds, np.random.default_rng([rng_seed, n_seeds]))
+        comps = find_critical_components(field, seeds)
+        assert [round(c.value, 6) for c in comps] == [-0.5, 0.5]
+
+
+def test_morse_bott_merge_keeps_disjoint_circles_apart():
+    # z^2 on the torus: the inner and outer equators at value 0 and the top and
+    # bottom circles at 0.25 are four disjoint critical circles
+    surface = _torus()
+    field = ScalarField(surface, lambda x: x[..., 2] ** 2,
+                        lambda x: np.stack([0.0 * x[..., 0], 0.0 * x[..., 1], 2.0 * x[..., 2]], -1),
+                        euclidean_hessian=lambda x: np.diag([0.0, 0.0, 2.0]))
+    for n_seeds in (50, 100, 400):
+        seeds = random_points(surface, n_seeds, np.random.default_rng([0, n_seeds]))
+        comps = find_critical_components(field, seeds)
+        assert [round(c.value, 6) for c in comps] == [0.0, 0.0, 0.25, 0.25]
+        radii = sorted(round(float(np.hypot(*c.representatives[0, :2])), 6) for c in comps)
+        assert radii == [1.5, 2.0, 2.0, 2.5]
+
+
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(step=-1.0)

@@ -355,6 +355,16 @@ def test_rank_deficient_frame_raises():
         mf.project_points(spec, np.zeros(8))
 
 
+def test_non_finite_frame_projects_to_a_nan_row():
+    spec = StiefelV2(4)
+    batch = np.random.default_rng(6).standard_normal((4, 8))
+    batch[1, 3] = np.nan
+    batch[2, 6] = np.inf
+    out = mf.project_points(spec, batch)
+    assert np.isnan(out[1:3]).all()
+    assert np.array_equal(out[[0, 3]], mf.project_points(spec, batch[[0, 3]]))
+
+
 def test_polar_factor_of_nearly_dependent_columns_is_orthonormal():
     # the Gram-matrix form sqrt(ac - b^2) loses sigma_min below sqrt(eps) sigma_max;
     # the factor must stay on the manifold and within cond * 1e-14 of the SVD's
@@ -387,3 +397,48 @@ def test_stiefel_kernels_match_matrix_form(m):
                          - np.linalg.norm(gram - np.eye(2), axis=(-2, -1)))) <= 1e-15
     assert np.max(np.abs(mf.tangency_residual(spec, x, w)
                          - np.linalg.norm(xtw + np.swapaxes(xtw, -1, -2), axis=(-2, -1)))) <= 1e-15
+
+
+HESSIAN_SPECS = {
+    "sphere:2": Sphere(2),
+    "product:1,3": ProductSpheres((1, 3)),
+    "stiefel:4": StiefelV2(4),
+    "stiefel:8": StiefelV2(8),
+    "ellipsoid:1,2,3": Ellipsoid((1.0, 2.0, 3.0)),
+    "torus:2,0.5": ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25),
+    "euclidean:3": Euclidean(3),
+}
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_SPECS))
+def test_riemannian_hessian_matches_gradient_differences(name):
+    # F = x^T A x / 2 + b.x + sum x^3 / 3: a gradient with a normal part, so the
+    # Weingarten term is exercised, and a Hessian that varies with x
+    spec = HESSIAN_SPECS[name]
+    d = spec.ambient_dim
+    rng = np.random.default_rng(len(name))
+    a = rng.standard_normal((d, d))
+    a = a + a.T
+    b = rng.standard_normal(d)
+
+    def egrad(x):
+        return x @ a + b + x**2
+
+    def rgrad(x):
+        return mf.project_tangent(spec, x, egrad(x))
+
+    x = random_points(spec, 8, rng)
+    hess = spec.riemannian_hessian(x, egrad(x), a + 2.0 * x[:, :, None] * np.eye(d))
+    v = mf.project_tangent(spec, x, rng.standard_normal(x.shape))
+    w = mf.project_tangent(spec, x, rng.standard_normal(x.shape))
+    t = 1e-5
+    fd = (rgrad(mf.project_points(spec, x + t * v))
+          - rgrad(mf.project_points(spec, x - t * v))) / (2.0 * t)
+    hv = np.einsum("nij,nj->ni", hess, v)
+    scale = np.linalg.norm(hv, axis=-1).max()
+    assert np.abs(hv - mf.project_tangent(spec, x, fd)).max() <= 1e-6 * scale
+    # symmetric on the tangent space, and as a matrix
+    whv = np.einsum("ni,nij,nj->n", w, hess, v)
+    vhw = np.einsum("ni,nij,nj->n", v, hess, w)
+    assert np.abs(whv - vhw).max() <= 1e-12 * scale
+    assert np.abs(hess - np.swapaxes(hess, -1, -2)).max() <= 1e-12 * scale

@@ -29,10 +29,10 @@ def test_tracer_records_each_stage_of_find_critical_components():
     finally:
         tracer.uninstall()
     assert flow.find_critical_components is original
-    assert [(stage, ok.shape) for stage, ok in tracer.outcomes] == [
-        ("descent", (10,)), ("ascent", (10,)), ("lm", (10,))]
+    # detection is Newton-first: one Levenberg-Marquardt stage over the seeds, no flow
+    assert [(stage, ok.shape) for stage, ok in tracer.outcomes] == [("lm", (10,))]
     assert {c.label for c in comps} == {"++", "+-"}
     metrics = tracer.layer_metrics()
-    assert metrics["flow.rhs_calls"] > 0
+    assert metrics["flow.rhs_calls"] == 0
     assert metrics["numerics.lm.iterations"] > 0
     assert metrics["navigation.classify_sphere_critical.calls"] > 0
