@@ -1,11 +1,11 @@
 """Microbenchmark of the per-kind geometry kernels and of the Newton stage.
 
 Times ``project_points``, ``project_tangent`` and ``flow.rho`` at batch sizes
-1, 500 and 5000 on sphere:1^2, (S^3)^3, (S^1 x S^3)^2, stiefel:4 and
-stiefel:8, and ``flow.newton_critical_search`` at 1 and 500 seeds on the nav
-field of sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and
-the height on the torus of revolution (2, 0.5), for one or more source trees
-of lsnav in one process:
+1, 500 and 5000 on sphere:1^2, (S^3)^3, (S^1 x S^3)^2, stiefel:4, stiefel:8,
+the ellipsoid (1,2,3) and the torus of revolution (2, 0.5), and
+``flow.newton_critical_search`` at 1 and 500 seeds on the nav field of
+sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and the height
+on that torus, for one or more source trees of lsnav in one process:
 
     python3 scripts/bench_kernels.py change=src
     python3 scripts/bench_kernels.py parent=/path/to/parent/src change=src > BENCH_kernels.json
@@ -35,7 +35,8 @@ import time
 import numpy as np
 
 BATCHES = (1, 500, 5000)
-MANIFOLDS = ("sphere:1^2", "(S^3)^3", "(S^1xS^3)^2", "stiefel:4", "stiefel:8")
+MANIFOLDS = ("sphere:1^2", "(S^3)^3", "(S^1xS^3)^2", "stiefel:4", "stiefel:8",
+             "ellipsoid(1,2,3)", "torus(2,0.5)")
 REPEATS = 9
 MIN_REPEAT_S = 0.01  # calls per repeat are chosen so that one repeat takes at least this
 NEWTON_PROBLEMS = ("nav sphere:1 r=2", "nav (S^3)^3", "ut-f stiefel:4", "height torus(2,0.5)")
@@ -59,7 +60,14 @@ def manifold(lsnav, name: str):
             "(S^3)^3": mf.ProductSpheres((3, 3, 3)),
             "(S^1xS^3)^2": mf.ProductSpheres((1, 3)).power(2),
             "stiefel:4": mf.StiefelV2(4),
-            "stiefel:8": mf.StiefelV2(8)}[name]
+            "stiefel:8": mf.StiefelV2(8),
+            "ellipsoid(1,2,3)": mf.Ellipsoid((1.0, 2.0, 3.0)),
+            "torus(2,0.5)": torus(lsnav)}[name]
+
+
+def torus(lsnav):
+    fld = lsnav.constraints.torus_of_revolution_field(2.0, 0.5)
+    return lsnav.manifolds.ImplicitHypersurface(fld, 0.25)
 
 
 def cases(lsnav):
@@ -91,8 +99,7 @@ def cases(lsnav):
 def newton_field(lsnav, name: str):
     mf = lsnav.manifolds
     if name == "height torus(2,0.5)":
-        fld = lsnav.constraints.torus_of_revolution_field(2.0, 0.5)
-        return lsnav.flow.height_field(mf.ImplicitHypersurface(fld, 0.25))
+        return lsnav.flow.height_field(torus(lsnav))
     return {"nav sphere:1 r=2": lambda: lsnav.navigation.nav_field(mf.Sphere(1), 2),
             "nav (S^3)^3": lambda: lsnav.navigation.nav_field(mf.Sphere(3), 3),
             "ut-f stiefel:4": lambda: lsnav.unit_tangent.f_ut_field(mf.StiefelV2(4))}[name]()

@@ -102,6 +102,8 @@ def _torus(text: str) -> ImplicitHypersurface:
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_not_nan = _checked(float, lambda v: not np.isnan(v), "a number, not NaN")
 _radii = _checked(_numbers, lambda v: len(v) == 2, "major,minor radii")
 _criteria = _checked(lambda text: [int(v) for v in text.split(",")],
                      lambda only: all(1 <= k <= len(acceptance.ALL_CHECKS) for k in only),
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common_io(p):
         p.add_argument("--output", help="write output to this path instead of stdout")
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (fixed seed gives byte-identical output)")
+        p.add_argument("--seed", type=_seed, default=0, help="RNG seed (fixed seed gives byte-identical output)")
 
     p = sub.add_parser(
         "critfind",
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", required=True, help="JSON file: array of coordinate arrays")
     p.add_argument("--manifold", type=_parse_manifold, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--samples", type=int, default=256, help="dense samples for csv export")
+    p.add_argument("--samples", type=_positive_int, default=256, help="dense samples for csv export")
     common_io(p)
     p.set_defaults(fn=cmd_plan)
 
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--lambda-cut", type=float, default=float("inf"))
+    p.add_argument("--lambda-cut", type=_not_nan, default=float("inf"))
     common_io(p)
     p.set_defaults(fn=cmd_bound)
 
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--only", type=_criteria,
                    help="comma-separated criterion numbers, e.g. 3,9")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_verify)
 
     return parser

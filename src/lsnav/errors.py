@@ -9,10 +9,6 @@ class SingularInput(LsnavError):
     """Input lies in the singular set of an operation (zero vector, rank-deficient frame)."""
 
 
-class NoConvergence(LsnavError):
-    """An iterative solver exceeded its iteration cap."""
-
-
 class InvalidPoint(LsnavError):
     """Coordinates violate the manifold constraint beyond tolerance."""
 

@@ -577,9 +577,9 @@ def newton_critical_search(field: ScalarField, seeds, *, tol: float = 1e-10):
     components, Newton iterations converge to critical points of any index.
     The Jacobian of G is the field's Riemannian Hessian; Levenberg-Marquardt
     damping with a step cap keeps the iteration stable where that Hessian
-    degenerates, for at most numerics.LM_MAX_ITER iterations.  Seeds that are
-    not finite are dropped.  Returns the converged points as an array
-    (possibly empty).
+    degenerates, for at most numerics.LM_MAX_ITER iterations.  A seed that is
+    not finite, or that the manifold cannot project (it comes back NaN), is
+    dropped.  Returns the converged points as an array (possibly empty).
     """
     from .numerics import levenberg_marquardt
 

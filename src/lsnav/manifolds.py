@@ -24,7 +24,6 @@ from .constraints import ConstraintField, builtin_field, default_level
 from .errors import (
     BadLength,
     InvalidPoint,
-    NoConvergence,
     NotTangent,
     OddLength,
     SingularInput,
@@ -113,8 +112,9 @@ class _SphereBlocks(ManifoldSpec):
 
     def project(self, coords):
         nrm = np.sqrt(self._block_dots(coords, coords))
-        if (nrm < 1e-15).any():
-            raise SingularInput("cannot normalize a zero block")
+        zero = nrm < 1e-15
+        if zero.any():  # a row with a zero block comes back NaN
+            nrm = np.where(zero.any(axis=-1, keepdims=True), np.nan, nrm)
         return coords / np.repeat(nrm, self._segments[1], axis=-1)
 
     def project_tangent(self, coords, w):
@@ -156,38 +156,23 @@ class ProductSpheres(_SphereBlocks):
             raise WrongSpec("product requires factor dimensions >= 1")
 
 
-def _project_hypersurface(field, level, coords, soft=False):
+def _project_hypersurface(field, level, coords):
     """Damped Newton steps along grad g until |g - level| <= HYPERSURFACE_NEWTON_TOL,
-    for at most HYPERSURFACE_NEWTON_CAP iterations.
-
-    With soft=True returns (points, ok_mask) instead of raising on
-    non-convergent or singular rows.
-    """
+    for at most HYPERSURFACE_NEWTON_CAP iterations.  A row whose constraint gradient
+    vanishes on the way, or that is still above the tolerance at the cap, comes
+    back NaN."""
     x = np.array(coords, dtype=float)
     flat = x.reshape(-1, x.shape[-1])
-    ok = np.ones(flat.shape[0], dtype=bool)
     res = field.value(flat) - level
     for _ in range(HYPERSURFACE_NEWTON_CAP):
-        active = ok & (np.abs(res) > HYPERSURFACE_NEWTON_TOL)
+        active = np.abs(res) > HYPERSURFACE_NEWTON_TOL  # False for a NaN row
         if not active.any():
             break
         xa = flat[active]
         g = field.grad(xa)
         gn2 = np.sum(g * g, axis=-1)
-        sing = gn2 < 1e-24
-        if sing.any():
-            if not soft:
-                raise SingularInput("constraint gradient vanishes along projection path")
-            idx = np.flatnonzero(active)[sing]
-            ok[idx] = False
-            active = ok & (np.abs(res) > HYPERSURFACE_NEWTON_TOL)
-            if not active.any():
-                break
-            xa = flat[active]
-            g = field.grad(xa)
-            gn2 = np.sum(g * g, axis=-1)
         ra = res[active]
-        step = (ra / gn2)[:, None] * g
+        step = (ra / np.where(gn2 < 1e-24, np.nan, gn2))[:, None] * g
         lam = np.ones(len(xa))
         best_x = xa - step
         best_res = field.value(best_x) - level
@@ -201,14 +186,7 @@ def _project_hypersurface(field, level, coords, soft=False):
             best_res[worse] = field.value(trial) - level
         flat[active] = best_x
         res[active] = best_res
-    bad = ok & (np.abs(res) > HYPERSURFACE_NEWTON_TOL)
-    if bad.any():
-        if not soft:
-            raise NoConvergence(f"hypersurface projection above tolerance after "
-                                f"{HYPERSURFACE_NEWTON_CAP} iterations")
-        ok[bad] = False
-    if soft:
-        return flat.reshape(x.shape), ok.reshape(x.shape[:-1])
+    flat[np.abs(res) > HYPERSURFACE_NEWTON_TOL] = np.nan
     return flat.reshape(x.shape)
 
 
@@ -253,8 +231,8 @@ class _Hypersurface(ManifoldSpec):
             raw = raw[np.linalg.norm(g, axis=-1) > 1e-6]
             if raw.shape[0] == 0:
                 continue
-            proj, ok = _project_hypersurface(self.field, self.level, raw, soft=True)
-            out = np.vstack([out, proj[ok]])
+            proj = _project_hypersurface(self.field, self.level, raw)
+            out = np.vstack([out, proj[np.isfinite(proj).all(axis=-1)]])
         return out[:n]
 
 
@@ -334,8 +312,7 @@ class StiefelV2(ManifoldSpec):
         """The polar factor of the frame matrix X, in closed form: Gram-Schmidt, run twice,
         gives X = [e1 e2] [[r11, r12], [0, r22]], whose 2x2 factor has the polar factor
         [[k, r12], [-r12, k]] / t with k = r11 + r22 and t = hypot(k, r12) = sigma_1 + sigma_2.
-        A row with a non-finite entry comes out as a NaN row; a finite rank-deficient
-        frame raises SingularInput."""
+        A row with a non-finite entry or sigma_min below 1e-12 sigma_max comes back NaN."""
         x1, x2 = frame_columns(self, coords)
         with np.errstate(invalid="ignore"):  # a non-finite entry makes its row NaN throughout
             r11 = np.sqrt(_dot(x1, x1))
@@ -348,10 +325,11 @@ class StiefelV2(ManifoldSpec):
             k, t = r11 + r22, np.hypot(r11 + r22, r12)
             sigma_max = 0.5 * (t + np.hypot(r11 - r22, r12))
             low = ~(r11 * r22 > 1e-12 * sigma_max)[..., 0]  # sigma_min = r11 r22 / sigma_max
-            if low.any() and np.isfinite(coords[low]).all(axis=-1).any():
-                raise SingularInput("rank-deficient frame has no polar factor")
             e2 = p / r22
-            return frame_flat(k * e1 - r12 * e2, r12 * e1 + k * e2) / t
+            out = frame_flat(k * e1 - r12 * e2, r12 * e1 + k * e2) / t
+        if low.any():
+            out[low] = np.nan
+        return out
 
     def project_tangent(self, coords, w):
         """W - X sym(X^T W), on the row views (X sym)^T = sym X^T."""
@@ -521,8 +499,11 @@ class TangentVector:
 
 
 def project_to_manifold(spec, ambient) -> PointOnM:
-    """Project a single ambient vector and wrap it as a validated point."""
+    """Project a single ambient vector and wrap it as a validated point; a vector
+    the kind cannot project raises SingularInput."""
     coords = project_points(spec, np.asarray(ambient, dtype=float).reshape(-1))
+    if not np.isfinite(coords).all():
+        raise SingularInput(f"{spec.kind} cannot project this vector")
     return PointOnM(coords, spec)
 
 

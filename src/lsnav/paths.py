@@ -32,6 +32,7 @@ from .errors import (
     OutOfDomain,
     PathDiscontinuity,
     PatternMismatch,
+    SingularInput,
     TargetDomainMiss,
     WrongSpec,
 )
@@ -120,6 +121,8 @@ class SampledSegment:
         out = (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
         if spec is not None:
             out = mf.project_points(spec, out)
+            if not np.isfinite(out).all():
+                raise SingularInput("sampled segment passes where the manifold has no projection")
         return out
 
     def to_json(self):

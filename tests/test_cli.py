@@ -255,6 +255,8 @@ INPUT_FILES = {
     "comps-nan-value.json": '{"components": [{"value": NaN, "complexity": 1}, '
                             '{"value": 4, "complexity": 1}]}',
     "comps-infinite-value.json": '{"components": [{"value": Infinity, "complexity": 1}]}',
+    "comps-two-levels.json": '{"components": [{"value": 0, "complexity": 1}, '
+                             '{"value": 4, "complexity": 2}]}',
 }
 NAV = ["critfind", "--field", "nav", "--manifold", "sphere:1", "--seeds", "20"]
 PLAN = ["plan", "--planner", "product-spheres", "--manifold", "sphere:1", "--tuple"]
@@ -281,6 +283,14 @@ BOUND = ["bound", "--components"]
      "argument --only: expected criterion numbers 1 to 10, got '99'"),
     (["verify", "--only", "3,0"], 2,
      "argument --only: expected criterion numbers 1 to 10, got '3,0'"),
+    (NAV + ["--seed", "-1"], 2, "argument --seed: expected an integer >= 0, got '-1'"),
+    (["pairs", "--sphere", "2", "--seed", "-1"], 2,
+     "argument --seed: expected an integer >= 0, got '-1'"),
+    (["verify", "--seed", "-1"], 2, "argument --seed: expected an integer >= 0, got '-1'"),
+    (PLAN + ["object.json", "--format", "csv", "--samples", "-3"], 2,
+     "argument --samples: expected an integer >= 1, got '-3'"),
+    (BOUND + ["comps-two-levels.json", "--lambda-cut", "nan"], 2,
+     "argument --lambda-cut: expected a number, not NaN, got 'nan'"),
     (NAV + ["--r", "1"], 1, "InvalidPoint"),
     (NAV + ["--r", "0"], 1, "InvalidPoint"),
     (PLAN + ["object.json"], 1, "LsnavError"),
@@ -297,7 +307,9 @@ BOUND = ["bound", "--components"]
 ], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-sphere-0", "pairs-torus-one-radius", "pairs-torus-three-radii",
-        "verify-only-non-numeric", "verify-only-99", "verify-only-0", "nav-r-1", "nav-r-0",
+        "verify-only-non-numeric", "verify-only-99", "verify-only-0", "critfind-seed-negative",
+        "pairs-seed-negative", "verify-seed-negative", "plan-samples-negative",
+        "bound-lambda-cut-nan", "nav-r-1", "nav-r-0",
         "plan-tuple-object", "plan-tuple-malformed", "plan-tuple-directory",
         "bound-components-malformed", "bound-components-array", "bound-components-no-value",
         "bound-components-text-value", "bound-components-zero-complexity",

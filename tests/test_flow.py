@@ -359,6 +359,33 @@ def test_nan_seed_does_not_abort_detection(case):
         [(c.value, c.label) for c in find_critical_components(field, seeds)]
 
 
+def _one_bad_seed_case(case):
+    """A field and a seed its manifold cannot project."""
+    from lsnav.manifolds import StiefelV2
+    from lsnav.unit_tangent import f_ut_field
+
+    if case == "nav-sphere:1-zero-block":
+        return nav_field(Sphere(1), 2), np.array([0.0, 0.0, 1.0, 0.0])
+    if case == "ut-f-stiefel:4-rank-deficient":
+        x1 = np.array([1.0, 2.0, -1.0, 0.5])
+        return f_ut_field(StiefelV2(4)), np.concatenate([x1, x1])
+    return height_field(_torus()), np.array([2.0, 0.0, 0.0])  # on the core circle
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["nav-sphere:1-zero-block", "ut-f-stiefel:4-rank-deficient",
+                                  "height-torus-core-circle"])
+def test_one_bad_seed_costs_one_row(case):
+    field, bad = _one_bad_seed_case(case)
+    seeds = random_points(field.spec, 199, np.random.default_rng(11))
+
+    def summary(seeds):
+        return [(c.value, c.label, c.representatives.shape[0])
+                for c in find_critical_components(field, seeds)]
+
+    assert summary(np.insert(seeds, 57, bad, axis=0)) == summary(seeds)
+
+
 def _torus():
     from lsnav.constraints import torus_of_revolution_field
     from lsnav.manifolds import ImplicitHypersurface

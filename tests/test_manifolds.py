@@ -313,17 +313,6 @@ def test_sphere_kernels_match_block_loop(spec, lead):
             assert (np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))).all()
 
 
-@pytest.mark.parametrize("spec", SPHERE_KERNEL_SPECS, ids=lambda s: str(s.dims))
-def test_zero_sphere_block_in_one_row_raises(spec):
-    rng = np.random.default_rng(3)
-    for row in range(4):
-        for s, e in spec.blocks():
-            x = rng.standard_normal((4, spec.ambient_dim))
-            x[row, s:e] = 0.0
-            with pytest.raises(SingularInput):
-                mf.project_points(spec, x)
-
-
 def _polar_by_svd(spec, coords):
     m = spec.frame_dim
     u, _, vh = np.linalg.svd(np.stack([coords[..., :m], coords[..., m:]], axis=-1),
@@ -341,28 +330,81 @@ def test_closed_form_polar_factor_matches_svd(m):
     assert np.max(mf.constraint_residual(spec, q)) <= 1e-12
 
 
-def test_rank_deficient_frame_raises():
-    spec = StiefelV2(4)
-    rng = np.random.default_rng(5)
-    x1 = rng.standard_normal(4)
-    for x2 in (x1, 2.0 * x1, -x1, np.zeros(4)):
-        for first, second in ((x1, x2), (x2, x1)):
-            batch = rng.standard_normal((3, 8))
-            batch[1] = np.concatenate([first, second])
-            with pytest.raises(SingularInput):
-                mf.project_points(spec, batch)
-    with pytest.raises(SingularInput):
-        mf.project_points(spec, np.zeros(8))
+def _zero_blocks(spec):
+    # a row whose blocks are unit vectors, with each block in turn set to zero
+    rows = []
+    for s, e in spec.blocks():
+        row = np.zeros(spec.ambient_dim)
+        row[np.array(spec.blocks())[:, 0]] = 1.0
+        row[s:e] = 0.0
+        rows.append(row)
+    return rows
 
 
-def test_non_finite_frame_projects_to_a_nan_row():
-    spec = StiefelV2(4)
-    batch = np.random.default_rng(6).standard_normal((4, 8))
-    batch[1, 3] = np.nan
-    batch[2, 6] = np.inf
-    out = mf.project_points(spec, batch)
-    assert np.isnan(out[1:3]).all()
-    assert np.array_equal(out[[0, 3]], mf.project_points(spec, batch[[0, 3]]))
+def _bad_frames():
+    # every rank-deficient variant [x1, x2] and [x2, x1], the zero frame, and
+    # frames with a NaN or an infinite entry
+    x1 = np.random.default_rng(5).standard_normal(4)
+    rows = [np.concatenate(pair) for x2 in (x1, 2.0 * x1, -x1, np.zeros(4))
+            for pair in ((x1, x2), (x2, x1))]
+    rows.append(np.zeros(8))
+    for k, v in ((3, np.nan), (6, np.inf), (1, -np.inf)):
+        row = np.random.default_rng(k).standard_normal(8)
+        row[k] = v
+        rows.append(row)
+    return rows
+
+
+TORUS = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
+UNPROJECTABLE = [
+    *[(spec, _zero_blocks(spec)) for spec in SPHERE_KERNEL_SPECS],
+    (StiefelV2(4), _bad_frames()),
+    # the constraint gradient vanishes on the torus' core circle and at the
+    # ellipsoid's centre, so Newton has no direction there
+    (TORUS, [np.array([2.0, 0.0, 0.0]), np.array([0.0, -2.0, 0.0])]),
+    (Ellipsoid((1.0, 2.0, 3.0)), [np.zeros(3)]),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, bad_rows", UNPROJECTABLE, ids=[
+    "zero-block-(1,)", "zero-block-(3, 3, 3)", "zero-block-(1, 3, 1, 3)",
+    "stiefel:4-rank-deficient-or-non-finite", "torus-core-circle", "ellipsoid-centre"])
+def test_unprojectable_row_comes_back_nan(spec, bad_rows):
+    # one row the kind cannot project costs that row alone: it comes back NaN,
+    # and every other row is bitwise what projecting it alone gives
+    rng = np.random.default_rng(spec.ambient_dim)
+    for bad in bad_rows:
+        assert np.isnan(mf.project_points(spec, bad)).all()
+        for row in range(4):
+            batch = rng.standard_normal((4, spec.ambient_dim))
+            batch[row] = bad
+            out = mf.project_points(spec, batch)
+            assert np.isnan(out[row]).all()
+            for i in set(range(4)) - {row}:
+                assert np.array_equal(out[i], mf.project_points(spec, batch[i]))
+                assert mf.constraint_residual(spec, out[i]) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_hypersurface_row_above_tolerance_at_the_cap_comes_back_nan(monkeypatch):
+    # one damped Newton step takes [10, 0, 0] only to 5.05 on x^2 = 1
+    spec = Ellipsoid((1.0, 2.0, 3.0))
+    on = mf.project_points(spec, np.array([0.5, 1.0, 1.0]))
+    monkeypatch.setattr(mf, "HYPERSURFACE_NEWTON_CAP", 1)
+    out = mf.project_points(spec, np.stack([on, [10.0, 0.0, 0.0]]))
+    assert np.array_equal(out[0], on)
+    assert np.isnan(out[1]).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [Ellipsoid((1.0, 2.0, 3.0)), TORUS], ids=["ellipsoid", "torus"])
+def test_hypersurface_sampling_keeps_only_projected_rows(spec, monkeypatch):
+    # with a cap of 4 Newton steps about 60% of the box samples come back NaN
+    monkeypatch.setattr(mf, "HYPERSURFACE_NEWTON_CAP", 4)
+    pts = random_points(spec, 100, np.random.default_rng(0))
+    assert pts.shape == (100, 3)
+    assert mf.constraint_residual(spec, pts).max() <= mf.HYPERSURFACE_NEWTON_TOL
 
 
 def test_polar_factor_of_nearly_dependent_columns_is_orthonormal():

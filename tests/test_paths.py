@@ -7,6 +7,7 @@ from lsnav.errors import (
     OutOfDomain,
     PathDiscontinuity,
     PatternMismatch,
+    SingularInput,
     TargetDomainMiss,
 )
 from lsnav.manifolds import (
@@ -29,6 +30,7 @@ from lsnav.paths import (
     DeformationHandle,
     GreatCircleSegment,
     PathSpec,
+    SampledSegment,
     compose_section_through_deformation,
     deformation_to_section,
     eval_path,
@@ -307,3 +309,12 @@ def test_path_csv_export():
     lines = text.strip().splitlines()
     assert lines[0] == "t,x0,x1"
     assert len(lines) == 9
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampled_segment_through_an_unprojectable_point_raises():
+    # the chord from E1 to -E1 passes the origin, which no point of S^1 is nearest to
+    seg = SampledSegment(np.array([0.0, 1.0]), np.stack([E1, -E1]))
+    assert np.array_equal(seg.eval(np.array([0.0, 1.0]), Sphere(1)), np.stack([E1, -E1]))
+    with pytest.raises(SingularInput):
+        seg.eval(0.5, Sphere(1))
