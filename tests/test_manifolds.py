@@ -387,6 +387,36 @@ def test_unprojectable_row_comes_back_nan(spec, bad_rows):
 
 
 @pytest.mark.filterwarnings("error")
+def test_rank_deficient_frame_raises():
+    # project_to_manifold, the check on outside input, raises for every
+    # rank-deficient variant and the zero frame; in a batch the frame is a NaN row
+    spec = StiefelV2(4)
+    rng = np.random.default_rng(5)
+    x1 = rng.standard_normal(4)
+    frames = [np.concatenate(pair) for x2 in (x1, 2.0 * x1, -x1, np.zeros(4))
+              for pair in ((x1, x2), (x2, x1))]
+    for frame in [*frames, np.zeros(8)]:
+        with pytest.raises(SingularInput):
+            project_to_manifold(spec, frame)
+        batch = rng.standard_normal((3, 8))
+        batch[1] = frame
+        out = mf.project_points(spec, batch)
+        assert np.isnan(out[1]).all()
+        assert np.isfinite(out[[0, 2]]).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_frame_projects_to_a_nan_row():
+    spec = StiefelV2(4)
+    batch = np.random.default_rng(6).standard_normal((4, 8))
+    batch[1, 3] = np.nan
+    batch[2, 6] = np.inf
+    out = mf.project_points(spec, batch)
+    assert np.isnan(out[1:3]).all()
+    assert np.array_equal(out[[0, 3]], mf.project_points(spec, batch[[0, 3]]))
+
+
+@pytest.mark.filterwarnings("error")
 def test_hypersurface_row_above_tolerance_at_the_cap_comes_back_nan(monkeypatch):
     # one damped Newton step takes [10, 0, 0] only to 5.05 on x^2 = 1
     spec = Ellipsoid((1.0, 2.0, 3.0))
