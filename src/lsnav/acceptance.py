@@ -1,8 +1,10 @@
 """Acceptance suite: one check per criterion, with pinned tolerances.
 
-Each check returns a CriterionResult; ``run`` executes a selection and prints
-one pass/fail line per criterion.  The CLI ``verify`` subcommand and the
-test suite both call into this module.
+Each criterion body takes a seeded generator and returns its list of
+problems; the ``_criterion`` runner times it, applies its runtime gate and
+wraps the outcome in a CriterionResult.  ``run`` executes a selection and
+prints one pass/fail line per criterion.  The CLI ``verify`` subcommand and
+the test suite both call into this module.
 """
 from __future__ import annotations
 
@@ -22,8 +24,10 @@ from .bounds import (
     unit_tangent_bound,
 )
 from .flow import (
+    FD_SCALE,
     FlowConfig,
     ScalarField,
+    _central_differences,
     descent_diagnostic,
     find_critical_components,
     integrate_flow,
@@ -73,6 +77,32 @@ class CriterionResult:
         return f"{status}  criterion {self.index:>2}  {self.name:<28}  ({self.seconds:5.1f}s)  {self.detail}"
 
 
+ALL_CHECKS = []
+
+
+def _criterion(index: int, name: str, success: str, gate: float = 120.0):
+    """Register a criterion body ``body(rng) -> problems`` as check number ``index``.
+
+    The registered ``check(seed=0) -> CriterionResult`` times the body on
+    ``np.random.default_rng(seed)``; it fails on any problem or when the body
+    runs for ``gate`` seconds or longer, and passes with the detail ``success``.
+    """
+    def register(body):
+        def check(seed: int = 0) -> CriterionResult:
+            t0 = time.time()
+            problems = body(np.random.default_rng(seed))
+            elapsed = time.time() - t0
+            if elapsed >= gate:
+                problems.append(f"runtime {elapsed:.1f}s >= {gate:g}s")
+            return CriterionResult(index, name, not problems, "; ".join(problems) or success,
+                                   elapsed)
+
+        check.__name__ = check.__qualname__ = body.__name__
+        ALL_CHECKS.append(check)
+        return check
+    return register
+
+
 def _values_of(components, tol):
     """Distinct critical values after merging within tol."""
     vals = sorted(c.value for c in components)
@@ -87,14 +117,13 @@ def _values_of(components, tol):
 # 1. Navigation critical values
 # ---------------------------------------------------------------------------
 
-def check_nav_critical_values(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion(1, "nav critical values", "value sets {0,4},{0,4,8},{0,4,8}", gate=60.0)
+def check_nav_critical_values(rng):
     cases = [
         (Sphere(1), 2, [0.0, 4.0]),
         (Sphere(3), 3, [0.0, 4.0, 8.0]),
         (ProductSpheres((1, 3)), 2, [0.0, 4.0, 8.0]),
     ]
-    rng = np.random.default_rng(seed)
     cfg = FlowConfig()
     problems = []
     for spec, r, expected in cases:
@@ -115,22 +144,15 @@ def check_nav_critical_values(seed: int = 0) -> CriterionResult:
                 except Exception as exc:  # noqa: BLE001
                     problems.append(f"{spec}/r={r}: endpoint unclassified ({exc})")
                     break
-    elapsed = time.time() - t0
-    passed = not problems and elapsed < 60.0
-    if elapsed >= 60.0:
-        problems.append(f"runtime {elapsed:.1f}s >= 60s")
-    return CriterionResult(1, "nav critical values", passed,
-                           "; ".join(problems) or "value sets {0,4},{0,4,8},{0,4,8}",
-                           elapsed)
+    return problems
 
 
 # ---------------------------------------------------------------------------
 # 2. Unit tangent bundle critical set
 # ---------------------------------------------------------------------------
 
-def check_unit_tangent_critical(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
+@_criterion(2, "unit tangent critical set", "all endpoints on (x, +-ix), values +-1")
+def check_unit_tangent_critical(rng):
     problems = []
     seen_values = set()
     for frame_dim in (4, 8):
@@ -159,13 +181,7 @@ def check_unit_tangent_critical(seed: int = 0) -> CriterionResult:
             seen_values.update(np.round(vals, 6).tolist())
     if not {-1.0, 1.0} <= seen_values:
         problems.append(f"values seen {sorted(seen_values)} do not cover -1 and +1")
-    elapsed = time.time() - t0
-    passed = not problems and elapsed < 120.0
-    if elapsed >= 120.0:
-        problems.append(f"runtime {elapsed:.1f}s >= 120s")
-    return CriterionResult(2, "unit tangent critical set", passed,
-                           "; ".join(problems) or "all endpoints on (x, +-ix), values +-1",
-                           elapsed)
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +209,8 @@ def _constructive_complexity_one(spec, r, comps):
     return bound_input_from_components(comps, complexity=1)
 
 
-def check_bounds(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion(3, "bound reproduction", "k(r-1)+1 and r+1 reproduced, pipeline consistent")
+def check_bounds(rng):
     problems = []
     for k in (1, 2, 3):
         for r in range(2, 7):
@@ -209,7 +225,6 @@ def check_bounds(seed: int = 0) -> CriterionResult:
             if len(res.breakdown) != r + 1:
                 problems.append(f"unit tangent groups m={m} r={r}: {len(res.breakdown)}")
     # pipeline consistency: aggregated detected data equals the closed forms
-    rng = np.random.default_rng(seed)
     cfg = FlowConfig()
     for spec, r, k in [(Sphere(1), 2, 1), (ProductSpheres((1, 3)), 2, 2)]:
         field = nav_field(spec, r)
@@ -224,19 +239,15 @@ def check_bounds(seed: int = 0) -> CriterionResult:
         want = unit_tangent_bound(m, r).bound
         if got != want:
             problems.append(f"fiber pipeline m={m} r={r}: {got} != {want}")
-    elapsed = time.time() - t0
-    return CriterionResult(3, "bound reproduction", not problems,
-                           "; ".join(problems) or "k(r-1)+1 and r+1 reproduced, pipeline consistent",
-                           elapsed)
+    return problems
 
 
 # ---------------------------------------------------------------------------
 # 4. Section properties
 # ---------------------------------------------------------------------------
 
-def check_section_properties(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
+@_criterion(4, "section properties", "sections reproduce tuples <= 1e-9, fibers preserved")
+def check_section_properties(rng):
     problems = []
     for spec, r in [(Sphere(1), 2), (Sphere(3), 3), (ProductSpheres((1, 3)), 3)]:
         worst = 0.0
@@ -264,18 +275,15 @@ def check_section_properties(seed: int = 0) -> CriterionResult:
             problems.append(f"rotational planner frame_dim={frame_dim} r={r}: {worst:.2e}")
         if drift > 1e-12:
             problems.append(f"fiber drift frame_dim={frame_dim} r={r}: {drift:.2e}")
-    elapsed = time.time() - t0
-    return CriterionResult(4, "section properties", not problems,
-                           "; ".join(problems) or "sections reproduce tuples <= 1e-9, fibers preserved",
-                           elapsed)
+    return problems
 
 
 # ---------------------------------------------------------------------------
 # 5. Hypersurface pair count
 # ---------------------------------------------------------------------------
 
-def check_parallel_pairs(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+@_criterion(5, "hypersurface pair count", "alpha=3 exact, sphere continuum flagged")
+def check_parallel_pairs(rng):
     problems = []
     census = find_parallel_pairs(Ellipsoid((1.0, 2.0, 3.0)))
     if census.alpha != 3:
@@ -289,69 +297,40 @@ def check_parallel_pairs(seed: int = 0) -> CriterionResult:
     sphere_census = find_parallel_pairs(Sphere(2))
     if not sphere_census.is_continuum:
         problems.append(f"sphere census {sphere_census.alpha} is not a continuum")
-    elapsed = time.time() - t0
-    passed = not problems and elapsed < 120.0
-    if elapsed >= 120.0:
-        problems.append(f"runtime {elapsed:.1f}s >= 120s")
-    return CriterionResult(5, "hypersurface pair count", passed,
-                           "; ".join(problems) or "alpha=3 exact, sphere continuum flagged",
-                           elapsed)
+    return problems
 
 
 # ---------------------------------------------------------------------------
 # 6. Gradient correctness
 # ---------------------------------------------------------------------------
 
-def _fd_relative_error(field, samples):
-    analytic = np.array([field.euclidean_gradient_at(x) for x in samples])
-    fd = np.array([field.fd_gradient(x) for x in samples])
-    num = np.linalg.norm(analytic - fd, axis=-1)
-    den = np.maximum(np.linalg.norm(analytic, axis=-1), 1.0)
+def _relative_error(analytic, fd):
+    """Largest |analytic - fd| / max(|analytic|, 1) over the rows, in the Frobenius norm."""
+    num = np.linalg.norm((analytic - fd).reshape(len(fd), -1), axis=-1)
+    den = np.maximum(np.linalg.norm(analytic.reshape(len(fd), -1), axis=-1), 1.0)
     return float(np.max(num / den))
 
 
-def check_gradients(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
+@_criterion(6, "gradient correctness", "all FD checks <= 1e-5")
+def check_gradients(rng):
     problems = []
-
-    nav = nav_field(Sphere(2), 3)
-    err = _fd_relative_error(nav, random_points(nav.spec, 1000, rng))
-    if err > 1e-5:
-        problems.append(f"nav gradient FD error {err:.2e}")
-
-    ut = f_ut_field(StiefelV2(4))
-    err = _fd_relative_error(ut, random_points(ut.spec, 1000, rng))
-    if err > 1e-5:
-        problems.append(f"invariant-function FD error {err:.2e}")
+    for label, field in [("nav gradient", nav_field(Sphere(2), 3)),
+                         ("invariant-function", f_ut_field(StiefelV2(4)))]:
+        samples = random_points(field.spec, 1000, rng)
+        err = _relative_error(field.euclidean_gradient_at(samples), field.fd_gradient(samples))
+        if err > 1e-5:
+            problems.append(f"{label} FD error {err:.2e}")
 
     surf = Ellipsoid((1.0, 2.0, 3.0))
     pts = random_points(surf, 2000, rng)
     z = np.concatenate([pts[:1000], pts[1000:]], axis=1)
-    keep = np.linalg.norm(z[:, :3] - z[:, 3:], axis=1) > 1e-2
-    z = z[keep]
-    jac = pair_system_jacobian(surf.field, surf.level, z)
-    fd = np.empty_like(jac)
-    h = 1e-6 * (1.0 + np.linalg.norm(z, axis=-1))
-    for k in range(z.shape[1]):
-        plus = z.copy()
-        minus = z.copy()
-        plus[:, k] += h
-        minus[:, k] -= h
-        fd[:, :, k] = (
-            pair_system_residual(surf.field, surf.level, plus)
-            - pair_system_residual(surf.field, surf.level, minus)
-        ) / (2.0 * h)[:, None]
-    num = np.linalg.norm(jac - fd, axis=(1, 2))
-    den = np.maximum(np.linalg.norm(jac, axis=(1, 2)), 1.0)
-    err = float(np.max(num / den))
+    z = z[np.linalg.norm(z[:, :3] - z[:, 3:], axis=1) > 1e-2]
+    fd = _central_differences(lambda w: pair_system_residual(surf.field, surf.level, w), z,
+                              FD_SCALE)
+    err = _relative_error(pair_system_jacobian(surf.field, surf.level, z), fd)
     if err > 1e-5:
         problems.append(f"pair system Jacobian FD error {err:.2e}")
-
-    elapsed = time.time() - t0
-    return CriterionResult(6, "gradient correctness", not problems,
-                           "; ".join(problems) or "all FD checks <= 1e-5",
-                           elapsed)
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +358,9 @@ def _direct_fiber_vertical(field: ScalarField, t: FiberTuple) -> np.ndarray:
     return (coeff @ basis).reshape(r, amb)
 
 
-def check_vertical_structure(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
+@_criterion(7, "vertical structure",
+            "componentwise = projected <= 1e-10; consistency as expected")
+def check_vertical_structure(rng):
     problems = []
     spec = StiefelV2(4)
     field = f_ut_field(spec)
@@ -402,22 +381,17 @@ def check_vertical_structure(seed: int = 0) -> CriterionResult:
     scan2 = vertical_proportionality_scan(base_only, random_points(spec, 2000, rng))
     if scan2.singular_consistency:
         problems.append("base-only field passed singular-set consistency (should fail)")
-
-    elapsed = time.time() - t0
-    return CriterionResult(7, "vertical structure", not problems,
-                           "; ".join(problems) or "componentwise = projected <= 1e-10; consistency as expected",
-                           elapsed)
+    return problems
 
 
 # ---------------------------------------------------------------------------
 # 8. Pseudo-gradient contract
 # ---------------------------------------------------------------------------
 
-def check_pseudo_gradient(seed: int = 0) -> CriterionResult:
+@_criterion(8, "pseudo-gradient contract", "bounds with C1=2, C2=1 hold; strict descent")
+def check_pseudo_gradient(rng):
     from .flow import pseudo_gradient_coords
 
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
     problems = []
     field = nav_field(Sphere(2), 2)
     samples = random_points(field.spec, 1000, rng)
@@ -444,20 +418,15 @@ def check_pseudo_gradient(seed: int = 0) -> CriterionResult:
     rep = descent_diagnostic(field, random_points(field.spec, 100, rng), cfg)
     if not rep.all_positive:
         problems.append(f"nonpositive decrement {rep.min_decrement:.2e}")
-
-    elapsed = time.time() - t0
-    return CriterionResult(8, "pseudo-gradient contract", not problems,
-                           "; ".join(problems) or "bounds with C1=2, C2=1 hold; strict descent",
-                           elapsed)
+    return problems
 
 
 # ---------------------------------------------------------------------------
 # 9. Conversion formulas
 # ---------------------------------------------------------------------------
 
-def check_conversions(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
+@_criterion(9, "conversion formulas", "p_r o s = id at knots <= 1e-12")
+def check_conversions(rng):
     problems = []
     for r in (2, 3, 4):
         spec = mf.Euclidean(2)
@@ -485,19 +454,15 @@ def check_conversions(seed: int = 0) -> CriterionResult:
         err = np.max(np.abs(path_fibration(comp, r).points - x.points))
         if err > 1e-12:
             problems.append(f"composed conversion r={r}: knot error {err:.2e}")
-    elapsed = time.time() - t0
-    return CriterionResult(9, "conversion formulas", not problems,
-                           "; ".join(problems) or "p_r o s = id at knots <= 1e-12",
-                           elapsed)
+    return problems
 
 
 # ---------------------------------------------------------------------------
 # 10. Equivariance
 # ---------------------------------------------------------------------------
 
-def check_equivariance(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
-    rng = np.random.default_rng(seed)
+@_criterion(10, "equivariance", "g in SU(n) and f invariant <= 1e-10")
+def check_equivariance(rng):
     spec = StiefelV2(4)
     field = f_ut_field(spec)
     problems = []
@@ -525,24 +490,7 @@ def check_equivariance(seed: int = 0) -> CriterionResult:
         problems.append(f"determinant residual {worst_det:.2e}")
     if worst_inv > 1e-10:
         problems.append(f"invariance residual {worst_inv:.2e}")
-    elapsed = time.time() - t0
-    return CriterionResult(10, "equivariance", not problems,
-                           "; ".join(problems) or "g in SU(n) and f invariant <= 1e-10",
-                           elapsed)
-
-
-ALL_CHECKS = [
-    check_nav_critical_values,
-    check_unit_tangent_critical,
-    check_bounds,
-    check_section_properties,
-    check_parallel_pairs,
-    check_gradients,
-    check_vertical_structure,
-    check_pseudo_gradient,
-    check_conversions,
-    check_equivariance,
-]
+    return problems
 
 
 def run(only=None, stream=None, seed: int = 0):

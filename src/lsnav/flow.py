@@ -7,7 +7,7 @@ negative flow is a strict Lyapunov descent away from critical points.
 
 Batched flows to critical points integrate with an adaptive Dormand-Prince
 5(4) pair (first same as last), re-projecting onto the manifold after every
-stage; ``FlowConfig.step`` is the initial step of every row.  A step is
+stage; FIRST_STEP is the initial step of every row.  A step is
 accepted only when its local error estimate meets min(ATOL, RTOL |y - x|)
 and F has not moved against the flow beyond rounding, so flows stay
 Lyapunov-monotone; a row rejected down to a step below STEP_FLOOR stops
@@ -53,16 +53,12 @@ def rho(s):
 
 @dataclass
 class FlowConfig:
-    step: float = 1e-2
-    max_time: float = 200.0
     grad_tol: float = 1e-8
     cluster_tol: float = 1e-4
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.step, self.max_time, self.grad_tol, self.cluster_tol)):
+        if not (self.grad_tol > 0 and self.cluster_tol > 0):
             raise ValueError("all flow parameters must be strictly positive")
-        if not self.step < self.max_time:
-            raise ValueError("step must be smaller than max_time")
 
 
 @dataclass(eq=False)
@@ -170,6 +166,8 @@ _DP_A = (
 # Fifth- minus fourth-order weights: the local error estimate.
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
+FIRST_STEP = 1e-2      # initial step of every row of a flow
+MAX_TIME = 200.0       # flow time after which a row stops unconverged
 ATOL = 1e-9            # local error bound per step
 RTOL = 1e-3            # local error bound relative to the step's displacement
 STEP_FLOOR = 1e-8      # a row rejected down to a step below this stops unconverged
@@ -193,24 +191,37 @@ def _dp54_step(vfield, project, x, k1, h):
     return y, ks[-1], err
 
 
-def _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg: FlowConfig,
-                max_time=None, record=None):
-    """Adaptive Dormand-Prince 5(4) flow of a batch, one step size per row.
+def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, grad_norm,
+                starts, cfg: FlowConfig, max_time=None, record=None):
+    """Adaptive Dormand-Prince 5(4) flow of a batch along direction *
+    pseudo_gradient(field, x), one step size per row, re-projecting with
+    project(field.spec, x) after every stage and holding -direction * F monotone.
 
-    A row stops once grad_norm <= grad_tol, after max_time (default
-    cfg.max_time), or when a rejection leaves its step below STEP_FLOOR.  A
-    step is accepted when its error estimate is at most min(ATOL, RTOL |y - x|)
-    and ``lyapunov`` has not increased beyond rounding; the relative half of
-    the bound keeps steps inside the stability region as rows approach the
-    critical set.  Since the floor lies far above the steps whose change of
-    ``lyapunov`` is rounding, a row rejected again and again reaches it within
-    a few dozen steps.  ``record(t, x, gn)`` sees the starts and every pass
-    that accepts a step.  Returns (endpoints, final gradient norms, converged mask).
+    Every row starts from step FIRST_STEP.  A row stops once
+    grad_norm(field, x) <= grad_tol, after max_time (default MAX_TIME), or when
+    a rejection leaves its step below STEP_FLOOR.  A step is accepted when its
+    error estimate is at most min(ATOL, RTOL |y - x|) and the Lyapunov function
+    -direction * F has not increased beyond rounding; the relative half of the
+    bound keeps steps inside the stability region as rows approach the critical
+    set.  Since the floor lies far above the steps whose change of F is
+    rounding, a row rejected again and again reaches it within a few dozen
+    steps.  ``record(t, x, gn)`` sees the starts and every pass that accepts a
+    step.  Returns (endpoints, final gradient norms, converged mask).
     """
-    max_time = cfg.max_time if max_time is None else max_time
-    x = project(np.array(starts, dtype=float))
+    max_time = MAX_TIME if max_time is None else max_time
+
+    def vfield(x):
+        return direction * pseudo_gradient(field, x)
+
+    def proj(x):
+        return project(field.spec, x)
+
+    def lyapunov(x):
+        return -direction * field.value_at(x)
+
+    x = proj(np.array(starts, dtype=float))
     n = x.shape[0]
-    gn = np.asarray(grad_norm(x), dtype=float)
+    gn = np.asarray(grad_norm(field, x), dtype=float)
     active = gn > cfg.grad_tol
     idx = np.flatnonzero(active)
     k = np.zeros_like(x)
@@ -219,13 +230,13 @@ def _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg: FlowConfig,
         k[idx] = vfield(x[idx])
         lyap[idx] = lyapunov(x[idx])
     t = np.zeros(n)
-    h = np.full(n, cfg.step)
+    h = np.full(n, FIRST_STEP)
     if record is not None:
         record(t, x, gn)
     while idx.size:
         hs = np.minimum(h[idx], max_time - t[idx])
         x0 = x[idx]
-        y, ky, err = _dp54_step(vfield, project, x0, k[idx], hs[:, None])
+        y, ky, err = _dp54_step(vfield, proj, x0, k[idx], hs[:, None])
         ly = lyapunov(y)
         tol = np.minimum(ATOL, RTOL * np.linalg.norm(y - x0, axis=-1))
         monotone = ly <= lyap[idx] + LYAPUNOV_SLACK * (1.0 + np.abs(lyap[idx]))
@@ -238,7 +249,7 @@ def _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg: FlowConfig,
             k[acc] = ky[ok]
             lyap[acc] = ly[ok]
             t[acc] += hs[ok]
-            gn[acc] = grad_norm(x[acc])
+            gn[acc] = grad_norm(field, x[acc])
             if record is not None:
                 record(t, x, gn)
         active[idx] = ((gn[idx] > cfg.grad_tol) & (t[idx] < max_time)
@@ -289,20 +300,10 @@ class FlowTrace:
 
 def _pseudo_gradient_flow(field: ScalarField, starts, cfg: FlowConfig, direction: int,
                           max_time=None, record=None):
-    """Run ``_flow_batch`` on the flow of direction * pseudo-gradient of ``field``,
-    re-projecting onto field.spec and holding -direction * F monotone."""
-
-    def vfield(x):
-        return direction * pseudo_gradient_coords(field, x)
-
-    def project(x):
-        return mf.project_points(field.spec, x)
-
-    def lyapunov(x):
-        return -direction * field.value_at(x)
-
-    return _flow_batch(vfield, project, field.gradient_norm, lyapunov, starts, cfg,
-                       max_time, record)
+    """``_flow_batch`` on the pseudo-gradient, projecting onto field.spec and
+    stopping on the Riemannian gradient norm."""
+    return _flow_batch(field, direction, pseudo_gradient_coords, mf.project_points,
+                       ScalarField.gradient_norm, starts, cfg, max_time, record)
 
 
 def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) -> FlowTrace:
@@ -335,8 +336,8 @@ def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction
     """Batched adaptive flow of direction * pseudo-gradient to the critical set.
 
     Dormand-Prince 5(4) with projection after every stage, starting from
-    step cfg.step in every row; F never moves against ``direction``.  Rows
-    that do not reach cfg.grad_tol (by max_time or the step floor) are
+    step FIRST_STEP in every row; F never moves against ``direction``.  Rows
+    that do not reach cfg.grad_tol (by MAX_TIME or the step floor) are
     reported unconverged.  Returns (endpoints, gradient norms, converged mask).
     """
     return _pseudo_gradient_flow(field, starts, cfg or FlowConfig(), direction)
@@ -346,7 +347,7 @@ def time_one_map(field: ScalarField, starts, cfg: FlowConfig = None):
     """Time-1 map of the negative pseudo-gradient flow, batched.
 
     Runs the adaptive driver of ``flow_endpoints`` to t = 1 from initial step
-    cfg.step, whatever cfg.max_time is; the last step of each row is cut to
+    FIRST_STEP, whatever MAX_TIME is; the last step of each row is cut to
     land on t = 1.  A row whose gradient norm reaches cfg.grad_tol stops there,
     before t = 1, as does a row stopped by the step floor.
     """
@@ -557,7 +558,7 @@ def detect_critical(field: ScalarField, seeds, cfg: FlowConfig = None):
     endpoints, gn, converged = flow_endpoints(field, seeds, cfg, -1)
     if not converged.any():
         raise NoConvergedSeeds(
-            f"no seed reached gradient norm {cfg.grad_tol} within time {cfg.max_time}"
+            f"no seed reached gradient norm {cfg.grad_tol} within time {MAX_TIME}"
         )
     return _cluster_endpoints(field, endpoints[converged], cfg)
 

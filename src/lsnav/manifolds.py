@@ -112,9 +112,9 @@ class _SphereBlocks(ManifoldSpec):
 
     def project(self, coords):
         nrm = np.sqrt(self._block_dots(coords, coords))
-        zero = nrm < 1e-15
-        if zero.any():  # a row with a zero block comes back NaN
-            nrm = np.where(zero.any(axis=-1, keepdims=True), np.nan, nrm)
+        ok = (nrm >= 1e-15) & (nrm < np.inf)
+        if not ok.all():  # a row with a zero or non-finite block comes back NaN
+            nrm = np.where(ok.all(axis=-1, keepdims=True), nrm, np.nan)
         return coords / np.repeat(nrm, self._segments[1], axis=-1)
 
     def project_tangent(self, coords, w):
@@ -158,12 +158,13 @@ class ProductSpheres(_SphereBlocks):
 
 def _project_hypersurface(field, level, coords):
     """Damped Newton steps along grad g until |g - level| <= HYPERSURFACE_NEWTON_TOL,
-    for at most HYPERSURFACE_NEWTON_CAP iterations.  A row whose constraint gradient
-    vanishes on the way, or that is still above the tolerance at the cap, comes
-    back NaN."""
+    for at most HYPERSURFACE_NEWTON_CAP iterations.  A row whose constraint value is
+    not finite, whose constraint gradient vanishes on the way, or that is still above
+    the tolerance at the cap, comes back NaN."""
     x = np.array(coords, dtype=float)
     flat = x.reshape(-1, x.shape[-1])
     res = field.value(flat) - level
+    res[~np.isfinite(res)] = np.nan  # NaN rows are never active
     for _ in range(HYPERSURFACE_NEWTON_CAP):
         active = np.abs(res) > HYPERSURFACE_NEWTON_TOL  # False for a NaN row
         if not active.any():
@@ -186,7 +187,7 @@ def _project_hypersurface(field, level, coords):
             best_res[worse] = field.value(trial) - level
         flat[active] = best_x
         res[active] = best_res
-    flat[np.abs(res) > HYPERSURFACE_NEWTON_TOL] = np.nan
+    flat[~(np.abs(res) <= HYPERSURFACE_NEWTON_TOL)] = np.nan
     return flat.reshape(x.shape)
 
 

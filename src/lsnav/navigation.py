@@ -31,6 +31,9 @@ from .manifolds import Ellipsoid, ImplicitHypersurface, ProductSpheres, Sphere
 
 # sign tolerance of the classifiers that label flow endpoints (nav and ut-f)
 CLASSIFY_TOL = 1e-4
+# largest r * ambient_dim of a nav field: its Hessian is a dense (r d, r d) matrix,
+# and Newton forms one per seed
+NAV_MAX_COORDS = 256
 
 # ---------------------------------------------------------------------------
 # Tuples on M^r
@@ -107,9 +110,12 @@ def nav_gradient(t: NavTuple) -> np.ndarray:
 
 
 def nav_field(spec, r: int) -> ScalarField:
-    """The navigation function as a scalar field on M^r (flat coordinates), r >= 2."""
+    """The navigation function as a scalar field on M^r (flat coordinates), r >= 2
+    and r * ambient_dim <= NAV_MAX_COORDS."""
     _require_slots(r)
     d = spec.ambient_dim
+    if r * d > NAV_MAX_COORDS:
+        raise WrongSpec(f"nav field on M^{r} has {r * d} coordinates, above {NAV_MAX_COORDS}")
 
     def value(x):
         x = np.asarray(x, dtype=float)

@@ -24,7 +24,7 @@ from .errors import (
     WrongDimension,
     WrongSpec,
 )
-from .flow import FlowConfig, ScalarField, rho
+from .flow import FlowConfig, ScalarField, _flow_batch, rho
 from .manifolds import PointOnM, StiefelV2, TangentVector, mult_i, mult_j
 from .navigation import CLASSIFY_TOL, slot_signs
 from .paths import PathSpec, sign_flip_path
@@ -316,6 +316,10 @@ def _anchored_project(spec: StiefelV2, coords):
     return mf.frame_flat(x1, x2)
 
 
+def _vertical_gradient_norm(field: ScalarField, coords):
+    return np.linalg.norm(vertical_gradient_coords(field, coords), axis=-1)
+
+
 def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
                             direction: int = -1):
     """Batched adaptive flow of the vertical pseudo-gradient.
@@ -323,27 +327,12 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     The vector field has zero base component and the projection after every
     stage is anchored at the first column, so trajectories stay in their
     fiber exactly.  Integrates with the adaptive Dormand-Prince 5(4) driver of
-    ``flow_endpoints`` from initial step cfg.step, never moving f against
+    ``flow_endpoints`` from initial step flow.FIRST_STEP, never moving f against
     ``direction``; terminates on the vertical gradient norm.
     """
-    from .flow import _flow_batch
-
-    cfg = cfg or FlowConfig()
-    spec = _require_frames(field.spec)
-
-    def vfield(x):
-        return direction * vertical_pseudo_gradient_coords(field, x)
-
-    def project(x):
-        return _anchored_project(spec, x)
-
-    def grad_norm(x):
-        return np.linalg.norm(vertical_gradient_coords(field, x), axis=-1)
-
-    def lyapunov(x):
-        return -direction * field.value_at(x)
-
-    return _flow_batch(vfield, project, grad_norm, lyapunov, starts, cfg)
+    _require_frames(field.spec)
+    return _flow_batch(field, direction, vertical_pseudo_gradient_coords, _anchored_project,
+                       _vertical_gradient_norm, starts, cfg or FlowConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,7 @@ BOUND = ["bound", "--components"]
      "argument --lambda-cut: expected a number, not NaN, got 'nan'"),
     (NAV + ["--r", "1"], 1, "InvalidPoint"),
     (NAV + ["--r", "0"], 1, "InvalidPoint"),
+    (NAV + ["--r", "1000000000"], 1, "WrongSpec"),
     (PLAN + ["object.json"], 1, "LsnavError"),
     (PLAN + ["malformed.json"], 1, "LsnavError"),
     (PLAN + ["."], 1, "IsADirectoryError"),
@@ -309,7 +310,7 @@ BOUND = ["bound", "--components"]
         "pairs-sphere-0", "pairs-torus-one-radius", "pairs-torus-three-radii",
         "verify-only-non-numeric", "verify-only-99", "verify-only-0", "critfind-seed-negative",
         "pairs-seed-negative", "verify-seed-negative", "plan-samples-negative",
-        "bound-lambda-cut-nan", "nav-r-1", "nav-r-0",
+        "bound-lambda-cut-nan", "nav-r-1", "nav-r-0", "nav-r-1000000000",
         "plan-tuple-object", "plan-tuple-malformed", "plan-tuple-directory",
         "bound-components-malformed", "bound-components-array", "bound-components-no-value",
         "bound-components-text-value", "bound-components-zero-complexity",
@@ -336,5 +337,8 @@ def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, m
     else:
         payload = json.loads(captured.err)
         assert payload["error"] == expected
-        if argv[0] == "critfind":
-            assert payload["message"] == "navigation tuples need r >= 2 slots"
+        if argv[0] == "critfind":  # a value of --r; the cap is checked before anything is allocated
+            assert payload["message"] == {
+                "InvalidPoint": "navigation tuples need r >= 2 slots",
+                "WrongSpec": "nav field on M^1000000000 has 2000000000 coordinates, above 256",
+            }[expected]

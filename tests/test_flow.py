@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lsnav import flow
 from lsnav.errors import NegativeInput, NoConvergedSeeds, NotCriticalTuple
 from lsnav.flow import (
     FlowConfig,
@@ -97,7 +98,7 @@ def test_integrate_flow_stationary_at_critical():
     assert np.max(np.linalg.norm(trace.coords - south.coords, axis=1)) <= 1e-9
 
 
-def test_integrate_flow_height_to_south_pole():
+def test_integrate_flow_height_to_south_pole(monkeypatch):
     spec = Sphere(2)
     field = height_field(spec)
     start = project_to_manifold(spec, [0.05, -0.02, 0.998])
@@ -105,7 +106,8 @@ def test_integrate_flow_height_to_south_pole():
     assert np.linalg.norm(trace.coords[-1] - np.array([0.0, 0.0, -1.0])) <= 1e-6
     assert trace.max_value_increase() <= 1e-10
     # half-step integrator lands at the same endpoint
-    half = integrate_flow(field, start, FlowConfig(step=5e-3))
+    monkeypatch.setattr(flow, "FIRST_STEP", 5e-3)
+    half = integrate_flow(field, start)
     assert np.linalg.norm(trace.coords[-1] - half.coords[-1]) <= 1e-6
 
 
@@ -132,10 +134,12 @@ def test_time_one_map_matches_closed_form():
     assert np.max(np.linalg.norm(phi1 - exact, axis=1)) <= 1e-7
 
 
-def test_time_one_map_accepts_a_step_of_one():
+def test_time_one_map_accepts_a_step_of_one(monkeypatch):
     spec = Sphere(2)
     start = project_to_manifold(spec, [0.3, 0.1, 0.9]).coords[None, :]
-    phi1 = time_one_map(height_field(spec), start, FlowConfig(step=1.0, max_time=2.0))
+    monkeypatch.setattr(flow, "FIRST_STEP", 1.0)
+    monkeypatch.setattr(flow, "MAX_TIME", 2.0)
+    phi1 = time_one_map(height_field(spec), start)
     assert np.linalg.norm(phi1 - _height_flow_closed_form(start, 1.0)) <= 1e-7
 
 
@@ -150,11 +154,12 @@ def test_integrate_flow_trace_matches_closed_form():
     assert len(trace.times) < 500
 
 
-def test_flow_trace_serialization():
+def test_flow_trace_serialization(monkeypatch):
     spec = Sphere(2)
     field = height_field(spec)
     start = project_to_manifold(spec, [0.3, 0.1, 0.9])
-    trace = integrate_flow(field, start, FlowConfig(max_time=1.0, grad_tol=1e-3))
+    monkeypatch.setattr(flow, "MAX_TIME", 1.0)
+    trace = integrate_flow(field, start, FlowConfig(grad_tol=1e-3))
     csv_text = trace.to_csv()
     assert csv_text.splitlines()[0] == "t,x0,x1,x2,F,gradnorm"
     payload = trace.to_json()
@@ -206,24 +211,26 @@ def test_detected_values_lie_in_navigation_value_set():
         assert min(abs(c.value - a) for a in allowed) <= 1e-5
 
 
-def test_no_converged_seeds():
+def test_no_converged_seeds(monkeypatch):
     spec = Sphere(2)
     field = height_field(spec)
     equator = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(NoConvergedSeeds):
-        detect_critical(field, equator, FlowConfig(step=1e-2, max_time=0.05,
-                                                   grad_tol=1e-12))
+    monkeypatch.setattr(flow, "MAX_TIME", 0.05)
+    with pytest.raises(NoConvergedSeeds, match="within time 0.05"):
+        detect_critical(field, equator, FlowConfig(grad_tol=1e-12))
     for detect in (detect_critical, find_critical_components):
         with pytest.raises(NoConvergedSeeds, match="seed set is empty"):
             detect(field, np.empty((0, 3)))
 
 
-def test_step_halving_changes_endpoint_little():
+def test_step_halving_changes_endpoint_little(monkeypatch):
     rng = np.random.default_rng(4)
     field = nav_field(Sphere(1), 2)
     seeds = random_points(field.spec, 20, rng)
-    end1, _, conv1 = flow_endpoints(field, seeds, FlowConfig(step=1e-2))
-    end2, _, conv2 = flow_endpoints(field, seeds, FlowConfig(step=5e-3))
+    monkeypatch.setattr(flow, "FIRST_STEP", 1e-2)
+    end1, _, conv1 = flow_endpoints(field, seeds)
+    monkeypatch.setattr(flow, "FIRST_STEP", 5e-3)
+    end2, _, conv2 = flow_endpoints(field, seeds)
     assert conv1.all() and conv2.all()
     assert np.max(np.linalg.norm(end1 - end2, axis=1)) <= 1e-6
 
@@ -421,21 +428,26 @@ def test_morse_bott_merge_keeps_disjoint_circles_apart():
 
 
 def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(step=-1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(step=10.0, max_time=5.0)
+    for name in ("grad_tol", "cluster_tol"):
+        for bad in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                FlowConfig(**{name: bad})
 
 
-@pytest.mark.parametrize("name", ["step", "max_time", "grad_tol", "cluster_tol"])
+@pytest.mark.parametrize("name", ["grad_tol", "cluster_tol"])
 def test_flow_config_rejects_nan(name):
     with pytest.raises(ValueError):
         FlowConfig(**{name: float("nan")})
 
 
-def test_flow_config_accepts_a_large_first_step():
+def test_flow_config_accepts_a_large_first_step(monkeypatch):
     # the adaptive driver shrinks a first step that is too large
-    assert FlowConfig(step=5.0).step == 5.0
+    field = height_field(Sphere(2))
+    start = project_to_manifold(Sphere(2), [0.3, 0.1, 0.9]).coords[None, :]
+    monkeypatch.setattr(flow, "FIRST_STEP", 5.0)
+    end, _, conv = flow_endpoints(field, start)
+    assert conv.all()
+    assert np.linalg.norm(end[0] - [0.0, 0.0, -1.0]) <= 1e-6
 
 
 def test_detect_critical_distance_clustering_without_classifier():

@@ -341,6 +341,17 @@ def _zero_blocks(spec):
     return rows
 
 
+def _non_finite_entries(spec):
+    # rows with one entry +inf, -inf or NaN, in every coordinate in turn
+    rows = []
+    for k in range(spec.ambient_dim):
+        for v in (np.inf, -np.inf, np.nan):
+            row = np.random.default_rng(k).standard_normal(spec.ambient_dim)
+            row[k] = v
+            rows.append(row)
+    return rows
+
+
 def _bad_frames():
     # every rank-deficient variant [x1, x2] and [x2, x1], the zero frame, and
     # frames with a NaN or an infinite entry
@@ -363,13 +374,17 @@ UNPROJECTABLE = [
     # ellipsoid's centre, so Newton has no direction there
     (TORUS, [np.array([2.0, 0.0, 0.0]), np.array([0.0, -2.0, 0.0])]),
     (Ellipsoid((1.0, 2.0, 3.0)), [np.zeros(3)]),
+    *[(spec, _non_finite_entries(spec)) for spec in (
+        Sphere(2), ProductSpheres((1, 3, 1, 3)), TORUS, Ellipsoid((1.0, 2.0, 3.0)))],
 ]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("spec, bad_rows", UNPROJECTABLE, ids=[
     "zero-block-(1,)", "zero-block-(3, 3, 3)", "zero-block-(1, 3, 1, 3)",
-    "stiefel:4-rank-deficient-or-non-finite", "torus-core-circle", "ellipsoid-centre"])
+    "stiefel:4-rank-deficient-or-non-finite", "torus-core-circle", "ellipsoid-centre",
+    "sphere:2-non-finite", "(1, 3, 1, 3)-non-finite", "torus-non-finite",
+    "ellipsoid-non-finite"])
 def test_unprojectable_row_comes_back_nan(spec, bad_rows):
     # one row the kind cannot project costs that row alone: it comes back NaN,
     # and every other row is bitwise what projecting it alone gives
