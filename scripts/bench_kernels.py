@@ -5,7 +5,11 @@ Times ``project_points``, ``project_tangent`` and ``flow.rho`` at batch sizes
 the ellipsoid (1,2,3) and the torus of revolution (2, 0.5), and
 ``flow.newton_critical_search`` at 1 and 500 seeds on the nav field of
 sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and the height
-on that torus, for one or more source trees of lsnav in one process:
+on that torus; the right-hand side of the vertical flow,
+``unit_tangent.vertical_pseudo_gradient_coords`` of ut-f, at batch sizes 1,
+500 and 5000 on stiefel:4 and stiefel:8; and one descending
+``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
+them, for one or more source trees of lsnav in one process:
 
     python3 scripts/bench_kernels.py change=src
     python3 scripts/bench_kernels.py parent=/path/to/parent/src change=src > BENCH_kernels.json
@@ -17,7 +21,8 @@ over REPEATS repeats of the time per call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median stand the Levenberg-Marquardt iterations and Jacobian rows of
-one call, counted in an untimed call.
+one call, and next to each vertical-flow median its integrator steps and its
+right-hand-side calls and rows, each counted in an untimed call.
 
 Kernel times on a shared host are noisy: treat them as a guide to where the
 time goes, and the benchmark's ``solve_ref`` as the end-to-end evidence.
@@ -41,6 +46,8 @@ REPEATS = 9
 MIN_REPEAT_S = 0.01  # calls per repeat are chosen so that one repeat takes at least this
 NEWTON_PROBLEMS = ("nav sphere:1 r=2", "nav (S^3)^3", "ut-f stiefel:4", "height torus(2,0.5)")
 NEWTON_BATCHES = (1, 500)
+FRAMES = ("stiefel:4", "stiefel:8")
+VERTICAL_FLOW_SEEDS = 50
 
 
 def load_tree(label: str, src: str):
@@ -93,6 +100,17 @@ def cases(lsnav):
             seeds = mf.random_points(field.spec, n, np.random.default_rng([1, n]))
             out.append(("newton_critical_search", name, n,
                         lambda f=field, x=seeds: lsnav.flow.newton_critical_search(f, x)))
+    ut = lsnav.unit_tangent
+    for name in FRAMES:
+        field = ut.f_ut_field(manifold(lsnav, name))
+        for n in BATCHES:
+            pts = mf.random_points(field.spec, n, np.random.default_rng([2, n]))
+            out.append(("vertical_pseudo_gradient_coords", name, n,
+                        lambda f=field, x=pts: ut.vertical_pseudo_gradient_coords(f, x)))
+        n = VERTICAL_FLOW_SEEDS
+        seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
+        out.append(("vertical_flow_endpoints", name, n,
+                    lambda f=field, x=seeds: ut.vertical_flow_endpoints(f, x)))
     return out
 
 
@@ -124,6 +142,32 @@ def lm_counts(lsnav, call) -> dict:
         call()
     finally:
         numerics.levenberg_marquardt = solve
+    return counts
+
+
+def vertical_flow_counts(lsnav, call) -> dict:
+    """Batched integrator steps, and right-hand-side calls and rows, of one call
+    of ``call``.  The vertical pseudo-gradient is evaluated once per stage; the
+    vertical gradient norm once at the start and then once per step, that is
+    per pass of the integrator that accepts a step in some row."""
+    ut = lsnav.unit_tangent
+    rhs, norm = ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords
+    counts = {"steps": -1, "rhs_calls": 0, "rhs_rows": 0}
+
+    def counted_rhs(field, coords):
+        counts["rhs_calls"] += 1
+        counts["rhs_rows"] += len(coords)
+        return rhs(field, coords)
+
+    def counted_norm(field, coords):
+        counts["steps"] += 1
+        return norm(field, coords)
+
+    ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords = counted_rhs, counted_norm
+    try:
+        call()
+    finally:
+        ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords = rhs, norm
     return counts
 
 
@@ -163,6 +207,8 @@ def run(trees: dict) -> dict:
                       "us_per_call_q1": round(q1, 2), "us_per_call_q3": round(q3, 2)}
             if kernel == "newton_critical_search":
                 record.update(lm_counts(modules[label], per_tree[label][i][3]))
+            if kernel == "vertical_flow_endpoints":
+                record.update(vertical_flow_counts(modules[label], per_tree[label][i][3]))
             results[label].append(record)
     return {"host": {"machine": platform.machine(), "processor": platform.processor(),
                      "cpus": os.cpu_count(), "python": platform.python_version(),

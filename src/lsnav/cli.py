@@ -104,6 +104,7 @@ def _torus(text: str) -> ImplicitHypersurface:
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _not_nan = _checked(float, lambda v: not np.isnan(v), "a number, not NaN")
+_tolerance = _checked(float, lambda v: 0 < v < np.inf, "a finite number > 0")
 _radii = _checked(_numbers, lambda v: len(v) == 2, "major,minor radii")
 _criteria = _checked(lambda text: [int(v) for v in text.split(",")],
                      lambda only: all(1 <= k <= len(acceptance.ALL_CHECKS) for k in only),
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planner", choices=["product-spheres", "sigma-u"], required=True)
     p.add_argument("--tuple", required=True, help="JSON file: array of coordinate arrays")
     p.add_argument("--manifold", type=_parse_manifold, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--samples", type=_positive_int, default=256, help="dense samples for csv export")
     common_io(p)
     p.set_defaults(fn=cmd_plan)

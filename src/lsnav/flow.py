@@ -8,11 +8,14 @@ negative flow is a strict Lyapunov descent away from critical points.
 Batched flows to critical points integrate with an adaptive Dormand-Prince
 5(4) pair (first same as last), re-projecting onto the manifold after every
 stage; FIRST_STEP is the initial step of every row.  A step is
-accepted only when its local error estimate meets min(ATOL, RTOL |y - x|)
+accepted only when its local error estimate meets min(atol, RTOL |y - x|)
 and F has not moved against the flow beyond rounding, so flows stay
 Lyapunov-monotone; a row rejected down to a step below STEP_FLOOR stops
 unconverged.  The same driver records single traces (``integrate_flow``)
 and runs the time-1 map; ``detect_critical`` clusters flow endpoints.
+Trajectories (``integrate_flow``, ``time_one_map``) take atol = ATOL; flows
+that return only endpoints (``flow_endpoints``, so ``detect_critical``, and
+``unit_tangent.vertical_flow_endpoints``) take ENDPOINT_ATOL.
 
 ``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
 gradient, with the analytic Riemannian Hessian (the manifold's projection of
@@ -57,8 +60,8 @@ class FlowConfig:
     cluster_tol: float = 1e-4
 
     def __post_init__(self):
-        if not (self.grad_tol > 0 and self.cluster_tol > 0):
-            raise ValueError("all flow parameters must be strictly positive")
+        if not (0 < self.grad_tol < np.inf and 0 < self.cluster_tol < np.inf):
+            raise ValueError("all flow parameters must be finite and strictly positive")
 
 
 @dataclass(eq=False)
@@ -168,7 +171,8 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 
 FIRST_STEP = 1e-2      # initial step of every row of a flow
 MAX_TIME = 200.0       # flow time after which a row stops unconverged
-ATOL = 1e-9            # local error bound per step
+ATOL = 1e-9            # local error bound per step of a trajectory
+ENDPOINT_ATOL = 1e-6   # local error bound per step of an endpoint-only flow
 RTOL = 1e-3            # local error bound relative to the step's displacement
 STEP_FLOOR = 1e-8      # a row rejected down to a step below this stops unconverged
 LYAPUNOV_SLACK = 1e-13  # rounding allowance on F, relative to 1 + |F|
@@ -192,7 +196,7 @@ def _dp54_step(vfield, project, x, k1, h):
 
 
 def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, grad_norm,
-                starts, cfg: FlowConfig, max_time=None, record=None):
+                starts, cfg: FlowConfig, max_time=None, record=None, atol=None):
     """Adaptive Dormand-Prince 5(4) flow of a batch along direction *
     pseudo_gradient(field, x), one step size per row, re-projecting with
     project(field.spec, x) after every stage and holding -direction * F monotone.
@@ -200,7 +204,8 @@ def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, gr
     Every row starts from step FIRST_STEP.  A row stops once
     grad_norm(field, x) <= grad_tol, after max_time (default MAX_TIME), or when
     a rejection leaves its step below STEP_FLOOR.  A step is accepted when its
-    error estimate is at most min(ATOL, RTOL |y - x|) and the Lyapunov function
+    error estimate is at most min(atol, RTOL |y - x|), atol defaulting to ATOL
+    (endpoint-only callers pass ENDPOINT_ATOL), and the Lyapunov function
     -direction * F has not increased beyond rounding; the relative half of the
     bound keeps steps inside the stability region as rows approach the critical
     set.  Since the floor lies far above the steps whose change of F is
@@ -209,6 +214,7 @@ def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, gr
     step.  Returns (endpoints, final gradient norms, converged mask).
     """
     max_time = MAX_TIME if max_time is None else max_time
+    atol = ATOL if atol is None else atol
 
     def vfield(x):
         return direction * pseudo_gradient(field, x)
@@ -238,7 +244,7 @@ def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, gr
         x0 = x[idx]
         y, ky, err = _dp54_step(vfield, proj, x0, k[idx], hs[:, None])
         ly = lyapunov(y)
-        tol = np.minimum(ATOL, RTOL * np.linalg.norm(y - x0, axis=-1))
+        tol = np.minimum(atol, RTOL * np.linalg.norm(y - x0, axis=-1))
         monotone = ly <= lyap[idx] + LYAPUNOV_SLACK * (1.0 + np.abs(lyap[idx]))
         ok = (err <= tol) & monotone
         fac = np.clip(0.9 * (tol / np.maximum(err, 1e-300)) ** 0.2, 0.2, 5.0)
@@ -270,8 +276,6 @@ class FlowTrace:
 
     def max_value_increase(self) -> float:
         """Largest Lyapunov violation along the trace (0 for monotone descent)."""
-        if len(self.values) < 2:
-            return 0.0
         return float(np.max(np.diff(self.values), initial=0.0))
 
     def to_csv(self) -> str:
@@ -299,19 +303,19 @@ class FlowTrace:
 
 
 def _pseudo_gradient_flow(field: ScalarField, starts, cfg: FlowConfig, direction: int,
-                          max_time=None, record=None):
+                          max_time=None, record=None, atol=None):
     """``_flow_batch`` on the pseudo-gradient, projecting onto field.spec and
     stopping on the Riemannian gradient norm."""
     return _flow_batch(field, direction, pseudo_gradient_coords, mf.project_points,
-                       ScalarField.gradient_norm, starts, cfg, max_time, record)
+                       ScalarField.gradient_norm, starts, cfg, max_time, record, atol)
 
 
 def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) -> FlowTrace:
     """Integrate the descending pseudo-gradient flow from a single point.
 
-    Records the start and every accepted step of the adaptive driver of
-    ``flow_endpoints``, so times increase strictly but unevenly and F never
-    increases.  Stops like a row of ``flow_endpoints``.
+    Records the start and every accepted step of the adaptive driver, held to
+    the trajectory bound ATOL, so times increase strictly but unevenly and F
+    never increases.  Stops like a row of ``flow_endpoints``.
     """
     cfg = cfg or FlowConfig()
     times, coords, gns = [], [], []
@@ -336,19 +340,20 @@ def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction
     """Batched adaptive flow of direction * pseudo-gradient to the critical set.
 
     Dormand-Prince 5(4) with projection after every stage, starting from
-    step FIRST_STEP in every row; F never moves against ``direction``.  Rows
-    that do not reach cfg.grad_tol (by MAX_TIME or the step floor) are
-    reported unconverged.  Returns (endpoints, gradient norms, converged mask).
+    step FIRST_STEP in every row and held to ENDPOINT_ATOL (only endpoints are
+    returned); F never moves against ``direction``.  Rows that do not reach
+    cfg.grad_tol (by MAX_TIME or the step floor) are reported unconverged.
+    Returns (endpoints, gradient norms, converged mask).
     """
-    return _pseudo_gradient_flow(field, starts, cfg or FlowConfig(), direction)
+    return _pseudo_gradient_flow(field, starts, cfg or FlowConfig(), direction, atol=ENDPOINT_ATOL)
 
 
 def time_one_map(field: ScalarField, starts, cfg: FlowConfig = None):
     """Time-1 map of the negative pseudo-gradient flow, batched.
 
-    Runs the adaptive driver of ``flow_endpoints`` to t = 1 from initial step
-    FIRST_STEP, whatever MAX_TIME is; the last step of each row is cut to
-    land on t = 1.  A row whose gradient norm reaches cfg.grad_tol stops there,
+    Runs the adaptive driver at the trajectory bound ATOL to t = 1 from step
+    FIRST_STEP, whatever MAX_TIME is; the last step of each row is cut to land
+    on t = 1.  A row whose gradient norm reaches cfg.grad_tol stops there,
     before t = 1, as does a row stopped by the step floor.
     """
     return _pseudo_gradient_flow(field, starts, cfg or FlowConfig(), -1, max_time=1.0)[0]
@@ -646,24 +651,12 @@ def descent_diagnostic(field: ScalarField, samples, cfg: FlowConfig = None) -> D
     noncrit = gn > cfg.grad_tol
     phi1 = time_one_map(field, x, cfg)
     dec = field.value_at(x) - field.value_at(phi1)
-    if noncrit.any():
-        sub = dec[noncrit]
-        k = int(np.argmin(sub))
-        min_dec = float(sub[k])
-        argmin = x[noncrit][k]
-        all_pos = bool((sub > 0).all())
-    else:
-        min_dec = 0.0
-        argmin = None
-        all_pos = True
-    return DescentReport(
-        n_samples=x.shape[0],
-        n_noncritical=int(noncrit.sum()),
-        min_decrement=min_dec,
-        argmin_coords=argmin,
-        all_positive=all_pos,
-        decrements=dec,
-    )
+    sub = dec[noncrit]
+    k = int(np.argmin(sub)) if sub.size else None
+    return DescentReport(n_samples=x.shape[0], n_noncritical=sub.size,
+                         min_decrement=0.0 if k is None else float(sub[k]),
+                         argmin_coords=None if k is None else x[noncrit][k],
+                         all_positive=bool((sub > 0).all()), decrements=dec)
 
 
 # ---------------------------------------------------------------------------

@@ -111,9 +111,17 @@ class _SphereBlocks(ManifoldSpec):
         return np.abs(self._block_dots(coords, vec)).max(axis=-1)
 
     def project(self, coords):
-        nrm = np.sqrt(self._block_dots(coords, coords))
+        with np.errstate(over="ignore"):  # a finite row whose squares overflow is rescaled
+            nrm = np.sqrt(self._block_dots(coords, coords))
         ok = (nrm >= 1e-15) & (nrm < np.inf)
         if not ok.all():  # a row with a zero or non-finite block comes back NaN
+            over = np.isinf(nrm).any(axis=-1) & np.isfinite(coords).all(axis=-1)
+            if over.any():  # finite rows whose squares overflowed: scale by the largest entry
+                starts, sizes = self._segments
+                big = np.maximum.reduceat(np.abs(coords[over]), starts, axis=-1)
+                unit = coords[over] / np.repeat(np.maximum(big, 1e-300), sizes, axis=-1)
+                nrm[over] = big * np.sqrt(self._block_dots(unit, unit))
+                ok = (nrm >= 1e-15) & (nrm < np.inf)
             nrm = np.where(ok.all(axis=-1, keepdims=True), nrm, np.nan)
         return coords / np.repeat(nrm, self._segments[1], axis=-1)
 
@@ -163,7 +171,8 @@ def _project_hypersurface(field, level, coords):
     the tolerance at the cap, comes back NaN."""
     x = np.array(coords, dtype=float)
     flat = x.reshape(-1, x.shape[-1])
-    res = field.value(flat) - level
+    with np.errstate(over="ignore"):  # a row whose constraint value overflows comes back NaN
+        res = field.value(flat) - level
     res[~np.isfinite(res)] = np.nan  # NaN rows are never active
     for _ in range(HYPERSURFACE_NEWTON_CAP):
         active = np.abs(res) > HYPERSURFACE_NEWTON_TOL  # False for a NaN row

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import manifolds as mf
+from . import flow, manifolds as mf
 from .errors import (
     DegenerateBase,
     FiberMismatch,
@@ -24,7 +24,7 @@ from .errors import (
     WrongDimension,
     WrongSpec,
 )
-from .flow import FlowConfig, ScalarField, _flow_batch, rho
+from .flow import FlowConfig, ScalarField, rho
 from .manifolds import PointOnM, StiefelV2, TangentVector, mult_i, mult_j
 from .navigation import CLASSIFY_TOL, slot_signs
 from .paths import PathSpec, sign_flip_path
@@ -122,16 +122,15 @@ def vertical_project_coords(spec: StiefelV2, coords, vec):
     part is vec minus the vertical part."""
     x1, x2 = mf.frame_columns(spec, coords)
     _, y2 = mf.frame_columns(spec, np.asarray(vec, dtype=float))
-    w = (
-        y2
-        - np.sum(y2 * x1, axis=-1, keepdims=True) * x1
-        - np.sum(y2 * x2, axis=-1, keepdims=True) * x2
-    )
+    w = y2 - (np.sum(y2 * x1, axis=-1, keepdims=True) * x1
+              + np.sum(y2 * x2, axis=-1, keepdims=True) * x2)
     return mf.frame_flat(np.zeros_like(w), w)
 
 
 def vertical_gradient_coords(field: ScalarField, coords):
-    """Vertical part of the Riemannian gradient of f, row by row.
+    """Vertical part of the Riemannian gradient of f, row by row: the vertical
+    projection of the Euclidean gradient, since the vertical space lies in the
+    tangent space.
 
     On the entries of a fiber tuple (an (r, ambient_dim) array) this is the
     vertical gradient of the sum function on the fiber product: its vertical
@@ -139,7 +138,7 @@ def vertical_gradient_coords(field: ScalarField, coords):
     criterion 7 checks this against a projection onto an explicit basis.
     """
     spec = _require_frames(field.spec)
-    return vertical_project_coords(spec, coords, field.riemannian_gradient(coords))
+    return vertical_project_coords(spec, coords, field.euclidean_gradient_at(coords))
 
 
 @dataclass(eq=False)
@@ -301,11 +300,20 @@ def random_fiber_tuple(spec: StiefelV2, r: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def vertical_pseudo_gradient_coords(field: ScalarField, coords):
-    """Vertical part of the gradient scaled by 1/rho(|full gradient|)."""
-    grad = field.riemannian_gradient(coords)
-    gn = np.linalg.norm(grad, axis=-1)
-    ver = vertical_project_coords(field.spec, coords, grad)
-    return ver / rho(gn)[..., None]
+    """Vertical part of the gradient scaled by 1/rho(|full gradient|), in one pass
+    over the row views of X and of the Euclidean gradient G.  The vertical space
+    lies in the tangent space, so the vertical part of G is that of its tangent
+    projection; |P_tan G|^2 = |G|^2 - |sym(X^T G)|^2_F, clamped at 0 (rho is 1
+    on [0, 1], so cancellation near 0 does no harm)."""
+    spec, g = field.spec, field.euclidean_gradient_at(coords)
+    x, rows = spec._rows(coords), spec._rows(g)
+    xg = x @ np.swapaxes(rows, -1, -2)  # entry (k, l) is <x_k, g_l>
+    w = rows[..., 1, :] - np.einsum("...k,...km->...m", xg[..., 1], x)
+    s = xg + np.swapaxes(xg, -1, -2)  # 2 sym(X^T G)
+    tan2 = np.einsum("...i,...i->...", g, g) - 0.25 * np.einsum("...ij,...ij->...", s, s)
+    out = np.zeros_like(g)
+    out[..., spec.frame_dim:] = w / np.asarray(rho(np.sqrt(np.maximum(tan2, 0.0))))[..., None]
+    return out
 
 
 def _anchored_project(spec: StiefelV2, coords):
@@ -328,11 +336,13 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     stage is anchored at the first column, so trajectories stay in their
     fiber exactly.  Integrates with the adaptive Dormand-Prince 5(4) driver of
     ``flow_endpoints`` from initial step flow.FIRST_STEP, never moving f against
-    ``direction``; terminates on the vertical gradient norm.
+    ``direction``; terminates on the vertical gradient norm.  Only the endpoints
+    are returned, so steps are held to flow.ENDPOINT_ATOL, not to flow.ATOL.
     """
     _require_frames(field.spec)
-    return _flow_batch(field, direction, vertical_pseudo_gradient_coords, _anchored_project,
-                       _vertical_gradient_norm, starts, cfg or FlowConfig())
+    return flow._flow_batch(field, direction, vertical_pseudo_gradient_coords,
+                            _anchored_project, _vertical_gradient_norm, starts,
+                            cfg or FlowConfig(), atol=flow.ENDPOINT_ATOL)
 
 
 # ---------------------------------------------------------------------------

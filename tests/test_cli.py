@@ -186,7 +186,10 @@ def test_usage_error_exit_code(field, manifold, tmp_path, monkeypatch):
     ("--cluster-tol", "0", "strictly positive"),
     ("--cluster-tol", "nan", "strictly positive"),
     ("--grad-tol", "nan", "strictly positive"),
-], ids=["negative-grad-tol", "zero-cluster-tol", "nan-cluster-tol", "nan-grad-tol"])
+    ("--grad-tol", "inf", "finite"),
+    ("--cluster-tol", "inf", "finite"),
+], ids=["negative-grad-tol", "zero-cluster-tol", "nan-cluster-tol", "nan-grad-tol",
+        "inf-grad-tol", "inf-cluster-tol"])
 def test_invalid_flow_parameters_exit_code(option, value, message, capsys):
     code, out, err = run_cli(capsys, "critfind", "--field", "nav", "--manifold", "sphere:1",
                              "--r", "2", "--seeds", "20", option, value)
@@ -342,3 +345,51 @@ def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, m
                 "InvalidPoint": "navigation tuples need r >= 2 slots",
                 "WrongSpec": "nav field on M^1000000000 has 2000000000 coordinates, above 256",
             }[expected]
+
+
+# Every numeric flag of critfind, pairs, plan and bound, with the argv it is
+# appended to; each is fed every value of BAD_NUMBERS as --flag=VALUE
+NUMERIC_FLAGS = [
+    (NAV, "--r"), (NAV, "--seeds"), (NAV, "--grad-tol"), (NAV, "--cluster-tol"), (NAV, "--seed"),
+    (["pairs", "--sphere", "2", "--seeds", "50"], "--seeds"),
+    (["pairs", "--sphere", "2", "--seeds", "50"], "--seed"),
+    (["pairs", "--seeds", "50"], "--sphere"),
+    (["pairs", "--seeds", "50"], "--ellipsoid"),
+    (["pairs", "--seeds", "50"], "--torus"),
+    (PLAN + ["antipodal.json"], "--tol"),
+    (PLAN + ["antipodal.json", "--format", "csv"], "--samples"),
+    (PLAN + ["antipodal.json"], "--seed"),
+    (["bound", "--unit-tangent", "--m", "1", "--r", "2"], "--m"),
+    (["bound", "--unit-tangent", "--m", "1", "--r", "2"], "--r"),
+    (["bound", "--unit-tangent", "--m", "1", "--r", "2"], "--seed"),
+    (["bound", "--product-spheres", "--k", "2", "--r", "2"], "--k"),
+    (BOUND + ["comps-two-levels.json"], "--lambda-cut"),
+]
+BAD_NUMBERS = ["-1", "0", "nan", "inf", "-inf", "abc", ""]
+# the values among BAD_NUMBERS that a flag accepts
+VALID_NUMBERS = {"--seed": {"0"}, "--lambda-cut": {"-1", "0", "inf", "-inf"}}
+
+
+@pytest.mark.parametrize("argv, flag", NUMERIC_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in NUMERIC_FLAGS])
+def test_numeric_flags_reject_bad_values(argv, flag, tmp_path, monkeypatch, capsys):
+    (tmp_path / "antipodal.json").write_text("[[1, 0], [-1, 0]]")
+    (tmp_path / "comps-two-levels.json").write_text(INPUT_FILES["comps-two-levels.json"])
+    monkeypatch.chdir(tmp_path)
+    for value in BAD_NUMBERS:
+        try:
+            code = main(argv + [f"{flag}={value}"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err, (flag, value)
+        if value in VALID_NUMBERS.get(flag, ()):
+            assert code == 0, (flag, value, captured.err)
+            continue
+        assert captured.out == "", (flag, value)
+        if code == 2:
+            assert captured.err.startswith("usage: lsnav"), (flag, value)
+            assert f"argument {flag}:" in captured.err, (flag, value)
+        else:
+            assert code == 1, (flag, value, captured.err)
+            assert json.loads(captured.err)["error"], (flag, value)

@@ -17,8 +17,17 @@ from lsnav.flow import (
     rho,
     time_one_map,
 )
-from lsnav.manifolds import PointOnM, ProductSpheres, Sphere, project_to_manifold, random_points
+from lsnav.manifolds import (
+    PointOnM,
+    ProductSpheres,
+    Sphere,
+    StiefelV2,
+    mult_i,
+    project_to_manifold,
+    random_points,
+)
 from lsnav.navigation import nav_field
+from lsnav.unit_tangent import f_ut_field, vertical_flow_endpoints
 
 
 def test_rho_branches():
@@ -141,6 +150,41 @@ def test_time_one_map_accepts_a_step_of_one(monkeypatch):
     monkeypatch.setattr(flow, "MAX_TIME", 2.0)
     phi1 = time_one_map(height_field(spec), start)
     assert np.linalg.norm(phi1 - _height_flow_closed_form(start, 1.0)) <= 1e-7
+
+
+def test_endpoint_atol_leaves_trajectory_outputs_alone(monkeypatch):
+    # time_one_map and integrate_flow return trajectories and hold every step to
+    # ATOL; flow_endpoints and the vertical flow return endpoints and take
+    # ENDPOINT_ATOL, at which they still converge to the same tolerances
+    spec = Sphere(2)
+    field = height_field(spec)
+    starts = random_points(spec, 20, np.random.default_rng(11))
+    start = project_to_manifold(spec, [0.3, 0.1, 0.9])
+    frames = StiefelV2(4)
+    ut = f_ut_field(frames)
+    seeds = random_points(frames, 20, np.random.default_rng(12))
+
+    def run():
+        return (time_one_map(field, starts), integrate_flow(field, start),
+                flow_endpoints(field, starts), vertical_flow_endpoints(ut, seeds))
+
+    phi1, trace, ends, vends = run()
+    monkeypatch.setattr(flow, "ENDPOINT_ATOL", 1e-3)
+    phi1_loose, trace_loose, ends_loose, vends_loose = run()
+    assert np.array_equal(phi1_loose, phi1)
+    for name in ("times", "coords", "values", "grad_norms"):
+        assert np.array_equal(getattr(trace_loose, name), getattr(trace, name))
+    # the endpoint flows did take the patched bound
+    assert not np.array_equal(ends_loose[0], ends[0])
+    assert not np.array_equal(vends_loose[0], vends[0])
+    grad_tol = FlowConfig().grad_tol
+    for end, gn, conv in (ends, ends_loose):
+        assert conv.all() and (gn <= grad_tol).all()
+        assert np.linalg.norm(end - [0.0, 0.0, -1.0], axis=1).max() <= 1e-6
+    for end, gn, conv in (vends, vends_loose):
+        assert conv.all() and (gn <= grad_tol).all()
+        assert np.linalg.norm(end[:, 4:] + mult_i(end[:, :4]), axis=1).max() <= 1e-7
+        assert np.array_equal(end[:, :4], seeds[:, :4])
 
 
 def test_integrate_flow_trace_matches_closed_form():
@@ -429,7 +473,7 @@ def test_morse_bott_merge_keeps_disjoint_circles_apart():
 
 def test_flow_config_validation():
     for name in ("grad_tol", "cluster_tol"):
-        for bad in (-1.0, 0.0):
+        for bad in (-1.0, 0.0, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 FlowConfig(**{name: bad})
 

@@ -376,6 +376,8 @@ UNPROJECTABLE = [
     (Ellipsoid((1.0, 2.0, 3.0)), [np.zeros(3)]),
     *[(spec, _non_finite_entries(spec)) for spec in (
         Sphere(2), ProductSpheres((1, 3, 1, 3)), TORUS, Ellipsoid((1.0, 2.0, 3.0)))],
+    # finite, but the constraint value overflows
+    (Ellipsoid((1.0, 2.0, 3.0)), [np.array([1e200, 0.0, 0.0]), np.array([0.0, -1e300, 1e300])]),
 ]
 
 
@@ -384,7 +386,7 @@ UNPROJECTABLE = [
     "zero-block-(1,)", "zero-block-(3, 3, 3)", "zero-block-(1, 3, 1, 3)",
     "stiefel:4-rank-deficient-or-non-finite", "torus-core-circle", "ellipsoid-centre",
     "sphere:2-non-finite", "(1, 3, 1, 3)-non-finite", "torus-non-finite",
-    "ellipsoid-non-finite"])
+    "ellipsoid-non-finite", "ellipsoid-overflow"])
 def test_unprojectable_row_comes_back_nan(spec, bad_rows):
     # one row the kind cannot project costs that row alone: it comes back NaN,
     # and every other row is bitwise what projecting it alone gives
@@ -399,6 +401,25 @@ def test_unprojectable_row_comes_back_nan(spec, bad_rows):
             for i in set(range(4)) - {row}:
                 assert np.array_equal(out[i], mf.project_points(spec, batch[i]))
                 assert mf.constraint_residual(spec, out[i]) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_sphere_blocks_project_rows_whose_squares_overflow():
+    # a finite block above about 1e154 overflows when squared; it is rescaled by
+    # its largest entry instead of coming back NaN, and the other rows are untouched
+    assert np.array_equal(mf.project_points(Sphere(2), [[1e200, 0.0, 0.0]]), [[1.0, 0.0, 0.0]])
+    spec = ProductSpheres((1, 2))
+    batch = np.random.default_rng(9).standard_normal((4, 5))
+    batch[1] = [1e200, -1e200, 3.0, 0.0, 4.0]
+    batch[2] = [0.0, 1e300, 1e-300, 1e308, -1e308]
+    out = mf.project_points(spec, batch)
+    s = np.sqrt(0.5)
+    assert np.allclose(out[1], [s, -s, 0.6, 0.0, 0.8], rtol=0, atol=1e-15)
+    assert np.allclose(out[2], [0.0, 1.0, 0.0, s, -s], rtol=0, atol=1e-15)
+    assert np.array_equal(out[[0, 3]], mf.project_points(spec, batch[[0, 3]]))
+    # a block that is zero, or not finite, still makes its row NaN
+    assert np.isnan(mf.project_points(spec, [[1e200, 0.0, 0.0, 0.0, 0.0]])).all()
+    assert np.isnan(mf.project_points(spec, [[1e200, np.inf, 1.0, 0.0, 0.0]])).all()
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,6 +6,7 @@ from lsnav.errors import (
     NotCriticalFiberTuple,
     WrongDimension,
 )
+from lsnav.flow import ScalarField, rho
 from lsnav.manifolds import (
     TANGENT_TOL,
     PointOnM,
@@ -23,6 +24,8 @@ from lsnav.unit_tangent import (
     base_height_field,
     df_ut,
     f_ut,
+    f_ut_coords,
+    f_ut_euclidean_gradient,
     f_ut_field,
     fiber_fibration,
     random_fiber_tuple,
@@ -32,6 +35,7 @@ from lsnav.unit_tangent import (
     unitary_apply,
     vertical_flow_endpoints,
     vertical_gradient_coords,
+    vertical_pseudo_gradient_coords,
     vertical_project_coords,
     vertical_proportionality_scan,
 )
@@ -257,9 +261,41 @@ def test_sum_function_critical_iff_every_entry_critical():
         assert tuple_critical == entries_critical
 
 
-# Rows of riemannian_gradient that fixed-step RK4 at step 1e-2 evaluated on
-# the flows below (stiefel:4, 50 seeds from rng 16, both directions); the
-# adaptive driver must need at least four times fewer.
+def _scaled_f_ut(spec, scale):
+    return ScalarField(spec, lambda x: scale * f_ut_coords(spec, x),
+                       lambda x: scale * f_ut_euclidean_gradient(spec, x))
+
+
+# |grad f| = sqrt(2 (1 - f^2)) lies in [0, sqrt 2], so f itself has rows on both
+# sides of 1; the scaled fields put rows in (1, 2] and above 2
+@pytest.mark.parametrize("frame_dim", [4, 8])
+@pytest.mark.parametrize("scale, low, high", [
+    (1.0, -1.0, 1.0), (1.4, 1.0, 2.0), (3.0, 2.0, np.inf),
+], ids=["rho-one", "rho-blend", "rho-identity"])
+def test_one_pass_vertical_pseudo_gradient_matches_composed_form(frame_dim, scale, low, high):
+    spec = StiefelV2(frame_dim)
+    field = _scaled_f_ut(spec, scale)
+    pts = random_points(spec, 500, np.random.default_rng(frame_dim))
+    grad = field.riemannian_gradient(pts)
+    gn = np.linalg.norm(grad, axis=-1)
+    rows = (gn > low) & (gn <= high)
+    assert rows.sum() >= 10
+    pts = pts[rows]
+    composed = vertical_project_coords(spec, pts, grad[rows]) / rho(gn[rows])[:, None]
+    got = vertical_pseudo_gradient_coords(field, pts)
+    bound = 1e-14 * (1.0 + np.linalg.norm(field.euclidean_gradient_at(pts), axis=-1))
+    assert (np.abs(got - composed).max(axis=-1) <= bound).all()
+    # a row of a batch is what the row gives alone: bitwise as a batch of one,
+    # and within the bound as a 1-D row, whose products take another matmul path
+    for i in range(0, len(pts), 7):
+        assert np.array_equal(vertical_pseudo_gradient_coords(field, pts[i:i + 1])[0], got[i])
+        assert np.abs(vertical_pseudo_gradient_coords(field, pts[i]) - got[i]).max() <= bound[i]
+
+
+# Rows of the gradient that fixed-step RK4 at step 1e-2 evaluated on the flows
+# below (stiefel:4, 50 seeds from rng 16, both directions); the adaptive driver
+# must need at least four times fewer.  Every evaluation of the vertical field
+# or of its norm evaluates the Euclidean gradient once.
 FIXED_STEP_GRADIENT_ROWS = 962_150
 
 
@@ -271,13 +307,13 @@ def test_vertical_flow_reaches_rotational_sections():
         field = f_ut_field(spec)
         seeds = random_points(spec, 50, np.random.default_rng(16))
         rows = []
-        grad = field.riemannian_gradient
+        grad = field.euclidean_gradient_at
 
         def counted(x):
             rows.append(x.shape[0])
             return grad(x)
 
-        field.riemannian_gradient = counted
+        field.euclidean_gradient_at = counted
         for direction in (-1, +1):
             end, _gn, conv = vertical_flow_endpoints(field, seeds, direction=direction)
             assert conv.all()
