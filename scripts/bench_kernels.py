@@ -7,9 +7,12 @@ the ellipsoid (1,2,3) and the torus of revolution (2, 0.5), and
 sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and the height
 on that torus; the right-hand side of the vertical flow,
 ``unit_tangent.vertical_pseudo_gradient_coords`` of ut-f, at batch sizes 1,
-500 and 5000 on stiefel:4 and stiefel:8; and one descending
+500 and 5000 on stiefel:4 and stiefel:8; one descending
 ``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
-them, for one or more source trees of lsnav in one process:
+them; ``navigation.pair_system_residual`` and ``pair_system_jacobian`` at
+batch sizes 1, 500 and 5000 on the ellipsoid (1,2,3); and one
+``navigation.find_parallel_pairs`` census of that ellipsoid from its default
+10000 seed pairs, for one or more source trees of lsnav in one process:
 
     python3 scripts/bench_kernels.py change=src
     python3 scripts/bench_kernels.py parent=/path/to/parent/src change=src > BENCH_kernels.json
@@ -20,9 +23,10 @@ host speed hits all of them alike.  Every figure is the median and quartiles
 over REPEATS repeats of the time per call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
-Newton median stand the Levenberg-Marquardt iterations and Jacobian rows of
-one call, and next to each vertical-flow median its integrator steps and its
-right-hand-side calls and rows, each counted in an untimed call.
+Newton median and the census median stand the Levenberg-Marquardt iterations
+and Jacobian rows of one call, and next to each vertical-flow median its
+integrator steps and its right-hand-side calls and rows, each counted in an
+untimed call.
 
 Kernel times on a shared host are noisy: treat them as a guide to where the
 time goes, and the benchmark's ``solve_ref`` as the end-to-end evidence.
@@ -48,6 +52,7 @@ NEWTON_PROBLEMS = ("nav sphere:1 r=2", "nav (S^3)^3", "ut-f stiefel:4", "height 
 NEWTON_BATCHES = (1, 500)
 FRAMES = ("stiefel:4", "stiefel:8")
 VERTICAL_FLOW_SEEDS = 50
+PAIR_SURFACE = "ellipsoid(1,2,3)"
 
 
 def load_tree(label: str, src: str):
@@ -111,6 +116,17 @@ def cases(lsnav):
         seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
         out.append(("vertical_flow_endpoints", name, n,
                     lambda f=field, x=seeds: ut.vertical_flow_endpoints(f, x)))
+    nav = lsnav.navigation
+    surf = manifold(lsnav, PAIR_SURFACE)
+    for n in BATCHES:
+        pts = mf.random_points(surf, 2 * n, np.random.default_rng([4, n]))
+        z = np.concatenate([pts[:n], pts[n:]], axis=1)
+        for kernel in ("pair_system_residual", "pair_system_jacobian"):
+            out.append((kernel, PAIR_SURFACE, n,
+                        lambda k=getattr(nav, kernel), z=z: k(surf.field, surf.level, z)))
+    search = nav.PairSearchConfig(rng_seed=0)
+    out.append(("find_parallel_pairs", PAIR_SURFACE, search.n_seeds,
+                lambda: nav.find_parallel_pairs(surf, search)))
     return out
 
 
@@ -205,7 +221,7 @@ def run(trees: dict) -> dict:
                       "calls": calls * REPEATS, "rows": calls * REPEATS * n,
                       "us_per_call_median": round(med, 2),
                       "us_per_call_q1": round(q1, 2), "us_per_call_q3": round(q3, 2)}
-            if kernel == "newton_critical_search":
+            if kernel in ("newton_critical_search", "find_parallel_pairs"):
                 record.update(lm_counts(modules[label], per_tree[label][i][3]))
             if kernel == "vertical_flow_endpoints":
                 record.update(vertical_flow_counts(modules[label], per_tree[label][i][3]))

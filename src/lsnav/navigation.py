@@ -262,6 +262,17 @@ class PairSearchConfig:
     n_seeds: int = 10000
     rng_seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("n_seeds", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            try:
+                ok = mf._integer(value) >= least
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+
 
 @dataclass(frozen=True, eq=False)
 class CriticalPair:
@@ -376,11 +387,28 @@ def pair_system_jacobian(fld, level, z):
 
 
 def _gauss_newton_pairs(fld, level, z0):
+    """Levenberg-Marquardt on the pair system from the seed pairs z0.
+
+    A row evaluated within PAIR_MIN_SEPARATION of the diagonal is retired:
+    its Jacobian is set to NaN, so the solver abandons it with an infinite
+    residual norm (its row-failure rule).  There the unit chord and its
+    1/|x - y| derivative are undefined to working accuracy, and
+    find_parallel_pairs drops such pairs anyway.  A row whose converging
+    trial step lands on the diagonal is never evaluated there, so
+    find_parallel_pairs' separation filter still drops it.
+    """
     from .numerics import levenberg_marquardt
+
+    n = fld.ambient_dim
+
+    def jacobian(z):
+        jac = pair_system_jacobian(fld, level, z)
+        jac[np.linalg.norm(z[:, :n] - z[:, n:], axis=-1) < PAIR_MIN_SEPARATION] = np.nan
+        return jac
 
     return levenberg_marquardt(
         lambda z: pair_system_residual(fld, level, z),
-        lambda z: pair_system_jacobian(fld, level, z),
+        jacobian,
         z0,
         tol=PAIR_RESIDUAL_TOL,
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lsnav import manifolds as mf
+from lsnav import navigation
 from lsnav.errors import InvalidEnvironment, NotCriticalTuple, WrongSpec
 from lsnav.manifolds import (
     Ellipsoid,
@@ -16,11 +17,15 @@ from lsnav.manifolds import (
     random_points,
 )
 from lsnav.constraints import torus_of_revolution_field
+from lsnav.numerics import LM_MAX_ITER, levenberg_marquardt
 from lsnav.navigation import (
+    PAIR_MIN_SEPARATION,
+    PAIR_RESIDUAL_TOL,
     NavTuple,
     PairSearchConfig,
     SignPattern,
     _dedup_pairs,
+    _gauss_newton_pairs,
     _worker_count,
     classify_sphere_critical,
     critical_tuple,
@@ -341,6 +346,82 @@ def test_pair_system_residual_matches_reference_loop(name):
     assert got.flags.c_contiguous
     # a single point gives the same row
     assert np.array_equal(pair_system_residual(surf.field, surf.level, z[0]), got[0])
+
+
+# the census' surfaces: S^2 is searched as the unit ellipsoid
+CENSUS_SURFACES = {
+    "ellipsoid-3d": Ellipsoid((1.0, 2.0, 3.0)),
+    "ellipsoid-4d": Ellipsoid((1.0, 1.5, 2.0, 3.0)),
+    "sphere-2": Ellipsoid((1.0, 1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+@pytest.mark.parametrize("name", sorted(CENSUS_SURFACES))
+def test_diagonal_retirement_keeps_converged_rows(name, seed):
+    # retiring rows that reach the diagonal changes no row that converges:
+    # the plain solver on the unmodified Jacobian converges the same rows to
+    # the same bits
+    surf = CENSUS_SURFACES[name]
+    fld, level = surf.field, surf.level
+    z0 = _pair_starts(surf, 1000, seed)
+    z, rn = _gauss_newton_pairs(fld, level, z0)
+    want_z, want_rn = levenberg_marquardt(
+        lambda w: pair_system_residual(fld, level, w),
+        lambda w: pair_system_jacobian(fld, level, w),
+        z0, tol=PAIR_RESIDUAL_TOL)
+    good = rn <= PAIR_RESIDUAL_TOL
+    assert np.array_equal(good, want_rn <= PAIR_RESIDUAL_TOL)
+    assert np.array_equal(z[good], want_z[good])
+    assert np.array_equal(rn[good], want_rn[good])
+    # a retired row stops where it was evaluated too close to the diagonal
+    n = surf.ambient_dim
+    retired = np.isinf(rn)
+    assert np.all(np.linalg.norm(z[retired, :n] - z[retired, n:], axis=1) < PAIR_MIN_SEPARATION)
+
+
+def test_diagonal_sliders_stop_before_the_iteration_cap(monkeypatch):
+    # on the ellipsoid about one seed pair in eight slides onto the diagonal;
+    # without retirement those rows keep the solver running to LM_MAX_ITER
+    calls = []
+    jacobian = navigation.pair_system_jacobian
+
+    def counted(fld, level, z):
+        calls.append(len(z))
+        return jacobian(fld, level, z)
+
+    monkeypatch.setattr(navigation, "pair_system_jacobian", counted)
+    surf = CENSUS_SURFACES["ellipsoid-3d"]
+    z0 = _pair_starts(surf, 1000, seed=0)
+    _, rn = _gauss_newton_pairs(surf.field, surf.level, z0)
+    assert np.isinf(rn).sum() >= 50
+    assert len(calls) < LM_MAX_ITER
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_seeds": 0}, "n_seeds must be an integer >= 1, got 0"),
+    ({"n_seeds": -3}, "n_seeds must be an integer >= 1, got -3"),
+    ({"n_seeds": 2.5}, "n_seeds must be an integer >= 1, got 2.5"),
+    ({"n_seeds": float("inf")}, "n_seeds must be an integer >= 1, got inf"),
+    ({"n_seeds": "10"}, "n_seeds must be an integer >= 1, got '10'"),
+    ({"n_seeds": True}, "n_seeds must be an integer >= 1, got True"),
+    ({"rng_seed": -1}, "rng_seed must be an integer >= 0, got -1"),
+    ({"rng_seed": 1.5}, "rng_seed must be an integer >= 0, got 1.5"),
+    ({"rng_seed": None}, "rng_seed must be an integer >= 0, got None"),
+], ids=["seeds-zero", "seeds-negative", "seeds-fractional", "seeds-inf", "seeds-text",
+        "seeds-bool", "rng-negative", "rng-fractional", "rng-none"])
+def test_pair_search_config_rejects_invalid_values(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PairSearchConfig(**kwargs)
+
+
+def test_pair_search_config_takes_integral_values_as_ints():
+    # the integer rule of the manifold specs: numpy integers and integral floats
+    cfg = PairSearchConfig(n_seeds=np.int64(1), rng_seed=np.uint32(2**32 - 1))
+    assert (cfg.n_seeds, cfg.rng_seed) == (1, 2**32 - 1)
+    cfg = PairSearchConfig(n_seeds=10.0, rng_seed=0)
+    assert (type(cfg.n_seeds), type(cfg.rng_seed)) == (int, int)
+    assert (cfg.n_seeds, cfg.rng_seed) == (10, 0)
 
 
 def _reference_dedup(x, y, tol, cap):

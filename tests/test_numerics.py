@@ -56,6 +56,31 @@ def test_lm_abandons_non_finite_rows():
     assert 5.0 < z[1, 0] < 8.0
 
 
+def test_lm_abandoned_row_leaves_the_other_rows_unchanged():
+    # the other rows of a batch take the same steps, bit for bit, whether or
+    # not a row in it is abandoned part-way
+    def residual(z):
+        return np.sum(z * z, axis=-1, keepdims=True) - 1.0
+
+    def jacobian(z):
+        jac = 2.0 * z[:, None, :]
+        r = np.linalg.norm(z, axis=-1)
+        jac[(r > 5.0) & (r < 12.0)] = np.nan
+        return jac
+
+    z0 = np.random.default_rng(3).uniform(-2.0, 2.0, size=(40, 2))
+    victim = 17
+    z0[victim] = 10.0  # |z| = 14.1: a few capped steps, then its Jacobian turns NaN
+    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-12, max_iter=60)
+    assert np.isinf(rn[victim])
+    assert 5.0 < np.linalg.norm(z[victim]) < 12.0
+    others = np.arange(len(z0)) != victim
+    want_z, want_rn = levenberg_marquardt(residual, jacobian, z0[others], tol=1e-12, max_iter=60)
+    assert (want_rn <= 1e-12).all()
+    assert np.array_equal(z[others], want_z)
+    assert np.array_equal(rn[others], want_rn)
+
+
 def test_lm_matches_lstsq_on_linear_problems():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(7, 3))
