@@ -37,8 +37,8 @@ class ComponentComplexity:
 class BoundInput:
     """Critical components with per-component subspace complexities.
 
-    mode is one of 'plain' (explicit component list), 'product-sum' /
-    'fiber-signs' (components obtained by summing one value per slot).
+    mode is one of 'plain' (explicit component list) or 'fiber-signs'
+    (components obtained by summing one sign per slot).
     """
 
     mode: str
@@ -53,25 +53,15 @@ class BoundInput:
         return cls("plain", comps)
 
     @classmethod
-    def product_sum(cls, slot_values, complexity: int = 1,
-                    mode: str = "product-sum") -> "BoundInput":
-        """Expand per-slot value lists into sum components, all with the same
-        complexity assignment."""
-        comps = []
-        for combo in product(*slot_values):
-            comps.append(
-                ComponentComplexity(
-                    value=float(sum(combo)),
-                    complexity=complexity,
-                    label="(" + ",".join(f"{v:g}" for v in combo) + ")",
-                )
-            )
-        return cls(mode, tuple(comps))
-
-    @classmethod
     def fiber_signs(cls, r: int, complexity: int = 1) -> "BoundInput":
-        """Sign tuples (+-1)^r combined by summation."""
-        return cls.product_sum([(-1.0, 1.0)] * r, complexity, mode="fiber-signs")
+        """Sign tuples (+-1)^r combined by summation, all with the same
+        complexity assignment."""
+        comps = tuple(
+            ComponentComplexity(value=float(sum(combo)), complexity=complexity,
+                                label="(" + ",".join(f"{v:g}" for v in combo) + ")")
+            for combo in product((-1.0, 1.0), repeat=r)
+        )
+        return cls("fiber-signs", comps)
 
     def to_json(self) -> dict:
         return {

@@ -393,24 +393,18 @@ def _split_by_gaps(sorted_vals, gap):
     return np.split(np.arange(len(sorted_vals)), cuts + 1)
 
 
-def _distance_clusters(points, threshold):
-    """Single-linkage clusters of rows of points at the given threshold."""
-    n = points.shape[0]
-    labels = -np.ones(n, dtype=int)
-    current = 0
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = current
-        while stack:
-            j = stack.pop()
-            dist = np.linalg.norm(points - points[j], axis=-1)
-            near = np.flatnonzero((dist <= threshold) & (labels < 0))
-            labels[near] = current
-            stack.extend(near.tolist())
-        current += 1
-    return labels
+def _single_linkage(dist, threshold):
+    """Single-linkage labels from a pairwise distance matrix, numbered by each
+    cluster's first row: every row takes the least label within threshold
+    (its own included), then that label's label, until nothing changes."""
+    near = dist <= threshold
+    labels = np.arange(len(dist))
+    while True:
+        new = np.where(near, labels, labels[:, None]).min(axis=1)
+        new = new[new]
+        if (new == labels).all():
+            return np.unique(labels, return_inverse=True)[1]
+        labels = new
 
 
 def _tangent_kernel(field, coords):
@@ -467,9 +461,10 @@ def _follow_kernel(field, pts, starts, targets, others, cfg):
     return hit
 
 
-def _morse_bott_merge(field, pts, labels, cfg):
+def _morse_bott_merge(field, pts, labels, dist, cfg):
     """Merge the single-linkage clusters (labels over rows of pts, all at one
-    value) that are connected through the critical set.
+    value, with pairwise distances dist) that are connected through the
+    critical set.
 
     A cluster whose Hessian kernel is trivial at its first point is an isolated
     critical point and stays alone.  Otherwise every component walks, by
@@ -485,7 +480,6 @@ def _morse_bott_merge(field, pts, labels, cfg):
     walkable = np.trace(_tangent_kernel(field, pts[first]), axis1=-2, axis2=-1) > 0.5
     tried = ~np.outer(walkable, walkable)
     root = np.arange(k)
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     while True:
         comp = root[labels]
         open_ = (comp[:, None] != comp[None, :]) & ~tried[labels[:, None], labels[None, :]]
@@ -535,7 +529,9 @@ def _cluster_endpoints(field, endpoints, cfg):
                 sel = labels == lab
                 components.append((float(np.mean(vals[sel])), pts[sel], str(lab)))
         else:
-            cl = _morse_bott_merge(field, pts, _distance_clusters(pts, POINT_MERGE_DIST), cfg)
+            dist = np.array([np.linalg.norm(pts - p, axis=-1) for p in pts])
+            cl = _single_linkage(dist, POINT_MERGE_DIST)
+            cl = _morse_bott_merge(field, pts, cl, dist, cfg)
             for c in range(cl.max() + 1):
                 sel = cl == c
                 components.append((float(np.mean(vals[sel])), pts[sel], "unclassified"))
@@ -663,9 +659,8 @@ def descent_diagnostic(field: ScalarField, samples, cfg: FlowConfig = None) -> D
 # Simple built-in fields
 # ---------------------------------------------------------------------------
 
-def height_field(spec) -> ScalarField:
-    """Coordinate height function f(x) = x[-1], the last ambient coordinate."""
-    axis = spec.ambient_dim - 1
+def _coordinate_height(spec, axis: int, name: str) -> ScalarField:
+    """f(x) = x[axis], named ``name(axis=axis)``: gradient e_axis, Hessian 0."""
 
     def value(x):
         return np.asarray(x, dtype=float)[..., axis]
@@ -676,5 +671,10 @@ def height_field(spec) -> ScalarField:
         g[..., axis] = 1.0
         return g
 
-    return ScalarField(spec, value, grad, name=f"height(axis={axis})",
+    return ScalarField(spec, value, grad, name=f"{name}(axis={axis})",
                        euclidean_hessian=lambda x: np.zeros((spec.ambient_dim,) * 2))
+
+
+def height_field(spec) -> ScalarField:
+    """Coordinate height function f(x) = x[-1], the last ambient coordinate."""
+    return _coordinate_height(spec, spec.ambient_dim - 1, "height")

@@ -65,10 +65,6 @@ class NavTuple:
     def r(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.points.reshape(-1)
-
     @classmethod
     def from_flat(cls, spec, r: int, flat) -> "NavTuple":
         flat = np.asarray(flat, dtype=float).reshape(r, -1)

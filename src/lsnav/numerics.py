@@ -10,16 +10,16 @@ LM_STEP_CAP = 0.5    # largest step norm
 LM_MAX_ITER = 80     # iterations per row
 
 
-def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int = LM_MAX_ITER,
-                        retract=None):
+def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
     """Damped least-squares iteration on a batch of starting points.
 
     residual(z) -> (n, m), jacobian(z) -> (n, m, d) with z of shape (n, d).
-    Solves (J^T J + lam I) delta = -J^T r per row; accepted steps shrink the
-    damping, rejected ones grow it.  Steps are capped at LM_STEP_CAP in norm,
-    which keeps iterates from tunneling between basins when the Jacobian is
-    rank-deficient (flat valleys, solution continua).  An optional ``retract``
-    maps trial points back onto a constraint set after each step.  Rows whose
+    Solves (J^T J + lam I) delta = -J^T r per row for at most LM_MAX_ITER
+    iterations; accepted steps shrink the damping, rejected ones grow it.
+    Steps are capped at LM_STEP_CAP in norm, which keeps iterates from
+    tunneling between basins when the Jacobian is rank-deficient (flat
+    valleys, solution continua).  An optional ``retract`` maps trial points
+    back onto a constraint set after each step.  Rows whose
     residual is not finite at the start, or whose Jacobian stops being
     finite, are abandoned and report an infinite residual norm; a trial point
     with a non-finite residual is rejected like any other worse point.
@@ -38,7 +38,7 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, max_iter: int = L
     dead = ~np.isfinite(rn)
     rn[dead] = np.inf
     lam = np.full(n, LM_LAM0)
-    for _ in range(max_iter):
+    for _ in range(LM_MAX_ITER):
         active = (rn > tol) & ~dead
         if not active.any():
             break

@@ -131,8 +131,7 @@ class SampledSegment:
 
 
 def _num(a):
-    return [float(v) for v in np.asarray(a).reshape(-1)] if np.asarray(a).ndim == 1 \
-        else [float(v) for v in a]
+    return [float(v) for v in a]
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +327,7 @@ class DeformationHandle:
     end_at_diagonal: bool = False
 
     def component(self, j: int, a: NavTuple, t: float) -> np.ndarray:
-        # clamp away roundoff at formula-piece boundaries
-        return self.map(a, float(np.clip(t, 0.0, 1.0))).points[j]
+        return self.map(a, float(t)).points[j]
 
     def check_at(self, a: NavTuple, tol: float = 1e-9):
         start = self.map(a, 0.0).points
@@ -343,10 +341,14 @@ class DeformationHandle:
                 )
 
 
-def _sampled_piece(t0, t1, fn):
-    ts = np.linspace(t0, t1, KNOTS_PER_PIECE)
-    vals = np.array([fn(tt) for tt in ts])
-    return SampledSegment(ts, vals)
+def _legs(r, pieces):
+    """Sampled segments through r slots: leg j (1 <= j <= r-1) covers
+    [(j-1)/(r-1), j/(r-1)] in len(pieces) equal parts, and part k takes
+    the values pieces[k](j, s) at KNOTS_PER_PIECE local times s in [0, 1]."""
+    s = np.linspace(0.0, 1.0, KNOTS_PER_PIECE)
+    return tuple(SampledSegment((j - 1 + (k + s) / len(pieces)) / (r - 1),
+                                np.array([fn(j, sk) for sk in s]))
+                 for j in range(1, r) for k, fn in enumerate(pieces))
 
 
 def deformation_to_section(h: DeformationHandle, a: NavTuple, r: int) -> PathSpec:
@@ -362,16 +364,8 @@ def deformation_to_section(h: DeformationHandle, a: NavTuple, r: int) -> PathSpe
     if not h.end_at_diagonal:
         raise NotEndingAtDiagonal("conversion requires a diagonal-ending deformation")
     h.check_at(a)
-    segments = []
-    for j in range(1, r):
-        lo = (j - 1) / (r - 1)
-        mid = (j - 0.5) / (r - 1)
-        hi = j / (r - 1)
-        segments.append(_sampled_piece(
-            lo, mid, lambda tt, j=j: h.component(j - 1, a, 2.0 * ((r - 1) * tt - j + 1))))
-        segments.append(_sampled_piece(
-            mid, hi, lambda tt, j=j: h.component(j, a, 2.0 * (j - (r - 1) * tt))))
-    return PathSpec(tuple(segments), a.spec)
+    return PathSpec(_legs(r, (lambda j, s: h.component(j - 1, a, s),
+                              lambda j, s: h.component(j, a, 1.0 - s))), a.spec)
 
 
 def compose_section_through_deformation(phi: DeformationHandle, s_target,
@@ -392,21 +386,6 @@ def compose_section_through_deformation(phi: DeformationHandle, s_target,
         raise TargetDomainMiss(
             f"target section undefined on the deformed tuple: {exc}"
         ) from exc
-    segments = []
-    for j in range(1, r):
-        lo = (j - 1) / (r - 1)
-        a1 = (j - 2.0 / 3.0) / (r - 1)
-        a2 = (j - 1.0 / 3.0) / (r - 1)
-        hi = j / (r - 1)
-        segments.append(_sampled_piece(
-            lo, a1, lambda tt, j=j: phi.component(j - 1, x, 3.0 * (r - 1) * tt - 3 * j + 3)))
-        seg_lo, seg_hi = (j - 1) / (r - 1), j / (r - 1)
-        segments.append(_sampled_piece(
-            a1, a2,
-            lambda tt, j=j, lo_=seg_lo, hi_=seg_hi: eval_path(
-                target_path,
-                float(np.clip(3.0 * tt + (1.0 - 2.0 * j) / (r - 1), lo_, hi_)),
-            )))
-        segments.append(_sampled_piece(
-            a2, hi, lambda tt, j=j: phi.component(j, x, 3.0 * j - 3.0 * (r - 1) * tt)))
-    return PathSpec(tuple(segments), x.spec)
+    return PathSpec(_legs(r, (lambda j, s: phi.component(j - 1, x, s),
+                              lambda j, s: eval_path(target_path, (j - 1 + s) / (r - 1)),
+                              lambda j, s: phi.component(j, x, 1.0 - s))), x.spec)

@@ -62,9 +62,7 @@ def df_ut(p: PointOnM, y: TangentVector) -> float:
     spec = _require_frames(p.spec)
     if y.base is not p and np.linalg.norm(y.base.coords - p.coords) > 1e-12:
         raise NotTangent("tangent vector is based at a different point")
-    x1, x2 = mf.frame_columns(spec, p.coords)
-    y1, y2 = mf.frame_columns(spec, y.vec)
-    return float(np.dot(mult_i(y1), x2) + np.dot(mult_i(x1), y2))
+    return float(np.dot(f_ut_euclidean_gradient(spec, p.coords), y.vec))
 
 
 def sign_classifier(spec: StiefelV2):
@@ -97,19 +95,7 @@ def base_height_field(spec: StiefelV2) -> ScalarField:
     """f(X) = <x1, e_0>: depends on the base only, so its vertical gradient
     vanishes identically.  The standard counterexample to vertical
     proportionality."""
-    _require_frames(spec)
-
-    def value(x):
-        x1, _ = mf.frame_columns(spec, x)
-        return x1[..., 0]
-
-    def grad(x):
-        g = np.zeros_like(np.asarray(x, dtype=float))
-        g[..., 0] = 1.0
-        return g
-
-    return ScalarField(spec, value, grad, name="base-height(axis=0)",
-                       euclidean_hessian=lambda x: np.zeros((spec.ambient_dim,) * 2))
+    return flow._coordinate_height(_require_frames(spec), 0, "base-height")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,13 @@ def test_ls_upper_bound_examples():
     assert res.breakdown == ((0.0, 1), (4.0, 2), (8.0, 3))
 
 
+def test_fiber_signs_sums_one_sign_per_slot():
+    inp = BoundInput.fiber_signs(2)
+    assert inp.mode == "fiber-signs"
+    assert [(c.value, c.complexity, c.label) for c in inp.components] == [
+        (-2.0, 1, "(-1,-1)"), (0.0, 1, "(-1,1)"), (0.0, 1, "(1,-1)"), (2.0, 1, "(1,1)")]
+
+
 def test_ls_upper_bound_lambda_cut_monotone():
     inp = BoundInput.plain([(0.0, 1), (4.0, 2), (8.0, 3)])
     bounds = [ls_upper_bound(inp, lambda_cut=c).bound for c in [-1.0, 0.0, 4.0, 8.0, math.inf]]

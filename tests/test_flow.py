@@ -471,6 +471,48 @@ def test_morse_bott_merge_keeps_disjoint_circles_apart():
         assert radii == [1.5, 2.0, 2.0, 2.5]
 
 
+def _bfs_clusters(points, threshold):
+    """Reference single linkage: a breadth-first search from each unlabelled
+    point in row order, so clusters are numbered by their first row."""
+    labels = -np.ones(len(points), dtype=int)
+    current = 0
+    for i in range(len(points)):
+        if labels[i] >= 0:
+            continue
+        stack = [i]
+        labels[i] = current
+        while stack:
+            j = stack.pop()
+            near = np.flatnonzero((np.linalg.norm(points - points[j], axis=-1) <= threshold)
+                                  & (labels < 0))
+            labels[near] = current
+            stack.extend(near.tolist())
+        current += 1
+    return labels
+
+
+def _point_sets():
+    rng = np.random.default_rng(5)
+    for n, d in ((40, 2), (120, 3), (300, 4)):
+        yield rng.uniform(-1.0, 1.0, size=(n, d))
+    # chains along circles in shuffled row order, with uneven spacing, so that
+    # a threshold near the mean spacing cuts a chain into arcs
+    for n in (12, 75, 200):
+        angles = (rng.permutation(n) + rng.uniform(-0.3, 0.3, n)) * 2.0 * np.pi / n
+        yield np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    # a sparse integer grid: at threshold 1 neighbours sit exactly at the threshold
+    yield rng.permutation(np.argwhere(rng.random((8, 8)) < 0.6)).astype(float)
+    yield np.zeros((1, 3))
+
+
+@pytest.mark.parametrize("threshold", [0.035, 0.05, 0.1, 0.2, 0.5, 1.0])
+def test_single_linkage_matches_breadth_first_search(threshold):
+    for pts in _point_sets():
+        dist = np.array([np.linalg.norm(pts - p, axis=-1) for p in pts])
+        assert np.array_equal(flow._single_linkage(dist, threshold),
+                              _bfs_clusters(pts, threshold))
+
+
 def test_flow_config_validation():
     for name in ("grad_tol", "cluster_tol"):
         for bad in (-1.0, 0.0, np.inf, -np.inf):

@@ -1,5 +1,6 @@
 import numpy as np
 
+from lsnav import numerics
 from lsnav.numerics import levenberg_marquardt
 
 
@@ -14,7 +15,8 @@ def _linear(a, b):
     return residual, jacobian
 
 
-def test_lm_evaluates_each_point_once():
+def test_lm_evaluates_each_point_once(monkeypatch):
+    monkeypatch.setattr(numerics, "LM_MAX_ITER", 60)
     # the residual is evaluated at the starts and at trial points only: an
     # accepted trial keeps the residual it was judged by
     seen = []
@@ -28,7 +30,7 @@ def test_lm_evaluates_each_point_once():
         return 2.0 * z[:, None, :]
 
     z0 = np.random.default_rng(0).uniform(-2.0, 2.0, size=(40, 2))
-    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-12, max_iter=60)
+    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-12)
     assert (rn <= 1e-12).all()
     assert np.array_equal(seen[0], z0)
     rows = np.concatenate(seen)
@@ -37,7 +39,8 @@ def test_lm_evaluates_each_point_once():
     assert np.array_equal(np.linalg.norm(residual(z), axis=-1), rn)
 
 
-def test_lm_abandons_non_finite_rows():
+def test_lm_abandons_non_finite_rows(monkeypatch):
+    monkeypatch.setattr(numerics, "LM_MAX_ITER", 100)
     rng = np.random.default_rng(1)
     a = rng.normal(size=(4, 2))
     residual, linear_jacobian = _linear(a, a @ np.array([0.3, -0.2]))
@@ -50,13 +53,14 @@ def test_lm_abandons_non_finite_rows():
     z0 = rng.uniform(-1.0, 1.0, size=(6, 2))
     z0[0, 0] = np.nan  # residual not finite at the start
     z0[1] = 10.0  # on its way to the solution, row 1 crosses the band 5 < x < 8
-    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-10, max_iter=100)
+    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-10)
     assert np.isinf(rn[:2]).all()
     assert (rn[2:] <= 1e-10).all()
     assert 5.0 < z[1, 0] < 8.0
 
 
-def test_lm_abandoned_row_leaves_the_other_rows_unchanged():
+def test_lm_abandoned_row_leaves_the_other_rows_unchanged(monkeypatch):
+    monkeypatch.setattr(numerics, "LM_MAX_ITER", 60)
     # the other rows of a batch take the same steps, bit for bit, whether or
     # not a row in it is abandoned part-way
     def residual(z):
@@ -71,28 +75,29 @@ def test_lm_abandoned_row_leaves_the_other_rows_unchanged():
     z0 = np.random.default_rng(3).uniform(-2.0, 2.0, size=(40, 2))
     victim = 17
     z0[victim] = 10.0  # |z| = 14.1: a few capped steps, then its Jacobian turns NaN
-    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-12, max_iter=60)
+    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-12)
     assert np.isinf(rn[victim])
     assert 5.0 < np.linalg.norm(z[victim]) < 12.0
     others = np.arange(len(z0)) != victim
-    want_z, want_rn = levenberg_marquardt(residual, jacobian, z0[others], tol=1e-12, max_iter=60)
+    want_z, want_rn = levenberg_marquardt(residual, jacobian, z0[others], tol=1e-12)
     assert (want_rn <= 1e-12).all()
     assert np.array_equal(z[others], want_z)
     assert np.array_equal(rn[others], want_rn)
 
 
-def test_lm_matches_lstsq_on_linear_problems():
+def test_lm_matches_lstsq_on_linear_problems(monkeypatch):
+    monkeypatch.setattr(numerics, "LM_MAX_ITER", 200)
     rng = np.random.default_rng(2)
     a = rng.normal(size=(7, 3))
     z0 = rng.uniform(-3.0, 3.0, size=(30, 3))
     # consistent: the least-squares solution has a zero residual
     b = a @ np.array([0.4, -1.2, 2.0])
     want, *_ = np.linalg.lstsq(a, b, rcond=None)
-    z, rn = levenberg_marquardt(*_linear(a, b), z0, tol=1e-13, max_iter=200)
+    z, rn = levenberg_marquardt(*_linear(a, b), z0, tol=1e-13)
     assert np.max(np.abs(z - want)) <= 1e-10
     # inconsistent: LM stops at the least-squares residual norm
     b = rng.normal(size=7)
     want, *_ = np.linalg.lstsq(a, b, rcond=None)
     best = np.linalg.norm(a @ want - b)
-    z, rn = levenberg_marquardt(*_linear(a, b), z0, tol=1e-13, max_iter=200)
+    z, rn = levenberg_marquardt(*_linear(a, b), z0, tol=1e-13)
     assert np.max(np.abs(rn - best)) <= 1e-10 * best

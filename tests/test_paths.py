@@ -282,6 +282,32 @@ def test_compose_rotation_on_circle_pairs():
     assert comp.constraint_residual(256) <= 1e-9
 
 
+def _converted(kind, r):
+    """A tuple of r points in the plane and its section from one conversion,
+    with the number of pieces in each leg."""
+    spec = Euclidean(2)
+    h = _line_to_diagonal(spec)
+    a = NavTuple(spec, np.random.default_rng(r).normal(size=(r, 2)))
+    if kind == "deformation":
+        return a, deformation_to_section(h, a, r), 2
+    shift = np.array([0.7, -0.4])
+    phi = DeformationHandle(map=lambda t, s: NavTuple(spec, t.points + s * shift))
+    target = lambda tup: deformation_to_section(h, tup, r)
+    return a, compose_section_through_deformation(phi, target, a, r), 3
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["deformation", "compose"])
+def test_conversion_legs_split_evenly_and_hit_the_slots(kind, r):
+    a, sec, m = _converted(kind, r)
+    assert len(sec.segments) == (r - 1) * m
+    for i, seg in enumerate(sec.segments):
+        j, k = i // m + 1, i % m
+        assert abs(seg.t0 - (j - 1 + k / m) / (r - 1)) <= 1e-15
+        assert abs(seg.t1 - (j - 1 + (k + 1) / m) / (r - 1)) <= 1e-15
+    assert np.max(np.abs(path_fibration(sec, r).points - a.points)) <= 1e-12
+
+
 def test_compose_target_domain_miss():
     spec = Sphere(1)
     phi = DeformationHandle(map=lambda a, s: a)

@@ -5,11 +5,13 @@ from lsnav.errors import (
     FiberMismatch,
     NotCriticalFiberTuple,
     WrongDimension,
+    WrongSpec,
 )
 from lsnav.flow import ScalarField, rho
 from lsnav.manifolds import (
     TANGENT_TOL,
     PointOnM,
+    Sphere,
     StiefelV2,
     frame_columns,
     frame_flat,
@@ -186,6 +188,19 @@ def test_proportionality_scan_base_only_counterexample():
     report = vertical_proportionality_scan(field, random_points(SPEC, 1000, rng))
     assert not report.singular_consistency
     assert report.n_inconsistent > 0
+
+
+def test_base_height_is_the_first_coordinate():
+    field = base_height_field(SPEC)
+    assert field.name == "base-height(axis=0)"
+    x = random_points(SPEC, 5, np.random.default_rng(14))
+    assert np.array_equal(field.value_at(x), x[:, 0])
+    e0 = np.zeros(SPEC.ambient_dim)
+    e0[0] = 1.0
+    assert np.array_equal(field.euclidean_gradient_at(x), np.tile(e0, (5, 1)))
+    assert not field.euclidean_hessian_at(x).any()
+    with pytest.raises(WrongSpec):
+        base_height_field(Sphere(3))
 
 
 def test_fiber_tuple_validation():
