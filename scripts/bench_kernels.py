@@ -26,7 +26,10 @@ Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median and the census median stand the Levenberg-Marquardt iterations
 and Jacobian rows of one call, and next to each vertical-flow median its
 integrator steps and its right-hand-side calls and rows, each counted in an
-untimed call.
+untimed call.  ``flow._cluster_endpoints``, the clustering that labels
+converged points, is timed at batch sizes 1, 500 and 5000 on critical points
+of two classified fields: the nav field of S^3 (r=3), tuples (x, +-x, +-x) on
+(S^3)^3, and ut-f on stiefel:4, frames (x, +-ix).
 
 Kernel times on a shared host are noisy: treat them as a guide to where the
 time goes, and the benchmark's ``solve_ref`` as the end-to-end evidence.
@@ -51,6 +54,7 @@ MIN_REPEAT_S = 0.01  # calls per repeat are chosen so that one repeat takes at l
 NEWTON_PROBLEMS = ("nav sphere:1 r=2", "nav (S^3)^3", "ut-f stiefel:4", "height torus(2,0.5)")
 NEWTON_BATCHES = (1, 500)
 FRAMES = ("stiefel:4", "stiefel:8")
+CLUSTER_PROBLEMS = ("nav (S^3)^3", "ut-f stiefel:4")
 VERTICAL_FLOW_SEEDS = 50
 PAIR_SURFACE = "ellipsoid(1,2,3)"
 
@@ -116,6 +120,13 @@ def cases(lsnav):
         seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
         out.append(("vertical_flow_endpoints", name, n,
                     lambda f=field, x=seeds: ut.vertical_flow_endpoints(f, x)))
+    for name in CLUSTER_PROBLEMS:
+        field = newton_field(lsnav, name)
+        for n in BATCHES:
+            pts = critical_points(lsnav, name, n, np.random.default_rng([5, n]))
+            out.append(("_cluster_endpoints", name, n,
+                        lambda f=field, x=pts: lsnav.flow._cluster_endpoints(
+                            f, x, lsnav.flow.FlowConfig())))
     nav = lsnav.navigation
     surf = manifold(lsnav, PAIR_SURFACE)
     for n in BATCHES:
@@ -137,6 +148,17 @@ def newton_field(lsnav, name: str):
     return {"nav sphere:1 r=2": lambda: lsnav.navigation.nav_field(mf.Sphere(1), 2),
             "nav (S^3)^3": lambda: lsnav.navigation.nav_field(mf.Sphere(3), 3),
             "ut-f stiefel:4": lambda: lsnav.unit_tangent.f_ut_field(mf.StiefelV2(4))}[name]()
+
+
+def critical_points(lsnav, name: str, n: int, rng):
+    """n critical points with random signs over random base points of S^3: nav
+    tuples (x, +-x, +-x) of (S^3)^3, or ut-f frames (x, +-ix) of stiefel:4."""
+    mf = lsnav.manifolds
+    x = mf.random_points(mf.Sphere(3), n, rng)
+    if name == "ut-f stiefel:4":
+        return mf.frame_flat(x, rng.choice([-1.0, 1.0], size=(n, 1)) * mf.mult_i(x))
+    signs = np.concatenate([np.ones((n, 1)), rng.choice([-1.0, 1.0], size=(n, 2))], axis=1)
+    return (signs[:, :, None] * x[:, None, :]).reshape(n, -1)
 
 
 def lm_counts(lsnav, call) -> dict:

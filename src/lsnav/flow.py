@@ -75,14 +75,16 @@ class ScalarField:
     central finite differences of ``value`` with step FD_SCALE * (1 + |x|) are
     used; when no Hessian is given, central differences of the gradient with
     step FD_HESSIAN_SCALE * (1 + |x|).
-    ``classifier`` optionally maps a critical point to a structural label.
+    ``classifier`` optionally labels critical points in batches: (n, ambient_dim)
+    in, n labels out, None for a row it cannot classify; clustering calls it once
+    per value group, and an LsnavError from it leaves the group unclassified.
     """
 
     spec: mf.ManifoldSpec
     value: Callable[[np.ndarray], np.ndarray]
     euclidean_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
-    classifier: Optional[Callable[[np.ndarray], Optional[str]]] = None
+    classifier: Optional[Callable[[np.ndarray], np.ndarray]] = None
     euclidean_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def value_at(self, coords):
@@ -505,9 +507,9 @@ def _morse_bott_merge(field, pts, labels, dist, cfg):
 
 def _cluster_endpoints(field, endpoints, cfg):
     """Group converged points into components: by value, with gaps larger than
-    10 * cluster_tol, then by the field's structural classifier, or, when none
-    is set, by point distance at POINT_MERGE_DIST followed by the Morse-Bott
-    merge of clusters connected through the critical set."""
+    10 * cluster_tol, then by the field's structural classifier (one call per
+    group), or, when none is set, by point distance at POINT_MERGE_DIST followed
+    by the Morse-Bott merge of clusters connected through the critical set."""
     values = field.value_at(endpoints)
     order = np.argsort(values, kind="stable")
     endpoints = endpoints[order]
@@ -517,14 +519,11 @@ def _cluster_endpoints(field, endpoints, cfg):
         pts = endpoints[group]
         vals = values[group]
         if field.classifier is not None:
-            labels = []
-            for p in pts:
-                try:
-                    lab = field.classifier(p)
-                except LsnavError:
-                    lab = None
-                labels.append(lab if lab is not None else "unclassified")
-            labels = np.array(labels, dtype=object)
+            try:
+                labels = np.array(field.classifier(pts), dtype=object)
+            except LsnavError:
+                labels = np.full(len(pts), None, dtype=object)
+            labels[np.equal(labels, None)] = "unclassified"
             for lab in sorted(set(labels.tolist())):
                 sel = labels == lab
                 components.append((float(np.mean(vals[sel])), pts[sel], str(lab)))
@@ -535,12 +534,9 @@ def _cluster_endpoints(field, endpoints, cfg):
             for c in range(cl.max() + 1):
                 sel = cl == c
                 components.append((float(np.mean(vals[sel])), pts[sel], "unclassified"))
-    out = []
-    for val, pts, lab in components:
-        key = np.lexsort(pts.T[::-1])
-        out.append(CriticalComponent(val, pts[key], lab))
-    out.sort(key=lambda c: (c.value, c.label))
-    return out
+    out = [CriticalComponent(val, pts[np.lexsort(pts.T[::-1])], lab)
+           for val, pts, lab in components]
+    return sorted(out, key=lambda c: (c.value, c.label))
 
 
 def detect_critical(field: ScalarField, seeds, cfg: FlowConfig = None):

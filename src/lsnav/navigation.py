@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -130,11 +131,21 @@ def nav_field(spec, r: int) -> ScalarField:
     classifier = None
     if isinstance(spec, (Sphere, ProductSpheres)):
         def classifier(coords):
-            t = NavTuple.from_flat(spec, r, coords)
-            try:
-                return classify_sphere_critical(t, tol=CLASSIFY_TOL).label
-            except NotCriticalTuple:
-                return None
+            # NavTuple's check and classify_sphere_critical's signs on all rows at once; that
+            # function labels each distinct pattern (its bits as one byte string) once
+            pts = np.asarray(coords, dtype=float).reshape(-1, r, d)
+            labels = np.full(len(pts), None, dtype=object)
+            on = np.flatnonzero((mf.constraint_residual(spec, pts) <= mf.POINT_TOL).all(axis=1))
+            signs = np.concatenate([slot_signs(pts[on, :1, s:e], pts[on, :, s:e], CLASSIFY_TOL)
+                                    for s, e in mf.sphere_blocks(spec)], axis=1)
+            full = signs.all(axis=1)
+            on, bits = on[full], np.packbits(signs[full] > 0, axis=1)
+            _, first, inv = np.unique(bits.view(f"V{bits.shape[1]}").ravel(),
+                                      return_index=True, return_inverse=True)
+            names = [classify_sphere_critical(NavTuple(spec, p), CLASSIFY_TOL).label
+                     for p in pts[on[first]]]
+            labels[on] = np.array(names, dtype=object)[inv]
+            return labels
 
     return ScalarField(spec.power(r), value, grad, name=f"nav(r={r})", classifier=classifier,
                        euclidean_hessian=lambda x: hess)
@@ -330,6 +341,14 @@ def _pair_chord(z):
     return x, y, dist, chord / dist
 
 
+@lru_cache(maxsize=None)
+def _minor_pairs(n):
+    """Rows a < b of the 2x2 minors in itertools.combinations order, read-only (shared)."""
+    a, b = np.triu_indices(n, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def pair_system_residual(fld, level, z):
     """Residual of the parallel-pair system at z = (x, y), vectorized.
 
@@ -342,7 +361,7 @@ def pair_system_residual(fld, level, z):
     x, y, _, d = _pair_chord(z)
     gx = fld.grad(x)
     gy = fld.grad(y)
-    a, b = np.triu_indices(x.shape[-1], 1)
+    a, b = _minor_pairs(x.shape[-1])
     k = a.size
     # filled in place so the rows stay C-ordered: LM's row norms sum in that order
     out = np.empty(x.shape[:-1] + (2 + 2 * k,))
@@ -363,7 +382,7 @@ def pair_system_jacobian(fld, level, z):
     gy = fld.grad(y)
     hx = fld.hess(x)
     hy = fld.hess(y)
-    a, b = np.triu_indices(n, 1)
+    a, b = _minor_pairs(n)
     k = a.size
     jac = np.zeros(x.shape[:-1] + (2 + 2 * k, 2 * n))
     jac[..., 0, :n] = gx

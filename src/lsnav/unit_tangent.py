@@ -66,12 +66,12 @@ def df_ut(p: PointOnM, y: TangentVector) -> float:
 
 
 def sign_classifier(spec: StiefelV2):
-    """Label a frame '+i' or '-i' according to which rotational section it sits on."""
-    labels = {1: "+i", -1: "-i", 0: None}
+    """Label each frame row '+i' or '-i' by the rotational section it sits on, else None."""
+    labels = np.array([None, "+i", "-i"], dtype=object)  # indexed by the sign 0, 1, -1
 
     def classify(coords):
         x1, x2 = mf.frame_columns(spec, coords)
-        return labels[int(slot_signs(mult_i(x1), x2, CLASSIFY_TOL))]
+        return labels[slot_signs(mult_i(x1), x2, CLASSIFY_TOL)]
 
     return classify
 

@@ -311,6 +311,35 @@ def test_classifier_domain_errors_become_unclassified():
     assert [c.label for c in comps] == ["unclassified"]
 
 
+@pytest.mark.parametrize("make", [lambda: nav_field(Sphere(3), 3),
+                                  lambda: f_ut_field(StiefelV2(4))])
+def test_cluster_endpoints_classifies_each_value_group_once(make):
+    rng = np.random.default_rng(8)
+    field = make()
+    if isinstance(field.spec, StiefelV2):  # x2 = +-i x1: the two critical values +-1
+        x1 = random_points(Sphere(3), 40, rng)
+        signs = rng.choice([-1.0, 1.0], size=(40, 1))
+        pts = np.concatenate([x1, signs * mult_i(x1)], axis=1)
+        groups, labels = 2, {"+i", "-i"}
+    else:  # (S^3)^3 tuples (x, +-x, +-x): values 0, 4 and 8
+        base = random_points(Sphere(3), 40, rng)
+        signs = np.concatenate([np.ones((40, 1)), rng.choice([-1.0, 1.0], size=(40, 2))], axis=1)
+        pts = (signs[:, :, None] * base[:, None, :]).reshape(40, -1)
+        groups, labels = 3, {"+++", "++-", "+--", "+-+"}
+    calls = []
+    classify = field.classifier
+
+    def counted(batch):
+        calls.append(len(batch))
+        return classify(batch)
+
+    field.classifier = counted
+    comps = flow._cluster_endpoints(field, pts, FlowConfig())
+    assert len(calls) == groups and sum(calls) == len(pts)
+    assert {c.label for c in comps} == labels
+    assert sum(len(c.representatives) for c in comps) == len(pts)
+
+
 def test_classifier_programming_errors_propagate():
     rng = np.random.default_rng(11)
     field = height_field(Sphere(2))

@@ -1,13 +1,13 @@
 import os
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from lsnav import manifolds as mf
 from lsnav import navigation
-from lsnav.errors import InvalidEnvironment, NotCriticalTuple, WrongSpec
+from lsnav.errors import InvalidEnvironment, InvalidPoint, NotCriticalTuple, WrongSpec
 from lsnav.manifolds import (
     Ellipsoid,
     ImplicitHypersurface,
@@ -142,6 +142,41 @@ def test_slot_signs_matches_row_loop():
     ref = np.full(3, 0.1 * tol)
     rows = np.array([np.zeros(3), -ref, 0.5 * ref, -ref - 0.8 * tol * ref / np.linalg.norm(ref)])
     assert slot_signs(ref, rows, tol).tolist() == _slot_signs_loop(ref, rows, tol) == [1, 1, 1, -1]
+
+
+def _classify_row(spec, r, row):
+    """The per-tuple label: None where the tuple is invalid or not critical."""
+    try:
+        t = NavTuple.from_flat(spec, r, row)
+        return classify_sphere_critical(t, tol=navigation.CLASSIFY_TOL).label
+    except (NotCriticalTuple, InvalidPoint):
+        return None
+
+
+@pytest.mark.parametrize("spec, r", [(Sphere(1), 3), (Sphere(3), 3), (ProductSpheres((1, 3)), 2)])
+def test_nav_batch_classifier_matches_row_reference(spec, r):
+    rng = np.random.default_rng(r * spec.ambient_dim)
+    field = nav_field(spec, r)
+    k = len(mf.sphere_blocks(spec))
+    patterns = [SignPattern(tuple((1,) + bits[f * (r - 1):(f + 1) * (r - 1)] for f in range(k)))
+                for bits in product((1, -1), repeat=k * (r - 1))]
+    crit = np.array([critical_tuple(spec, p, base).points.reshape(-1)
+                     for p in patterns for base in random_points(spec, 3, rng)])
+    near = mf.project_points(field.spec, crit + 1e-6 * rng.standard_normal(crit.shape))
+    off = crit + 1e-3 * rng.standard_normal(crit.shape)  # off the manifold
+    apart = mf.project_points(field.spec, off)  # on it, 1e-3 from every pattern
+    bad = np.stack([1.01 * crit[0], np.full(crit.shape[1], np.nan),
+                    np.full(crit.shape[1], np.inf)])
+    batch = np.concatenate([crit, near, off, apart, bad, random_points(field.spec, 5, rng)])
+    batch = batch[rng.permutation(len(batch))]
+    want = [_classify_row(spec, r, row) for row in batch]
+    got = field.classifier(batch)
+    assert len(got) == len(batch)
+    assert list(got) == want
+    assert {lab for lab in want if lab is not None} == {p.label for p in patterns}
+    assert want.count(None) >= 2 * len(crit) + 3
+    for row in batch[:4]:
+        assert list(field.classifier(row[None, :])) == [_classify_row(spec, r, row)]
 
 
 def test_classify_rejects_with_witness():

@@ -21,6 +21,7 @@ from lsnav.manifolds import (
     tangency_residual,
     tangent_project,
 )
+from lsnav.navigation import CLASSIFY_TOL
 from lsnav.unit_tangent import (
     FiberTuple,
     base_height_field,
@@ -32,6 +33,7 @@ from lsnav.unit_tangent import (
     fiber_fibration,
     random_fiber_tuple,
     sigma_u_planner,
+    sign_classifier,
     su_trivialization,
     to_complex,
     unitary_apply,
@@ -41,6 +43,31 @@ from lsnav.unit_tangent import (
     vertical_project_coords,
     vertical_proportionality_scan,
 )
+
+
+def _sign_label_row(spec, row):
+    """The per-frame rule: '+i' or '-i' within CLASSIFY_TOL of x2 = +-i x1, else None."""
+    x1, x2 = frame_columns(spec, row)
+    if np.linalg.norm(x2 - mult_i(x1)) <= CLASSIFY_TOL:
+        return "+i"
+    if np.linalg.norm(x2 + mult_i(x1)) <= CLASSIFY_TOL:
+        return "-i"
+    return None
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_sign_classifier_batch_matches_row_rule(m):
+    spec = StiefelV2(m)
+    rng = np.random.default_rng(m)
+    x1 = random_points(Sphere(m - 1), 6, rng)
+    near = [frame_flat(x1, s * mult_i(x1) + eps * rng.standard_normal(x1.shape))
+            for s in (1, -1) for eps in (0.0, 1e-6, 1e-3)]
+    batch = np.concatenate(near + [random_points(spec, 6, rng)])
+    want = [_sign_label_row(spec, row) for row in batch]
+    assert want == ["+i"] * 12 + [None] * 6 + ["-i"] * 12 + [None] * 12
+    assert list(sign_classifier(spec)(batch)) == want
+    assert list(sign_classifier(spec)(batch[7:8])) == ["+i"]
+
 
 SPEC = StiefelV2(4)
 
