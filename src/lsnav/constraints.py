@@ -33,9 +33,11 @@ class ConstraintField:
 def ellipsoid_field(semiaxes) -> ConstraintField:
     """g(x) = sum x_i^2 / a_i^2, surface at level 1."""
     a = np.asarray(semiaxes, dtype=float)
-    if a.ndim != 1 or (a <= 0).any():
-        raise WrongSpec("ellipsoid semiaxes must be a vector of positive numbers")
-    inv2 = 1.0 / a**2
+    with np.errstate(over="ignore", divide="ignore"):  # out-of-range semiaxes are refused below
+        inv2 = 1.0 / a**2
+    if a.ndim != 1 or not ((a > 0) & (inv2 > 0) & (inv2 < np.inf)).all():
+        raise WrongSpec("ellipsoid semiaxes must be a vector of positive numbers a "
+                        "with 1/a^2 finite and nonzero")
     n = a.size
 
     def value(x):

@@ -105,10 +105,6 @@ class UnknownComplexity(LsnavError):
         self.components = list(components)
 
 
-class InvalidEnvironment(LsnavError):
-    """An environment variable holds a value lsnav cannot use."""
-
-
 class UnknownSpace(LsnavError):
     """Space tag missing from the reference table."""
 

@@ -231,24 +231,32 @@ class _Hypersurface(ManifoldSpec):
         return -scale * self.project_tangent(coords, hv)
 
     def sample(self, n: int, rng: np.random.Generator):
+        """n points: uniform draws from the field's bounding box, those with a gradient
+        above 1e-6 projected onto the level set.  Ten rounds in a row in which no draw
+        projects raise WrongSpec: the level set is empty or out of float range."""
         d = self.ambient_dim
         box = self.field.bounding_box
         out = np.empty((0, d))
+        idle = 0
         while out.shape[0] < n:
             m = max(2 * (n - out.shape[0]), 16)
             raw = rng.uniform(box[:, 0], box[:, 1], size=(m, d))
-            g = self.field.grad(raw)
-            raw = raw[np.linalg.norm(g, axis=-1) > 1e-6]
-            if raw.shape[0] == 0:
-                continue
+            with np.errstate(over="ignore"):  # a gradient whose square overflows is not small
+                raw = raw[np.linalg.norm(self.field.grad(raw), axis=-1) > 1e-6]
             proj = _project_hypersurface(self.field, self.level, raw)
-            out = np.vstack([out, proj[np.isfinite(proj).all(axis=-1)]])
+            proj = proj[np.isfinite(proj).all(axis=-1)]
+            idle = 0 if len(proj) else idle + 1
+            if idle == 10:
+                raise WrongSpec(f"no point of the bounding box projects onto {self.kind} "
+                                f"at level {self.level} in {idle} rounds")
+            out = np.vstack([out, proj])
         return out[:n]
 
 
 @dataclass(frozen=True)
 class Ellipsoid(_Hypersurface):
-    """Hypersurface sum x_i^2/a_i^2 = 1 with finite, strictly positive semiaxes."""
+    """Hypersurface sum x_i^2/a_i^2 = 1 with semiaxes from 1e-154 to 1e154, where
+    a^2 and 1/a^2 are finite and nonzero."""
 
     semiaxes: tuple
     kind = "ellipsoid"
@@ -257,10 +265,11 @@ class Ellipsoid(_Hypersurface):
     def __post_init__(self):
         semi = tuple(float(a) for a in self.semiaxes)
         object.__setattr__(self, "semiaxes", semi)
-        if len(semi) < 2 or not all(0 < a < np.inf for a in semi):
-            raise WrongSpec("ellipsoid requires >= 2 finite, strictly positive semiaxes")
+        if len(semi) < 2 or not all(1e-154 <= a <= 1e154 for a in semi):
+            raise WrongSpec("ellipsoid requires >= 2 finite, strictly positive semiaxes, "
+                            "each from 1e-154 to 1e154 so that a^2 and 1/a^2 are finite")
 
-    @property
+    @cached_property
     def field(self) -> ConstraintField:
         return builtin_field("ellipsoid", {"semiaxes": self.semiaxes})
 

@@ -12,7 +12,6 @@ the topological complexity of the surface from below.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -20,13 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import manifolds as mf
-from .errors import (
-    InvalidEnvironment,
-    InvalidPoint,
-    NoPairsFound,
-    NotCriticalTuple,
-    WrongSpec,
-)
+from .errors import InvalidPoint, NoPairsFound, NotCriticalTuple, WrongSpec
 from .flow import ScalarField
 from .manifolds import Ellipsoid, ImplicitHypersurface, ProductSpheres, Sphere
 
@@ -442,26 +435,6 @@ def _alignment_residual(fld, x, y):
     return out
 
 
-def _worker_count() -> int:
-    """Worker threads for the pair search: LSNAV_THREADS (default 1), at most
-    the CPU count.  Anything but a positive integer raises InvalidEnvironment."""
-    text = os.environ.get("LSNAV_THREADS", "1")
-    if not text.isdecimal() or int(text) < 1:
-        raise InvalidEnvironment(f"LSNAV_THREADS must be a positive integer, got {text!r}")
-    return min(int(text), os.cpu_count() or 1)
-
-
-def _run_chunked(fn, arr, workers):
-    if workers <= 1 or arr.shape[0] < 2 * workers:
-        return fn(arr)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(arr, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(fn, chunks))
-    return tuple(np.concatenate(parts) for parts in zip(*results))
-
-
 def _dedup_pairs(x, y, tol, cap):
     """Representatives of the unordered pairs {x_i, y_i}, as rows (x, y): each
     pair in canonical order (decided on coordinates rounded to tol/10, so
@@ -504,7 +477,6 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     larger family and the census reports a continuum instead of a count.
     """
     search = search or PairSearchConfig()
-    workers = _worker_count()
     surf = _hypersurface_of(spec)
     fld, level = surf.field, surf.level
     rng = np.random.default_rng(search.rng_seed)
@@ -514,8 +486,7 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     sep = np.linalg.norm(z0[:, : fld.ambient_dim] - z0[:, fld.ambient_dim:], axis=-1)
     z0 = z0[sep > 10 * PAIR_MIN_SEPARATION]
 
-    solve = lambda chunk: _gauss_newton_pairs(fld, level, chunk)
-    z, rn = _run_chunked(solve, z0, workers)
+    z, rn = _gauss_newton_pairs(fld, level, z0)
 
     n = fld.ambient_dim
     good = rn <= PAIR_RESIDUAL_TOL
@@ -531,8 +502,7 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
 
     nn = None
     if reps.shape[0] > 1:
-        sub = reps[: 256]
-        dmat = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1)
+        dmat = np.linalg.norm(reps[:, None, :] - reps[None, :, :], axis=-1)
         np.fill_diagonal(dmat, np.inf)
         nn = float(dmat.min())
 

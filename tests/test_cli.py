@@ -209,14 +209,16 @@ def test_flow_only_options_are_gone_from_critfind(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_invalid_thread_count_exit_code(capsys, monkeypatch):
+def test_pairs_ignores_lsnav_threads(capsys, monkeypatch):
+    # lsnav runs single-threaded; the variable that once set a worker count is read by nobody
+    argv = ("pairs", "--sphere", "2", "--seeds", "50")
+    monkeypatch.delenv("LSNAV_THREADS", raising=False)
+    unset = run_cli(capsys, *argv)
     monkeypatch.setenv("LSNAV_THREADS", "abc")
-    code, out, err = run_cli(capsys, "pairs", "--sphere", "2", "--seeds", "50")
-    assert code == 1
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "InvalidEnvironment"
-    assert "'abc'" in payload["message"]
+    code, out, err = run_cli(capsys, *argv)
+    assert unset[0] == code == 0
+    assert out == unset[1]
+    assert err == ""
 
 
 def test_verify_subset(capsys):
@@ -260,6 +262,10 @@ INPUT_FILES = {
     "comps-infinite-value.json": '{"components": [{"value": Infinity, "complexity": 1}]}',
     "comps-two-levels.json": '{"components": [{"value": 0, "complexity": 1}, '
                              '{"value": 4, "complexity": 2}]}',
+    # a torus of revolution below its least value 0: no point has g = -1
+    "torus-level-negative.json": '{"kind": "implicit_hypersurface", "level": -1.0, "field": '
+                                 '{"name": "torus_of_revolution", '
+                                 '"params": {"major_radius": 2.0, "minor_radius": 0.5}}}',
 }
 NAV = ["critfind", "--field", "nav", "--manifold", "sphere:1", "--seeds", "20"]
 PLAN = ["plan", "--planner", "product-spheres", "--manifold", "sphere:1", "--tuple"]
@@ -277,6 +283,12 @@ BOUND = ["bound", "--components"]
      "argument --ellipsoid: ellipsoid requires >= 2 finite, strictly positive semiaxes"),
     (["pairs", "--ellipsoid", "1,-2,3"], 2,
      "argument --ellipsoid: ellipsoid requires >= 2 finite, strictly positive semiaxes"),
+    (["pairs", "--ellipsoid", "1e200,1,1"], 2,
+     "argument --ellipsoid: ellipsoid requires >= 2 finite, strictly positive semiaxes, "
+     "each from 1e-154 to 1e154"),
+    (["pairs", "--ellipsoid", "1e-200,1,1"], 2,
+     "argument --ellipsoid: ellipsoid requires >= 2 finite, strictly positive semiaxes, "
+     "each from 1e-154 to 1e154"),
     (["pairs", "--sphere", "0"], 2, "argument --sphere: sphere dimension must be >= 1"),
     (["pairs", "--torus", "2"], 2, "argument --torus: expected major,minor radii, got '2'"),
     (["pairs", "--torus", "2,0.5,1"], 2,
@@ -308,8 +320,12 @@ BOUND = ["bound", "--components"]
     (BOUND + ["comps-fractional.json"], 1, "LsnavError"),
     (BOUND + ["comps-nan-value.json"], 1, "LsnavError"),
     (BOUND + ["comps-infinite-value.json"], 1, "LsnavError"),
+    (["critfind", "--field", "height", "--manifold", "@torus-level-negative.json"], 1,
+     "WrongSpec"),
+    (["pairs", "--torus", "1e200,1"], 1, "WrongSpec"),
 ], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
+        "pairs-ellipsoid-square-overflows", "pairs-ellipsoid-square-underflows",
         "pairs-sphere-0", "pairs-torus-one-radius", "pairs-torus-three-radii",
         "verify-only-non-numeric", "verify-only-99", "verify-only-0", "critfind-seed-negative",
         "pairs-seed-negative", "verify-seed-negative", "plan-samples-negative",
@@ -318,7 +334,8 @@ BOUND = ["bound", "--components"]
         "bound-components-malformed", "bound-components-array", "bound-components-no-value",
         "bound-components-text-value", "bound-components-zero-complexity",
         "bound-components-fractional-complexity", "bound-components-nan-value",
-        "bound-components-infinite-value"])
+        "bound-components-infinite-value", "critfind-torus-empty-level",
+        "pairs-torus-out-of-float-range"])
 def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, monkeypatch,
                                                capsys):
     # exit 2 with argparse's usage message, or exit 1 with a JSON error on
@@ -340,7 +357,7 @@ def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, m
     else:
         payload = json.loads(captured.err)
         assert payload["error"] == expected
-        if argv[0] == "critfind":  # a value of --r; the cap is checked before anything is allocated
+        if "--r" in argv:  # a value of --r; the cap is checked before anything is allocated
             assert payload["message"] == {
                 "InvalidPoint": "navigation tuples need r >= 2 slots",
                 "WrongSpec": "nav field on M^1000000000 has 2000000000 coordinates, above 256",

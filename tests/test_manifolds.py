@@ -264,14 +264,35 @@ def test_implicit_spec_default_level():
     ({"kind": "stiefel_v2", "frame_dim": 4.9}, "stiefel_v2 spec .*4.9"),
     ({"kind": "sphere", "dim": True}, "sphere spec .*True"),
     ({"kind": "stiefel_v2", "frame_dim": True}, "stiefel_v2 spec .*True"),
+    ({"kind": "ellipsoid", "semiaxes": [1e200, 1, 1]}, "from 1e-154 to 1e154"),
+    ({"kind": "ellipsoid", "semiaxes": [1e-200, 1, 1]}, "from 1e-154 to 1e154"),
+    ({"kind": "implicit_hypersurface",
+      "field": {"name": "ellipsoid", "params": {"semiaxes": [1e-200, 1, 1]}}},
+     r"1/a\^2 finite and nonzero"),
+    ({"kind": "implicit_hypersurface",
+      "field": {"name": "ellipsoid", "params": {"semiaxes": [1, "nan"]}}},
+     "positive numbers"),
 ], ids=["sphere-no-dim", "sphere-bad-dim", "product-bad-dims", "ellipsoid-no-semiaxes",
         "implicit-no-params", "implicit-no-minor-radius", "stiefel-bad-frame-dim",
         "not-an-object", "euclidean-dim-0", "euclidean-dim-negative", "ellipsoid-nan",
         "ellipsoid-inf", "sphere-fractional-dim", "product-fractional-dims",
-        "stiefel-fractional-frame-dim", "sphere-bool-dim", "stiefel-bool-frame-dim"])
+        "stiefel-fractional-frame-dim", "sphere-bool-dim", "stiefel-bool-frame-dim",
+        "ellipsoid-square-overflows", "ellipsoid-square-underflows",
+        "implicit-ellipsoid-square-underflows", "implicit-ellipsoid-nan"])
+@pytest.mark.filterwarnings("error")
 def test_spec_from_json_names_missing_and_ill_typed_fields(obj, match):
     with pytest.raises(WrongSpec, match=match):
         spec_from_json(obj)
+
+
+def test_ellipsoid_field_is_built_once():
+    spec = Ellipsoid((1.0, 2.0, 3.0))
+    before = (hash(spec), spec_to_json(spec))
+    assert spec.field is spec.field
+    assert (hash(spec), spec_to_json(spec)) == before
+    assert spec == Ellipsoid((1.0, 2.0, 3.0))
+    assert hash(spec) == hash(Ellipsoid((1.0, 2.0, 3.0)))
+    assert spec != Ellipsoid((1.0, 2.0, 4.0))
 
 
 # Loop and SVD references for the vectorized kernels.
@@ -471,6 +492,39 @@ def test_hypersurface_sampling_keeps_only_projected_rows(spec, monkeypatch):
     pts = random_points(spec, 100, np.random.default_rng(0))
     assert pts.shape == (100, 3)
     assert mf.constraint_residual(spec, pts).max() <= mf.HYPERSURFACE_NEWTON_TOL
+
+
+def _sample_by_unbounded_loop(spec, n, rng):
+    """The hypersurface sampler before it gave up on empty rounds."""
+    box = spec.field.bounding_box
+    out = np.empty((0, 3))
+    while out.shape[0] < n:
+        raw = rng.uniform(box[:, 0], box[:, 1], size=(max(2 * (n - out.shape[0]), 16), 3))
+        raw = raw[np.linalg.norm(spec.field.grad(raw), axis=-1) > 1e-6]
+        if raw.shape[0] == 0:
+            continue
+        proj = mf._project_hypersurface(spec.field, spec.level, raw)
+        out = np.vstack([out, proj[np.isfinite(proj).all(axis=-1)]])
+    return out[:n]
+
+
+@pytest.mark.parametrize("spec", [Ellipsoid((1.0, 2.0, 3.0)), TORUS], ids=["ellipsoid", "torus"])
+@pytest.mark.parametrize("newton_cap", [mf.HYPERSURFACE_NEWTON_CAP, 4])
+def test_hypersurface_sampling_draws_as_the_unbounded_loop(spec, newton_cap, monkeypatch):
+    # at a Newton cap of 4 most rows fail, so the sampler runs several rounds
+    monkeypatch.setattr(mf, "HYPERSURFACE_NEWTON_CAP", newton_cap)
+    got = random_points(spec, 300, np.random.default_rng(5))
+    assert np.array_equal(got, _sample_by_unbounded_loop(spec, 300, np.random.default_rng(5)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [
+    ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), -1.0),
+    ImplicitHypersurface(torus_of_revolution_field(1e200, 1.0), 1.0),
+], ids=["below-least-value", "squares-overflow"])
+def test_hypersurface_sampling_gives_up_on_an_unreachable_level_set(spec):
+    with pytest.raises(WrongSpec, match="in 10 rounds"):
+        random_points(spec, 20, np.random.default_rng(0))
 
 
 def test_polar_factor_of_nearly_dependent_columns_is_orthonormal():

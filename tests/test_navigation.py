@@ -1,4 +1,3 @@
-import os
 import re
 from itertools import combinations, product
 
@@ -6,8 +5,8 @@ import numpy as np
 import pytest
 
 from lsnav import manifolds as mf
-from lsnav import navigation
-from lsnav.errors import InvalidEnvironment, InvalidPoint, NotCriticalTuple, WrongSpec
+from lsnav import navigation, numerics
+from lsnav.errors import InvalidPoint, NotCriticalTuple, WrongSpec
 from lsnav.manifolds import (
     Ellipsoid,
     ImplicitHypersurface,
@@ -26,7 +25,6 @@ from lsnav.navigation import (
     SignPattern,
     _dedup_pairs,
     _gauss_newton_pairs,
-    _worker_count,
     classify_sphere_critical,
     critical_tuple,
     find_parallel_pairs,
@@ -299,29 +297,25 @@ def test_pair_census_json():
     assert len(payload["pairs"]) == 3
 
 
-def test_parallel_pairs_thread_workers_same_result(monkeypatch):
+@pytest.mark.parametrize("threads", ["4", "abc"])
+def test_parallel_pairs_one_solve_whatever_lsnav_threads(monkeypatch, threads):
+    # the census makes one LM call over every seed row, and the variable that
+    # once chose a worker count is read by nobody
     cfg = PairSearchConfig(n_seeds=2000, rng_seed=3)
-    base = find_parallel_pairs(Ellipsoid((1.0, 2.0, 3.0)), cfg)
-    monkeypatch.setenv("LSNAV_THREADS", "4")
-    threaded = find_parallel_pairs(Ellipsoid((1.0, 2.0, 3.0)), cfg)
-    assert base.to_json() == threaded.to_json()
-
-
-def test_worker_count_default_and_cap(monkeypatch):
-    # _worker_count only reads the variable; no thread is started here
     monkeypatch.delenv("LSNAV_THREADS", raising=False)
-    assert _worker_count() == 1
-    monkeypatch.setenv("LSNAV_THREADS", "1")
-    assert _worker_count() == 1
-    monkeypatch.setenv("LSNAV_THREADS", "64")
-    assert _worker_count() == min(64, os.cpu_count() or 1)
+    unset = find_parallel_pairs(Ellipsoid((1.0, 2.0, 3.0)), cfg).to_json()
+    calls = []
 
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return levenberg_marquardt(*args, **kwargs)
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-def test_worker_count_rejects_invalid_values(monkeypatch, value):
-    monkeypatch.setenv("LSNAV_THREADS", value)
-    with pytest.raises(InvalidEnvironment, match=re.escape(repr(value))):
-        _worker_count()
+    monkeypatch.setattr(numerics, "levenberg_marquardt", counted)
+    monkeypatch.setenv("LSNAV_THREADS", threads)
+    got = find_parallel_pairs(Ellipsoid((1.0, 2.0, 3.0)), cfg).to_json()
+    assert len(calls) == 1
+    assert calls[0] > 1900  # every admissible seed pair of the 2000
+    assert got == unset
 
 
 PAIR_SURFACES = {
@@ -497,13 +491,3 @@ def test_dedup_pairs_matches_reference_loop(spread, cap):
     x, y = rows[:, :3], rows[:, 3:]
     got = _dedup_pairs(x, y, 1e-3, cap)
     assert np.array_equal(got, _reference_dedup(x, y, 1e-3, cap))
-
-
-def test_parallel_pairs_reads_thread_count_before_sampling(monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("seeds were sampled before LSNAV_THREADS was checked")
-
-    monkeypatch.setenv("LSNAV_THREADS", "abc")
-    monkeypatch.setattr(mf, "random_points", no_sampling)
-    with pytest.raises(InvalidEnvironment):
-        find_parallel_pairs(Ellipsoid((1.0, 2.0, 3.0)), PairSearchConfig(n_seeds=50))
