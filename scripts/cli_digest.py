@@ -10,8 +10,9 @@ sha256 of the command's stdout, the label and the command.  The matrix is
 ``critfind`` on the nav field (sphere:1 r=2, sphere:3 r=3, product:1,3 r=2),
 on ut-f (stiefel:4) and on the height (ellipsoid:1,2,3, and the torus of
 revolution (2, 0.5) at level 0.25 at seeds 0, 1 and 2), ``pairs`` on the
-ellipsoid (1,2,3), on S^2 and on that torus (``--torus 2,0.5``, a continuum
-of pairs), ``bound --unit-tangent --m 1 --r 4``, and
+ellipsoid (1,2,3), on S^2 (at 2000 seeds and at 50, where the continuum must
+not depend on the seed count) and on that torus (``--torus 2,0.5``, a
+continuum of pairs), ``bound --unit-tangent --m 1 --r 4``, and
 ``verify``, whose per-criterion seconds are masked before hashing.  Every
 other command runs at ``--seed 0``.
 
@@ -48,6 +49,7 @@ def commands(torus_file: str) -> list:
               "--manifold", "@" + torus_file, "--seeds", "150"] for s in (0, 1, 2)]
     cmds += [["pairs", "--seed", "0", "--ellipsoid", "1,2,3", "--seeds", "3000"],
              ["pairs", "--seed", "0", "--sphere", "2", "--seeds", "2000"],
+             ["pairs", "--seed", "0", "--sphere", "2", "--seeds", "50"],
              ["pairs", "--seed", "0", "--torus", "2,0.5", "--seeds", "2000"],
              ["bound", "--seed", "0", "--unit-tangent", "--m", "1", "--r", "4"],
              ["verify", "--seed", "0"]]

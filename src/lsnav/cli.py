@@ -205,20 +205,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_pairs(args) -> int:
-    spec = args.ellipsoid or args.sphere or args.torus
-    if spec is None:
-        raise LsnavError("choose a surface: --ellipsoid, --sphere or --torus")
-    census = find_parallel_pairs(
-        spec, PairSearchConfig(n_seeds=args.seeds, rng_seed=args.seed)
-    )
+    census = find_parallel_pairs(args.surface,
+                                 PairSearchConfig(n_seeds=args.seeds, rng_seed=args.seed))
     _emit(args, census.to_json())
     return 0
 
 
 def cmd_bound(args) -> int:
-    chosen = [bool(args.unit_tangent), bool(args.product_spheres), bool(args.components)]
-    if sum(chosen) != 1:
-        raise LsnavError("choose exactly one of --unit-tangent, --product-spheres, --components")
     if args.unit_tangent:
         if args.m is None or args.r is None:
             raise LsnavError("--unit-tangent needs --m and --r")
@@ -305,9 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "T_x M = T_y M perpendicular to the chord; their count "
                     "bounds TC(M) - 1 from below.",
     )
-    p.add_argument("--ellipsoid", type=_surface("ellipsoid"), help="semiaxes a,b,c")
-    p.add_argument("--sphere", type=_surface("sphere"), help="sphere dimension n")
-    p.add_argument("--torus", type=_torus, help="major,minor radii of a torus of revolution")
+    surface = p.add_mutually_exclusive_group(required=True)
+    surface.add_argument("--ellipsoid", dest="surface", type=_surface("ellipsoid"),
+                         metavar="A,B,C", help="semiaxes a,b,c")
+    surface.add_argument("--sphere", dest="surface", type=_surface("sphere"), metavar="N",
+                         help="sphere dimension n")
+    surface.add_argument("--torus", dest="surface", type=_torus, metavar="R,r",
+                         help="major,minor radii of a torus of revolution")
     p.add_argument("--seeds", type=_positive_int, default=10000)
     common_io(p)
     p.set_defaults(fn=cmd_pairs)
@@ -320,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "spheres (k(r-1)+1) and unit tangent bundles of "
                     "S^(4m-1) (r+1, exact), or a components JSON file.",
     )
-    p.add_argument("--unit-tangent", action="store_true")
-    p.add_argument("--product-spheres", action="store_true")
-    p.add_argument("--components", help="JSON file with a components list")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--unit-tangent", action="store_true")
+    mode.add_argument("--product-spheres", action="store_true")
+    mode.add_argument("--components", help="JSON file with a components list")
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import manifolds as mf
 from .errors import InvalidPoint, NoPairsFound, NotCriticalTuple, WrongSpec
-from .flow import ScalarField
+from .flow import MERGE_KERNEL_TOL, ScalarField
 from .manifolds import Ellipsoid, ImplicitHypersurface, ProductSpheres, Sphere
 
 # sign tolerance of the classifiers that label flow endpoints (nav and ut-f)
@@ -251,7 +251,6 @@ def random_critical_tuple(spec, r: int, rng: np.random.Generator) -> NavTuple:
 PAIR_RESIDUAL_TOL = 1e-11     # residual norm of a converged pair
 PAIR_DEDUP_TOL = 1e-3         # pairs this close (in either order) are one pair
 PAIR_MIN_SEPARATION = 1e-3    # pairs with |x - y| below this lie on the diagonal
-CONTINUUM_THRESHOLD = 50      # more distinct pairs than this form a continuum
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,8 @@ class CriticalPair:
 
 @dataclass(eq=False)
 class PairCensus:
-    """Deduplicated critical pairs and the resulting count (or continuum flag)."""
+    """Deduplicated critical pairs and their count, or the continuum flag; nn_distance,
+    the least distance between two kept pairs, is None for a continuum or one pair."""
 
     pairs: list
     alpha: object
@@ -435,46 +435,46 @@ def _alignment_residual(fld, x, y):
     return out
 
 
-def _dedup_pairs(x, y, tol, cap):
-    """Representatives of the unordered pairs {x_i, y_i}, as rows (x, y): each
-    pair in canonical order (decided on coordinates rounded to tol/10, so
-    solver noise cannot flip it), the pairs sorted, then a pair kept unless it
-    lies within tol of a kept pair in either order; at most cap + 1 kept."""
+def _pair_nullity(surf, x, y):
+    """Nullity of the Riemannian Hessian of |x - y|^2 on M x M at (x, y): 0 at a
+    nondegenerate pair, the family's dimension on a Morse-Bott family (Bott, Ann. of
+    Math. 60, 1954).  Its diagonal blocks are each factor's Hessian, its off-diagonal
+    block -2 P_x P_y; eigenvalues within MERGE_KERNEL_TOL of 0 (relative to 1 + the
+    largest) count, less the two normal directions, which it maps to zero."""
+    eye = np.eye(x.shape[-1])
+    off = -2.0 * surf.project_tangent(x, eye) @ surf.project_tangent(y, eye)
+    hess = np.block([[surf.riemannian_hessian(x, 2.0 * (x - y), 2.0 * eye), off],
+                     [off.T, surf.riemannian_hessian(y, 2.0 * (y - x), 2.0 * eye)]])
+    lam = np.abs(np.linalg.eigvalsh(hess))
+    return int(np.sum(lam <= MERGE_KERNEL_TOL * (1.0 + lam.max()))) - 2
+
+
+def _dedup_pairs(x, y, tol):
+    """Representatives of the unordered pairs {x_i, y_i}, yielded in turn as rows
+    (x, y): each pair in canonical order (decided on coordinates rounded to
+    tol/10, so solver noise cannot flip it), the pairs sorted, then the first
+    remaining pair kept and every pair within tol of it in either order dropped."""
     n = x.shape[1]
     diff = np.round(x / (0.1 * tol)).astype(int) - np.round(y / (0.1 * tol)).astype(int)
     swap = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] > 0  # x > y as tuples
     cand = np.concatenate([x, y], axis=1)
     cand[swap] = np.concatenate([y[swap], x[swap]], axis=1)
     cand = cand[np.lexsort(cand.T[::-1])]
-
-    def near(rows, kept):
-        swapped = np.concatenate([kept[:, n:], kept[:, :n]], axis=1)
-        return (np.minimum(np.linalg.norm(rows[:, None] - kept, axis=-1),
-                           np.linalg.norm(rows[:, None] - swapped, axis=-1)) <= tol).any(axis=1)
-
-    # each block of 256 candidates is screened against the pairs kept so far
-    # at once; its survivors are settled in order, each new pair masking the rest
-    kept = np.empty((cap + 1, 2 * n))
-    k = 0
-    for start in range(0, len(cand), 256):
-        block = cand[start:start + 256]
-        masked = near(block, kept[:k])
-        while k <= cap and not masked.all():
-            kept[k] = block[masked.argmin()]
-            masked |= near(block, kept[k:k + 1])
-            k += 1
-        if k > cap:
-            break
-    return kept[:k]
+    while len(cand):
+        rep = cand[0]
+        yield rep
+        swapped = np.concatenate([rep[n:], rep[:n]])
+        cand = cand[np.minimum(np.linalg.norm(cand - rep, axis=-1),
+                               np.linalg.norm(cand - swapped, axis=-1)) > tol]
 
 
 def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     """Multistart damped Newton for pairs with a common tangent plane.
 
     Seeds are random surface points paired up; converged solutions are
-    deduplicated as unordered pairs at the dedup threshold.  When the
-    deduplicated pairs exceed the continuum threshold they form a curve or
-    larger family and the census reports a continuum instead of a count.
+    deduplicated as unordered pairs at the dedup threshold.  A kept pair whose
+    Hessian has a kernel lies on a family of critical pairs, and the census then
+    reports a continuum (no pairs, nn_distance None) instead of a count.
     """
     search = search or PairSearchConfig()
     surf = _hypersurface_of(spec)
@@ -498,17 +498,18 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     if n_converged == 0:
         raise NoPairsFound("no admissible pair converged; try more seeds")
 
-    reps = _dedup_pairs(x, y, PAIR_DEDUP_TOL, 4 * CONTINUUM_THRESHOLD)
+    reps = []
+    for rep in _dedup_pairs(x, y, PAIR_DEDUP_TOL):
+        if _pair_nullity(surf, rep[:n], rep[n:]) > 0:
+            return PairCensus(pairs=[], alpha="continuum", n_converged=n_converged)
+        reps.append(rep)
+    reps = np.array(reps)
 
     nn = None
     if reps.shape[0] > 1:
         dmat = np.linalg.norm(reps[:, None, :] - reps[None, :, :], axis=-1)
         np.fill_diagonal(dmat, np.inf)
         nn = float(dmat.min())
-
-    if reps.shape[0] > CONTINUUM_THRESHOLD:
-        return PairCensus(pairs=[], alpha="continuum", n_converged=n_converged,
-                          nn_distance=nn)
 
     x, y = reps[:, :n], reps[:, n:]
     pairs = [CriticalPair(px, py, float(np.sum((px - py) ** 2)), float(ares))

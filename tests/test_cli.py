@@ -89,6 +89,14 @@ def test_pairs_sphere_continuum(capsys):
     assert json.loads(out)["alpha"] == "continuum"
 
 
+def test_pairs_sphere_continuum_at_few_seeds(capsys):
+    # 50 seeds keep 50 distinct antipodal pairs; the Hessian kernel says family
+    code, out, _ = run_cli(capsys, "pairs", "--sphere", "2", "--seeds", "50", "--seed", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["alpha"], payload["pairs"], payload["nn_distance"]) == ("continuum", [], None)
+
+
 def test_plan_product_spheres(tmp_path, capsys):
     x = np.array([0.6, 0.8])
     tuple_file = tmp_path / "tuple.json"
@@ -323,6 +331,18 @@ BOUND = ["bound", "--components"]
     (["critfind", "--field", "height", "--manifold", "@torus-level-negative.json"], 1,
      "WrongSpec"),
     (["pairs", "--torus", "1e200,1"], 1, "WrongSpec"),
+    (["pairs", "--seeds", "50"], 2,
+     "one of the arguments --ellipsoid --sphere --torus is required"),
+    (["pairs", "--ellipsoid", "1,2,3", "--sphere", "2"], 2,
+     "argument --sphere: not allowed with argument --ellipsoid"),
+    (["pairs", "--sphere", "2", "--torus", "2,0.5"], 2,
+     "argument --torus: not allowed with argument --sphere"),
+    (["bound", "--m", "1", "--r", "2"], 2,
+     "one of the arguments --unit-tangent --product-spheres --components is required"),
+    (["bound", "--unit-tangent", "--product-spheres", "--m", "1", "--k", "2", "--r", "2"], 2,
+     "argument --product-spheres: not allowed with argument --unit-tangent"),
+    (BOUND + ["comps-two-levels.json", "--unit-tangent", "--m", "1", "--r", "2"], 2,
+     "argument --unit-tangent: not allowed with argument --components"),
 ], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-ellipsoid-square-overflows", "pairs-ellipsoid-square-underflows",
@@ -335,7 +355,9 @@ BOUND = ["bound", "--components"]
         "bound-components-text-value", "bound-components-zero-complexity",
         "bound-components-fractional-complexity", "bound-components-nan-value",
         "bound-components-infinite-value", "critfind-torus-empty-level",
-        "pairs-torus-out-of-float-range"])
+        "pairs-torus-out-of-float-range", "pairs-no-surface", "pairs-two-surfaces",
+        "pairs-sphere-and-torus", "bound-no-mode", "bound-two-modes",
+        "bound-components-and-unit-tangent"])
 def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, monkeypatch,
                                                capsys):
     # exit 2 with argparse's usage message, or exit 1 with a JSON error on
