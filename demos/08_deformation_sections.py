@@ -27,7 +27,7 @@ def straight_line_to_diagonal(a, s):
     return NavTuple(spec, (1.0 - s) * a.points + s * target)
 
 
-h = DeformationHandle(map=straight_line_to_diagonal, end_at_diagonal=True)
+h = DeformationHandle(map=straight_line_to_diagonal)
 
 print("== deformation -> section, r = 3 on the plane ==")
 a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]))

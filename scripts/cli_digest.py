@@ -7,12 +7,13 @@ more source trees of lsnav:
 Each ``LABEL=SRC`` argument runs every command as ``python3 -m lsnav.cli ...``
 with SRC first on PYTHONPATH, and prints one line per command and tree: the
 sha256 of the command's stdout, the label and the command.  The matrix is
-``critfind`` on the nav field (sphere:1 r=2, sphere:3 r=3, product:1,3 r=2),
-on ut-f (stiefel:4) and on the height (ellipsoid:1,2,3, and the torus of
-revolution (2, 0.5) at level 0.25 at seeds 0, 1 and 2), ``pairs`` on the
-ellipsoid (1,2,3), on S^2 (at 2000 seeds and at 50, where the continuum must
-not depend on the seed count) and on that torus (``--torus 2,0.5``, a
-continuum of pairs), ``bound --unit-tangent --m 1 --r 4``, and
+``critfind`` on the nav field (sphere:1 r=2, sphere:3 r=3, product:1,3 r=2;
+sphere:3 r=3 also as ``--format text``), on ut-f (stiefel:4) and on the
+height (ellipsoid:1,2,3, and the torus of revolution (2, 0.5) at level 0.25
+at seeds 0, 1 and 2), ``pairs`` on the ellipsoid (1,2,3), on S^2 (at 2000
+seeds and at 50, where the continuum must not depend on the seed count) and
+on that torus (``--torus 2,0.5``, a continuum of pairs),
+``bound --unit-tangent --m 1 --r 4`` as JSON and as ``--format text``, and
 ``verify``, whose per-criterion seconds are masked before hashing.  Every
 other command runs at ``--seed 0``.
 
@@ -42,6 +43,8 @@ def commands(torus_file: str) -> list:
     crit = ["critfind", "--seed", "0", "--field"]
     cmds = [crit + ["nav", "--manifold", "sphere:1", "--r", "2", "--seeds", "200"],
             crit + ["nav", "--manifold", "sphere:3", "--r", "3", "--seeds", "200"],
+            crit + ["nav", "--manifold", "sphere:3", "--r", "3", "--seeds", "200",
+                    "--format", "text"],
             crit + ["nav", "--manifold", "product:1,3", "--r", "2", "--seeds", "200"],
             crit + ["ut-f", "--manifold", "stiefel:4", "--seeds", "100"],
             crit + ["height", "--manifold", "ellipsoid:1,2,3", "--seeds", "100"]]
@@ -52,6 +55,8 @@ def commands(torus_file: str) -> list:
              ["pairs", "--seed", "0", "--sphere", "2", "--seeds", "50"],
              ["pairs", "--seed", "0", "--torus", "2,0.5", "--seeds", "2000"],
              ["bound", "--seed", "0", "--unit-tangent", "--m", "1", "--r", "4"],
+             ["bound", "--seed", "0", "--unit-tangent", "--m", "1", "--r", "4",
+              "--format", "text"],
              ["verify", "--seed", "0"]]
     return cmds
 

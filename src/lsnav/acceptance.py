@@ -435,7 +435,7 @@ def check_conversions(rng):
             target = np.tile(a.points[0], (a.r, 1))
             return NavTuple(spec, (1.0 - s) * a.points + s * target)
 
-        h = DeformationHandle(map=to_diagonal, end_at_diagonal=True)
+        h = DeformationHandle(map=to_diagonal)
         a = NavTuple(spec, rng.standard_normal((r, 2)))
         sec = deformation_to_section(h, a, r)
         err = np.max(np.abs(path_fibration(sec, r).points - a.points))

@@ -111,15 +111,11 @@ _criteria = _checked(lambda text: [int(v) for v in text.split(",")],
                      f"criterion numbers 1 to {len(acceptance.ALL_CHECKS)}")
 
 
-def _emit(args, payload, text_renderer=None):
-    if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        out = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True)
-    else:
-        out = text_renderer() if text_renderer else json.dumps(payload, indent=2, sort_keys=True)
-        if not out.endswith("\n"):
-            out += "\n"
+def _emit(args, payload, render=None):
+    """Write payload as indented JSON, or under the command's other --format
+    (text for critfind and bound, csv for plan) the string render() returns."""
+    out = (json.dumps(payload, indent=2, sort_keys=True) if args.format == "json"
+           else render().rstrip("\n")) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)
@@ -196,11 +192,8 @@ def cmd_plan(args) -> int:
         path = sigma_u_planner(t, tol=args.tol)
         reproduced = fiber_fibration(path, t.r)
         err = float(np.max(np.abs(reproduced.entries - t.entries)))
-    if args.format == "csv":
-        _emit(args, path.to_csv(args.samples))
-        return 0
     payload = {"schema": "v1", "section_error": err, "path": path.to_json()}
-    _emit(args, payload)
+    _emit(args, payload, lambda: path.to_csv(args.samples))
     return 0
 
 
@@ -243,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_io(p):
+    def common_io(p, *formats):
         p.add_argument("--output", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        p.add_argument("--format", choices=["json", *formats], default="json")
         p.add_argument("--seed", type=_seed, default=0, help="RNG seed (fixed seed gives byte-identical output)")
 
     p = sub.add_parser(
@@ -271,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gradient tolerance of a critical point; Newton runs to "
                         "min(this, 1e-10)")
     p.add_argument("--cluster-tol", type=float, default=1e-4,
-                   help="critical values closer than 10x this form one level")
-    common_io(p)
+                   help="critical values closer than 10x this form one level, and "
+                        "isolated critical points closer than this one point")
+    common_io(p, "text")
     p.set_defaults(fn=cmd_critfind)
 
     p = sub.add_parser(
@@ -288,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifold", type=_parse_manifold, required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--samples", type=_positive_int, default=256, help="dense samples for csv export")
-    common_io(p)
+    common_io(p, "csv")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser(
@@ -325,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--lambda-cut", type=_not_nan, default=float("inf"))
-    common_io(p)
+    common_io(p, "text")
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser(

@@ -421,6 +421,12 @@ def _tangent_kernel(field, coords):
     return np.swapaxes(pe, -1, -2) @ pe
 
 
+def _has_kernel(field, pts, labels):
+    """Per cluster of labels: has the Riemannian Hessian a kernel at its first point?"""
+    first = np.unique(labels, return_index=True)[1]
+    return np.trace(_tangent_kernel(field, pts[first]), axis1=-2, axis2=-1) > 0.5
+
+
 def _follow_kernel(field, pts, starts, targets, others, cfg):
     """Predictor-corrector continuation along the critical set (Allgower & Georg,
     Numerical Continuation Methods, 1990) from pts[starts] toward pts[targets].
@@ -468,20 +474,29 @@ def _morse_bott_merge(field, pts, labels, dist, cfg):
     value, with pairwise distances dist) that are connected through the
     critical set.
 
-    A cluster whose Hessian kernel is trivial at its first point is an isolated
-    critical point and stays alone.  Otherwise every component walks, by
-    ``_follow_kernel``, from its point nearest to the nearest component it has
-    not yet walked toward, and is united with whatever component it arrives at;
-    this repeats until no component has such a neighbour.  Disjoint critical
-    sets are never united, because a walk stays on the critical set.
+    A cluster with no Hessian kernel at its first point holds isolated critical
+    points: it splits where its points do not coincide within cluster_tol, and
+    only the pieces with no kernel at their first point leave it.  Every
+    cluster with a kernel walks, by ``_follow_kernel``, from its point nearest
+    to the nearest component it has not yet walked toward, and is united with
+    whatever component it arrives at, until no component has such a neighbour.
+    A walk stays on the critical set, so disjoint critical sets are never
+    united.
     """
-    k = labels.max() + 1
-    if k == 1:
-        return labels
-    first = np.unique(labels, return_index=True)[1]
-    walkable = np.trace(_tangent_kernel(field, pts[first]), axis1=-2, axis2=-1) > 0.5
+    walkable = _has_kernel(field, pts, labels)
+    lone = ~walkable[labels]
+    if lone.any():
+        pieces = labels.copy()
+        pieces[lone] = labels.max() + 1 + _single_linkage(dist[np.ix_(lone, lone)],
+                                                          cfg.cluster_tol)
+        pieces = np.unique(pieces, return_inverse=True)[1]
+        if pieces.max() + 1 > len(walkable):
+            isolated = ~_has_kernel(field, pts, pieces)[pieces]
+            labels = np.unique(np.where(isolated, labels.max() + 1 + pieces, labels),
+                               return_inverse=True)[1]
+            walkable = _has_kernel(field, pts, labels)
     tried = ~np.outer(walkable, walkable)
-    root = np.arange(k)
+    root = np.arange(len(walkable))
     while True:
         comp = root[labels]
         open_ = (comp[:, None] != comp[None, :]) & ~tried[labels[:, None], labels[None, :]]
@@ -508,8 +523,8 @@ def _morse_bott_merge(field, pts, labels, dist, cfg):
 def _cluster_endpoints(field, endpoints, cfg):
     """Group converged points into components: by value, with gaps larger than
     10 * cluster_tol, then by the field's structural classifier (one call per
-    group), or, when none is set, by point distance at POINT_MERGE_DIST followed
-    by the Morse-Bott merge of clusters connected through the critical set."""
+    group), or, when none is set, by point distance at POINT_MERGE_DIST refined
+    by the Morse-Bott merge (isolated points split, connected clusters joined)."""
     values = field.value_at(endpoints)
     order = np.argsort(values, kind="stable")
     endpoints = endpoints[order]

@@ -232,14 +232,14 @@ class _Hypersurface(ManifoldSpec):
 
     def sample(self, n: int, rng: np.random.Generator):
         """n points: uniform draws from the field's bounding box, those with a gradient
-        above 1e-6 projected onto the level set.  Ten rounds in a row in which no draw
-        projects raise WrongSpec: the level set is empty or out of float range."""
+        above 1e-6 projected onto the level set.  A round after one that adds no point
+        draws 16, not 2 (n - have); ten such rounds in a row raise WrongSpec."""
         d = self.ambient_dim
         box = self.field.bounding_box
         out = np.empty((0, d))
         idle = 0
         while out.shape[0] < n:
-            m = max(2 * (n - out.shape[0]), 16)
+            m = 16 if idle else max(2 * (n - out.shape[0]), 16)
             raw = rng.uniform(box[:, 0], box[:, 1], size=(m, d))
             with np.errstate(over="ignore"):  # a gradient whose square overflows is not small
                 raw = raw[np.linalg.norm(self.field.grad(raw), axis=-1) > 1e-6]
@@ -368,7 +368,7 @@ class StiefelV2(ManifoldSpec):
 
 @dataclass(frozen=True)
 class Euclidean(ManifoldSpec):
-    """Flat R^dim; projections are the identity.  Used by path-conversion tests."""
+    """The flat manifold R^dim: projections are the identity."""
 
     dim: int
     kind = "euclidean"

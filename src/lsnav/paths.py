@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -144,7 +144,7 @@ class PathSpec:
     at shared knots within 1e-9."""
 
     segments: tuple
-    spec: Optional[mf.ManifoldSpec] = None
+    spec: mf.ManifoldSpec
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -181,21 +181,15 @@ class PathSpec:
 
     @property
     def ambient_dim(self) -> int:
-        seg = self.segments[0]
-        return seg.eval(np.array([seg.t0])).shape[-1]
+        return self.spec.ambient_dim
 
     def constraint_residual(self, n_samples: int = 256) -> float:
-        if self.spec is None:
-            return 0.0
         ts = np.linspace(0.0, 1.0, n_samples)
         return float(np.max(mf.constraint_residual(self.spec, self.eval_many(ts))))
 
     def to_json(self) -> dict:
-        return {
-            "schema": "v1",
-            "manifold": mf.spec_to_json(self.spec) if self.spec is not None else None,
-            "segments": [s.to_json() for s in self.segments],
-        }
+        return {"schema": "v1", "manifold": mf.spec_to_json(self.spec),
+                "segments": [s.to_json() for s in self.segments]}
 
     def to_csv(self, n_samples: int = 256) -> str:
         ts = np.linspace(0.0, 1.0, n_samples)
@@ -209,7 +203,7 @@ class PathSpec:
 
 
 def path_from_json(obj: dict) -> PathSpec:
-    spec = mf.spec_from_json(obj["manifold"]) if obj.get("manifold") else None
+    spec = mf.spec_from_json(obj["manifold"])
     segs = []
     for s in obj["segments"]:
         if s["type"] == "constant":
@@ -235,9 +229,7 @@ def path_fibration(p: PathSpec, r: int) -> NavTuple:
     if r < 2:
         raise WrongSpec("the evaluation fibration needs r >= 2")
     ts = np.arange(r) / (r - 1)
-    pts = p.eval_many(ts)
-    spec = p.spec if p.spec is not None else mf.Euclidean(pts.shape[-1])
-    return NavTuple(spec, pts)
+    return NavTuple(p.spec, p.eval_many(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +312,10 @@ class DeformationHandle:
     """A deformation h(a, t) of tuples in X^r with h(a, 0) = a.
 
     ``map`` takes a NavTuple and a time in [0, 1] and returns a NavTuple.
-    ``end_at_diagonal`` asserts that all components of h(a, 1) agree.
+    ``deformation_to_section`` checks that h(a, 1) lies on the diagonal.
     """
 
     map: Callable[[NavTuple, float], NavTuple]
-    end_at_diagonal: bool = False
 
     def component(self, j: int, a: NavTuple, t: float) -> np.ndarray:
         return self.map(a, float(t)).points[j]
@@ -333,12 +324,6 @@ class DeformationHandle:
         start = self.map(a, 0.0).points
         if np.max(np.linalg.norm(start - a.points, axis=-1)) > tol:
             raise NotEndingAtDiagonal("deformation does not start at the identity")
-        if self.end_at_diagonal:
-            end = self.map(a, 1.0).points
-            if np.max(np.linalg.norm(end - end[0], axis=-1)) > tol:
-                raise NotEndingAtDiagonal(
-                    "deformation flagged end_at_diagonal does not reach the diagonal"
-                )
 
 
 def _legs(r, pieces):
@@ -357,13 +342,15 @@ def deformation_to_section(h: DeformationHandle, a: NavTuple, r: int) -> PathSpe
 
     On [ (j-1)/(r-1), (j-1/2)/(r-1) ) the path follows component j-1 of the
     deformation forward, on the mirrored half it follows component j
-    backward; continuity at the midpoint is exactly the diagonal condition.
+    backward; continuity at the midpoint is exactly the diagonal condition,
+    so h(a, 1) off the diagonal by more than 1e-9 raises NotEndingAtDiagonal.
     """
     if r != a.r:
         raise WrongSpec("tuple length must equal r")
-    if not h.end_at_diagonal:
-        raise NotEndingAtDiagonal("conversion requires a diagonal-ending deformation")
     h.check_at(a)
+    end = h.map(a, 1.0).points
+    if np.max(np.linalg.norm(end - end[0], axis=-1)) > CONTINUITY_TOL:
+        raise NotEndingAtDiagonal("deformation does not end on the diagonal")
     return PathSpec(_legs(r, (lambda j, s: h.component(j - 1, a, s),
                               lambda j, s: h.component(j, a, 1.0 - s))), a.spec)
 

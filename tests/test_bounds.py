@@ -1,4 +1,5 @@
 import math
+import json
 
 import pytest
 
@@ -96,6 +97,18 @@ def test_bound_result_json_and_table():
     assert payload["exact"] is True
     text = res.table()
     assert "bound" in text and "3" in text
+
+
+def test_bound_input_json_is_a_components_file():
+    # the "components" list of to_json is the form `lsnav bound --components` reads
+    inp = BoundInput.fiber_signs(3, complexity=2)
+    payload = json.loads(json.dumps(inp.to_json()))
+    assert (payload["schema"], payload["mode"], len(payload["components"])) == (
+        "v1", "fiber-signs", 8)
+    back = BoundInput.plain((c["value"], c["complexity"], c["label"])
+                            for c in payload["components"])
+    assert back.components == inp.components
+    assert ls_upper_bound(back).bound == ls_upper_bound(inp).bound == 8
 
 
 def test_component_complexity_validation():

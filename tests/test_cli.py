@@ -138,6 +138,40 @@ def test_plan_csv_export(tmp_path, capsys):
     assert len(lines) == 17
 
 
+def test_critfind_text_table(capsys):
+    argv = ["critfind", "--field", "nav", "--manifold", "sphere:1", "--r", "2",
+            "--seeds", "80", "--seed", "0"]
+    _, out, _ = run_cli(capsys, *argv)
+    comps = json.loads(out)["components"]
+    code, text, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert text.endswith("\n")
+    header, *rows = text.splitlines()
+    assert header.split() == ["value", "label", "representatives"]
+    assert [row.split() for row in rows] == [
+        [f"{c['value']:.6f}", c["label"], str(c["n_representatives"])] for c in comps]
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    (["critfind", "--field", "nav", "--manifold", "sphere:1", "--seeds", "20"], "csv"),
+    (["bound", "--unit-tangent", "--m", "1", "--r", "2"], "csv"),
+    (["pairs", "--sphere", "2", "--seeds", "50"], "csv"),
+    (["pairs", "--sphere", "2", "--seeds", "50"], "text"),
+    (["plan", "--planner", "product-spheres", "--manifold", "sphere:1",
+      "--tuple", "antipodal.json"], "text"),
+], ids=["critfind-csv", "bound-csv", "pairs-csv", "pairs-text", "plan-text"])
+def test_format_offers_only_what_a_command_renders(argv, fmt, tmp_path, monkeypatch, capsys):
+    (tmp_path / "antipodal.json").write_text("[[1, 0], [-1, 0]]")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: lsnav {argv[0]}")
+    assert f"argument --format: invalid choice: '{fmt}'" in captured.err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "critfind", "--field", "ut-f",
                            "--manifold", "sphere:2")

@@ -18,6 +18,7 @@ from lsnav.flow import (
     time_one_map,
 )
 from lsnav.manifolds import (
+    Ellipsoid,
     PointOnM,
     ProductSpheres,
     Sphere,
@@ -375,6 +376,19 @@ def test_descent_diagnostic_equator_height():
     assert report.min_decrement > 0
 
 
+def test_descent_report_json():
+    field = nav_field(Sphere(1), 2)
+    x = np.array([1.0, 0.0])
+    moving = descent_diagnostic(field, random_points(field.spec, 20, np.random.default_rng(5)))
+    fixed = descent_diagnostic(field, np.concatenate([x, x])[None, :])
+    assert moving.to_json() == {"schema": "v1", "n_samples": 20,
+                                "n_noncritical": moving.n_noncritical,
+                                "min_decrement": moving.min_decrement, "all_positive": True}
+    # with no noncritical sample there is no decrement to report
+    assert fixed.to_json() == {"schema": "v1", "n_samples": 1, "n_noncritical": 0,
+                               "min_decrement": None, "all_positive": True}
+
+
 def test_fd_gradient_fallback():
     spec = Sphere(2)
     field = ScalarField(spec, lambda x: np.sum(x**3, axis=-1))
@@ -498,6 +512,42 @@ def test_morse_bott_merge_keeps_disjoint_circles_apart():
         assert [round(c.value, 6) for c in comps] == [0.0, 0.0, 0.25, 0.25]
         radii = sorted(round(float(np.hypot(*c.representatives[0, :2])), 6) for c in comps)
         assert radii == [1.5, 2.0, 2.0, 2.5]
+
+
+@pytest.mark.parametrize("radius", [0.1, 1.0])
+def test_isolated_critical_points_closer_than_the_linkage_distance_stay_apart(radius):
+    # z^2 on a sphere of this radius: the equator at 0 and the two poles at r^2.
+    # At r = 0.1 the poles are 0.2 apart, inside POINT_MERGE_DIST, and single
+    # linkage joins them; their Hessian has no kernel, so the merge splits them
+    spec = Ellipsoid((radius,) * 3)
+    field = ScalarField(spec, lambda x: x[..., 2] ** 2,
+                        lambda x: np.stack([0.0 * x[..., 0], 0.0 * x[..., 1], 2.0 * x[..., 2]], -1),
+                        euclidean_hessian=lambda x: np.diag([0.0, 0.0, 2.0]))
+    comps = find_critical_components(field, random_points(spec, 200, np.random.default_rng(0)))
+    assert [round(c.value / radius**2, 6) for c in comps] == [0.0, 1.0, 1.0]
+    poles = sorted(float(p[2]) for c in comps[1:] for p in c.representatives)
+    assert np.allclose(poles[:1] + poles[-1:], [-radius, radius], atol=1e-9)
+    assert all(np.ptp(c.representatives, axis=0).max() <= 1e-9 for c in comps[1:])
+
+
+def test_isolated_point_first_in_a_cluster_with_a_critical_circle():
+    # f = (1 - z)(z - 0.88)^2 on S^2 is 0 at the north pole, a nondegenerate
+    # minimum, and on the circle z = 0.88, 0.49 from the pole: one cluster whose
+    # first point is the pole.  The pole splits off; the circle's points have a
+    # kernel and stay one component, and no walk arrives at the pole
+    z0 = 0.88
+    field = ScalarField(
+        Sphere(2), lambda x: (1.0 - x[..., 2]) * (x[..., 2] - z0) ** 2,
+        lambda x: np.stack([0.0 * x[..., 0], 0.0 * x[..., 1],
+                            -(x[..., 2] - z0) * (3.0 * x[..., 2] - 2.0 - z0)], -1),
+        euclidean_hessian=lambda x: np.einsum("...,ij->...ij", 2.0 + 4.0 * z0 - 6.0 * x[..., 2],
+                                              np.diag([0.0, 0.0, 1.0])))
+    for rng_seed in range(5, 9):
+        seeds = random_points(field.spec, 300, np.random.default_rng(rng_seed))
+        comps = [c for c in find_critical_components(field, seeds, FlowConfig(cluster_tol=1e-6))
+                 if abs(c.value) < 1e-9]
+        heights = [np.unique(np.round(c.representatives[:, 2], 6)).tolist() for c in comps]
+        assert sorted(heights) == [[z0], [1.0]]
 
 
 def _bfs_clusters(points, threshold):

@@ -527,6 +527,22 @@ def test_hypersurface_sampling_gives_up_on_an_unreachable_level_set(spec):
         random_points(spec, 20, np.random.default_rng(0))
 
 
+def test_rounds_after_an_empty_round_draw_16_points(monkeypatch):
+    # the first round draws 2n points; once a round adds none, the next draws 16,
+    # so refusing an empty level set costs about one round, not ten
+    spec = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), -1.0)
+    rows = []
+    project = mf._project_hypersurface
+    monkeypatch.setattr(mf, "_project_hypersurface",
+                        lambda field, level, coords: rows.append(len(coords))
+                        or project(field, level, coords))
+    n = 500
+    with pytest.raises(WrongSpec, match="in 10 rounds"):
+        random_points(spec, n, np.random.default_rng(0))
+    assert len(rows) == 10
+    assert sum(rows) <= 2 * n + 9 * 16
+
+
 def test_polar_factor_of_nearly_dependent_columns_is_orthonormal():
     # the Gram-matrix form sqrt(ac - b^2) loses sigma_min below sqrt(eps) sigma_max;
     # the factor must stay on the manifold and within cond * 1e-14 of the SVD's

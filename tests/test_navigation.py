@@ -552,3 +552,11 @@ def test_dedup_pairs_matches_reference_loop(spread):
     x, y = rows[:, :3], rows[:, 3:]
     got = np.array(list(_dedup_pairs(x, y, 1e-3)))
     assert np.array_equal(got, _reference_dedup(x, y, 1e-3))
+
+
+def test_nav_tuple_json_round_trip():
+    t = random_critical_tuple(ProductSpheres((1, 3)), 3, np.random.default_rng(2))
+    payload = t.to_json()
+    back = NavTuple(mf.spec_from_json(payload["manifold"]), payload["points"])
+    assert back.spec == t.spec
+    assert np.array_equal(back.points, t.points)

@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 from lsnav.errors import (
     EvenDimension,
+    LsnavError,
     NotEndingAtDiagonal,
     OutOfDomain,
     PathDiscontinuity,
     PatternMismatch,
     SingularInput,
     TargetDomainMiss,
+    WrongSpec,
 )
 from lsnav.manifolds import (
     Euclidean,
@@ -201,7 +205,7 @@ def _line_to_diagonal(spec):
         target = np.tile(a.points[0], (a.r, 1))
         return NavTuple(spec, (1.0 - s) * a.points + s * target)
 
-    return DeformationHandle(map=h_map, end_at_diagonal=True)
+    return DeformationHandle(map=h_map)
 
 
 def test_deformation_to_section_r2():
@@ -232,20 +236,30 @@ def test_deformation_to_section_r3_exact_knots():
     assert np.max(np.abs(path_fibration(sec, 3).points - a.points)) <= 1e-12
 
 
-def test_deformation_requires_diagonal_flag():
-    spec = Euclidean(2)
-    h = DeformationHandle(map=lambda a, s: a, end_at_diagonal=False)
-    a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0]]))
-    with pytest.raises(NotEndingAtDiagonal):
-        deformation_to_section(h, a, 2)
-
-
 def test_deformation_checks_diagonal_claim():
+    # the identity deformation never reaches the diagonal; the conversion measures that
     spec = Euclidean(2)
-    h = DeformationHandle(map=lambda a, s: a, end_at_diagonal=True)
+    h = DeformationHandle(map=lambda a, s: a)
     a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0]]))
     with pytest.raises(NotEndingAtDiagonal):
         deformation_to_section(h, a, 2)
+
+
+@pytest.mark.parametrize("miss, ok", [(1e-10, True), (1e-8, False)])
+def test_deformation_end_is_measured_not_declared(miss, ok):
+    # a handle declares nothing about h(a, 1): the conversion accepts an end
+    # within 1e-9 of the diagonal and refuses one farther off
+    spec = Euclidean(2)
+    line = _line_to_diagonal(spec)
+    h = DeformationHandle(map=lambda a, s: NavTuple(
+        spec, line.map(a, s).points + s * miss * np.arange(a.r)[:, None]))
+    a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]))
+    if ok:
+        sec = deformation_to_section(h, a, 3)
+        assert np.max(np.abs(path_fibration(sec, 3).points - a.points)) <= 1e-12
+    else:
+        with pytest.raises(NotEndingAtDiagonal):
+            deformation_to_section(h, a, 3)
 
 
 def test_compose_identity_deformation():
@@ -327,6 +341,34 @@ def test_path_json_round_trip():
     back = path_from_json(path.to_json())
     ts = np.linspace(0, 1, 33)
     assert np.max(np.abs(back.eval_many(ts) - path.eval_many(ts))) <= 1e-15
+
+
+def test_path_json_round_trip_of_constant_and_sampled_segments():
+    # a constant piece and a sampled quarter circle on S^1, through JSON text
+    theta = np.linspace(0.0, 0.5 * np.pi, 5)
+    path = PathSpec((ConstantSegment(E1, 0.0, 0.5),
+                     SampledSegment(0.5 + theta / np.pi, np.stack([np.cos(theta),
+                                                                   np.sin(theta)], -1))),
+                    Sphere(1))
+    payload = json.loads(json.dumps(path.to_json()))
+    assert [s["type"] for s in payload["segments"]] == ["constant", "sampled"]
+    back = path_from_json(payload)
+    assert back.spec == Sphere(1)
+    ts = np.linspace(0, 1, 33)
+    assert np.array_equal(back.eval_many(ts), path.eval_many(ts))
+    assert back.constraint_residual() <= 1e-12
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"manifold": None}, WrongSpec, "unknown manifold kind None"),
+    ({"segments": [{"type": "spline", "t0": 0.0, "t1": 1.0}]}, LsnavError,
+     "unknown segment type 'spline'"),
+], ids=["no-manifold", "unknown-segment"])
+def test_path_from_json_refuses(change, error, message):
+    # every path lives on a manifold; flat space is {"kind": "euclidean"}
+    payload = {**_half_circle().to_json(), **change}
+    with pytest.raises(error, match=message):
+        path_from_json(payload)
 
 
 def test_path_csv_export():

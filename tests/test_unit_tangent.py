@@ -18,12 +18,14 @@ from lsnav.manifolds import (
     mult_i,
     mult_j,
     random_points,
+    spec_from_json,
     tangency_residual,
     tangent_project,
 )
 from lsnav.navigation import CLASSIFY_TOL
 from lsnav.unit_tangent import (
     FiberTuple,
+    ProportionalityReport,
     base_height_field,
     df_ut,
     f_ut,
@@ -522,3 +524,22 @@ def test_trivialization_json_export():
     payload = handle.to_json(b)
     mat = np.array([[complex(re, im) for re, im in row] for row in payload["matrix"]])
     assert np.max(np.abs(mat - g)) <= 1e-15
+
+
+def test_fiber_tuple_json_round_trip():
+    t = random_fiber_tuple(SPEC, 3, np.random.default_rng(15), critical_mask=[True, False, True])
+    payload = t.to_json()
+    back = FiberTuple(spec_from_json(payload["manifold"]), payload["entries"])
+    assert back.spec == t.spec
+    assert np.array_equal(back.entries, t.entries)
+
+
+@pytest.mark.parametrize("ratio, shown", [(2.5, 2.5), (np.inf, None)])
+def test_proportionality_report_json(ratio, shown):
+    # JSON has no infinity: an unbounded ratio is null and ratio_finite false
+    report = ProportionalityReport(max_ratio=ratio, singular_consistency=True,
+                                   n_samples=10, n_skipped=3, n_inconsistent=0)
+    assert report.to_json() == {
+        "schema": "v1", "max_ratio": shown, "ratio_finite": shown is not None,
+        "singular_consistency": True, "n_samples": 10, "n_skipped": 3, "n_inconsistent": 0,
+    }
