@@ -236,6 +236,17 @@ def test_deformation_to_section_r3_exact_knots():
     assert np.max(np.abs(path_fibration(sec, 3).points - a.points)) <= 1e-12
 
 
+def test_deformation_requires_diagonal_flag():
+    # a deformation that stops halfway to the diagonal is refused: the
+    # diagonal end is required of every handle, not only of the identity
+    spec = Euclidean(2)
+    line = _line_to_diagonal(spec)
+    h = DeformationHandle(map=lambda a, s: line.map(a, 0.5 * s))
+    a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0]]))
+    with pytest.raises(NotEndingAtDiagonal):
+        deformation_to_section(h, a, 2)
+
+
 def test_deformation_checks_diagonal_claim():
     # the identity deformation never reaches the diagonal; the conversion measures that
     spec = Euclidean(2)
