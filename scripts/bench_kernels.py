@@ -10,9 +10,10 @@ on that torus; the right-hand side of the vertical flow,
 500 and 5000 on stiefel:4 and stiefel:8; one descending
 ``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
 them; ``navigation.pair_system_residual`` and ``pair_system_jacobian`` at
-batch sizes 1, 500 and 5000 on the ellipsoid (1,2,3); and one
-``navigation.find_parallel_pairs`` census of that ellipsoid from its default
-10000 seed pairs, for one or more source trees of lsnav in one process:
+batch sizes 1, 500 and 5000 on the ellipsoids (1,2,3) and (1,1.5,2,3) (three
+and six minors per side) and on that torus; and one
+``navigation.find_parallel_pairs`` census of the ellipsoid (1,2,3) from its
+default 10000 seed pairs, for one or more source trees of lsnav in one process:
 
     python3 scripts/bench_kernels.py change=src
     python3 scripts/bench_kernels.py parent=/path/to/parent/src change=src > BENCH_kernels.json
@@ -56,7 +57,8 @@ NEWTON_BATCHES = (1, 500)
 FRAMES = ("stiefel:4", "stiefel:8")
 CLUSTER_PROBLEMS = ("nav (S^3)^3", "ut-f stiefel:4")
 VERTICAL_FLOW_SEEDS = 50
-PAIR_SURFACE = "ellipsoid(1,2,3)"
+PAIR_SURFACES = ("ellipsoid(1,2,3)", "ellipsoid(1,1.5,2,3)", "torus(2,0.5)")
+CENSUS_SURFACE = "ellipsoid(1,2,3)"
 
 
 def load_tree(label: str, src: str):
@@ -78,6 +80,7 @@ def manifold(lsnav, name: str):
             "stiefel:4": mf.StiefelV2(4),
             "stiefel:8": mf.StiefelV2(8),
             "ellipsoid(1,2,3)": mf.Ellipsoid((1.0, 2.0, 3.0)),
+            "ellipsoid(1,1.5,2,3)": mf.Ellipsoid((1.0, 1.5, 2.0, 3.0)),
             "torus(2,0.5)": torus(lsnav)}[name]
 
 
@@ -128,15 +131,17 @@ def cases(lsnav):
                         lambda f=field, x=pts: lsnav.flow._cluster_endpoints(
                             f, x, lsnav.flow.FlowConfig())))
     nav = lsnav.navigation
-    surf = manifold(lsnav, PAIR_SURFACE)
-    for n in BATCHES:
-        pts = mf.random_points(surf, 2 * n, np.random.default_rng([4, n]))
-        z = np.concatenate([pts[:n], pts[n:]], axis=1)
-        for kernel in ("pair_system_residual", "pair_system_jacobian"):
-            out.append((kernel, PAIR_SURFACE, n,
-                        lambda k=getattr(nav, kernel), z=z: k(surf.field, surf.level, z)))
+    for name in PAIR_SURFACES:
+        surf = manifold(lsnav, name)
+        for n in BATCHES:
+            pts = mf.random_points(surf, 2 * n, np.random.default_rng([4, n]))
+            z = np.concatenate([pts[:n], pts[n:]], axis=1)
+            for kernel in ("pair_system_residual", "pair_system_jacobian"):
+                out.append((kernel, name, n, lambda k=getattr(nav, kernel), s=surf, z=z:
+                            k(s.field, s.level, z)))
+    surf = manifold(lsnav, CENSUS_SURFACE)
     search = nav.PairSearchConfig(rng_seed=0)
-    out.append(("find_parallel_pairs", PAIR_SURFACE, search.n_seeds,
+    out.append(("find_parallel_pairs", CENSUS_SURFACE, search.n_seeds,
                 lambda: nav.find_parallel_pairs(surf, search)))
     return out
 

@@ -527,20 +527,36 @@ def test_hypersurface_sampling_gives_up_on_an_unreachable_level_set(spec):
         random_points(spec, 20, np.random.default_rng(0))
 
 
-def test_rounds_after_an_empty_round_draw_16_points(monkeypatch):
-    # the first round draws 2n points; once a round adds none, the next draws 16,
-    # so refusing an empty level set costs about one round, not ten
-    spec = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), -1.0)
+def _projected_rows(monkeypatch):
+    """The row count of every hypersurface projection from here on, in call order."""
     rows = []
     project = mf._project_hypersurface
     monkeypatch.setattr(mf, "_project_hypersurface",
                         lambda field, level, coords: rows.append(len(coords))
                         or project(field, level, coords))
+    return rows
+
+
+def test_rounds_after_an_empty_round_draw_16_points(monkeypatch):
+    # the first round draws 2n points; once a round adds none, the next draws 16,
+    # so refusing an empty level set costs about one round, not ten.  The first
+    # round projects its first n rows, then, as all of them fail, the other n
+    spec = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), -1.0)
+    rows = _projected_rows(monkeypatch)
     n = 500
     with pytest.raises(WrongSpec, match="in 10 rounds"):
         random_points(spec, n, np.random.default_rng(0))
-    assert len(rows) == 10
+    assert len(rows) == 11
     assert sum(rows) <= 2 * n + 9 * 16
+
+
+def test_sampling_projects_only_the_rows_it_keeps(monkeypatch):
+    # on the ellipsoid every drawn row projects, so the n points cost n projections
+    rows = _projected_rows(monkeypatch)
+    n = 500
+    got = random_points(Ellipsoid((1.0, 2.0, 3.0)), n, np.random.default_rng(0))
+    assert got.shape == (n, 3) and np.isfinite(got).all()
+    assert rows == [n]
 
 
 def test_polar_factor_of_nearly_dependent_columns_is_orthonormal():

@@ -440,6 +440,43 @@ def test_pair_system_residual_matches_reference_loop(name):
     assert np.array_equal(pair_system_residual(surf.field, surf.level, z[0]), got[0])
 
 
+def _reference_pair_jacobian(fld, level, z):
+    """The pair Jacobian as one broadcast formula over all minors, row-major."""
+    n = z.shape[-1] // 2
+    x, y = z[..., :n], z[..., n:]
+    chord = x - y
+    dist = np.maximum(np.linalg.norm(chord, axis=-1, keepdims=True), 1e-12)
+    d = chord / dist
+    dd_dx = (np.eye(n) - d[..., :, None] * d[..., None, :]) / dist[..., None]
+    gx, gy, hx, hy = fld.grad(x), fld.grad(y), fld.hess(x), fld.hess(y)
+    a, b = np.triu_indices(n, 1)
+    k = a.size
+    jac = np.zeros(x.shape[:-1] + (2 + 2 * k, 2 * n))
+    jac[..., 0, :n] = gx
+    jac[..., 1, n:] = gy
+    ga = gx[..., a, None] * dd_dx[..., b, :]
+    gb = gx[..., b, None] * dd_dx[..., a, :]
+    jac[..., 2:2 + k, :n] = (
+        hx[..., a, :] * d[..., b, None] - hx[..., b, :] * d[..., a, None] + ga - gb
+    )
+    jac[..., 2:2 + k, n:] = -(ga - gb)
+    gyd = gy[..., a, None] * dd_dx[..., b, :] - gy[..., b, None] * dd_dx[..., a, :]
+    jac[..., 2 + k:, :n] = gyd
+    jac[..., 2 + k:, n:] = hy[..., a, :] * d[..., b, None] - hy[..., b, :] * d[..., a, None] - gyd
+    return jac
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
+def test_pair_system_jacobian_matches_reference_formula(name):
+    # the same bits as the broadcast formula, for one point, a batch and a batch of batches
+    surf = PAIR_SURFACES[name]
+    z = _pair_starts(surf, 200, seed=6)
+    for zz in (z[0], z, z[:2 * (len(z) // 2)].reshape(2, len(z) // 2, -1)):
+        got = pair_system_jacobian(surf.field, surf.level, zz)
+        assert np.array_equal(got, _reference_pair_jacobian(surf.field, surf.level, zz))
+        assert got.flags.c_contiguous
+
+
 # the census' surfaces: S^2 is searched as the unit ellipsoid
 CENSUS_SURFACES = {
     "ellipsoid-3d": Ellipsoid((1.0, 2.0, 3.0)),
