@@ -11,9 +11,13 @@ on that torus; the right-hand side of the vertical flow,
 ``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
 them; ``navigation.pair_system_residual`` and ``pair_system_jacobian`` at
 batch sizes 1, 500 and 5000 on the ellipsoids (1,2,3) and (1,1.5,2,3) (three
-and six minors per side) and on that torus; and one
-``navigation.find_parallel_pairs`` census of the ellipsoid (1,2,3) from its
-default 10000 seed pairs, for one or more source trees of lsnav in one process:
+and six minors per side) and on that torus; one Levenberg-Marquardt
+iteration, ``lm_iteration``, at batch sizes 1, 500 and 5000 on the pair
+system of the ellipsoid (1,2,3) (d = 6) and on the Riemannian gradient and
+Hessian of the nav field of S^3 (r=3, d = 12), each solved per matrix and
+along the batch axis; and one ``navigation.find_parallel_pairs`` census of
+the ellipsoid (1,2,3) from its default 10000 seed pairs, for one or more
+source trees of lsnav in one process:
 
     python3 scripts/bench_kernels.py change=src
     python3 scripts/bench_kernels.py parent=/path/to/parent/src change=src > BENCH_kernels.json
@@ -30,7 +34,12 @@ integrator steps and its right-hand-side calls and rows, each counted in an
 untimed call.  ``flow._cluster_endpoints``, the clustering that labels
 converged points, is timed at batch sizes 1, 500 and 5000 on critical points
 of two classified fields: the nav field of S^3 (r=3), tuples (x, +-x, +-x) on
-(S^3)^3, and ut-f on stiefel:4, frames (x, +-ix).
+(S^3)^3, and ut-f on stiefel:4, frames (x, +-ix).  ``lm_iteration`` runs
+``levenberg_marquardt`` for one iteration on a system frozen at random points:
+the normal equations and one damped solve, accepted in every row, since every
+trial residual is zero.  Its kind names the problem and the solve, forced
+through ``numerics.LM_BATCH_AXIS_ROWS`` ("per-matrix" or "batch-axis"); a tree
+without that constant solves per matrix under both names.
 
 Kernel times on a shared host are noisy: treat them as a guide to where the
 time goes, and the benchmark's ``solve_ref`` as the end-to-end evidence.
@@ -58,6 +67,8 @@ FRAMES = ("stiefel:4", "stiefel:8")
 CLUSTER_PROBLEMS = ("nav (S^3)^3", "ut-f stiefel:4")
 VERTICAL_FLOW_SEEDS = 50
 PAIR_SURFACES = ("ellipsoid(1,2,3)", "ellipsoid(1,1.5,2,3)", "torus(2,0.5)")
+LM_PROBLEMS = ("pair ellipsoid(1,2,3)", "nav (S^3)^3")
+LM_PATHS = ("per-matrix", "batch-axis")
 CENSUS_SURFACE = "ellipsoid(1,2,3)"
 
 
@@ -139,6 +150,12 @@ def cases(lsnav):
             for kernel in ("pair_system_residual", "pair_system_jacobian"):
                 out.append((kernel, name, n, lambda k=getattr(nav, kernel), s=surf, z=z:
                             k(s.field, s.level, z)))
+    for name in LM_PROBLEMS:
+        for n in BATCHES:
+            z, res, jac = lm_system(lsnav, name, n, np.random.default_rng([6, n]))
+            for path in LM_PATHS:
+                out.append(("lm_iteration", f"{name} {path}", n,
+                            lambda z=z, r=res, j=jac, p=path: lm_iteration(lsnav, z, r, j, p)))
     surf = manifold(lsnav, CENSUS_SURFACE)
     search = nav.PairSearchConfig(rng_seed=0)
     out.append(("find_parallel_pairs", CENSUS_SURFACE, search.n_seeds,
@@ -164,6 +181,44 @@ def critical_points(lsnav, name: str, n: int, rng):
         return mf.frame_flat(x, rng.choice([-1.0, 1.0], size=(n, 1)) * mf.mult_i(x))
     signs = np.concatenate([np.ones((n, 1)), rng.choice([-1.0, 1.0], size=(n, 2))], axis=1)
     return (signs[:, :, None] * x[:, None, :]).reshape(n, -1)
+
+
+def lm_system(lsnav, name: str, n: int, rng):
+    """n random points z of an LM problem, with its residual and Jacobian there:
+    the pair system of the ellipsoid (1,2,3), or the Riemannian gradient and
+    Hessian of the nav field of S^3 (r=3)."""
+    if name == "pair ellipsoid(1,2,3)":
+        surf = manifold(lsnav, "ellipsoid(1,2,3)")
+        pts = lsnav.manifolds.random_points(surf, 2 * n, rng)
+        z = np.concatenate([pts[:n], pts[n:]], axis=1)
+        nav = lsnav.navigation
+        return (z, nav.pair_system_residual(surf.field, surf.level, z),
+                nav.pair_system_jacobian(surf.field, surf.level, z))
+    field = newton_field(lsnav, name)
+    z = lsnav.manifolds.random_points(field.spec, n, rng)
+    return z, field.riemannian_gradient(z), field.riemannian_hessian(z)
+
+
+def lm_iteration(lsnav, z, res, jac, path: str):
+    """One ``levenberg_marquardt`` iteration from z with the residual res there
+    and the Jacobian jac, and a zero residual at every trial point, solved the
+    way path names."""
+    numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
+    saved = numerics.LM_MAX_ITER, getattr(numerics, "LM_BATCH_AXIS_ROWS", None)
+    start = [res.copy()]  # LM writes accepted residuals into the array it is given
+
+    def residual(w):
+        return start.pop() if start else np.zeros((len(w), res.shape[1]))
+
+    numerics.LM_MAX_ITER = 1
+    if saved[1] is not None:
+        numerics.LM_BATCH_AXIS_ROWS = 1 if path == "batch-axis" else len(z) + 1
+    try:
+        numerics.levenberg_marquardt(residual, lambda w: jac, z, tol=0.0)
+    finally:
+        numerics.LM_MAX_ITER = saved[0]
+        if saved[1] is not None:
+            numerics.LM_BATCH_AXIS_ROWS = saved[1]
 
 
 def lm_counts(lsnav, call) -> dict:

@@ -429,7 +429,8 @@ def _gauss_newton_pairs(fld, level, z0):
 
     def jacobian(z):
         jac = pair_system_jacobian(fld, level, z)
-        jac[np.linalg.norm(z[:, :n] - z[:, n:], axis=-1) < PAIR_MIN_SEPARATION] = np.nan
+        chord = z[:, :n] - z[:, n:]
+        jac[np.einsum("ij,ij->i", chord, chord) < PAIR_MIN_SEPARATION ** 2] = np.nan
         return jac
 
     return levenberg_marquardt(

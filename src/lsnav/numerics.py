@@ -8,14 +8,17 @@ LM_LAM_MIN = 1e-12   # damping bounds
 LM_LAM_MAX = 1e8
 LM_STEP_CAP = 0.5    # largest step norm
 LM_MAX_ITER = 80     # iterations per row
+LM_BATCH_AXIS_ROWS = 1024  # calls with this many starting rows solve along the batch axis
 
 
 def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
     """Damped least-squares iteration on a batch of starting points.
 
     residual(z) -> (n, m), jacobian(z) -> (n, m, d) with z of shape (n, d).
-    Solves (J^T J + lam I) delta = -J^T r per row for at most LM_MAX_ITER
-    iterations; accepted steps shrink the damping, rejected ones grow it.
+    Solves (J^T J + lam D) delta = -J^T r per row, D = diag(max(diag J^T J, 1))
+    (Marquardt's scaling, so the damping survives rounding whatever the
+    residual scale), for at most LM_MAX_ITER iterations; accepted steps shrink
+    the damping, rejected ones grow it.
     Steps are capped at LM_STEP_CAP in norm, which keeps iterates from
     tunneling between basins when the Jacobian is rank-deficient (flat
     valleys, solution continua).  An optional ``retract`` maps trial points
@@ -27,12 +30,26 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
     The residual is evaluated at the starts and once per trial point; an
     accepted trial keeps the residual it was judged by.
 
+    The damped systems are solved one of two ways, chosen once per call from
+    the number of starting rows.  Below LM_BATCH_AXIS_ROWS, per matrix:
+    batched matrix products for J^T J and J^T r, and LAPACK's ``solve``
+    (``pinv`` for the whole solve when some matrix is exactly singular).
+    From LM_BATCH_AXIS_ROWS on, along the batch axis: the Jacobian is copied
+    once component-major, and the normal equations and the Cholesky solve of
+    each damped system are loops over its d components on contiguous
+    length-n vectors (``_normal_equations``, ``_cholesky_solve``); a row whose
+    pivot is not positive is solved again, per matrix, by LAPACK.  Either way
+    the arithmetic of one row does not depend on the other rows of the call,
+    so a row takes the same steps, bit for bit, whichever rows are still
+    active (barring the whole-solve ``pinv``).
+
     Returns (z, residual_norms).
     """
     z = np.array(z0, dtype=float)
     if retract is not None:
         z = retract(z)
     n, d = z.shape
+    batch_axis = n >= LM_BATCH_AXIS_ROWS
     res = residual(z)
     rn = np.linalg.norm(res, axis=-1)
     dead = ~np.isfinite(rn)
@@ -46,35 +63,37 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
         za = z[act_idx]
         ra = res[act_idx]
         la = lam[act_idx]
-        jac = jacobian(za)
-        jt = np.swapaxes(jac, -1, -2)
-        with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are dropped below
-            jtj = jt @ jac
-            jtr = (jt @ ra[..., None])[..., 0]
-        bad = ~(np.isfinite(jtj).all(axis=(1, 2)) & np.isfinite(jtr).all(axis=1))
-        if bad.any():
-            dead[act_idx[bad]] = True
-            rn[act_idx[bad]] = np.inf
-            keep = ~bad
-            act_idx = act_idx[keep]
-            if act_idx.size == 0:
-                continue
-            za, ra, la, jtj, jtr = za[keep], ra[keep], la[keep], jtj[keep], jtr[keep]
+        if batch_axis:
+            aug = _normal_equations(jacobian(za), ra)  # [J^T J | J^T r], batch axis last
+            diag = aug.reshape(d * (d + 1), -1)[:: d + 2]
+            finite = np.isfinite(aug).all(axis=(0, 1))
+        else:
+            jac = jacobian(za)
+            jt = np.swapaxes(jac, -1, -2)
+            with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are dropped below
+                jtj = jt @ jac
+                jtr = (jt @ ra[..., None])[..., 0]
+            diag = np.einsum("nii->ni", jtj)
+            finite = np.isfinite(jtj).all(axis=(1, 2)) & np.isfinite(jtr).all(axis=1)
+        dead[act_idx[~finite]] = True
+        rn[act_idx[~finite]] = np.inf
         # Marquardt scaling: damp relative to the diagonal of J^T J so the
         # shift survives rounding whatever the residual scale is
-        diag = np.einsum("nii->ni", jtj)
         scale = np.maximum(diag, 1.0)
-        accepted = np.zeros(len(za), dtype=bool)
+        accepted = ~finite  # an abandoned row takes no trial
         for _ in range(8):
             todo = ~accepted
             if not todo.any():
                 break
-            a = jtj[todo]
-            a.reshape(len(a), d * d)[:, :: d + 1] += la[todo, None] * scale[todo]
-            try:
-                delta = -np.linalg.solve(a, jtr[todo, :, None])[..., 0]
-            except np.linalg.LinAlgError:
-                delta = -np.einsum("nij,nj->ni", np.linalg.pinv(a), jtr[todo])
+            if batch_axis:
+                # compress, unlike a mask index, keeps the batch axis contiguous
+                a = np.compress(todo, aug, axis=-1)
+                a.reshape(d * (d + 1), -1)[:: d + 2] += la[todo] * np.compress(todo, scale, axis=-1)
+                delta = -np.ascontiguousarray(_cholesky_solve(a).T)
+            else:
+                a = jtj[todo]
+                a.reshape(len(a), d * d)[:, :: d + 1] += la[todo, None] * scale[todo]
+                delta = -_lapack_solve(a, jtr[todo])
             norms = np.linalg.norm(delta, axis=-1)
             over = norms > LM_STEP_CAP
             if over.any():
@@ -94,3 +113,70 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
             la[bi] = np.minimum(la[bi] * 10.0, LM_LAM_MAX)
         lam[act_idx] = la
     return z, rn
+
+
+def _lapack_solve(a, b):
+    """x with a[i] x[i] = b[i] for (n, d, d) a and (n, d) b, by LAPACK; by the
+    pseudo-inverse for every row when some a[i] is exactly singular."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.einsum("nij,nj->ni", np.linalg.pinv(a), b)
+
+
+def _normal_equations(jac, r):
+    """The augmented normal equations [J^T J | J^T r], batch axis last, as one
+    (d, d + 1, n) array, of the (n, m, d) Jacobian and the (n, m) residual.
+
+    The Jacobian, with r as a last column, is copied once component-major, and
+    each entry of the upper half and of J^T r is summed over the m components in
+    order by elementwise operations on length-n vectors, so its bits do not
+    depend on n; the lower half is mirrored from the upper."""
+    n, m, d = jac.shape
+    jc = np.empty((m, d + 1, n))
+    jc[:, :d] = jac.transpose(1, 2, 0)
+    jc[:, d] = r.T
+    del jac  # passed inline, the row-major Jacobian is freed here
+    aug = np.empty((d, d + 1, n))
+    with np.errstate(invalid="ignore", over="ignore"):  # LM drops non-finite rows
+        for i in range(d):
+            row = aug[i, i:]
+            np.multiply(jc[0, i], jc[0, i:], out=row)
+            for k in range(1, m):
+                row += jc[k, i] * jc[k, i:]
+            aug[i + 1:, i] = row[1:d - i]
+    return aug
+
+
+def _cholesky_solve(a):
+    """x with A[:, :, i] x[:, i] = b[:, i] for the augmented (d, d + 1, n)
+    batch a = [A | b] of symmetric positive definite A, batch axis last.
+
+    a is factored in place, A = U^T U, left-looking (Golub & Van Loan,
+    Matrix Computations, 4.2): row j of U overwrites the upper half of row j
+    of A, and the same updates carry b along into the solution y of
+    U^T y = b; U x = y is then solved backwards.  The strict lower half of A is
+    left as it was.  Every step is an elementwise operation on length-n
+    vectors, so a row's bits do not depend on the other rows.  A pivot that
+    is not positive (an indefinite or numerically singular A) leaves that
+    row's x non-finite; such a row is rebuilt from that lower half and the
+    saved diagonal and right-hand side, and solved by LAPACK."""
+    d = len(a)
+    diag, b = a.reshape(d * (d + 1), -1)[:: d + 2].copy(), a[:, d].copy()
+    with np.errstate(all="ignore"):  # failed rows are solved again below
+        for j in range(d):
+            for k in range(j):
+                a[j, j:] -= a[k, j] * a[k, j:]
+            np.sqrt(a[j, j], out=a[j, j])
+            a[j, j + 1:] /= a[j, j]
+        x = a[:, d].copy()
+        for k in range(d - 1, -1, -1):
+            x[k] /= a[k, k]
+            x[:k] -= a[:k, k] * x[k]
+    fail = ~np.isfinite(x).all(axis=0)
+    if fail.any():
+        low = np.tril(np.moveaxis(a[:, :d, fail], -1, 0), -1)
+        full = low + np.swapaxes(low, 1, 2)
+        full.reshape(len(full), d * d)[:, :: d + 1] = diag[:, fail].T
+        x[:, fail] = _lapack_solve(full, b[:, fail].T).T
+    return x

@@ -16,7 +16,7 @@ from lsnav.manifolds import (
     random_points,
 )
 from lsnav.constraints import torus_of_revolution_field
-from lsnav.numerics import LM_MAX_ITER, levenberg_marquardt
+from lsnav.numerics import LM_BATCH_AXIS_ROWS, LM_MAX_ITER, levenberg_marquardt
 from lsnav.navigation import (
     PAIR_MIN_SEPARATION,
     PAIR_RESIDUAL_TOL,
@@ -485,15 +485,17 @@ CENSUS_SURFACES = {
 }
 
 
-@pytest.mark.parametrize("seed", [0, 6])
+# the last case is large enough for LM to solve along the batch axis
+@pytest.mark.parametrize("seed, count", [(0, 1000), (6, 1000), (7, 2 * LM_BATCH_AXIS_ROWS)],
+                         ids=["0", "6", "7-batch-axis"])
 @pytest.mark.parametrize("name", sorted(CENSUS_SURFACES))
-def test_diagonal_retirement_keeps_converged_rows(name, seed):
+def test_diagonal_retirement_keeps_converged_rows(name, seed, count):
     # retiring rows that reach the diagonal changes no row that converges:
     # the plain solver on the unmodified Jacobian converges the same rows to
     # the same bits
     surf = CENSUS_SURFACES[name]
     fld, level = surf.field, surf.level
-    z0 = _pair_starts(surf, 1000, seed)
+    z0 = _pair_starts(surf, count, seed)
     z, rn = _gauss_newton_pairs(fld, level, z0)
     want_z, want_rn = levenberg_marquardt(
         lambda w: pair_system_residual(fld, level, w),

@@ -1,7 +1,11 @@
 import numpy as np
+import pytest
 
 from lsnav import numerics
-from lsnav.numerics import levenberg_marquardt
+from lsnav.numerics import LM_BATCH_AXIS_ROWS, levenberg_marquardt
+
+# one batch solved per matrix and one solved along the batch axis
+BATCHES = [40, 2 * LM_BATCH_AXIS_ROWS]
 
 
 def _linear(a, b):
@@ -15,7 +19,8 @@ def _linear(a, b):
     return residual, jacobian
 
 
-def test_lm_evaluates_each_point_once(monkeypatch):
+@pytest.mark.parametrize("rows", BATCHES)
+def test_lm_evaluates_each_point_once(monkeypatch, rows):
     monkeypatch.setattr(numerics, "LM_MAX_ITER", 60)
     # the residual is evaluated at the starts and at trial points only: an
     # accepted trial keeps the residual it was judged by
@@ -29,7 +34,7 @@ def test_lm_evaluates_each_point_once(monkeypatch):
     def jacobian(z):
         return 2.0 * z[:, None, :]
 
-    z0 = np.random.default_rng(0).uniform(-2.0, 2.0, size=(40, 2))
+    z0 = np.random.default_rng(0).uniform(-2.0, 2.0, size=(rows, 2))
     z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-12)
     assert (rn <= 1e-12).all()
     assert np.array_equal(seen[0], z0)
@@ -59,7 +64,8 @@ def test_lm_abandons_non_finite_rows(monkeypatch):
     assert 5.0 < z[1, 0] < 8.0
 
 
-def test_lm_abandoned_row_leaves_the_other_rows_unchanged(monkeypatch):
+@pytest.mark.parametrize("rows", BATCHES)
+def test_lm_abandoned_row_leaves_the_other_rows_unchanged(monkeypatch, rows):
     monkeypatch.setattr(numerics, "LM_MAX_ITER", 60)
     # the other rows of a batch take the same steps, bit for bit, whether or
     # not a row in it is abandoned part-way
@@ -72,7 +78,7 @@ def test_lm_abandoned_row_leaves_the_other_rows_unchanged(monkeypatch):
         jac[(r > 5.0) & (r < 12.0)] = np.nan
         return jac
 
-    z0 = np.random.default_rng(3).uniform(-2.0, 2.0, size=(40, 2))
+    z0 = np.random.default_rng(3).uniform(-2.0, 2.0, size=(rows, 2))
     victim = 17
     z0[victim] = 10.0  # |z| = 14.1: a few capped steps, then its Jacobian turns NaN
     z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-12)
@@ -101,3 +107,34 @@ def test_lm_matches_lstsq_on_linear_problems(monkeypatch):
     best = np.linalg.norm(a @ want - b)
     z, rn = levenberg_marquardt(*_linear(a, b), z0, tol=1e-13)
     assert np.max(np.abs(rn - best)) <= 1e-10 * best
+
+
+def _augmented_spd(d, n, rng):
+    """(n, d, d) symmetric positive definite A, (n, d) b and the batch-axis
+    (d, d + 1, n) array [A | b] that numerics._cholesky_solve takes."""
+    j = rng.normal(size=(n, d + 2, d))
+    a = np.einsum("nki,nkj->nij", j, j) + 0.1 * np.eye(d)
+    b = rng.normal(size=(n, d))
+    aug = np.concatenate([a, b[:, :, None]], axis=2).transpose(1, 2, 0).copy()
+    return a, b, aug
+
+
+@pytest.mark.parametrize("d", [3, 6, 12])
+def test_batch_axis_solve_matches_lapack(d):
+    a, b, aug = _augmented_spd(d, 300, np.random.default_rng(d))
+    x = numerics._cholesky_solve(aug).T
+    want = np.linalg.solve(a, b[..., None])[..., 0]
+    assert np.max(np.linalg.norm(x - want, axis=1) / np.linalg.norm(want, axis=1)) <= 1e-12
+
+
+def test_batch_axis_solve_falls_back_per_row():
+    # a row whose Cholesky pivot is not positive is solved by LAPACK, and
+    # the other rows keep the bits they have without it
+    a, b, aug = _augmented_spd(6, 50, np.random.default_rng(5))
+    bad = 21
+    a[bad] = np.diag([2.0, -1.0, 3.0, 1.0, 1.0, 4.0]) + 0.1  # symmetric, indefinite
+    aug[:, :6, bad] = a[bad]
+    x = numerics._cholesky_solve(aug.copy())
+    assert np.array_equal(x[:, bad], np.linalg.solve(a[bad], b[bad]))
+    rest = np.arange(50) != bad
+    assert np.array_equal(x[:, rest], numerics._cholesky_solve(aug[..., rest]))
