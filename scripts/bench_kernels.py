@@ -11,7 +11,7 @@ on that torus; the right-hand side of the vertical flow,
 ``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
 them; ``navigation.pair_system_residual`` and ``pair_system_jacobian`` at
 batch sizes 1, 500 and 5000 on the ellipsoids (1,2,3) and (1,1.5,2,3) (three
-and six minors per side) and on that torus; one Levenberg-Marquardt
+and four unknowns per end) and on that torus; one Levenberg-Marquardt
 iteration, ``lm_iteration``, at batch sizes 1, 500 and 5000 on the pair
 system of the ellipsoid (1,2,3) (d = 6) and on the Riemannian gradient and
 Hessian of the nav field of S^3 (r=3, d = 12), each solved per matrix and

@@ -13,7 +13,6 @@ the topological complexity of the surface from below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -334,94 +333,76 @@ def _pair_chord(z):
     return x, y, dist, chord / dist
 
 
-@lru_cache(maxsize=None)
-def _minor_pairs(n):
-    """Rows a < b of the 2x2 minors in itertools.combinations order, read-only (shared)."""
-    a, b = np.triu_indices(n, 1)
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
-
-
 def pair_system_residual(fld, level, z):
-    """Residual of the parallel-pair system at z = (x, y), vectorized.
+    """Residual of the double-normal system at z = (x, y), vectorized.
 
-    Components: g(x) - level, g(y) - level, then the 2x2 minors of
-    (grad g(x), d) and (grad g(y), d) with d the normalized chord, each in
-    the order of ``itertools.combinations(range(n), 2)``.  Minors avoid
-    Lagrange multipliers at the cost of redundancy, handled by least-squares
-    steps.
+    Components: g(x) - level, g(y) - level, then (I - d d^T) u_x and
+    (I - d d^T) u_y, the parts across the unit chord d of the unit normals
+    u = grad g / |grad g| at each end.  The norm of each normal block is the
+    sine of the angle between that normal and the chord, whatever |grad g| is
+    there (Kuiper's double normals, Israel J. Math. 2, 1964).
     """
     x, y, _, d = _pair_chord(z)
-    gx = fld.grad(x)
-    gy = fld.grad(y)
-    a, b = _minor_pairs(x.shape[-1])
-    k = a.size
+    n = x.shape[-1]
     # filled in place so the rows stay C-ordered: LM's row norms sum in that order
-    out = np.empty(x.shape[:-1] + (2 + 2 * k,))
-    out[..., 0] = fld.value(x) - level
-    out[..., 1] = fld.value(y) - level
-    out[..., 2:2 + k] = gx[..., a] * d[..., b] - gx[..., b] * d[..., a]
-    out[..., 2 + k:] = gy[..., a] * d[..., b] - gy[..., b] * d[..., a]
+    out = np.empty(x.shape[:-1] + (2 + 2 * n,))
+    for s, p in enumerate((x, y)):
+        out[..., s] = fld.value(p) - level
+        g = fld.grad(p)
+        gd, gg = (np.einsum("...i,...i->...", g, v)[..., None] for v in (d, g))
+        out[..., 2 + s * n:2 + (s + 1) * n] = (g - gd * d) / np.sqrt(gg)
     return out
 
 
 def pair_system_jacobian(fld, level, z):
     """Analytic Jacobian of pair_system_residual with respect to (x, y).
 
-    Built component-major: with the coordinate axes in front, each minor's rows
-    are a few operations on contiguous (n, N) arrays, run in the order of the
-    broadcast formula over (N, n, n) blocks, so every entry has that formula's
-    bits.  The (2+2k, 2n, N) result is transposed once into the C-ordered
-    (..., 2+2k, 2n) array that LM multiplies."""
+    At an end p with unit normal u, normal block r = u - (u.d) d, chord length
+    rho and C = +-((u.d)/rho I + d (u - 2 (u.d) d)^T / rho), + at x: the block's
+    derivative is (H - r (Hu)^T - d (Hd)^T)/|grad g| - C with respect to p and
+    C with respect to the other end.  Built component-major, on contiguous
+    (n, N) and (n, n, N) arrays, and transposed once into the C-ordered
+    (..., 2+2n, 2n) array that LM multiplies."""
     z = np.asarray(z, dtype=float)
     lead = z.shape[:-1]
     x, y, dist, d = _pair_chord(z.reshape(-1, z.shape[-1]))
     n = x.shape[-1]
-    dist = dist[:, 0]
-    d, gx, gy = (np.ascontiguousarray(v.T) for v in (d, fld.grad(x), fld.grad(y)))
-    hx, hy = (np.ascontiguousarray(fld.hess(v).transpose(1, 2, 0)) for v in (x, y))
-    # derivative of the normalized chord: (I - d d^T)/|x-y| wrt x, negated wrt y
-    dd_dx = (np.eye(n)[:, :, None] - d[:, None] * d[None, :]) / dist
-    a, b = _minor_pairs(n)
-    k = a.size
+    dist, d = dist[:, 0], np.ascontiguousarray(d.T)
+    eye = np.eye(n)[:, :, None]
     # the output is allocated before the component-major scratch, so freeing the
-    # scratch leaves no hole below it in the heap: 1.5 MB less peak RSS per census
-    out = np.empty((dist.size, 2 + 2 * k, 2 * n))
-    jac = np.zeros((2 + 2 * k, 2 * n, dist.size))
-    jac[0, :n] = gx
-    jac[1, n:] = gy
-    for m, (p, q) in enumerate(zip(a.tolist(), b.tolist())):
-        # rows 2 + m and 2 + k + m, minor m of (grad g(x), d) and of (grad g(y), d), in
-        # place and in the order of hx[p] d[q] - hx[q] d[p] + ga - gb | -(ga - gb) and
-        # gyd = gy[p] dd_dx[q] - gy[q] dd_dx[p] | hy[p] d[q] - hy[q] d[p] - gyd
-        ga = gx[p] * dd_dx[q]
-        gb = gx[q] * dd_dx[p]
-        xx, xy, yx, yy = jac[2 + m, :n], jac[2 + m, n:], jac[2 + k + m, :n], jac[2 + k + m, n:]
-        np.multiply(hx[p], d[q], out=xx)
-        xx -= hx[q] * d[p]
-        xx += ga
-        xx -= gb
-        np.subtract(ga, gb, out=xy)
-        np.negative(xy, out=xy)
-        np.multiply(gy[p], dd_dx[q], out=yx)
-        yx -= gy[q] * dd_dx[p]
-        np.multiply(hy[p], d[q], out=yy)
-        yy -= hy[q] * d[p]
-        yy -= yx
+    # scratch leaves no hole below it in the heap
+    out = np.empty((dist.size, 2 + 2 * n, 2 * n))
+    jac = np.zeros((2 + 2 * n, 2 * n, dist.size))
+    for s, (p, sign) in enumerate(((x, 1.0), (y, -1.0))):
+        g = np.ascontiguousarray(fld.grad(p).T)
+        h = np.ascontiguousarray(fld.hess(p).transpose(1, 2, 0))
+        here, there = slice(s * n, (s + 1) * n), slice((1 - s) * n, (2 - s) * n)
+        jac[s, here] = g
+        norm = np.sqrt(np.sum(g * g, axis=0))
+        u = g / norm
+        ud = np.sum(u * d, axis=0)
+        r = u - ud * d
+        c = (ud / dist * eye + d[:, None] * ((u - 2.0 * ud * d) / dist)[None]) * sign
+        block = jac[2 + s * n:2 + (s + 1) * n]
+        block[:, here] = (h - r[:, None] * np.sum(h * u, axis=1)[None]
+                          - d[:, None] * np.sum(h * d, axis=1)[None]) / norm - c
+        block[:, there] = c
     out[...] = jac.transpose(2, 0, 1)
     return out.reshape(lead + out.shape[1:])
 
 
 def _gauss_newton_pairs(fld, level, z0):
-    """Levenberg-Marquardt on the pair system from the seed pairs z0.
+    """Levenberg-Marquardt on the double-normal system from the seed pairs z0.
 
-    A row evaluated within PAIR_MIN_SEPARATION of the diagonal is retired:
-    its Jacobian is set to NaN, so the solver abandons it with an infinite
-    residual norm (its row-failure rule).  There the unit chord and its
-    1/|x - y| derivative are undefined to working accuracy, and
-    find_parallel_pairs drops such pairs anyway.  A row whose converging
-    trial step lands on the diagonal is never evaluated there, so
-    find_parallel_pairs' separation filter still drops it.
+    Its normal blocks are unit sines, so no row gains by seeking small
+    |grad g| instead of aligning the pair, and random seed pairs almost never
+    close onto the diagonal.  A row evaluated within PAIR_MIN_SEPARATION of
+    the diagonal is still retired: its Jacobian is set to NaN, so the solver
+    abandons it with an infinite residual norm (its row-failure rule).  There
+    the unit chord and the 1/|x - y| terms of the Jacobian are undefined to
+    working accuracy, and find_parallel_pairs drops such pairs anyway.  A row
+    whose converging trial step lands on the diagonal is never evaluated
+    there, so find_parallel_pairs' separation filter still drops it.
     """
     from .numerics import levenberg_marquardt
 
@@ -433,25 +414,8 @@ def _gauss_newton_pairs(fld, level, z0):
         jac[np.einsum("ij,ij->i", chord, chord) < PAIR_MIN_SEPARATION ** 2] = np.nan
         return jac
 
-    return levenberg_marquardt(
-        lambda z: pair_system_residual(fld, level, z),
-        jacobian,
-        z0,
-        tol=PAIR_RESIDUAL_TOL,
-    )
-
-
-def _alignment_residual(fld, x, y):
-    """Relative norm of the normal components orthogonal to the chord."""
-    d = (x - y) / np.linalg.norm(x - y, axis=-1, keepdims=True)
-    out = np.zeros(x.shape[:-1])
-    for p in (x, y):
-        g = fld.grad(p)
-        perp = g - np.sum(g * d, axis=-1, keepdims=True) * d
-        out = np.maximum(
-            out, np.linalg.norm(perp, axis=-1) / np.linalg.norm(g, axis=-1)
-        )
-    return out
+    return levenberg_marquardt(lambda z: pair_system_residual(fld, level, z), jacobian, z0,
+                               tol=PAIR_RESIDUAL_TOL)
 
 
 def _pair_nullity(surf, x, y):
@@ -530,9 +494,11 @@ def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
         np.fill_diagonal(dmat, np.inf)
         nn = float(dmat.min())
 
-    x, y = reps[:, :n], reps[:, n:]
-    pairs = [CriticalPair(px, py, float(np.sum((px - py) ** 2)), float(ares))
-             for px, py, ares in zip(x, y, _alignment_residual(fld, x, y))]
+    # the alignment residual is the larger sine of the two normal blocks
+    blocks = pair_system_residual(fld, level, reps)[:, 2:].reshape(-1, 2, n)
+    sines = np.linalg.norm(blocks, axis=-1)
+    pairs = [CriticalPair(z[:n], z[n:], float(np.sum((z[:n] - z[n:]) ** 2)), float(a))
+             for z, a in zip(reps, sines.max(axis=1))]
     pairs.sort(key=lambda p: (p.value, tuple(p.x), tuple(p.y)))
     return PairCensus(pairs=pairs, alpha=len(pairs), n_converged=n_converged,
                       nn_distance=nn)

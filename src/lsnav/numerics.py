@@ -33,7 +33,7 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
     The damped systems are solved one of two ways, chosen once per call from
     the number of starting rows.  Below LM_BATCH_AXIS_ROWS, per matrix:
     batched matrix products for J^T J and J^T r, and LAPACK's ``solve``
-    (``pinv`` for the whole solve when some matrix is exactly singular).
+    (``pinv`` for a matrix that is exactly singular).
     From LM_BATCH_AXIS_ROWS on, along the batch axis: the Jacobian is copied
     once component-major, and the normal equations and the Cholesky solve of
     each damped system are loops over its d components on contiguous
@@ -41,7 +41,7 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
     pivot is not positive is solved again, per matrix, by LAPACK.  Either way
     the arithmetic of one row does not depend on the other rows of the call,
     so a row takes the same steps, bit for bit, whichever rows are still
-    active (barring the whole-solve ``pinv``).
+    active.
 
     Returns (z, residual_norms).
     """
@@ -116,12 +116,15 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
 
 
 def _lapack_solve(a, b):
-    """x with a[i] x[i] = b[i] for (n, d, d) a and (n, d) b, by LAPACK; by the
-    pseudo-inverse for every row when some a[i] is exactly singular."""
+    """x with a[i] x[i] = b[i] for (n, d, d) a and (n, d) b, by LAPACK.  When
+    some a[i] is exactly singular, each row is solved again on its own, and
+    only a singular one by its pseudo-inverse."""
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.einsum("nij,nj->ni", np.linalg.pinv(a), b)
+        if len(a) == 1:
+            return np.einsum("nij,nj->ni", np.linalg.pinv(a), b)
+        return np.concatenate([_lapack_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
 
 
 def _normal_equations(jac, r):

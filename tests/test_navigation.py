@@ -1,5 +1,5 @@
 import re
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -397,13 +397,13 @@ def _pair_starts(surf, count, seed):
 @pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
 def test_pair_system_jacobian_matches_central_differences(name):
     # criterion 6 checks only the 3-D ellipsoid, whose Hessian is diagonal;
-    # the torus Hessian is not, and the 4-D ellipsoid has six minors per side
+    # the torus Hessian is not, and the 4-D ellipsoid has four coordinates per end
     surf = PAIR_SURFACES[name]
     fld, level = surf.field, surf.level
     z = _pair_starts(surf, 300, seed=4)
     jac = pair_system_jacobian(fld, level, z)
     n = surf.ambient_dim
-    assert jac.shape == (len(z), 2 + n * (n - 1), 2 * n)
+    assert jac.shape == (len(z), 2 + 2 * n, 2 * n)
     fd = np.empty_like(jac)
     h = 1e-6 * (1.0 + np.linalg.norm(z, axis=-1))
     for k in range(z.shape[1]):
@@ -416,65 +416,47 @@ def test_pair_system_jacobian_matches_central_differences(name):
     assert np.max(num / den) <= 1e-5
 
 
-def _reference_pair_residual(fld, level, z):
-    """The pair residual built one minor at a time, in combinations order."""
-    n = z.shape[-1] // 2
-    x, y = z[..., :n], z[..., n:]
-    chord = x - y
-    d = chord / np.maximum(np.linalg.norm(chord, axis=-1, keepdims=True), 1e-12)
-    parts = [fld.value(x) - level, fld.value(y) - level]
-    for u in (fld.grad(x), fld.grad(y)):
-        for a, b in combinations(range(n), 2):
-            parts.append(u[..., a] * d[..., b] - u[..., b] * d[..., a])
-    return np.stack(parts, axis=-1)
+def _reference_alignment(fld, x, y):
+    """Per end, the norm of the gradient's part across the unit chord, relative
+    to the gradient's norm: (N, 2)."""
+    d = (x - y) / np.linalg.norm(x - y, axis=-1, keepdims=True)
+    out = []
+    for p in (x, y):
+        g = fld.grad(p)
+        perp = g - np.sum(g * d, axis=-1, keepdims=True) * d
+        out.append(np.linalg.norm(perp, axis=-1) / np.linalg.norm(g, axis=-1))
+    return np.stack(out, axis=-1)
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
-def test_pair_system_residual_matches_reference_loop(name):
+def test_pair_residual_blocks_measure_the_alignment(name):
+    # the value rows, then one block per end whose norm is the sine between
+    # that end's normal and the chord
     surf = PAIR_SURFACES[name]
+    fld, level = surf.field, surf.level
     z = _pair_starts(surf, 200, seed=5)
-    got = pair_system_residual(surf.field, surf.level, z)
-    assert np.array_equal(got, _reference_pair_residual(surf.field, surf.level, z))
-    assert got.flags.c_contiguous
-    # a single point gives the same row
-    assert np.array_equal(pair_system_residual(surf.field, surf.level, z[0]), got[0])
-
-
-def _reference_pair_jacobian(fld, level, z):
-    """The pair Jacobian as one broadcast formula over all minors, row-major."""
-    n = z.shape[-1] // 2
-    x, y = z[..., :n], z[..., n:]
-    chord = x - y
-    dist = np.maximum(np.linalg.norm(chord, axis=-1, keepdims=True), 1e-12)
-    d = chord / dist
-    dd_dx = (np.eye(n) - d[..., :, None] * d[..., None, :]) / dist[..., None]
-    gx, gy, hx, hy = fld.grad(x), fld.grad(y), fld.hess(x), fld.hess(y)
-    a, b = np.triu_indices(n, 1)
-    k = a.size
-    jac = np.zeros(x.shape[:-1] + (2 + 2 * k, 2 * n))
-    jac[..., 0, :n] = gx
-    jac[..., 1, n:] = gy
-    ga = gx[..., a, None] * dd_dx[..., b, :]
-    gb = gx[..., b, None] * dd_dx[..., a, :]
-    jac[..., 2:2 + k, :n] = (
-        hx[..., a, :] * d[..., b, None] - hx[..., b, :] * d[..., a, None] + ga - gb
-    )
-    jac[..., 2:2 + k, n:] = -(ga - gb)
-    gyd = gy[..., a, None] * dd_dx[..., b, :] - gy[..., b, None] * dd_dx[..., a, :]
-    jac[..., 2 + k:, :n] = gyd
-    jac[..., 2 + k:, n:] = hy[..., a, :] * d[..., b, None] - hy[..., b, :] * d[..., a, None] - gyd
-    return jac
+    n = surf.ambient_dim
+    x, y = z[:, :n], z[:, n:]
+    got = pair_system_residual(fld, level, z)
+    assert got.shape == (len(z), 2 + 2 * n)
+    assert np.array_equal(got[:, 0], fld.value(x) - level)
+    assert np.array_equal(got[:, 1], fld.value(y) - level)
+    sines = np.linalg.norm(got[:, 2:].reshape(-1, 2, n), axis=-1)
+    assert np.allclose(sines, _reference_alignment(fld, x, y), rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
-def test_pair_system_jacobian_matches_reference_formula(name):
-    # the same bits as the broadcast formula, for one point, a batch and a batch of batches
+def test_pair_system_one_point_matches_its_batch_row(name):
+    # a row's bits do not depend on the batch: one point, a batch and a batch of batches
     surf = PAIR_SURFACES[name]
     z = _pair_starts(surf, 200, seed=6)
-    for zz in (z[0], z, z[:2 * (len(z) // 2)].reshape(2, len(z) // 2, -1)):
-        got = pair_system_jacobian(surf.field, surf.level, zz)
-        assert np.array_equal(got, _reference_pair_jacobian(surf.field, surf.level, zz))
+    m = len(z) // 2
+    for system in (pair_system_residual, pair_system_jacobian):
+        got = system(surf.field, surf.level, z)
         assert got.flags.c_contiguous
+        assert np.array_equal(system(surf.field, surf.level, z[0]), got[0])
+        nested = system(surf.field, surf.level, z[:2 * m].reshape(2, m, -1))
+        assert np.array_equal(nested.reshape((2 * m,) + got.shape[1:]), got[:2 * m])
 
 
 # the census' surfaces: S^2 is searched as the unit ellipsoid
@@ -512,7 +494,8 @@ def test_diagonal_retirement_keeps_converged_rows(name, seed, count):
 
 
 def test_diagonal_sliders_stop_before_the_iteration_cap(monkeypatch):
-    # on the ellipsoid about one seed pair in eight slides onto the diagonal;
+    # seed pairs just outside the seed filter, 1.1 times 10 * PAIR_MIN_SEPARATION
+    # apart along the surface: a few of them close onto the diagonal, and
     # without retirement those rows keep the solver running to LM_MAX_ITER
     calls = []
     jacobian = navigation.pair_system_jacobian
@@ -523,10 +506,29 @@ def test_diagonal_sliders_stop_before_the_iteration_cap(monkeypatch):
 
     monkeypatch.setattr(navigation, "pair_system_jacobian", counted)
     surf = CENSUS_SURFACES["ellipsoid-3d"]
-    z0 = _pair_starts(surf, 1000, seed=0)
+    rng = np.random.default_rng(0)
+    x = random_points(surf, 1000, rng)
+    v = mf.project_tangent(surf, x, rng.standard_normal(x.shape))
+    step = 11 * PAIR_MIN_SEPARATION * v / np.linalg.norm(v, axis=1, keepdims=True)
+    z0 = np.concatenate([x, mf.project_points(surf, x + step)], axis=1)
+    assert np.all(np.linalg.norm(z0[:, :3] - z0[:, 3:], axis=1) > 10 * PAIR_MIN_SEPARATION)
     _, rn = _gauss_newton_pairs(surf.field, surf.level, z0)
-    assert np.isinf(rn).sum() >= 50
+    assert np.isinf(rn).sum() >= 5
     assert len(calls) < LM_MAX_ITER
+    calls.clear()
+    levenberg_marquardt(lambda w: pair_system_residual(surf.field, surf.level, w),
+                        lambda w: counted(surf.field, surf.level, w), z0, tol=PAIR_RESIDUAL_TOL)
+    assert len(calls) == LM_MAX_ITER
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+@pytest.mark.parametrize("axes, least", [((0.5, 1.0, 4.0), 950), ((1.0, 2.0, 3.0), 990)],
+                         ids=["ellipsoid-0.5,1,4", "ellipsoid-1,2,3"])
+def test_pair_census_converges_off_the_diagonal(axes, least, rng_seed):
+    # the normal blocks are unit sines, so LM cannot lower them by seeking
+    # small gradients near the diagonal: nearly every seed pair converges to a pair
+    search = PairSearchConfig(n_seeds=1000, rng_seed=rng_seed)
+    assert find_parallel_pairs(Ellipsoid(axes), search).n_converged >= least
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -138,3 +138,15 @@ def test_batch_axis_solve_falls_back_per_row():
     assert np.array_equal(x[:, bad], np.linalg.solve(a[bad], b[bad]))
     rest = np.arange(50) != bad
     assert np.array_equal(x[:, rest], numerics._cholesky_solve(aug[..., rest]))
+
+
+@pytest.mark.parametrize("d", [3, 6, 12])
+def test_lapack_solve_falls_back_per_row(d):
+    # an exactly singular matrix is solved by its pseudo-inverse alone: the
+    # other rows keep the bits they have in a batch without it
+    a, b, _ = _augmented_spd(d, 5, np.random.default_rng(d))
+    a[2] = 0.0
+    x = numerics._lapack_solve(a, b)
+    rest = np.arange(5) != 2
+    assert np.array_equal(x[rest], numerics._lapack_solve(a[rest], b[rest]))
+    assert np.array_equal(x[2], np.zeros(d))
