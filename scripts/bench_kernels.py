@@ -30,11 +30,12 @@ over REPEATS repeats of the time per call, with the calls and rows behind it.
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median and the census median stand the Levenberg-Marquardt iterations
 and Jacobian rows of one call, and next to each vertical-flow median its
-integrator steps and its right-hand-side calls and rows, each counted in an
-untimed call.  ``flow._cluster_endpoints``, the clustering that labels
-converged points, is timed at batch sizes 1, 500 and 5000 on critical points
-of two classified fields: the nav field of S^3 (r=3), tuples (x, +-x, +-x) on
-(S^3)^3, and ut-f on stiefel:4, frames (x, +-ix).  ``lm_iteration`` runs
+integrator steps, its right-hand-side calls and rows, and the iterations and
+residual rows of its Newton finish, each counted in an untimed call.
+``flow._cluster_endpoints``, the clustering that labels converged points, is
+timed at batch sizes 1, 500 and 5000 on critical points of two classified
+fields: the nav field of S^3 (r=3), tuples (x, +-x, +-x) on (S^3)^3, and ut-f
+on stiefel:4, frames (x, +-ix).  ``lm_iteration`` runs
 ``levenberg_marquardt`` for one iteration on a system frozen at random points:
 the normal equations and one damped solve, accepted in every row, since every
 trial residual is zero.  Its kind names the problem and the solve, forced
@@ -244,13 +245,25 @@ def lm_counts(lsnav, call) -> dict:
 
 
 def vertical_flow_counts(lsnav, call) -> dict:
-    """Batched integrator steps, and right-hand-side calls and rows, of one call
-    of ``call``.  The vertical pseudo-gradient is evaluated once per stage; the
-    vertical gradient norm once at the start and then once per step, that is
-    per pass of the integrator that accepts a step in some row."""
-    ut = lsnav.unit_tangent
+    """Batched integrator steps, right-hand-side calls and rows, and
+    Levenberg-Marquardt iterations and residual rows, of one call of ``call``.
+    The vertical pseudo-gradient is evaluated once per stage; the vertical
+    gradient norm once at the start of each flow and then once per step, that
+    is per pass of the integrator that accepts a step in some row.  The Newton
+    finish evaluates the vertical gradient inside ``levenberg_marquardt``; those
+    rows count as LM residual rows, not as steps, and each Jacobian evaluation
+    there as one LM iteration, as in ``lm_counts``."""
+    ut, flow = lsnav.unit_tangent, lsnav.flow
+    numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
     rhs, norm = ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords
-    counts = {"steps": -1, "rhs_calls": 0, "rhs_rows": 0}
+    solve, batch = numerics.levenberg_marquardt, flow._flow_batch
+    counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_iterations": 0,
+              "lm_residual_rows": 0}
+    in_lm = []
+
+    def counted_batch(*args, **kwargs):
+        counts["steps"] -= 1  # the norm at the starts
+        return batch(*args, **kwargs)
 
     def counted_rhs(field, coords):
         counts["rhs_calls"] += 1
@@ -258,14 +271,33 @@ def vertical_flow_counts(lsnav, call) -> dict:
         return rhs(field, coords)
 
     def counted_norm(field, coords):
-        counts["steps"] += 1
+        if not in_lm:
+            counts["steps"] += 1
         return norm(field, coords)
 
+    def counted_solve(residual, jacobian, z0, **kwargs):
+        def counted_residual(z):
+            counts["lm_residual_rows"] += len(z)
+            return residual(z)
+
+        def counted_jacobian(z):
+            counts["lm_iterations"] += 1
+            return jacobian(z)
+
+        in_lm.append(True)
+        try:
+            return solve(counted_residual, counted_jacobian, z0, **kwargs)
+        finally:
+            in_lm.pop()
+
+    saved = rhs, norm, solve, batch
     ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords = counted_rhs, counted_norm
+    numerics.levenberg_marquardt, flow._flow_batch = counted_solve, counted_batch
     try:
         call()
     finally:
-        ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords = rhs, norm
+        (ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords,
+         numerics.levenberg_marquardt, flow._flow_batch) = saved
     return counts
 
 

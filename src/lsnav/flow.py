@@ -15,7 +15,15 @@ unconverged.  The same driver records single traces (``integrate_flow``)
 and runs the time-1 map; ``detect_critical`` clusters flow endpoints.
 Trajectories (``integrate_flow``, ``time_one_map``) take atol = ATOL; flows
 that return only endpoints (``flow_endpoints``, so ``detect_critical``, and
-``unit_tangent.vertical_flow_endpoints``) take ENDPOINT_ATOL.
+``unit_tangent.vertical_flow_endpoints``) take ENDPOINT_ATOL and finish with
+Newton (``_endpoint_flow``): they flow down to gradient norm NEWTON_HANDOFF,
+where the flow closes on the critical set only linearly, and one
+Levenberg-Marquardt call on the (vertical) gradient, with the (vertical)
+Riemannian Hessian as Jacobian, takes them to grad_tol.  A row is handed off
+only where that Hessian is definite with the sign the direction asks for, so
+a descent row near a saddle or on a Morse-Bott set keeps flowing, and a
+Newton result is kept only if it converged without moving F against the
+flow; rows refused either way resume the flow from the hand-off point.
 
 ``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
 gradient, with the analytic Riemannian Hessian (the manifold's projection of
@@ -175,6 +183,7 @@ FIRST_STEP = 1e-2      # initial step of every row of a flow
 MAX_TIME = 200.0       # flow time after which a row stops unconverged
 ATOL = 1e-9            # local error bound per step of a trajectory
 ENDPOINT_ATOL = 1e-6   # local error bound per step of an endpoint-only flow
+NEWTON_HANDOFF = 1e-2  # gradient norm at which an endpoint-only flow hands off to Newton
 RTOL = 1e-3            # local error bound relative to the step's displacement
 STEP_FLOOR = 1e-8      # a row rejected down to a step below this stops unconverged
 LYAPUNOV_SLACK = 1e-13  # rounding allowance on F, relative to 1 + |F|
@@ -338,16 +347,99 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) 
     )
 
 
+def _endpoint_flow(field: ScalarField, direction: int, pseudo_gradient, project, grad_norm,
+                   residual, jacobian, tangent, starts, cfg: FlowConfig):
+    """An endpoint-only flow that finishes with Newton.
+
+    ``_flow_batch`` at ENDPOINT_ATOL runs every row down to gradient norm
+    NEWTON_HANDOFF (or cfg.grad_tol, if that is larger).  A row stopped there
+    is handed to one Levenberg-Marquardt call on residual(field, x), whose norm
+    is grad_norm, with Jacobian jacobian(field, x) and retraction ``project``,
+    to cfg.grad_tol.
+
+    Guard: the Jacobian, a (vertical) Riemannian Hessian, maps to zero the
+    directions normal to the space the Newton step moves in, the space of
+    dimension dim that tangent(field.spec, x, .) projects onto.  A row is
+    handed off only if dim of its eigenvalues have the sign ``direction``
+    asks for (positive for descent, negative for ascent), each beyond
+    NEWTON_HANDOFF (1 + max |lambda|) in size: the Hessian is then definite
+    on that space, and the normal directions are its only kernel.  So a
+    descent row near a saddle is not polished onto it.  Nor is a row near a
+    Morse-Bott set: there the eigenvalues along the set are off 0 by about the
+    gradient norm, of either sign, and the Newton limit lies some 1e-6 off the
+    flow's own limit, so such rows flow to the end.
+    A Newton result is kept only if LM converged and -direction * F has not
+    increased beyond LYAPUNOV_SLACK from the hand-off point.  Rows the guard
+    refuses, and rows whose result is not kept, resume the flow from their
+    hand-off point (from step FIRST_STEP, with a new MAX_TIME) down to
+    cfg.grad_tol.  Rows the flow stopped unconverged (MAX_TIME, STEP_FLOOR)
+    are not handed off.
+
+    Every stage treats rows independently, so a row's result does not depend on
+    which rows share the call, with one exception inherited from
+    ``numerics.levenberg_marquardt``: a finish of at least
+    numerics.LM_BATCH_AXIS_ROWS handed-off rows solves along the batch axis,
+    whose last bits may differ from the per-matrix solve.
+    Returns (endpoints, gradient norms, converged mask).
+    """
+    from .numerics import levenberg_marquardt
+
+    def run(x, tol):
+        return _flow_batch(field, direction, pseudo_gradient, project, grad_norm, x,
+                           FlowConfig(tol, cfg.cluster_tol), atol=ENDPOINT_ATOL)[:2]
+
+    x, gn = run(starts, max(cfg.grad_tol, NEWTON_HANDOFF))
+    handed = np.flatnonzero((gn > cfg.grad_tol) & (gn <= NEWTON_HANDOFF))
+    if handed.size:
+        x0 = x[handed]
+        jac = jacobian(field, x0)
+        ok = np.isfinite(jac).all(axis=(1, 2))
+        lam = direction * np.linalg.eigvalsh(jac[ok])
+        margin = NEWTON_HANDOFF * (1.0 + np.abs(lam).max(axis=-1, keepdims=True))
+        # the rank of the projector, the same at every point
+        dim = np.trace(tangent(field.spec, x0[:1], np.eye(x0.shape[-1])))
+        ok[ok] = np.sum(lam < -margin, axis=-1) > dim - 0.5
+        go = handed[ok]
+        kept = np.zeros(go.size, dtype=bool)
+        if go.size:
+            z, rn = levenberg_marquardt(lambda p: residual(field, p), lambda p: jacobian(field, p),
+                                        x[go], tol=cfg.grad_tol,
+                                        retract=lambda p: project(field.spec, p))
+            before = -direction * field.value_at(x[go])
+            after = -direction * field.value_at(z)
+            slack = LYAPUNOV_SLACK * (1.0 + np.abs(before))
+            kept = (rn <= cfg.grad_tol) & (after <= before + slack)
+            x[go[kept]], gn[go[kept]] = z[kept], rn[kept]
+        rest = np.setdiff1d(handed, go[kept])
+        if rest.size:
+            x[rest], gn[rest] = run(x[rest], cfg.grad_tol)
+    return x, gn, gn <= cfg.grad_tol
+
+
 def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction: int = -1):
-    """Batched adaptive flow of direction * pseudo-gradient to the critical set.
+    """Batched adaptive flow of direction * pseudo-gradient to the critical set,
+    finished by Newton.
 
     Dormand-Prince 5(4) with projection after every stage, starting from
     step FIRST_STEP in every row and held to ENDPOINT_ATOL (only endpoints are
-    returned); F never moves against ``direction``.  Rows that do not reach
-    cfg.grad_tol (by MAX_TIME or the step floor) are reported unconverged.
+    returned), down to gradient norm NEWTON_HANDOFF; then Levenberg-Marquardt
+    on the Riemannian gradient with the Riemannian Hessian as Jacobian and
+    ``project_points`` as retraction, the call ``newton_critical_search``
+    makes, to cfg.grad_tol.  Only rows whose Hessian is definite on the
+    tangent space, with the sign ``direction`` asks for, are handed off (so
+    not near a saddle, nor on a Morse-Bott set), and a Newton result that did
+    not converge or moved F against ``direction`` is dropped: such rows keep
+    flowing from their hand-off point (see ``_endpoint_flow``).  So F never
+    moves against ``direction``.  Rows that do not reach cfg.grad_tol (by
+    MAX_TIME or the step floor) are reported unconverged.  A row's result does not depend on
+    the other rows unless numerics.LM_BATCH_AXIS_ROWS or more rows are handed
+    off at once, where the finish switches its solve as LM does.
     Returns (endpoints, gradient norms, converged mask).
     """
-    return _pseudo_gradient_flow(field, starts, cfg or FlowConfig(), direction, atol=ENDPOINT_ATOL)
+    return _endpoint_flow(field, direction, pseudo_gradient_coords, mf.project_points,
+                          ScalarField.gradient_norm, ScalarField.riemannian_gradient,
+                          ScalarField.riemannian_hessian, mf.project_tangent, starts,
+                          cfg or FlowConfig())
 
 
 def time_one_map(field: ScalarField, starts, cfg: FlowConfig = None):

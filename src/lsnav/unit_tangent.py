@@ -314,21 +314,51 @@ def _vertical_gradient_norm(field: ScalarField, coords):
     return np.linalg.norm(vertical_gradient_coords(field, coords), axis=-1)
 
 
+def _vertical_hessian(field: ScalarField, coords):
+    """Jacobian of ``vertical_gradient_coords`` along the fiber, as (n, 2m, 2m)
+    matrices in frame coordinates: the fiber block is the Riemannian Hessian of
+    f on the fiber sphere, P H_vv P - <g_v, v> P with P = I - x1 x1^T - v v^T
+    and g_v, H_vv the fiber parts of the Euclidean gradient and Hessian; the
+    base rows and columns are zero, so a Newton step never moves x1."""
+    spec = field.spec
+    m = spec.frame_dim
+    x1, v = mf.frame_columns(spec, coords)
+    g = field.euclidean_gradient_at(coords)[..., m:]
+    h = field.euclidean_hessian_at(coords)[..., m:, m:]
+    p = np.eye(m) - x1[..., :, None] * x1[..., None, :] - v[..., :, None] * v[..., None, :]
+    out = np.zeros(coords.shape + (2 * m,))
+    out[..., m:, m:] = p @ h @ p - np.sum(g * v, axis=-1)[..., None, None] * p
+    return out
+
+
 def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
                             direction: int = -1):
-    """Batched adaptive flow of the vertical pseudo-gradient.
+    """Batched adaptive flow of the vertical pseudo-gradient, finished by Newton.
 
     The vector field has zero base component and the projection after every
     stage is anchored at the first column, so trajectories stay in their
     fiber exactly.  Integrates with the adaptive Dormand-Prince 5(4) driver of
-    ``flow_endpoints`` from initial step flow.FIRST_STEP, never moving f against
-    ``direction``; terminates on the vertical gradient norm.  Only the endpoints
-    are returned, so steps are held to flow.ENDPOINT_ATOL, not to flow.ATOL.
+    ``flow_endpoints`` from initial step flow.FIRST_STEP, held to
+    flow.ENDPOINT_ATOL (only the endpoints are returned), never moving f
+    against ``direction``, until the vertical gradient norm reaches
+    flow.NEWTON_HANDOFF.  Then Levenberg-Marquardt on
+    ``vertical_gradient_coords``, with the vertical Hessian
+    (``_vertical_hessian``, zero in the base columns) as Jacobian and the
+    anchored projection as retraction, takes each row to cfg.grad_tol; the
+    first column never moves.  A row is handed off only if the vertical
+    Hessian is definite on the fiber's tangent space, with the sign
+    ``direction`` asks for, and a Newton result that did not converge or moved
+    f against ``direction`` is dropped; such rows keep flowing from their
+    hand-off point (see ``flow._endpoint_flow``).  For ut-f the fiber Hessian
+    is -f P, definite at both sections v = +-ix.  A row's result does not
+    depend on the other rows unless numerics.LM_BATCH_AXIS_ROWS or more rows
+    are handed off at once, where the finish switches its solve as LM does.
     """
     _require_frames(field.spec)
-    return flow._flow_batch(field, direction, vertical_pseudo_gradient_coords,
-                            _anchored_project, _vertical_gradient_norm, starts,
-                            cfg or FlowConfig(), atol=flow.ENDPOINT_ATOL)
+    return flow._endpoint_flow(field, direction, vertical_pseudo_gradient_coords,
+                               _anchored_project, _vertical_gradient_norm,
+                               vertical_gradient_coords, _vertical_hessian,
+                               vertical_project_coords, starts, cfg or FlowConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lsnav import flow
+from lsnav import flow, numerics
+from lsnav.constraints import torus_of_revolution_field
 from lsnav.errors import NegativeInput, NoConvergedSeeds, NotCriticalTuple
 from lsnav.flow import (
     FlowConfig,
@@ -19,11 +20,13 @@ from lsnav.flow import (
 )
 from lsnav.manifolds import (
     Ellipsoid,
+    ImplicitHypersurface,
     PointOnM,
     ProductSpheres,
     Sphere,
     StiefelV2,
     mult_i,
+    project_points,
     project_to_manifold,
     random_points,
 )
@@ -186,6 +189,108 @@ def test_endpoint_atol_leaves_trajectory_outputs_alone(monkeypatch):
         assert conv.all() and (gn <= grad_tol).all()
         assert np.linalg.norm(end[:, 4:] + mult_i(end[:, :4]), axis=1).max() <= 1e-7
         assert np.array_equal(end[:, :4], seeds[:, :4])
+
+
+def _torus_height_x():
+    # x on the torus (2, 0.5) about the z-axis: a minimum at x = -2.5, a maximum at
+    # x = 2.5 and two index-1 points at x = -1.5 and 1.5 on the inner equator
+    surface = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
+    return flow._coordinate_height(surface, 0, "height")
+
+
+def _spy_lm(monkeypatch):
+    """Record the rows of every Levenberg-Marquardt call the flows make."""
+    rows = []
+    solve = numerics.levenberg_marquardt
+
+    def spy(residual, jacobian, z0, **kwargs):
+        rows.append(len(z0))
+        return solve(residual, jacobian, z0, **kwargs)
+
+    monkeypatch.setattr(numerics, "levenberg_marquardt", spy)
+    return rows
+
+
+ENDPOINT_FLOWS = {
+    # nav is Morse-Bott: its critical sets have a Hessian kernel, so no row is handed off
+    "nav (S^3)^3": (lambda: nav_field(Sphere(3), 3), flow_endpoints, 60),
+    "x on torus(2,0.5)": (_torus_height_x, flow_endpoints, 60),
+    "vertical ut-f stiefel:8": (lambda: f_ut_field(StiefelV2(8)), vertical_flow_endpoints, 50),
+}
+
+
+@pytest.mark.parametrize("direction", [-1, 1])
+@pytest.mark.parametrize("case", list(ENDPOINT_FLOWS))
+def test_endpoint_flows_do_not_depend_on_the_other_rows(monkeypatch, case, direction):
+    # one call against 7-row chunks, bit for bit, and a NaN seed retires only its
+    # own row.  Every Newton finish here has fewer than numerics.LM_BATCH_AXIS_ROWS
+    # rows; from there on it solves along the batch axis, as LM does.
+    make, endpoints, n = ENDPOINT_FLOWS[case]
+    field = make()
+    seeds = random_points(field.spec, n, np.random.default_rng(21))
+    lm_rows = _spy_lm(monkeypatch)
+    whole = endpoints(field, seeds, direction=direction)
+    assert whole[2].all()
+    assert (sum(lm_rows) > 0) == (case != "nav (S^3)^3")
+    chunks = [endpoints(field, seeds[i:i + 7], direction=direction) for i in range(0, n, 7)]
+    for got, parts in zip(whole, zip(*chunks)):
+        assert np.array_equal(got, np.concatenate(parts))
+    bad = seeds.copy()
+    bad[13] = np.nan
+    broken = endpoints(field, bad, direction=direction)
+    assert not broken[2][13]
+    others = np.arange(n) != 13
+    for got, want in zip(broken, whole):
+        assert np.array_equal(got[others], want[others])
+
+
+def test_descent_near_a_saddle_ends_at_the_minimum(monkeypatch):
+    # Newton from these seeds would stop on the saddles; the guard keeps them flowing
+    field = _torus_height_x()
+    rng = np.random.default_rng(22)
+    saddles = np.repeat([[1.5, 0.0, 0.0], [-1.5, 0.0, 0.0]], 10, axis=0)
+    step = rng.standard_normal(saddles.shape)
+    step *= 5e-4 / np.linalg.norm(step, axis=1, keepdims=True)
+    starts = project_points(field.spec, saddles + step)
+    assert np.linalg.norm(starts - saddles, axis=1).max() <= 1e-3
+    lm_rows = _spy_lm(monkeypatch)
+    end, gn, conv = flow_endpoints(field, starts)
+    assert conv.all()
+    assert np.linalg.norm(end - [-2.5, 0.0, 0.0], axis=1).max() <= 1e-6
+    # the seeds start below the hand-off norm, where the guard refuses them; the
+    # rows then flow to the end
+    assert lm_rows == []
+
+
+@pytest.mark.parametrize("finish", ["uphill", "unconverged"])
+def test_newton_finish_that_fails_keeps_flowing(monkeypatch, finish):
+    # the finish returns the north pole (critical, but F rose) or gives up;
+    # either way every row resumes the descent and ends at the south pole
+    field = height_field(Sphere(2))
+    starts = random_points(field.spec, 10, np.random.default_rng(23))
+    calls = []
+
+    def fake(residual, jacobian, z0, *, tol, retract=None):
+        calls.append(len(z0))
+        if finish == "uphill":
+            return np.tile([0.0, 0.0, 1.0], (len(z0), 1)), np.zeros(len(z0))
+        return z0.copy(), np.full(len(z0), np.inf)
+
+    monkeypatch.setattr(numerics, "levenberg_marquardt", fake)
+    end, gn, conv = flow_endpoints(field, starts)
+    assert calls == [10]
+    assert conv.all() and (gn <= FlowConfig().grad_tol).all()
+    assert np.linalg.norm(end - [0.0, 0.0, -1.0], axis=1).max() <= 1e-6
+
+
+def test_rows_the_flow_stops_are_not_handed_off(monkeypatch):
+    field = height_field(Sphere(2))
+    start = project_to_manifold(Sphere(2), [0.3, 0.1, 0.9]).coords[None, :]
+    monkeypatch.setattr(flow, "MAX_TIME", 0.1)
+    lm_rows = _spy_lm(monkeypatch)
+    end, gn, conv = flow_endpoints(field, start)
+    assert not conv.any() and gn[0] > flow.NEWTON_HANDOFF
+    assert lm_rows == []
 
 
 def test_integrate_flow_trace_matches_closed_form():

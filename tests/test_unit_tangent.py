@@ -26,6 +26,8 @@ from lsnav.navigation import CLASSIFY_TOL
 from lsnav.unit_tangent import (
     FiberTuple,
     ProportionalityReport,
+    _anchored_project,
+    _vertical_hessian,
     base_height_field,
     df_ut,
     f_ut,
@@ -369,6 +371,29 @@ def test_vertical_flow_reaches_rotational_sections():
             assert np.array_equal(end[:, :m], seeds[:, :m])
         if spec == SPEC:
             assert 4 * sum(rows) <= FIXED_STEP_GRADIENT_ROWS
+
+
+def test_vertical_hessian_is_the_fiber_derivative_of_the_vertical_gradient():
+    # a quadratic field with a full Hessian, so the P H_vv P term is tested too
+    spec = StiefelV2(4)
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((8, 8))
+    a += a.T
+    field = ScalarField(spec, lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, a, x),
+                        lambda x: x @ a, euclidean_hessian=lambda x: a)
+    x = random_points(spec, 5, rng)
+    w = vertical_project_coords(spec, x, rng.standard_normal(x.shape))
+    h = 1e-6
+    # v moves along w, renormalized against the fixed first column: a curve in the fiber
+    fd = (vertical_gradient_coords(field, _anchored_project(spec, x + h * w))
+          - vertical_gradient_coords(field, _anchored_project(spec, x - h * w))) / (2 * h)
+    jac = _vertical_hessian(field, x)
+    want = vertical_project_coords(spec, x, fd)
+    assert np.abs(np.einsum("nij,nj->ni", jac, w) - want).max() <= 1e-6 * (1 + np.abs(want).max())
+    assert not jac[:, :4].any() and not jac[:, :, :4].any()
+    # the flow on this field hands its rows to Newton too, and the fibers stay put
+    end, gn, conv = vertical_flow_endpoints(field, x)
+    assert conv.all() and np.array_equal(end[:, :4], x[:, :4])
 
 
 def test_sigma_u_r2_formula():
