@@ -9,7 +9,10 @@ on that torus; the right-hand side of the vertical flow,
 ``unit_tangent.vertical_pseudo_gradient_coords`` of ut-f, at batch sizes 1,
 500 and 5000 on stiefel:4 and stiefel:8; one descending
 ``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
-them; ``navigation.pair_system_residual`` and ``pair_system_jacobian`` at
+them; one descending ``flow.flow_endpoints`` call from 50 seeds on the nav
+field of S^3 (r=3, on (S^3)^3), whose critical sets are Morse-Bott, and on
+the coordinate x of that torus, whose critical points are nondegenerate;
+``navigation.pair_system_residual`` and ``pair_system_jacobian`` at
 batch sizes 1, 500 and 5000 on the ellipsoids (1,2,3) and (1,1.5,2,3) (three
 and four unknowns per end) and on that torus; one Levenberg-Marquardt
 iteration, ``lm_iteration``, at batch sizes 1, 500 and 5000 on the pair
@@ -29,9 +32,9 @@ over REPEATS repeats of the time per call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median and the census median stand the Levenberg-Marquardt iterations
-and Jacobian rows of one call, and next to each vertical-flow median its
-integrator steps, its right-hand-side calls and rows, and the iterations and
-residual rows of its Newton finish, each counted in an untimed call.
+and Jacobian rows of one call, and next to each median of an endpoint flow
+its integrator steps, its right-hand-side calls and rows, and the iterations
+and residual rows of its Newton finish, each counted in an untimed call.
 ``flow._cluster_endpoints``, the clustering that labels converged points, is
 timed at batch sizes 1, 500 and 5000 on critical points of two classified
 fields: the nav field of S^3 (r=3), tuples (x, +-x, +-x) on (S^3)^3, and ut-f
@@ -66,7 +69,8 @@ NEWTON_PROBLEMS = ("nav sphere:1 r=2", "nav (S^3)^3", "ut-f stiefel:4", "height 
 NEWTON_BATCHES = (1, 500)
 FRAMES = ("stiefel:4", "stiefel:8")
 CLUSTER_PROBLEMS = ("nav (S^3)^3", "ut-f stiefel:4")
-VERTICAL_FLOW_SEEDS = 50
+FLOW_SEEDS = 50
+FLOW_PROBLEMS = ("nav (S^3)^3", "x torus(2,0.5)")
 PAIR_SURFACES = ("ellipsoid(1,2,3)", "ellipsoid(1,1.5,2,3)", "torus(2,0.5)")
 LM_PROBLEMS = ("pair ellipsoid(1,2,3)", "nav (S^3)^3")
 LM_PATHS = ("per-matrix", "batch-axis")
@@ -131,10 +135,16 @@ def cases(lsnav):
             pts = mf.random_points(field.spec, n, np.random.default_rng([2, n]))
             out.append(("vertical_pseudo_gradient_coords", name, n,
                         lambda f=field, x=pts: ut.vertical_pseudo_gradient_coords(f, x)))
-        n = VERTICAL_FLOW_SEEDS
+        n = FLOW_SEEDS
         seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
         out.append(("vertical_flow_endpoints", name, n,
                     lambda f=field, x=seeds: ut.vertical_flow_endpoints(f, x)))
+    for name in FLOW_PROBLEMS:
+        field = newton_field(lsnav, name)
+        n = FLOW_SEEDS
+        seeds = mf.random_points(field.spec, n, np.random.default_rng([7, n]))
+        out.append(("flow_endpoints", name, n,
+                    lambda f=field, x=seeds: lsnav.flow.flow_endpoints(f, x)))
     for name in CLUSTER_PROBLEMS:
         field = newton_field(lsnav, name)
         for n in BATCHES:
@@ -168,6 +178,8 @@ def newton_field(lsnav, name: str):
     mf = lsnav.manifolds
     if name == "height torus(2,0.5)":
         return lsnav.flow.height_field(torus(lsnav))
+    if name == "x torus(2,0.5)":
+        return lsnav.flow._coordinate_height(torus(lsnav), 0, "height")
     return {"nav sphere:1 r=2": lambda: lsnav.navigation.nav_field(mf.Sphere(1), 2),
             "nav (S^3)^3": lambda: lsnav.navigation.nav_field(mf.Sphere(3), 3),
             "ut-f stiefel:4": lambda: lsnav.unit_tangent.f_ut_field(mf.StiefelV2(4))}[name]()
@@ -244,36 +256,33 @@ def lm_counts(lsnav, call) -> dict:
     return counts
 
 
-def vertical_flow_counts(lsnav, call) -> dict:
+def endpoint_flow_counts(lsnav, call) -> dict:
     """Batched integrator steps, right-hand-side calls and rows, and
     Levenberg-Marquardt iterations and residual rows, of one call of ``call``.
-    The vertical pseudo-gradient is evaluated once per stage; the vertical
-    gradient norm once at the start of each flow and then once per step, that
-    is per pass of the integrator that accepts a step in some row.  The Newton
-    finish evaluates the vertical gradient inside ``levenberg_marquardt``; those
-    rows count as LM residual rows, not as steps, and each Jacobian evaluation
-    there as one LM iteration, as in ``lm_counts``."""
-    ut, flow = lsnav.unit_tangent, lsnav.flow
+    Each ``flow._flow_batch`` call evaluates its right-hand side once per stage,
+    and its gradient norm once at the starts and then once per step, that is
+    per pass of the integrator that accepts a step in some row.  The Newton
+    finish evaluates the residual inside ``levenberg_marquardt``; those rows
+    count as LM residual rows, and each Jacobian evaluation there as one LM
+    iteration, as in ``lm_counts``."""
+    flow = lsnav.flow
     numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
-    rhs, norm = ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords
     solve, batch = numerics.levenberg_marquardt, flow._flow_batch
     counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_iterations": 0,
               "lm_residual_rows": 0}
-    in_lm = []
 
-    def counted_batch(*args, **kwargs):
-        counts["steps"] -= 1  # the norm at the starts
-        return batch(*args, **kwargs)
+    def counted_batch(field, direction, rhs, project, norm, *args, **kwargs):
+        def counted_rhs(f, coords):
+            counts["rhs_calls"] += 1
+            counts["rhs_rows"] += len(coords)
+            return rhs(f, coords)
 
-    def counted_rhs(field, coords):
-        counts["rhs_calls"] += 1
-        counts["rhs_rows"] += len(coords)
-        return rhs(field, coords)
-
-    def counted_norm(field, coords):
-        if not in_lm:
+        def counted_norm(f, coords):
             counts["steps"] += 1
-        return norm(field, coords)
+            return norm(f, coords)
+
+        counts["steps"] -= 1  # the norm at the starts
+        return batch(field, direction, counted_rhs, project, counted_norm, *args, **kwargs)
 
     def counted_solve(residual, jacobian, z0, **kwargs):
         def counted_residual(z):
@@ -284,20 +293,13 @@ def vertical_flow_counts(lsnav, call) -> dict:
             counts["lm_iterations"] += 1
             return jacobian(z)
 
-        in_lm.append(True)
-        try:
-            return solve(counted_residual, counted_jacobian, z0, **kwargs)
-        finally:
-            in_lm.pop()
+        return solve(counted_residual, counted_jacobian, z0, **kwargs)
 
-    saved = rhs, norm, solve, batch
-    ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords = counted_rhs, counted_norm
     numerics.levenberg_marquardt, flow._flow_batch = counted_solve, counted_batch
     try:
         call()
     finally:
-        (ut.vertical_pseudo_gradient_coords, ut.vertical_gradient_coords,
-         numerics.levenberg_marquardt, flow._flow_batch) = saved
+        numerics.levenberg_marquardt, flow._flow_batch = solve, batch
     return counts
 
 
@@ -337,8 +339,8 @@ def run(trees: dict) -> dict:
                       "us_per_call_q1": round(q1, 2), "us_per_call_q3": round(q3, 2)}
             if kernel in ("newton_critical_search", "find_parallel_pairs"):
                 record.update(lm_counts(modules[label], per_tree[label][i][3]))
-            if kernel == "vertical_flow_endpoints":
-                record.update(vertical_flow_counts(modules[label], per_tree[label][i][3]))
+            if kernel in ("vertical_flow_endpoints", "flow_endpoints"):
+                record.update(endpoint_flow_counts(modules[label], per_tree[label][i][3]))
             results[label].append(record)
     return {"host": {"machine": platform.machine(), "processor": platform.processor(),
                      "cpus": os.cpu_count(), "python": platform.python_version(),

@@ -15,15 +15,16 @@ unconverged.  The same driver records single traces (``integrate_flow``)
 and runs the time-1 map; ``detect_critical`` clusters flow endpoints.
 Trajectories (``integrate_flow``, ``time_one_map``) take atol = ATOL; flows
 that return only endpoints (``flow_endpoints``, so ``detect_critical``, and
-``unit_tangent.vertical_flow_endpoints``) take ENDPOINT_ATOL and finish with
-Newton (``_endpoint_flow``): they flow down to gradient norm NEWTON_HANDOFF,
-where the flow closes on the critical set only linearly, and one
-Levenberg-Marquardt call on the (vertical) gradient, with the (vertical)
-Riemannian Hessian as Jacobian, takes them to grad_tol.  A row is handed off
-only where that Hessian is definite with the sign the direction asks for, so
-a descent row near a saddle or on a Morse-Bott set keeps flowing, and a
-Newton result is kept only if it converged without moving F against the
-flow; rows refused either way resume the flow from the hand-off point.
+``unit_tangent.vertical_flow_endpoints``) take ENDPOINT_ATOL.  The vertical
+flow finishes with Newton (``_endpoint_flow``): it flows down to gradient norm
+NEWTON_HANDOFF, where the flow closes on the critical set only linearly, and
+one Levenberg-Marquardt call on the vertical gradient, with the vertical
+Hessian as Jacobian, takes it to grad_tol.  A row is handed off only where
+that Hessian is definite with the sign the direction asks for, so a descent
+row near a saddle or on a Morse-Bott set keeps flowing, and a Newton result
+is kept only if it converged without moving F against the flow; rows refused
+either way resume the flow where it stopped, at their hand-off time and step,
+and end where the flow alone would have ended.
 
 ``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
 gradient, with the analytic Riemannian Hessian (the manifold's projection of
@@ -183,7 +184,8 @@ FIRST_STEP = 1e-2      # initial step of every row of a flow
 MAX_TIME = 200.0       # flow time after which a row stops unconverged
 ATOL = 1e-9            # local error bound per step of a trajectory
 ENDPOINT_ATOL = 1e-6   # local error bound per step of an endpoint-only flow
-NEWTON_HANDOFF = 1e-2  # gradient norm at which an endpoint-only flow hands off to Newton
+NEWTON_HANDOFF = 1e-2  # gradient norm at which the vertical flow hands off to Newton,
+                       # and the guard's eigenvalue margin, relative to 1 + max |lambda|
 RTOL = 1e-3            # local error bound relative to the step's displacement
 STEP_FLOOR = 1e-8      # a row rejected down to a step below this stops unconverged
 LYAPUNOV_SLACK = 1e-13  # rounding allowance on F, relative to 1 + |F|
@@ -207,14 +209,18 @@ def _dp54_step(vfield, project, x, k1, h):
 
 
 def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, grad_norm,
-                starts, cfg: FlowConfig, max_time=None, record=None, atol=None):
+                starts, cfg: FlowConfig, max_time=None, record=None, atol=None, clock=None):
     """Adaptive Dormand-Prince 5(4) flow of a batch along direction *
     pseudo_gradient(field, x), one step size per row, re-projecting with
     project(field.spec, x) after every stage and holding -direction * F monotone.
 
-    Every row starts from step FIRST_STEP.  A row stops once
-    grad_norm(field, x) <= grad_tol, after max_time (default MAX_TIME), or when
-    a rejection leaves its step below STEP_FLOOR.  A step is accepted when its
+    Every row starts at time 0 from step FIRST_STEP.  Given clock = (t, h),
+    the times and next steps an earlier call returned for these rows, the
+    flow resumes instead: the starts, points that call returned, are not
+    projected again, and each row goes on at time t from step h, exactly as
+    if that call had run on.  A row stops once grad_norm(field, x) <=
+    grad_tol, at time max_time (default MAX_TIME), or when a rejection leaves
+    its step below STEP_FLOOR.  A step is accepted when its
     error estimate is at most min(atol, RTOL |y - x|), atol defaulting to ATOL
     (endpoint-only callers pass ENDPOINT_ATOL), and the Lyapunov function
     -direction * F has not increased beyond rounding; the relative half of the
@@ -222,7 +228,7 @@ def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, gr
     set.  Since the floor lies far above the steps whose change of F is
     rounding, a row rejected again and again reaches it within a few dozen
     steps.  ``record(t, x, gn)`` sees the starts and every pass that accepts a
-    step.  Returns (endpoints, final gradient norms, converged mask).
+    step.  Returns (endpoints, final gradient norms, times, next steps).
     """
     max_time = MAX_TIME if max_time is None else max_time
     atol = ATOL if atol is None else atol
@@ -236,18 +242,21 @@ def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, gr
     def lyapunov(x):
         return -direction * field.value_at(x)
 
-    x = proj(np.array(starts, dtype=float))
+    x = np.array(starts, dtype=float)
+    if clock is None:
+        x = proj(x)
+        t, h = np.zeros(len(x)), np.full(len(x), FIRST_STEP)
+    else:
+        t, h = (np.array(c, dtype=float) for c in clock)
     n = x.shape[0]
     gn = np.asarray(grad_norm(field, x), dtype=float)
-    active = gn > cfg.grad_tol
+    active = (gn > cfg.grad_tol) & (t < max_time)
     idx = np.flatnonzero(active)
     k = np.zeros_like(x)
     lyap = np.zeros(n)
     if idx.size:
         k[idx] = vfield(x[idx])
         lyap[idx] = lyapunov(x[idx])
-    t = np.zeros(n)
-    h = np.full(n, FIRST_STEP)
     if record is not None:
         record(t, x, gn)
     while idx.size:
@@ -272,7 +281,7 @@ def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, gr
         active[idx] = ((gn[idx] > cfg.grad_tol) & (t[idx] < max_time)
                        & (ok | (h[idx] >= STEP_FLOOR)))
         idx = np.flatnonzero(active)
-    return x, gn, gn <= cfg.grad_tol
+    return x, gn, t, h
 
 
 @dataclass(eq=False)
@@ -326,7 +335,8 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) 
 
     Records the start and every accepted step of the adaptive driver, held to
     the trajectory bound ATOL, so times increase strictly but unevenly and F
-    never increases.  Stops like a row of ``flow_endpoints``.
+    never increases.  Stops at cfg.grad_tol, after MAX_TIME or at the step
+    floor, as every row of ``flow_endpoints`` does.
     """
     cfg = cfg or FlowConfig()
     times, coords, gns = [], [], []
@@ -347,33 +357,37 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) 
     )
 
 
-def _endpoint_flow(field: ScalarField, direction: int, pseudo_gradient, project, grad_norm,
-                   residual, jacobian, tangent, starts, cfg: FlowConfig):
+def _endpoint_flow(field: ScalarField, direction: int, pseudo_gradient, project, residual,
+                   jacobian, tangent, starts, cfg: FlowConfig):
     """An endpoint-only flow that finishes with Newton.
 
-    ``_flow_batch`` at ENDPOINT_ATOL runs every row down to gradient norm
-    NEWTON_HANDOFF (or cfg.grad_tol, if that is larger).  A row stopped there
-    is handed to one Levenberg-Marquardt call on residual(field, x), whose norm
-    is grad_norm, with Jacobian jacobian(field, x) and retraction ``project``,
-    to cfg.grad_tol.
+    ``_flow_batch`` at ENDPOINT_ATOL, stopping on the norm of residual(field, x),
+    runs every row down to gradient norm NEWTON_HANDOFF (or cfg.grad_tol, if
+    that is larger).  A row stopped there is handed to one Levenberg-Marquardt
+    call on residual, with Jacobian jacobian(field, x) and retraction
+    ``project``, to cfg.grad_tol.
 
-    Guard: the Jacobian, a (vertical) Riemannian Hessian, maps to zero the
-    directions normal to the space the Newton step moves in, the space of
-    dimension dim that tangent(field.spec, x, .) projects onto.  A row is
-    handed off only if dim of its eigenvalues have the sign ``direction``
-    asks for (positive for descent, negative for ascent), each beyond
-    NEWTON_HANDOFF (1 + max |lambda|) in size: the Hessian is then definite
-    on that space, and the normal directions are its only kernel.  So a
-    descent row near a saddle is not polished onto it.  Nor is a row near a
-    Morse-Bott set: there the eigenvalues along the set are off 0 by about the
-    gradient norm, of either sign, and the Newton limit lies some 1e-6 off the
-    flow's own limit, so such rows flow to the end.
+    Guard: the Jacobian maps to zero the directions normal to the space the
+    Newton step moves in, the space of dimension dim that
+    tangent(field.spec, x, .) projects onto.  A row is handed off only if dim
+    of its eigenvalues have the sign ``direction`` asks for (positive for
+    descent), each beyond NEWTON_HANDOFF (1 + max |lambda|): the Hessian is
+    then definite on that space.  So a descent row near a saddle is not
+    polished onto it, nor a row near a Morse-Bott set, where the Newton limit
+    lies some 1e-6 off the flow's own (3e-6 on nav over (S^1)^2).  The margin
+    shares NEWTON_HANDOFF with the hand-off norm because a row with gradient
+    norm at most NEWTON_HANDOFF and eigenvalues beyond the margin lies within
+    about 1 / (1 + max |lambda|) of its critical point.  At the vertical flow's
+    hand-off the eigenvalue along the Morse-Bott minimum circle of
+    f = (v_4 - 1/2)^2 on the fiber over e_1 of stiefel:4 reads at most 2.4e-3
+    of 1 + max |lambda|, of either sign, and the definite ones of ut-f on
+    stiefel:4 and stiefel:8 at least 0.49.
+
     A Newton result is kept only if LM converged and -direction * F has not
-    increased beyond LYAPUNOV_SLACK from the hand-off point.  Rows the guard
-    refuses, and rows whose result is not kept, resume the flow from their
-    hand-off point (from step FIRST_STEP, with a new MAX_TIME) down to
-    cfg.grad_tol.  Rows the flow stopped unconverged (MAX_TIME, STEP_FLOOR)
-    are not handed off.
+    increased beyond LYAPUNOV_SLACK.  Rows the guard refuses, and rows whose
+    result is not kept, resume the flow at their hand-off time and step, so
+    they end bit for bit where the flow alone ends, unconverged at MAX_TIME
+    included.  Rows the flow stopped unconverged are not handed off.
 
     Every stage treats rows independently, so a row's result does not depend on
     which rows share the call, with one exception inherited from
@@ -384,12 +398,15 @@ def _endpoint_flow(field: ScalarField, direction: int, pseudo_gradient, project,
     """
     from .numerics import levenberg_marquardt
 
-    def run(x, tol):
-        return _flow_batch(field, direction, pseudo_gradient, project, grad_norm, x,
-                           FlowConfig(tol, cfg.cluster_tol), atol=ENDPOINT_ATOL)[:2]
+    def grad_norm(f, x):
+        return np.linalg.norm(residual(f, x), axis=-1)
 
-    x, gn = run(starts, max(cfg.grad_tol, NEWTON_HANDOFF))
-    handed = np.flatnonzero((gn > cfg.grad_tol) & (gn <= NEWTON_HANDOFF))
+    def run(x, tol, clock=None):
+        return _flow_batch(field, direction, pseudo_gradient, project, grad_norm, x,
+                           FlowConfig(tol, cfg.cluster_tol), atol=ENDPOINT_ATOL, clock=clock)
+
+    x, gn, t, h = run(starts, max(cfg.grad_tol, NEWTON_HANDOFF))
+    handed = np.flatnonzero((gn > cfg.grad_tol) & (gn <= NEWTON_HANDOFF) & (t < MAX_TIME))
     if handed.size:
         x0 = x[handed]
         jac = jacobian(field, x0)
@@ -412,34 +429,24 @@ def _endpoint_flow(field: ScalarField, direction: int, pseudo_gradient, project,
             x[go[kept]], gn[go[kept]] = z[kept], rn[kept]
         rest = np.setdiff1d(handed, go[kept])
         if rest.size:
-            x[rest], gn[rest] = run(x[rest], cfg.grad_tol)
+            x[rest], gn[rest] = run(x[rest], cfg.grad_tol, (t[rest], h[rest]))[:2]
     return x, gn, gn <= cfg.grad_tol
 
 
 def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction: int = -1):
-    """Batched adaptive flow of direction * pseudo-gradient to the critical set,
-    finished by Newton.
+    """Batched adaptive flow of direction * pseudo-gradient to the critical set.
 
     Dormand-Prince 5(4) with projection after every stage, starting from
     step FIRST_STEP in every row and held to ENDPOINT_ATOL (only endpoints are
-    returned), down to gradient norm NEWTON_HANDOFF; then Levenberg-Marquardt
-    on the Riemannian gradient with the Riemannian Hessian as Jacobian and
-    ``project_points`` as retraction, the call ``newton_critical_search``
-    makes, to cfg.grad_tol.  Only rows whose Hessian is definite on the
-    tangent space, with the sign ``direction`` asks for, are handed off (so
-    not near a saddle, nor on a Morse-Bott set), and a Newton result that did
-    not converge or moved F against ``direction`` is dropped: such rows keep
-    flowing from their hand-off point (see ``_endpoint_flow``).  So F never
-    moves against ``direction``.  Rows that do not reach cfg.grad_tol (by
-    MAX_TIME or the step floor) are reported unconverged.  A row's result does not depend on
-    the other rows unless numerics.LM_BATCH_AXIS_ROWS or more rows are handed
-    off at once, where the finish switches its solve as LM does.
+    returned); F never moves against ``direction``.  Rows that do not reach
+    cfg.grad_tol (by MAX_TIME or the step floor) are reported unconverged.
+    There is no Newton finish (see ``_endpoint_flow``): its guard refuses
+    every row on a Morse-Bott critical set, such as those of the nav fields.
     Returns (endpoints, gradient norms, converged mask).
     """
-    return _endpoint_flow(field, direction, pseudo_gradient_coords, mf.project_points,
-                          ScalarField.gradient_norm, ScalarField.riemannian_gradient,
-                          ScalarField.riemannian_hessian, mf.project_tangent, starts,
-                          cfg or FlowConfig())
+    cfg = cfg or FlowConfig()
+    x, gn = _pseudo_gradient_flow(field, starts, cfg, direction, atol=ENDPOINT_ATOL)[:2]
+    return x, gn, gn <= cfg.grad_tol
 
 
 def time_one_map(field: ScalarField, starts, cfg: FlowConfig = None):

@@ -310,10 +310,6 @@ def _anchored_project(spec: StiefelV2, coords):
     return mf.frame_flat(x1, x2)
 
 
-def _vertical_gradient_norm(field: ScalarField, coords):
-    return np.linalg.norm(vertical_gradient_coords(field, coords), axis=-1)
-
-
 def _vertical_hessian(field: ScalarField, coords):
     """Jacobian of ``vertical_gradient_coords`` along the fiber, as (n, 2m, 2m)
     matrices in frame coordinates: the fiber block is the Riemannian Hessian of
@@ -348,16 +344,15 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     first column never moves.  A row is handed off only if the vertical
     Hessian is definite on the fiber's tangent space, with the sign
     ``direction`` asks for, and a Newton result that did not converge or moved
-    f against ``direction`` is dropped; such rows keep flowing from their
-    hand-off point (see ``flow._endpoint_flow``).  For ut-f the fiber Hessian
+    f against ``direction`` is dropped; such rows resume the flow where it
+    stopped (see ``flow._endpoint_flow``).  For ut-f the fiber Hessian
     is -f P, definite at both sections v = +-ix.  A row's result does not
     depend on the other rows unless numerics.LM_BATCH_AXIS_ROWS or more rows
     are handed off at once, where the finish switches its solve as LM does.
     """
     _require_frames(field.spec)
     return flow._endpoint_flow(field, direction, vertical_pseudo_gradient_coords,
-                               _anchored_project, _vertical_gradient_norm,
-                               vertical_gradient_coords, _vertical_hessian,
+                               _anchored_project, vertical_gradient_coords, _vertical_hessian,
                                vertical_project_coords, starts, cfg or FlowConfig())
 
 

@@ -26,12 +26,17 @@ from lsnav.manifolds import (
     Sphere,
     StiefelV2,
     mult_i,
-    project_points,
     project_to_manifold,
     random_points,
 )
 from lsnav.navigation import nav_field
-from lsnav.unit_tangent import f_ut_field, vertical_flow_endpoints
+from lsnav.unit_tangent import (
+    _anchored_project,
+    f_ut_field,
+    vertical_flow_endpoints,
+    vertical_gradient_coords,
+    vertical_pseudo_gradient_coords,
+)
 
 
 def test_rho_branches():
@@ -212,7 +217,8 @@ def _spy_lm(monkeypatch):
 
 
 ENDPOINT_FLOWS = {
-    # nav is Morse-Bott: its critical sets have a Hessian kernel, so no row is handed off
+    # flow_endpoints has no Newton finish; the vertical flow hands every row of
+    # ut-f to Newton, whose fiber Hessian -f P is definite at both sections
     "nav (S^3)^3": (lambda: nav_field(Sphere(3), 3), flow_endpoints, 60),
     "x on torus(2,0.5)": (_torus_height_x, flow_endpoints, 60),
     "vertical ut-f stiefel:8": (lambda: f_ut_field(StiefelV2(8)), vertical_flow_endpoints, 50),
@@ -231,7 +237,7 @@ def test_endpoint_flows_do_not_depend_on_the_other_rows(monkeypatch, case, direc
     lm_rows = _spy_lm(monkeypatch)
     whole = endpoints(field, seeds, direction=direction)
     assert whole[2].all()
-    assert (sum(lm_rows) > 0) == (case != "nav (S^3)^3")
+    assert (sum(lm_rows) > 0) == (endpoints is vertical_flow_endpoints)
     chunks = [endpoints(field, seeds[i:i + 7], direction=direction) for i in range(0, n, 7)]
     for got, parts in zip(whole, zip(*chunks)):
         assert np.array_equal(got, np.concatenate(parts))
@@ -244,19 +250,47 @@ def test_endpoint_flows_do_not_depend_on_the_other_rows(monkeypatch, case, direc
         assert np.array_equal(got[others], want[others])
 
 
+def _fiber_quadratic(diag, linear=(0.0, 0.0, 0.0, 0.0)):
+    """f(x, v) = sum_k diag[k] v_k^2 + linear[k] v_k on stiefel:4, restricted on
+    the fiber over x to the unit sphere of x's complement."""
+    d = np.concatenate([np.zeros(4), np.asarray(diag, dtype=float)])
+    b = np.concatenate([np.zeros(4), np.asarray(linear, dtype=float)])
+    return ScalarField(StiefelV2(4), lambda x: np.sum((d * x + b) * x, axis=-1),
+                       lambda x: 2.0 * d * x + b, euclidean_hessian=lambda x: np.diag(2.0 * d))
+
+
+def _frames_over_e1(n, rng):
+    """n frames (e1, v) with v uniform on the unit sphere of span(e2, e3, e4)."""
+    v = rng.standard_normal((n, 4))
+    v[:, 0] = 0.0
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.concatenate([np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), v], axis=1)
+
+
+def _plain_vertical_flow(field, starts, direction):
+    """The vertical flow without its Newton finish: (endpoints, gradient norms)."""
+    return flow._flow_batch(field, direction, vertical_pseudo_gradient_coords, _anchored_project,
+                            lambda f, x: np.linalg.norm(vertical_gradient_coords(f, x), axis=-1),
+                            starts, FlowConfig(), atol=flow.ENDPOINT_ATOL)[:2]
+
+
 def test_descent_near_a_saddle_ends_at_the_minimum(monkeypatch):
-    # Newton from these seeds would stop on the saddles; the guard keeps them flowing
-    field = _torus_height_x()
-    rng = np.random.default_rng(22)
-    saddles = np.repeat([[1.5, 0.0, 0.0], [-1.5, 0.0, 0.0]], 10, axis=0)
-    step = rng.standard_normal(saddles.shape)
-    step *= 5e-4 / np.linalg.norm(step, axis=1, keepdims=True)
-    starts = project_points(field.spec, saddles + step)
+    # over x = e1 the fiber is the unit sphere of span(e2, e3, e4), where f is
+    # 2 v2^2 + 3 v3^2 + 4 v4^2: minima +-e2, index-1 points +-e3.  Newton from
+    # seeds near +-e3 would stop there; the guard keeps them flowing.
+    field = _fiber_quadratic([1.0, 2.0, 3.0, 4.0])
+    saddles = np.zeros((20, 8))
+    saddles[:, 0] = 1.0
+    saddles[:, 6] = np.repeat([1.0, -1.0], 10)
+    step = 5e-4 * _frames_over_e1(20, np.random.default_rng(22))
+    step[:, 0] = 0.0
+    starts = _anchored_project(field.spec, saddles + step)
     assert np.linalg.norm(starts - saddles, axis=1).max() <= 1e-3
     lm_rows = _spy_lm(monkeypatch)
-    end, gn, conv = flow_endpoints(field, starts)
+    end, gn, conv = vertical_flow_endpoints(field, starts)
     assert conv.all()
-    assert np.linalg.norm(end - [-2.5, 0.0, 0.0], axis=1).max() <= 1e-6
+    assert np.abs(np.abs(end[:, 5]) - 1.0).max() <= 1e-6
+    assert np.array_equal(end[:, :4], starts[:, :4])
     # the seeds start below the hand-off norm, where the guard refuses them; the
     # rows then flow to the end
     assert lm_rows == []
@@ -264,32 +298,55 @@ def test_descent_near_a_saddle_ends_at_the_minimum(monkeypatch):
 
 @pytest.mark.parametrize("finish", ["uphill", "unconverged"])
 def test_newton_finish_that_fails_keeps_flowing(monkeypatch, finish):
-    # the finish returns the north pole (critical, but F rose) or gives up;
-    # either way every row resumes the descent and ends at the south pole
-    field = height_field(Sphere(2))
+    # the finish returns the section v = +ix (critical, but f rose) or gives
+    # up; either way every row resumes the descent where it stopped and ends
+    # bit for bit where the flow alone ends, on the section v = -ix
+    field = f_ut_field(StiefelV2(4))
     starts = random_points(field.spec, 10, np.random.default_rng(23))
     calls = []
 
     def fake(residual, jacobian, z0, *, tol, retract=None):
         calls.append(len(z0))
         if finish == "uphill":
-            return np.tile([0.0, 0.0, 1.0], (len(z0), 1)), np.zeros(len(z0))
+            return np.concatenate([z0[:, :4], mult_i(z0[:, :4])], axis=1), np.zeros(len(z0))
         return z0.copy(), np.full(len(z0), np.inf)
 
     monkeypatch.setattr(numerics, "levenberg_marquardt", fake)
-    end, gn, conv = flow_endpoints(field, starts)
+    end, gn, conv = vertical_flow_endpoints(field, starts)
     assert calls == [10]
     assert conv.all() and (gn <= FlowConfig().grad_tol).all()
-    assert np.linalg.norm(end - [0.0, 0.0, -1.0], axis=1).max() <= 1e-6
+    assert np.linalg.norm(end[:, 4:] + mult_i(end[:, :4]), axis=1).max() <= 1e-7
+    plain = _plain_vertical_flow(field, starts, -1)
+    assert np.array_equal(end, plain[0]) and np.array_equal(gn, plain[1])
+
+
+def test_refused_rows_keep_the_flows_time_budget(monkeypatch):
+    # over x = e1, f = (v4 - 1/2)^2 has a Morse-Bott minimum, the circle v4 = 1/2
+    # of the fiber.  Its eigenvalue along the circle is below the guard's margin
+    # (and has the descent's sign for rows coming from v4 < 1/2), so the guard
+    # refuses every row at the hand-off (near t = 1.3 to 4.3) and the rows
+    # resume there.  At MAX_TIME = 12.5 the flow alone converges some of them
+    # (near t = 8.6 to 13.8); a resumed row runs on the same clock, so the same
+    # rows stop unconverged at MAX_TIME, and every row ends bit for bit where
+    # the flow alone ends.
+    field = _fiber_quadratic([0.0, 0.0, 0.0, 1.0], linear=[0.0, 0.0, 0.0, -1.0])
+    starts = _frames_over_e1(40, np.random.default_rng(25))
+    monkeypatch.setattr(flow, "MAX_TIME", 12.5)
+    lm_rows = _spy_lm(monkeypatch)
+    end, gn, conv = vertical_flow_endpoints(field, starts)
+    assert lm_rows == []
+    assert 0 < conv.sum() < len(conv)
+    plain = _plain_vertical_flow(field, starts, -1)
+    assert np.array_equal(end, plain[0]) and np.array_equal(gn, plain[1])
 
 
 def test_rows_the_flow_stops_are_not_handed_off(monkeypatch):
-    field = height_field(Sphere(2))
-    start = project_to_manifold(Sphere(2), [0.3, 0.1, 0.9]).coords[None, :]
+    field = f_ut_field(StiefelV2(4))
+    starts = random_points(field.spec, 5, np.random.default_rng(26))
     monkeypatch.setattr(flow, "MAX_TIME", 0.1)
     lm_rows = _spy_lm(monkeypatch)
-    end, gn, conv = flow_endpoints(field, start)
-    assert not conv.any() and gn[0] > flow.NEWTON_HANDOFF
+    end, gn, conv = vertical_flow_endpoints(field, starts)
+    assert not conv.any() and (gn > flow.NEWTON_HANDOFF).all()
     assert lm_rows == []
 
 
