@@ -1,8 +1,10 @@
 """Microbenchmark of the per-kind geometry kernels and of the Newton stage.
 
-Times ``project_points``, ``project_tangent`` and ``flow.rho`` at batch sizes
-1, 500 and 5000 on sphere:1^2, (S^3)^3, (S^1 x S^3)^2, stiefel:4, stiefel:8,
-the ellipsoid (1,2,3) and the torus of revolution (2, 0.5), and
+Times ``project_points``, ``project_tangent``, the spec's
+``riemannian_hessian`` (from a random ambient gradient and symmetric ambient
+Hessian per row) and ``flow.rho`` at batch sizes 1, 500 and 5000 on
+sphere:1^2, (S^3)^3, (S^1 x S^3)^2, stiefel:4, stiefel:8, the ellipsoid
+(1,2,3), the torus of revolution (2, 0.5) and euclidean:3, and
 ``flow.newton_critical_search`` at 1 and 500 seeds on the nav field of
 sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and the height
 on that torus; the right-hand side of the vertical flow,
@@ -38,7 +40,12 @@ and residual rows of its Newton finish, each counted in an untimed call.
 ``flow._cluster_endpoints``, the clustering that labels converged points, is
 timed at batch sizes 1, 500 and 5000 on critical points of two classified
 fields: the nav field of S^3 (r=3), tuples (x, +-x, +-x) on (S^3)^3, and ut-f
-on stiefel:4, frames (x, +-ix).  ``lm_iteration`` runs
+on stiefel:4, frames (x, +-ix); and on the points that
+``flow.newton_critical_search`` reaches from that many seeds of the height on
+that torus, which has no classifier, so the Morse-Bott merge joins the
+scattered points of its two critical circles: by continuation walks at
+MERGE_SEEDS seeds, the benchmark's size, where single linkage leaves each
+circle in several clusters, and by kernel tests alone from 500 seeds on.  ``lm_iteration`` runs
 ``levenberg_marquardt`` for one iteration on a system frozen at random points:
 the normal equations and one damped solve, accepted in every row, since every
 trial residual is zero.  Its kind names the problem and the solve, forced
@@ -62,13 +69,14 @@ import numpy as np
 
 BATCHES = (1, 500, 5000)
 MANIFOLDS = ("sphere:1^2", "(S^3)^3", "(S^1xS^3)^2", "stiefel:4", "stiefel:8",
-             "ellipsoid(1,2,3)", "torus(2,0.5)")
+             "ellipsoid(1,2,3)", "torus(2,0.5)", "euclidean:3")
 REPEATS = 9
 MIN_REPEAT_S = 0.01  # calls per repeat are chosen so that one repeat takes at least this
 NEWTON_PROBLEMS = ("nav sphere:1 r=2", "nav (S^3)^3", "ut-f stiefel:4", "height torus(2,0.5)")
 NEWTON_BATCHES = (1, 500)
 FRAMES = ("stiefel:4", "stiefel:8")
-CLUSTER_PROBLEMS = ("nav (S^3)^3", "ut-f stiefel:4")
+CLUSTER_PROBLEMS = ("nav (S^3)^3", "ut-f stiefel:4", "height torus(2,0.5)")
+MERGE_SEEDS = 100  # torus seeds whose Newton points lie far enough apart for walks
 FLOW_SEEDS = 50
 FLOW_PROBLEMS = ("nav (S^3)^3", "x torus(2,0.5)")
 PAIR_SURFACES = ("ellipsoid(1,2,3)", "ellipsoid(1,1.5,2,3)", "torus(2,0.5)")
@@ -97,7 +105,8 @@ def manifold(lsnav, name: str):
             "stiefel:8": mf.StiefelV2(8),
             "ellipsoid(1,2,3)": mf.Ellipsoid((1.0, 2.0, 3.0)),
             "ellipsoid(1,1.5,2,3)": mf.Ellipsoid((1.0, 1.5, 2.0, 3.0)),
-            "torus(2,0.5)": torus(lsnav)}[name]
+            "torus(2,0.5)": torus(lsnav),
+            "euclidean:3": mf.Euclidean(3)}[name]
 
 
 def torus(lsnav):
@@ -116,9 +125,13 @@ def cases(lsnav):
             raw = rng.standard_normal((n, spec.ambient_dim))
             pts = mf.project_points(spec, raw)
             w = rng.standard_normal(raw.shape)
+            a = rng.standard_normal((n, spec.ambient_dim, spec.ambient_dim))
             out.append(("project_points", name, n, lambda s=spec, x=raw: mf.project_points(s, x)))
             out.append(("project_tangent", name, n,
                         lambda s=spec, x=pts, v=w: mf.project_tangent(s, x, v)))
+            out.append(("riemannian_hessian", name, n,
+                        lambda s=spec, x=pts, g=w, h=a + np.swapaxes(a, -1, -2):
+                            s.riemannian_hessian(x, g, h)))
     for n in BATCHES:
         norms = 2.0 * np.abs(np.random.default_rng([0, n]).standard_normal(n))
         out.append(("rho", "-", n, lambda g=norms: lsnav.flow.rho(g)))
@@ -147,7 +160,7 @@ def cases(lsnav):
                     lambda f=field, x=seeds: lsnav.flow.flow_endpoints(f, x)))
     for name in CLUSTER_PROBLEMS:
         field = newton_field(lsnav, name)
-        for n in BATCHES:
+        for n in BATCHES + ((MERGE_SEEDS,) if name == "height torus(2,0.5)" else ()):
             pts = critical_points(lsnav, name, n, np.random.default_rng([5, n]))
             out.append(("_cluster_endpoints", name, n,
                         lambda f=field, x=pts: lsnav.flow._cluster_endpoints(
@@ -187,8 +200,12 @@ def newton_field(lsnav, name: str):
 
 def critical_points(lsnav, name: str, n: int, rng):
     """n critical points with random signs over random base points of S^3: nav
-    tuples (x, +-x, +-x) of (S^3)^3, or ut-f frames (x, +-ix) of stiefel:4."""
+    tuples (x, +-x, +-x) of (S^3)^3, or ut-f frames (x, +-ix) of stiefel:4; or,
+    for the height on the torus, the points Newton reaches from n seeds."""
     mf = lsnav.manifolds
+    if name == "height torus(2,0.5)":
+        field = newton_field(lsnav, name)
+        return lsnav.flow.newton_critical_search(field, mf.random_points(field.spec, n, rng))
     x = mf.random_points(mf.Sphere(3), n, rng)
     if name == "ut-f stiefel:4":
         return mf.frame_flat(x, rng.choice([-1.0, 1.0], size=(n, 1)) * mf.mult_i(x))

@@ -27,13 +27,12 @@ either way resume the flow where it stopped, at their hand-off time and step,
 and end where the flow alone would have ended.
 
 ``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
-gradient, with the analytic Riemannian Hessian (the manifold's projection of
-the field's Euclidean Hessian plus its Weingarten term) as Jacobian, reaches
-critical points of every index from every seed.  The converged points are
-clustered by value, then by structural label, or by point distance followed
-by a Morse-Bott merge: clusters on one critical manifold are joined when
-predictor-corrector continuation along the Hessian kernel walks from one to
-the other, so disjoint critical sets stay apart.
+gradient, with the analytic Riemannian Hessian P (hess F - S) P (P the tangent
+projector, S the manifold's shape term) as Jacobian, reaches critical points
+of every index.  The converged points are clustered by value, then by
+structural label, or by point distance and one Morse-Bott merge: clusters on
+one critical manifold are joined when predictor-corrector continuation along
+the Hessian kernel, pooled over the value groups, walks from one to the other.
 """
 from __future__ import annotations
 
@@ -129,8 +128,7 @@ class ScalarField:
         return mf.project_tangent(self.spec, coords, self.euclidean_gradient_at(coords))
 
     def riemannian_hessian(self, coords):
-        """The Riemannian Hessian at coords as (..., d, d) matrices: the tangent
-        projection of the ambient Hessian plus the Weingarten term of the manifold."""
+        """The Riemannian Hessian P (hess F - S) P at coords, as (..., d, d) matrices."""
         coords = np.asarray(coords, dtype=float)
         return self.spec.riemannian_hessian(coords, self.euclidean_gradient_at(coords),
                                             self.euclidean_hessian_at(coords))
@@ -489,11 +487,6 @@ def components_to_json(components) -> dict:
     }
 
 
-def _split_by_gaps(sorted_vals, gap):
-    cuts = np.flatnonzero(np.diff(sorted_vals) > gap)
-    return np.split(np.arange(len(sorted_vals)), cuts + 1)
-
-
 def _single_linkage(dist, threshold):
     """Single-linkage labels from a pairwise distance matrix, numbered by each
     cluster's first row: every row takes the least label within threshold
@@ -536,16 +529,16 @@ def _follow_kernel(field, pts, starts, targets, others, cfg):
     corrector does not converge, moves more than MERGE_STEP or changes the value
     by more than cluster_tol, or the target is no nearer.  It arrives when it is
     within POINT_MERGE_DIST of a point of pts allowed by its row of ``others``.
+    Walks share each step's ``eigh`` and LM call, not their bits: both work per
+    row (LM below numerics.LM_BATCH_AXIS_ROWS; 1,024 walks would switch its path).
     Returns, per walk, the index of the point it arrived at, or -1.
     """
     from .numerics import levenberg_marquardt
 
-    y = pts[starts]
-    goal = pts[targets]
+    y, goal = pts[starts], pts[targets]
     level = field.value_at(y)
     dist = np.linalg.norm(goal - y, axis=-1)
-    hit = np.full(len(starts), -1)
-    idx = np.arange(len(starts))
+    hit, idx = np.full(len(starts), -1), np.arange(len(starts))
     for _ in range(MERGE_MAX_STEPS):
         ya = y[idx]
         u = np.einsum("nij,nj->ni", _tangent_kernel(field, ya), goal[idx] - ya)
@@ -568,52 +561,66 @@ def _follow_kernel(field, pts, starts, targets, others, cfg):
     return hit
 
 
-def _morse_bott_merge(field, pts, labels, dist, cfg):
-    """Merge the single-linkage clusters (labels over rows of pts, all at one
-    value, with pairwise distances dist) that are connected through the
-    critical set.
+def _morse_bott_merge(field, pts, groups, cfg):
+    """Component labels of pts, numbered across the value groups (rows of pts,
+    each at one value): single-linkage clusters at POINT_MERGE_DIST per group,
+    joined where the critical set connects them.
 
     A cluster with no Hessian kernel at its first point holds isolated critical
     points: it splits where its points do not coincide within cluster_tol, and
     only the pieces with no kernel at their first point leave it.  Every
     cluster with a kernel walks, by ``_follow_kernel``, from its point nearest
-    to the nearest component it has not yet walked toward, and is united with
-    whatever component it arrives at, until no component has such a neighbour.
-    A walk stays on the critical set, so disjoint critical sets are never
-    united.
+    to the nearest component of its group it has not yet walked toward, and is
+    united with whatever component it arrives at, until no component has such
+    a neighbour.  A walk stays on the critical set and arrives only in its own
+    group, so disjoint critical sets are never united.  Each round walks all
+    groups in one call; a group keeps its distances only while walks remain.
     """
-    walkable = _has_kernel(field, pts, labels)
-    lone = ~walkable[labels]
-    if lone.any():
-        pieces = labels.copy()
-        pieces[lone] = labels.max() + 1 + _single_linkage(dist[np.ix_(lone, lone)],
-                                                          cfg.cluster_tol)
-        pieces = np.unique(pieces, return_inverse=True)[1]
-        if pieces.max() + 1 > len(walkable):
-            isolated = ~_has_kernel(field, pts, pieces)[pieces]
-            labels = np.unique(np.where(isolated, labels.max() + 1 + pieces, labels),
-                               return_inverse=True)[1]
-            walkable = _has_kernel(field, pts, labels)
-    tried = ~np.outer(walkable, walkable)
-    root = np.arange(len(walkable))
+    labels, walkable, dists = [], [], {}
+    for k, g in enumerate(groups):
+        q = pts[g]
+        dist = np.array([np.linalg.norm(q - p, axis=-1) for p in q])
+        lab = _single_linkage(dist, POINT_MERGE_DIST)
+        walk = _has_kernel(field, q, lab)
+        lone = ~walk[lab]
+        if lone.any():
+            pieces = lab.copy()
+            pieces[lone] = lab.max() + 1 + _single_linkage(dist[np.ix_(lone, lone)],
+                                                           cfg.cluster_tol)
+            pieces = np.unique(pieces, return_inverse=True)[1]
+            if pieces.max() + 1 > len(walk):
+                isolated = ~_has_kernel(field, q, pieces)[pieces]
+                lab = np.unique(np.where(isolated, lab.max() + 1 + pieces, lab),
+                                return_inverse=True)[1]
+                walk = _has_kernel(field, q, lab)
+        labels.append(lab + sum(map(len, walkable)))  # numbered on across groups
+        walkable.append(walk)
+        if walk.sum() > 1:  # else no walk can start
+            dists[k] = dist
+    labels, walkable = np.concatenate(labels), np.concatenate(walkable)
+    group = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+    tried, root = ~np.outer(walkable, walkable), np.arange(len(walkable))
     while True:
         comp = root[labels]
-        open_ = (comp[:, None] != comp[None, :]) & ~tried[labels[:, None], labels[None, :]]
-        gap = np.where(open_, dist, np.inf)
         starts, targets = [], []
-        for c in np.unique(comp):
-            rows = np.flatnonzero(comp == c)
-            i, j = np.unravel_index(np.argmin(gap[rows]), (rows.size, len(pts)))
-            if np.isfinite(gap[rows[i], j]):
-                starts.append(rows[i])
-                targets.append(j)
+        for k in dists:
+            g = groups[k]
+            open_ = (comp[g, None] != comp[None, g]) & ~tried[labels[g, None], labels[None, g]]
+            gap = np.where(open_, dists[k], np.inf)
+            for c in np.unique(comp[g]):
+                rows = np.flatnonzero(comp[g] == c)
+                i, j = np.unravel_index(np.argmin(gap[rows]), (rows.size, g.size))
+                if np.isfinite(gap[rows[i], j]):
+                    starts.append(g[rows[i]])
+                    targets.append(g[j])
+        dists = {k: dists[k] for k in np.unique(group[starts])}  # a group with no walk is done
         if not starts:
-            return np.unique(comp, return_inverse=True)[1]
+            return comp
         for i, j in zip(starts, targets):
             a, b = root == comp[i], root == comp[j]
             tried |= np.outer(a, b) | np.outer(b, a)
-        hit = _follow_kernel(field, pts, np.array(starts), np.array(targets),
-                             comp[None, :] != comp[starts][:, None], cfg)
+        others = (comp[None, :] != comp[starts][:, None]) & (group == group[starts][:, None])
+        hit = _follow_kernel(field, pts, np.array(starts), np.array(targets), others, cfg)
         for i, j in zip(starts, hit):
             if j >= 0:
                 root[root == root[labels[j]]] = root[labels[i]]
@@ -622,35 +629,31 @@ def _morse_bott_merge(field, pts, labels, dist, cfg):
 def _cluster_endpoints(field, endpoints, cfg):
     """Group converged points into components: by value, with gaps larger than
     10 * cluster_tol, then by the field's structural classifier (one call per
-    group), or, when none is set, by point distance at POINT_MERGE_DIST refined
-    by the Morse-Bott merge (isolated points split, connected clusters joined)."""
+    group), or, when none is set, by point distance at POINT_MERGE_DIST and one
+    Morse-Bott merge over all groups (isolated points split, clusters joined)."""
     values = field.value_at(endpoints)
     order = np.argsort(values, kind="stable")
-    endpoints = endpoints[order]
-    values = values[order]
+    endpoints, values = endpoints[order], values[order]
+    cuts = np.flatnonzero(np.diff(values) > 10.0 * cfg.cluster_tol)
+    groups = np.split(np.arange(len(values)), cuts + 1)
+    merged = _morse_bott_merge(field, endpoints, groups, cfg) if field.classifier is None else None
     components = []
-    for group in _split_by_gaps(values, 10.0 * cfg.cluster_tol):
-        pts = endpoints[group]
-        vals = values[group]
-        if field.classifier is not None:
+    for group in groups:
+        pts, vals = endpoints[group], values[group]
+        if merged is not None:
+            labels = merged[group]
+        else:
             try:
                 labels = np.array(field.classifier(pts), dtype=object)
             except LsnavError:
                 labels = np.full(len(pts), None, dtype=object)
             labels[np.equal(labels, None)] = "unclassified"
-            for lab in sorted(set(labels.tolist())):
-                sel = labels == lab
-                components.append((float(np.mean(vals[sel])), pts[sel], str(lab)))
-        else:
-            dist = np.array([np.linalg.norm(pts - p, axis=-1) for p in pts])
-            cl = _single_linkage(dist, POINT_MERGE_DIST)
-            cl = _morse_bott_merge(field, pts, cl, dist, cfg)
-            for c in range(cl.max() + 1):
-                sel = cl == c
-                components.append((float(np.mean(vals[sel])), pts[sel], "unclassified"))
-    out = [CriticalComponent(val, pts[np.lexsort(pts.T[::-1])], lab)
-           for val, pts, lab in components]
-    return sorted(out, key=lambda c: (c.value, c.label))
+        for lab in sorted(set(labels.tolist())):
+            sel = labels == lab
+            rep, name = pts[sel], "unclassified" if merged is not None else str(lab)
+            components.append(CriticalComponent(float(np.mean(vals[sel])),
+                                                rep[np.lexsort(rep.T[::-1])], name))
+    return sorted(components, key=lambda c: (c.value, c.label))
 
 
 def detect_critical(field: ScalarField, seeds, cfg: FlowConfig = None):

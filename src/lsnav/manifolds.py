@@ -70,15 +70,13 @@ class ManifoldSpec:
 
     def riemannian_hessian(self, coords, egrad, ehess):
         """The Riemannian Hessian of F, a (..., d, d) matrix, from the ambient gradient
-        egrad and Hessian ehess of F at coords: P ehess P plus the Weingarten term
-        (Absil, Mahony & Trumpf, "An extrinsic look at the Riemannian Hessian", 2013).
-        Each kind's ``weingarten(coords, egrad, vec)`` gives that term on tangent vectors
-        vec: the tangent part of the derivative of the tangent projection along vec,
-        applied to egrad.  The matrix maps normal vectors to zero and is symmetric."""
-        x = coords[..., None, :]
-        p = self.project_tangent(x, np.broadcast_to(np.eye(self.ambient_dim), ehess.shape))
-        php = self.project_tangent(x, np.swapaxes(ehess @ p, -1, -2))
-        return php + self.weingarten(x, egrad[..., None, :], p)
+        egrad and Hessian ehess of F at coords: P (ehess - S) P with P the tangent
+        projector and S the kind's ``shape_term(coords, egrad)``, so that -P S P is the
+        Weingarten term (Absil, Mahony & Trumpf, "An extrinsic look at the Riemannian
+        Hessian", 2013).  The matrix maps normal vectors to zero and is symmetric."""
+        eye = np.broadcast_to(np.eye(self.ambient_dim), coords.shape + coords.shape[-1:])
+        p = self.project_tangent(coords[..., None, :], eye)
+        return p @ (ehess - self.shape_term(coords, egrad)) @ p
 
 
 class _SphereBlocks(ManifoldSpec):
@@ -128,9 +126,10 @@ class _SphereBlocks(ManifoldSpec):
     def project_tangent(self, coords, w):
         return w - np.repeat(self._block_dots(coords, w), self._segments[1], axis=-1) * coords
 
-    def weingarten(self, coords, egrad, vec):
-        """-<x_b, egrad_b> v_b on each block b."""
-        return -np.repeat(self._block_dots(coords, egrad), self._segments[1], axis=-1) * vec
+    def shape_term(self, coords, egrad):
+        """diag(<x_b, egrad_b>), repeated over each block b."""
+        dots = np.repeat(self._block_dots(coords, egrad), self._segments[1], axis=-1)
+        return dots[..., None] * np.eye(self.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -223,12 +222,11 @@ class _Hypersurface(ManifoldSpec):
         gn2 = np.maximum(np.sum(g * g, axis=-1, keepdims=True), 1e-300)
         return w - (np.sum(g * w, axis=-1, keepdims=True) / gn2) * g
 
-    def weingarten(self, coords, egrad, vec):
-        """-(<n, egrad> / |grad g|) P hess(g) v with n = grad g / |grad g|."""
+    def shape_term(self, coords, egrad):
+        """(<grad g, egrad> / |grad g|^2) hess(g)."""
         g = self.field.grad(coords)
         scale = _dot(g, egrad) / np.maximum(_dot(g, g), 1e-300)
-        hv = (self.field.hess(coords) @ vec[..., None])[..., 0]
-        return -scale * self.project_tangent(coords, hv)
+        return scale[..., None] * self.field.hess(coords)
 
     def sample(self, n: int, rng: np.random.Generator):
         """n points: uniform draws from the field's bounding box, those with a gradient
@@ -364,10 +362,9 @@ class StiefelV2(ManifoldSpec):
         x, y = self._rows(coords), self._rows(w)
         return (y - self._sym(x, y) @ x).reshape(w.shape)
 
-    def weingarten(self, coords, egrad, vec):
-        """-P(V sym(X^T egrad)); on the row views V S is S V^T, since S is symmetric."""
-        vs = self._sym(self._rows(coords), self._rows(egrad)) @ self._rows(vec)
-        return -self.project_tangent(coords, vs.reshape(vec.shape))
+    def shape_term(self, coords, egrad):
+        """kron(sym(X^T egrad), I_m): V -> V sym(X^T egrad) on flat frames."""
+        return np.kron(self._sym(self._rows(coords), self._rows(egrad)), np.eye(self.frame_dim))
 
     @staticmethod
     def _sym(x, y):  # sym(X^T Y) from the row views
@@ -406,8 +403,8 @@ class Euclidean(ManifoldSpec):
     def project_tangent(self, coords, w):
         return w.copy()
 
-    def weingarten(self, coords, egrad, vec):
-        return np.zeros(np.broadcast_shapes(coords.shape, vec.shape))
+    def shape_term(self, coords, egrad):
+        return 0.0
 
 
 def _integer(value) -> int:

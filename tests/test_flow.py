@@ -20,6 +20,7 @@ from lsnav.flow import (
 )
 from lsnav.manifolds import (
     Ellipsoid,
+    Euclidean,
     ImplicitHypersurface,
     PointOnM,
     ProductSpheres,
@@ -248,6 +249,38 @@ def test_endpoint_flows_do_not_depend_on_the_other_rows(monkeypatch, case, direc
     others = np.arange(n) != 13
     for got, want in zip(broken, whole):
         assert np.array_equal(got[others], want[others])
+
+
+NEWTON_KINDS = {
+    "sphere:2": Sphere(2),
+    "product:1,3": ProductSpheres((1, 3)),
+    "stiefel:4": StiefelV2(4),
+    "ellipsoid:1,2,3": Ellipsoid((1.0, 2.0, 3.0)),
+    "torus:2,0.5": ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25),
+    "euclidean:3": Euclidean(3),
+}
+
+
+@pytest.mark.parametrize("name", list(NEWTON_KINDS))
+def test_newton_search_does_not_depend_on_the_other_rows(name):
+    # F = x^T A x / 2 + b.x on each kind: one call against 7-row chunks, bit for
+    # bit, and a NaN seed retires only its own row.  The gradient is an einsum:
+    # BLAS may sum x @ A in an order that depends on the number of rows
+    spec = NEWTON_KINDS[name]
+    rng = np.random.default_rng(len(name))
+    a = rng.standard_normal((spec.ambient_dim,) * 2)
+    a = a + a.T
+    b = rng.standard_normal(spec.ambient_dim)
+    field = ScalarField(spec, lambda x: np.einsum("...i,ij,...j->...", x, a, x) / 2 + x @ b,
+                        lambda x: np.einsum("...i,ij->...j", x, a) + b,
+                        euclidean_hessian=lambda x: a)
+    seeds = random_points(spec, 40, rng)
+    whole = newton_critical_search(field, seeds)
+    assert len(whole) >= 20
+    chunks = [newton_critical_search(field, seeds[i:i + 7]) for i in range(0, 40, 7)]
+    assert np.array_equal(whole, np.concatenate(chunks))
+    assert np.array_equal(newton_critical_search(field, np.insert(seeds, 13, np.nan, axis=0)),
+                          whole)
 
 
 def _fiber_quadratic(diag, linear=(0.0, 0.0, 0.0, 0.0)):
@@ -710,6 +743,139 @@ def test_isolated_point_first_in_a_cluster_with_a_critical_circle():
                  if abs(c.value) < 1e-9]
         heights = [np.unique(np.round(c.representatives[:, 2], 6)).tolist() for c in comps]
         assert sorted(heights) == [[z0], [1.0]]
+
+
+def _reference_has_kernel(field, pts, labels):
+    first = np.unique(labels, return_index=True)[1]
+    return np.trace(flow._tangent_kernel(field, pts[first]), axis1=-2, axis2=-1) > 0.5
+
+
+def _reference_merge(field, pts, labels, dist, cfg):
+    """The Morse-Bott merge of one value group on its own: its kernel tests and
+    its walks in calls of their own, the kernel test repeated after a split."""
+    walkable = _reference_has_kernel(field, pts, labels)
+    lone = ~walkable[labels]
+    if lone.any():
+        pieces = labels.copy()
+        pieces[lone] = labels.max() + 1 + flow._single_linkage(dist[np.ix_(lone, lone)],
+                                                               cfg.cluster_tol)
+        pieces = np.unique(pieces, return_inverse=True)[1]
+        if pieces.max() + 1 > len(walkable):
+            isolated = ~_reference_has_kernel(field, pts, pieces)[pieces]
+            labels = np.unique(np.where(isolated, labels.max() + 1 + pieces, labels),
+                               return_inverse=True)[1]
+            walkable = _reference_has_kernel(field, pts, labels)
+    tried = ~np.outer(walkable, walkable)
+    root = np.arange(len(walkable))
+    while True:
+        comp = root[labels]
+        open_ = (comp[:, None] != comp[None, :]) & ~tried[labels[:, None], labels[None, :]]
+        gap = np.where(open_, dist, np.inf)
+        starts, targets = [], []
+        for c in np.unique(comp):
+            rows = np.flatnonzero(comp == c)
+            i, j = np.unravel_index(np.argmin(gap[rows]), (rows.size, len(pts)))
+            if np.isfinite(gap[rows[i], j]):
+                starts.append(rows[i])
+                targets.append(j)
+        if not starts:
+            return np.unique(comp, return_inverse=True)[1]
+        for i, j in zip(starts, targets):
+            a, b = root == comp[i], root == comp[j]
+            tried |= np.outer(a, b) | np.outer(b, a)
+        hit = flow._follow_kernel(field, pts, np.array(starts), np.array(targets),
+                                  comp[None, :] != comp[starts][:, None], cfg)
+        for i, j in zip(starts, hit):
+            if j >= 0:
+                root[root == root[labels[j]]] = root[labels[i]]
+
+
+def _per_group_components(field, endpoints, cfg):
+    """(value, label, representatives) of the components that clustering each
+    value group on its own gives."""
+    values = field.value_at(endpoints)
+    order = np.argsort(values, kind="stable")
+    endpoints, values = endpoints[order], values[order]
+    out = []
+    cuts = np.flatnonzero(np.diff(values) > 10.0 * cfg.cluster_tol)
+    for group in np.split(np.arange(len(values)), cuts + 1):
+        pts, vals = endpoints[group], values[group]
+        dist = np.array([np.linalg.norm(pts - p, axis=-1) for p in pts])
+        cl = _reference_merge(field, pts, flow._single_linkage(dist, flow.POINT_MERGE_DIST),
+                              dist, cfg)
+        for c in range(cl.max() + 1):
+            sel = cl == c
+            out.append((float(np.mean(vals[sel])), "unclassified",
+                        pts[sel][np.lexsort(pts[sel].T[::-1])]))
+    return sorted(out, key=lambda c: c[0])
+
+
+def _z_squared(spec):
+    return ScalarField(spec, lambda x: x[..., 2] ** 2,
+                       lambda x: np.stack([0.0 * x[..., 0], 0.0 * x[..., 1], 2.0 * x[..., 2]], -1),
+                       euclidean_hessian=lambda x: np.diag([0.0, 0.0, 2.0]))
+
+
+def _pole_and_circle():
+    # (1 - z)(z - 0.88)^2 on S^2: a point and a circle at value 0, 0.49 apart
+    z0 = 0.88
+    return ScalarField(
+        Sphere(2), lambda x: (1.0 - x[..., 2]) * (x[..., 2] - z0) ** 2,
+        lambda x: np.stack([0.0 * x[..., 0], 0.0 * x[..., 1],
+                            -(x[..., 2] - z0) * (3.0 * x[..., 2] - 2.0 - z0)], -1),
+        euclidean_hessian=lambda x: np.einsum("...,ij->...ij", 2.0 + 4.0 * z0 - 6.0 * x[..., 2],
+                                              np.diag([0.0, 0.0, 1.0])))
+
+
+POOLED_MERGE_CASES = {
+    # (field, seeds, rng seeds, cluster_tol)
+    "height torus(2,0.5)": (lambda: height_field(_torus()), 100, (0, 1, 2), 1e-4),
+    "z^2 torus(2,0.5)": (lambda: _z_squared(_torus()), 100, (0, 1, 2), 1e-4),
+    "z^2 sphere radius 0.1": (lambda: _z_squared(Ellipsoid((0.1,) * 3)), 200, (0,), 1e-4),
+    "pole and circle on S^2": (_pole_and_circle, 300, (5, 6), 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", list(POOLED_MERGE_CASES))
+def test_pooled_merge_matches_the_merge_of_each_value_group(monkeypatch, case):
+    # one Morse-Bott merge over all value groups gives, bit for bit, the
+    # components of one merge per group, and its rounds walk every group at once
+    make, n, rng_seeds, tol = POOLED_MERGE_CASES[case]
+    field = make()
+    cfg = FlowConfig(cluster_tol=tol)
+    calls = []
+    follow = flow._follow_kernel
+
+    def spy(field, pts, starts, targets, others, cfg):
+        calls.append(np.unique(np.round(field.value_at(pts[starts]), 6)).size)
+        return follow(field, pts, starts, targets, others, cfg)
+
+    for rng_seed in rng_seeds:
+        found = newton_critical_search(field, random_points(field.spec, n,
+                                                            np.random.default_rng(rng_seed)))
+        want = _per_group_components(field, found, cfg)
+        monkeypatch.setattr(flow, "_follow_kernel", spy)
+        comps = flow._cluster_endpoints(field, found, cfg)
+        monkeypatch.setattr(flow, "_follow_kernel", follow)
+        assert len(comps) == len(want)
+        for c, (value, label, reps) in zip(comps, want):
+            assert (c.value, c.label) == (value, label)
+            assert np.array_equal(c.representatives, reps)
+    if case.endswith("torus(2,0.5)"):
+        assert max(calls) == 2  # walks at both values in one call
+
+
+def test_pooled_merge_keeps_value_groups_apart():
+    # z^2 on the torus (0.4, 0.1) at level 0.01: equators at 0 and the top and
+    # bottom circles at 0.01 lie within POINT_MERGE_DIST of each other, and a
+    # walk arrives only in its own value group
+    field = _z_squared(ImplicitHypersurface(torus_of_revolution_field(0.4, 0.1), 0.01))
+    cfg = FlowConfig()
+    comps = find_critical_components(field, random_points(field.spec, 200,
+                                                          np.random.default_rng(0)), cfg)
+    assert {round(c.value, 6) for c in comps} == {0.0, 0.01}
+    for c in comps:
+        assert np.ptp(field.value_at(c.representatives)) <= 10.0 * cfg.cluster_tol
 
 
 def _bfs_clusters(points, threshold):

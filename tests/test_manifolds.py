@@ -636,3 +636,70 @@ def test_riemannian_hessian_matches_gradient_differences(name):
     vhw = np.einsum("ni,nij,nj->n", v, hess, w)
     assert np.abs(whv - vhw).max() <= 1e-12 * scale
     assert np.abs(hess - np.swapaxes(hess, -1, -2)).max() <= 1e-12 * scale
+
+
+def _weingarten(spec, coords, egrad, vec):
+    """The Weingarten term of each kind on tangent vectors vec: the tangent part of
+    the derivative of the tangent projection along vec, applied to egrad."""
+    if isinstance(spec, (Sphere, ProductSpheres)):
+        starts, sizes = spec._segments
+        dots = np.add.reduceat(coords * egrad, starts, axis=-1)
+        return -np.repeat(dots, sizes, axis=-1) * vec
+    if isinstance(spec, (Ellipsoid, ImplicitHypersurface)):
+        g = spec.field.grad(coords)
+        scale = (np.einsum("...i,...i->...", g, egrad)
+                 / np.maximum(np.einsum("...i,...i->...", g, g), 1e-300))[..., None]
+        hv = (spec.field.hess(coords) @ vec[..., None])[..., 0]
+        return -scale * spec.project_tangent(coords, hv)
+    if isinstance(spec, StiefelV2):
+        rows = spec._rows
+        vs = spec._sym(rows(coords), rows(egrad)) @ rows(vec)
+        return -spec.project_tangent(coords, vs.reshape(vec.shape))
+    return np.zeros(np.broadcast_shapes(coords.shape, vec.shape))
+
+
+def _reference_hessian(spec, coords, egrad, ehess):
+    """P ehess P plus the Weingarten term, each row of the identity projected."""
+    x = coords[..., None, :]
+    p = spec.project_tangent(x, np.broadcast_to(np.eye(spec.ambient_dim), ehess.shape))
+    php = spec.project_tangent(x, np.swapaxes(ehess @ p, -1, -2))
+    return php + _weingarten(spec, x, egrad[..., None, :], p)
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_SPECS))
+def test_riemannian_hessian_matches_weingarten_form(name):
+    # P (ehess - S) P against P ehess P + Weingarten, on batches and on the single
+    # points with one shared ehess that the pair census's nullity test passes
+    spec = HESSIAN_SPECS[name]
+    d = spec.ambient_dim
+    rng = np.random.default_rng(len(name) + 1)
+    x = random_points(spec, 20, rng)
+    egrad = rng.standard_normal(x.shape)
+    a = rng.standard_normal((20, d, d))
+    ehess = a + np.swapaxes(a, -1, -2)
+    for args in ((x, egrad, ehess), (x[3], egrad[3], 2.0 * np.eye(d))):
+        want = _reference_hessian(spec, *args)
+        got = spec.riemannian_hessian(*args)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_SPECS))
+def test_riemannian_hessian_does_not_depend_on_the_other_rows(name):
+    # one call against 7-row chunks, bit for bit, and a NaN row spoils only itself
+    spec = HESSIAN_SPECS[name]
+    d = spec.ambient_dim
+    rng = np.random.default_rng(len(name) + 2)
+    x = random_points(spec, 40, rng)
+    egrad = rng.standard_normal(x.shape)
+    a = rng.standard_normal((40, d, d))
+    ehess = a + np.swapaxes(a, -1, -2)
+    whole = spec.riemannian_hessian(x, egrad, ehess)
+    parts = [spec.riemannian_hessian(x[i:i + 7], egrad[i:i + 7], ehess[i:i + 7])
+             for i in range(0, 40, 7)]
+    assert np.array_equal(whole, np.concatenate(parts))
+    x[13], ehess[13] = np.nan, np.nan
+    broken = spec.riemannian_hessian(x, egrad, ehess)
+    assert np.isnan(broken[13]).all()
+    others = np.arange(40) != 13
+    assert np.array_equal(broken[others], whole[others])
