@@ -16,7 +16,9 @@ from .errors import WrongSpec
 
 @dataclass(frozen=True)
 class ConstraintField:
-    """Scalar field g on an ambient space, defining a hypersurface g = level."""
+    """Scalar field g on an ambient space, defining a hypersurface g = level.
+    Batched results are row-independent only when value, grad and hess compute
+    row by row: elementwise or ``einsum`` forms, not a BLAS product (``x @ a``)."""
 
     name: str
     params: dict

@@ -79,10 +79,12 @@ class ScalarField:
     ``value`` and ``euclidean_gradient`` take coordinate arrays of shape
     (..., ambient_dim) and broadcast; ``euclidean_hessian`` returns an array
     that broadcasts to (..., ambient_dim, ambient_dim), so a constant Hessian
-    may be one matrix.  When no analytic gradient is given,
-    central finite differences of ``value`` with step FD_SCALE * (1 + |x|) are
-    used; when no Hessian is given, central differences of the gradient with
-    step FD_HESSIAN_SCALE * (1 + |x|).
+    may be one matrix.  When no analytic gradient is given, central finite
+    differences of ``value`` with step FD_SCALE * (1 + |x|) are used; when no
+    Hessian is given, central differences of the gradient with step
+    FD_HESSIAN_SCALE * (1 + |x|).  Batched results are row-independent only
+    when these callables compute row by row: elementwise or ``einsum`` forms,
+    not a BLAS product such as ``x @ a``.
     ``classifier`` optionally labels critical points in batches: (n, ambient_dim)
     in, n labels out, None for a row it cannot classify; clustering calls it once
     per value group, and an LsnavError from it leaves the group unclassified.
@@ -493,12 +495,13 @@ def _single_linkage(dist, threshold):
     (its own included), then that label's label, until nothing changes."""
     near = dist <= threshold
     labels = np.arange(len(dist))
+    grid = np.broadcast_to(labels, near.shape)  # a view of labels: no n x n array per pass
     while True:
-        new = np.where(near, labels, labels[:, None]).min(axis=1)
-        new = new[new]
+        new = np.minimum.reduce(grid, axis=1, where=near, initial=len(labels))
+        new = np.minimum(new, labels, out=new)[new]
         if (new == labels).all():
             return np.unique(labels, return_inverse=True)[1]
-        labels = new
+        labels[:] = new
 
 
 def _tangent_kernel(field, coords):
@@ -579,7 +582,8 @@ def _morse_bott_merge(field, pts, groups, cfg):
     labels, walkable, dists = [], [], {}
     for k, g in enumerate(groups):
         q = pts[g]
-        dist = np.array([np.linalg.norm(q - p, axis=-1) for p in q])
+        # summed in coordinate order, as np.linalg.norm sums fewer than 8 coordinates
+        dist = np.sqrt(sum((c[:, None] - c) ** 2 for c in q.T))
         lab = _single_linkage(dist, POINT_MERGE_DIST)
         walk = _has_kernel(field, q, lab)
         lone = ~walk[lab]

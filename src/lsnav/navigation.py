@@ -360,35 +360,33 @@ def pair_system_jacobian(fld, level, z):
     At an end p with unit normal u, normal block r = u - (u.d) d, chord length
     rho and C = +-((u.d)/rho I + d (u - 2 (u.d) d)^T / rho), + at x: the block's
     derivative is (H - r (Hu)^T - d (Hd)^T)/|grad g| - C with respect to p and
-    C with respect to the other end.  Built component-major, on contiguous
-    (n, N) and (n, n, N) arrays, and transposed once into the C-ordered
-    (..., 2+2n, 2n) array that LM multiplies."""
+    C with respect to the other end.  Built component-major, as one contiguous
+    (2+2n, 2n, N) array whose blocks are written in place, and returned as its
+    (..., 2+2n, 2n) row-major view, which LM's batch-axis solve reads as it is."""
     z = np.asarray(z, dtype=float)
-    lead = z.shape[:-1]
     x, y, dist, d = _pair_chord(z.reshape(-1, z.shape[-1]))
     n = x.shape[-1]
     dist, d = dist[:, 0], np.ascontiguousarray(d.T)
-    eye = np.eye(n)[:, :, None]
-    # the output is allocated before the component-major scratch, so freeing the
-    # scratch leaves no hole below it in the heap
-    out = np.empty((dist.size, 2 + 2 * n, 2 * n))
     jac = np.zeros((2 + 2 * n, 2 * n, dist.size))
-    for s, (p, sign) in enumerate(((x, 1.0), (y, -1.0))):
+    # np.add.reduce is np.sum without its fixed cost; a sign flip of rho is exact
+    for s, (p, rho) in enumerate(((x, dist), (y, -dist))):
         g = np.ascontiguousarray(fld.grad(p).T)
         h = np.ascontiguousarray(fld.hess(p).transpose(1, 2, 0))
-        here, there = slice(s * n, (s + 1) * n), slice((1 - s) * n, (2 - s) * n)
-        jac[s, here] = g
-        norm = np.sqrt(np.sum(g * g, axis=0))
+        jac[s, s * n:(s + 1) * n] = g
+        norm = np.sqrt(np.add.reduce(g * g, 0))
         u = g / norm
-        ud = np.sum(u * d, axis=0)
-        r = u - ud * d
-        c = (ud / dist * eye + d[:, None] * ((u - 2.0 * ud * d) / dist)[None]) * sign
+        ud = np.add.reduce(u * d, 0)
         block = jac[2 + s * n:2 + (s + 1) * n]
-        block[:, here] = (h - r[:, None] * np.sum(h * u, axis=1)[None]
-                          - d[:, None] * np.sum(h * d, axis=1)[None]) / norm - c
-        block[:, there] = c
-    out[...] = jac.transpose(2, 0, 1)
-    return out.reshape(lead + out.shape[1:])
+        own, c = block[:, s * n:(s + 1) * n], block[:, (1 - s) * n:(2 - s) * n]
+        # C serves first as scratch for d (Hd)^T
+        np.multiply((u - ud * d)[:, None], np.add.reduce(h * u, 1)[None], out=own)
+        np.subtract(h, own, out=own)
+        own -= np.multiply(d[:, None], np.add.reduce(h * d, 1)[None], out=c)
+        own /= norm
+        np.multiply(d[:, None], ((u - 2.0 * ud * d) / rho)[None], out=c)
+        block.reshape(2 * n * n, -1)[(1 - s) * n::2 * n + 1] += ud / rho
+        own -= c
+    return jac.transpose(2, 0, 1).reshape(z.shape[:-1] + jac.shape[:2])
 
 
 def _gauss_newton_pairs(fld, level, z0):

@@ -23,25 +23,27 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
     tunneling between basins when the Jacobian is rank-deficient (flat
     valleys, solution continua).  An optional ``retract`` maps trial points
     back onto a constraint set after each step.  Rows whose
-    residual is not finite at the start, or whose Jacobian stops being
-    finite, are abandoned and report an infinite residual norm; a trial point
-    with a non-finite residual is rejected like any other worse point.
+    residual is not finite at the start, or whose Jacobian stops being finite
+    (judged by diag J^T J and J^T r, which every non-finite or overflowing
+    entry of J reaches), are abandoned and report an infinite residual norm; a
+    trial point with a non-finite residual is rejected like any other worse point.
 
     The residual is evaluated at the starts and once per trial point; an
     accepted trial keeps the residual it was judged by.
 
     The damped systems are solved one of two ways, chosen once per call from
     the number of starting rows.  Below LM_BATCH_AXIS_ROWS, per matrix:
-    batched matrix products for J^T J and J^T r, and LAPACK's ``solve``
-    (``pinv`` for a matrix that is exactly singular).
-    From LM_BATCH_AXIS_ROWS on, along the batch axis: the Jacobian is copied
-    once component-major, and the normal equations and the Cholesky solve of
-    each damped system are loops over its d components on contiguous
-    length-n vectors (``_normal_equations``, ``_cholesky_solve``); a row whose
-    pivot is not positive is solved again, per matrix, by LAPACK.  Either way
-    the arithmetic of one row does not depend on the other rows of the call,
-    so a row takes the same steps, bit for bit, whichever rows are still
-    active.
+    batched matrix products of the C-ordered Jacobian for J^T J and J^T r, and
+    LAPACK's ``solve`` (``pinv`` for a matrix that is exactly singular).
+    From LM_BATCH_AXIS_ROWS on, along the batch axis: the Jacobian is read
+    component-major, in place if it is the row-major view of an (m, d, n)
+    array (as ``pair_system_jacobian`` returns it), and the normal equations
+    and the Cholesky solve are sums and loops on contiguous length-n vectors
+    (``_normal_equations``, ``_cholesky_solve``); a row whose pivot is not
+    positive is solved again, per matrix, by LAPACK.  Either way a row takes
+    the same steps, bit for bit, whichever rows are still active, as long as
+    ``residual`` and ``jacobian`` compute row by row: a BLAS product such as
+    ``z @ a`` breaks this, elementwise and ``einsum`` forms keep it.
 
     Returns (z, residual_norms).
     """
@@ -65,18 +67,16 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
         la = lam[act_idx]
         if batch_axis:
             aug = _normal_equations(jacobian(za), ra)  # [J^T J | J^T r], batch axis last
-            diag = aug.reshape(d * (d + 1), -1)[:: d + 2]
-            finite = np.isfinite(aug).all(axis=(0, 1))
+            diag, jtr = aug.reshape(d * (d + 1), -1)[:: d + 2], aug[:, d]
         else:
-            jac = jacobian(za)
+            jac = np.ascontiguousarray(jacobian(za))
             jt = np.swapaxes(jac, -1, -2)
             with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are dropped below
                 jtj = jt @ jac
                 jtr = (jt @ ra[..., None])[..., 0]
             diag = np.einsum("nii->ni", jtj)
-            finite = np.isfinite(jtj).all(axis=(1, 2)) & np.isfinite(jtr).all(axis=1)
-        dead[act_idx[~finite]] = True
-        rn[act_idx[~finite]] = np.inf
+        finite = (np.isfinite(diag) & np.isfinite(jtr)).all(axis=0 if batch_axis else 1)
+        dead[act_idx[~finite]], rn[act_idx[~finite]] = True, np.inf
         # Marquardt scaling: damp relative to the diagonal of J^T J so the
         # shift survives rounding whatever the residual scale is
         scale = np.maximum(diag, 1.0)
@@ -131,23 +131,19 @@ def _normal_equations(jac, r):
     """The augmented normal equations [J^T J | J^T r], batch axis last, as one
     (d, d + 1, n) array, of the (n, m, d) Jacobian and the (n, m) residual.
 
-    The Jacobian, with r as a last column, is copied once component-major, and
-    each entry of the upper half and of J^T r is summed over the m components in
-    order by elementwise operations on length-n vectors, so its bits do not
-    depend on n; the lower half is mirrored from the upper."""
-    n, m, d = jac.shape
-    jc = np.empty((m, d + 1, n))
-    jc[:, :d] = jac.transpose(1, 2, 0)
-    jc[:, d] = r.T
-    del jac  # passed inline, the row-major Jacobian is freed here
-    aug = np.empty((d, d + 1, n))
+    The Jacobian is read component-major, in place when jac.transpose(1, 2, 0)
+    is C-contiguous and else from one copy.  Each upper row of J^T J, and J^T r,
+    is one einsum that sums over the m components in order on length-n vectors,
+    so its bits do not depend on n; the lower half is mirrored from the upper."""
+    d = jac.shape[2]
+    jc = np.ascontiguousarray(jac.transpose(1, 2, 0))
+    del jac  # passed inline, a C-ordered Jacobian is freed once copied
+    aug = np.empty((d, d + 1, jc.shape[2]))
     with np.errstate(invalid="ignore", over="ignore"):  # LM drops non-finite rows
         for i in range(d):
-            row = aug[i, i:]
-            np.multiply(jc[0, i], jc[0, i:], out=row)
-            for k in range(1, m):
-                row += jc[k, i] * jc[k, i:]
-            aug[i + 1:, i] = row[1:d - i]
+            np.einsum("kn,kjn->jn", jc[:, i], jc[:, i:], out=aug[i, i:d])
+            aug[i + 1:, i] = aug[i, i + 1:d]
+        np.einsum("kin,nk->in", jc, r, out=aug[:, d])
     return aug
 
 

@@ -447,13 +447,17 @@ def test_pair_residual_blocks_measure_the_alignment(name):
 
 @pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
 def test_pair_system_one_point_matches_its_batch_row(name):
-    # a row's bits do not depend on the batch: one point, a batch and a batch of batches
+    # a row's bits do not depend on the batch: one point, a batch and a batch of batches;
+    # the residual is C-ordered, the Jacobian the row-major view of a component-major array
     surf = PAIR_SURFACES[name]
     z = _pair_starts(surf, 200, seed=6)
     m = len(z) // 2
     for system in (pair_system_residual, pair_system_jacobian):
         got = system(surf.field, surf.level, z)
-        assert got.flags.c_contiguous
+        if system is pair_system_residual:
+            assert got.flags.c_contiguous
+        else:
+            assert got.transpose(1, 2, 0).flags.c_contiguous
         assert np.array_equal(system(surf.field, surf.level, z[0]), got[0])
         nested = system(surf.field, surf.level, z[:2 * m].reshape(2, m, -1))
         assert np.array_equal(nested.reshape((2 * m,) + got.shape[1:]), got[:2 * m])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lsnav import numerics
+from lsnav.manifolds import Ellipsoid, random_points
+from lsnav.navigation import PAIR_RESIDUAL_TOL, pair_system_jacobian, pair_system_residual
 from lsnav.numerics import LM_BATCH_AXIS_ROWS, levenberg_marquardt
 
 # one batch solved per matrix and one solved along the batch axis
@@ -44,6 +46,10 @@ def test_lm_evaluates_each_point_once(monkeypatch, rows):
     assert np.array_equal(np.linalg.norm(residual(z), axis=-1), rn)
 
 
+# one bad entry of a row's Jacobian, at (z[:, 1] of its start, component, coordinate)
+SINGLE_ENTRY_FAULTS = {100.0: (0, 0, np.nan), 200.0: (3, 1, np.inf), 300.0: (2, 0, 1e200)}
+
+
 def test_lm_abandons_non_finite_rows(monkeypatch):
     monkeypatch.setattr(numerics, "LM_MAX_ITER", 100)
     rng = np.random.default_rng(1)
@@ -53,15 +59,25 @@ def test_lm_abandons_non_finite_rows(monkeypatch):
     def jacobian(z):
         j = linear_jacobian(z)
         j[(z[:, 0] > 5.0) & (z[:, 0] < 8.0)] = np.inf
+        # a NaN entry, an infinite one and one whose square overflows, each in its own row
+        for start, (k, i, bad) in SINGLE_ENTRY_FAULTS.items():
+            j[z[:, 1] == start, k, i] = bad
         return j
 
-    z0 = rng.uniform(-1.0, 1.0, size=(6, 2))
-    z0[0, 0] = np.nan  # residual not finite at the start
-    z0[1] = 10.0  # on its way to the solution, row 1 crosses the band 5 < x < 8
-    z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-10)
-    assert np.isinf(rn[:2]).all()
-    assert (rn[2:] <= 1e-10).all()
-    assert 5.0 < z[1, 0] < 8.0
+    for rows in BATCHES:  # solved per matrix, then along the batch axis
+        z0 = rng.uniform(-1.0, 1.0, size=(rows, 2))
+        z0[0, 0] = np.nan  # residual not finite at the start
+        z0[1] = 10.0  # on its way to the solution, row 1 crosses the band 5 < x < 8
+        z0[2:5, 1] = list(SINGLE_ENTRY_FAULTS)
+        z, rn = levenberg_marquardt(residual, jacobian, z0, tol=1e-10)
+        assert np.isinf(rn[:5]).all()
+        assert (rn[5:] <= 1e-10).all()
+        assert 5.0 < z[1, 0] < 8.0
+        assert np.array_equal(z[2:5], z0[2:5])  # abandoned where they started
+        # the other rows take the steps they take without the faulty rows, bit for bit
+        want_z, want_rn = levenberg_marquardt(residual, jacobian, z0[5:], tol=1e-10)
+        assert z[5:].tobytes() == want_z.tobytes()
+        assert rn[5:].tobytes() == want_rn.tobytes()
 
 
 @pytest.mark.parametrize("rows", BATCHES)
@@ -150,3 +166,73 @@ def test_lapack_solve_falls_back_per_row(d):
     rest = np.arange(5) != 2
     assert np.array_equal(x[rest], numerics._lapack_solve(a[rest], b[rest]))
     assert np.array_equal(x[2], np.zeros(d))
+
+
+def _reference_normal_equations(jac, r):
+    """The multiply-add loop form of numerics._normal_equations: the Jacobian,
+    with r as a last column, copied component-major, each upper entry of
+    [J^T J | J^T r] summed over the m components in order, the lower half
+    mirrored."""
+    n, m, d = jac.shape
+    jc = np.empty((m, d + 1, n))
+    jc[:, :d] = jac.transpose(1, 2, 0)
+    jc[:, d] = r.T
+    aug = np.empty((d, d + 1, n))
+    for i in range(d):
+        row = aug[i, i:]
+        np.multiply(jc[0, i], jc[0, i:], out=row)
+        for k in range(1, m):
+            row += jc[k, i] * jc[k, i:]
+        aug[i + 1:, i] = row[1:d - i]
+    return aug
+
+
+def _census_starts(surf, rows, seed):
+    pts = random_points(surf, 2 * rows, np.random.default_rng(seed))
+    return np.concatenate([pts[:rows], pts[rows:]], axis=1)
+
+
+def _normal_equations_system(name, rows):
+    """(Jacobian, residual) of an LM problem at rows points: the Jacobian as the
+    row-major view of a component-major array."""
+    if name == "random":
+        rng = np.random.default_rng(rows)
+        return rng.normal(size=(9, 5, rows)).transpose(2, 0, 1), rng.normal(size=(rows, 9))
+    surf = Ellipsoid(name)
+    z = _census_starts(surf, rows, rows)
+    return (pair_system_jacobian(surf.field, surf.level, z),
+            pair_system_residual(surf.field, surf.level, z))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 2 * LM_BATCH_AXIS_ROWS])
+@pytest.mark.parametrize("name", [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0, 3.0), "random"],
+                         ids=["ellipsoid-3d", "ellipsoid-4d", "random"])
+def test_normal_equations_match_the_loop_form(name, rows):
+    # one einsum per row of J^T J sums in the loop's order: the same bits, read
+    # in place from the component-major view or copied from a C-ordered Jacobian
+    jac, r = _normal_equations_system(name, rows)
+    assert jac.transpose(1, 2, 0).flags.c_contiguous
+    want = _reference_normal_equations(jac, r).tobytes()
+    for layout in (jac, np.ascontiguousarray(jac)):
+        assert numerics._normal_equations(layout, r).tobytes() == want
+
+
+@pytest.mark.parametrize("rows", BATCHES)
+def test_lm_census_does_not_depend_on_the_jacobian_layout(rows):
+    # the census Jacobian as its row-major view or as a C-ordered copy: the
+    # same steps, bit for bit, on either solve path
+    surf = Ellipsoid((1.0, 2.0, 3.0))
+    z0 = _census_starts(surf, rows, 0)
+
+    def residual(z):
+        return pair_system_residual(surf.field, surf.level, z)
+
+    def view(z):
+        return pair_system_jacobian(surf.field, surf.level, z)
+
+    z, rn = levenberg_marquardt(residual, view, z0, tol=PAIR_RESIDUAL_TOL)
+    want_z, want_rn = levenberg_marquardt(residual, lambda w: view(w).copy(), z0,
+                                          tol=PAIR_RESIDUAL_TOL)
+    assert (rn <= PAIR_RESIDUAL_TOL).mean() > 0.9
+    assert z.tobytes() == want_z.tobytes()
+    assert rn.tobytes() == want_rn.tobytes()
