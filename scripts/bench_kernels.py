@@ -9,8 +9,11 @@ sphere:1^2, (S^3)^3, (S^1 x S^3)^2, stiefel:4, stiefel:8, the ellipsoid
 sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and the height
 on that torus; the right-hand side of the vertical flow,
 ``unit_tangent.vertical_pseudo_gradient_coords`` of ut-f, at batch sizes 1,
-500 and 5000 on stiefel:4 and stiefel:8; one descending
-``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
+500 and 5000 on stiefel:4 and stiefel:8; one stage of the vertical flow, the
+anchored projection and then the stage kernel the flow evaluates
+(``unit_tangent._vertical_pseudo_gradient``, or in a tree without it
+``vertical_pseudo_gradient_coords``), at 1, 50 and 500 rows on each of them;
+one descending ``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
 them; one descending ``flow.flow_endpoints`` call from 50 seeds on the nav
 field of S^3 (r=3, on (S^3)^3), whose critical sets are Morse-Bott, and on
 the coordinate x of that torus, whose critical points are nondegenerate;
@@ -35,8 +38,11 @@ over REPEATS repeats of the time per call, with the calls and rows behind it.
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median and the census median stand the Levenberg-Marquardt iterations
 and Jacobian rows of one call, and next to each median of an endpoint flow
-its integrator steps, its right-hand-side calls and rows, and the iterations
-and residual rows of its Newton finish, each counted in an untimed call.
+its integrator steps (``flow._dp54_step`` calls), its stage calls and rows,
+the separate stopping-norm calls of a tree whose ``flow._flow_batch`` still
+takes ``grad_norm`` (0 otherwise), and the iterations and residual rows of its
+Newton finish, each counted in an untimed call.  Stage calls plus norm calls
+are the field evaluations of the flow.
 ``flow._cluster_endpoints``, the clustering that labels converged points, is
 timed at batch sizes 1, 500 and 5000 on critical points of two classified
 fields: the nav field of S^3 (r=3), tuples (x, +-x, +-x) on (S^3)^3, and ut-f
@@ -58,6 +64,7 @@ time goes, and the benchmark's ``solve_ref`` as the end-to-end evidence.
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -68,6 +75,7 @@ import time
 import numpy as np
 
 BATCHES = (1, 500, 5000)
+STAGE_BATCHES = (1, 50, 500)
 MANIFOLDS = ("sphere:1^2", "(S^3)^3", "(S^1xS^3)^2", "stiefel:4", "stiefel:8",
              "ellipsoid(1,2,3)", "torus(2,0.5)", "euclidean:3")
 REPEATS = 9
@@ -148,6 +156,11 @@ def cases(lsnav):
             pts = mf.random_points(field.spec, n, np.random.default_rng([2, n]))
             out.append(("vertical_pseudo_gradient_coords", name, n,
                         lambda f=field, x=pts: ut.vertical_pseudo_gradient_coords(f, x)))
+        stage = getattr(ut, "_vertical_pseudo_gradient", ut.vertical_pseudo_gradient_coords)
+        for n in STAGE_BATCHES:
+            pts = mf.random_points(field.spec, n, np.random.default_rng([8, n]))
+            out.append(("vertical_stage", name, n, lambda f=field, x=pts, k=stage:
+                        k(f, ut._anchored_project(f.spec, x))))
         n = FLOW_SEEDS
         seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
         out.append(("vertical_flow_endpoints", name, n,
@@ -274,32 +287,42 @@ def lm_counts(lsnav, call) -> dict:
 
 
 def endpoint_flow_counts(lsnav, call) -> dict:
-    """Batched integrator steps, right-hand-side calls and rows, and
+    """Integrator steps, stage calls and rows, stopping-norm calls, and
     Levenberg-Marquardt iterations and residual rows, of one call of ``call``.
-    Each ``flow._flow_batch`` call evaluates its right-hand side once per stage,
-    and its gradient norm once at the starts and then once per step, that is
-    per pass of the integrator that accepts a step in some row.  The Newton
-    finish evaluates the residual inside ``levenberg_marquardt``; those rows
-    count as LM residual rows, and each Jacobian evaluation there as one LM
-    iteration, as in ``lm_counts``."""
+    A step is one ``flow._dp54_step`` call, a pass of the integrator over the
+    active rows.  Each ``flow._flow_batch`` call evaluates its stage (the third
+    argument) at the starts and at every stage of every step; a tree whose
+    ``_flow_batch`` takes ``grad_norm`` also evaluates that at the starts and
+    at every pass that accepts a step in some row.  The Newton finish evaluates
+    the residual inside ``levenberg_marquardt``; those rows count as LM
+    residual rows, and each Jacobian evaluation there as one LM iteration, as
+    in ``lm_counts``."""
     flow = lsnav.flow
     numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
-    solve, batch = numerics.levenberg_marquardt, flow._flow_batch
-    counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_iterations": 0,
+    solve, batch, step = numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step
+    takes_norm = "grad_norm" in inspect.signature(batch).parameters
+    counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "norm_calls": 0, "lm_iterations": 0,
               "lm_residual_rows": 0}
 
-    def counted_batch(field, direction, rhs, project, norm, *args, **kwargs):
-        def counted_rhs(f, coords):
+    def counted_batch(field, direction, stage, project, *args, **kwargs):
+        def counted_stage(f, coords):
             counts["rhs_calls"] += 1
             counts["rhs_rows"] += len(coords)
-            return rhs(f, coords)
+            return stage(f, coords)
 
-        def counted_norm(f, coords):
-            counts["steps"] += 1
-            return norm(f, coords)
+        if takes_norm:
+            norm = args[0]
 
-        counts["steps"] -= 1  # the norm at the starts
-        return batch(field, direction, counted_rhs, project, counted_norm, *args, **kwargs)
+            def counted_norm(f, coords):
+                counts["norm_calls"] += 1
+                return norm(f, coords)
+
+            args = (counted_norm,) + args[1:]
+        return batch(field, direction, counted_stage, project, *args, **kwargs)
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step(*args)
 
     def counted_solve(residual, jacobian, z0, **kwargs):
         def counted_residual(z):
@@ -313,10 +336,11 @@ def endpoint_flow_counts(lsnav, call) -> dict:
         return solve(counted_residual, counted_jacobian, z0, **kwargs)
 
     numerics.levenberg_marquardt, flow._flow_batch = counted_solve, counted_batch
+    flow._dp54_step = counted_step
     try:
         call()
     finally:
-        numerics.levenberg_marquardt, flow._flow_batch = solve, batch
+        numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step = solve, batch, step
     return counts
 
 

@@ -7,11 +7,12 @@ negative flow is a strict Lyapunov descent away from critical points.
 
 Batched flows to critical points integrate with an adaptive Dormand-Prince
 5(4) pair (first same as last), re-projecting onto the manifold after every
-stage; FIRST_STEP is the initial step of every row.  A step is
-accepted only when its local error estimate meets min(atol, RTOL |y - x|)
-and F has not moved against the flow beyond rounding, so flows stay
-Lyapunov-monotone; a row rejected down to a step below STEP_FLOOR stops
-unconverged.  The same driver records single traces (``integrate_flow``)
+stage; FIRST_STEP is the initial step of every row.  One field evaluation per
+stage gives the vector field and the stopping norm, so an accepted step's norm
+is its last stage's.  A step is accepted only when its local error estimate
+meets min(atol, RTOL |y - x|) and F has not moved against the flow beyond
+rounding, so flows stay Lyapunov-monotone; a row rejected down to a step below
+STEP_FLOOR stops unconverged.  The same driver records single traces (``integrate_flow``)
 and runs the time-1 map; ``detect_critical`` clusters flow endpoints.
 Trajectories (``integrate_flow``, ``time_one_map``) take atol = ATOL; flows
 that return only endpoints (``flow_endpoints``, so ``detect_critical``, and
@@ -55,11 +56,15 @@ def rho(s):
     rho(1+t) = 1 + 2 t^2 - t^3, which is monotone and satisfies rho(s) <= s.
     """
     s = np.asarray(s, dtype=float)
-    if (s < 0).any():
+    if np.fmin.reduce(s, axis=None, initial=0.0) < 0:  # fmin skips NaN, which passes
         raise NegativeInput("rho is defined for nonnegative arguments")
-    t = np.clip(s - 1.0, 0.0, 1.0)
-    out = np.where(s >= 2.0, s, 1.0 + 2.0 * t**2 - t**3)
+    out = _ramp(s)
     return float(out) if out.ndim == 0 else out
+
+
+def _ramp(s):  # rho on a float array, without the sign check
+    t = np.minimum(np.maximum(s - 1.0, 0.0), 1.0)
+    return np.where(s >= 2.0, s, 1.0 + 2.0 * t**2 - t**3)
 
 
 @dataclass
@@ -156,10 +161,14 @@ def _central_differences(fn, coords, scale):
 
 def pseudo_gradient_coords(field: ScalarField, coords):
     """Array form of the pseudo-gradient X = grad F / rho(|grad F|)."""
+    return _pseudo_gradient(field, coords)[0]
+
+
+def _pseudo_gradient(field: ScalarField, coords):
+    """The flow stage of ``pseudo_gradient_coords``: (X, |grad F|)."""
     grad = field.riemannian_gradient(coords)
     gn = np.linalg.norm(grad, axis=-1)
-    h = 1.0 / rho(gn)
-    return np.asarray(h)[..., None] * grad
+    return np.asarray(1.0 / rho(gn))[..., None] * grad, gn
 
 
 # ---------------------------------------------------------------------------
@@ -197,44 +206,56 @@ MERGE_STEP = 0.5 * POINT_MERGE_DIST  # predictor step of the Morse-Bott continua
 MERGE_MAX_STEPS = 100   # predictor-corrector steps per continuation walk
 
 
-def _dp54_step(vfield, project, x, k1, h):
+def _combine(coefs, ks):
+    """sum(a * k) over the nonzero coefficients, accumulated in place in their order."""
+    terms = [a * k for a, k in zip(coefs, ks) if a]
+    for term in terms[1:]:
+        terms[0] += term
+    return terms[0]
+
+
+def _dp54_step(stage, project, x, k1, h):
     """One projected Dormand-Prince step of sizes h (shape (n, 1)) from x with
-    first stage k1; returns (new point, its vector field, local error norm)."""
+    first stage k1; returns (new point, its field and stopping norm, local error norm)."""
     ks = [k1]
     for row in _DP_A:
-        y = project(x + h * sum(a * k for a, k in zip(row, ks) if a))
-        ks.append(vfield(y))
-    err = h[:, 0] * np.linalg.norm(sum(e * k for e, k in zip(_DP_E, ks) if e), axis=-1)
-    return y, ks[-1], err
+        y = _combine(row, ks)
+        y = project(np.add(np.multiply(y, h, out=y), x, out=y))
+        k, gn = stage(y)
+        ks.append(k)
+    err = h[:, 0] * np.linalg.norm(_combine(_DP_E, ks), axis=-1)
+    return y, k, gn, err
 
 
-def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, grad_norm,
-                starts, cfg: FlowConfig, max_time=None, record=None, atol=None, clock=None):
-    """Adaptive Dormand-Prince 5(4) flow of a batch along direction *
-    pseudo_gradient(field, x), one step size per row, re-projecting with
-    project(field.spec, x) after every stage and holding -direction * F monotone.
+def _flow_batch(field: ScalarField, direction: int, stage, project, starts, cfg: FlowConfig,
+                max_time=None, record=None, atol=None, clock=None):
+    """Adaptive Dormand-Prince 5(4) flow of a batch along direction * X, where
+    stage(field, x) = (X, stopping norm), one step size per row, re-projecting
+    with project(field.spec, x) after every stage and holding -direction * F monotone.
 
     Every row starts at time 0 from step FIRST_STEP.  Given clock = (t, h),
     the times and next steps an earlier call returned for these rows, the
     flow resumes instead: the starts, points that call returned, are not
     projected again, and each row goes on at time t from step h, exactly as
-    if that call had run on.  A row stops once grad_norm(field, x) <=
-    grad_tol, at time max_time (default MAX_TIME), or when a rejection leaves
-    its step below STEP_FLOOR.  A step is accepted when its
-    error estimate is at most min(atol, RTOL |y - x|), atol defaulting to ATOL
-    (endpoint-only callers pass ENDPOINT_ATOL), and the Lyapunov function
-    -direction * F has not increased beyond rounding; the relative half of the
-    bound keeps steps inside the stability region as rows approach the critical
-    set.  Since the floor lies far above the steps whose change of F is
-    rounding, a row rejected again and again reaches it within a few dozen
-    steps.  ``record(t, x, gn)`` sees the starts and every pass that accepts a
-    step.  Returns (endpoints, final gradient norms, times, next steps).
+    if that call had run on.  A row stops once its norm (after a step, its
+    last stage's) is at most grad_tol, at time max_time (default MAX_TIME),
+    or when a rejection leaves its step below STEP_FLOOR.  A step is accepted
+    when its error estimate is at most min(atol, RTOL |y - x|), atol
+    defaulting to ATOL (endpoint-only callers pass ENDPOINT_ATOL), and the
+    Lyapunov function -direction * F has not increased beyond rounding; the
+    relative half of the bound keeps steps inside the stability region as
+    rows approach the critical set.  Since the floor lies far above the steps
+    whose change of F is rounding, a row rejected again and again reaches it
+    within a few dozen steps.  ``record(t, x, gn)`` sees the starts and every
+    pass that accepts a step.  Returns (endpoints, final norms, times, next
+    steps).
     """
     max_time = MAX_TIME if max_time is None else max_time
     atol = ATOL if atol is None else atol
 
     def vfield(x):
-        return direction * pseudo_gradient(field, x)
+        k, gn = stage(field, x)
+        return direction * k, gn
 
     def proj(x):
         return project(field.spec, x)
@@ -248,21 +269,16 @@ def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, gr
         t, h = np.zeros(len(x)), np.full(len(x), FIRST_STEP)
     else:
         t, h = (np.array(c, dtype=float) for c in clock)
-    n = x.shape[0]
-    gn = np.asarray(grad_norm(field, x), dtype=float)
+    k, gn = vfield(x)
     active = (gn > cfg.grad_tol) & (t < max_time)
     idx = np.flatnonzero(active)
-    k = np.zeros_like(x)
-    lyap = np.zeros(n)
-    if idx.size:
-        k[idx] = vfield(x[idx])
-        lyap[idx] = lyapunov(x[idx])
+    lyap = lyapunov(x)
     if record is not None:
         record(t, x, gn)
     while idx.size:
         hs = np.minimum(h[idx], max_time - t[idx])
         x0 = x[idx]
-        y, ky, err = _dp54_step(vfield, proj, x0, k[idx], hs[:, None])
+        y, ky, gy, err = _dp54_step(vfield, proj, x0, k[idx], hs[:, None])
         ly = lyapunov(y)
         tol = np.minimum(atol, RTOL * np.linalg.norm(y - x0, axis=-1))
         monotone = ly <= lyap[idx] + LYAPUNOV_SLACK * (1.0 + np.abs(lyap[idx]))
@@ -273,9 +289,9 @@ def _flow_batch(field: ScalarField, direction: int, pseudo_gradient, project, gr
         if acc.size:
             x[acc] = y[ok]
             k[acc] = ky[ok]
+            gn[acc] = gy[ok]
             lyap[acc] = ly[ok]
             t[acc] += hs[ok]
-            gn[acc] = grad_norm(field, x[acc])
             if record is not None:
                 record(t, x, gn)
         active[idx] = ((gn[idx] > cfg.grad_tol) & (t[idx] < max_time)
@@ -326,8 +342,8 @@ def _pseudo_gradient_flow(field: ScalarField, starts, cfg: FlowConfig, direction
                           max_time=None, record=None, atol=None):
     """``_flow_batch`` on the pseudo-gradient, projecting onto field.spec and
     stopping on the Riemannian gradient norm."""
-    return _flow_batch(field, direction, pseudo_gradient_coords, mf.project_points,
-                       ScalarField.gradient_norm, starts, cfg, max_time, record, atol)
+    return _flow_batch(field, direction, _pseudo_gradient, mf.project_points, starts, cfg,
+                       max_time, record, atol)
 
 
 def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) -> FlowTrace:
@@ -357,15 +373,15 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) 
     )
 
 
-def _endpoint_flow(field: ScalarField, direction: int, pseudo_gradient, project, residual,
-                   jacobian, tangent, starts, cfg: FlowConfig):
+def _endpoint_flow(field: ScalarField, direction: int, stage, project, residual, jacobian,
+                   tangent, starts, cfg: FlowConfig):
     """An endpoint-only flow that finishes with Newton.
 
-    ``_flow_batch`` at ENDPOINT_ATOL, stopping on the norm of residual(field, x),
-    runs every row down to gradient norm NEWTON_HANDOFF (or cfg.grad_tol, if
-    that is larger).  A row stopped there is handed to one Levenberg-Marquardt
-    call on residual, with Jacobian jacobian(field, x) and retraction
-    ``project``, to cfg.grad_tol.
+    ``_flow_batch`` at ENDPOINT_ATOL, stopping on the norm stage(field, x) returns,
+    |residual(field, x)| to rounding, runs every row down to gradient norm
+    NEWTON_HANDOFF (or cfg.grad_tol, if that is larger).  A row stopped there
+    is handed to one Levenberg-Marquardt call on residual, with Jacobian
+    jacobian(field, x) and retraction ``project``, to cfg.grad_tol.
 
     Guard: the Jacobian maps to zero the directions normal to the space the
     Newton step moves in, the space of dimension dim that
@@ -398,12 +414,9 @@ def _endpoint_flow(field: ScalarField, direction: int, pseudo_gradient, project,
     """
     from .numerics import levenberg_marquardt
 
-    def grad_norm(f, x):
-        return np.linalg.norm(residual(f, x), axis=-1)
-
     def run(x, tol, clock=None):
-        return _flow_batch(field, direction, pseudo_gradient, project, grad_norm, x,
-                           FlowConfig(tol, cfg.cluster_tol), atol=ENDPOINT_ATOL, clock=clock)
+        return _flow_batch(field, direction, stage, project, x, FlowConfig(tol, cfg.cluster_tol),
+                           atol=ENDPOINT_ATOL, clock=clock)
 
     x, gn, t, h = run(starts, max(cfg.grad_tol, NEWTON_HANDOFF))
     handed = np.flatnonzero((gn > cfg.grad_tol) & (gn <= NEWTON_HANDOFF) & (t < MAX_TIME))
@@ -493,15 +506,15 @@ def _single_linkage(dist, threshold):
     """Single-linkage labels from a pairwise distance matrix, numbered by each
     cluster's first row: every row takes the least label within threshold
     (its own included), then that label's label, until nothing changes."""
-    near = dist <= threshold
+    rows, cols = np.divmod(np.flatnonzero(dist <= threshold), len(dist))  # 2-D nonzero is slower
     labels = np.arange(len(dist))
-    grid = np.broadcast_to(labels, near.shape)  # a view of labels: no n x n array per pass
     while True:
-        new = np.minimum.reduce(grid, axis=1, where=near, initial=len(labels))
-        new = np.minimum(new, labels, out=new)[new]
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        new = new[new]
         if (new == labels).all():
             return np.unique(labels, return_inverse=True)[1]
-        labels[:] = new
+        labels = new
 
 
 def _tangent_kernel(field, coords):

@@ -24,7 +24,7 @@ from .errors import (
     WrongDimension,
     WrongSpec,
 )
-from .flow import FlowConfig, ScalarField, rho
+from .flow import FlowConfig, ScalarField, rho  # noqa: F401 (perfbench traces unit_tangent.rho)
 from .manifolds import PointOnM, StiefelV2, TangentVector, mult_i, mult_j
 from .navigation import CLASSIFY_TOL, slot_signs
 from .paths import PathSpec, sign_flip_path
@@ -78,13 +78,16 @@ def sign_classifier(spec: StiefelV2):
 
 def f_ut_field(spec: StiefelV2) -> ScalarField:
     _require_frames(spec)
-    # f = x2^T A x1 with A x = i x is bilinear, so its gradient is H x with the constant
-    # symmetric H = [[0, A^T], [A, 0]], whose rows are the gradients at the unit vectors
-    hess = f_ut_euclidean_gradient(spec, np.eye(spec.ambient_dim))
+    # f = x2^T A x1 (A x = i x) has gradient H x, H = [[0, A^T], [A, 0]] the gradients at
+    # the unit vectors; one entry +-1 per row, so H x = sign x[perm] and f = <(H x)_2, x2>
+    hess, m = f_ut_euclidean_gradient(spec, np.eye(spec.ambient_dim)), spec.frame_dim
+    perm, sign = np.nonzero(hess)[1], hess[hess != 0]
+    def grad(x):  # C order: x[..., perm] is not, and sums over it would depend on the batch
+        return np.multiply(x[..., perm], sign, order="C")
     return ScalarField(
         spec,
-        value=lambda x: f_ut_coords(spec, x),
-        euclidean_gradient=lambda x: f_ut_euclidean_gradient(spec, x),
+        value=lambda x: np.add.reduce(grad(x)[..., m:] * x[..., m:], axis=-1),
+        euclidean_gradient=grad,
         name="ut-f",
         classifier=sign_classifier(spec),
         euclidean_hessian=lambda x: hess,
@@ -286,11 +289,14 @@ def random_fiber_tuple(spec: StiefelV2, r: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def vertical_pseudo_gradient_coords(field: ScalarField, coords):
-    """Vertical part of the gradient scaled by 1/rho(|full gradient|), in one pass
-    over the row views of X and of the Euclidean gradient G.  The vertical space
-    lies in the tangent space, so the vertical part of G is that of its tangent
-    projection; |P_tan G|^2 = |G|^2 - |sym(X^T G)|^2_F, clamped at 0 (rho is 1
-    on [0, 1], so cancellation near 0 does no harm)."""
+    """Vertical part of the gradient scaled by 1/rho(|full gradient|)."""
+    return _vertical_pseudo_gradient(field, coords)[0]
+
+
+def _vertical_pseudo_gradient(field: ScalarField, coords):
+    """The vertical flow's stage (w / rho(|P_tan G|), |w|) in one pass over the row views
+    of X and of the Euclidean gradient G: w is the vertical part of G and of P_tan G, and
+    |P_tan G|^2 = |G|^2 - |sym(X^T G)|^2_F, clamped at 0 (harmless: rho is 1 on [0, 1])."""
     spec, g = field.spec, field.euclidean_gradient_at(coords)
     x, rows = spec._rows(coords), spec._rows(g)
     xg = x @ np.swapaxes(rows, -1, -2)  # entry (k, l) is <x_k, g_l>
@@ -298,16 +304,17 @@ def vertical_pseudo_gradient_coords(field: ScalarField, coords):
     s = xg + np.swapaxes(xg, -1, -2)  # 2 sym(X^T G)
     tan2 = np.einsum("...i,...i->...", g, g) - 0.25 * np.einsum("...ij,...ij->...", s, s)
     out = np.zeros_like(g)
-    out[..., spec.frame_dim:] = w / np.asarray(rho(np.sqrt(np.maximum(tan2, 0.0))))[..., None]
-    return out
+    out[..., spec.frame_dim:] = w / flow._ramp(np.sqrt(np.maximum(tan2, 0.0)))[..., None]
+    return out, np.sqrt(np.einsum("...i,...i->...", w, w))
 
 
 def _anchored_project(spec: StiefelV2, coords):
     """Re-orthonormalize the second column against the untouched first column."""
-    x1, x2 = mf.frame_columns(spec, coords)
-    x2 = x2 - np.sum(x2 * x1, axis=-1, keepdims=True) * x1
-    x2 = x2 / np.linalg.norm(x2, axis=-1, keepdims=True)
-    return mf.frame_flat(x1, x2)
+    out = np.array(coords, dtype=float)
+    x1, x2 = mf.frame_columns(spec, out)  # views of out
+    x2 -= np.add.reduce(x2 * x1, axis=-1, keepdims=True) * x1  # np.sum's bits, not its cost
+    x2 /= np.sqrt(np.add.reduce(x2 * x2, axis=-1, keepdims=True))  # np.linalg.norm's bits
+    return out
 
 
 def _vertical_hessian(field: ScalarField, coords):
@@ -351,8 +358,8 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     are handed off at once, where the finish switches its solve as LM does.
     """
     _require_frames(field.spec)
-    return flow._endpoint_flow(field, direction, vertical_pseudo_gradient_coords,
-                               _anchored_project, vertical_gradient_coords, _vertical_hessian,
+    return flow._endpoint_flow(field, direction, _vertical_pseudo_gradient, _anchored_project,
+                               vertical_gradient_coords, _vertical_hessian,
                                vertical_project_coords, starts, cfg or FlowConfig())
 
 

@@ -27,12 +27,16 @@ from lsnav.manifolds import (
     Sphere,
     StiefelV2,
     mult_i,
+    project_points,
     project_to_manifold,
     random_points,
 )
 from lsnav.navigation import nav_field
 from lsnav.unit_tangent import (
     _anchored_project,
+    _vertical_pseudo_gradient,
+    f_ut_coords,
+    f_ut_euclidean_gradient,
     f_ut_field,
     vertical_flow_endpoints,
     vertical_gradient_coords,
@@ -56,6 +60,16 @@ def test_rho_matches_three_branch_formula():
     three = np.where(s <= 1.0, 1.0, np.where(s >= 2.0, s, 1.0 + 2.0 * t**2 - t**3))
     assert np.array_equal(rho(s), three)
     assert rho(1.0) == 1.0 and rho(2.0) == 2.0
+
+
+def test_rho_passes_nan_and_rejects_every_negative_argument():
+    assert np.isnan(rho(np.nan)) and rho(-0.0) == 1.0
+    got = rho(np.array([np.nan, 0.5, 3.0]))
+    assert np.isnan(got[0]) and np.array_equal(got[1:], [1.0, 3.0])
+    for bad in ([np.nan, -1.0], [[0.5, 2.0], [np.inf, -1e-300]], -np.inf):
+        with pytest.raises(NegativeInput):
+            rho(np.array(bad))
+    assert rho(np.array([])).shape == (0,)
 
 
 def test_rho_monotone_and_below_identity():
@@ -302,9 +316,163 @@ def _frames_over_e1(n, rng):
 
 def _plain_vertical_flow(field, starts, direction):
     """The vertical flow without its Newton finish: (endpoints, gradient norms)."""
-    return flow._flow_batch(field, direction, vertical_pseudo_gradient_coords, _anchored_project,
-                            lambda f, x: np.linalg.norm(vertical_gradient_coords(f, x), axis=-1),
+    return flow._flow_batch(field, direction, _vertical_pseudo_gradient, _anchored_project,
                             starts, FlowConfig(), atol=flow.ENDPOINT_ATOL)[:2]
+
+
+def _reference_dp54_step(vfield, project, x, k1, h):
+    """The driver's step before it took its stopping norm from the FSAL stage."""
+    ks = [k1]
+    for row in flow._DP_A:
+        y = project(x + h * sum(a * k for a, k in zip(row, ks) if a))
+        ks.append(vfield(y))
+    err = h[:, 0] * np.linalg.norm(sum(e * k for e, k in zip(flow._DP_E, ks) if e), axis=-1)
+    return y, ks[-1], err
+
+
+def _reference_flow_batch(field, direction, pseudo_gradient, project, grad_norm, starts, cfg,
+                          max_time=None, record=None, atol=None, clock=None):
+    """The driver before it took its stopping norm from the FSAL stage: it
+    evaluates grad_norm(field, x) at the starts and again at every accepted
+    point, where the step's last stage has just evaluated the field."""
+    max_time = flow.MAX_TIME if max_time is None else max_time
+    atol = flow.ATOL if atol is None else atol
+
+    def vfield(x):
+        return direction * pseudo_gradient(field, x)
+
+    def proj(x):
+        return project(field.spec, x)
+
+    def lyapunov(x):
+        return -direction * field.value_at(x)
+
+    x = np.array(starts, dtype=float)
+    if clock is None:
+        x = proj(x)
+        t, h = np.zeros(len(x)), np.full(len(x), flow.FIRST_STEP)
+    else:
+        t, h = (np.array(c, dtype=float) for c in clock)
+    n = x.shape[0]
+    gn = np.asarray(grad_norm(field, x), dtype=float)
+    active = (gn > cfg.grad_tol) & (t < max_time)
+    idx = np.flatnonzero(active)
+    k = np.zeros_like(x)
+    lyap = np.zeros(n)
+    if idx.size:
+        k[idx] = vfield(x[idx])
+        lyap[idx] = lyapunov(x[idx])
+    if record is not None:
+        record(t, x, gn)
+    while idx.size:
+        hs = np.minimum(h[idx], max_time - t[idx])
+        x0 = x[idx]
+        y, ky, err = _reference_dp54_step(vfield, proj, x0, k[idx], hs[:, None])
+        ly = lyapunov(y)
+        tol = np.minimum(atol, flow.RTOL * np.linalg.norm(y - x0, axis=-1))
+        monotone = ly <= lyap[idx] + flow.LYAPUNOV_SLACK * (1.0 + np.abs(lyap[idx]))
+        ok = (err <= tol) & monotone
+        fac = np.clip(0.9 * (tol / np.maximum(err, 1e-300)) ** 0.2, 0.2, 5.0)
+        h[idx] = hs * np.where(monotone, fac, np.minimum(fac, 0.5))
+        acc = idx[ok]
+        if acc.size:
+            x[acc] = y[ok]
+            k[acc] = ky[ok]
+            lyap[acc] = ly[ok]
+            t[acc] += hs[ok]
+            gn[acc] = grad_norm(field, x[acc])
+            if record is not None:
+                record(t, x, gn)
+        active[idx] = ((gn[idx] > cfg.grad_tol) & (t[idx] < max_time)
+                       & (ok | (h[idx] >= flow.STEP_FLOOR)))
+        idx = np.flatnonzero(active)
+    return x, gn, t, h
+
+
+def _reference_pseudo_gradient_flow(field, starts, direction, max_time=None, record=None,
+                                    atol=None):
+    return _reference_flow_batch(field, direction, pseudo_gradient_coords, project_points,
+                                 ScalarField.gradient_norm, starts, FlowConfig(), max_time,
+                                 record, atol)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+REFERENCE_FLOWS = {
+    "nav (S^3)^3": (lambda: nav_field(Sphere(3), 3), 60),
+    "x on torus(2,0.5)": (_torus_height_x, 50),
+}
+
+
+@pytest.mark.parametrize("direction", [-1, 1])
+@pytest.mark.parametrize("case", list(REFERENCE_FLOWS))
+def test_fsal_stopping_norm_leaves_endpoint_flows_bit_identical(case, direction):
+    # the stopping norm read off the last stage is the one the reference driver
+    # evaluates again at the accepted point: endpoints, norms, times and next
+    # steps agree bit for bit, zero signs included
+    make, n = REFERENCE_FLOWS[case]
+    field = make()
+    seeds = random_points(field.spec, n, np.random.default_rng(31))
+    want = _reference_pseudo_gradient_flow(field, seeds, direction, atol=flow.ENDPOINT_ATOL)
+    got = flow._pseudo_gradient_flow(field, seeds, FlowConfig(), direction,
+                                     atol=flow.ENDPOINT_ATOL)
+    assert want[1].max() <= FlowConfig().grad_tol
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
+    end, gn, conv = flow_endpoints(field, seeds, direction=direction)
+    assert _same_bits(end, want[0]) and _same_bits(gn, want[1]) and conv.all()
+
+
+def test_fsal_stopping_norm_leaves_trajectories_bit_identical():
+    field = nav_field(Sphere(3), 3)
+    start = random_points(field.spec, 1, np.random.default_rng(32))[0]
+    times, coords, gns = [], [], []
+
+    def record(t, x, gn):
+        times.append(t[0])
+        coords.append(x[0].copy())
+        gns.append(gn[0])
+
+    _reference_pseudo_gradient_flow(field, start[None, :], -1, record=record)
+    trace = integrate_flow(field, PointOnM(start, field.spec))
+    assert len(times) > 10
+    assert _same_bits(trace.times, np.array(times))
+    assert _same_bits(trace.coords, np.array(coords))
+    assert _same_bits(trace.grad_norms, np.array(gns))
+    seeds = random_points(field.spec, 30, np.random.default_rng(33))
+    want = _reference_pseudo_gradient_flow(field, seeds, -1, max_time=1.0)[0]
+    assert _same_bits(time_one_map(field, seeds), want)
+
+
+@pytest.mark.parametrize("direction", [-1, 1])
+@pytest.mark.parametrize("frame_dim", [4, 8])
+def test_fsal_stopping_norm_keeps_the_vertical_flow(monkeypatch, frame_dim, direction):
+    # the reference: ut-f in its composed form, flowed by the reference driver,
+    # which stops on |vertical_gradient_coords| evaluated at every accepted point
+    # (Newton finish unchanged); the one-pass stage reads |w| off its own w
+    spec = StiefelV2(frame_dim)
+    field = f_ut_field(spec)
+    seeds = random_points(spec, 50, np.random.default_rng(34))
+    got = vertical_flow_endpoints(field, seeds, direction=direction)
+    composed = ScalarField(spec, lambda x: f_ut_coords(spec, x),
+                           lambda x: f_ut_euclidean_gradient(spec, x),
+                           euclidean_hessian=field.euclidean_hessian)
+
+    def reference_batch(fld, d, stage, project, starts, cfg, max_time=None, record=None,
+                        atol=None, clock=None):
+        return _reference_flow_batch(
+            fld, d, vertical_pseudo_gradient_coords, project,
+            lambda f, x: np.linalg.norm(vertical_gradient_coords(f, x), axis=-1),
+            starts, cfg, max_time, record, atol, clock)
+
+    monkeypatch.setattr(flow, "_flow_batch", reference_batch)
+    want = vertical_flow_endpoints(composed, seeds, direction=direction)
+    assert want[2].all() and np.array_equal(got[2], want[2])
+    assert np.abs(got[0] - want[0]).max() <= 1e-15
+    assert np.array_equal(got[0][:, :frame_dim], seeds[:, :frame_dim])
 
 
 def test_descent_near_a_saddle_ends_at_the_minimum(monkeypatch):
@@ -918,6 +1086,43 @@ def test_single_linkage_matches_breadth_first_search(threshold):
         dist = np.array([np.linalg.norm(pts - p, axis=-1) for p in pts])
         assert np.array_equal(flow._single_linkage(dist, threshold),
                               _bfs_clusters(pts, threshold))
+
+
+def _reference_single_linkage(dist, threshold):
+    """Single linkage as it was before it read the matrix once: a masked minimum
+    over the whole neighbour matrix per pointer-jumping pass."""
+    near = dist <= threshold
+    labels = np.arange(len(dist))
+    grid = np.broadcast_to(labels, near.shape)
+    while True:
+        new = np.minimum.reduce(grid, axis=1, where=near, initial=len(labels))
+        new = np.minimum(new, labels, out=new)[new]
+        if (new == labels).all():
+            return np.unique(labels, return_inverse=True)[1]
+        labels[:] = new
+
+
+def _coordinate_distances(pts):
+    return np.sqrt(sum((c[:, None] - c) ** 2 for c in pts.T))
+
+
+def test_single_linkage_matches_the_matrix_pass_reference():
+    rng = np.random.default_rng(35)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 2500)
+    circle = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    # a chain in shuffled row order, cut where a gap exceeds the threshold
+    chain = np.cumsum(rng.uniform(0.3, 0.6, 300))[rng.permutation(300), None]
+    surface = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
+    torus = newton_critical_search(height_field(surface),
+                                   random_points(surface, 500, np.random.default_rng([5, 500])))
+    cases = [(circle, 0.5, 1), (chain, 0.5, None), (np.zeros((1, 3)), 0.5, 1),
+             (torus, flow.POINT_MERGE_DIST, None), (torus, FlowConfig().cluster_tol, None)]
+    for pts, threshold, clusters in cases:
+        dist = _coordinate_distances(pts)
+        got = flow._single_linkage(dist, threshold)
+        assert np.array_equal(got, _reference_single_linkage(dist, threshold))
+        assert clusters is None or got.max() + 1 == clusters
+    assert 1 < flow._single_linkage(_coordinate_distances(chain), 0.5).max() < 299
 
 
 def test_flow_config_validation():

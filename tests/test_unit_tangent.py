@@ -28,6 +28,7 @@ from lsnav.unit_tangent import (
     ProportionalityReport,
     _anchored_project,
     _vertical_hessian,
+    _vertical_pseudo_gradient,
     base_height_field,
     df_ut,
     f_ut,
@@ -328,14 +329,20 @@ def test_one_pass_vertical_pseudo_gradient_matches_composed_form(frame_dim, scal
     assert rows.sum() >= 10
     pts = pts[rows]
     composed = vertical_project_coords(spec, pts, grad[rows]) / rho(gn[rows])[:, None]
-    got = vertical_pseudo_gradient_coords(field, pts)
+    got, wn = _vertical_pseudo_gradient(field, pts)
+    assert np.array_equal(vertical_pseudo_gradient_coords(field, pts), got)
     bound = 1e-14 * (1.0 + np.linalg.norm(field.euclidean_gradient_at(pts), axis=-1))
     assert (np.abs(got - composed).max(axis=-1) <= bound).all()
+    # the stopping norm the flow reads off the same pass
+    assert (np.abs(wn - np.linalg.norm(vertical_gradient_coords(field, pts), axis=-1))
+            <= bound).all()
     # a row of a batch is what the row gives alone: bitwise as a batch of one,
     # and within the bound as a 1-D row, whose products take another matmul path
     for i in range(0, len(pts), 7):
-        assert np.array_equal(vertical_pseudo_gradient_coords(field, pts[i:i + 1])[0], got[i])
-        assert np.abs(vertical_pseudo_gradient_coords(field, pts[i]) - got[i]).max() <= bound[i]
+        one, one_norm = _vertical_pseudo_gradient(field, pts[i:i + 1])
+        assert np.array_equal(one[0], got[i]) and one_norm[0] == wn[i]
+        row, row_norm = _vertical_pseudo_gradient(field, pts[i])
+        assert np.abs(row - got[i]).max() <= bound[i] and abs(row_norm - wn[i]) <= bound[i]
 
 
 # Rows of the gradient that fixed-step RK4 at step 1e-2 evaluated on the flows
