@@ -3,10 +3,11 @@
 A pair {x, y} on a compact hypersurface M with T_x M = T_y M perpendicular
 to the chord x - y is a positive-value critical point of |x - y|^2 on M x M.
 Their count alpha(M) satisfies alpha(M) >= TC(M) - 1, so a surface with few
-such pairs has small topological complexity.  The search runs multistart
-damped Newton on the square-free system {g = level at x and y, normals
-parallel to the chord} and deduplicates unordered pairs.  A pair whose Hessian
-has a kernel lies on a family of such pairs, and the census reports a continuum.
+such pairs has small topological complexity.  The search pairs each seed
+point with the far end of its normal line, runs multistart damped Newton on
+the system {g = level at x and y, normals parallel to the chord} and
+deduplicates unordered pairs.  A pair whose Hessian has a kernel lies on a
+family of such pairs, and the census reports a continuum.
 """
 import numpy as np
 

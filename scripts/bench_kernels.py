@@ -24,8 +24,8 @@ iteration, ``lm_iteration``, at batch sizes 1, 500 and 5000 on the pair
 system of the ellipsoid (1,2,3) (d = 6) and on the Riemannian gradient and
 Hessian of the nav field of S^3 (r=3, d = 12), each solved per matrix and
 along the batch axis; and one ``navigation.find_parallel_pairs`` census of
-the ellipsoid (1,2,3) from its default 10000 seed pairs, for one or more
-source trees of lsnav in one process:
+the ellipsoid (1,2,3) and one of S^2, each from its default 10000 seeds,
+for one or more source trees of lsnav in one process:
 
     python3 scripts/bench_kernels.py change=src
     python3 scripts/bench_kernels.py parent=/path/to/parent/src change=src > BENCH_kernels.json
@@ -36,7 +36,7 @@ host speed hits all of them alike.  Every figure is the median and quartiles
 over REPEATS repeats of the time per call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
-Newton median and the census median stand the Levenberg-Marquardt iterations
+Newton median and each census median stand the Levenberg-Marquardt iterations
 and Jacobian rows of one call, and next to each median of an endpoint flow
 its integrator steps (``flow._dp54_step`` calls), its stage calls and rows,
 the separate stopping-norm calls of a tree whose ``flow._flow_batch`` still
@@ -90,7 +90,7 @@ FLOW_PROBLEMS = ("nav (S^3)^3", "x torus(2,0.5)")
 PAIR_SURFACES = ("ellipsoid(1,2,3)", "ellipsoid(1,1.5,2,3)", "torus(2,0.5)")
 LM_PROBLEMS = ("pair ellipsoid(1,2,3)", "nav (S^3)^3")
 LM_PATHS = ("per-matrix", "batch-axis")
-CENSUS_SURFACE = "ellipsoid(1,2,3)"
+CENSUS_SURFACES = ("ellipsoid(1,2,3)", "sphere:2")
 
 
 def load_tree(label: str, src: str):
@@ -113,6 +113,7 @@ def manifold(lsnav, name: str):
             "stiefel:8": mf.StiefelV2(8),
             "ellipsoid(1,2,3)": mf.Ellipsoid((1.0, 2.0, 3.0)),
             "ellipsoid(1,1.5,2,3)": mf.Ellipsoid((1.0, 1.5, 2.0, 3.0)),
+            "sphere:2": mf.Sphere(2),
             "torus(2,0.5)": torus(lsnav),
             "euclidean:3": mf.Euclidean(3)}[name]
 
@@ -193,10 +194,10 @@ def cases(lsnav):
             for path in LM_PATHS:
                 out.append(("lm_iteration", f"{name} {path}", n,
                             lambda z=z, r=res, j=jac, p=path: lm_iteration(lsnav, z, r, j, p)))
-    surf = manifold(lsnav, CENSUS_SURFACE)
     search = nav.PairSearchConfig(rng_seed=0)
-    out.append(("find_parallel_pairs", CENSUS_SURFACE, search.n_seeds,
-                lambda: nav.find_parallel_pairs(surf, search)))
+    for name in CENSUS_SURFACES:
+        out.append(("find_parallel_pairs", name, search.n_seeds,
+                    lambda s=manifold(lsnav, name): nav.find_parallel_pairs(s, search)))
     return out
 
 

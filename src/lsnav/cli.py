@@ -97,8 +97,13 @@ def _surface(kind: str):
 
 
 def _torus(text: str) -> ImplicitHypersurface:
+    """R,r as a torus of revolution at level r^2; radii it refuses raise
+    ArgumentTypeError, as in _parse_manifold."""
     major, minor = _radii(text)
-    return ImplicitHypersurface(torus_of_revolution_field(major, minor), minor**2)
+    try:
+        return ImplicitHypersurface(torus_of_revolution_field(major, minor), minor**2)
+    except LsnavError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
@@ -299,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sphere dimension n")
     surface.add_argument("--torus", dest="surface", type=_torus, metavar="R,r",
                          help="major,minor radii of a torus of revolution")
-    p.add_argument("--seeds", type=_positive_int, default=10000)
+    p.add_argument("--seeds", type=_positive_int, default=10000,
+                   help="seed points, each paired with the far end of its normal line")
     common_io(p)
     p.set_defaults(fn=cmd_pairs)
 

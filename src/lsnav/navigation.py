@@ -254,8 +254,9 @@ PAIR_MIN_SEPARATION = 1e-3    # pairs with |x - y| below this lie on the diagona
 
 @dataclass(frozen=True)
 class PairSearchConfig:
-    """Seed pairs and RNG seed of one census; the solver settings are the
-    module constants above."""
+    """Seed points and RNG seed of one census: n_seeds points of M, each paired
+    with the far end of its normal line; the solver settings are the module
+    constants above."""
 
     n_seeds: int = 10000
     rng_seed: int = 0
@@ -389,12 +390,35 @@ def pair_system_jacobian(fld, level, z):
     return jac.transpose(2, 0, 1).reshape(z.shape[:-1] + jac.shape[:2])
 
 
+def _normal_line_pairs(surf, x):
+    """Seed pairs (x, y), one row per point x of M: y is where the normal line
+    x + t grad g(x) meets M again, under g's second-order model at x.
+
+    Along the line the model is g(x) - level + t |grad g|^2 + t^2 c / 2 with
+    c = grad g^T H grad g, so its second zero is t = -2 |grad g|^2 / c, behind
+    x where c > 0.  Both built-in fields are exactly quadratic along their
+    normal lines (the ellipsoid everywhere, the torus of revolution in each
+    meridian half-plane), so y lies on M before it is projected there, and
+    the normal block of x in the pair residual starts at zero.  A row with
+    c <= 0 has no crossing behind x; it, and a row whose partner does not
+    project, gets a NaN partner."""
+    fld = surf.field
+    g, h = fld.grad(x), fld.hess(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # c <= 0 gives NaN
+        c = np.einsum("ij,ijk,ik->i", g, h, g)
+        y = x - (2.0 * np.einsum("ij,ij->i", g, g) / np.where(c > 0, c, np.nan))[:, None] * g
+    return np.concatenate([x, surf.project(y)], axis=1)
+
+
 def _gauss_newton_pairs(fld, level, z0):
     """Levenberg-Marquardt on the double-normal system from the seed pairs z0.
 
     Its normal blocks are unit sines, so no row gains by seeking small
-    |grad g| instead of aligning the pair, and random seed pairs almost never
-    close onto the diagonal.  A row evaluated within PAIR_MIN_SEPARATION of
+    |grad g| instead of aligning the pair, and seed pairs almost never close
+    onto the diagonal.  A normal-line seed pair starts with the first end's
+    block at zero; where the second end's block is zero too (on the round
+    sphere and the torus of revolution), the row has converged before its
+    first Jacobian.  A row evaluated within PAIR_MIN_SEPARATION of
     the diagonal is still retired: its Jacobian is set to NaN, so the solver
     abandons it with an infinite residual norm (its row-failure rule).  There
     the unit chord and the 1/|x - y| terms of the Jacobian are undefined to
@@ -452,24 +476,29 @@ def _dedup_pairs(x, y, tol):
 def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     """Multistart damped Newton for pairs with a common tangent plane.
 
-    Seeds are random surface points paired up; converged solutions are
-    deduplicated as unordered pairs at the dedup threshold.  A kept pair whose
-    Hessian has a kernel lies on a family of critical pairs, and the census then
-    reports a continuum (no pairs, nn_distance None) instead of a count.
+    The census draws n_seeds random points x of M and pairs each with the far
+    end y of its normal line (_normal_line_pairs), so that x's normal is along
+    the chord from the start.  One mask then drops the nearly coincident seed
+    pairs and those without a partner: a seed whose normal-line model has no
+    crossing behind it (grad g^T H grad g <= 0), or whose partner does not
+    project onto M.  Converged solutions are deduplicated as unordered pairs
+    at the dedup threshold.  A kept pair whose Hessian has a kernel lies on a
+    family of critical pairs, and the census then reports a continuum (no
+    pairs, nn_distance None) instead of a count.
     """
     search = search or PairSearchConfig()
     surf = _hypersurface_of(spec)
     fld, level = surf.field, surf.level
+    n = fld.ambient_dim
     rng = np.random.default_rng(search.rng_seed)
-    pts = mf.random_points(surf, 2 * search.n_seeds, rng)
-    z0 = np.concatenate([pts[: search.n_seeds], pts[search.n_seeds:]], axis=1)
-    # drop nearly coincident seed pairs, the diagonal is a spurious solution set
-    sep = np.linalg.norm(z0[:, : fld.ambient_dim] - z0[:, fld.ambient_dim:], axis=-1)
+    z0 = _normal_line_pairs(surf, mf.random_points(surf, search.n_seeds, rng))
+    # one mask drops nearly coincident seed pairs (the diagonal is a spurious
+    # solution set) and the seeds without a partner (NaN, so never separated)
+    sep = np.linalg.norm(z0[:, :n] - z0[:, n:], axis=-1)
     z0 = z0[sep > 10 * PAIR_MIN_SEPARATION]
 
     z, rn = _gauss_newton_pairs(fld, level, z0)
 
-    n = fld.ambient_dim
     good = rn <= PAIR_RESIDUAL_TOL
     x, y = z[good, :n], z[good, n:]
     sep = np.linalg.norm(x - y, axis=-1)

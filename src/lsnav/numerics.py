@@ -88,11 +88,14 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
             if batch_axis:
                 # compress, unlike a mask index, keeps the batch axis contiguous
                 a = np.compress(todo, aug, axis=-1)
-                a.reshape(d * (d + 1), -1)[:: d + 2] += la[todo] * np.compress(todo, scale, axis=-1)
+                with np.errstate(over="ignore"):  # an infinite damping yields a rejected trial
+                    a.reshape(d * (d + 1), -1)[:: d + 2] += (
+                        la[todo] * np.compress(todo, scale, axis=-1))
                 delta = -np.ascontiguousarray(_cholesky_solve(a).T)
             else:
                 a = jtj[todo]
-                a.reshape(len(a), d * d)[:, :: d + 1] += la[todo, None] * scale[todo]
+                with np.errstate(over="ignore"):  # an infinite damping yields a rejected trial
+                    a.reshape(len(a), d * d)[:, :: d + 1] += la[todo, None] * scale[todo]
                 delta = -_lapack_solve(a, jtr[todo])
             norms = np.linalg.norm(delta, axis=-1)
             over = norms > LM_STEP_CAP

@@ -335,6 +335,8 @@ BOUND = ["bound", "--components"]
     (["pairs", "--torus", "2"], 2, "argument --torus: expected major,minor radii, got '2'"),
     (["pairs", "--torus", "2,0.5,1"], 2,
      "argument --torus: expected major,minor radii, got '2,0.5,1'"),
+    (["pairs", "--torus", "0.5,2"], 2,
+     "argument --torus: torus requires major_radius > minor_radius > 0"),
     (["verify", "--only", "x"], 2, "argument --only: expected criterion numbers 1 to 10, got 'x'"),
     (["verify", "--only", "99"], 2,
      "argument --only: expected criterion numbers 1 to 10, got '99'"),
@@ -381,6 +383,7 @@ BOUND = ["bound", "--components"]
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-ellipsoid-square-overflows", "pairs-ellipsoid-square-underflows",
         "pairs-sphere-0", "pairs-torus-one-radius", "pairs-torus-three-radii",
+        "pairs-torus-minor-above-major",
         "verify-only-non-numeric", "verify-only-99", "verify-only-0", "critfind-seed-negative",
         "pairs-seed-negative", "verify-seed-negative", "plan-samples-negative",
         "bound-lambda-cut-nan", "nav-r-1", "nav-r-0", "nav-r-1000000000",

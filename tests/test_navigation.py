@@ -15,7 +15,7 @@ from lsnav.manifolds import (
     StiefelV2,
     random_points,
 )
-from lsnav.constraints import torus_of_revolution_field
+from lsnav.constraints import ConstraintField, ellipsoid_field, torus_of_revolution_field
 from lsnav.numerics import LM_BATCH_AXIS_ROWS, LM_MAX_ITER, levenberg_marquardt
 from lsnav.navigation import (
     PAIR_MIN_SEPARATION,
@@ -25,6 +25,7 @@ from lsnav.navigation import (
     SignPattern,
     _dedup_pairs,
     _gauss_newton_pairs,
+    _normal_line_pairs,
     _pair_nullity,
     classify_sphere_critical,
     critical_tuple,
@@ -533,6 +534,101 @@ def test_pair_census_converges_off_the_diagonal(axes, least, rng_seed):
     # small gradients near the diagonal: nearly every seed pair converges to a pair
     search = PairSearchConfig(n_seeds=1000, rng_seed=rng_seed)
     assert find_parallel_pairs(Ellipsoid(axes), search).n_converged >= least
+
+
+def _flipped_ellipsoid(p):
+    """The ellipsoid (1,2,3) as an ImplicitHypersurface whose field's Hessian is
+    negated at the point p alone: there grad g^T H grad g < 0, so the normal-line
+    model at p has no crossing behind it, and every other point sees the
+    ellipsoid's field."""
+    base = ellipsoid_field((1.0, 2.0, 3.0))
+
+    def hess(x):
+        h = base.hess(x)
+        return np.where((x == p).all(axis=-1)[..., None, None], -h, h)
+
+    fld = ConstraintField("flipped", {}, 3, base.value, base.grad, hess, base.bounding_box)
+    return ImplicitHypersurface(fld, 1.0)
+
+
+NORMAL_LINE_SURFACES = {**CENSUS_SURFACES, "torus": PAIR_SURFACES["torus"]}
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_LINE_SURFACES) + ["flipped"])
+def test_normal_line_pairs_do_not_depend_on_the_batch(name):
+    # one call against 7-row chunks, bit for bit; on the flipped field the row
+    # without a crossing gets a NaN partner and changes no other row
+    surf = NORMAL_LINE_SURFACES.get(name, CENSUS_SURFACES["ellipsoid-3d"])
+    x = random_points(surf, 60, np.random.default_rng(9))
+    if name == "flipped":
+        surf = _flipped_ellipsoid(x[17])
+    whole = _normal_line_pairs(surf, x)
+    chunks = [_normal_line_pairs(surf, x[i:i + 7]) for i in range(0, len(x), 7)]
+    assert whole.tobytes() == np.concatenate(chunks).tobytes()
+    n = surf.ambient_dim
+    assert np.array_equal(whole[:, :n], x)
+    dropped = (np.arange(len(x)) == 17) & (name == "flipped")
+    assert np.array_equal(~np.isfinite(whole).all(axis=1), dropped)
+
+
+def test_row_without_a_normal_crossing_is_dropped():
+    # the flipped row alone is dropped by the seed filter; every other seed pair
+    # is the ellipsoid's, and LM solves each of them to the same bits
+    ellipsoid = Ellipsoid((1.0, 2.0, 3.0))
+    x = random_points(ellipsoid, 200, np.random.default_rng(10))
+    flipped = _flipped_ellipsoid(x[17])
+    z0 = _normal_line_pairs(flipped, x)
+    sep = np.linalg.norm(z0[:, :3] - z0[:, 3:], axis=1)
+    kept = sep > 10 * PAIR_MIN_SEPARATION
+    assert np.array_equal(~kept, np.arange(len(x)) == 17)
+    want = _normal_line_pairs(ellipsoid, x)
+    assert np.array_equal(z0[kept], want[kept])
+    z, rn = _gauss_newton_pairs(flipped.field, flipped.level, z0[kept])
+    want_z, want_rn = _gauss_newton_pairs(ellipsoid.field, ellipsoid.level, want[kept])
+    assert (rn <= PAIR_RESIDUAL_TOL).all()
+    assert np.array_equal(z, want_z) and np.array_equal(rn, want_rn)
+
+
+@pytest.mark.parametrize("name", ["ellipsoid-3d", "ellipsoid-4d", "torus"])
+def test_normal_line_partner_lies_on_the_surface(name, monkeypatch):
+    # both built-in fields are exactly quadratic along normal lines, so the
+    # model's second zero is on M before it is projected, and the seed's own
+    # normal block of the pair residual starts at zero
+    surf = NORMAL_LINE_SURFACES[name]
+    x = random_points(surf, 500, np.random.default_rng(11))
+    handed = []
+    project = mf._project_hypersurface
+
+    def recorded(fld, level, coords):
+        handed.append(np.array(coords))
+        return project(fld, level, coords)
+
+    monkeypatch.setattr(mf, "_project_hypersurface", recorded)
+    z0 = _normal_line_pairs(surf, x)
+    (y,) = handed
+    assert np.max(np.abs(surf.field.value(y) - surf.level)) <= 1e-12
+    n = surf.ambient_dim
+    assert np.max(np.abs(z0[:, n:] - y)) <= 1e-12
+    res = pair_system_residual(surf.field, surf.level, z0)
+    assert np.max(np.linalg.norm(res[:, 2:2 + n], axis=1)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["sphere-2", "torus"])
+def test_round_census_makes_no_jacobian_call(name, monkeypatch):
+    # on S^2 each seed's partner is its antipode, and on the torus of revolution
+    # the far end of its tube normal: every seed pair is a solution at the start
+    calls = []
+    jacobian = navigation.pair_system_jacobian
+
+    def counted(fld, level, z):
+        calls.append(len(z))
+        return jacobian(fld, level, z)
+
+    monkeypatch.setattr(navigation, "pair_system_jacobian", counted)
+    spec = Sphere(2) if name == "sphere-2" else PAIR_SURFACES[name]
+    census = find_parallel_pairs(spec, PairSearchConfig(n_seeds=2000, rng_seed=0))
+    assert census.is_continuum and census.n_converged == 2000
+    assert calls == []
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,19 @@ def test_lm_abandoned_row_leaves_the_other_rows_unchanged(monkeypatch, rows):
     assert (want_rn <= 1e-12).all()
     assert np.array_equal(z[others], want_z)
     assert np.array_equal(rn[others], want_rn)
+
+
+@pytest.mark.parametrize("rows", [1, LM_BATCH_AXIS_ROWS])
+def test_lm_damping_overflow_is_silent(rows):
+    # diag J^T J = 4e300: the damping grows on every rejected trial until
+    # lambda * diag overflows; such a trial is rejected, and no warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, rn = levenberg_marquardt(lambda z: np.ones((len(z), 1)),
+                                    lambda z: np.full((len(z), 1, 2), 2e150),
+                                    np.zeros((rows, 2)), tol=1e-12)
+    assert np.array_equal(z, np.zeros((rows, 2)))
+    assert np.array_equal(rn, np.ones(rows))
 
 
 def test_lm_matches_lstsq_on_linear_problems(monkeypatch):
