@@ -3,11 +3,17 @@
 A pair {x, y} on a compact hypersurface M with T_x M = T_y M perpendicular
 to the chord x - y is a positive-value critical point of |x - y|^2 on M x M.
 Their count alpha(M) satisfies alpha(M) >= TC(M) - 1, so a surface with few
-such pairs has small topological complexity.  The search pairs each seed
-point with the far end of its normal line, runs multistart damped Newton on
-the system {g = level at x and y, normals parallel to the chord} and
-deduplicates unordered pairs.  A pair whose Hessian has a kernel lies on a
-family of such pairs, and the census reports a continuum.
+such pairs has small topological complexity.  The search takes one of two
+routes.  On an ellipsoid (and the round sphere) such pairs are the critical
+points of the width u -> h(u) + h(-u) of the body over unit directions u, h
+the support function (Kuiper 1964), so it runs multistart damped Newton on
+h over random directions and turns each critical direction u into the pair
+(x(u), -x(u)), x(u) the point with outward normal u.  On other surfaces,
+such as the torus, it pairs each seed point with the far end of its normal
+line and runs damped Newton on the system {g = level at x and y, normals
+parallel to the chord}.  Either way it deduplicates unordered pairs.  A pair
+whose Hessian has a kernel lies on a family of such pairs, and the census
+reports a continuum.
 """
 import numpy as np
 

@@ -51,7 +51,9 @@ on stiefel:4, frames (x, +-ix); and on the points that
 that torus, which has no classifier, so the Morse-Bott merge joins the
 scattered points of its two critical circles: by continuation walks at
 MERGE_SEEDS seeds, the benchmark's size, where single linkage leaves each
-circle in several clusters, and by kernel tests alone from 500 seeds on.  ``lm_iteration`` runs
+circle in several clusters, and by kernel tests alone from 500 seeds on.  Next to
+each clustering median stands the peak memory of one untimed call, as
+``tracemalloc`` counts it (numpy reports its arrays there).  ``lm_iteration`` runs
 ``levenberg_marquardt`` for one iteration on a system frozen at random points:
 the normal equations and one damped solve, accepted in every row, since every
 trial residual is zero.  Its kind names the problem and the solve, forced
@@ -71,6 +73,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -345,6 +348,16 @@ def endpoint_flow_counts(lsnav, call) -> dict:
     return counts
 
 
+def peak_mb(call) -> float:
+    """Peak memory allocated during one call of ``call``, in MB (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def calls_per_repeat(call) -> int:
     """Enough calls for one repeat to last MIN_REPEAT_S."""
     call()  # warm up
@@ -381,6 +394,8 @@ def run(trees: dict) -> dict:
                       "us_per_call_q1": round(q1, 2), "us_per_call_q3": round(q3, 2)}
             if kernel in ("newton_critical_search", "find_parallel_pairs"):
                 record.update(lm_counts(modules[label], per_tree[label][i][3]))
+            if kernel == "_cluster_endpoints":
+                record["peak_mb"] = round(peak_mb(per_tree[label][i][3]), 2)
             if kernel in ("vertical_flow_endpoints", "flow_endpoints"):
                 record.update(endpoint_flow_counts(modules[label], per_tree[label][i][3]))
             results[label].append(record)

@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     surface.add_argument("--torus", dest="surface", type=_torus, metavar="R,r",
                          help="major,minor radii of a torus of revolution")
     p.add_argument("--seeds", type=_positive_int, default=10000,
-                   help="seed points, each paired with the far end of its normal line")
+                   help="seeds: unit directions on an ellipsoid or sphere, else points "
+                        "each paired with the far end of its normal line")
     common_io(p)
     p.set_defaults(fn=cmd_pairs)
 

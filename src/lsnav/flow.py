@@ -577,6 +577,23 @@ def _follow_kernel(field, pts, starts, targets, others, cfg):
     return hit
 
 
+def _pairwise_distances(q):
+    """The (n, n) Euclidean distance matrix of the rows of q, its squares summed in
+    coordinate order, as np.linalg.norm sums fewer than 8 coordinates.  Built in place
+    a block of rows at a time: besides the result, one scratch of about 2^16 entries."""
+    n = len(q)
+    dist = np.zeros((n, n))
+    rows = max(1, 2**16 // max(n, 1))
+    scratch = np.empty((min(rows, n), n))
+    for s in range(0, n, rows):
+        block = dist[s:s + rows]
+        diff = scratch[:len(block)]
+        for c in q.T:
+            np.subtract(c[s:s + rows, None], c, out=diff)
+            block += np.multiply(diff, diff, out=diff)
+    return np.sqrt(dist, out=dist)
+
+
 def _morse_bott_merge(field, pts, groups, cfg):
     """Component labels of pts, numbered across the value groups (rows of pts,
     each at one value): single-linkage clusters at POINT_MERGE_DIST per group,
@@ -595,8 +612,7 @@ def _morse_bott_merge(field, pts, groups, cfg):
     labels, walkable, dists = [], [], {}
     for k, g in enumerate(groups):
         q = pts[g]
-        # summed in coordinate order, as np.linalg.norm sums fewer than 8 coordinates
-        dist = np.sqrt(sum((c[:, None] - c) ** 2 for c in q.T))
+        dist = _pairwise_distances(q)
         lab = _single_linkage(dist, POINT_MERGE_DIST)
         walk = _has_kernel(field, q, lab)
         lone = ~walk[lab]

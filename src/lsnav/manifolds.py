@@ -259,6 +259,12 @@ class _Hypersurface(ManifoldSpec):
         proj = _project_hypersurface(self.field, self.level, raw)
         return proj[np.isfinite(proj).all(axis=-1)]
 
+    def support_field(self):
+        """The support function of the body M bounds, as (field, c): see
+        ``Ellipsoid.support_field``.  None here: the level set of a general field need
+        not bound a convex body (the torus does not)."""
+        return None
+
 
 @dataclass(frozen=True)
 class Ellipsoid(_Hypersurface):
@@ -279,6 +285,38 @@ class Ellipsoid(_Hypersurface):
     @cached_property
     def field(self) -> ConstraintField:
         return builtin_field("ellipsoid", {"semiaxes": self.semiaxes})
+
+    def support_field(self):
+        """(h / c, c): the support function h(u) = (sum a_i^2 u_i^2)^(1/2) of the solid
+        ellipsoid, a scalar field on the unit sphere of directions S^(n-1), divided by c,
+        the least power of two at or above max a_i.
+
+        Its gradient at u is x(u) / c, x(u) = A^2 u / h(u) being the point of M whose
+        outward normal is u.  Dividing by a power of two is exact, so the field of 2^k M
+        is the field of M, bit for bit.  The Hessian is (diag(b^2) - g g^T) / h with
+        b = a / c and g the gradient, |g_i| <= b_i <= 1.  Since h >= min b, no entry
+        exceeds max b^2 / min b <= max a / min a, so it is finite for any semiaxes the
+        spec accepts; a c below max a would let it overflow."""
+        from .flow import ScalarField
+
+        mant, exp = np.frexp(max(self.semiaxes))
+        c = float(np.ldexp(1.0, int(exp) - int(mant == 0.5)))
+        b2 = (np.array(self.semiaxes) / c) ** 2
+        eye = np.eye(len(b2))
+
+        def value(u):
+            return np.sqrt(np.einsum("...i,...i->...", b2 * u, u))
+
+        def grad(u):
+            return b2 * u / value(u)[..., None]
+
+        def hess(u):
+            h = value(u)[..., None, None]
+            g = b2 * u / h[..., 0]
+            return (b2 * eye - g[..., :, None] * g[..., None, :]) / h
+
+        return ScalarField(Sphere(len(b2) - 1), value, grad, name="support/c",
+                           euclidean_hessian=hess), c
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import flow
 from . import manifolds as mf
 from .errors import InvalidPoint, NoPairsFound, NotCriticalTuple, WrongSpec
 from .flow import MERGE_KERNEL_TOL, ScalarField
@@ -254,9 +255,10 @@ PAIR_MIN_SEPARATION = 1e-3    # pairs with |x - y| below this lie on the diagona
 
 @dataclass(frozen=True)
 class PairSearchConfig:
-    """Seed points and RNG seed of one census: n_seeds points of M, each paired
-    with the far end of its normal line; the solver settings are the module
-    constants above."""
+    """Seed count and RNG seed of one census.  On an ellipsoid (or sphere) the seeds
+    are n_seeds unit directions, each solved for a critical point of the support
+    function; on any other hypersurface, n_seeds points of M, each paired with the
+    far end of its normal line.  The solver settings are the module constants above."""
 
     n_seeds: int = 10000
     rng_seed: int = 0
@@ -447,9 +449,13 @@ def _pair_nullity(surf, x, y):
     block -2 P_x P_y; eigenvalues within MERGE_KERNEL_TOL of 0 (relative to 1 + the
     largest) count, less the two normal directions, which it maps to zero."""
     eye = np.eye(x.shape[-1])
-    off = -2.0 * surf.project_tangent(x, eye) @ surf.project_tangent(y, eye)
-    hess = np.block([[surf.riemannian_hessian(x, 2.0 * (x - y), 2.0 * eye), off],
-                     [off.T, surf.riemannian_hessian(y, 2.0 * (y - x), 2.0 * eye)]])
+    with np.errstate(over="ignore", invalid="ignore"):  # a Hessian that overflows is refused
+        off = -2.0 * surf.project_tangent(x, eye) @ surf.project_tangent(y, eye)
+        hess = np.block([[surf.riemannian_hessian(x, 2.0 * (x - y), 2.0 * eye), off],
+                         [off.T, surf.riemannian_hessian(y, 2.0 * (y - x), 2.0 * eye)]])
+    if not np.isfinite(hess).all():
+        raise WrongSpec(f"the Hessian of |x - y|^2 at a pair of value {np.sum((x - y) ** 2):.3e} "
+                        "overflows on this surface, so its nullity cannot be judged")
     lam = np.abs(np.linalg.eigvalsh(hess))
     return int(np.sum(lam <= MERGE_KERNEL_TOL * (1.0 + lam.max()))) - 2
 
@@ -458,9 +464,11 @@ def _dedup_pairs(x, y, tol):
     """Representatives of the unordered pairs {x_i, y_i}, yielded in turn as rows
     (x, y): each pair in canonical order (decided on coordinates rounded to
     tol/10, so solver noise cannot flip it), the pairs sorted, then the first
-    remaining pair kept and every pair within tol of it in either order dropped."""
+    remaining pair kept and every pair within tol of it in either order dropped.
+    The rounded coordinates stay floats: their difference has the sign, and is zero
+    exactly when an integer difference would be, beyond the int64 range too."""
     n = x.shape[1]
-    diff = np.round(x / (0.1 * tol)).astype(int) - np.round(y / (0.1 * tol)).astype(int)
+    diff = np.round(x / (0.1 * tol)) - np.round(y / (0.1 * tol))
     swap = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] > 0  # x > y as tuples
     cand = np.concatenate([x, y], axis=1)
     cand[swap] = np.concatenate([y[swap], x[swap]], axis=1)
@@ -473,40 +481,84 @@ def _dedup_pairs(x, y, tol):
                                np.linalg.norm(cand - swapped, axis=-1)) > tol]
 
 
+def _seed_pair_solutions(surf, n_seeds, rng):
+    """The census on a level set with no support function: n_seeds points x of M,
+    each paired with the far end of its normal line (_normal_line_pairs), solved by
+    _gauss_newton_pairs; returns the converged rows (x, y).
+
+    One mask drops the nearly coincident seed pairs (the diagonal is a spurious
+    solution set) and those without a partner (NaN, so never separated): a seed
+    whose normal-line model has no crossing behind it (grad g^T H grad g <= 0), or
+    whose partner does not project onto M.  When it drops every seed, no solve
+    runs, and NoPairsFound says so."""
+    n = surf.ambient_dim
+    z0 = _normal_line_pairs(surf, mf.random_points(surf, n_seeds, rng))
+    z0 = z0[np.linalg.norm(z0[:, :n] - z0[:, n:], axis=-1) > 10 * PAIR_MIN_SEPARATION]
+    if len(z0) == 0:
+        raise NoPairsFound(f"all {n_seeds} seed points were dropped before the solve: none "
+                           "has a partner on M along its normal line, away from it")
+    z, rn = _gauss_newton_pairs(surf.field, surf.level, z0)
+    return z[rn <= PAIR_RESIDUAL_TOL]
+
+
+def _support_pairs(surf, support, u0):
+    """The census on an ellipsoid: the double normals (x(u), -x(u)) of the directions
+    u that damped Newton (flow.newton_critical_search) takes from the unit directions
+    u0 to critical points of the support field h / c, support = (h / c, c) as
+    ``Ellipsoid.support_field`` returns it; x(u) = c grad(h / c) at u.
+
+    On a convex body the double normals are the critical points of the width
+    h(u) + h(-u) (Kuiper, Israel J. Math. 2, 1964), here 2h, so n unknowns replace
+    the 2n of the pair system.  The stopping tolerance is PAIR_RESIDUAL_TOL min a / c:
+    |grad(h / c)| = |x - h u| / c, and the sine between the chord 2x and the normal u
+    is |x - h u| / |x| with |x| >= min a, so every converged pair is aligned to
+    PAIR_RESIDUAL_TOL.  Rows are solved independently (below
+    numerics.LM_BATCH_AXIS_ROWS rows, bit for bit); a direction that is not finite
+    is dropped alone."""
+    fld, c = support
+    u = flow.newton_critical_search(fld, u0, tol=PAIR_RESIDUAL_TOL * min(surf.semiaxes) / c)
+    x = c * fld.euclidean_gradient_at(u)
+    return np.concatenate([x, -x], axis=1)
+
+
 def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     """Multistart damped Newton for pairs with a common tangent plane.
 
-    The census draws n_seeds random points x of M and pairs each with the far
-    end y of its normal line (_normal_line_pairs), so that x's normal is along
-    the chord from the start.  One mask then drops the nearly coincident seed
-    pairs and those without a partner: a seed whose normal-line model has no
-    crossing behind it (grad g^T H grad g <= 0), or whose partner does not
-    project onto M.  Converged solutions are deduplicated as unordered pairs
-    at the dedup threshold.  A kept pair whose Hessian has a kernel lies on a
-    family of critical pairs, and the census then reports a continuum (no
-    pairs, nn_distance None) instead of a count.
+    Two routes, chosen by the hypersurface's ``support_field``.  On an ellipsoid
+    (and on the sphere, searched as the unit ellipsoid) the census draws n_seeds
+    unit directions and solves for critical points of the support function
+    (_support_pairs), n unknowns per seed.  On any other level set, such as the
+    torus, which bounds no convex body, it draws n_seeds points of M, pairs each
+    with the far end of its normal line and solves the double-normal system
+    (_seed_pair_solutions), 2n unknowns per seed.  Either way, pairs closer than
+    PAIR_MIN_SEPARATION to the diagonal are dropped, the rest deduplicated as
+    unordered pairs at the dedup threshold.  A kept pair whose Hessian has a
+    kernel lies on a family of critical pairs, and the census then reports a
+    continuum (no pairs, nn_distance None) instead of a count.
     """
     search = search or PairSearchConfig()
     surf = _hypersurface_of(spec)
     fld, level = surf.field, surf.level
     n = fld.ambient_dim
     rng = np.random.default_rng(search.rng_seed)
-    z0 = _normal_line_pairs(surf, mf.random_points(surf, search.n_seeds, rng))
-    # one mask drops nearly coincident seed pairs (the diagonal is a spurious
-    # solution set) and the seeds without a partner (NaN, so never separated)
-    sep = np.linalg.norm(z0[:, :n] - z0[:, n:], axis=-1)
-    z0 = z0[sep > 10 * PAIR_MIN_SEPARATION]
+    support = surf.support_field()
+    if support is None:
+        z = _seed_pair_solutions(surf, search.n_seeds, rng)
+    else:
+        z = _support_pairs(surf, support, mf.random_points(support[0].spec, search.n_seeds, rng))
 
-    z, rn = _gauss_newton_pairs(fld, level, z0)
-
-    good = rn <= PAIR_RESIDUAL_TOL
-    x, y = z[good, :n], z[good, n:]
-    sep = np.linalg.norm(x - y, axis=-1)
+    x, y = z[:, :n], z[:, n:]
+    with np.errstate(over="ignore"):  # a pair whose |x - y|^2 overflows is refused
+        sep = np.linalg.norm(x - y, axis=-1)
+    if not np.isfinite(sep).all():
+        raise WrongSpec("a pair's |x - y|^2 overflows on this surface")
     keep = sep >= PAIR_MIN_SEPARATION
     x, y = x[keep], y[keep]
     n_converged = int(keep.sum())
     if n_converged == 0:
-        raise NoPairsFound("no admissible pair converged; try more seeds")
+        raise NoPairsFound("no admissible pair converged; try more seeds" if len(z) == 0 else
+                           f"every converged pair lies within {PAIR_MIN_SEPARATION} of the "
+                           "diagonal x = y")
 
     reps = []
     for rep in _dedup_pairs(x, y, PAIR_DEDUP_TOL):

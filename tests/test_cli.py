@@ -97,6 +97,17 @@ def test_pairs_sphere_continuum_at_few_seeds(capsys):
     assert (payload["alpha"], payload["pairs"], payload["nn_distance"]) == ("continuum", [], None)
 
 
+def test_pairs_on_extreme_semiaxes_answer_or_give_one_error_line(capsys):
+    # RuntimeWarnings are errors under pytest, so none may reach stderr on the way
+    code, out, err = run_cli(capsys, "pairs", "--ellipsoid", "1e-150,1,1e150", "--seeds", "1000")
+    if code == 0:
+        assert json.loads(out)["schema"] == "v1" and err == ""
+    else:
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "WrongSpec"
+
+
 def test_plan_product_spheres(tmp_path, capsys):
     x = np.array([0.6, 0.8])
     tuple_file = tmp_path / "tuple.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -1104,6 +1106,21 @@ def _reference_single_linkage(dist, threshold):
 
 def _coordinate_distances(pts):
     return np.sqrt(sum((c[:, None] - c) ** 2 for c in pts.T))
+
+
+@pytest.mark.parametrize("n, d", [(0, 3), (1, 3), (7, 1), (300, 2), (2513, 3), (40, 12)])
+def test_pairwise_distances_match_the_coordinate_sums_in_place(n, d):
+    # the same bits as summing the squared coordinate differences in order, with
+    # one result array and a small scratch instead of n x n temporaries
+    pts = np.random.default_rng([36, n, d]).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        got = flow._pairwise_distances(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == _coordinate_distances(pts).reshape(n, n).tobytes()
+    assert peak <= 8 * n * n + 2**20  # the result, the scratch and ufunc buffers
 
 
 def test_single_linkage_matches_the_matrix_pass_reference():

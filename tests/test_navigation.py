@@ -6,7 +6,7 @@ import pytest
 
 from lsnav import manifolds as mf
 from lsnav import navigation, numerics
-from lsnav.errors import InvalidPoint, NotCriticalTuple, WrongSpec
+from lsnav.errors import InvalidPoint, NoPairsFound, NotCriticalTuple, WrongSpec
 from lsnav.manifolds import (
     Ellipsoid,
     ImplicitHypersurface,
@@ -27,6 +27,7 @@ from lsnav.navigation import (
     _gauss_newton_pairs,
     _normal_line_pairs,
     _pair_nullity,
+    _support_pairs,
     classify_sphere_critical,
     critical_tuple,
     find_parallel_pairs,
@@ -464,7 +465,7 @@ def test_pair_system_one_point_matches_its_batch_row(name):
         assert np.array_equal(nested.reshape((2 * m,) + got.shape[1:]), got[:2 * m])
 
 
-# the census' surfaces: S^2 is searched as the unit ellipsoid
+# the pair system's ellipsoids; S^2 is the unit ellipsoid (their censuses take the support route)
 CENSUS_SURFACES = {
     "ellipsoid-3d": Ellipsoid((1.0, 2.0, 3.0)),
     "ellipsoid-4d": Ellipsoid((1.0, 1.5, 2.0, 3.0)),
@@ -655,6 +656,118 @@ def test_pair_search_config_takes_integral_values_as_ints():
     cfg = PairSearchConfig(n_seeds=10.0, rng_seed=0)
     assert (type(cfg.n_seeds), type(cfg.rng_seed)) == (int, int)
     assert (cfg.n_seeds, cfg.rng_seed) == (10, 0)
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_census_of_a_scaled_ellipsoid_is_the_scaled_census(k):
+    # the support field of 2^k M is that of M, bit for bit, so every pair scales exactly
+    # (a pair search with an absolute step cap converges from few seeds at k = 6 and none at 10)
+    cfg = PairSearchConfig(n_seeds=1000, rng_seed=0)
+    base = find_parallel_pairs(Ellipsoid((1.0, 2.0, 3.0)), cfg)
+    got = find_parallel_pairs(Ellipsoid(tuple(2.0 ** k * a for a in (1.0, 2.0, 3.0))), cfg)
+    assert (got.alpha, got.n_converged) == (base.alpha, base.n_converged) == (3, 1000)
+    assert got.nn_distance == 2.0 ** k * base.nn_distance
+    for p, q in zip(got.pairs, base.pairs, strict=True):
+        assert p.x.tobytes() == (2.0 ** k * q.x).tobytes()
+        assert p.y.tobytes() == (2.0 ** k * q.y).tobytes()
+        assert p.value == 4.0 ** k * q.value
+        assert p.alignment_residual == q.alignment_residual
+
+
+@pytest.mark.parametrize("rng_seed", range(4))
+def test_census_finds_the_long_axis_of_a_needle(rng_seed):
+    # normal-line seed pairs on (0.1, 1, 10) almost all cross the short directions
+    census = find_parallel_pairs(Ellipsoid((0.1, 1.0, 10.0)),
+                                 PairSearchConfig(n_seeds=1000, rng_seed=rng_seed))
+    assert census.alpha == 3
+    assert np.allclose([p.value for p in census.pairs], [0.04, 4.0, 400.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("rng_seed", range(4))
+def test_census_finds_every_axis_of_an_8d_ellipsoid(rng_seed):
+    axes = tuple(float(a) for a in range(1, 9))
+    census = find_parallel_pairs(Ellipsoid(axes), PairSearchConfig(rng_seed=rng_seed))
+    assert census.alpha == 8
+    assert np.allclose([p.value for p in census.pairs], [4.0 * a * a for a in axes],
+                       rtol=1e-12)
+
+
+@pytest.mark.parametrize("axes", [(1.0, 2.0, 3.0), (0.5, 1.0, 4.0), (0.1, 1.0, 10.0),
+                                  (1.0, 1.5, 2.0, 3.0), (1e-3, 2e-3, 3e-3), (1e3, 2e3, 3e3)])
+@pytest.mark.parametrize("rng_seed", [0, 1])
+def test_every_kept_pair_is_aligned_to_the_residual_tolerance(axes, rng_seed):
+    census = find_parallel_pairs(Ellipsoid(axes), PairSearchConfig(n_seeds=2000,
+                                                                   rng_seed=rng_seed))
+    assert census.alpha == len(axes)
+    assert max(p.alignment_residual for p in census.pairs) <= PAIR_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("axes", [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0, 3.0), (1.0, 1.0, 1.0)],
+                         ids=["ellipsoid-3d", "ellipsoid-4d", "sphere-2"])
+def test_support_field_derivatives_match_central_differences(axes):
+    fld, c = Ellipsoid(axes).support_field()
+    u = random_points(fld.spec, 200, np.random.default_rng(12))
+    b = np.array(axes) / c
+    assert np.allclose(fld.value_at(u), np.sqrt(np.sum((b * u) ** 2, axis=-1)), rtol=1e-15)
+    assert np.allclose(fld.euclidean_gradient_at(u), fld.fd_gradient(u), rtol=0, atol=1e-8)
+    assert np.allclose(fld.euclidean_hessian_at(u), fld.fd_hessian(u), rtol=0, atol=1e-6)
+    # the gradient at u, times c, is the point of the ellipsoid with outward normal u
+    x = c * fld.euclidean_gradient_at(u)
+    assert np.max(Ellipsoid(axes).residual(x)) <= 1e-14
+    normal = Ellipsoid(axes).field.grad(x)
+    assert np.allclose(normal / np.linalg.norm(normal, axis=-1, keepdims=True), u, atol=1e-15)
+
+
+def test_only_the_ellipsoid_offers_a_support_field():
+    torus = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
+    assert torus.support_field() is None
+    fld, c = Ellipsoid((1.0, 2.0, 3.0)).support_field()
+    assert (fld.spec, c) == (Sphere(2), 4.0)
+    assert Ellipsoid((1.0, 1.0)).support_field()[1] == 1.0
+
+
+def test_direction_solve_does_not_depend_on_the_batch():
+    # one call against 7-row chunks, bit for bit; a NaN direction is dropped alone
+    surf = Ellipsoid((1.0, 1.5, 2.0, 3.0))
+    support = surf.support_field()
+    u0 = random_points(support[0].spec, 200, np.random.default_rng(13))
+    whole = _support_pairs(surf, support, u0)
+    assert len(whole) == len(u0)
+    chunks = [_support_pairs(surf, support, u0[i:i + 7]) for i in range(0, len(u0), 7)]
+    assert whole.tobytes() == np.concatenate(chunks).tobytes()
+    holed = u0.copy()
+    holed[17] = np.nan
+    got = _support_pairs(surf, support, holed)
+    assert got.tobytes() == np.delete(whole, 17, axis=0).tobytes()
+
+
+def test_census_on_extreme_semiaxes_warns_nothing():
+    # the support Hessian stays finite; the pair Hessian of |x - y|^2 overflows at
+    # a long-axis pair 1e300 times longer than the short axis, and the census says so
+    with pytest.raises(WrongSpec, match="overflows on this surface"):
+        find_parallel_pairs(Ellipsoid((1e-150, 1.0, 1e150)), PairSearchConfig(n_seeds=1000))
+    with pytest.raises(WrongSpec, match=re.escape("|x - y|^2 overflows")):
+        find_parallel_pairs(Ellipsoid((1e154, 1e154)), PairSearchConfig(n_seeds=100))
+
+
+def test_census_says_when_the_seed_mask_drops_every_seed():
+    # as an implicit level set the ellipsoid takes the normal-line route, where
+    # grad g^T H grad g overflows and every partner is its own seed
+    surf = ImplicitHypersurface(ellipsoid_field((1e-150, 1.0, 1e150)), 1.0)
+    with pytest.raises(NoPairsFound, match="all 100 seed points were dropped before the solve"):
+        find_parallel_pairs(surf, PairSearchConfig(n_seeds=100))
+
+
+def test_census_says_when_every_pair_is_near_the_diagonal():
+    with pytest.raises(NoPairsFound, match="within 0.001 of the diagonal"):
+        find_parallel_pairs(Ellipsoid((1e-5, 2e-5, 3e-5)), PairSearchConfig(n_seeds=100))
+
+
+def test_dedup_pairs_beyond_the_int64_range():
+    # the rounding grid stays in floats, so coordinates of 1e150 neither warn nor wrap
+    x = np.array([[0.0, 1e150], [0.0, -1e150], [1.0, 0.0]])
+    got = np.array(list(_dedup_pairs(x, -x, 1e-3)))
+    assert got.tolist() == [[-1.0, -0.0, 1.0, 0.0], [0.0, -1e150, 0.0, 1e150]]
 
 
 def _reference_dedup(x, y, tol):
