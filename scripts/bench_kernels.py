@@ -51,7 +51,10 @@ on stiefel:4, frames (x, +-ix); and on the points that
 that torus, which has no classifier, so the Morse-Bott merge joins the
 scattered points of its two critical circles: by continuation walks at
 MERGE_SEEDS seeds, the benchmark's size, where single linkage leaves each
-circle in several clusters, and by kernel tests alone from 500 seeds on.  Next to
+circle in several clusters, and by kernel tests alone from 500 seeds on; and,
+at 500 and 5000 seeds, on the points Newton reaches of the height on the
+ellipsoid (1,2,3), whose two poles are isolated, so the merge groups them
+where they coincide, with no walk.  Next to
 each clustering median stands the peak memory of one untimed call, as
 ``tracemalloc`` counts it (numpy reports its arrays there).  ``lm_iteration`` runs
 ``levenberg_marquardt`` for one iteration on a system frozen at random points:
@@ -86,8 +89,11 @@ MIN_REPEAT_S = 0.01  # calls per repeat are chosen so that one repeat takes at l
 NEWTON_PROBLEMS = ("nav sphere:1 r=2", "nav (S^3)^3", "ut-f stiefel:4", "height torus(2,0.5)")
 NEWTON_BATCHES = (1, 500)
 FRAMES = ("stiefel:4", "stiefel:8")
-CLUSTER_PROBLEMS = ("nav (S^3)^3", "ut-f stiefel:4", "height torus(2,0.5)")
+CLUSTER_PROBLEMS = ("nav (S^3)^3", "ut-f stiefel:4", "height torus(2,0.5)",
+                    "height ellipsoid(1,2,3)")
 MERGE_SEEDS = 100  # torus seeds whose Newton points lie far enough apart for walks
+CLUSTER_BATCHES = {"height torus(2,0.5)": BATCHES + (MERGE_SEEDS,),
+                   "height ellipsoid(1,2,3)": (500, 5000)}
 FLOW_SEEDS = 50
 FLOW_PROBLEMS = ("nav (S^3)^3", "x torus(2,0.5)")
 PAIR_SURFACES = ("ellipsoid(1,2,3)", "ellipsoid(1,1.5,2,3)", "torus(2,0.5)")
@@ -177,7 +183,7 @@ def cases(lsnav):
                     lambda f=field, x=seeds: lsnav.flow.flow_endpoints(f, x)))
     for name in CLUSTER_PROBLEMS:
         field = newton_field(lsnav, name)
-        for n in BATCHES + ((MERGE_SEEDS,) if name == "height torus(2,0.5)" else ()):
+        for n in CLUSTER_BATCHES.get(name, BATCHES):
             pts = critical_points(lsnav, name, n, np.random.default_rng([5, n]))
             out.append(("_cluster_endpoints", name, n,
                         lambda f=field, x=pts: lsnav.flow._cluster_endpoints(
@@ -206,8 +212,8 @@ def cases(lsnav):
 
 def newton_field(lsnav, name: str):
     mf = lsnav.manifolds
-    if name == "height torus(2,0.5)":
-        return lsnav.flow.height_field(torus(lsnav))
+    if name.startswith("height "):
+        return lsnav.flow.height_field(manifold(lsnav, name[len("height "):]))
     if name == "x torus(2,0.5)":
         return lsnav.flow._coordinate_height(torus(lsnav), 0, "height")
     return {"nav sphere:1 r=2": lambda: lsnav.navigation.nav_field(mf.Sphere(1), 2),
@@ -218,9 +224,9 @@ def newton_field(lsnav, name: str):
 def critical_points(lsnav, name: str, n: int, rng):
     """n critical points with random signs over random base points of S^3: nav
     tuples (x, +-x, +-x) of (S^3)^3, or ut-f frames (x, +-ix) of stiefel:4; or,
-    for the height on the torus, the points Newton reaches from n seeds."""
+    for a height, the points Newton reaches from n seeds."""
     mf = lsnav.manifolds
-    if name == "height torus(2,0.5)":
+    if name.startswith("height "):
         field = newton_field(lsnav, name)
         return lsnav.flow.newton_critical_search(field, mf.random_points(field.spec, n, rng))
     x = mf.random_points(mf.Sphere(3), n, rng)

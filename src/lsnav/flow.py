@@ -31,9 +31,9 @@ and end where the flow alone would have ended.
 gradient, with the analytic Riemannian Hessian P (hess F - S) P (P the tangent
 projector, S the manifold's shape term) as Jacobian, reaches critical points
 of every index.  The converged points are clustered by value, then by
-structural label, or by point distance and one Morse-Bott merge: clusters on
-one critical manifold are joined when predictor-corrector continuation along
-the Hessian kernel, pooled over the value groups, walks from one to the other.
+structural label, or by one Morse-Bott merge: isolated points where they
+coincide, points on one critical manifold where continuation along the
+Hessian kernel, pooled over the value groups, walks from one to another.
 """
 from __future__ import annotations
 
@@ -200,7 +200,7 @@ STEP_FLOOR = 1e-8      # a row rejected down to a step below this stops unconver
 LYAPUNOV_SLACK = 1e-13  # rounding allowance on F, relative to 1 + |F|
 FD_SCALE = 1e-6        # finite-difference gradient step, relative to 1 + |x|
 FD_HESSIAN_SCALE = 1e-4  # finite-difference Hessian step, relative to 1 + |x|
-POINT_MERGE_DIST = 0.5  # single-linkage distance when a field has no classifier
+POINT_MERGE_DIST = 0.5  # linkage and walk-arrival distance of points with a Hessian kernel
 MERGE_KERNEL_TOL = 1e-6  # Hessian eigenvalues below this, relative to 1 + the largest, are 0
 MERGE_STEP = 0.5 * POINT_MERGE_DIST  # predictor step of the Morse-Bott continuation
 MERGE_MAX_STEPS = 100   # predictor-corrector steps per continuation walk
@@ -529,12 +529,6 @@ def _tangent_kernel(field, coords):
     return np.swapaxes(pe, -1, -2) @ pe
 
 
-def _has_kernel(field, pts, labels):
-    """Per cluster of labels: has the Riemannian Hessian a kernel at its first point?"""
-    first = np.unique(labels, return_index=True)[1]
-    return np.trace(_tangent_kernel(field, pts[first]), axis1=-2, axis2=-1) > 0.5
-
-
 def _follow_kernel(field, pts, starts, targets, others, cfg):
     """Predictor-corrector continuation along the critical set (Allgower & Georg,
     Numerical Continuation Methods, 1990) from pts[starts] toward pts[targets].
@@ -596,48 +590,49 @@ def _pairwise_distances(q):
 
 def _morse_bott_merge(field, pts, groups, cfg):
     """Component labels of pts, numbered across the value groups (rows of pts,
-    each at one value): single-linkage clusters at POINT_MERGE_DIST per group,
-    joined where the critical set connects them.
+    each at one value), from one kernel test of the Riemannian Hessian per point.
 
-    A cluster with no Hessian kernel at its first point holds isolated critical
-    points: it splits where its points do not coincide within cluster_tol, and
-    only the pieces with no kernel at their first point leave it.  Every
-    cluster with a kernel walks, by ``_follow_kernel``, from its point nearest
-    to the nearest component of its group it has not yet walked toward, and is
-    united with whatever component it arrives at, until no component has such
-    a neighbour.  A walk stays on the critical set and arrives only in its own
-    group, so disjoint critical sets are never united.  Each round walks all
-    groups in one call; a group keeps its distances only while walks remain.
+    Points with a kernel lie on critical manifolds (Bott, Ann. of Math. 60, 1954)
+    and are linked at POINT_MERGE_DIST per group.  A point with none is isolated:
+    in row order, the first remaining one takes every remaining one within
+    cluster_tol, and they join the lowest-numbered cluster of the group with a
+    point within cluster_tol of it, a kernel point or an earlier isolated one
+    (Newton's points scatter at a degenerate critical point, and their kernel
+    tests disagree).  Each cluster of kernel points walks, by
+    ``_follow_kernel``, from its point nearest to the nearest component of its
+    group it has not yet walked toward, and is united with whatever component it
+    arrives at, until no component has such a neighbour.  A walk stays on the
+    critical set and arrives only at a kernel point of its own group, so disjoint
+    critical sets are never united.  Each round walks all groups in one call; a
+    group keeps its kernel points' distances only while walks remain.  Clusters
+    of kernel points are numbered first, isolated points after, in row order.
     """
-    labels, walkable, dists = [], [], {}
-    for k, g in enumerate(groups):
-        q = pts[g]
-        dist = _pairwise_distances(q)
-        lab = _single_linkage(dist, POINT_MERGE_DIST)
-        walk = _has_kernel(field, q, lab)
-        lone = ~walk[lab]
-        if lone.any():
-            pieces = lab.copy()
-            pieces[lone] = lab.max() + 1 + _single_linkage(dist[np.ix_(lone, lone)],
-                                                           cfg.cluster_tol)
-            pieces = np.unique(pieces, return_inverse=True)[1]
-            if pieces.max() + 1 > len(walk):
-                isolated = ~_has_kernel(field, q, pieces)[pieces]
-                lab = np.unique(np.where(isolated, lab.max() + 1 + pieces, lab),
-                                return_inverse=True)[1]
-                walk = _has_kernel(field, q, lab)
-        labels.append(lab + sum(map(len, walkable)))  # numbered on across groups
-        walkable.append(walk)
-        if walk.sum() > 1:  # else no walk can start
-            dists[k] = dist
-    labels, walkable = np.concatenate(labels), np.concatenate(walkable)
     group = np.repeat(np.arange(len(groups)), [g.size for g in groups])
-    tried, root = ~np.outer(walkable, walkable), np.arange(len(walkable))
+    kernel = np.trace(_tangent_kernel(field, pts), axis1=-2, axis2=-1) > 0.5
+    walkers = [g[kernel[g]] for g in groups]
+    labels, dists, n = np.empty(len(pts), dtype=int), {}, 0
+    for k, g in enumerate(walkers):
+        dist = _pairwise_distances(pts[g])
+        lab = _single_linkage(dist, POINT_MERGE_DIST)
+        labels[g] = n + lab
+        n += lab.max(initial=-1) + 1
+        if lab.max(initial=0) > 0:  # else no walk can start
+            dists[k] = dist
+    n_walk = n
+    for g, done in zip(groups, walkers):
+        rest = g[~kernel[g]]
+        while rest.size:
+            same = np.linalg.norm(pts[rest] - pts[rest[0]], axis=-1) <= cfg.cluster_tol
+            near = labels[done[np.linalg.norm(pts[done] - pts[rest[0]], axis=-1) <= cfg.cluster_tol]]
+            labels[rest[same]] = near.min(initial=n)
+            n += near.size == 0
+            done, rest = np.concatenate([done, rest[same]]), rest[~same]
+    tried, root = np.zeros((n_walk, n_walk), dtype=bool), np.arange(n)
     while True:
         comp = root[labels]
         starts, targets = [], []
         for k in dists:
-            g = groups[k]
+            g = walkers[k]
             open_ = (comp[g, None] != comp[None, g]) & ~tried[labels[g, None], labels[None, g]]
             gap = np.where(open_, dists[k], np.inf)
             for c in np.unique(comp[g]):
@@ -650,9 +645,9 @@ def _morse_bott_merge(field, pts, groups, cfg):
         if not starts:
             return comp
         for i, j in zip(starts, targets):
-            a, b = root == comp[i], root == comp[j]
+            a, b = root[:n_walk] == comp[i], root[:n_walk] == comp[j]
             tried |= np.outer(a, b) | np.outer(b, a)
-        others = (comp[None, :] != comp[starts][:, None]) & (group == group[starts][:, None])
+        others = kernel & (comp != comp[starts][:, None]) & (group == group[starts][:, None])
         hit = _follow_kernel(field, pts, np.array(starts), np.array(targets), others, cfg)
         for i, j in zip(starts, hit):
             if j >= 0:
@@ -662,8 +657,9 @@ def _morse_bott_merge(field, pts, groups, cfg):
 def _cluster_endpoints(field, endpoints, cfg):
     """Group converged points into components: by value, with gaps larger than
     10 * cluster_tol, then by the field's structural classifier (one call per
-    group), or, when none is set, by point distance at POINT_MERGE_DIST and one
-    Morse-Bott merge over all groups (isolated points split, clusters joined)."""
+    group), or, when none is set, by one Morse-Bott merge over all groups:
+    isolated points where they coincide, points on critical manifolds by
+    distance at POINT_MERGE_DIST and continuation walks."""
     values = field.value_at(endpoints)
     order = np.argsort(values, kind="stable")
     endpoints, values = endpoints[order], values[order]

@@ -301,11 +301,13 @@ class Ellipsoid(_Hypersurface):
 
         mant, exp = np.frexp(max(self.semiaxes))
         c = float(np.ldexp(1.0, int(exp) - int(mant == 0.5)))
-        b2 = (np.array(self.semiaxes) / c) ** 2
-        eye = np.eye(len(b2))
+        b = np.array(self.semiaxes) / c
+        b2, eye = b**2, np.eye(len(b))
 
         def value(u):
-            return np.sqrt(np.einsum("...i,...i->...", b2 * u, u))
+            h = np.sqrt(np.einsum("...i,...i->...", b2 * u, u))
+            low = h < 2.0**-511  # h^2 underflowed (h(e_i) = b_i < 2^-511): take hypot
+            return np.where(low, np.hypot.reduce(b * u, axis=-1), h) if np.any(low) else h
 
         def grad(u):
             return b2 * u / value(u)[..., None]

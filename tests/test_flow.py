@@ -882,8 +882,8 @@ def test_morse_bott_merge_keeps_disjoint_circles_apart():
 @pytest.mark.parametrize("radius", [0.1, 1.0])
 def test_isolated_critical_points_closer_than_the_linkage_distance_stay_apart(radius):
     # z^2 on a sphere of this radius: the equator at 0 and the two poles at r^2.
-    # At r = 0.1 the poles are 0.2 apart, inside POINT_MERGE_DIST, and single
-    # linkage joins them; their Hessian has no kernel, so the merge splits them
+    # At r = 0.1 the poles are 0.2 apart, inside POINT_MERGE_DIST; their Hessian
+    # has no kernel, so they are grouped only where their points coincide
     spec = Ellipsoid((radius,) * 3)
     field = ScalarField(spec, lambda x: x[..., 2] ** 2,
                         lambda x: np.stack([0.0 * x[..., 0], 0.0 * x[..., 1], 2.0 * x[..., 2]], -1),
@@ -897,52 +897,73 @@ def test_isolated_critical_points_closer_than_the_linkage_distance_stay_apart(ra
 
 def test_isolated_point_first_in_a_cluster_with_a_critical_circle():
     # f = (1 - z)(z - 0.88)^2 on S^2 is 0 at the north pole, a nondegenerate
-    # minimum, and on the circle z = 0.88, 0.49 from the pole: one cluster whose
-    # first point is the pole.  The pole splits off; the circle's points have a
-    # kernel and stay one component, and no walk arrives at the pole
-    z0 = 0.88
-    field = ScalarField(
-        Sphere(2), lambda x: (1.0 - x[..., 2]) * (x[..., 2] - z0) ** 2,
-        lambda x: np.stack([0.0 * x[..., 0], 0.0 * x[..., 1],
-                            -(x[..., 2] - z0) * (3.0 * x[..., 2] - 2.0 - z0)], -1),
-        euclidean_hessian=lambda x: np.einsum("...,ij->...ij", 2.0 + 4.0 * z0 - 6.0 * x[..., 2],
-                                              np.diag([0.0, 0.0, 1.0])))
+    # minimum, and on the circle z = 0.88, 0.49 from the pole, at draws where the
+    # pole comes first.  The pole has no Hessian kernel and stays apart; the
+    # circle's points have one and stay one component, and no walk arrives at the pole
+    field = _pole_and_circle()
     for rng_seed in range(5, 9):
         seeds = random_points(field.spec, 300, np.random.default_rng(rng_seed))
         comps = [c for c in find_critical_components(field, seeds, FlowConfig(cluster_tol=1e-6))
                  if abs(c.value) < 1e-9]
         heights = [np.unique(np.round(c.representatives[:, 2], 6)).tolist() for c in comps]
-        assert sorted(heights) == [[z0], [1.0]]
+        assert sorted(heights) == [[0.88], [1.0]]
 
 
-def _reference_has_kernel(field, pts, labels):
-    first = np.unique(labels, return_index=True)[1]
-    return np.trace(flow._tangent_kernel(field, pts[first]), axis1=-2, axis2=-1) > 0.5
+def test_isolated_point_beside_a_critical_circle_is_its_own_component():
+    # -(1 - z)(z - 0.88)^2: the pole is a nondegenerate maximum at value 0, 0.49
+    # from the critical circle z = 0.88 at the same value.  Each point is judged
+    # by its own kernel test, so the pole is a component of its own whatever
+    # point comes first; a draw where Newton misses the pole has the circle alone
+    field = _pole_and_circle(-1.0)
+    found_pole = 0
+    for rng_seed in range(12):
+        seeds = random_points(field.spec, 300, np.random.default_rng(rng_seed))
+        comps = [c for c in find_critical_components(field, seeds, FlowConfig(cluster_tol=1e-6))
+                 if abs(c.value) < 1e-9]
+        heights = sorted(np.unique(np.round(c.representatives[:, 2], 6)).tolist() for c in comps)
+        assert heights in ([[0.88]], [[0.88], [1.0]])
+        found_pole += len(heights) == 2
+    assert found_pole >= 11
 
 
-def _reference_merge(field, pts, labels, dist, cfg):
-    """The Morse-Bott merge of one value group on its own: its kernel tests and
-    its walks in calls of their own, the kernel test repeated after a split."""
-    walkable = _reference_has_kernel(field, pts, labels)
-    lone = ~walkable[labels]
-    if lone.any():
-        pieces = labels.copy()
-        pieces[lone] = labels.max() + 1 + flow._single_linkage(dist[np.ix_(lone, lone)],
-                                                               cfg.cluster_tol)
-        pieces = np.unique(pieces, return_inverse=True)[1]
-        if pieces.max() + 1 > len(walkable):
-            isolated = ~_reference_has_kernel(field, pts, pieces)[pieces]
-            labels = np.unique(np.where(isolated, labels.max() + 1 + pieces, labels),
-                               return_inverse=True)[1]
-            walkable = _reference_has_kernel(field, pts, labels)
-    tried = ~np.outer(walkable, walkable)
-    root = np.arange(len(walkable))
+@pytest.mark.parametrize("a", [30.0, 100.0])
+def test_degenerate_isolated_minimum_is_one_component(a):
+    # a x^4 + y^2 on S^2: the poles are isolated minima, degenerate along x.
+    # Newton's points scatter along x by some 1e-5, and the Hessian's x
+    # eigenvalue, 12 a x^2, falls on either side of the kernel threshold; the
+    # points without a kernel join the points they coincide with
+    field = _quartic_minima(a)
+    for rng_seed in range(4):
+        seeds = random_points(field.spec, 300, np.random.default_rng(rng_seed))
+        found = newton_critical_search(field, seeds)
+        kernel = np.trace(flow._tangent_kernel(field, found), axis1=-2, axis2=-1) > 0.5
+        assert 0 < kernel.sum() < len(found)  # the tests disagree
+        comps = [c for c in find_critical_components(field, seeds) if abs(c.value) < 1e-6]
+        assert sorted(round(float(c.representatives[0, 2])) for c in comps) == [-1, 1]
+
+
+def _reference_merge(field, pts, dist, cfg):
+    """The Morse-Bott merge of one value group on its own, in calls of its own:
+    isolated points grouped point by point, each group joining the least label
+    within cluster_tol, and kernel points linked and walked."""
+    kernel = np.trace(flow._tangent_kernel(field, pts), axis1=-2, axis2=-1) > 0.5
+    labels = np.full(len(pts), -1)
+    labels[kernel] = flow._single_linkage(dist[np.ix_(kernel, kernel)], flow.POINT_MERGE_DIST)
+    n = labels.max() + 1
+    for i in np.flatnonzero(~kernel):
+        if labels[i] < 0:
+            near = labels[(labels >= 0) & (dist[i] <= cfg.cluster_tol)]
+            labels[(labels < 0) & (dist[i] <= cfg.cluster_tol)] = near.min() if near.size else n
+            n += near.size == 0
+    tried = np.zeros((n, n), dtype=bool)
+    root = np.arange(n)
     while True:
         comp = root[labels]
-        open_ = (comp[:, None] != comp[None, :]) & ~tried[labels[:, None], labels[None, :]]
+        open_ = ((comp[:, None] != comp[None, :]) & ~tried[labels[:, None], labels[None, :]]
+                 & kernel[:, None] & kernel[None, :])
         gap = np.where(open_, dist, np.inf)
         starts, targets = [], []
-        for c in np.unique(comp):
+        for c in np.unique(comp[kernel]):
             rows = np.flatnonzero(comp == c)
             i, j = np.unravel_index(np.argmin(gap[rows]), (rows.size, len(pts)))
             if np.isfinite(gap[rows[i], j]):
@@ -954,7 +975,7 @@ def _reference_merge(field, pts, labels, dist, cfg):
             a, b = root == comp[i], root == comp[j]
             tried |= np.outer(a, b) | np.outer(b, a)
         hit = flow._follow_kernel(field, pts, np.array(starts), np.array(targets),
-                                  comp[None, :] != comp[starts][:, None], cfg)
+                                  kernel & (comp[None, :] != comp[starts][:, None]), cfg)
         for i, j in zip(starts, hit):
             if j >= 0:
                 root[root == root[labels[j]]] = root[labels[i]]
@@ -971,8 +992,7 @@ def _per_group_components(field, endpoints, cfg):
     for group in np.split(np.arange(len(values)), cuts + 1):
         pts, vals = endpoints[group], values[group]
         dist = np.array([np.linalg.norm(pts - p, axis=-1) for p in pts])
-        cl = _reference_merge(field, pts, flow._single_linkage(dist, flow.POINT_MERGE_DIST),
-                              dist, cfg)
+        cl = _reference_merge(field, pts, dist, cfg)
         for c in range(cl.max() + 1):
             sel = cl == c
             out.append((float(np.mean(vals[sel])), "unclassified",
@@ -986,15 +1006,26 @@ def _z_squared(spec):
                        euclidean_hessian=lambda x: np.diag([0.0, 0.0, 2.0]))
 
 
-def _pole_and_circle():
-    # (1 - z)(z - 0.88)^2 on S^2: a point and a circle at value 0, 0.49 apart
+def _pole_and_circle(sign=1.0):
+    # sign (1 - z)(z - 0.88)^2 on S^2: a point and a circle at value 0, 0.49 apart
     z0 = 0.88
     return ScalarField(
-        Sphere(2), lambda x: (1.0 - x[..., 2]) * (x[..., 2] - z0) ** 2,
+        Sphere(2), lambda x: sign * (1.0 - x[..., 2]) * (x[..., 2] - z0) ** 2,
         lambda x: np.stack([0.0 * x[..., 0], 0.0 * x[..., 1],
-                            -(x[..., 2] - z0) * (3.0 * x[..., 2] - 2.0 - z0)], -1),
-        euclidean_hessian=lambda x: np.einsum("...,ij->...ij", 2.0 + 4.0 * z0 - 6.0 * x[..., 2],
+                            -sign * (x[..., 2] - z0) * (3.0 * x[..., 2] - 2.0 - z0)], -1),
+        euclidean_hessian=lambda x: np.einsum("...,ij->...ij",
+                                              sign * (2.0 + 4.0 * z0 - 6.0 * x[..., 2]),
                                               np.diag([0.0, 0.0, 1.0])))
+
+
+def _quartic_minima(a):
+    # a x^4 + y^2 on S^2: two isolated minima at the poles, degenerate along x
+    return ScalarField(Sphere(2), lambda x: a * x[..., 0] ** 4 + x[..., 1] ** 2,
+                       lambda x: np.stack([4.0 * a * x[..., 0] ** 3, 2.0 * x[..., 1],
+                                           0.0 * x[..., 2]], -1),
+                       euclidean_hessian=lambda x: np.einsum(
+                           "...,ij->...ij", 12.0 * a * x[..., 0] ** 2, np.diag([1.0, 0.0, 0.0]))
+                       + np.diag([0.0, 2.0, 0.0]))
 
 
 POOLED_MERGE_CASES = {
@@ -1003,6 +1034,8 @@ POOLED_MERGE_CASES = {
     "z^2 torus(2,0.5)": (lambda: _z_squared(_torus()), 100, (0, 1, 2), 1e-4),
     "z^2 sphere radius 0.1": (lambda: _z_squared(Ellipsoid((0.1,) * 3)), 200, (0,), 1e-4),
     "pole and circle on S^2": (_pole_and_circle, 300, (5, 6), 1e-6),
+    "pole maximum and circle on S^2": (lambda: _pole_and_circle(-1.0), 300, (0, 1), 1e-6),
+    "degenerate minima on S^2": (lambda: _quartic_minima(30.0), 300, (0, 1), 1e-4),
 }
 
 
@@ -1046,6 +1079,57 @@ def test_pooled_merge_keeps_value_groups_apart():
     assert {round(c.value, 6) for c in comps} == {0.0, 0.01}
     for c in comps:
         assert np.ptp(field.value_at(c.representatives)) <= 10.0 * cfg.cluster_tol
+
+
+ROW_ORDER_CASES = {
+    # (field, seeds, cluster_tol)
+    "height torus(2,0.5)": (lambda: height_field(_torus()), 200, 1e-4),
+    "z^2 torus(2,0.5)": (lambda: _z_squared(_torus()), 200, 1e-4),
+    "pole and circle on S^2": (_pole_and_circle, 300, 1e-6),
+    "pole maximum and circle on S^2": (lambda: _pole_and_circle(-1.0), 300, 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_ORDER_CASES))
+def test_clustering_does_not_depend_on_row_order(case):
+    # the same components from permuted rows: representatives bit for bit after
+    # their lexsort, values up to the order of the mean's sum
+    make, n, tol = ROW_ORDER_CASES[case]
+    field = make()
+    cfg = FlowConfig(cluster_tol=tol)
+
+    def components(pts):
+        comps = flow._cluster_endpoints(field, pts, cfg)
+        return sorted(comps, key=lambda c: (round(c.value, 9), c.representatives[0].tobytes()))
+
+    for rng_seed in range(3):
+        found = newton_critical_search(field, random_points(field.spec, n,
+                                                            np.random.default_rng(rng_seed)))
+        want = components(found)
+        got = components(found[np.random.default_rng([29, rng_seed]).permutation(len(found))])
+        assert len(got) == len(want)
+        for c, w in zip(got, want):
+            assert c.representatives.tobytes() == w.representatives.tobytes()
+            assert abs(c.value - w.value) <= 1e-12
+
+
+def test_isolated_points_cluster_without_a_distance_matrix():
+    # the height on the ellipsoid (1,2,3) from 4,000 seeds: two nondegenerate
+    # poles of about 2,000 points each.  Each point's kernel test marks it
+    # isolated, and points are grouped where they coincide, with no n x n
+    # distance matrix or edge list (the per-cluster merge peaked at 156 MB)
+    field = height_field(Ellipsoid((1.0, 2.0, 3.0)))
+    found = newton_critical_search(field, random_points(field.spec, 4000,
+                                                        np.random.default_rng(0)))
+    tracemalloc.start()
+    try:
+        comps = flow._cluster_endpoints(field, found, FlowConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [round(c.value, 9) for c in comps] == [-3.0, 3.0]
+    assert sum(len(c.representatives) for c in comps) == len(found) == 4000
+    assert peak <= 8 * 2**20
 
 
 def _bfs_clusters(points, threshold):

@@ -703,3 +703,17 @@ def test_riemannian_hessian_does_not_depend_on_the_other_rows(name):
     assert np.isnan(broken[13]).all()
     others = np.arange(40) != 13
     assert np.array_equal(broken[others], whole[others])
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_SPECS))
+def test_projections_do_not_depend_on_row_order(name):
+    # permuted rows in, the same rows permuted out, bit for bit
+    spec = HESSIAN_SPECS[name]
+    rng = np.random.default_rng(len(name) + 4)
+    x = random_points(spec, 60, rng)
+    raw = x + 0.3 * rng.standard_normal(x.shape)
+    w = rng.standard_normal(x.shape)
+    perm = rng.permutation(len(x))
+    assert np.array_equal(mf.project_points(spec, raw[perm]), mf.project_points(spec, raw)[perm])
+    assert np.array_equal(mf.project_tangent(spec, x[perm], w[perm]),
+                          mf.project_tangent(spec, x, w)[perm])

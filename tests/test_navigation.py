@@ -718,6 +718,27 @@ def test_support_field_derivatives_match_central_differences(axes):
     assert np.allclose(normal / np.linalg.norm(normal, axis=-1, keepdims=True), u, atol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_support_field_is_exact_at_every_coordinate_direction():
+    # b_0^2 underflows on (1e-154, 1, 1e154), where h(e_0) = b_0: h is summed from
+    # b u rescaled on such rows, so h > 0 and its derivatives are finite
+    axes = (1e-154, 1.0, 1e154)
+    fld, c = Ellipsoid(axes).support_field()
+    b = np.array(axes) / c
+    for u in np.concatenate([np.eye(3), -np.eye(3)]):
+        i = int(np.argmax(np.abs(u)))
+        assert np.isclose(fld.value_at(u), b[i], rtol=1e-15, atol=0.0)
+        assert np.allclose(fld.euclidean_gradient_at(u), b * u, rtol=1e-15,
+                           atol=np.finfo(float).tiny)
+        hess = fld.euclidean_hessian_at(u)
+        assert np.isfinite(hess).all()
+        assert np.allclose(np.diag(hess), np.where(np.arange(3) == i, 0.0, b**2 / b[i]),
+                           rtol=1e-15, atol=np.finfo(float).tiny)
+    # a row whose h^2 does not underflow keeps the plain sum's bits
+    u = random_points(fld.spec, 50, np.random.default_rng(14))
+    assert fld.value_at(u).tobytes() == np.sqrt(np.einsum("ni,ni->n", b**2 * u, u)).tobytes()
+
+
 def test_only_the_ellipsoid_offers_a_support_field():
     torus = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
     assert torus.support_field() is None
