@@ -10,9 +10,8 @@ sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and the height
 on that torus; the right-hand side of the vertical flow,
 ``unit_tangent.vertical_pseudo_gradient_coords`` of ut-f, at batch sizes 1,
 500 and 5000 on stiefel:4 and stiefel:8; one stage of the vertical flow, the
-anchored projection and then the stage kernel the flow evaluates
-(``unit_tangent._vertical_pseudo_gradient``, or in a tree without it
-``vertical_pseudo_gradient_coords``), at 1, 50 and 500 rows on each of them;
+anchored projection and then the stage kernel the flow evaluates,
+``unit_tangent._vertical_pseudo_gradient``, at 1, 50 and 500 rows on each of them;
 one descending ``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
 them; one descending ``flow.flow_endpoints`` call from 50 seeds on the nav
 field of S^3 (r=3, on (S^3)^3), whose critical sets are Morse-Bott, and on
@@ -39,10 +38,8 @@ Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median and each census median stand the Levenberg-Marquardt iterations
 and Jacobian rows of one call, and next to each median of an endpoint flow
 its integrator steps (``flow._dp54_step`` calls), its stage calls and rows,
-the separate stopping-norm calls of a tree whose ``flow._flow_batch`` still
-takes ``grad_norm`` (0 otherwise), and the iterations and residual rows of its
-Newton finish, each counted in an untimed call.  Stage calls plus norm calls
-are the field evaluations of the flow.
+and the iterations and residual rows of its Newton finish, each counted in an
+untimed call.  Stage calls are the field evaluations of the flow.
 ``flow._cluster_endpoints``, the clustering that labels converged points, is
 timed at batch sizes 1, 500 and 5000 on critical points of two classified
 fields: the nav field of S^3 (r=3), tuples (x, +-x, +-x) on (S^3)^3, and ut-f
@@ -60,8 +57,7 @@ each clustering median stands the peak memory of one untimed call, as
 ``levenberg_marquardt`` for one iteration on a system frozen at random points:
 the normal equations and one damped solve, accepted in every row, since every
 trial residual is zero.  Its kind names the problem and the solve, forced
-through ``numerics.LM_BATCH_AXIS_ROWS`` ("per-matrix" or "batch-axis"); a tree
-without that constant solves per matrix under both names.
+through ``numerics.LM_BATCH_AXIS_ROWS`` ("per-matrix" or "batch-axis").
 
 Kernel times on a shared host are noisy: treat them as a guide to where the
 time goes, and the benchmark's ``solve_ref`` as the end-to-end evidence.
@@ -69,7 +65,6 @@ time goes, and the benchmark's ``solve_ref`` as the end-to-end evidence.
 from __future__ import annotations
 
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -166,11 +161,10 @@ def cases(lsnav):
             pts = mf.random_points(field.spec, n, np.random.default_rng([2, n]))
             out.append(("vertical_pseudo_gradient_coords", name, n,
                         lambda f=field, x=pts: ut.vertical_pseudo_gradient_coords(f, x)))
-        stage = getattr(ut, "_vertical_pseudo_gradient", ut.vertical_pseudo_gradient_coords)
         for n in STAGE_BATCHES:
             pts = mf.random_points(field.spec, n, np.random.default_rng([8, n]))
-            out.append(("vertical_stage", name, n, lambda f=field, x=pts, k=stage:
-                        k(f, ut._anchored_project(f.spec, x))))
+            out.append(("vertical_stage", name, n, lambda f=field, x=pts:
+                        ut._vertical_pseudo_gradient(f, ut._anchored_project(f.spec, x))))
         n = FLOW_SEEDS
         seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
         out.append(("vertical_flow_endpoints", name, n,
@@ -257,21 +251,18 @@ def lm_iteration(lsnav, z, res, jac, path: str):
     and the Jacobian jac, and a zero residual at every trial point, solved the
     way path names."""
     numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
-    saved = numerics.LM_MAX_ITER, getattr(numerics, "LM_BATCH_AXIS_ROWS", None)
+    saved = numerics.LM_MAX_ITER, numerics.LM_BATCH_AXIS_ROWS
     start = [res.copy()]  # LM writes accepted residuals into the array it is given
 
     def residual(w):
         return start.pop() if start else np.zeros((len(w), res.shape[1]))
 
     numerics.LM_MAX_ITER = 1
-    if saved[1] is not None:
-        numerics.LM_BATCH_AXIS_ROWS = 1 if path == "batch-axis" else len(z) + 1
+    numerics.LM_BATCH_AXIS_ROWS = 1 if path == "batch-axis" else len(z) + 1
     try:
         numerics.levenberg_marquardt(residual, lambda w: jac, z, tol=0.0)
     finally:
-        numerics.LM_MAX_ITER = saved[0]
-        if saved[1] is not None:
-            numerics.LM_BATCH_AXIS_ROWS = saved[1]
+        numerics.LM_MAX_ITER, numerics.LM_BATCH_AXIS_ROWS = saved
 
 
 def lm_counts(lsnav, call) -> dict:
@@ -297,21 +288,18 @@ def lm_counts(lsnav, call) -> dict:
 
 
 def endpoint_flow_counts(lsnav, call) -> dict:
-    """Integrator steps, stage calls and rows, stopping-norm calls, and
-    Levenberg-Marquardt iterations and residual rows, of one call of ``call``.
-    A step is one ``flow._dp54_step`` call, a pass of the integrator over the
-    active rows.  Each ``flow._flow_batch`` call evaluates its stage (the third
-    argument) at the starts and at every stage of every step; a tree whose
-    ``_flow_batch`` takes ``grad_norm`` also evaluates that at the starts and
-    at every pass that accepts a step in some row.  The Newton finish evaluates
+    """Integrator steps, stage calls and rows, and Levenberg-Marquardt
+    iterations and residual rows, of one call of ``call``.  A step is one
+    ``flow._dp54_step`` call, a pass of the integrator over the active rows.
+    Each ``flow._flow_batch`` call evaluates its stage (the third argument) at
+    the starts and at every stage of every step.  The Newton finish evaluates
     the residual inside ``levenberg_marquardt``; those rows count as LM
     residual rows, and each Jacobian evaluation there as one LM iteration, as
     in ``lm_counts``."""
     flow = lsnav.flow
     numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
     solve, batch, step = numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step
-    takes_norm = "grad_norm" in inspect.signature(batch).parameters
-    counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "norm_calls": 0, "lm_iterations": 0,
+    counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_iterations": 0,
               "lm_residual_rows": 0}
 
     def counted_batch(field, direction, stage, project, *args, **kwargs):
@@ -320,14 +308,6 @@ def endpoint_flow_counts(lsnav, call) -> dict:
             counts["rhs_rows"] += len(coords)
             return stage(f, coords)
 
-        if takes_norm:
-            norm = args[0]
-
-            def counted_norm(f, coords):
-                counts["norm_calls"] += 1
-                return norm(f, coords)
-
-            args = (counted_norm,) + args[1:]
         return batch(field, direction, counted_stage, project, *args, **kwargs)
 
     def counted_step(*args):

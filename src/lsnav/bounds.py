@@ -153,37 +153,32 @@ def reference_tc(space: str, r: int, k: int = 1) -> int:
 def product_spheres_bound(k: int, r: int) -> BoundResult:
     """Upper bound for k odd-sphere factors and r waypoints: k (r - 1) + 1.
 
-    Critical values are 0, 4, ..., 4 k (r - 1), one planner-constructed
-    section per component, so every level contributes 1.  The reference
-    value for products of odd spheres matches, so the bound is exact.
+    Critical values are 0, 4, ..., 4 k (r - 1), listed directly, one
+    planner-constructed section per component, so every level contributes 1.
+    The reference value for products of odd spheres matches, so the bound is
+    exact.
     """
     if k < 1 or r < 2:
         raise UnknownSpace("need k >= 1 and r >= 2")
-    entries = [
-        ComponentComplexity(value=4.0 * i, complexity=1)
-        for i in range(k * (r - 1) + 1)
-    ]
-    result = ls_upper_bound(BoundInput.plain(entries))
-    exact = result.bound == reference_tc("product-odd-spheres", r, k)
-    return BoundResult(result.bound, result.breakdown, exact=exact,
+    levels = k * (r - 1) + 1
+    return BoundResult(levels, tuple((4.0 * i, 1) for i in range(levels)),
+                       exact=levels == reference_tc("product-odd-spheres", r, k),
                        note=f"k={k}, r={r}")
 
 
 def unit_tangent_bound(m: int, r: int) -> BoundResult:
     """Upper bound r + 1 for the frame bundle over S^(4m-1), declared exact.
 
-    Sign tuples in (+-1)^r grouped by their sum give r + 1 levels, each
-    carried by a rotational planner section (contribution 1).  The fiber
-    S^(4m-2) forces the lower bound r + 1, hence equality.
+    Sign tuples in (+-1)^r grouped by their sum give the r + 1 levels 2i - r,
+    i = 0, ..., r, each carried by a rotational planner section (contribution 1);
+    they are listed directly, not enumerated as ``BoundInput.fiber_signs`` does.
+    The fiber S^(4m-2) forces the lower bound r + 1, hence equality.
     """
     if m < 1 or r < 2:
         raise UnknownSpace("need m >= 1 and r >= 2")
-    inp = BoundInput.fiber_signs(r, complexity=1)
-    result = ls_upper_bound(inp)
     lower = reference_tc("sphere-even", r)
-    exact = result.bound == lower
-    return BoundResult(result.bound, result.breakdown, exact=exact,
-                       note=f"m={m}, r={r}, fiber lower bound {lower}")
+    return BoundResult(r + 1, tuple((float(2 * i - r), 1) for i in range(r + 1)),
+                       exact=r + 1 == lower, note=f"m={m}, r={r}, fiber lower bound {lower}")
 
 
 def bound_input_from_components(components, complexity: int = 1) -> BoundInput:

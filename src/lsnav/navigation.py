@@ -12,6 +12,7 @@ the topological complexity of the surface from below.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -255,10 +256,11 @@ PAIR_MIN_SEPARATION = 1e-3    # pairs with |x - y| below this lie on the diagona
 
 @dataclass(frozen=True)
 class PairSearchConfig:
-    """Seed count and RNG seed of one census.  On an ellipsoid (or sphere) the seeds
-    are n_seeds unit directions, each solved for a critical point of the support
-    function; on any other hypersurface, n_seeds points of M, each paired with the
-    far end of its normal line.  The solver settings are the module constants above."""
+    """Seed count and RNG seed of one census.  On any ellipsoid (the sphere and the
+    built-in ellipsoid field included) the seeds are n_seeds unit directions, each
+    solved for a critical point of the support function; on any other hypersurface,
+    n_seeds points of M, each paired with the far end of its normal line.  The
+    solver settings are the module constants above."""
 
     n_seeds: int = 10000
     rng_seed: int = 0
@@ -318,9 +320,15 @@ class PairCensus:
 
 
 def _hypersurface_of(spec):
+    """The hypersurface a census searches, routed by its geometry: the sphere is the
+    unit ellipsoid, and the built-in ellipsoid field (semiaxes a) at level L is the
+    ellipsoid of semiaxes a sqrt(L), whose validation refuses L <= 0; so every
+    ellipsoid takes the support route."""
     if isinstance(spec, Sphere):
-        # the unit sphere is the unit-ellipsoid special case
-        return mf.Ellipsoid((1.0,) * spec.ambient_dim)
+        return Ellipsoid((1.0,) * spec.ambient_dim)
+    if isinstance(spec, ImplicitHypersurface) and spec.field.name == "ellipsoid":
+        scale = math.sqrt(spec.level) if spec.level > 0 else 0.0
+        return Ellipsoid(tuple(a * scale for a in spec.field.params["semiaxes"]))
     if isinstance(spec, (Ellipsoid, ImplicitHypersurface)):
         return spec
     raise WrongSpec("parallel-pair search needs a hypersurface (ellipsoid, implicit, sphere)")
@@ -358,38 +366,31 @@ def pair_system_residual(fld, level, z):
 
 
 def pair_system_jacobian(fld, level, z):
-    """Analytic Jacobian of pair_system_residual with respect to (x, y).
+    """Analytic Jacobian of pair_system_residual with respect to (x, y), as a
+    C-ordered (..., 2+2n, 2n) array.
 
     At an end p with unit normal u, normal block r = u - (u.d) d, chord length
     rho and C = +-((u.d)/rho I + d (u - 2 (u.d) d)^T / rho), + at x: the block's
     derivative is (H - r (Hu)^T - d (Hd)^T)/|grad g| - C with respect to p and
-    C with respect to the other end.  Built component-major, as one contiguous
-    (2+2n, 2n, N) array whose blocks are written in place, and returned as its
-    (..., 2+2n, 2n) row-major view, which LM's batch-axis solve reads as it is."""
-    z = np.asarray(z, dtype=float)
-    x, y, dist, d = _pair_chord(z.reshape(-1, z.shape[-1]))
+    C with respect to the other end.  Every product is an elementwise or einsum
+    form, so a row's bits do not depend on the batch."""
+    x, y, dist, d = _pair_chord(z)
     n = x.shape[-1]
-    dist, d = dist[:, 0], np.ascontiguousarray(d.T)
-    jac = np.zeros((2 + 2 * n, 2 * n, dist.size))
-    # np.add.reduce is np.sum without its fixed cost; a sign flip of rho is exact
+    jac = np.zeros(x.shape[:-1] + (2 + 2 * n, 2 * n))
     for s, (p, rho) in enumerate(((x, dist), (y, -dist))):
-        g = np.ascontiguousarray(fld.grad(p).T)
-        h = np.ascontiguousarray(fld.hess(p).transpose(1, 2, 0))
-        jac[s, s * n:(s + 1) * n] = g
-        norm = np.sqrt(np.add.reduce(g * g, 0))
+        g, h = fld.grad(p), fld.hess(p)
+        norm = np.sqrt(np.einsum("...i,...i->...", g, g))[..., None]
         u = g / norm
-        ud = np.add.reduce(u * d, 0)
-        block = jac[2 + s * n:2 + (s + 1) * n]
-        own, c = block[:, s * n:(s + 1) * n], block[:, (1 - s) * n:(2 - s) * n]
-        # C serves first as scratch for d (Hd)^T
-        np.multiply((u - ud * d)[:, None], np.add.reduce(h * u, 1)[None], out=own)
-        np.subtract(h, own, out=own)
-        own -= np.multiply(d[:, None], np.add.reduce(h * d, 1)[None], out=c)
-        own /= norm
-        np.multiply(d[:, None], ((u - 2.0 * ud * d) / rho)[None], out=c)
-        block.reshape(2 * n * n, -1)[(1 - s) * n::2 * n + 1] += ud / rho
-        own -= c
-    return jac.transpose(2, 0, 1).reshape(z.shape[:-1] + jac.shape[:2])
+        ud = np.einsum("...i,...i->...", u, d)[..., None]
+        hu, hd = (np.einsum("...ij,...j->...i", h, v) for v in (u, d))
+        c = d[..., :, None] * ((u - 2.0 * ud * d) / rho)[..., None, :]
+        c += (ud / rho)[..., None] * np.eye(n)
+        own = (h - (u - ud * d)[..., :, None] * hu[..., None, :]
+               - d[..., :, None] * hd[..., None, :]) / norm[..., None] - c
+        jac[..., s, s * n:(s + 1) * n] = g
+        jac[..., 2 + s * n:2 + (s + 1) * n, s * n:(s + 1) * n] = own
+        jac[..., 2 + s * n:2 + (s + 1) * n, (1 - s) * n:(2 - s) * n] = c
+    return jac
 
 
 def _normal_line_pairs(surf, x):
@@ -524,15 +525,16 @@ def _support_pairs(surf, support, u0):
 def find_parallel_pairs(spec, search: PairSearchConfig = None) -> PairCensus:
     """Multistart damped Newton for pairs with a common tangent plane.
 
-    Two routes, chosen by the hypersurface's ``support_field``.  On an ellipsoid
-    (and on the sphere, searched as the unit ellipsoid) the census draws n_seeds
-    unit directions and solves for critical points of the support function
-    (_support_pairs), n unknowns per seed.  On any other level set, such as the
-    torus, which bounds no convex body, it draws n_seeds points of M, pairs each
-    with the far end of its normal line and solves the double-normal system
-    (_seed_pair_solutions), 2n unknowns per seed.  Either way, pairs closer than
-    PAIR_MIN_SEPARATION to the diagonal are dropped, the rest deduplicated as
-    unordered pairs at the dedup threshold.  A kept pair whose Hessian has a
+    Two routes, chosen by geometry (_hypersurface_of).  On every ellipsoid,
+    whether an Ellipsoid, the sphere or the built-in ellipsoid field at any
+    positive level, the census draws n_seeds unit directions and solves for
+    critical points of the support function (_support_pairs), n unknowns per
+    seed.  On any other level set, such as the torus, which bounds no convex
+    body, or that of a hand-built ConstraintField, it draws n_seeds points of M,
+    pairs each with the far end of its normal line and solves the double-normal
+    system (_seed_pair_solutions), 2n unknowns per seed.  Either way, pairs
+    closer than PAIR_MIN_SEPARATION to the diagonal are dropped, the rest
+    deduplicated as unordered pairs at the dedup threshold.  A kept pair whose Hessian has a
     kernel lies on a family of critical pairs, and the census then reports a
     continuum (no pairs, nn_distance None) instead of a count.
     """

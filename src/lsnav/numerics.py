@@ -37,8 +37,8 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
     LAPACK's ``solve`` (``pinv`` for a matrix that is exactly singular).
     From LM_BATCH_AXIS_ROWS on, along the batch axis: the Jacobian is read
     component-major, in place if it is the row-major view of an (m, d, n)
-    array (as ``pair_system_jacobian`` returns it), and the normal equations
-    and the Cholesky solve are sums and loops on contiguous length-n vectors
+    array and else from one copy, and the normal equations and the Cholesky
+    solve are sums and loops on contiguous length-n vectors
     (``_normal_equations``, ``_cholesky_solve``); a row whose pivot is not
     positive is solved again, per matrix, by LAPACK.  Either way a row takes
     the same steps, bit for bit, whichever rows are still active, as long as

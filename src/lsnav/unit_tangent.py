@@ -228,35 +228,6 @@ class FiberTuple:
         }
 
 
-def fiber_tangent_basis(spec: StiefelV2, t: FiberTuple) -> np.ndarray:
-    """Orthonormal basis (rows) of the tangent space of the fiber product at t,
-    inside R^(r * 2 * frame_dim).
-
-    The tangent space splits into per-entry vertical directions (0, w) with w
-    orthogonal to both columns, plus one horizontal lift per base direction u:
-    the lift at an entry (x, v) is (u, -<v, u> x), the unique tangent vector
-    with base movement u and no vertical part.
-    """
-    r, amb, m = t.r, spec.ambient_dim, spec.frame_dim
-    x = t.basepoint
-    raw = []
-    for i in range(r):
-        v = t.entries[i, m:]
-        comp = np.eye(m) - np.outer(x, x) - np.outer(v, v)
-        for w in _orthonormalize(comp):
-            cand = np.zeros(r * amb)
-            cand[i * amb + m : (i + 1) * amb] = w
-            raw.append(cand)
-    for u in _orthonormalize(np.eye(m) - np.outer(x, x)):
-        cand = np.zeros(r * amb)
-        for i in range(r):
-            v = t.entries[i, m:]
-            cand[i * amb : i * amb + m] = u
-            cand[i * amb + m : (i + 1) * amb] = -np.dot(v, u) * x
-        raw.append(cand)
-    return _orthonormalize(np.array(raw))
-
-
 def _orthonormalize(rows):
     """Orthonormal rows spanning rows; R pivots at or below 1e-10 count as rank loss."""
     q, r = np.linalg.qr(rows.T)

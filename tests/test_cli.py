@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,17 @@ def test_bound_unit_tangent(capsys):
     payload = json.loads(out)
     assert payload["bound"] == 3
     assert payload["exact"] is True
+
+
+def test_bound_unit_tangent_lists_its_levels_without_enumerating_signs(capsys):
+    # the 61 levels of r = 60 come directly; 2^60 sign tuples would never finish
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "bound", "--unit-tangent", "--m", "1", "--r", "60")
+    assert time.perf_counter() - start < 0.1
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bound"] == 61 and payload["exact"] is True
+    assert payload["breakdown"] == [[float(2 * i - 60), 1] for i in range(61)]
 
 
 def test_bound_product_spheres(capsys):

@@ -517,6 +517,16 @@ def test_hypersurface_sampling_draws_as_the_unbounded_loop(spec, newton_cap, mon
     assert np.array_equal(got, _sample_by_unbounded_loop(spec, 300, np.random.default_rng(5)))
 
 
+@pytest.mark.parametrize("spec", [Ellipsoid((1.0, 2.0, 3.0)), TORUS], ids=["ellipsoid", "torus"])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_sampling_returns_the_points_of_projecting_every_row(spec, n):
+    # a round projects its first n - have rows, and the rest of its draw only when some
+    # of those fail; rows project independently, so the points are bit for bit those
+    # of projecting every drawn row
+    got = random_points(spec, n, np.random.default_rng(n))
+    assert got.tobytes() == _sample_by_unbounded_loop(spec, n, np.random.default_rng(n)).tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("spec", [
     ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), -1.0),

@@ -418,6 +418,36 @@ def test_pair_system_jacobian_matches_central_differences(name):
     assert np.max(num / den) <= 1e-5
 
 
+def _reference_pair_jacobian(fld, z):
+    """The formula of pair_system_jacobian's docstring, one row and one end at a time."""
+    n = z.shape[1] // 2
+    out = np.zeros((len(z), 2 + 2 * n, 2 * n))
+    for k, row in enumerate(z):
+        rho = np.linalg.norm(row[:n] - row[n:])
+        d = (row[:n] - row[n:]) / rho
+        for s, (p, sign) in enumerate(((row[:n], 1.0), (row[n:], -1.0))):
+            g, h = fld.grad(p), fld.hess(p)
+            u = g / np.linalg.norm(g)
+            ud = u @ d
+            c = sign * (ud * np.eye(n) + np.outer(d, u - 2.0 * ud * d)) / rho
+            own = (h - np.outer(u - ud * d, h @ u) - np.outer(d, h @ d)) / np.linalg.norm(g) - c
+            out[k, s, s * n:(s + 1) * n] = g
+            out[k, 2 + s * n:2 + (s + 1) * n, s * n:(s + 1) * n] = own
+            out[k, 2 + s * n:2 + (s + 1) * n, (1 - s) * n:(2 - s) * n] = c
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
+def test_pair_system_jacobian_matches_its_formula_row_by_row(name):
+    # the broadcast build agrees with the per-row loop to rounding
+    surf = PAIR_SURFACES[name]
+    z = _pair_starts(surf, 200, seed=7)
+    jac = pair_system_jacobian(surf.field, surf.level, z)
+    want = _reference_pair_jacobian(surf.field, z)
+    num = np.linalg.norm(jac - want, axis=(1, 2))
+    assert np.max(num / np.maximum(np.linalg.norm(want, axis=(1, 2)), 1.0)) <= 1e-14
+
+
 def _reference_alignment(fld, x, y):
     """Per end, the norm of the gradient's part across the unit chord, relative
     to the gradient's norm: (N, 2)."""
@@ -450,16 +480,13 @@ def test_pair_residual_blocks_measure_the_alignment(name):
 @pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
 def test_pair_system_one_point_matches_its_batch_row(name):
     # a row's bits do not depend on the batch: one point, a batch and a batch of batches;
-    # the residual is C-ordered, the Jacobian the row-major view of a component-major array
+    # the residual and the Jacobian are C-ordered
     surf = PAIR_SURFACES[name]
     z = _pair_starts(surf, 200, seed=6)
     m = len(z) // 2
     for system in (pair_system_residual, pair_system_jacobian):
         got = system(surf.field, surf.level, z)
-        if system is pair_system_residual:
-            assert got.flags.c_contiguous
-        else:
-            assert got.transpose(1, 2, 0).flags.c_contiguous
+        assert got.flags.c_contiguous
         assert np.array_equal(system(surf.field, surf.level, z[0]), got[0])
         nested = system(surf.field, surf.level, z[:2 * m].reshape(2, m, -1))
         assert np.array_equal(nested.reshape((2 * m,) + got.shape[1:]), got[:2 * m])
@@ -632,6 +659,58 @@ def test_round_census_makes_no_jacobian_call(name, monkeypatch):
     assert calls == []
 
 
+CENSUS_ROUTES = {
+    "ellipsoid": Ellipsoid((1.0, 2.0, 3.0)),
+    "sphere-2": Sphere(2),
+    "implicit-ellipsoid": ImplicitHypersurface(ellipsoid_field((1.0, 2.0, 3.0)), 1.0),
+    "torus": PAIR_SURFACES["torus"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_ROUTES))
+def test_census_makes_no_jacobian_call(name, monkeypatch):
+    # every ellipsoid takes the support route, whichever spec wraps it, and the torus's
+    # normal-line seed pairs are solutions at the start
+    calls = []
+    jacobian = navigation.pair_system_jacobian
+    monkeypatch.setattr(navigation, "pair_system_jacobian",
+                        lambda fld, level, z: calls.append(len(z)) or jacobian(fld, level, z))
+    find_parallel_pairs(CENSUS_ROUTES[name], PairSearchConfig(n_seeds=1000, rng_seed=0))
+    assert calls == []
+
+
+def _same_census(got, want):
+    assert (got.alpha, got.n_converged, got.nn_distance) == (
+        want.alpha, want.n_converged, want.nn_distance)
+    for p, q in zip(got.pairs, want.pairs, strict=True):
+        assert (p.x.tobytes(), p.y.tobytes()) == (q.x.tobytes(), q.y.tobytes())
+        assert (p.value, p.alignment_residual) == (q.value, q.alignment_residual)
+
+
+def test_implicit_ellipsoid_census_is_the_ellipsoid_census():
+    # g = sum x_i^2 / a_i^2 at level 4 is the ellipsoid of semiaxes 2a, bit for bit
+    cfg = PairSearchConfig(n_seeds=1000, rng_seed=0)
+    got = find_parallel_pairs(ImplicitHypersurface(ellipsoid_field((1.0, 2.0, 3.0)), 4.0), cfg)
+    _same_census(got, find_parallel_pairs(Ellipsoid((2.0, 4.0, 6.0)), cfg))
+    assert got.alpha == 3
+
+
+def test_implicit_ellipsoid_finds_every_axis_in_8d():
+    # the pair system found 7 of these 8 pairs from the same seeds
+    axes = tuple(float(a) for a in range(1, 9))
+    census = find_parallel_pairs(ImplicitHypersurface(ellipsoid_field(axes), 1.0),
+                                 PairSearchConfig(rng_seed=2))
+    assert census.alpha == 8
+    _same_census(census, find_parallel_pairs(Ellipsoid(axes), PairSearchConfig(rng_seed=2)))
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0, float("nan"), float("inf")])
+def test_implicit_ellipsoid_at_an_empty_or_unbounded_level_is_refused(level):
+    surf = ImplicitHypersurface(ellipsoid_field((1.0, 2.0, 3.0)), level)
+    with pytest.raises(WrongSpec, match="semiaxes"):
+        find_parallel_pairs(surf, PairSearchConfig(n_seeds=10))
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"n_seeds": 0}, "n_seeds must be an integer >= 1, got 0"),
     ({"n_seeds": -3}, "n_seeds must be an integer >= 1, got -3"),
@@ -772,9 +851,12 @@ def test_census_on_extreme_semiaxes_warns_nothing():
 
 
 def test_census_says_when_the_seed_mask_drops_every_seed():
-    # as an implicit level set the ellipsoid takes the normal-line route, where
+    # the ellipsoid's functions under another name take the normal-line route, where
     # grad g^T H grad g overflows and every partner is its own seed
-    surf = ImplicitHypersurface(ellipsoid_field((1e-150, 1.0, 1e150)), 1.0)
+    base = ellipsoid_field((1e-150, 1.0, 1e150))
+    fld = ConstraintField("stretched", {}, 3, base.value, base.grad, base.hess,
+                          base.bounding_box)
+    surf = ImplicitHypersurface(fld, 1.0)
     with pytest.raises(NoPairsFound, match="all 100 seed points were dropped before the solve"):
         find_parallel_pairs(surf, PairSearchConfig(n_seeds=100))
 

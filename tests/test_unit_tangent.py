@@ -288,26 +288,6 @@ def test_fiber_vertical_gradient_matches_direct_projection():
     assert worst <= 1e-10
 
 
-def test_sum_function_critical_iff_every_entry_critical():
-    # the full gradient of the sum restricted to the fiber product vanishes
-    # exactly when every entry is critical for the invariant function
-    from lsnav.unit_tangent import fiber_tangent_basis
-
-    rng = np.random.default_rng(15)
-    field = f_ut_field(SPEC)
-    tol = 1e-6
-    for _ in range(200):
-        mask = rng.random(2) < 0.4
-        t = random_fiber_tuple(SPEC, 2, rng, critical_mask=mask)
-        basis = fiber_tangent_basis(SPEC, t)
-        grad = field.euclidean_gradient_at(t.entries).reshape(-1)
-        restricted = basis @ grad
-        tuple_critical = np.linalg.norm(restricted) <= tol
-        entry_norms = np.linalg.norm(field.riemannian_gradient(t.entries), axis=1)
-        entries_critical = bool((entry_norms <= tol).all())
-        assert tuple_critical == entries_critical
-
-
 def _scaled_f_ut(spec, scale):
     return ScalarField(spec, lambda x: scale * f_ut_coords(spec, x),
                        lambda x: scale * f_ut_euclidean_gradient(spec, x))
