@@ -38,8 +38,10 @@ Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median and each census median stand the Levenberg-Marquardt iterations
 and Jacobian rows of one call, and next to each median of an endpoint flow
 its integrator steps (``flow._dp54_step`` calls), its stage calls and rows,
-and the iterations and residual rows of its Newton finish, each counted in an
-untimed call.  Stage calls are the field evaluations of the flow.
+the iterations and residual rows of its Newton finish, and the Hessian calls
+and rows and the residual rows its hand-off decision spends outside
+Levenberg-Marquardt, each counted in an untimed call.  Stage calls are the
+field evaluations of the flow.
 ``flow._cluster_endpoints``, the clustering that labels converged points, is
 timed at batch sizes 1, 500 and 5000 on critical points of two classified
 fields: the nav field of S^3 (r=3), tuples (x, +-x, +-x) on (S^3)^3, and ut-f
@@ -288,19 +290,28 @@ def lm_counts(lsnav, call) -> dict:
 
 
 def endpoint_flow_counts(lsnav, call) -> dict:
-    """Integrator steps, stage calls and rows, and Levenberg-Marquardt
-    iterations and residual rows, of one call of ``call``.  A step is one
-    ``flow._dp54_step`` call, a pass of the integrator over the active rows.
-    Each ``flow._flow_batch`` call evaluates its stage (the third argument) at
-    the starts and at every stage of every step.  The Newton finish evaluates
-    the residual inside ``levenberg_marquardt``; those rows count as LM
-    residual rows, and each Jacobian evaluation there as one LM iteration, as
-    in ``lm_counts``."""
+    """Integrator steps, stage calls and rows, Levenberg-Marquardt iterations
+    and residual rows, and the hand-off's own Hessian calls and rows and
+    residual rows, of one call of ``call``.  A step is one ``flow._dp54_step``
+    call, a pass of the integrator over the active rows.  Each
+    ``flow._flow_batch`` call evaluates its stage (the third argument) at the
+    starts and at every stage of every step.  The Newton finish evaluates the
+    residual inside ``levenberg_marquardt``; those rows count as LM residual
+    rows, and each Jacobian evaluation there as one LM iteration, as in
+    ``lm_counts``.  ``flow._endpoint_flow`` also evaluates its residual and
+    Jacobian outside LM, to decide which rows to hand off and which Newton
+    results to keep: the guard's Hessian, at the hand-off and at the Newton
+    limit, and the contraction certificate's two residuals per row.  Those
+    count as ``handoff_hessian_calls``, ``handoff_hessian_rows`` and
+    ``handoff_residual_rows``."""
     flow = lsnav.flow
     numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
     solve, batch, step = numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step
+    endpoint = flow._endpoint_flow
     counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_iterations": 0,
-              "lm_residual_rows": 0}
+              "lm_residual_rows": 0, "handoff_hessian_calls": 0, "handoff_hessian_rows": 0,
+              "handoff_residual_rows": 0}
+    in_lm = []
 
     def counted_batch(field, direction, stage, project, *args, **kwargs):
         def counted_stage(f, coords):
@@ -323,14 +334,34 @@ def endpoint_flow_counts(lsnav, call) -> dict:
             counts["lm_iterations"] += 1
             return jacobian(z)
 
-        return solve(counted_residual, counted_jacobian, z0, **kwargs)
+        in_lm.append(True)
+        try:
+            return solve(counted_residual, counted_jacobian, z0, **kwargs)
+        finally:
+            in_lm.pop()
+
+    def counted_endpoint(field, direction, stage, project, residual, jacobian, *args):
+        def handoff_residual(f, coords):
+            if not in_lm:
+                counts["handoff_residual_rows"] += len(coords)
+            return residual(f, coords)
+
+        def handoff_jacobian(f, coords):
+            if not in_lm:
+                counts["handoff_hessian_calls"] += 1
+                counts["handoff_hessian_rows"] += len(coords)
+            return jacobian(f, coords)
+
+        return endpoint(field, direction, stage, project, handoff_residual, handoff_jacobian,
+                        *args)
 
     numerics.levenberg_marquardt, flow._flow_batch = counted_solve, counted_batch
-    flow._dp54_step = counted_step
+    flow._dp54_step, flow._endpoint_flow = counted_step, counted_endpoint
     try:
         call()
     finally:
-        numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step = solve, batch, step
+        numerics.levenberg_marquardt, flow._flow_batch = solve, batch
+        flow._dp54_step, flow._endpoint_flow = step, endpoint
     return counts
 
 

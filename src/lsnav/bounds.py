@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .errors import UnknownComplexity, UnknownSpace
+from .errors import TooLarge, UnknownComplexity, UnknownSpace
 
 VALUE_TOL = 1e-6  # critical values closer than this are one level
+# most levels a closed-form bound lists: its breakdown holds one (value, 1) pair per level
+BOUND_MAX_LEVELS = 100_000
 
 
 @dataclass(frozen=True)
@@ -150,17 +152,26 @@ def reference_tc(space: str, r: int, k: int = 1) -> int:
     raise UnknownSpace(f"no reference value for space {space!r}")
 
 
+def _check_levels(name: str, formula: str, levels: int):
+    """Refuse, before anything is built, a breakdown of more than BOUND_MAX_LEVELS levels."""
+    if levels > BOUND_MAX_LEVELS:
+        raise TooLarge(f"{name} lists {formula} = {levels} levels, "
+                       f"above BOUND_MAX_LEVELS = {BOUND_MAX_LEVELS}")
+
+
 def product_spheres_bound(k: int, r: int) -> BoundResult:
     """Upper bound for k odd-sphere factors and r waypoints: k (r - 1) + 1.
 
     Critical values are 0, 4, ..., 4 k (r - 1), listed directly, one
     planner-constructed section per component, so every level contributes 1.
     The reference value for products of odd spheres matches, so the bound is
-    exact.
+    exact.  Raises TooLarge, before building anything, above BOUND_MAX_LEVELS
+    levels.
     """
     if k < 1 or r < 2:
         raise UnknownSpace("need k >= 1 and r >= 2")
     levels = k * (r - 1) + 1
+    _check_levels("product_spheres_bound", "k(r - 1) + 1", levels)
     return BoundResult(levels, tuple((4.0 * i, 1) for i in range(levels)),
                        exact=levels == reference_tc("product-odd-spheres", r, k),
                        note=f"k={k}, r={r}")
@@ -172,10 +183,12 @@ def unit_tangent_bound(m: int, r: int) -> BoundResult:
     Sign tuples in (+-1)^r grouped by their sum give the r + 1 levels 2i - r,
     i = 0, ..., r, each carried by a rotational planner section (contribution 1);
     they are listed directly, not enumerated as ``BoundInput.fiber_signs`` does.
-    The fiber S^(4m-2) forces the lower bound r + 1, hence equality.
+    The fiber S^(4m-2) forces the lower bound r + 1, hence equality.  Raises
+    TooLarge, before building anything, above BOUND_MAX_LEVELS levels.
     """
     if m < 1 or r < 2:
         raise UnknownSpace("need m >= 1 and r >= 2")
+    _check_levels("unit_tangent_bound", "r + 1", r + 1)
     lower = reference_tc("sphere-even", r)
     return BoundResult(r + 1, tuple((float(2 * i - r), 1) for i in range(r + 1)),
                        exact=r + 1 == lower, note=f"m={m}, r={r}, fiber lower bound {lower}")

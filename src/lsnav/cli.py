@@ -97,11 +97,12 @@ def _surface(kind: str):
 
 
 def _torus(text: str) -> ImplicitHypersurface:
-    """R,r as a torus of revolution at level r^2; radii it refuses raise
-    ArgumentTypeError, as in _parse_manifold."""
+    """R,r as a torus of revolution at level r^2; radii it refuses, and an r whose
+    square overflows to an infinite level, raise ArgumentTypeError, as in
+    _parse_manifold."""
     major, minor = _radii(text)
-    try:
-        return ImplicitHypersurface(torus_of_revolution_field(major, minor), minor**2)
+    try:  # r * r, unlike r**2, overflows to inf instead of raising OverflowError
+        return ImplicitHypersurface(torus_of_revolution_field(major, minor), minor * minor)
     except LsnavError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

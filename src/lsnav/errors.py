@@ -108,5 +108,10 @@ class UnknownComplexity(LsnavError):
 class UnknownSpace(LsnavError):
     """Space tag missing from the reference table."""
 
+
+class TooLarge(LsnavError):
+    """Request whose answer would exceed a documented size cap."""
+
+
 class NoPairsFound(LsnavError):
     """Multistart pair search converged to no admissible pair."""

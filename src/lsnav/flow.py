@@ -17,15 +17,18 @@ and runs the time-1 map; ``detect_critical`` clusters flow endpoints.
 Trajectories (``integrate_flow``, ``time_one_map``) take atol = ATOL; flows
 that return only endpoints (``flow_endpoints``, so ``detect_critical``, and
 ``unit_tangent.vertical_flow_endpoints``) take ENDPOINT_ATOL.  The vertical
-flow finishes with Newton (``_endpoint_flow``): it flows down to gradient norm
-NEWTON_HANDOFF, where the flow closes on the critical set only linearly, and
-one Levenberg-Marquardt call on the vertical gradient, with the vertical
-Hessian as Jacobian, takes it to grad_tol.  A row is handed off only where
-that Hessian is definite with the sign the direction asks for, so a descent
-row near a saddle or on a Morse-Bott set keeps flowing, and a Newton result
-is kept only if it converged without moving F against the flow; rows refused
-either way resume the flow where it stopped, at their hand-off time and step,
-and end where the flow alone would have ended.
+flow finishes with Newton (``_endpoint_flow``) once Newton is certified, at
+any gradient norm: the driver's stop predicate takes a row out of the flow
+where the vertical Hessian is definite with the sign the direction asks for,
+each eigenvalue beyond NEWTON_GUARD_MARGIN (the guard), and one Newton step
+contracts, theta = |simplified second step| / |first step| <= 1/4 (the
+affine-covariant Newton-Kantorovich test).  One Levenberg-Marquardt call on
+the vertical gradient, with the vertical Hessian as Jacobian, takes the
+certified rows from that Newton step to grad_tol.  A Newton result is kept only if it converged,
+did not move F against the flow, and the guard admits it too, so a limit on a
+Morse-Bott set or at a saddle is refused; rows refused resume the flow where
+it stopped, at their hand-off time and step, and end bit for bit where the
+flow alone would have ended.
 
 ``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
 gradient, with the analytic Riemannian Hessian P (hess F - S) P (P the tangent
@@ -193,8 +196,8 @@ FIRST_STEP = 1e-2      # initial step of every row of a flow
 MAX_TIME = 200.0       # flow time after which a row stops unconverged
 ATOL = 1e-9            # local error bound per step of a trajectory
 ENDPOINT_ATOL = 1e-6   # local error bound per step of an endpoint-only flow
-NEWTON_HANDOFF = 1e-2  # gradient norm at which the vertical flow hands off to Newton,
-                       # and the guard's eigenvalue margin, relative to 1 + max |lambda|
+NEWTON_GUARD_MARGIN = 1e-2  # least |eigenvalue| the Newton guard admits, relative to
+                            # 1 + max |lambda|
 RTOL = 1e-3            # local error bound relative to the step's displacement
 STEP_FLOOR = 1e-8      # a row rejected down to a step below this stops unconverged
 LYAPUNOV_SLACK = 1e-13  # rounding allowance on F, relative to 1 + |F|
@@ -228,7 +231,7 @@ def _dp54_step(stage, project, x, k1, h):
 
 
 def _flow_batch(field: ScalarField, direction: int, stage, project, starts, cfg: FlowConfig,
-                max_time=None, record=None, atol=None, clock=None):
+                max_time=None, record=None, atol=None, clock=None, stop=None):
     """Adaptive Dormand-Prince 5(4) flow of a batch along direction * X, where
     stage(field, x) = (X, stopping norm), one step size per row, re-projecting
     with project(field.spec, x) after every stage and holding -direction * F monotone.
@@ -247,8 +250,11 @@ def _flow_batch(field: ScalarField, direction: int, stage, project, starts, cfg:
     rows approach the critical set.  Since the floor lies far above the steps
     whose change of F is rounding, a row rejected again and again reaches it
     within a few dozen steps.  ``record(t, x, gn)`` sees the starts and every
-    pass that accepts a step.  Returns (endpoints, final norms, times, next
-    steps).
+    pass that accepts a step.  An optional predicate ``stop(rows, x)``, given
+    the indices of some rows and their points, returns a boolean per row; it
+    sees the starts that are to flow and, after every pass, the rows that pass
+    accepted and that are still to flow, and a row it returns True for stops
+    there.  Returns (endpoints, final norms, times, next steps).
     """
     max_time = MAX_TIME if max_time is None else max_time
     atol = ATOL if atol is None else atol
@@ -269,8 +275,14 @@ def _flow_batch(field: ScalarField, direction: int, stage, project, starts, cfg:
         t, h = np.zeros(len(x)), np.full(len(x), FIRST_STEP)
     else:
         t, h = (np.array(c, dtype=float) for c in clock)
+
+    def halt(rows):
+        if stop is not None and rows.size:
+            active[rows[stop(rows, x[rows])]] = False
+
     k, gn = vfield(x)
     active = (gn > cfg.grad_tol) & (t < max_time)
+    halt(np.flatnonzero(active))
     idx = np.flatnonzero(active)
     lyap = lyapunov(x)
     if record is not None:
@@ -296,6 +308,7 @@ def _flow_batch(field: ScalarField, direction: int, stage, project, starts, cfg:
                 record(t, x, gn)
         active[idx] = ((gn[idx] > cfg.grad_tol) & (t[idx] < max_time)
                        & (ok | (h[idx] >= STEP_FLOOR)))
+        halt(acc[active[acc]])
         idx = np.flatnonzero(active)
     return x, gn, t, h
 
@@ -375,35 +388,46 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) 
 
 def _endpoint_flow(field: ScalarField, direction: int, stage, project, residual, jacobian,
                    tangent, starts, cfg: FlowConfig):
-    """An endpoint-only flow that finishes with Newton.
+    """An endpoint-only flow that finishes with Newton once Newton is certified.
 
-    ``_flow_batch`` at ENDPOINT_ATOL, stopping on the norm stage(field, x) returns,
-    |residual(field, x)| to rounding, runs every row down to gradient norm
-    NEWTON_HANDOFF (or cfg.grad_tol, if that is larger).  A row stopped there
-    is handed to one Levenberg-Marquardt call on residual, with Jacobian
-    jacobian(field, x) and retraction ``project``, to cfg.grad_tol.
+    ``_flow_batch`` at ENDPOINT_ATOL runs every row toward cfg.grad_tol,
+    stopping on the norm stage(field, x) returns, |residual(field, x)| to
+    rounding.  Its stop predicate takes a row out of the flow, at any gradient
+    norm, where two tests hold; it sees the starts and the rows each pass
+    accepts.
 
-    Guard: the Jacobian maps to zero the directions normal to the space the
-    Newton step moves in, the space of dimension dim that
-    tangent(field.spec, x, .) projects onto.  A row is handed off only if dim
-    of its eigenvalues have the sign ``direction`` asks for (positive for
-    descent), each beyond NEWTON_HANDOFF (1 + max |lambda|): the Hessian is
-    then definite on that space.  So a descent row near a saddle is not
-    polished onto it, nor a row near a Morse-Bott set, where the Newton limit
-    lies some 1e-6 off the flow's own (3e-6 on nav over (S^1)^2).  The margin
-    shares NEWTON_HANDOFF with the hand-off norm because a row with gradient
-    norm at most NEWTON_HANDOFF and eigenvalues beyond the margin lies within
-    about 1 / (1 + max |lambda|) of its critical point.  At the vertical flow's
-    hand-off the eigenvalue along the Morse-Bott minimum circle of
-    f = (v_4 - 1/2)^2 on the fiber over e_1 of stiefel:4 reads at most 2.4e-3
-    of 1 + max |lambda|, of either sign, and the definite ones of ut-f on
-    stiefel:4 and stiefel:8 at least 0.49.
+    Guard: the Jacobian J = jacobian(field, x) maps to zero the directions
+    normal to the space the Newton step moves in, the space of dimension dim
+    that tangent(field.spec, x, .) projects onto.  The guard admits a row if
+    dim of the eigenvalues of J (one ``eigh``) have the sign ``direction``
+    asks for (positive for descent), each beyond NEWTON_GUARD_MARGIN
+    (1 + max |lambda|): J is then definite on that space.  So a descent row
+    near a saddle is not polished onto it.
 
-    A Newton result is kept only if LM converged and -direction * F has not
-    increased beyond LYAPUNOV_SLACK.  Rows the guard refuses, and rows whose
-    result is not kept, resume the flow at their hand-off time and step, so
+    Certificate: with J^+ the pseudo-inverse over those eigenpairs, the Newton
+    step D0 = -J^+ residual(x) leads to x1 = project(x + D0), and the
+    simplified step D1 = -J^+ residual(x1) reuses the decomposition.  The row
+    is certified if theta = |D1| / |D0| <= 1/4, the affine-covariant
+    Newton-Kantorovich contraction test (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004, 2.1), where theta <= 1/4 stands for
+    Kantorovich's h <= 1/2.
+
+    The certified rows go to one Levenberg-Marquardt call on residual, with
+    Jacobian jacobian(field, x) and retraction ``project``, to cfg.grad_tol,
+    each started from its x1, the first Newton iterate the certificate has
+    already taken.  A Newton result z is kept only if LM converged,
+    -direction * F has not increased beyond LYAPUNOV_SLACK from the hand-off
+    point, and the guard admits z too: a Newton
+    limit on a Morse-Bott set has a zero eigenvalue along it, and one at a
+    saddle has eigenvalues of both signs.  (Descending f = (v_4 - 1/2)^2 on
+    the fiber over e_1 of stiefel:4, rows are certified where the eigenvalue
+    along the minimum circle v_4 = 1/2 reads 1.3e-2 to 4.2e-2 of
+    1 + max |lambda|; at their Newton limits on the circle it reads at most
+    2.1e-9, and all are refused.)  Rows whose result is not kept
+    resume the flow at their hand-off time and step, without the predicate, so
     they end bit for bit where the flow alone ends, unconverged at MAX_TIME
-    included.  Rows the flow stopped unconverged are not handed off.
+    included.  Rows the flow stops unconverged, at MAX_TIME or on the step
+    floor, are not handed off.
 
     Every stage treats rows independently, so a row's result does not depend on
     which rows share the call, with one exception inherited from
@@ -414,35 +438,57 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, project, residual,
     """
     from .numerics import levenberg_marquardt
 
-    def run(x, tol, clock=None):
-        return _flow_batch(field, direction, stage, project, x, FlowConfig(tol, cfg.cluster_tol),
-                           atol=ENDPOINT_ATOL, clock=clock)
+    def retract(p):
+        return project(field.spec, p)
 
-    x, gn, t, h = run(starts, max(cfg.grad_tol, NEWTON_HANDOFF))
-    handed = np.flatnonzero((gn > cfg.grad_tol) & (gn <= NEWTON_HANDOFF) & (t < MAX_TIME))
-    if handed.size:
-        x0 = x[handed]
-        jac = jacobian(field, x0)
-        ok = np.isfinite(jac).all(axis=(1, 2))
-        lam = direction * np.linalg.eigvalsh(jac[ok])
-        margin = NEWTON_HANDOFF * (1.0 + np.abs(lam).max(axis=-1, keepdims=True))
+    def run(x, clock=None, stop=None):
+        return _flow_batch(field, direction, stage, project, x, cfg, atol=ENDPOINT_ATOL,
+                           clock=clock, stop=stop)
+
+    def guard(p):
+        """(admitted, eigenvalues, eigenvectors, the eigenpairs beyond the margin)."""
+        jac = jacobian(field, p)
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        lam, vec = np.linalg.eigh(jac if finite.all() else np.where(finite[:, None, None], jac, 0))
+        beyond = -direction * lam > NEWTON_GUARD_MARGIN * (
+            1.0 + np.abs(lam).max(axis=-1, keepdims=True))
         # the rank of the projector, the same at every point
-        dim = np.trace(tangent(field.spec, x0[:1], np.eye(x0.shape[-1])))
-        ok[ok] = np.sum(lam < -margin, axis=-1) > dim - 0.5
-        go = handed[ok]
-        kept = np.zeros(go.size, dtype=bool)
-        if go.size:
-            z, rn = levenberg_marquardt(lambda p: residual(field, p), lambda p: jacobian(field, p),
-                                        x[go], tol=cfg.grad_tol,
-                                        retract=lambda p: project(field.spec, p))
-            before = -direction * field.value_at(x[go])
-            after = -direction * field.value_at(z)
-            slack = LYAPUNOV_SLACK * (1.0 + np.abs(before))
-            kept = (rn <= cfg.grad_tol) & (after <= before + slack)
-            x[go[kept]], gn[go[kept]] = z[kept], rn[kept]
-        rest = np.setdiff1d(handed, go[kept])
+        dim = np.trace(tangent(field.spec, p[:1], np.eye(p.shape[-1])))
+        return finite & (beyond.sum(axis=-1) > dim - 0.5), lam, vec, beyond
+
+    def newton_step(lam, vec, beyond, g):  # -J^+ g over the eigenpairs beyond the margin
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=beyond)
+        return -np.einsum("nij,nj->ni", vec, inv * np.einsum("nij,ni->nj", vec, g))
+
+    certified = np.zeros(len(starts), dtype=bool)
+    newton = np.array(starts, dtype=float)  # x1 of each certified row
+
+    def stop(rows, p):
+        ok, lam, vec, beyond = guard(p)
+        i = np.flatnonzero(ok)
+        if i.size:
+            lam, vec, beyond = lam[i], vec[i], beyond[i]
+            d0 = newton_step(lam, vec, beyond, residual(field, p[i]))
+            x1 = retract(p[i] + d0)
+            d1 = newton_step(lam, vec, beyond, residual(field, x1))
+            ok[i] = 4.0 * np.linalg.norm(d1, axis=-1) <= np.linalg.norm(d0, axis=-1)
+            newton[rows[i]] = x1
+        certified[rows[ok]] = True
+        return ok
+
+    x, gn, t, h = run(starts, stop=stop)
+    go = np.flatnonzero(certified)
+    if go.size:
+        z, rn = levenberg_marquardt(lambda p: residual(field, p), lambda p: jacobian(field, p),
+                                    newton[go], tol=cfg.grad_tol, retract=retract)
+        before = -direction * field.value_at(x[go])
+        after = -direction * field.value_at(z)
+        slack = LYAPUNOV_SLACK * (1.0 + np.abs(before))
+        kept = (rn <= cfg.grad_tol) & (after <= before + slack) & guard(z)[0]
+        x[go[kept]], gn[go[kept]] = z[kept], rn[kept]
+        rest = go[~kept]
         if rest.size:
-            x[rest], gn[rest] = run(x[rest], cfg.grad_tol, (t[rest], h[rest]))[:2]
+            x[rest], gn[rest] = run(x[rest], (t[rest], h[rest]))[:2]
     return x, gn, gn <= cfg.grad_tol
 
 

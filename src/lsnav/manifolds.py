@@ -323,11 +323,17 @@ class Ellipsoid(_Hypersurface):
 
 @dataclass(frozen=True)
 class ImplicitHypersurface(_Hypersurface):
-    """Level set g = level of a named built-in constraint field."""
+    """Level set g = level of a named built-in constraint field; the level is finite."""
 
     field: ConstraintField
     level: float
     kind = "implicit_hypersurface"
+
+    def __post_init__(self):
+        level = float(self.level)
+        if not np.isfinite(level):
+            raise WrongSpec(f"implicit hypersurface level must be finite, got {level!r}")
+        object.__setattr__(self, "level", level)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "field": self.field.to_json(), "level": self.level}

@@ -321,13 +321,16 @@ class PairCensus:
 
 def _hypersurface_of(spec):
     """The hypersurface a census searches, routed by its geometry: the sphere is the
-    unit ellipsoid, and the built-in ellipsoid field (semiaxes a) at level L is the
-    ellipsoid of semiaxes a sqrt(L), whose validation refuses L <= 0; so every
-    ellipsoid takes the support route."""
+    unit ellipsoid, and the built-in ellipsoid field (semiaxes a) at level L > 0 is
+    the ellipsoid of semiaxes a sqrt(L); so every ellipsoid takes the support route.
+    At L <= 0 the level set is the origin or empty, and the census is refused."""
     if isinstance(spec, Sphere):
         return Ellipsoid((1.0,) * spec.ambient_dim)
     if isinstance(spec, ImplicitHypersurface) and spec.field.name == "ellipsoid":
-        scale = math.sqrt(spec.level) if spec.level > 0 else 0.0
+        if not spec.level > 0:
+            raise WrongSpec(f"the ellipsoid field at level {spec.level!r} has no ellipsoid "
+                            "to search: a pair census needs a level > 0")
+        scale = math.sqrt(spec.level)
         return Ellipsoid(tuple(a * scale for a in spec.field.params["semiaxes"]))
     if isinstance(spec, (Ellipsoid, ImplicitHypersurface)):
         return spec

@@ -121,7 +121,18 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
 def _lapack_solve(a, b):
     """x with a[i] x[i] = b[i] for (n, d, d) a and (n, d) b, by LAPACK.  When
     some a[i] is exactly singular, each row is solved again on its own, and
-    only a singular one by its pseudo-inverse."""
+    only a singular one by its pseudo-inverse.
+
+    LAPACK calls a matrix singular only when an LU pivot is exactly 0, and
+    LM's damped matrices J^T J + lam D stay far from that: scaled by D^(-1/2)
+    on both sides (D = diag(max(diag J^T J, 1))), each is a positive
+    semidefinite matrix with entries of at most 1 in magnitude, computed with
+    a rounding error of about m eps, plus lam >= LM_LAM_MIN = 1e-12, some 4,500
+    times eps, times the identity; an infinite damping makes a pivot
+    infinite, not 0.  LM drops rows with a non-finite J^T J before it solves.
+    No LM call of the tests, of the acceptance criteria or of the benchmark
+    workloads reaches the fallback; it guards the solve, and a test runs it on
+    an exactly singular matrix."""
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:

@@ -314,17 +314,21 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     fiber exactly.  Integrates with the adaptive Dormand-Prince 5(4) driver of
     ``flow_endpoints`` from initial step flow.FIRST_STEP, held to
     flow.ENDPOINT_ATOL (only the endpoints are returned), never moving f
-    against ``direction``, until the vertical gradient norm reaches
-    flow.NEWTON_HANDOFF.  Then Levenberg-Marquardt on
-    ``vertical_gradient_coords``, with the vertical Hessian
-    (``_vertical_hessian``, zero in the base columns) as Jacobian and the
-    anchored projection as retraction, takes each row to cfg.grad_tol; the
-    first column never moves.  A row is handed off only if the vertical
-    Hessian is definite on the fiber's tangent space, with the sign
-    ``direction`` asks for, and a Newton result that did not converge or moved
-    f against ``direction`` is dropped; such rows resume the flow where it
-    stopped (see ``flow._endpoint_flow``).  For ut-f the fiber Hessian
-    is -f P, definite at both sections v = +-ix.  A row's result does not
+    against ``direction``, until Newton is certified at the row's point, at
+    any gradient norm.  Certified means: the vertical Hessian
+    (``_vertical_hessian``, zero in the base columns) is definite on the
+    fiber's tangent space with the sign ``direction`` asks for, each
+    eigenvalue beyond flow.NEWTON_GUARD_MARGIN (the guard), and one Newton
+    step on ``vertical_gradient_coords`` contracts, theta <= 1/4 (the
+    Newton-Kantorovich test of ``flow._endpoint_flow``).  Then
+    Levenberg-Marquardt, with that Hessian as Jacobian and the anchored
+    projection as retraction, takes each certified row from that Newton step
+    to cfg.grad_tol; the first column never moves.  A Newton result that did not converge, moved f
+    against ``direction``, or lies where the guard refuses (a Morse-Bott set or
+    a saddle) is dropped, and the row resumes the flow where it stopped.  For
+    ut-f the fiber Hessian is -f P and f is a linear height on each fiber
+    sphere, so one Newton step from any point the guard admits lands on the
+    section: most rows hand off at their seeds.  A row's result does not
     depend on the other rows unless numerics.LM_BATCH_AXIS_ROWS or more rows
     are handed off at once, where the finish switches its solve as LM does.
     """

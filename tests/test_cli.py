@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,57 @@ def test_bound_unit_tangent_lists_its_levels_without_enumerating_signs(capsys):
     payload = json.loads(out)
     assert payload["bound"] == 61 and payload["exact"] is True
     assert payload["breakdown"] == [[float(2 * i - 60), 1] for i in range(61)]
+
+
+def _too_large(message):
+    return {"error": "TooLarge", "message": message + ", above BOUND_MAX_LEVELS = 100000"}
+
+
+# (argv, the bound it answers or the JSON error it ends in, wall-time limit in s)
+SIZE_CASES = [
+    (["bound", "--product-spheres", "--k", "2", "--r", "1000000000000"],
+     _too_large("product_spheres_bound lists k(r - 1) + 1 = 1999999999999 levels"), 0.1),
+    (["bound", "--product-spheres", "--k", "1000000000000", "--r", "2"],
+     _too_large("product_spheres_bound lists k(r - 1) + 1 = 1000000000001 levels"), 0.1),
+    (["bound", "--unit-tangent", "--m", "1", "--r", "1000000000000"],
+     _too_large("unit_tangent_bound lists r + 1 = 1000000000001 levels"), 0.1),
+    (["bound", "--unit-tangent", "--m", "1", "--r", "100000"],
+     _too_large("unit_tangent_bound lists r + 1 = 100001 levels"), 0.1),
+    (["critfind", "--field", "nav", "--manifold", "sphere:1", "--r", "1000000000"],
+     {"error": "WrongSpec",
+      "message": "nav field on M^1000000000 has 2000000000 coordinates, above 256"}, 0.1),
+    (["bound", "--unit-tangent", "--m", "1", "--r", "99999"], 100000, 5.0),
+    (["bound", "--product-spheres", "--k", "1", "--r", "100000"], 100000, 5.0),
+]
+
+
+@pytest.mark.parametrize("argv, expected, seconds", SIZE_CASES,
+                         ids=["product-r-1e12", "product-k-1e12", "unit-tangent-r-1e12",
+                              "unit-tangent-above-cap", "nav-r-1e9", "unit-tangent-at-cap",
+                              "product-at-cap"])
+def test_sizes_are_capped_before_any_allocation(argv, expected, seconds, capsys):
+    # an answer within the cap comes within the wall-time limit; a request
+    # above it exits 1 with one JSON error line naming the cap, and the
+    # refusal allocates almost nothing (tracemalloc, this process only)
+    start = time.perf_counter()
+    code = main(argv + ["--format", "json"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert elapsed < seconds
+    if isinstance(expected, int):
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["bound"] == expected
+        return
+    assert code == 1 and captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == expected
+    tracemalloc.start()
+    try:
+        main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 2**20
 
 
 def test_bound_product_spheres(capsys):
@@ -360,6 +412,8 @@ BOUND = ["bound", "--components"]
      "argument --torus: expected major,minor radii, got '2,0.5,1'"),
     (["pairs", "--torus", "0.5,2"], 2,
      "argument --torus: torus requires major_radius > minor_radius > 0"),
+    (["pairs", "--torus", "1e160,1e155"], 2,
+     "argument --torus: implicit hypersurface level must be finite, got inf"),
     (["verify", "--only", "x"], 2, "argument --only: expected criterion numbers 1 to 10, got 'x'"),
     (["verify", "--only", "99"], 2,
      "argument --only: expected criterion numbers 1 to 10, got '99'"),
@@ -406,7 +460,7 @@ BOUND = ["bound", "--components"]
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-ellipsoid-square-overflows", "pairs-ellipsoid-square-underflows",
         "pairs-sphere-0", "pairs-torus-one-radius", "pairs-torus-three-radii",
-        "pairs-torus-minor-above-major",
+        "pairs-torus-minor-above-major", "pairs-torus-level-overflows",
         "verify-only-non-numeric", "verify-only-99", "verify-only-0", "critfind-seed-negative",
         "pairs-seed-negative", "verify-seed-negative", "plan-samples-negative",
         "bound-lambda-cut-nan", "nav-r-1", "nav-r-0", "nav-r-1000000000",

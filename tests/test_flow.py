@@ -36,6 +36,7 @@ from lsnav.manifolds import (
 from lsnav.navigation import nav_field
 from lsnav.unit_tangent import (
     _anchored_project,
+    _vertical_hessian,
     _vertical_pseudo_gradient,
     f_ut_coords,
     f_ut_euclidean_gradient,
@@ -221,16 +222,34 @@ def _torus_height_x():
 
 
 def _spy_lm(monkeypatch):
-    """Record the rows of every Levenberg-Marquardt call the flows make."""
-    rows = []
+    """Record the starting rows of every Levenberg-Marquardt call the flows make."""
+    starts = []
     solve = numerics.levenberg_marquardt
 
     def spy(residual, jacobian, z0, **kwargs):
-        rows.append(len(z0))
+        starts.append(np.array(z0))
         return solve(residual, jacobian, z0, **kwargs)
 
     monkeypatch.setattr(numerics, "levenberg_marquardt", spy)
-    return rows
+    return starts
+
+
+def _spy_handoffs(monkeypatch):
+    """Record the points at which the flows' stop predicate takes rows out of the
+    flow, one array per predicate call."""
+    points = []
+    batch = flow._flow_batch
+
+    def spy(*args, stop=None, **kwargs):
+        def recorded(rows, x):
+            ok = stop(rows, x)
+            points.append(x[ok])
+            return ok
+
+        return batch(*args, stop=None if stop is None else recorded, **kwargs)
+
+    monkeypatch.setattr(flow, "_flow_batch", spy)
+    return points
 
 
 ENDPOINT_FLOWS = {
@@ -251,10 +270,10 @@ def test_endpoint_flows_do_not_depend_on_the_other_rows(monkeypatch, case, direc
     make, endpoints, n = ENDPOINT_FLOWS[case]
     field = make()
     seeds = random_points(field.spec, n, np.random.default_rng(21))
-    lm_rows = _spy_lm(monkeypatch)
+    lm_starts = _spy_lm(monkeypatch)
     whole = endpoints(field, seeds, direction=direction)
     assert whole[2].all()
-    assert (sum(lm_rows) > 0) == (endpoints is vertical_flow_endpoints)
+    assert (sum(map(len, lm_starts)) > 0) == (endpoints is vertical_flow_endpoints)
     chunks = [endpoints(field, seeds[i:i + 7], direction=direction) for i in range(0, n, 7)]
     for got, parts in zip(whole, zip(*chunks)):
         assert np.array_equal(got, np.concatenate(parts))
@@ -322,6 +341,15 @@ def _plain_vertical_flow(field, starts, direction):
                             starts, FlowConfig(), atol=flow.ENDPOINT_ATOL)[:2]
 
 
+def _guard_admits(field, x, direction):
+    """The hand-off guard, rebuilt: the vertical Hessian has frame_dim - 2 (the
+    fiber sphere's dimension) eigenvalues of the direction's sign beyond
+    NEWTON_GUARD_MARGIN (1 + max |lambda|)."""
+    lam = np.linalg.eigvalsh(_vertical_hessian(field, x))
+    margin = flow.NEWTON_GUARD_MARGIN * (1.0 + np.abs(lam).max(axis=-1, keepdims=True))
+    return np.sum(-direction * lam > margin, axis=-1) >= field.spec.frame_dim - 2
+
+
 def _reference_dp54_step(vfield, project, x, k1, h):
     """The driver's step before it took its stopping norm from the FSAL stage."""
     ks = [k1]
@@ -333,10 +361,12 @@ def _reference_dp54_step(vfield, project, x, k1, h):
 
 
 def _reference_flow_batch(field, direction, pseudo_gradient, project, grad_norm, starts, cfg,
-                          max_time=None, record=None, atol=None, clock=None):
+                          max_time=None, record=None, atol=None, clock=None, stop=None):
     """The driver before it took its stopping norm from the FSAL stage: it
     evaluates grad_norm(field, x) at the starts and again at every accepted
-    point, where the step's last stage has just evaluated the field."""
+    point, where the step's last stage has just evaluated the field.  The stop
+    predicate sees the starts that are to flow and the accepted rows that are
+    still to flow."""
     max_time = flow.MAX_TIME if max_time is None else max_time
     atol = flow.ATOL if atol is None else atol
 
@@ -358,6 +388,9 @@ def _reference_flow_batch(field, direction, pseudo_gradient, project, grad_norm,
     n = x.shape[0]
     gn = np.asarray(grad_norm(field, x), dtype=float)
     active = (gn > cfg.grad_tol) & (t < max_time)
+    if stop is not None and active.any():
+        rows = np.flatnonzero(active)
+        active[rows[stop(rows, x[rows])]] = False
     idx = np.flatnonzero(active)
     k = np.zeros_like(x)
     lyap = np.zeros(n)
@@ -387,6 +420,9 @@ def _reference_flow_batch(field, direction, pseudo_gradient, project, grad_norm,
                 record(t, x, gn)
         active[idx] = ((gn[idx] > cfg.grad_tol) & (t[idx] < max_time)
                        & (ok | (h[idx] >= flow.STEP_FLOOR)))
+        rows = acc[active[acc]]
+        if stop is not None and rows.size:
+            active[rows[stop(rows, x[rows])]] = False
         idx = np.flatnonzero(active)
     return x, gn, t, h
 
@@ -454,7 +490,8 @@ def test_fsal_stopping_norm_leaves_trajectories_bit_identical():
 def test_fsal_stopping_norm_keeps_the_vertical_flow(monkeypatch, frame_dim, direction):
     # the reference: ut-f in its composed form, flowed by the reference driver,
     # which stops on |vertical_gradient_coords| evaluated at every accepted point
-    # (Newton finish unchanged); the one-pass stage reads |w| off its own w
+    # and takes the same hand-off predicate (Newton finish unchanged); the
+    # one-pass stage reads |w| off its own w
     spec = StiefelV2(frame_dim)
     field = f_ut_field(spec)
     seeds = random_points(spec, 50, np.random.default_rng(34))
@@ -464,11 +501,11 @@ def test_fsal_stopping_norm_keeps_the_vertical_flow(monkeypatch, frame_dim, dire
                            euclidean_hessian=field.euclidean_hessian)
 
     def reference_batch(fld, d, stage, project, starts, cfg, max_time=None, record=None,
-                        atol=None, clock=None):
+                        atol=None, clock=None, stop=None):
         return _reference_flow_batch(
             fld, d, vertical_pseudo_gradient_coords, project,
             lambda f, x: np.linalg.norm(vertical_gradient_coords(f, x), axis=-1),
-            starts, cfg, max_time, record, atol, clock)
+            starts, cfg, max_time, record, atol, clock, stop)
 
     monkeypatch.setattr(flow, "_flow_batch", reference_batch)
     want = vertical_flow_endpoints(composed, seeds, direction=direction)
@@ -489,14 +526,20 @@ def test_descent_near_a_saddle_ends_at_the_minimum(monkeypatch):
     step[:, 0] = 0.0
     starts = _anchored_project(field.spec, saddles + step)
     assert np.linalg.norm(starts - saddles, axis=1).max() <= 1e-3
-    lm_rows = _spy_lm(monkeypatch)
+    lm_starts = _spy_lm(monkeypatch)
+    handoffs = _spy_handoffs(monkeypatch)
     end, gn, conv = vertical_flow_endpoints(field, starts)
     assert conv.all()
     assert np.abs(np.abs(end[:, 5]) - 1.0).max() <= 1e-6
     assert np.array_equal(end[:, :4], starts[:, :4])
-    # the seeds start below the hand-off norm, where the guard refuses them; the
-    # rows then flow to the end
-    assert lm_rows == []
+    # the guard refuses the seeds, where the Hessian has eigenvalues of both
+    # signs; a row is handed to Newton only where the flow has taken it to a
+    # point the guard admits, and LM starts from points the guard admits
+    assert not _guard_admits(field, starts, -1).any()
+    handed = np.concatenate(handoffs)
+    assert len(handed) > 0 and _guard_admits(field, handed, -1).all()
+    newton = np.concatenate(lm_starts)
+    assert len(newton) == len(handed) and _guard_admits(field, newton, -1).all()
 
 
 @pytest.mark.parametrize("finish", ["uphill", "unconverged"])
@@ -525,32 +568,98 @@ def test_newton_finish_that_fails_keeps_flowing(monkeypatch, finish):
 
 def test_refused_rows_keep_the_flows_time_budget(monkeypatch):
     # over x = e1, f = (v4 - 1/2)^2 has a Morse-Bott minimum, the circle v4 = 1/2
-    # of the fiber.  Its eigenvalue along the circle is below the guard's margin
-    # (and has the descent's sign for rows coming from v4 < 1/2), so the guard
-    # refuses every row at the hand-off (near t = 1.3 to 4.3) and the rows
-    # resume there.  At MAX_TIME = 12.5 the flow alone converges some of them
-    # (near t = 8.6 to 13.8); a resumed row runs on the same clock, so the same
-    # rows stop unconverged at MAX_TIME, and every row ends bit for bit where
-    # the flow alone ends.
+    # of the fiber.  On their way there some rows pass the guard and the
+    # contraction test, and Newton takes them onto the circle, where the
+    # eigenvalue along it (at most 2.1e-9 of 1 + max |lambda|) is below the
+    # guard's margin: the guard refuses every Newton limit, and those rows
+    # resume at their hand-off.  At MAX_TIME = 12.5 the flow alone converges
+    # some rows; a resumed row runs on the same clock, so the same rows stop
+    # unconverged at MAX_TIME, and every row ends bit for bit where the flow
+    # alone ends.
     field = _fiber_quadratic([0.0, 0.0, 0.0, 1.0], linear=[0.0, 0.0, 0.0, -1.0])
     starts = _frames_over_e1(40, np.random.default_rng(25))
     monkeypatch.setattr(flow, "MAX_TIME", 12.5)
-    lm_rows = _spy_lm(monkeypatch)
+    lm_starts = _spy_lm(monkeypatch)
     end, gn, conv = vertical_flow_endpoints(field, starts)
-    assert lm_rows == []
+    assert sum(map(len, lm_starts)) > 0
     assert 0 < conv.sum() < len(conv)
     plain = _plain_vertical_flow(field, starts, -1)
     assert np.array_equal(end, plain[0]) and np.array_equal(gn, plain[1])
 
 
 def test_rows_the_flow_stops_are_not_handed_off(monkeypatch):
+    # the fiber Hessian of ut-f is -f P, which the guard refuses for descent
+    # where f > -NEWTON_GUARD_MARGIN; rows from f >= 0.2 are still there at
+    # MAX_TIME = 0.1, so they reach MAX_TIME uncertified and stop where the flow
+    # alone stops, with no Newton call
     field = f_ut_field(StiefelV2(4))
-    starts = random_points(field.spec, 5, np.random.default_rng(26))
+    seeds = random_points(field.spec, 40, np.random.default_rng(26))
+    starts = seeds[f_ut_coords(field.spec, seeds) >= 0.2]
     monkeypatch.setattr(flow, "MAX_TIME", 0.1)
-    lm_rows = _spy_lm(monkeypatch)
+    lm_starts = _spy_lm(monkeypatch)
     end, gn, conv = vertical_flow_endpoints(field, starts)
-    assert not conv.any() and (gn > flow.NEWTON_HANDOFF).all()
-    assert lm_rows == []
+    assert len(starts) >= 5 and not conv.any()
+    assert (f_ut_coords(field.spec, end) > 0.0).all()
+    assert lm_starts == []
+    plain = _plain_vertical_flow(field, starts, -1)
+    assert np.array_equal(end, plain[0]) and np.array_equal(gn, plain[1])
+
+
+@pytest.mark.parametrize("direction", [-1, 1])
+def test_certified_rows_hand_off_above_the_old_norm(monkeypatch, direction):
+    # ut-f is a linear height on each fiber sphere, so one Newton step from a
+    # point the guard admits lands on the section: theta is 0 to rounding, and
+    # rows are certified far above gradient norm 1e-2, most of them at their
+    # seeds.  Every row is handed off in one LM call and kept.
+    field = f_ut_field(StiefelV2(4))
+    seeds = random_points(field.spec, 50, np.random.default_rng(27))
+    lm_starts = _spy_lm(monkeypatch)
+    handoffs = _spy_handoffs(monkeypatch)
+    end, gn, conv = vertical_flow_endpoints(field, seeds, direction=direction)
+    assert conv.all() and (gn <= FlowConfig().grad_tol).all()
+    assert [len(z) for z in lm_starts] == [50]
+    handed = np.concatenate(handoffs)
+    assert len(handed) == 50 and _guard_admits(field, handed, direction).all()
+    assert np.sum(np.linalg.norm(vertical_gradient_coords(field, handed), axis=1) > 1e-2) >= 25
+    assert np.linalg.norm(end[:, 4:] - direction * mult_i(end[:, :4]), axis=1).max() <= 1e-7
+    assert np.array_equal(end[:, :4], seeds[:, :4])
+
+
+CERTIFIED_FLOWS = {
+    # certified at the seeds; refused near the saddles +-e3; refused at the
+    # Newton limits on the Morse-Bott circle (descent)
+    "ut-f stiefel:4": (lambda: f_ut_field(StiefelV2(4)),
+                       lambda n, rng: random_points(StiefelV2(4), n, rng)),
+    "saddle quadratic": (lambda: _fiber_quadratic([1.0, 2.0, 3.0, 4.0]), _frames_over_e1),
+    "Morse-Bott quadratic": (lambda: _fiber_quadratic([0.0, 0.0, 0.0, 1.0],
+                                                      linear=[0.0, 0.0, 0.0, -1.0]),
+                             _frames_over_e1),
+}
+
+
+@pytest.mark.parametrize("direction", [-1, 1])
+@pytest.mark.parametrize("case", list(CERTIFIED_FLOWS))
+def test_certified_hand_off_does_not_depend_on_the_other_rows(monkeypatch, case, direction):
+    # the stop predicate, the Newton finish and the end-point guard work row by
+    # row: one call against 7-row chunks, bit for bit, and a NaN seed retires
+    # only its own row
+    make, draw = CERTIFIED_FLOWS[case]
+    field = make()
+    seeds = draw(40, np.random.default_rng(28))
+    lm_starts = _spy_lm(monkeypatch)
+    whole = vertical_flow_endpoints(field, seeds, direction=direction)
+    assert whole[2].all() and sum(map(len, lm_starts)) > 0
+    chunks = [vertical_flow_endpoints(field, seeds[i:i + 7], direction=direction)
+              for i in range(0, 40, 7)]
+    for got, parts in zip(whole, zip(*chunks)):
+        assert np.array_equal(got, np.concatenate(parts))
+    bad = seeds.copy()
+    bad[13] = np.nan
+    broken = vertical_flow_endpoints(field, bad, direction=direction)
+    assert not broken[2][13]
+    others = np.arange(40) != 13
+    for got, want in zip(broken, whole):
+        assert np.array_equal(got[others], want[others])
 
 
 def test_integrate_flow_trace_matches_closed_form():

@@ -706,9 +706,28 @@ def test_implicit_ellipsoid_finds_every_axis_in_8d():
 
 @pytest.mark.parametrize("level", [0.0, -1.0, float("nan"), float("inf")])
 def test_implicit_ellipsoid_at_an_empty_or_unbounded_level_is_refused(level):
+    # a non-finite level is refused by the spec, a level <= 0 by the census,
+    # each with a message that names the level
+    if not np.isfinite(level):
+        with pytest.raises(WrongSpec, match=f"level must be finite, got {level!r}"):
+            ImplicitHypersurface(ellipsoid_field((1.0, 2.0, 3.0)), level)
+        return
     surf = ImplicitHypersurface(ellipsoid_field((1.0, 2.0, 3.0)), level)
-    with pytest.raises(WrongSpec, match="semiaxes"):
+    with pytest.raises(WrongSpec, match=re.escape(f"ellipsoid field at level {level!r} has no")):
         find_parallel_pairs(surf, PairSearchConfig(n_seeds=10))
+
+
+@pytest.mark.parametrize("level", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make", [lambda: ellipsoid_field((1.0, 2.0, 3.0)),
+                                  lambda: torus_of_revolution_field(2.0, 0.5)],
+                         ids=["ellipsoid", "torus"])
+def test_implicit_hypersurface_refuses_a_non_finite_level(make, level):
+    with pytest.raises(WrongSpec, match="level must be finite"):
+        ImplicitHypersurface(make(), level)
+    obj = ImplicitHypersurface(make(), 1.0).to_json()
+    obj["level"] = level
+    with pytest.raises(WrongSpec, match="level must be finite"):
+        ImplicitHypersurface.from_json(obj)
 
 
 @pytest.mark.parametrize("kwargs, message", [

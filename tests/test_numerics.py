@@ -183,6 +183,30 @@ def test_lapack_solve_falls_back_per_row(d):
     assert np.array_equal(x[2], np.zeros(d))
 
 
+@pytest.mark.parametrize("d", [2, 3, 6, 12])
+def test_lapack_solve_sends_only_an_exactly_singular_row_to_pinv(d, monkeypatch):
+    # a rank-1 matrix u u^T with u = (1, 2, 4, ...): every LU multiplier is a
+    # power of two, so its Schur complement is exactly 0 and LAPACK reports it
+    # singular.  The other rows keep the bits of np.linalg.solve on the batch
+    # without it; the singular row gets the pseudo-inverse solution, the
+    # least-squares solution of least norm, from one pinv call on it alone.
+    a, b, _ = _augmented_spd(d, 5, np.random.default_rng(d))
+    u = 2.0 ** np.arange(d)
+    a[2] = np.outer(u, u)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a[2], b[2])
+    pinv_args = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda m: pinv_args.append(m.copy()) or pinv(m))
+    x = numerics._lapack_solve(a, b)
+    rest = np.arange(5) != 2
+    assert x[rest].tobytes() == np.linalg.solve(a[rest], b[rest][..., None])[..., 0].tobytes()
+    assert len(pinv_args) == 1 and np.array_equal(pinv_args[0], a[2:3])
+    want = np.linalg.lstsq(a[2], b[2], rcond=None)[0]
+    assert np.allclose(x[2], want, rtol=1e-12, atol=1e-15)
+    assert np.allclose(x[2], u * (u @ b[2]) / (u @ u) ** 2, rtol=1e-12, atol=1e-15)
+
+
 def _reference_normal_equations(jac, r):
     """The multiply-add loop form of numerics._normal_equations: the Jacobian,
     with r as a last column, copied component-major, each upper entry of
