@@ -22,8 +22,11 @@ and four unknowns per end) and on that torus; one Levenberg-Marquardt
 iteration, ``lm_iteration``, at batch sizes 1, 500 and 5000 on the pair
 system of the ellipsoid (1,2,3) (d = 6) and on the Riemannian gradient and
 Hessian of the nav field of S^3 (r=3, d = 12), each solved per matrix and
-along the batch axis; and one ``navigation.find_parallel_pairs`` census of
-the ellipsoid (1,2,3) and one of S^2, each from its default 10000 seeds,
+along the batch axis; one ``navigation.find_parallel_pairs`` census of
+the ellipsoid (1,2,3) and one of S^2, each from its default 10000 seeds;
+and ``navigation._dedup_pairs`` on the converged rows of each of those
+censuses, taking the representatives the census takes: every one on the
+ellipsoid, the first on S^2, where the census stops at a continuum;
 for one or more source trees of lsnav in one process:
 
     python3 scripts/bench_kernels.py change=src
@@ -74,6 +77,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 
@@ -97,6 +101,7 @@ PAIR_SURFACES = ("ellipsoid(1,2,3)", "ellipsoid(1,1.5,2,3)", "torus(2,0.5)")
 LM_PROBLEMS = ("pair ellipsoid(1,2,3)", "nav (S^3)^3")
 LM_PATHS = ("per-matrix", "batch-axis")
 CENSUS_SURFACES = ("ellipsoid(1,2,3)", "sphere:2")
+DEDUP_TAKE = {"ellipsoid(1,2,3)": None, "sphere:2": 1}  # representatives its census takes
 
 
 def load_tree(label: str, src: str):
@@ -203,7 +208,25 @@ def cases(lsnav):
     for name in CENSUS_SURFACES:
         out.append(("find_parallel_pairs", name, search.n_seeds,
                     lambda s=manifold(lsnav, name): nav.find_parallel_pairs(s, search)))
+    for name in CENSUS_SURFACES:
+        x, y = census_rows(lsnav, name, search)
+        out.append(("_dedup_pairs", name, len(x), lambda x=x, y=y, k=DEDUP_TAKE[name]:
+                    list(islice(nav._dedup_pairs(x, y, nav.PAIR_DEDUP_TOL), k))))
     return out
+
+
+def census_rows(lsnav, name: str, search):
+    """The converged rows (x, y) of a census's direction solve, off the diagonal, as
+    ``find_parallel_pairs`` hands them to its dedup."""
+    nav = lsnav.navigation
+    surf = nav._hypersurface_of(manifold(lsnav, name))
+    support = surf.support_field()
+    u0 = lsnav.manifolds.random_points(support[0].spec, search.n_seeds,
+                                       np.random.default_rng(search.rng_seed))
+    z = nav._support_pairs(surf, support, u0)
+    n = surf.ambient_dim
+    z = z[np.linalg.norm(z[:, :n] - z[:, n:], axis=-1) >= nav.PAIR_MIN_SEPARATION]
+    return z[:, :n], z[:, n:]
 
 
 def newton_field(lsnav, name: str):

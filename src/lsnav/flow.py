@@ -445,15 +445,18 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, project, residual,
         return _flow_batch(field, direction, stage, project, x, cfg, atol=ENDPOINT_ATOL,
                            clock=clock, stop=stop)
 
+    dim = None  # the rank of the projector, the same at every point: taken once
+
     def guard(p):
         """(admitted, eigenvalues, eigenvectors, the eigenpairs beyond the margin)."""
+        nonlocal dim
         jac = jacobian(field, p)
         finite = np.isfinite(jac).all(axis=(1, 2))
         lam, vec = np.linalg.eigh(jac if finite.all() else np.where(finite[:, None, None], jac, 0))
         beyond = -direction * lam > NEWTON_GUARD_MARGIN * (
             1.0 + np.abs(lam).max(axis=-1, keepdims=True))
-        # the rank of the projector, the same at every point
-        dim = np.trace(tangent(field.spec, p[:1], np.eye(p.shape[-1])))
+        if dim is None:  # first called by stop, on rows still flowing, so finite
+            dim = np.trace(tangent(field.spec, p[:1], np.eye(p.shape[-1])))
         return finite & (beyond.sum(axis=-1) > dim - 0.5), lam, vec, beyond
 
     def newton_step(lam, vec, beyond, g):  # -J^+ g over the eigenpairs beyond the margin

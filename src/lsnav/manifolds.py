@@ -68,14 +68,23 @@ class ManifoldSpec:
         """The inverse of ``to_json``: the fields go to the constructor by name."""
         return cls(**{k: v for k, v in obj.items() if k != "kind"})
 
+    def tangent_projector(self, coords):
+        """The tangent projectors P at coords, (..., d, d) symmetric matrices: here
+        ``project_tangent`` of each row of the identity.  The sphere blocks and the
+        hypersurfaces build the same matrices, bit for bit, in closed form."""
+        eye = np.broadcast_to(np.eye(self.ambient_dim), coords.shape + coords.shape[-1:])
+        return self.project_tangent(coords[..., None, :], eye)
+
     def riemannian_hessian(self, coords, egrad, ehess):
         """The Riemannian Hessian of F, a (..., d, d) matrix, from the ambient gradient
-        egrad and Hessian ehess of F at coords: P (ehess - S) P with P the tangent
-        projector and S the kind's ``shape_term(coords, egrad)``, so that -P S P is the
-        Weingarten term (Absil, Mahony & Trumpf, "An extrinsic look at the Riemannian
-        Hessian", 2013).  The matrix maps normal vectors to zero and is symmetric."""
-        eye = np.broadcast_to(np.eye(self.ambient_dim), coords.shape + coords.shape[-1:])
-        p = self.project_tangent(coords[..., None, :], eye)
+        egrad and Hessian ehess of F at coords: P (ehess - S) P with P the
+        ``tangent_projector`` and S the kind's ``shape_term(coords, egrad)``, so that
+        -P S P is the Weingarten term (Absil, Mahony & Trumpf, "An extrinsic look at the
+        Riemannian Hessian", 2013).  The matrix maps normal vectors to zero and is
+        symmetric.  The sphere blocks subtract their diagonal S on the diagonal, and the
+        hypersurfaces evaluate grad g once for P and S; both build P in closed form, and
+        the Stiefel and Euclidean kinds project the identity."""
+        p = self.tangent_projector(coords)
         return p @ (ehess - self.shape_term(coords, egrad)) @ p
 
 
@@ -98,6 +107,12 @@ class _SphereBlocks(ManifoldSpec):
         """Block starts (for np.add.reduceat) and sizes (for np.repeat back)."""
         sizes = np.array(self.dims) + 1
         return np.cumsum(sizes) - sizes, sizes
+
+    @cached_property
+    def _same_block(self):
+        """The (d, d) mask of coordinate pairs in one block: 1.0 there, else 0.0."""
+        block = np.repeat(np.arange(len(self.dims)), self._segments[1])
+        return (block[:, None] == block).astype(float)
 
     def _block_dots(self, u, v):
         return np.add.reduceat(u * v, self._segments[0], axis=-1)
@@ -126,10 +141,26 @@ class _SphereBlocks(ManifoldSpec):
     def project_tangent(self, coords, w):
         return w - np.repeat(self._block_dots(coords, w), self._segments[1], axis=-1) * coords
 
+    def tangent_projector(self, coords):
+        """I - (x x^T) * M, M the same-block mask, built in place."""
+        p = np.einsum("...i,...j->...ij", coords, coords)  # faster than broadcasting at d = 3
+        p *= self._same_block
+        return np.subtract(np.eye(self.ambient_dim), p, out=p)
+
     def shape_term(self, coords, egrad):
         """diag(<x_b, egrad_b>), repeated over each block b."""
-        dots = np.repeat(self._block_dots(coords, egrad), self._segments[1], axis=-1)
-        return dots[..., None] * np.eye(self.ambient_dim)
+        return self._shape_diagonal(coords, egrad)[..., None] * np.eye(self.ambient_dim)
+
+    def _shape_diagonal(self, coords, egrad):
+        return np.repeat(self._block_dots(coords, egrad), self._segments[1], axis=-1)
+
+    def riemannian_hessian(self, coords, egrad, ehess):
+        d = self.ambient_dim
+        p = self.tangent_projector(coords)
+        a = np.empty(p.shape)
+        a[...] = ehess
+        a.reshape(p.shape[:-2] + (d * d,))[..., :: d + 1] -= self._shape_diagonal(coords, egrad)
+        return np.matmul(p @ a, p, out=a)
 
 
 @dataclass(frozen=True)
@@ -222,11 +253,29 @@ class _Hypersurface(ManifoldSpec):
         gn2 = np.maximum(np.sum(g * g, axis=-1, keepdims=True), 1e-300)
         return w - (np.sum(g * w, axis=-1, keepdims=True) / gn2) * g
 
+    def tangent_projector(self, coords):
+        return self._projector(self.field.grad(coords))
+
+    @staticmethod
+    def _projector(g):
+        """I - (g / |g|^2) g^T at constraint gradients g, built in place."""
+        gn2 = np.maximum(np.sum(g * g, axis=-1, keepdims=True), 1e-300)
+        p = np.einsum("...i,...j->...ij", g / gn2, g)
+        return np.subtract(np.eye(g.shape[-1]), p, out=p)
+
     def shape_term(self, coords, egrad):
         """(<grad g, egrad> / |grad g|^2) hess(g)."""
-        g = self.field.grad(coords)
+        return self._shape(coords, self.field.grad(coords), egrad)
+
+    def _shape(self, coords, g, egrad):
         scale = _dot(g, egrad) / np.maximum(_dot(g, g), 1e-300)
         return scale[..., None] * self.field.hess(coords)
+
+    def riemannian_hessian(self, coords, egrad, ehess):
+        g = self.field.grad(coords)
+        p = self._projector(g)
+        a = ehess - self._shape(coords, g, egrad)
+        return np.matmul(p @ a, p, out=a)
 
     def sample(self, n: int, rng: np.random.Generator):
         """n points: uniform draws from the field's bounding box, those with a gradient

@@ -454,7 +454,7 @@ def _pair_nullity(surf, x, y):
     largest) count, less the two normal directions, which it maps to zero."""
     eye = np.eye(x.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # a Hessian that overflows is refused
-        off = -2.0 * surf.project_tangent(x, eye) @ surf.project_tangent(y, eye)
+        off = -2.0 * surf.tangent_projector(x) @ surf.tangent_projector(y)
         hess = np.block([[surf.riemannian_hessian(x, 2.0 * (x - y), 2.0 * eye), off],
                          [off.T, surf.riemannian_hessian(y, 2.0 * (y - x), 2.0 * eye)]])
     if not np.isfinite(hess).all():
@@ -467,8 +467,9 @@ def _pair_nullity(surf, x, y):
 def _dedup_pairs(x, y, tol):
     """Representatives of the unordered pairs {x_i, y_i}, yielded in turn as rows
     (x, y): each pair in canonical order (decided on coordinates rounded to
-    tol/10, so solver noise cannot flip it), the pairs sorted, then the first
-    remaining pair kept and every pair within tol of it in either order dropped.
+    tol/10, so solver noise cannot flip it), then the lexicographically least
+    remaining pair kept, the first of equal ones, and every pair within tol of it
+    in either order dropped: the representatives, in order, of a stable sort.
     The rounded coordinates stay floats: their difference has the sign, and is zero
     exactly when an integer difference would be, beyond the int64 range too."""
     n = x.shape[1]
@@ -476,9 +477,13 @@ def _dedup_pairs(x, y, tol):
     swap = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] > 0  # x > y as tuples
     cand = np.concatenate([x, y], axis=1)
     cand[swap] = np.concatenate([y[swap], x[swap]], axis=1)
-    cand = cand[np.lexsort(cand.T[::-1])]
     while len(cand):
-        rep = cand[0]
+        rows = np.flatnonzero(cand[:, 0] == cand[:, 0].min())
+        for col in cand.T[1:]:  # narrow the ties one column at a time
+            if rows.size == 1:
+                break
+            rows = rows[col[rows] == col[rows].min()]
+        rep = cand[rows[0]]
         yield rep
         swapped = np.concatenate([rep[n:], rep[:n]])
         cand = cand[np.minimum(np.linalg.norm(cand - rep, axis=-1),

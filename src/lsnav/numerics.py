@@ -29,7 +29,10 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
     trial point with a non-finite residual is rejected like any other worse point.
 
     The residual is evaluated at the starts and once per trial point; an
-    accepted trial keeps the residual it was judged by.
+    accepted trial keeps the residual it was judged by.  An iteration in which
+    every row is active works on z and the residuals in place, and a batch of
+    trials that are all accepted is written in one assignment per array; else
+    the active rows are copied out and written back once per iteration.
 
     The damped systems are solved one of two ways, chosen once per call from
     the number of starting rows.  Below LM_BATCH_AXIS_ROWS, per matrix:
@@ -62,9 +65,10 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
         if not active.any():
             break
         act_idx = np.flatnonzero(active)
-        za = z[act_idx]
-        ra = res[act_idx]
-        la = lam[act_idx]
+        # the active rows: views of z, res, rn and lam when every row is active,
+        # else copies that are written back once, after the iteration
+        act = _rows(act_idx, n)
+        za, ra, rna, la = z[act], res[act], rn[act], lam[act]
         if batch_axis:
             aug = _normal_equations(jacobian(za), ra)  # [J^T J | J^T r], batch axis last
             diag, jtr = aug.reshape(d * (d + 1), -1)[:: d + 2], aug[:, d]
@@ -76,7 +80,7 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
                 jtr = (jt @ ra[..., None])[..., 0]
             diag = np.einsum("nii->ni", jtj)
         finite = (np.isfinite(diag) & np.isfinite(jtr)).all(axis=0 if batch_axis else 1)
-        dead[act_idx[~finite]], rn[act_idx[~finite]] = True, np.inf
+        dead[act_idx[~finite]], rna[~finite] = True, np.inf
         # Marquardt scaling: damp relative to the diagonal of J^T J so the
         # shift survives rounding whatever the residual scale is
         scale = np.maximum(diag, 1.0)
@@ -85,37 +89,44 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
             todo = ~accepted
             if not todo.any():
                 break
+            tix = np.flatnonzero(todo)
+            t = _rows(tix, len(todo))
             if batch_axis:
                 # compress, unlike a mask index, keeps the batch axis contiguous
                 a = np.compress(todo, aug, axis=-1)
                 with np.errstate(over="ignore"):  # an infinite damping yields a rejected trial
-                    a.reshape(d * (d + 1), -1)[:: d + 2] += (
-                        la[todo] * np.compress(todo, scale, axis=-1))
+                    a.reshape(d * (d + 1), -1)[:: d + 2] += la[t] * scale[:, t]
                 delta = -np.ascontiguousarray(_cholesky_solve(a).T)
             else:
                 a = jtj[todo]
                 with np.errstate(over="ignore"):  # an infinite damping yields a rejected trial
-                    a.reshape(len(a), d * d)[:, :: d + 1] += la[todo, None] * scale[todo]
-                delta = -_lapack_solve(a, jtr[todo])
+                    a.reshape(len(a), d * d)[:, :: d + 1] += la[t, None] * scale[t]
+                delta = -_lapack_solve(a, jtr[t])
             norms = np.linalg.norm(delta, axis=-1)
             over = norms > LM_STEP_CAP
             if over.any():
                 delta[over] *= (LM_STEP_CAP / norms[over])[:, None]
-            trial = za[todo] + delta
+            trial = za[t] + delta
             if retract is not None:
                 trial = retract(trial)
             tres = residual(trial)
             trn = np.linalg.norm(tres, axis=-1)
-            idx = np.flatnonzero(todo)
-            good = trn < rn[act_idx[idx]]  # False for a non-finite trial norm
-            gi = idx[good]
-            z[act_idx[gi]], res[act_idx[gi]], rn[act_idx[gi]] = trial[good], tres[good], trn[good]
-            accepted[gi] = True
-            la[gi] = np.maximum(la[gi] * 0.3, LM_LAM_MIN)
-            bi = idx[~good]
-            la[bi] = np.minimum(la[bi] * 10.0, LM_LAM_MAX)
-        lam[act_idx] = la
+            good = trn < rna[t]  # False for a non-finite trial norm
+            # when every trial is accepted, each array takes them in one assignment
+            put, take = (t, slice(None)) if good.all() else (tix[good], good)
+            za[put], ra[put], rna[put] = trial[take], tres[take], trn[take]
+            accepted[put] = True
+            la[t] = np.where(good, np.maximum(la[t] * 0.3, LM_LAM_MIN),
+                             np.minimum(la[t] * 10.0, LM_LAM_MAX))
+        if act_idx.size < n:
+            z[act_idx], res[act_idx], rn[act_idx], lam[act_idx] = za, ra, rna, la
     return z, rn
+
+
+def _rows(idx, n):
+    """The row indices idx of an n-row array, as a slice when they are all n rows:
+    indexing by it reads a view and writes in one pass, without a gather or scatter."""
+    return slice(None) if idx.size == n else idx
 
 
 def _lapack_solve(a, b):

@@ -727,3 +727,86 @@ def test_projections_do_not_depend_on_row_order(name):
     assert np.array_equal(mf.project_points(spec, raw[perm]), mf.project_points(spec, raw)[perm])
     assert np.array_equal(mf.project_tangent(spec, x[perm], w[perm]),
                           mf.project_tangent(spec, x, w)[perm])
+
+
+CLOSED_FORM_SPECS = {
+    "sphere:2": Sphere(2),
+    "sphere:1^2": Sphere(1).power(2),
+    "(S^3)^3": ProductSpheres((3, 3, 3)),
+    "(S^1xS^3)^2": ProductSpheres((1, 3)).power(2),
+    "ellipsoid:1,2,3": Ellipsoid((1.0, 2.0, 3.0)),
+    "torus:2,0.5": ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25),
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _identity_push_hessian(spec, coords, egrad, ehess):
+    """P (ehess - S) P with P the tangent projection of each row of the identity."""
+    p = mf.ManifoldSpec.tangent_projector(spec, coords)
+    return p @ (ehess - spec.shape_term(coords, egrad)) @ p
+
+
+@pytest.mark.parametrize("n", [1, 7, 500])
+@pytest.mark.parametrize("name", list(CLOSED_FORM_SPECS))
+def test_closed_form_kernels_equal_the_identity_push(name, n):
+    # the closed-form projector and Hessian against projecting the identity, bit for
+    # bit, on a batch and on one point with a shared ambient Hessian
+    spec = CLOSED_FORM_SPECS[name]
+    d = spec.ambient_dim
+    rng = np.random.default_rng([len(name), n])
+    x = random_points(spec, n, rng)
+    egrad = rng.standard_normal(x.shape)
+    a = rng.standard_normal((n, d, d))
+    ehess = a + np.swapaxes(a, -1, -2)
+    assert _same_bits(spec.tangent_projector(x), mf.ManifoldSpec.tangent_projector(spec, x))
+    for args in ((x, egrad, ehess), (x[0], egrad[0], 2.0 * np.eye(d))):
+        assert _same_bits(spec.riemannian_hessian(*args), _identity_push_hessian(spec, *args))
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_SPECS))
+def test_closed_form_hessian_keeps_non_finite_rows_non_finite(name):
+    # a non-finite gradient, Hessian or point spoils its whole row, as in the identity
+    # push, so Levenberg-Marquardt still retires it; the other rows keep their bits
+    spec = CLOSED_FORM_SPECS[name]
+    d = spec.ambient_dim
+    rng = np.random.default_rng(len(name) + 5)
+    x = random_points(spec, 8, rng)
+    egrad = rng.standard_normal(x.shape)
+    a = rng.standard_normal((8, d, d))
+    ehess = a + np.swapaxes(a, -1, -2)
+    whole = spec.riemannian_hessian(x, egrad, ehess)
+    egrad[1, 0], egrad[2, -1], ehess[3, 0, 1], ehess[4, -1, -1] = np.nan, np.inf, np.inf, np.nan
+    x[5, 0], x[6, -1] = np.nan, np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = spec.riemannian_hessian(x, egrad, ehess)
+        want = _identity_push_hessian(spec, x, egrad, ehess)
+        p = spec.tangent_projector(x)
+    for i in range(1, 7):
+        assert not np.isfinite(got[i]).any() and not np.isfinite(want[i]).any()
+    assert _same_bits(got[[0, 7]], whole[[0, 7]])
+    assert not np.isfinite(p[5]).all() and not np.isfinite(p[6]).all()
+    assert np.isfinite(np.delete(p, [5, 6], axis=0)).all()
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_SPECS))
+def test_random_points_projection_does_not_depend_on_row_order(name):
+    # random_points projects its draw as a batch: the same draw, permuted and
+    # projected, gives its points back, bit for bit
+    spec = HESSIAN_SPECS[name]
+    d, n = spec.ambient_dim, 50
+    draw = np.random.default_rng(len(name) + 6)
+    if isinstance(spec, (Ellipsoid, ImplicitHypersurface)):  # the first sampling round
+        box = spec.field.bounding_box
+        raw = draw.uniform(box[:, 0], box[:, 1], size=(2 * n, d))
+        raw = raw[np.linalg.norm(spec.field.grad(raw), axis=-1) > 1e-6]
+    else:
+        raw = draw.standard_normal((n, d))
+    perm = np.random.default_rng(len(name)).permutation(len(raw))
+    proj = np.empty_like(raw)
+    proj[perm] = mf.project_points(spec, raw[perm])
+    proj = proj[np.isfinite(proj).all(axis=-1)]
+    assert len(proj) >= n
+    assert _same_bits(random_points(spec, n, np.random.default_rng(len(name) + 6)), proj[:n])

@@ -1,5 +1,5 @@
 import re
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -928,6 +928,70 @@ def test_dedup_pairs_matches_reference_loop(spread):
     x, y = rows[:, :3], rows[:, 3:]
     got = np.array(list(_dedup_pairs(x, y, 1e-3)))
     assert np.array_equal(got, _reference_dedup(x, y, 1e-3))
+
+
+def _lexsort_dedup(x, y, tol):
+    """The dedup by a full stable sort: every canonical pair sorted by np.lexsort,
+    then the first remaining pair kept and every pair within tol of it dropped."""
+    n = x.shape[1]
+    diff = np.round(x / (0.1 * tol)) - np.round(y / (0.1 * tol))
+    swap = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] > 0
+    cand = np.concatenate([x, y], axis=1)
+    cand[swap] = np.concatenate([y[swap], x[swap]], axis=1)
+    cand = cand[np.lexsort(cand.T[::-1])]
+    while len(cand):
+        rep = cand[0]
+        yield rep
+        swapped = np.concatenate([rep[n:], rep[:n]])
+        cand = cand[np.minimum(np.linalg.norm(cand - rep, axis=-1),
+                               np.linalg.norm(cand - swapped, axis=-1)) > tol]
+
+
+def _same_representatives(x, y, tol, count=None):
+    got = list(islice(_dedup_pairs(x, y, tol), count))
+    want = list(islice(_lexsort_dedup(x, y, tol), count))
+    assert len(got) == len(want)
+    # bit for bit, so a -0.0 representative is not a 0.0 one
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    return got
+
+
+@pytest.mark.parametrize("rng_seed", range(4))
+@pytest.mark.parametrize("spec", [Ellipsoid((1.0, 2.0, 3.0)), Sphere(2)], ids=str)
+def test_dedup_pairs_selects_what_a_full_sort_keeps(spec, rng_seed):
+    # the converged rows of a 10,000-seed census; on S^2, a continuum of 10,000
+    # distinct pairs, the first 30 representatives
+    surf = navigation._hypersurface_of(spec)
+    support = surf.support_field()
+    u0 = random_points(support[0].spec, 10000, np.random.default_rng(rng_seed))
+    z = _support_pairs(surf, support, u0)
+    n = surf.ambient_dim
+    z = z[np.linalg.norm(z[:, :n] - z[:, n:], axis=-1) >= PAIR_MIN_SEPARATION]
+    assert len(z) > 9000
+    got = _same_representatives(z[:, :n], z[:, n:], navigation.PAIR_DEDUP_TOL,
+                                30 if isinstance(spec, Sphere) else None)
+    assert len(got) == (30 if isinstance(spec, Sphere) else 3)
+
+
+def test_dedup_pairs_breaks_ties_as_a_stable_sort():
+    # rows tied in their leading columns, rows that differ only by -0.0 against 0.0
+    # (equal to the sort, so the first one stays), and exact duplicates
+    rows = np.array([[0.0, 1.0, 2.0, 0.0, -1.0, -2.0],
+                     [0.0, 1.0, 1.0, 0.0, -1.0, -1.0],
+                     [-0.0, 1.0, 1.0, -0.0, -1.0, -1.0],
+                     [0.0, 1.0, 1.0, 0.0, -1.0, -1.0],
+                     [0.0, -0.0, 3.0, 0.0, 0.0, -3.0],
+                     [-0.0, 0.0, 3.0, 0.0, -0.0, -3.0],
+                     [0.0, 1.0, 2.0, 0.0, -1.0, -2.0],
+                     [5.0, 5.0, 5.0, 6.0, 6.0, 6.0],
+                     [5.0, 5.0, 5.0, 6.0, 6.0, 6.0]])
+    for order in (np.arange(len(rows)), np.arange(len(rows))[::-1],
+                  np.random.default_rng(3).permutation(len(rows))):
+        x, y = rows[order, :3], rows[order, 3:]
+        got = _same_representatives(x, y, 1e-3)
+        assert len(got) == 4
+    got = _same_representatives(rows[:, :3], rows[:, 3:], 1e-3)
+    assert got[0].tobytes() == np.array([0.0, -1.0, -2.0, 0.0, 1.0, 2.0]).tobytes()
 
 
 def test_nav_tuple_json_round_trip():
