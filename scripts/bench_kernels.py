@@ -10,12 +10,16 @@ sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and the height
 on that torus; the right-hand side of the vertical flow,
 ``unit_tangent.vertical_pseudo_gradient_coords`` of ut-f, at batch sizes 1,
 500 and 5000 on stiefel:4 and stiefel:8; one stage of the vertical flow, the
-anchored projection and then the stage kernel the flow evaluates,
+projection onto the fiber kind ``unit_tangent._FrameFibers`` (``project_points``,
+anchored at the first column) and then the stage kernel the flow evaluates,
 ``unit_tangent._vertical_pseudo_gradient``, at 1, 50 and 500 rows on each of them;
 one descending ``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
 them; one descending ``flow.flow_endpoints`` call from 50 seeds on the nav
 field of S^3 (r=3, on (S^3)^3), whose critical sets are Morse-Bott, and on
-the coordinate x of that torus, whose critical points are nondegenerate;
+the coordinate x of that torus, whose critical points are nondegenerate, and
+on the same seeds ``endpoint_flow``, the descending pseudo-gradient flow with
+the vertical flow's certified Newton finish,
+``flow._endpoint_flow(field, -1, flow._pseudo_gradient, seeds, cfg)``;
 ``navigation.pair_system_residual`` and ``pair_system_jacobian`` at
 batch sizes 1, 500 and 5000 on the ellipsoids (1,2,3) and (1,1.5,2,3) (three
 and four unknowns per end) and on that torus; one Levenberg-Marquardt
@@ -34,8 +38,11 @@ for one or more source trees of lsnav in one process:
 
 Each ``LABEL=SRC`` argument loads the ``lsnav`` package under SRC as its own
 module, so the trees are timed alternately, repeat by repeat, and a change of
-host speed hits all of them alike.  Every figure is the median and quartiles
-over REPEATS repeats of the time per call, with the calls and rows behind it.
+host speed hits all of them alike.  A tree without the fiber kind (before it
+was added) projects the vertical stage with ``unit_tangent._anchored_project``
+and has no ``endpoint_flow`` case; each case is timed in the trees that have
+it.  Every figure is the median and quartiles over REPEATS repeats of the time
+per call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median and each census median stand the Levenberg-Marquardt iterations
@@ -69,6 +76,7 @@ time goes, and the benchmark's ``solve_ref`` as the end-to-end evidence.
 """
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -168,10 +176,11 @@ def cases(lsnav):
             pts = mf.random_points(field.spec, n, np.random.default_rng([2, n]))
             out.append(("vertical_pseudo_gradient_coords", name, n,
                         lambda f=field, x=pts: ut.vertical_pseudo_gradient_coords(f, x)))
+        fibers, project = fiber_stage(lsnav, field)
         for n in STAGE_BATCHES:
             pts = mf.random_points(field.spec, n, np.random.default_rng([8, n]))
-            out.append(("vertical_stage", name, n, lambda f=field, x=pts:
-                        ut._vertical_pseudo_gradient(f, ut._anchored_project(f.spec, x))))
+            out.append(("vertical_stage", name, n, lambda f=fibers, x=pts:
+                        ut._vertical_pseudo_gradient(f, project(f.spec, x))))
         n = FLOW_SEEDS
         seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
         out.append(("vertical_flow_endpoints", name, n,
@@ -182,6 +191,9 @@ def cases(lsnav):
         seeds = mf.random_points(field.spec, n, np.random.default_rng([7, n]))
         out.append(("flow_endpoints", name, n,
                     lambda f=field, x=seeds: lsnav.flow.flow_endpoints(f, x)))
+        if hasattr(ut, "_FrameFibers"):  # the tree's _endpoint_flow reads the field alone
+            out.append(("endpoint_flow", name, n, lambda f=field, x=seeds, fl=lsnav.flow:
+                        fl._endpoint_flow(f, -1, fl._pseudo_gradient, x, fl.FlowConfig())))
     for name in CLUSTER_PROBLEMS:
         field = newton_field(lsnav, name)
         for n in CLUSTER_BATCHES.get(name, BATCHES):
@@ -213,6 +225,17 @@ def cases(lsnav):
         out.append(("_dedup_pairs", name, len(x), lambda x=x, y=y, k=DEDUP_TAKE[name]:
                     list(islice(nav._dedup_pairs(x, y, nav.PAIR_DEDUP_TOL), k))))
     return out
+
+
+def fiber_stage(lsnav, field):
+    """The vertical stage's field and projection: the field on the fiber kind and
+    ``project_points``, or, in a tree without the kind, the field and the anchored
+    projection."""
+    ut = lsnav.unit_tangent
+    if hasattr(ut, "_FrameFibers"):
+        fibers = ut._FrameFibers(field.spec.frame_dim)
+        return dataclasses.replace(field, spec=fibers), lsnav.manifolds.project_points
+    return field, ut._anchored_project
 
 
 def census_rows(lsnav, name: str, search):
@@ -321,28 +344,40 @@ def endpoint_flow_counts(lsnav, call) -> dict:
     starts and at every stage of every step.  The Newton finish evaluates the
     residual inside ``levenberg_marquardt``; those rows count as LM residual
     rows, and each Jacobian evaluation there as one LM iteration, as in
-    ``lm_counts``.  ``flow._endpoint_flow`` also evaluates its residual and
-    Jacobian outside LM, to decide which rows to hand off and which Newton
+    ``lm_counts``.  ``flow._endpoint_flow`` also evaluates the field's
+    derivatives outside LM, to decide which rows to hand off and which Newton
     results to keep: the guard's Hessian, at the hand-off and at the Newton
-    limit, and the contraction certificate's two residuals per row.  Those
-    count as ``handoff_hessian_calls``, ``handoff_hessian_rows`` and
-    ``handoff_residual_rows``."""
+    limit, and the contraction certificate's two residuals per row.  They are
+    counted through the field, on ``ScalarField``'s Euclidean derivatives
+    outside the stages and LM: each Hessian evaluation is one of
+    ``handoff_hessian_calls`` and its rows count as ``handoff_hessian_rows``.
+    A Hessian evaluation reads the gradient too, once, and a residual reads
+    only the gradient, so ``handoff_residual_rows`` are the gradient rows less
+    the Hessian rows."""
     flow = lsnav.flow
     numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
     solve, batch, step = numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step
-    endpoint = flow._endpoint_flow
+    scalar = flow.ScalarField
+    gradient, hessian = scalar.euclidean_gradient_at, scalar.euclidean_hessian_at
     counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_iterations": 0,
               "lm_residual_rows": 0, "handoff_hessian_calls": 0, "handoff_hessian_rows": 0,
               "handoff_residual_rows": 0}
-    in_lm = []
+    busy = []  # "stage", "lm" or "hessian" while one is evaluated
 
-    def counted_batch(field, direction, stage, project, *args, **kwargs):
+    def within(scope, fn, *args, **kwargs):
+        busy.append(scope)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            busy.pop()
+
+    def counted_batch(field, direction, stage, *args, **kwargs):
         def counted_stage(f, coords):
             counts["rhs_calls"] += 1
             counts["rhs_rows"] += len(coords)
-            return stage(f, coords)
+            return within("stage", stage, f, coords)
 
-        return batch(field, direction, counted_stage, project, *args, **kwargs)
+        return batch(field, direction, counted_stage, *args, **kwargs)
 
     def counted_step(*args):
         counts["steps"] += 1
@@ -357,34 +392,28 @@ def endpoint_flow_counts(lsnav, call) -> dict:
             counts["lm_iterations"] += 1
             return jacobian(z)
 
-        in_lm.append(True)
-        try:
-            return solve(counted_residual, counted_jacobian, z0, **kwargs)
-        finally:
-            in_lm.pop()
+        return within("lm", solve, counted_residual, counted_jacobian, z0, **kwargs)
 
-    def counted_endpoint(field, direction, stage, project, residual, jacobian, *args):
-        def handoff_residual(f, coords):
-            if not in_lm:
-                counts["handoff_residual_rows"] += len(coords)
-            return residual(f, coords)
+    def counted_gradient(self, coords):
+        if not busy:
+            counts["handoff_residual_rows"] += len(coords)
+        return gradient(self, coords)
 
-        def handoff_jacobian(f, coords):
-            if not in_lm:
-                counts["handoff_hessian_calls"] += 1
-                counts["handoff_hessian_rows"] += len(coords)
-            return jacobian(f, coords)
-
-        return endpoint(field, direction, stage, project, handoff_residual, handoff_jacobian,
-                        *args)
+    def counted_hessian(self, coords):
+        if not busy:
+            counts["handoff_hessian_calls"] += 1
+            counts["handoff_hessian_rows"] += len(coords)
+            counts["handoff_residual_rows"] -= len(coords)
+        return within("hessian", hessian, self, coords)
 
     numerics.levenberg_marquardt, flow._flow_batch = counted_solve, counted_batch
-    flow._dp54_step, flow._endpoint_flow = counted_step, counted_endpoint
+    flow._dp54_step = counted_step
+    scalar.euclidean_gradient_at, scalar.euclidean_hessian_at = counted_gradient, counted_hessian
     try:
         call()
     finally:
-        numerics.levenberg_marquardt, flow._flow_batch = solve, batch
-        flow._dp54_step, flow._endpoint_flow = step, endpoint
+        numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step = solve, batch, step
+        scalar.euclidean_gradient_at, scalar.euclidean_hessian_at = gradient, hessian
     return counts
 
 
@@ -412,16 +441,19 @@ def calls_per_repeat(call) -> int:
 
 
 def run(trees: dict) -> dict:
+    """Time every case in each tree that has it, the trees alternately, and count it."""
     modules = {label: load_tree(label, src) for label, src in trees.items()}
-    per_tree = {label: cases(module) for label, module in modules.items()}
-    first = next(iter(per_tree.values()))
+    per_tree = {label: {case[:3]: case[3] for case in cases(module)}
+                for label, module in modules.items()}
+    keys = dict.fromkeys(k for c in sorted(per_tree.values(), key=len, reverse=True) for k in c)
     results = {label: [] for label in trees}
-    for i, (kernel, kind, n, _) in enumerate(first):
-        calls = calls_per_repeat(first[i][3])
-        times = {label: [] for label in trees}
+    for key in keys:
+        kernel, kind, n = key
+        have = {label: c[key] for label, c in per_tree.items() if key in c}
+        calls = calls_per_repeat(next(iter(have.values())))
+        times = {label: [] for label in have}
         for _ in range(REPEATS):
-            for label, tree_cases in per_tree.items():
-                call = tree_cases[i][3]
+            for label, call in have.items():
                 start = time.perf_counter()
                 for _ in range(calls):
                     call()
@@ -433,11 +465,11 @@ def run(trees: dict) -> dict:
                       "us_per_call_median": round(med, 2),
                       "us_per_call_q1": round(q1, 2), "us_per_call_q3": round(q3, 2)}
             if kernel in ("newton_critical_search", "find_parallel_pairs"):
-                record.update(lm_counts(modules[label], per_tree[label][i][3]))
+                record.update(lm_counts(modules[label], have[label]))
             if kernel == "_cluster_endpoints":
-                record["peak_mb"] = round(peak_mb(per_tree[label][i][3]), 2)
-            if kernel in ("vertical_flow_endpoints", "flow_endpoints"):
-                record.update(endpoint_flow_counts(modules[label], per_tree[label][i][3]))
+                record["peak_mb"] = round(peak_mb(have[label]), 2)
+            if kernel in ("vertical_flow_endpoints", "flow_endpoints", "endpoint_flow"):
+                record.update(endpoint_flow_counts(modules[label], have[label]))
             results[label].append(record)
     return {"host": {"machine": platform.machine(), "processor": platform.processor(),
                      "cpus": os.cpu_count(), "python": platform.python_version(),

@@ -6,7 +6,7 @@ the C^1 ramp that is 1 below 1 and the identity above 2.  It satisfies
 negative flow is a strict Lyapunov descent away from critical points.
 
 Batched flows to critical points integrate with an adaptive Dormand-Prince
-5(4) pair (first same as last), re-projecting onto the manifold after every
+5(4) pair (first same as last), re-projecting onto the field's spec after every
 stage; FIRST_STEP is the initial step of every row.  One field evaluation per
 stage gives the vector field and the stopping norm, so an accepted step's norm
 is its last stage's.  A step is accepted only when its local error estimate
@@ -17,18 +17,18 @@ and runs the time-1 map; ``detect_critical`` clusters flow endpoints.
 Trajectories (``integrate_flow``, ``time_one_map``) take atol = ATOL; flows
 that return only endpoints (``flow_endpoints``, so ``detect_critical``, and
 ``unit_tangent.vertical_flow_endpoints``) take ENDPOINT_ATOL.  The vertical
-flow finishes with Newton (``_endpoint_flow``) once Newton is certified, at
-any gradient norm: the driver's stop predicate takes a row out of the flow
-where the vertical Hessian is definite with the sign the direction asks for,
-each eigenvalue beyond NEWTON_GUARD_MARGIN (the guard), and one Newton step
+flow runs on the fiber kind ``unit_tangent._FrameFibers`` and finishes with
+Newton (``_endpoint_flow``) once Newton is certified, at any gradient norm:
+the driver's stop predicate takes a row out of the flow where the spec's
+Riemannian Hessian is definite with the sign the direction asks for, each
+eigenvalue beyond NEWTON_GUARD_MARGIN (the guard), and one Newton step
 contracts, theta = |simplified second step| / |first step| <= 1/4 (the
-affine-covariant Newton-Kantorovich test).  One Levenberg-Marquardt call on
-the vertical gradient, with the vertical Hessian as Jacobian, takes the
-certified rows from that Newton step to grad_tol.  A Newton result is kept only if it converged,
-did not move F against the flow, and the guard admits it too, so a limit on a
-Morse-Bott set or at a saddle is refused; rows refused resume the flow where
-it stopped, at their hand-off time and step, and end bit for bit where the
-flow alone would have ended.
+affine-covariant Newton-Kantorovich test).  One ``_newton`` call takes the
+certified rows from that Newton step to grad_tol.  A Newton result is kept
+only if it converged, did not move F against the flow, and the guard admits
+it too, so a limit on a Morse-Bott set or at a saddle is refused; rows
+refused resume the flow where it stopped, at their hand-off time and step,
+and end bit for bit where the flow alone would have ended.
 
 ``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
 gradient, with the analytic Riemannian Hessian P (hess F - S) P (P the tangent
@@ -230,11 +230,12 @@ def _dp54_step(stage, project, x, k1, h):
     return y, k, gn, err
 
 
-def _flow_batch(field: ScalarField, direction: int, stage, project, starts, cfg: FlowConfig,
+def _flow_batch(field: ScalarField, direction: int, stage, starts, cfg: FlowConfig,
                 max_time=None, record=None, atol=None, clock=None, stop=None):
     """Adaptive Dormand-Prince 5(4) flow of a batch along direction * X, where
     stage(field, x) = (X, stopping norm), one step size per row, re-projecting
-    with project(field.spec, x) after every stage and holding -direction * F monotone.
+    onto field.spec with ``project_points`` after every stage (the fiber kind's
+    anchored projection for the vertical flow) and holding -direction * F monotone.
 
     Every row starts at time 0 from step FIRST_STEP.  Given clock = (t, h),
     the times and next steps an earlier call returned for these rows, the
@@ -264,7 +265,7 @@ def _flow_batch(field: ScalarField, direction: int, stage, project, starts, cfg:
         return direction * k, gn
 
     def proj(x):
-        return project(field.spec, x)
+        return mf.project_points(field.spec, x)
 
     def lyapunov(x):
         return -direction * field.value_at(x)
@@ -351,14 +352,6 @@ class FlowTrace:
         }
 
 
-def _pseudo_gradient_flow(field: ScalarField, starts, cfg: FlowConfig, direction: int,
-                          max_time=None, record=None, atol=None):
-    """``_flow_batch`` on the pseudo-gradient, projecting onto field.spec and
-    stopping on the Riemannian gradient norm."""
-    return _flow_batch(field, direction, _pseudo_gradient, mf.project_points, starts, cfg,
-                       max_time, record, atol)
-
-
 def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) -> FlowTrace:
     """Integrate the descending pseudo-gradient flow from a single point.
 
@@ -375,7 +368,7 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) 
         coords.append(x[0].copy())
         gns.append(gn[0])
 
-    _pseudo_gradient_flow(field, start.coords[None, :], cfg, -1, record=record)
+    _flow_batch(field, -1, _pseudo_gradient, start.coords[None, :], cfg, record=record)
     coords = np.array(coords)
     return FlowTrace(
         times=np.array(times),
@@ -386,44 +379,44 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) 
     )
 
 
-def _endpoint_flow(field: ScalarField, direction: int, stage, project, residual, jacobian,
-                   tangent, starts, cfg: FlowConfig):
+def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowConfig):
     """An endpoint-only flow that finishes with Newton once Newton is certified.
 
+    Everything but the flow's stage comes from the field and its spec: the
+    projection (``project_points``), the residual G = ``riemannian_gradient``
+    and its Jacobian J = ``riemannian_hessian``.  The vertical flow passes a
+    field on the fiber kind ``unit_tangent._FrameFibers``, whose projection is
+    anchored at the first column and whose tangent space is the vertical one.
     ``_flow_batch`` at ENDPOINT_ATOL runs every row toward cfg.grad_tol,
-    stopping on the norm stage(field, x) returns, |residual(field, x)| to
-    rounding.  Its stop predicate takes a row out of the flow, at any gradient
-    norm, where two tests hold; it sees the starts and the rows each pass
-    accepts.
+    stopping on the norm stage(field, x) returns, |G(x)| to rounding.  Its
+    stop predicate takes a row out of the flow, at any gradient norm, where
+    two tests hold; it sees the starts and the rows each pass accepts.
 
-    Guard: the Jacobian J = jacobian(field, x) maps to zero the directions
-    normal to the space the Newton step moves in, the space of dimension dim
-    that tangent(field.spec, x, .) projects onto.  The guard admits a row if
-    dim of the eigenvalues of J (one ``eigh``) have the sign ``direction``
-    asks for (positive for descent), each beyond NEWTON_GUARD_MARGIN
-    (1 + max |lambda|): J is then definite on that space.  So a descent row
-    near a saddle is not polished onto it.
+    Guard: J maps to zero the directions normal to the space the Newton step
+    moves in, the tangent space, of the dimension dim that the spec's
+    ``project_tangent`` projects onto.  The guard admits a row if dim of the
+    eigenvalues of J (one ``eigh``) have the sign ``direction`` asks for
+    (positive for descent), each beyond NEWTON_GUARD_MARGIN (1 + max |lambda|):
+    J is then definite on that space.  So a descent row near a saddle is not
+    polished onto it.
 
     Certificate: with J^+ the pseudo-inverse over those eigenpairs, the Newton
-    step D0 = -J^+ residual(x) leads to x1 = project(x + D0), and the
-    simplified step D1 = -J^+ residual(x1) reuses the decomposition.  The row
-    is certified if theta = |D1| / |D0| <= 1/4, the affine-covariant
-    Newton-Kantorovich contraction test (Deuflhard, Newton Methods for
-    Nonlinear Problems, 2004, 2.1), where theta <= 1/4 stands for
-    Kantorovich's h <= 1/2.
+    step D0 = -J^+ G(x) leads to x1 = project(x + D0), and the simplified step
+    D1 = -J^+ G(x1) reuses the decomposition.  The row is certified if
+    theta = |D1| / |D0| <= 1/4, the affine-covariant Newton-Kantorovich
+    contraction test (Deuflhard, Newton Methods for Nonlinear Problems, 2004,
+    2.1), where theta <= 1/4 stands for Kantorovich's h <= 1/2.
 
-    The certified rows go to one Levenberg-Marquardt call on residual, with
-    Jacobian jacobian(field, x) and retraction ``project``, to cfg.grad_tol,
-    each started from its x1, the first Newton iterate the certificate has
-    already taken.  A Newton result z is kept only if LM converged,
-    -direction * F has not increased beyond LYAPUNOV_SLACK from the hand-off
-    point, and the guard admits z too: a Newton
-    limit on a Morse-Bott set has a zero eigenvalue along it, and one at a
-    saddle has eigenvalues of both signs.  (Descending f = (v_4 - 1/2)^2 on
-    the fiber over e_1 of stiefel:4, rows are certified where the eigenvalue
-    along the minimum circle v_4 = 1/2 reads 1.3e-2 to 4.2e-2 of
-    1 + max |lambda|; at their Newton limits on the circle it reads at most
-    2.1e-9, and all are refused.)  Rows whose result is not kept
+    The certified rows go to one ``_newton`` call, to cfg.grad_tol, each
+    started from its x1, the first Newton iterate the certificate has already
+    taken.  A Newton result z is kept only if it converged, -direction * F has
+    not increased beyond LYAPUNOV_SLACK from the hand-off point, and the guard
+    admits z too: a Newton limit on a Morse-Bott set has a zero eigenvalue
+    along it, and one at a saddle has eigenvalues of both signs.  (Descending
+    f = (v_4 - 1/2)^2 on the fiber over e_1 of stiefel:4, rows are certified
+    where the eigenvalue along the minimum circle v_4 = 1/2 reads 1.3e-2 to
+    4.2e-2 of 1 + max |lambda|; at their Newton limits on the circle it reads
+    at most 2.1e-9, and all are refused.)  Rows whose result is not kept
     resume the flow at their hand-off time and step, without the predicate, so
     they end bit for bit where the flow alone ends, unconverged at MAX_TIME
     included.  Rows the flow stops unconverged, at MAX_TIME or on the step
@@ -436,27 +429,22 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, project, residual,
     whose last bits may differ from the per-matrix solve.
     Returns (endpoints, gradient norms, converged mask).
     """
-    from .numerics import levenberg_marquardt
-
-    def retract(p):
-        return project(field.spec, p)
-
     def run(x, clock=None, stop=None):
-        return _flow_batch(field, direction, stage, project, x, cfg, atol=ENDPOINT_ATOL,
-                           clock=clock, stop=stop)
+        return _flow_batch(field, direction, stage, x, cfg, atol=ENDPOINT_ATOL, clock=clock,
+                           stop=stop)
 
     dim = None  # the rank of the projector, the same at every point: taken once
 
     def guard(p):
         """(admitted, eigenvalues, eigenvectors, the eigenpairs beyond the margin)."""
         nonlocal dim
-        jac = jacobian(field, p)
+        jac = field.riemannian_hessian(p)
         finite = np.isfinite(jac).all(axis=(1, 2))
         lam, vec = np.linalg.eigh(jac if finite.all() else np.where(finite[:, None, None], jac, 0))
         beyond = -direction * lam > NEWTON_GUARD_MARGIN * (
             1.0 + np.abs(lam).max(axis=-1, keepdims=True))
         if dim is None:  # first called by stop, on rows still flowing, so finite
-            dim = np.trace(tangent(field.spec, p[:1], np.eye(p.shape[-1])))
+            dim = np.trace(mf.project_tangent(field.spec, p[:1], np.eye(p.shape[-1])))
         return finite & (beyond.sum(axis=-1) > dim - 0.5), lam, vec, beyond
 
     def newton_step(lam, vec, beyond, g):  # -J^+ g over the eigenpairs beyond the margin
@@ -471,9 +459,9 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, project, residual,
         i = np.flatnonzero(ok)
         if i.size:
             lam, vec, beyond = lam[i], vec[i], beyond[i]
-            d0 = newton_step(lam, vec, beyond, residual(field, p[i]))
-            x1 = retract(p[i] + d0)
-            d1 = newton_step(lam, vec, beyond, residual(field, x1))
+            d0 = newton_step(lam, vec, beyond, field.riemannian_gradient(p[i]))
+            x1 = mf.project_points(field.spec, p[i] + d0)
+            d1 = newton_step(lam, vec, beyond, field.riemannian_gradient(x1))
             ok[i] = 4.0 * np.linalg.norm(d1, axis=-1) <= np.linalg.norm(d0, axis=-1)
             newton[rows[i]] = x1
         certified[rows[ok]] = True
@@ -482,8 +470,7 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, project, residual,
     x, gn, t, h = run(starts, stop=stop)
     go = np.flatnonzero(certified)
     if go.size:
-        z, rn = levenberg_marquardt(lambda p: residual(field, p), lambda p: jacobian(field, p),
-                                    newton[go], tol=cfg.grad_tol, retract=retract)
+        z, rn = _newton(field, newton[go], cfg.grad_tol)
         before = -direction * field.value_at(x[go])
         after = -direction * field.value_at(z)
         slack = LYAPUNOV_SLACK * (1.0 + np.abs(before))
@@ -507,7 +494,7 @@ def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction
     Returns (endpoints, gradient norms, converged mask).
     """
     cfg = cfg or FlowConfig()
-    x, gn = _pseudo_gradient_flow(field, starts, cfg, direction, atol=ENDPOINT_ATOL)[:2]
+    x, gn = _flow_batch(field, direction, _pseudo_gradient, starts, cfg, atol=ENDPOINT_ATOL)[:2]
     return x, gn, gn <= cfg.grad_tol
 
 
@@ -519,7 +506,7 @@ def time_one_map(field: ScalarField, starts, cfg: FlowConfig = None):
     on t = 1.  A row whose gradient norm reaches cfg.grad_tol stops there,
     before t = 1, as does a row stopped by the step floor.
     """
-    return _pseudo_gradient_flow(field, starts, cfg or FlowConfig(), -1, max_time=1.0)[0]
+    return _flow_batch(field, -1, _pseudo_gradient, starts, cfg or FlowConfig(), max_time=1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +579,6 @@ def _follow_kernel(field, pts, starts, targets, others, cfg):
     row (LM below numerics.LM_BATCH_AXIS_ROWS; 1,024 walks would switch its path).
     Returns, per walk, the index of the point it arrived at, or -1.
     """
-    from .numerics import levenberg_marquardt
-
     y, goal = pts[starts], pts[targets]
     level = field.value_at(y)
     dist = np.linalg.norm(goal - y, axis=-1)
@@ -603,8 +588,7 @@ def _follow_kernel(field, pts, starts, targets, others, cfg):
         u = np.einsum("nij,nj->ni", _tangent_kernel(field, ya), goal[idx] - ya)
         un = np.linalg.norm(u, axis=-1)
         pred = mf.project_points(field.spec, ya + MERGE_STEP * u / np.maximum(un, 1e-300)[:, None])
-        z, rn = levenberg_marquardt(field.riemannian_gradient, field.riemannian_hessian, pred,
-                                    tol=cfg.grad_tol, retract=_retraction(field))
+        z, rn = _newton(field, pred, cfg.grad_tol)
         nd = np.linalg.norm(goal[idx] - z, axis=-1)
         ok = ((un > 1e-12) & (rn <= cfg.grad_tol) & (nd < dist[idx])
               & (np.linalg.norm(z - pred, axis=-1) <= MERGE_STEP)
@@ -774,15 +758,17 @@ def newton_critical_search(field: ScalarField, seeds, *, tol: float = 1e-10):
     not finite, or that the manifold cannot project (it comes back NaN), is
     dropped.  Returns the converged points as an array (possibly empty).
     """
-    from .numerics import levenberg_marquardt
-
-    z, rn = levenberg_marquardt(field.riemannian_gradient, field.riemannian_hessian,
-                                _as_coords(seeds), tol=tol, retract=_retraction(field))
+    z, rn = _newton(field, _as_coords(seeds), tol)
     return z[rn <= tol]
 
 
-def _retraction(field):
-    return lambda pts: mf.project_points(field.spec, pts)
+def _newton(field: ScalarField, z0, tol):
+    """Levenberg-Marquardt on the Riemannian gradient, with the Riemannian Hessian as
+    Jacobian and ``project_points`` as retraction: (points, residual norms)."""
+    from .numerics import levenberg_marquardt
+
+    return levenberg_marquardt(field.riemannian_gradient, field.riemannian_hessian, z0, tol=tol,
+                               retract=lambda p: mf.project_points(field.spec, p))
 
 
 def find_critical_components(field: ScalarField, seeds, cfg: FlowConfig = None):

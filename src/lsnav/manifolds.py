@@ -362,9 +362,12 @@ class Ellipsoid(_Hypersurface):
             return b2 * u / value(u)[..., None]
 
         def hess(u):
-            h = value(u)[..., None, None]
-            g = b2 * u / h[..., 0]
-            return (b2 * eye - g[..., :, None] * g[..., None, :]) / h
+            h = value(u)[..., None]
+            g = b2 * u / h
+            out = np.einsum("...i,...j->...ij", g, g)  # faster than broadcasting at n = 3
+            np.subtract(b2 * eye, out, out=out)
+            out /= h[..., None]
+            return out
 
         return ScalarField(Sphere(len(b2) - 1), value, grad, name="support/c",
                            euclidean_hessian=hess), c

@@ -11,7 +11,7 @@ that make f fiberwise constant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -279,63 +279,63 @@ def _vertical_pseudo_gradient(field: ScalarField, coords):
     return out, np.sqrt(np.einsum("...i,...i->...", w, w))
 
 
-def _anchored_project(spec: StiefelV2, coords):
-    """Re-orthonormalize the second column against the untouched first column."""
-    out = np.array(coords, dtype=float)
-    x1, x2 = mf.frame_columns(spec, out)  # views of out
-    x2 -= np.add.reduce(x2 * x1, axis=-1, keepdims=True) * x1  # np.sum's bits, not its cost
-    x2 /= np.sqrt(np.add.reduce(x2 * x2, axis=-1, keepdims=True))  # np.linalg.norm's bits
-    return out
+class _FrameFibers(StiefelV2):
+    """The fibers of the bundle projection (x1, v) -> x1 as a manifold kind: frames
+    whose first column stays put.  ``project`` re-orthonormalizes the second column
+    against the untouched first, the tangent space is the vertical space
+    (``vertical_project_coords``), and the Riemannian Hessian is that of F on the
+    fiber sphere, zero in the base rows and columns, so a Newton step never moves x1."""
 
+    def project(self, coords):
+        out = np.array(coords, dtype=float)
+        x1, x2 = mf.frame_columns(self, out)  # views of out
+        x2 -= np.add.reduce(x2 * x1, axis=-1, keepdims=True) * x1  # np.sum's bits, not its cost
+        x2 /= np.sqrt(np.add.reduce(x2 * x2, axis=-1, keepdims=True))  # np.linalg.norm's bits
+        return out
 
-def _vertical_hessian(field: ScalarField, coords):
-    """Jacobian of ``vertical_gradient_coords`` along the fiber, as (n, 2m, 2m)
-    matrices in frame coordinates: the fiber block is the Riemannian Hessian of
-    f on the fiber sphere, P H_vv P - <g_v, v> P with P = I - x1 x1^T - v v^T
-    and g_v, H_vv the fiber parts of the Euclidean gradient and Hessian; the
-    base rows and columns are zero, so a Newton step never moves x1."""
-    spec = field.spec
-    m = spec.frame_dim
-    x1, v = mf.frame_columns(spec, coords)
-    g = field.euclidean_gradient_at(coords)[..., m:]
-    h = field.euclidean_hessian_at(coords)[..., m:, m:]
-    p = np.eye(m) - x1[..., :, None] * x1[..., None, :] - v[..., :, None] * v[..., None, :]
-    out = np.zeros(coords.shape + (2 * m,))
-    out[..., m:, m:] = p @ h @ p - np.sum(g * v, axis=-1)[..., None, None] * p
-    return out
+    def project_tangent(self, coords, w):
+        return vertical_project_coords(self, coords, w)
+
+    def riemannian_hessian(self, coords, egrad, ehess):
+        """The Jacobian of the vertical gradient along the fiber, as (..., 2m, 2m)
+        matrices in frame coordinates: the fiber block is P H_vv P - <g_v, v> P with
+        P = I - x1 x1^T - v v^T and g_v, H_vv the fiber parts of egrad and ehess."""
+        m = self.frame_dim
+        x1, v = mf.frame_columns(self, coords)
+        g, h = egrad[..., m:], ehess[..., m:, m:]
+        p = np.eye(m) - x1[..., :, None] * x1[..., None, :] - v[..., :, None] * v[..., None, :]
+        out = np.zeros(coords.shape + (2 * m,))
+        out[..., m:, m:] = p @ h @ p - np.sum(g * v, axis=-1)[..., None, None] * p
+        return out
 
 
 def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
                             direction: int = -1):
     """Batched adaptive flow of the vertical pseudo-gradient, finished by Newton.
 
-    The vector field has zero base component and the projection after every
-    stage is anchored at the first column, so trajectories stay in their
-    fiber exactly.  Integrates with the adaptive Dormand-Prince 5(4) driver of
-    ``flow_endpoints`` from initial step flow.FIRST_STEP, held to
-    flow.ENDPOINT_ATOL (only the endpoints are returned), never moving f
-    against ``direction``, until Newton is certified at the row's point, at
-    any gradient norm.  Certified means: the vertical Hessian
-    (``_vertical_hessian``, zero in the base columns) is definite on the
-    fiber's tangent space with the sign ``direction`` asks for, each
-    eigenvalue beyond flow.NEWTON_GUARD_MARGIN (the guard), and one Newton
-    step on ``vertical_gradient_coords`` contracts, theta <= 1/4 (the
-    Newton-Kantorovich test of ``flow._endpoint_flow``).  Then
-    Levenberg-Marquardt, with that Hessian as Jacobian and the anchored
-    projection as retraction, takes each certified row from that Newton step
-    to cfg.grad_tol; the first column never moves.  A Newton result that did not converge, moved f
-    against ``direction``, or lies where the guard refuses (a Morse-Bott set or
-    a saddle) is dropped, and the row resumes the flow where it stopped.  For
-    ut-f the fiber Hessian is -f P and f is a linear height on each fiber
+    ``flow._endpoint_flow`` on the field moved onto the fiber kind
+    ``_FrameFibers``: its projection is anchored at the first column, its
+    tangent space is the vertical space, and the vector field has zero base
+    component, so trajectories stay in their fiber exactly.  The adaptive
+    Dormand-Prince 5(4) driver of ``flow_endpoints``, from initial step
+    flow.FIRST_STEP and held to flow.ENDPOINT_ATOL, never moves f against
+    ``direction``; a row leaves it, at any gradient norm, where Newton on the
+    fiber is certified: the kind's Riemannian Hessian (zero in the base
+    columns) is definite with the sign ``direction`` asks for, beyond
+    flow.NEWTON_GUARD_MARGIN (the guard), and one Newton step contracts,
+    theta <= 1/4.  Newton then takes the row to cfg.grad_tol; the first
+    column never moves.  A Newton result that did not converge, moved f
+    against ``direction``, or lies where the guard refuses (a Morse-Bott set
+    or a saddle) is dropped, and the row resumes the flow where it stopped.
+    For ut-f the fiber Hessian is -f P and f is a linear height on each fiber
     sphere, so one Newton step from any point the guard admits lands on the
     section: most rows hand off at their seeds.  A row's result does not
     depend on the other rows unless numerics.LM_BATCH_AXIS_ROWS or more rows
     are handed off at once, where the finish switches its solve as LM does.
     """
-    _require_frames(field.spec)
-    return flow._endpoint_flow(field, direction, _vertical_pseudo_gradient, _anchored_project,
-                               vertical_gradient_coords, _vertical_hessian,
-                               vertical_project_coords, starts, cfg or FlowConfig())
+    fibers = replace(field, spec=_FrameFibers(_require_frames(field.spec).frame_dim))
+    return flow._endpoint_flow(fibers, direction, _vertical_pseudo_gradient, starts,
+                               cfg or FlowConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,8 +36,7 @@ from lsnav.manifolds import (
 )
 from lsnav.navigation import nav_field
 from lsnav.unit_tangent import (
-    _anchored_project,
-    _vertical_hessian,
+    _FrameFibers,
     _vertical_pseudo_gradient,
     f_ut_coords,
     f_ut_euclidean_gradient,
@@ -318,6 +318,27 @@ def test_newton_search_does_not_depend_on_the_other_rows(name):
                           whole)
 
 
+@pytest.mark.parametrize("frame_dim", [4, 8])
+def test_newton_search_on_the_frame_fibers(frame_dim):
+    # generic Newton on the fiber kind: ut-f is a linear height on each fiber
+    # sphere, so every finite seed lands on a section (x, +-ix) over its own x.
+    # One call against 7-row chunks, bit for bit, and a NaN seed retires only its row
+    m = frame_dim
+    field = _fibers(f_ut_field(StiefelV2(m)))
+    seeds = random_points(StiefelV2(m), 40, np.random.default_rng(29))
+    whole = newton_critical_search(field, seeds)
+    assert len(whole) == len(seeds)
+    assert np.abs(whole[:, :m] - seeds[:, :m]).max() <= 1e-12
+    ix = mult_i(whole[:, :m])
+    off = np.minimum(np.linalg.norm(whole[:, m:] - ix, axis=1),
+                     np.linalg.norm(whole[:, m:] + ix, axis=1))
+    assert off.max() <= 1e-8
+    chunks = [newton_critical_search(field, seeds[i:i + 7]) for i in range(0, 40, 7)]
+    assert np.array_equal(whole, np.concatenate(chunks))
+    assert np.array_equal(newton_critical_search(field, np.insert(seeds, 13, np.nan, axis=0)),
+                          whole)
+
+
 def _fiber_quadratic(diag, linear=(0.0, 0.0, 0.0, 0.0)):
     """f(x, v) = sum_k diag[k] v_k^2 + linear[k] v_k on stiefel:4, restricted on
     the fiber over x to the unit sphere of x's complement."""
@@ -335,17 +356,22 @@ def _frames_over_e1(n, rng):
     return np.concatenate([np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), v], axis=1)
 
 
+def _fibers(field):
+    """The field on the fiber kind the vertical flow runs on."""
+    return replace(field, spec=_FrameFibers(field.spec.frame_dim))
+
+
 def _plain_vertical_flow(field, starts, direction):
     """The vertical flow without its Newton finish: (endpoints, gradient norms)."""
-    return flow._flow_batch(field, direction, _vertical_pseudo_gradient, _anchored_project,
-                            starts, FlowConfig(), atol=flow.ENDPOINT_ATOL)[:2]
+    return flow._flow_batch(_fibers(field), direction, _vertical_pseudo_gradient, starts,
+                            FlowConfig(), atol=flow.ENDPOINT_ATOL)[:2]
 
 
 def _guard_admits(field, x, direction):
     """The hand-off guard, rebuilt: the vertical Hessian has frame_dim - 2 (the
     fiber sphere's dimension) eigenvalues of the direction's sign beyond
     NEWTON_GUARD_MARGIN (1 + max |lambda|)."""
-    lam = np.linalg.eigvalsh(_vertical_hessian(field, x))
+    lam = np.linalg.eigvalsh(_fibers(field).riemannian_hessian(x))
     margin = flow.NEWTON_GUARD_MARGIN * (1.0 + np.abs(lam).max(axis=-1, keepdims=True))
     return np.sum(-direction * lam > margin, axis=-1) >= field.spec.frame_dim - 2
 
@@ -455,8 +481,8 @@ def test_fsal_stopping_norm_leaves_endpoint_flows_bit_identical(case, direction)
     field = make()
     seeds = random_points(field.spec, n, np.random.default_rng(31))
     want = _reference_pseudo_gradient_flow(field, seeds, direction, atol=flow.ENDPOINT_ATOL)
-    got = flow._pseudo_gradient_flow(field, seeds, FlowConfig(), direction,
-                                     atol=flow.ENDPOINT_ATOL)
+    got = flow._flow_batch(field, direction, flow._pseudo_gradient, seeds, FlowConfig(),
+                           atol=flow.ENDPOINT_ATOL)
     assert want[1].max() <= FlowConfig().grad_tol
     for g, w in zip(got, want):
         assert _same_bits(g, w)
@@ -500,10 +526,10 @@ def test_fsal_stopping_norm_keeps_the_vertical_flow(monkeypatch, frame_dim, dire
                            lambda x: f_ut_euclidean_gradient(spec, x),
                            euclidean_hessian=field.euclidean_hessian)
 
-    def reference_batch(fld, d, stage, project, starts, cfg, max_time=None, record=None,
+    def reference_batch(fld, d, stage, starts, cfg, max_time=None, record=None,
                         atol=None, clock=None, stop=None):
         return _reference_flow_batch(
-            fld, d, vertical_pseudo_gradient_coords, project,
+            fld, d, vertical_pseudo_gradient_coords, project_points,
             lambda f, x: np.linalg.norm(vertical_gradient_coords(f, x), axis=-1),
             starts, cfg, max_time, record, atol, clock, stop)
 
@@ -524,7 +550,7 @@ def test_descent_near_a_saddle_ends_at_the_minimum(monkeypatch):
     saddles[:, 6] = np.repeat([1.0, -1.0], 10)
     step = 5e-4 * _frames_over_e1(20, np.random.default_rng(22))
     step[:, 0] = 0.0
-    starts = _anchored_project(field.spec, saddles + step)
+    starts = project_points(_fibers(field).spec, saddles + step)
     assert np.linalg.norm(starts - saddles, axis=1).max() <= 1e-3
     lm_starts = _spy_lm(monkeypatch)
     handoffs = _spy_handoffs(monkeypatch)

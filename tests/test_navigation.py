@@ -837,6 +837,20 @@ def test_support_field_is_exact_at_every_coordinate_direction():
     assert fld.value_at(u).tobytes() == np.sqrt(np.einsum("ni,ni->n", b**2 * u, u)).tobytes()
 
 
+@pytest.mark.parametrize("axes", [(1.0, 2.0, 3.0), (1e-154, 1.0, 1e154)])
+def test_support_hessian_keeps_the_broadcast_formula_bits(axes):
+    # (b^2 I - g g^T) / h with g g^T broadcast, on random directions and on the
+    # coordinate directions, where h takes its hypot branch on (1e-154, 1, 1e154)
+    fld, c = Ellipsoid(axes).support_field()
+    b2 = (np.array(axes) / c) ** 2
+    u = np.concatenate([random_points(fld.spec, 10000, np.random.default_rng(15)),
+                        np.eye(3), -np.eye(3)])
+    h = fld.value_at(u)[:, None, None]
+    g = fld.euclidean_gradient_at(u)
+    want = (b2 * np.eye(3) - g[:, :, None] * g[:, None, :]) / h
+    assert fld.euclidean_hessian_at(u).tobytes() == want.tobytes()
+
+
 def test_only_the_ellipsoid_offers_a_support_field():
     torus = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
     assert torus.support_field() is None

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,7 @@ from lsnav.navigation import CLASSIFY_TOL
 from lsnav.unit_tangent import (
     FiberTuple,
     ProportionalityReport,
-    _anchored_project,
-    _vertical_hessian,
+    _FrameFibers,
     _vertical_pseudo_gradient,
     base_height_field,
     df_ut,
@@ -372,9 +373,10 @@ def test_vertical_hessian_is_the_fiber_derivative_of_the_vertical_gradient():
     w = vertical_project_coords(spec, x, rng.standard_normal(x.shape))
     h = 1e-6
     # v moves along w, renormalized against the fixed first column: a curve in the fiber
-    fd = (vertical_gradient_coords(field, _anchored_project(spec, x + h * w))
-          - vertical_gradient_coords(field, _anchored_project(spec, x - h * w))) / (2 * h)
-    jac = _vertical_hessian(field, x)
+    fibers = _FrameFibers(4)
+    fd = (vertical_gradient_coords(field, fibers.project(x + h * w))
+          - vertical_gradient_coords(field, fibers.project(x - h * w))) / (2 * h)
+    jac = replace(field, spec=fibers).riemannian_hessian(x)
     want = vertical_project_coords(spec, x, fd)
     assert np.abs(np.einsum("nij,nj->ni", jac, w) - want).max() <= 1e-6 * (1 + np.abs(want).max())
     assert not jac[:, :4].any() and not jac[:, :, :4].any()
