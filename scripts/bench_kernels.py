@@ -38,11 +38,8 @@ for one or more source trees of lsnav in one process:
 
 Each ``LABEL=SRC`` argument loads the ``lsnav`` package under SRC as its own
 module, so the trees are timed alternately, repeat by repeat, and a change of
-host speed hits all of them alike.  A tree without the fiber kind (before it
-was added) projects the vertical stage with ``unit_tangent._anchored_project``
-and has no ``endpoint_flow`` case; each case is timed in the trees that have
-it.  Every figure is the median and quartiles over REPEATS repeats of the time
-per call, with the calls and rows behind it.
+host speed hits all of them alike.  Every figure is the median and quartiles
+over REPEATS repeats of the time per call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median and each census median stand the Levenberg-Marquardt iterations
@@ -176,11 +173,11 @@ def cases(lsnav):
             pts = mf.random_points(field.spec, n, np.random.default_rng([2, n]))
             out.append(("vertical_pseudo_gradient_coords", name, n,
                         lambda f=field, x=pts: ut.vertical_pseudo_gradient_coords(f, x)))
-        fibers, project = fiber_stage(lsnav, field)
+        fibers = dataclasses.replace(field, spec=ut._FrameFibers(field.spec.frame_dim))
         for n in STAGE_BATCHES:
             pts = mf.random_points(field.spec, n, np.random.default_rng([8, n]))
             out.append(("vertical_stage", name, n, lambda f=fibers, x=pts:
-                        ut._vertical_pseudo_gradient(f, project(f.spec, x))))
+                        ut._vertical_pseudo_gradient(f, mf.project_points(f.spec, x))))
         n = FLOW_SEEDS
         seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
         out.append(("vertical_flow_endpoints", name, n,
@@ -191,9 +188,8 @@ def cases(lsnav):
         seeds = mf.random_points(field.spec, n, np.random.default_rng([7, n]))
         out.append(("flow_endpoints", name, n,
                     lambda f=field, x=seeds: lsnav.flow.flow_endpoints(f, x)))
-        if hasattr(ut, "_FrameFibers"):  # the tree's _endpoint_flow reads the field alone
-            out.append(("endpoint_flow", name, n, lambda f=field, x=seeds, fl=lsnav.flow:
-                        fl._endpoint_flow(f, -1, fl._pseudo_gradient, x, fl.FlowConfig())))
+        out.append(("endpoint_flow", name, n, lambda f=field, x=seeds, fl=lsnav.flow:
+                    fl._endpoint_flow(f, -1, fl._pseudo_gradient, x, fl.FlowConfig())))
     for name in CLUSTER_PROBLEMS:
         field = newton_field(lsnav, name)
         for n in CLUSTER_BATCHES.get(name, BATCHES):
@@ -225,17 +221,6 @@ def cases(lsnav):
         out.append(("_dedup_pairs", name, len(x), lambda x=x, y=y, k=DEDUP_TAKE[name]:
                     list(islice(nav._dedup_pairs(x, y, nav.PAIR_DEDUP_TOL), k))))
     return out
-
-
-def fiber_stage(lsnav, field):
-    """The vertical stage's field and projection: the field on the fiber kind and
-    ``project_points``, or, in a tree without the kind, the field and the anchored
-    projection."""
-    ut = lsnav.unit_tangent
-    if hasattr(ut, "_FrameFibers"):
-        fibers = ut._FrameFibers(field.spec.frame_dim)
-        return dataclasses.replace(field, spec=fibers), lsnav.manifolds.project_points
-    return field, ut._anchored_project
 
 
 def census_rows(lsnav, name: str, search):

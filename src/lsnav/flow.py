@@ -27,8 +27,8 @@ affine-covariant Newton-Kantorovich test).  One ``_newton`` call takes the
 certified rows from that Newton step to grad_tol.  A Newton result is kept
 only if it converged, did not move F against the flow, and the guard admits
 it too, so a limit on a Morse-Bott set or at a saddle is refused; rows
-refused resume the flow where it stopped, at their hand-off time and step,
-and end bit for bit where the flow alone would have ended.
+refused run the plain flow again from their starts, so they end where the
+flow alone ends, by construction.
 
 ``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
 gradient, with the analytic Riemannian Hessian P (hess F - S) P (P the tangent
@@ -231,31 +231,27 @@ def _dp54_step(stage, project, x, k1, h):
 
 
 def _flow_batch(field: ScalarField, direction: int, stage, starts, cfg: FlowConfig,
-                max_time=None, record=None, atol=None, clock=None, stop=None):
+                max_time=None, record=None, atol=None, stop=None):
     """Adaptive Dormand-Prince 5(4) flow of a batch along direction * X, where
     stage(field, x) = (X, stopping norm), one step size per row, re-projecting
     onto field.spec with ``project_points`` after every stage (the fiber kind's
     anchored projection for the vertical flow) and holding -direction * F monotone.
 
-    Every row starts at time 0 from step FIRST_STEP.  Given clock = (t, h),
-    the times and next steps an earlier call returned for these rows, the
-    flow resumes instead: the starts, points that call returned, are not
-    projected again, and each row goes on at time t from step h, exactly as
-    if that call had run on.  A row stops once its norm (after a step, its
-    last stage's) is at most grad_tol, at time max_time (default MAX_TIME),
-    or when a rejection leaves its step below STEP_FLOOR.  A step is accepted
-    when its error estimate is at most min(atol, RTOL |y - x|), atol
-    defaulting to ATOL (endpoint-only callers pass ENDPOINT_ATOL), and the
-    Lyapunov function -direction * F has not increased beyond rounding; the
-    relative half of the bound keeps steps inside the stability region as
-    rows approach the critical set.  Since the floor lies far above the steps
+    Every row starts at time 0 from step FIRST_STEP.  A row stops once its
+    norm (after a step, its last stage's) is at most grad_tol, at time max_time
+    (default MAX_TIME), or when a rejection leaves its step below STEP_FLOOR.
+    A step is accepted when its error estimate is at most min(atol, RTOL
+    |y - x|), atol defaulting to ATOL (endpoint-only callers pass
+    ENDPOINT_ATOL), and the Lyapunov function -direction * F has not increased
+    beyond rounding; the relative half of the bound keeps steps inside the
+    stability region as rows approach the critical set.  Since the floor lies far above the steps
     whose change of F is rounding, a row rejected again and again reaches it
     within a few dozen steps.  ``record(t, x, gn)`` sees the starts and every
     pass that accepts a step.  An optional predicate ``stop(rows, x)``, given
     the indices of some rows and their points, returns a boolean per row; it
     sees the starts that are to flow and, after every pass, the rows that pass
     accepted and that are still to flow, and a row it returns True for stops
-    there.  Returns (endpoints, final norms, times, next steps).
+    there.  Returns (endpoints, final norms).
     """
     max_time = MAX_TIME if max_time is None else max_time
     atol = ATOL if atol is None else atol
@@ -270,12 +266,8 @@ def _flow_batch(field: ScalarField, direction: int, stage, starts, cfg: FlowConf
     def lyapunov(x):
         return -direction * field.value_at(x)
 
-    x = np.array(starts, dtype=float)
-    if clock is None:
-        x = proj(x)
-        t, h = np.zeros(len(x)), np.full(len(x), FIRST_STEP)
-    else:
-        t, h = (np.array(c, dtype=float) for c in clock)
+    x = proj(np.array(starts, dtype=float))
+    t, h = np.zeros(len(x)), np.full(len(x), FIRST_STEP)
 
     def halt(rows):
         if stop is not None and rows.size:
@@ -311,7 +303,7 @@ def _flow_batch(field: ScalarField, direction: int, stage, starts, cfg: FlowConf
                        & (ok | (h[idx] >= STEP_FLOOR)))
         halt(acc[active[acc]])
         idx = np.flatnonzero(active)
-    return x, gn, t, h
+    return x, gn
 
 
 @dataclass(eq=False)
@@ -416,11 +408,11 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowC
     f = (v_4 - 1/2)^2 on the fiber over e_1 of stiefel:4, rows are certified
     where the eigenvalue along the minimum circle v_4 = 1/2 reads 1.3e-2 to
     4.2e-2 of 1 + max |lambda|; at their Newton limits on the circle it reads
-    at most 2.1e-9, and all are refused.)  Rows whose result is not kept
-    resume the flow at their hand-off time and step, without the predicate, so
-    they end bit for bit where the flow alone ends, unconverged at MAX_TIME
-    included.  Rows the flow stops unconverged, at MAX_TIME or on the step
-    floor, are not handed off.
+    at most 2.1e-9, and all are refused.)  Rows whose result is not kept run
+    the plain flow again from their starts, without the predicate, so they end
+    where the flow alone ends, unconverged at MAX_TIME included.  Rows the
+    flow stops unconverged, at MAX_TIME or on the step floor, are not handed
+    off.
 
     Every stage treats rows independently, so a row's result does not depend on
     which rows share the call, with one exception inherited from
@@ -429,10 +421,6 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowC
     whose last bits may differ from the per-matrix solve.
     Returns (endpoints, gradient norms, converged mask).
     """
-    def run(x, clock=None, stop=None):
-        return _flow_batch(field, direction, stage, x, cfg, atol=ENDPOINT_ATOL, clock=clock,
-                           stop=stop)
-
     dim = None  # the rank of the projector, the same at every point: taken once
 
     def guard(p):
@@ -467,7 +455,7 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowC
         certified[rows[ok]] = True
         return ok
 
-    x, gn, t, h = run(starts, stop=stop)
+    x, gn = _flow_batch(field, direction, stage, starts, cfg, atol=ENDPOINT_ATOL, stop=stop)
     go = np.flatnonzero(certified)
     if go.size:
         z, rn = _newton(field, newton[go], cfg.grad_tol)
@@ -478,7 +466,8 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowC
         x[go[kept]], gn[go[kept]] = z[kept], rn[kept]
         rest = go[~kept]
         if rest.size:
-            x[rest], gn[rest] = run(x[rest], (t[rest], h[rest]))[:2]
+            x[rest], gn[rest] = _flow_batch(field, direction, stage, np.asarray(starts)[rest], cfg,
+                                            atol=ENDPOINT_ATOL)
     return x, gn, gn <= cfg.grad_tol
 
 
@@ -494,7 +483,7 @@ def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction
     Returns (endpoints, gradient norms, converged mask).
     """
     cfg = cfg or FlowConfig()
-    x, gn = _flow_batch(field, direction, _pseudo_gradient, starts, cfg, atol=ENDPOINT_ATOL)[:2]
+    x, gn = _flow_batch(field, direction, _pseudo_gradient, starts, cfg, atol=ENDPOINT_ATOL)
     return x, gn, gn <= cfg.grad_tol
 
 

@@ -284,7 +284,15 @@ class _FrameFibers(StiefelV2):
     whose first column stays put.  ``project`` re-orthonormalizes the second column
     against the untouched first, the tangent space is the vertical space
     (``vertical_project_coords``), and the Riemannian Hessian is that of F on the
-    fiber sphere, zero in the base rows and columns, so a Newton step never moves x1."""
+    fiber sphere, zero in the base rows and columns, so a Newton step never moves x1.
+    Its samples are those of ``StiefelV2``, and it has no JSON form: read back, the
+    tag would name the plain kind."""
+
+    def sample(self, n, rng):
+        return StiefelV2(self.frame_dim).sample(n, rng)
+
+    def to_json(self):
+        raise WrongSpec("the frame fibers are a private kind with no JSON form")
 
     def project(self, coords):
         out = np.array(coords, dtype=float)
@@ -326,7 +334,7 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     theta <= 1/4.  Newton then takes the row to cfg.grad_tol; the first
     column never moves.  A Newton result that did not converge, moved f
     against ``direction``, or lies where the guard refuses (a Morse-Bott set
-    or a saddle) is dropped, and the row resumes the flow where it stopped.
+    or a saddle) is dropped, and the row runs the plain flow again from its start.
     For ut-f the fiber Hessian is -f P and f is a linear height on each fiber
     sphere, so one Newton step from any point the guard admits lands on the
     section: most rows hand off at their seeds.  A row's result does not

@@ -364,7 +364,7 @@ def _fibers(field):
 def _plain_vertical_flow(field, starts, direction):
     """The vertical flow without its Newton finish: (endpoints, gradient norms)."""
     return flow._flow_batch(_fibers(field), direction, _vertical_pseudo_gradient, starts,
-                            FlowConfig(), atol=flow.ENDPOINT_ATOL)[:2]
+                            FlowConfig(), atol=flow.ENDPOINT_ATOL)
 
 
 def _guard_admits(field, x, direction):
@@ -387,7 +387,7 @@ def _reference_dp54_step(vfield, project, x, k1, h):
 
 
 def _reference_flow_batch(field, direction, pseudo_gradient, project, grad_norm, starts, cfg,
-                          max_time=None, record=None, atol=None, clock=None, stop=None):
+                          max_time=None, record=None, atol=None, stop=None):
     """The driver before it took its stopping norm from the FSAL stage: it
     evaluates grad_norm(field, x) at the starts and again at every accepted
     point, where the step's last stage has just evaluated the field.  The stop
@@ -405,12 +405,8 @@ def _reference_flow_batch(field, direction, pseudo_gradient, project, grad_norm,
     def lyapunov(x):
         return -direction * field.value_at(x)
 
-    x = np.array(starts, dtype=float)
-    if clock is None:
-        x = proj(x)
-        t, h = np.zeros(len(x)), np.full(len(x), flow.FIRST_STEP)
-    else:
-        t, h = (np.array(c, dtype=float) for c in clock)
+    x = proj(np.array(starts, dtype=float))
+    t, h = np.zeros(len(x)), np.full(len(x), flow.FIRST_STEP)
     n = x.shape[0]
     gn = np.asarray(grad_norm(field, x), dtype=float)
     active = (gn > cfg.grad_tol) & (t < max_time)
@@ -475,8 +471,8 @@ REFERENCE_FLOWS = {
 @pytest.mark.parametrize("case", list(REFERENCE_FLOWS))
 def test_fsal_stopping_norm_leaves_endpoint_flows_bit_identical(case, direction):
     # the stopping norm read off the last stage is the one the reference driver
-    # evaluates again at the accepted point: endpoints, norms, times and next
-    # steps agree bit for bit, zero signs included
+    # evaluates again at the accepted point: endpoints and norms agree bit for
+    # bit, zero signs included
     make, n = REFERENCE_FLOWS[case]
     field = make()
     seeds = random_points(field.spec, n, np.random.default_rng(31))
@@ -527,11 +523,11 @@ def test_fsal_stopping_norm_keeps_the_vertical_flow(monkeypatch, frame_dim, dire
                            euclidean_hessian=field.euclidean_hessian)
 
     def reference_batch(fld, d, stage, starts, cfg, max_time=None, record=None,
-                        atol=None, clock=None, stop=None):
+                        atol=None, stop=None):
         return _reference_flow_batch(
             fld, d, vertical_pseudo_gradient_coords, project_points,
             lambda f, x: np.linalg.norm(vertical_gradient_coords(f, x), axis=-1),
-            starts, cfg, max_time, record, atol, clock, stop)
+            starts, cfg, max_time, record, atol, stop)[:2]
 
     monkeypatch.setattr(flow, "_flow_batch", reference_batch)
     want = vertical_flow_endpoints(composed, seeds, direction=direction)
@@ -571,8 +567,8 @@ def test_descent_near_a_saddle_ends_at_the_minimum(monkeypatch):
 @pytest.mark.parametrize("finish", ["uphill", "unconverged"])
 def test_newton_finish_that_fails_keeps_flowing(monkeypatch, finish):
     # the finish returns the section v = +ix (critical, but f rose) or gives
-    # up; either way every row resumes the descent where it stopped and ends
-    # bit for bit where the flow alone ends, on the section v = -ix
+    # up; either way every row runs the plain descent again from its start and
+    # ends bit for bit where the flow alone ends, on the section v = -ix
     field = f_ut_field(StiefelV2(4))
     starts = random_points(field.spec, 10, np.random.default_rng(23))
     calls = []
@@ -597,11 +593,11 @@ def test_refused_rows_keep_the_flows_time_budget(monkeypatch):
     # of the fiber.  On their way there some rows pass the guard and the
     # contraction test, and Newton takes them onto the circle, where the
     # eigenvalue along it (at most 2.1e-9 of 1 + max |lambda|) is below the
-    # guard's margin: the guard refuses every Newton limit, and those rows
-    # resume at their hand-off.  At MAX_TIME = 12.5 the flow alone converges
-    # some rows; a resumed row runs on the same clock, so the same rows stop
-    # unconverged at MAX_TIME, and every row ends bit for bit where the flow
-    # alone ends.
+    # guard's margin: the guard refuses every Newton limit, and those rows run
+    # the plain flow again from their starts.  At MAX_TIME = 12.5 the flow alone
+    # converges some rows; a refused row gets the whole time budget again, so
+    # the same rows stop unconverged at MAX_TIME, and every row ends bit for bit
+    # where the flow alone ends.
     field = _fiber_quadratic([0.0, 0.0, 0.0, 1.0], linear=[0.0, 0.0, 0.0, -1.0])
     starts = _frames_over_e1(40, np.random.default_rng(25))
     monkeypatch.setattr(flow, "MAX_TIME", 12.5)

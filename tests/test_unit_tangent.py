@@ -15,12 +15,14 @@ from lsnav.manifolds import (
     PointOnM,
     Sphere,
     StiefelV2,
+    constraint_residual,
     frame_columns,
     frame_flat,
     mult_i,
     mult_j,
     random_points,
     spec_from_json,
+    spec_to_json,
     tangency_residual,
     tangent_project,
 )
@@ -383,6 +385,23 @@ def test_vertical_hessian_is_the_fiber_derivative_of_the_vertical_gradient():
     # the flow on this field hands its rows to Newton too, and the fibers stay put
     end, gn, conv = vertical_flow_endpoints(field, x)
     assert conv.all() and np.array_equal(end[:, :4], x[:, :4])
+
+
+@pytest.mark.parametrize("frame_dim", [4, 8])
+def test_frame_fiber_samples_are_stiefel_frames(frame_dim):
+    # the anchored projection keeps a Gaussian first column as it is, off the
+    # manifold; the fiber kind draws the frames of the plain kind instead
+    got = random_points(_FrameFibers(frame_dim), 3, np.random.default_rng(0))
+    want = random_points(StiefelV2(frame_dim), 3, np.random.default_rng(0))
+    assert np.array_equal(got, want)
+    assert constraint_residual(_FrameFibers(frame_dim), got).max() <= 1e-12
+
+
+def test_frame_fibers_have_no_json_form():
+    # the tag stiefel_v2 would read back as the plain kind, whose projection
+    # and tangent space are not the fibers'
+    with pytest.raises(WrongSpec):
+        spec_to_json(_FrameFibers(4))
 
 
 def test_sigma_u_r2_formula():
