@@ -13,9 +13,14 @@ height (ellipsoid:1,2,3, and the torus of revolution (2, 0.5) at level 0.25
 at seeds 0, 1 and 2), ``pairs`` on the ellipsoid (1,2,3), on S^2 (at 2000
 seeds and at 50, where the continuum must not depend on the seed count) and
 on that torus (``--torus 2,0.5``, a continuum of pairs),
-``bound --unit-tangent --m 1 --r 4`` as JSON and as ``--format text``, and
-``verify``, whose per-criterion seconds are masked before hashing.  Every
-other command runs at ``--seed 0``.
+``bound --unit-tangent --m 1 --r 4`` as JSON and as ``--format text``,
+``plan`` with the product-spheres planner on a 3-slot critical tuple of
+product:1,3 (as JSON and as ``--format csv --samples 64``) and with the sigma-u
+planner on a 3-entry fiber tuple of stiefel:8 over x = (1/2, 1/2, 1/2, 1/2,
+0, 0, 0, 0), and ``verify``, whose per-criterion seconds are masked before
+hashing.  Every other command runs at ``--seed 0``.  The torus spec and the
+two tuples are written as JSON files to a temporary directory; each command is
+shown with its file names relative to that directory.
 
 With two or more trees the last line says whether every command printed the
 same bytes in each tree.  Exit status: 0 when they agree (or one tree ran), 1
@@ -32,14 +37,26 @@ import subprocess
 import sys
 import tempfile
 
-TORUS_SPEC = {"kind": "implicit_hypersurface", "level": 0.25,
-              "field": {"name": "torus_of_revolution",
-                        "params": {"major_radius": 2.0, "minor_radius": 0.5}}}
+HALF = [0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
+I_HALF = [0.5, -0.5, 0.5, -0.5, 0.0, 0.0, 0.0, 0.0]  # mult_i of HALF
+INPUT_FILES = {
+    "torus.json": {"kind": "implicit_hypersurface", "level": 0.25,
+                   "field": {"name": "torus_of_revolution",
+                             "params": {"major_radius": 2.0, "minor_radius": 0.5}}},
+    # signs (+, -, -) on the S^1 factor and (+, +, -) on the S^3 factor
+    "spheres-tuple.json": [[0.6, 0.8, 0.5, 0.5, 0.5, 0.5],
+                           [-0.6, -0.8, 0.5, 0.5, 0.5, 0.5],
+                           [-0.6, -0.8, -0.5, -0.5, -0.5, -0.5]],
+    # the frames (x, i x), (x, -i x), (x, i x)
+    "fibers-tuple.json": [HALF + I_HALF, HALF + [-v for v in I_HALF], HALF + I_HALF],
+}
 SECONDS = re.compile(rb"\(\s*\d+\.\ds\)")
 
 
-def commands(torus_file: str) -> list:
-    """The CLI argument lists of the matrix, verify last."""
+def commands(tmp: str) -> list:
+    """The CLI argument lists of the matrix, verify last; the input files are in tmp."""
+    torus_file, spheres, fibers = (os.path.join(tmp, name) for name in INPUT_FILES)
+    plan = ["plan", "--seed", "0", "--planner"]
     crit = ["critfind", "--seed", "0", "--field"]
     cmds = [crit + ["nav", "--manifold", "sphere:1", "--r", "2", "--seeds", "200"],
             crit + ["nav", "--manifold", "sphere:3", "--r", "3", "--seeds", "200"],
@@ -57,6 +74,10 @@ def commands(torus_file: str) -> list:
              ["bound", "--seed", "0", "--unit-tangent", "--m", "1", "--r", "4"],
              ["bound", "--seed", "0", "--unit-tangent", "--m", "1", "--r", "4",
               "--format", "text"],
+             plan + ["product-spheres", "--manifold", "product:1,3", "--tuple", spheres],
+             plan + ["product-spheres", "--manifold", "product:1,3", "--tuple", spheres,
+                     "--format", "csv", "--samples", "64"],
+             plan + ["sigma-u", "--manifold", "stiefel:8", "--tuple", fibers],
              ["verify", "--seed", "0"]]
     return cmds
 
@@ -81,11 +102,11 @@ def main(argv) -> int:
     trees = dict(a.split("=", 1) for a in pairs)
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
-        torus_file = os.path.join(tmp, "torus.json")
-        with open(torus_file, "w") as fh:
-            json.dump(TORUS_SPEC, fh)
-        for cmd in commands(torus_file):
-            shown = " ".join(cmd).replace(torus_file, "torus(2,0.5)@0.25")
+        for name, payload in INPUT_FILES.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                json.dump(payload, fh)
+        for cmd in commands(tmp):
+            shown = " ".join(cmd).replace(tmp + os.sep, "")
             try:
                 sums = {label: digest(src, cmd) for label, src in trees.items()}
             except RuntimeError as exc:

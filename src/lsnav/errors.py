@@ -63,7 +63,7 @@ class EvenDimension(LsnavError):
 
 
 class WrongDimension(LsnavError):
-    """Ambient dimension incompatible with the quaternionic structure."""
+    """Ambient dimension incompatible with the complex or quaternionic structure."""
 
 
 class OutOfDomain(LsnavError):
@@ -91,7 +91,7 @@ class NotCriticalFiberTuple(NotCriticalTuple):
 
 
 class DegenerateBase(LsnavError):
-    """Unitary completion failed for the given basepoints."""
+    """Trivialization basepoints are not unit vectors."""
 
 
 class UnknownComplexity(LsnavError):

@@ -158,8 +158,8 @@ class SignPattern:
     def __post_init__(self):
         signs = tuple(tuple(int(s) for s in factor) for factor in self.signs)
         object.__setattr__(self, "signs", signs)
-        if not signs or any(len(f) < 2 for f in signs):
-            raise ValueError("pattern needs at least one factor and two slots")
+        if not signs or any(len(f) < 2 or len(f) != len(signs[0]) for f in signs):
+            raise ValueError("pattern needs at least one factor and two slots, as many in each")
         if any(f[0] != 1 for f in signs):
             raise ValueError("slot 1 is +1 by convention")
         if any(s not in (-1, 1) for f in signs for s in f):
@@ -228,11 +228,10 @@ def critical_tuple(spec, pattern: SignPattern, base: np.ndarray) -> NavTuple:
     if len(blocks) != pattern.n_factors:
         raise WrongSpec("pattern factor count does not match the manifold")
     base = np.asarray(base, dtype=float)
-    pts = np.tile(base, (pattern.r, 1))
-    for (s, e), factor in zip(blocks, pattern.signs):
-        for i, sign in enumerate(factor):
-            pts[i, s:e] = sign * base[s:e]
-    return NavTuple(spec, pts)
+    if base.shape != (spec.ambient_dim,):
+        raise InvalidPoint("the base must be one point of the manifold")
+    signs = np.repeat(pattern.signs, [e - s for s, e in blocks], axis=0).T
+    return NavTuple(spec, signs * base)
 
 
 def random_critical_tuple(spec, r: int, rng: np.random.Generator) -> NavTuple:

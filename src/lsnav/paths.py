@@ -79,15 +79,11 @@ class GreatCircleSegment:
     def eval(self, ts, spec=None):
         ts = np.asarray(ts, dtype=float)
         tau = (ts - self.t0) / (self.t1 - self.t0)
-        out = np.broadcast_to(self.start, ts.shape + self.start.shape).copy()
         c = np.cos(np.pi * tau)[..., None]
         s = np.sin(np.pi * tau)[..., None]
-        for b0, b1 in self.blocks:
-            if np.any(self.direction[b0:b1]):
-                out[..., b0:b1] = (
-                    c * self.start[b0:b1] + s * self.direction[b0:b1]
-                )
-        return out
+        moving = np.repeat([self.direction[b0:b1].any() for b0, b1 in self.blocks],
+                           [b1 - b0 for b0, b1 in self.blocks])
+        return np.where(moving, c * self.start + s * self.direction, self.start)
 
     def to_json(self):
         return {"type": "great_circle", "start": _num(self.start),
@@ -209,9 +205,11 @@ def path_from_json(obj: dict) -> PathSpec:
         if s["type"] == "constant":
             segs.append(ConstantSegment(np.array(s["point"]), s["t0"], s["t1"]))
         elif s["type"] == "great_circle":
+            blocks = tuple(tuple(b) for b in s["blocks"])
+            if blocks != mf.sphere_blocks(spec):
+                raise LsnavError(f"great-circle blocks {s['blocks']} are not the manifold's")
             segs.append(GreatCircleSegment(np.array(s["start"]), np.array(s["direction"]),
-                                           s["t0"], s["t1"],
-                                           tuple(tuple(b) for b in s["blocks"])))
+                                           s["t0"], s["t1"], blocks))
         elif s["type"] == "sampled":
             segs.append(SampledSegment(np.array(s["times"]), np.array(s["points"])))
         else:

@@ -408,31 +408,26 @@ def unitary_apply(g, x):
 
 
 def _complete_unitary(b: np.ndarray) -> np.ndarray:
-    """Unitary matrix with first column b, by column-pivoted Gram-Schmidt.
-
-    At every step the standard basis vector with the largest residual is
-    orthogonalized in (re-anchoring); a dimension count guarantees that
-    residual is at least 1/sqrt(n), so the completion is well-defined for
-    every unit b and deterministic (ties break by index).
+    """Unitary matrix with first column b/|b|, from one Householder reflection
+    (Householder, J. ACM 5, 1958).  With k the first index of the largest |b_k|
+    and phase = b_k/|b_k|, H = I - 2 v v*/(v* v) along v = b + phase e_k has
+    column k equal to -b/phase; swapping columns 0 and k and scaling column 0 by
+    -phase gives b.  |b_k| >= 1/sqrt(n) keeps v* v >= 2, and the completion is
+    smooth in b except where k changes index, at ties of the largest |b_k|.
     """
-    n = b.size
-    cols = np.empty((n, n), dtype=complex)
-    cols[:, 0] = b / np.linalg.norm(b)
-    residual = np.eye(n, dtype=complex)
-    residual -= cols[:, :1] @ (cols[:, :1].conj().T @ residual)
-    for j in range(1, n):
-        norms = np.linalg.norm(residual, axis=0)
-        k = int(np.argmax(np.round(norms, 12)))
-        if norms[k] <= 1e-7:
-            raise DegenerateBase("could not complete the basepoint to a unitary basis")
-        col = residual[:, k] / norms[k]
-        cols[:, j] = col
-        residual -= col[:, None] * (col.conj()[None, :] @ residual)
-    return cols
+    b = b / np.linalg.norm(b)
+    k = int(np.argmax(np.abs(b)))
+    phase = b[k] / abs(b[k])
+    eye = np.eye(b.size, dtype=complex)
+    v = b + phase * eye[k]
+    u = eye - np.outer(v, v.conj()) * (2.0 / np.vdot(v, v).real)
+    u[:, [0, k]] = u[:, [k, 0]]
+    u[:, 0] *= -phase
+    return u
 
 
 # where a Trivialization is defined, as reported by its to_json
-TRIVIALIZATION_DOMAIN = "unit vectors b; Gram-Schmidt pivots re-anchor near -b0"
+TRIVIALIZATION_DOMAIN = "unit vectors b; switches where the largest |b_k| changes index"
 
 
 @dataclass(eq=False)
@@ -449,12 +444,13 @@ class Trivialization:
 
     def section(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
+        if b.shape != np.shape(self.b0) or b.size % 2 or b.size < 4:
+            raise WrongDimension("b and b0 need one even dimension of at least 4")
         if abs(np.linalg.norm(b) - 1.0) > 1e-9 or abs(np.linalg.norm(self.b0) - 1.0) > 1e-9:
             raise DegenerateBase("basepoints must be unit vectors")
         u0 = _complete_unitary(to_complex(self.b0))
         u1 = _complete_unitary(to_complex(b))
         det = np.linalg.det(u1) * np.conj(np.linalg.det(u0))
-        u1 = u1.copy()
         u1[:, -1] *= np.conj(det)  # determinant-phase correction, first column untouched
         return u1 @ u0.conj().T
 
@@ -492,7 +488,10 @@ def su_trivialization(b0, b, spec: StiefelV2 = None):
 
     Returns (handle, g) where g is special unitary with g b0 = b, both within
     1e-10; psi/psi_inv conjugate frames by the section and leave the
-    invariant function unchanged.
+    invariant function unchanged.  g moves continuously with b0 and b except
+    where the index of the largest complex coordinate of either changes; on C^2
+    it is the one element of SU(2) with g b0 = b.  b0 and b need one even
+    dimension of at least 4 (on C^1, SU(1) moves no basepoint).
     """
     b0 = np.asarray(b0, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -380,6 +380,8 @@ INPUT_FILES = {
     "comps-two-levels.json": '{"components": [{"value": 0, "complexity": 1}, '
                              '{"value": 4, "complexity": 2}]}',
     # a torus of revolution below its least value 0: no point has g = -1
+    # the height of flat space has no critical point for Newton to converge to
+    "euclidean.json": '{"kind": "euclidean", "dim": 3}',
     "torus-level-negative.json": '{"kind": "implicit_hypersurface", "level": -1.0, "field": '
                                  '{"name": "torus_of_revolution", '
                                  '"params": {"major_radius": 2.0, "minor_radius": 0.5}}}',
@@ -427,6 +429,7 @@ BOUND = ["bound", "--components"]
      "argument --samples: expected an integer >= 1, got '-3'"),
     (BOUND + ["comps-two-levels.json", "--lambda-cut", "nan"], 2,
      "argument --lambda-cut: expected a number, not NaN, got 'nan'"),
+    (["critfind", "--field", "nav", "--manifold", "torus:2,0.5"], 2, "unknown manifold"),
     (NAV + ["--r", "1"], 1, "InvalidPoint"),
     (NAV + ["--r", "0"], 1, "InvalidPoint"),
     (NAV + ["--r", "1000000000"], 1, "WrongSpec"),
@@ -443,6 +446,8 @@ BOUND = ["bound", "--components"]
     (BOUND + ["comps-infinite-value.json"], 1, "LsnavError"),
     (["critfind", "--field", "height", "--manifold", "@torus-level-negative.json"], 1,
      "WrongSpec"),
+    (["critfind", "--field", "height", "--manifold", "@euclidean.json"], 1,
+     "NoConvergedSeeds"),
     (["pairs", "--torus", "1e200,1"], 1, "WrongSpec"),
     (["pairs", "--seeds", "50"], 2,
      "one of the arguments --ellipsoid --sphere --torus is required"),
@@ -456,6 +461,8 @@ BOUND = ["bound", "--components"]
      "argument --product-spheres: not allowed with argument --unit-tangent"),
     (BOUND + ["comps-two-levels.json", "--unit-tangent", "--m", "1", "--r", "2"], 2,
      "argument --unit-tangent: not allowed with argument --components"),
+    (["bound", "--unit-tangent", "--m", "1"], 1, "LsnavError"),
+    (["bound", "--product-spheres", "--k", "2"], 1, "LsnavError"),
 ], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-ellipsoid-square-overflows", "pairs-ellipsoid-square-underflows",
@@ -463,15 +470,18 @@ BOUND = ["bound", "--components"]
         "pairs-torus-minor-above-major", "pairs-torus-level-overflows",
         "verify-only-non-numeric", "verify-only-99", "verify-only-0", "critfind-seed-negative",
         "pairs-seed-negative", "verify-seed-negative", "plan-samples-negative",
-        "bound-lambda-cut-nan", "nav-r-1", "nav-r-0", "nav-r-1000000000",
+        "bound-lambda-cut-nan", "critfind-unknown-manifold", "nav-r-1", "nav-r-0",
+        "nav-r-1000000000",
         "plan-tuple-object", "plan-tuple-malformed", "plan-tuple-directory",
         "bound-components-malformed", "bound-components-array", "bound-components-no-value",
         "bound-components-text-value", "bound-components-zero-complexity",
         "bound-components-fractional-complexity", "bound-components-nan-value",
         "bound-components-infinite-value", "critfind-torus-empty-level",
+        "critfind-euclidean-height",
         "pairs-torus-out-of-float-range", "pairs-no-surface", "pairs-two-surfaces",
         "pairs-sphere-and-torus", "bound-no-mode", "bound-two-modes",
-        "bound-components-and-unit-tangent"])
+        "bound-components-and-unit-tangent", "bound-unit-tangent-no-r",
+        "bound-product-spheres-no-r"])
 def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, monkeypatch,
                                                capsys):
     # exit 2 with argparse's usage message, or exit 1 with a JSON error on

@@ -234,6 +234,8 @@ def test_sign_pattern_validation():
         SignPattern(((-1, 1),))
     with pytest.raises(ValueError):
         SignPattern(((1, 0),))
+    with pytest.raises(ValueError, match="as many in each"):
+        SignPattern(((1, -1), (1, 1, -1)))
 
 
 def test_critical_tuple_round_trip():
@@ -243,6 +245,9 @@ def test_critical_tuple_round_trip():
     pat = SignPattern(((1, -1, -1), (1, 1, -1)))
     t = critical_tuple(spec, pat, base)
     assert classify_sphere_critical(t).signs == pat.signs
+    for wrong_length in (base[:-1], np.append(base, 0.0)):
+        with pytest.raises(InvalidPoint):
+            critical_tuple(spec, pat, wrong_length)
 
 
 def test_parallel_pairs_ellipsoid():

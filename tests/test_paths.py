@@ -374,7 +374,9 @@ def test_path_json_round_trip_of_constant_and_sampled_segments():
     ({"manifold": None}, WrongSpec, "unknown manifold kind None"),
     ({"segments": [{"type": "spline", "t0": 0.0, "t1": 1.0}]}, LsnavError,
      "unknown segment type 'spline'"),
-], ids=["no-manifold", "unknown-segment"])
+    ({"segments": [{**_half_circle().to_json()["segments"][0], "blocks": [[0, 1], [1, 2]]}]},
+     LsnavError, r"great-circle blocks \[\[0, 1\], \[1, 2\]\] are not the manifold's"),
+], ids=["no-manifold", "unknown-segment", "great-circle-blocks"])
 def test_path_from_json_refuses(change, error, message):
     # every path lives on a manifold; flat space is {"kind": "euclidean"}
     payload = {**_half_circle().to_json(), **change}

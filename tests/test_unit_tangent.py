@@ -30,6 +30,7 @@ from lsnav.navigation import CLASSIFY_TOL
 from lsnav.unit_tangent import (
     FiberTuple,
     ProportionalityReport,
+    Trivialization,
     _FrameFibers,
     _vertical_pseudo_gradient,
     base_height_field,
@@ -496,50 +497,107 @@ def test_su_trivialization_identity():
     assert np.linalg.norm(g - np.eye(2)) <= 1e-12
 
 
-def test_su_trivialization_moves_basepoint():
-    b0 = np.array([1.0, 0, 0, 0])
-    b = np.array([0.0, 0, 1, 0])
-    handle, g = su_trivialization(b0, b)
-    assert np.linalg.norm(unitary_apply(g, b0) - b) <= 1e-10
-    assert np.linalg.norm(g.conj().T @ g - np.eye(2)) <= 1e-10
+# real coordinates of the trivialization tests: on C^2 the section is the one
+# element of SU(2) moving b0 to b; from C^3 on the completion chooses it
+SU_DIMS = (4, 8, 12)
+
+
+def _unit(rng, d):
+    b = rng.standard_normal(d)
+    return b / np.linalg.norm(b)
+
+
+def _assert_special_unitary(g):
+    assert np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) <= 1e-10
     assert abs(np.linalg.det(g) - 1.0) <= 1e-10
+
+
+def test_su_trivialization_moves_basepoint():
+    for d in SU_DIMS:
+        b0, b = np.eye(d)[0], np.eye(d)[2]
+        handle, g = su_trivialization(b0, b)
+        assert g.shape == (d // 2, d // 2)
+        assert np.linalg.norm(unitary_apply(g, b0) - b) <= 1e-10
+        _assert_special_unitary(g)
 
 
 def test_su_trivialization_antipodal_robust():
     rng = np.random.default_rng(21)
-    b0 = rng.standard_normal(4)
-    b0 /= np.linalg.norm(b0)
-    handle, g = su_trivialization(b0, -b0)
-    assert np.linalg.norm(unitary_apply(g, b0) + b0) <= 1e-10
-    assert abs(np.linalg.det(g) - 1.0) <= 1e-10
+    for d in SU_DIMS:
+        b0 = _unit(rng, d)
+        handle, g = su_trivialization(b0, -b0)
+        assert np.linalg.norm(unitary_apply(g, b0) + b0) <= 1e-10
+        _assert_special_unitary(g)
 
 
 def test_su_invariance_of_f():
     rng = np.random.default_rng(22)
-    field = f_ut_field(SPEC)
-    for _ in range(50):
-        b0 = rng.standard_normal(4)
-        b0 /= np.linalg.norm(b0)
-        b = rng.standard_normal(4)
-        b /= np.linalg.norm(b)
-        handle, g = su_trivialization(b0, b)
-        w = rng.standard_normal(4)
-        w -= np.dot(w, b0) * b0
-        w /= np.linalg.norm(w)
-        x0 = frame_flat(b0, w)
-        assert abs(float(field.value_at(handle.apply(g, x0)))
-                   - float(field.value_at(x0))) <= 1e-10
+    for d in SU_DIMS:
+        field = f_ut_field(StiefelV2(d))
+        for _ in range(50):
+            b0, b = _unit(rng, d), _unit(rng, d)
+            handle, g = su_trivialization(b0, b)
+            assert np.linalg.norm(unitary_apply(g, b0) - b) <= 1e-10
+            _assert_special_unitary(g)
+            w = rng.standard_normal(d)
+            w -= np.dot(w, b0) * b0
+            w /= np.linalg.norm(w)
+            x0 = frame_flat(b0, w)
+            assert abs(float(field.value_at(handle.apply(g, x0)))
+                       - float(field.value_at(x0))) <= 1e-10
+
+
+def test_su_trivialization_on_c2_is_the_closed_su2_form():
+    # U(c) = [[c1, -conj c2], [c2, conj c1]] is the element of SU(2) with first
+    # column c, so U(b) U(b0)* is the only one that moves b0 to b
+    def closed(c):
+        return np.array([[c[0], -np.conj(c[1])], [c[1], np.conj(c[0])]])
+
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        b0, b = _unit(rng, 4), _unit(rng, 4)
+        _, g = su_trivialization(b0, b)
+        want = closed(to_complex(b)) @ closed(to_complex(b0)).conj().T
+        assert np.max(np.abs(g - want)) <= 1e-14
+
+
+def test_su_trivialization_is_continuous_near_a_generic_basepoint():
+    # away from ties of the largest complex coordinate the section moves with b0
+    rng = np.random.default_rng(26)
+    b0, b = _unit(rng, 8), _unit(rng, 8)
+    assert np.sort(np.abs(to_complex(b0)))[-2:] @ [-1, 1] > 0.1
+    _, g = su_trivialization(b0, b)
+    for _ in range(20):
+        e = rng.standard_normal(8)
+        e -= np.dot(e, b0) * b0
+        e /= np.linalg.norm(e)
+        _, g_near = su_trivialization(np.cos(1e-7) * b0 + np.sin(1e-7) * e, b)
+        assert np.linalg.norm(g_near - g) <= 1e-6
+
+
+@pytest.mark.parametrize("b0, b", [
+    (np.array([1.0, 0.0]), np.array([0.0, 1.0])),  # C^1: SU(1) moves no basepoint
+    (np.eye(4)[0], np.eye(6)[2]),
+    (np.eye(6)[0], np.eye(4)[2]),
+], ids=["c1", "b-longer", "b-shorter"])
+def test_su_trivialization_refuses_dimensions(b0, b):
+    with pytest.raises(WrongDimension, match="one even dimension of at least 4"):
+        su_trivialization(b0, b)
+    handle = Trivialization(StiefelV2(max(b0.size, b.size)), b0)
+    with pytest.raises(WrongDimension, match="one even dimension of at least 4"):
+        handle.section(b)
 
 
 def test_psi_round_trip():
     rng = np.random.default_rng(23)
-    handle, _ = su_trivialization(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
-    coords = _random_frame(rng)
-    base, fiber_elt = handle.psi(coords)
-    back = handle.psi_inv(base, fiber_elt)
-    assert np.max(np.abs(back - coords)) <= 1e-12
-    # the fiber element sits over b0
-    assert np.linalg.norm(fiber_elt[:4] - handle.b0) <= 1e-12
+    for d in SU_DIMS:
+        handle, _ = su_trivialization(np.eye(d)[0], np.eye(d)[1])
+        coords = _random_frame(rng, StiefelV2(d))
+        base, fiber_elt = handle.psi(coords)
+        back = handle.psi_inv(base, fiber_elt)
+        assert np.max(np.abs(back - coords)) <= 1e-12
+        # the fiber element sits over b0
+        assert np.linalg.norm(fiber_elt[:d] - handle.b0) <= 1e-12
 
 
 def test_complex_pairing_matches_mult_i():
