@@ -42,10 +42,10 @@ host speed hits all of them alike.  Every figure is the median and quartiles
 over REPEATS repeats of the time per call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
-Newton median and each census median stand the Levenberg-Marquardt iterations
-and Jacobian rows of one call, and next to each median of an endpoint flow
+Newton median and each census median stand the Levenberg-Marquardt Jacobian
+calls and rows of one call, and next to each median of an endpoint flow
 its integrator steps (``flow._dp54_step`` calls), its stage calls and rows,
-the iterations and residual rows of its Newton finish, and the Hessian calls
+the Jacobian calls and residual rows of its Newton finish, and the Hessian calls
 and rows and the residual rows its hand-off decision spends outside
 Levenberg-Marquardt, each counted in an untimed call.  Stage calls are the
 field evaluations of the flow.
@@ -282,31 +282,41 @@ def lm_system(lsnav, name: str, n: int, rng):
 def lm_iteration(lsnav, z, res, jac, path: str):
     """One ``levenberg_marquardt`` iteration from z with the residual res there
     and the Jacobian jac, and a zero residual at every trial point, solved the
-    way path names."""
+    way path names.  Every row is active in that iteration, so the Jacobian's
+    calls ask for its rows in order, one row block after another along the
+    batch axis, and each call returns the rows it asks for."""
     numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
     saved = numerics.LM_MAX_ITER, numerics.LM_BATCH_AXIS_ROWS
     start = [res.copy()]  # LM writes accepted residuals into the array it is given
+    served = [0]  # Jacobian rows returned so far
 
     def residual(w):
         return start.pop() if start else np.zeros((len(w), res.shape[1]))
 
+    def jacobian(w):
+        lo = served[0]
+        served[0] += len(w)
+        return jac[lo:lo + len(w)]
+
     numerics.LM_MAX_ITER = 1
     numerics.LM_BATCH_AXIS_ROWS = 1 if path == "batch-axis" else len(z) + 1
     try:
-        numerics.levenberg_marquardt(residual, lambda w: jac, z, tol=0.0)
+        numerics.levenberg_marquardt(residual, jacobian, z, tol=0.0)
     finally:
         numerics.LM_MAX_ITER, numerics.LM_BATCH_AXIS_ROWS = saved
 
 
 def lm_counts(lsnav, call) -> dict:
-    """Levenberg-Marquardt iterations and Jacobian rows of one call of ``call``."""
+    """Levenberg-Marquardt Jacobian calls and rows of one call of ``call``.  An
+    iteration makes one Jacobian call on the per-matrix path and one per block
+    of at most ``numerics.LM_BLOCK_ROWS`` rows along the batch axis."""
     numerics = lsnav.numerics
     solve = numerics.levenberg_marquardt
-    counts = {"lm_iterations": 0, "jacobian_rows": 0}
+    counts = {"jacobian_calls": 0, "jacobian_rows": 0}
 
     def counted(residual, jacobian, z0, **kwargs):
         def counted_jacobian(z):
-            counts["lm_iterations"] += 1
+            counts["jacobian_calls"] += 1
             counts["jacobian_rows"] += len(z)
             return jacobian(z)
 
@@ -321,14 +331,14 @@ def lm_counts(lsnav, call) -> dict:
 
 
 def endpoint_flow_counts(lsnav, call) -> dict:
-    """Integrator steps, stage calls and rows, Levenberg-Marquardt iterations
-    and residual rows, and the hand-off's own Hessian calls and rows and
+    """Integrator steps, stage calls and rows, Levenberg-Marquardt Jacobian
+    calls and residual rows, and the hand-off's own Hessian calls and rows and
     residual rows, of one call of ``call``.  A step is one ``flow._dp54_step``
     call, a pass of the integrator over the active rows.  Each
     ``flow._flow_batch`` call evaluates its stage (the third argument) at the
     starts and at every stage of every step.  The Newton finish evaluates the
     residual inside ``levenberg_marquardt``; those rows count as LM residual
-    rows, and each Jacobian evaluation there as one LM iteration, as in
+    rows, and each Jacobian evaluation there as one LM Jacobian call, as in
     ``lm_counts``.  ``flow._endpoint_flow`` also evaluates the field's
     derivatives outside LM, to decide which rows to hand off and which Newton
     results to keep: the guard's Hessian, at the hand-off and at the Newton
@@ -344,7 +354,7 @@ def endpoint_flow_counts(lsnav, call) -> dict:
     solve, batch, step = numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step
     scalar = flow.ScalarField
     gradient, hessian = scalar.euclidean_gradient_at, scalar.euclidean_hessian_at
-    counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_iterations": 0,
+    counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_jacobian_calls": 0,
               "lm_residual_rows": 0, "handoff_hessian_calls": 0, "handoff_hessian_rows": 0,
               "handoff_residual_rows": 0}
     busy = []  # "stage", "lm" or "hessian" while one is evaluated
@@ -374,7 +384,7 @@ def endpoint_flow_counts(lsnav, call) -> dict:
             return residual(z)
 
         def counted_jacobian(z):
-            counts["lm_iterations"] += 1
+            counts["lm_jacobian_calls"] += 1
             return jacobian(z)
 
         return within("lm", solve, counted_residual, counted_jacobian, z0, **kwargs)

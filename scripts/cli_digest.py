@@ -8,7 +8,8 @@ Each ``LABEL=SRC`` argument runs every command as ``python3 -m lsnav.cli ...``
 with SRC first on PYTHONPATH, and prints one line per command and tree: the
 sha256 of the command's stdout, the label and the command.  The matrix is
 ``critfind`` on the nav field (sphere:1 r=2, sphere:3 r=3, product:1,3 r=2;
-sphere:3 r=3 also as ``--format text``), on ut-f (stiefel:4) and on the
+sphere:3 r=3 also as ``--format text`` and at 4500 seeds, where its Newton
+solves along the batch axis in three row blocks), on ut-f (stiefel:4) and on the
 height (ellipsoid:1,2,3, and the torus of revolution (2, 0.5) at level 0.25
 at seeds 0, 1 and 2), ``pairs`` on the ellipsoid (1,2,3), on S^2 (at 2000
 seeds and at 50, where the continuum must not depend on the seed count) and
@@ -62,6 +63,7 @@ def commands(tmp: str) -> list:
             crit + ["nav", "--manifold", "sphere:3", "--r", "3", "--seeds", "200"],
             crit + ["nav", "--manifold", "sphere:3", "--r", "3", "--seeds", "200",
                     "--format", "text"],
+            crit + ["nav", "--manifold", "sphere:3", "--r", "3", "--seeds", "4500"],
             crit + ["nav", "--manifold", "product:1,3", "--r", "2", "--seeds", "200"],
             crit + ["ut-f", "--manifold", "stiefel:4", "--seeds", "100"],
             crit + ["height", "--manifold", "ellipsoid:1,2,3", "--seeds", "100"]]

@@ -9,6 +9,7 @@ LM_LAM_MAX = 1e8
 LM_STEP_CAP = 0.5    # largest step norm
 LM_MAX_ITER = 80     # iterations per row
 LM_BATCH_AXIS_ROWS = 1024  # calls with this many starting rows solve along the batch axis
+LM_BLOCK_ROWS = 2048       # rows per block of the batch-axis normal equations and solves
 
 
 def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
@@ -38,15 +39,25 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
     the number of starting rows.  Below LM_BATCH_AXIS_ROWS, per matrix:
     batched matrix products of the C-ordered Jacobian for J^T J and J^T r, and
     LAPACK's ``solve`` (``pinv`` for a matrix that is exactly singular).
-    From LM_BATCH_AXIS_ROWS on, along the batch axis: the Jacobian is read
-    component-major, in place if it is the row-major view of an (m, d, n)
-    array and else from one copy, and the normal equations and the Cholesky
-    solve are sums and loops on contiguous length-n vectors
+    From LM_BATCH_AXIS_ROWS on, along the batch axis, in row blocks of at most
+    LM_BLOCK_ROWS.  Per block of k active rows, ``jacobian`` is called once and
+    its Jacobian read component-major (in place if it is the row-major view of
+    an (m, d, k) array, else from one copy) into the block's columns of one
+    (d, d + 1, n) array of normal equations; per block of trial rows, those
+    columns are copied out, damped and factored in place by a Cholesky solve.
+    Both are sums and loops on contiguous vectors of the block's length
     (``_normal_equations``, ``_cholesky_solve``); a row whose pivot is not
-    positive is solved again, per matrix, by LAPACK.  Either way a row takes
-    the same steps, bit for bit, whichever rows are still active, as long as
-    ``residual`` and ``jacobian`` compute row by row: a BLAS product such as
-    ``z @ a`` breaks this, elementwise and ``einsum`` forms keep it.
+    positive is solved again, per matrix, by LAPACK.  The blocks bound the
+    Jacobian chain and these temporaries, about 730 bytes a row at d = 3, by
+    the block rather than the batch (blocking: Lam, Rothberg & Wolf, ASPLOS
+    1991), so one block reuses the memory the allocator kept from the last,
+    where whole-batch temporaries have the operating system fault in fresh
+    pages every iteration; residuals, retractions and norms run on the whole
+    batch.  Either way a
+    row takes the same steps, bit for bit, whichever rows are still active
+    and whatever the blocks, as long as ``residual`` and ``jacobian`` compute
+    row by row: a BLAS product such as ``z @ a`` breaks this, elementwise and
+    ``einsum`` forms keep it.
 
     Returns (z, residual_norms).
     """
@@ -70,7 +81,9 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
         act = _rows(act_idx, n)
         za, ra, rna, la = z[act], res[act], rn[act], lam[act]
         if batch_axis:
-            aug = _normal_equations(jacobian(za), ra)  # [J^T J | J^T r], batch axis last
+            aug = np.empty((d, d + 1, len(za)))  # [J^T J | J^T r], batch axis last
+            for blk in _blocks(len(za)):
+                _normal_equations(jacobian(za[blk]), ra[blk], aug[..., blk])
             diag, jtr = aug.reshape(d * (d + 1), -1)[:: d + 2], aug[:, d]
         else:
             jac = np.ascontiguousarray(jacobian(za))
@@ -92,11 +105,17 @@ def levenberg_marquardt(residual, jacobian, z0, *, tol: float, retract=None):
             tix = np.flatnonzero(todo)
             t = _rows(tix, len(todo))
             if batch_axis:
-                # compress, unlike a mask index, keeps the batch axis contiguous
-                a = np.compress(todo, aug, axis=-1)
+                delta = np.empty((len(tix), d))
                 with np.errstate(over="ignore"):  # an infinite damping yields a rejected trial
-                    a.reshape(d * (d + 1), -1)[:: d + 2] += la[t] * scale[:, t]
-                delta = -np.ascontiguousarray(_cholesky_solve(a).T)
+                    damp = la[t] * scale[:, t]
+                    for blk in _blocks(len(tix)):
+                        # the block's trial rows, copied contiguous and factored in place
+                        if isinstance(t, slice):
+                            a = aug[..., blk].copy()
+                        else:
+                            a = np.take(aug, tix[blk], axis=-1)
+                        a.reshape(d * (d + 1), -1)[:: d + 2] += damp[:, blk]
+                        np.negative(_cholesky_solve(a).T, out=delta[blk])
             else:
                 a = jtj[todo]
                 with np.errstate(over="ignore"):  # an infinite damping yields a rejected trial
@@ -129,6 +148,11 @@ def _rows(idx, n):
     return slice(None) if idx.size == n else idx
 
 
+def _blocks(n):
+    """Slices of at most LM_BLOCK_ROWS rows that cover n rows in order."""
+    return [slice(lo, lo + LM_BLOCK_ROWS) for lo in range(0, n, LM_BLOCK_ROWS)]
+
+
 def _lapack_solve(a, b):
     """x with a[i] x[i] = b[i] for (n, d, d) a and (n, d) b, by LAPACK.  When
     some a[i] is exactly singular, each row is solved again on its own, and
@@ -152,24 +176,24 @@ def _lapack_solve(a, b):
         return np.concatenate([_lapack_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
 
 
-def _normal_equations(jac, r):
-    """The augmented normal equations [J^T J | J^T r], batch axis last, as one
-    (d, d + 1, n) array, of the (n, m, d) Jacobian and the (n, m) residual.
+def _normal_equations(jac, r, aug):
+    """Write the augmented normal equations [J^T J | J^T r] of the (n, m, d)
+    Jacobian and the (n, m) residual into aug, a (d, d + 1, n) array or view
+    whose batch axis, last, is contiguous.
 
     The Jacobian is read component-major, in place when jac.transpose(1, 2, 0)
     is C-contiguous and else from one copy.  Each upper row of J^T J, and J^T r,
     is one einsum that sums over the m components in order on length-n vectors,
-    so its bits do not depend on n; the lower half is mirrored from the upper."""
+    so its bits depend neither on n nor on the block of a wider array that aug
+    may be; the lower half is mirrored from the upper."""
     d = jac.shape[2]
     jc = np.ascontiguousarray(jac.transpose(1, 2, 0))
     del jac  # passed inline, a C-ordered Jacobian is freed once copied
-    aug = np.empty((d, d + 1, jc.shape[2]))
     with np.errstate(invalid="ignore", over="ignore"):  # LM drops non-finite rows
         for i in range(d):
             np.einsum("kn,kjn->jn", jc[:, i], jc[:, i:], out=aug[i, i:d])
             aug[i + 1:, i] = aug[i, i + 1:d]
         np.einsum("kin,nk->in", jc, r, out=aug[:, d])
-    return aug
 
 
 def _cholesky_solve(a):

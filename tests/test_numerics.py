@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from lsnav import numerics
-from lsnav.manifolds import Ellipsoid, random_points
+from lsnav.manifolds import Ellipsoid, project_points, random_points
 from lsnav.navigation import PAIR_RESIDUAL_TOL, pair_system_jacobian, pair_system_residual
-from lsnav.numerics import LM_BATCH_AXIS_ROWS, levenberg_marquardt
+from lsnav.numerics import LM_BATCH_AXIS_ROWS, LM_BLOCK_ROWS, levenberg_marquardt
 
-# one batch solved per matrix and one solved along the batch axis
-BATCHES = [40, 2 * LM_BATCH_AXIS_ROWS]
+# one batch solved per matrix, one along the batch axis in one row block and
+# one along the batch axis in two row blocks
+BATCHES = [40, 2 * LM_BATCH_AXIS_ROWS, LM_BLOCK_ROWS + 17]
 
 
 def _linear(a, b):
@@ -255,10 +256,17 @@ def _normal_equations_system(name, rows):
 def test_normal_equations_match_the_loop_form(name, rows):
     # one einsum per row of J^T J sums in the loop's order: the same bits, read
     # in place from the component-major view or copied from a C-ordered Jacobian
+    # and written into an array of its own or into a column block of a wider one
     jac, r = _normal_equations_system(name, rows)
     want = _reference_normal_equations(jac, r).tobytes()
+    d = jac.shape[2]
     for layout in (jac, np.ascontiguousarray(jac)):
-        assert numerics._normal_equations(layout, r).tobytes() == want
+        own, wide = np.empty((d, d + 1, rows)), np.full((d, d + 1, rows + 9), np.nan)
+        numerics._normal_equations(layout, r, own)
+        numerics._normal_equations(layout, r, wide[..., 4:4 + rows])
+        assert own.tobytes() == want
+        assert np.ascontiguousarray(wide[..., 4:4 + rows]).tobytes() == want
+        assert np.isnan(wide[..., :4]).all() and np.isnan(wide[..., 4 + rows:]).all()
 
 
 @pytest.mark.parametrize("rows", BATCHES)
@@ -281,3 +289,50 @@ def test_lm_census_does_not_depend_on_the_jacobian_layout(rows):
     assert (rn <= PAIR_RESIDUAL_TOL).mean() > 0.9
     assert z.tobytes() == want_z.tobytes()
     assert rn.tobytes() == want_rn.tobytes()
+
+
+def _census_problem(rows):
+    """(residual, jacobian, starts, tol, retract) of the pair system of the
+    ellipsoid (1,2,3) at rows seed pairs."""
+    surf = Ellipsoid((1.0, 2.0, 3.0))
+    return (lambda z: pair_system_residual(surf.field, surf.level, z),
+            lambda z: pair_system_jacobian(surf.field, surf.level, z),
+            _census_starts(surf, rows, 0), PAIR_RESIDUAL_TOL, None)
+
+
+def _support_problem(rows):
+    """The same for the census's Newton on the support field of the ellipsoid
+    (0.5,1,4), from rows unit directions, at the census's tolerance; on
+    (1,2,3) no trial step of it is rejected."""
+    surf = Ellipsoid((0.5, 1.0, 4.0))
+    fld, c = surf.support_field()
+    return (fld.riemannian_gradient, fld.riemannian_hessian,
+            random_points(fld.spec, rows, np.random.default_rng(0)),
+            PAIR_RESIDUAL_TOL * min(surf.semiaxes) / c, lambda p: project_points(fld.spec, p))
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("problem", [_census_problem, _support_problem], ids=["census", "support"])
+def test_lm_row_blocks_keep_every_row_bit_for_bit(monkeypatch, problem, block):
+    # along the batch axis, each iteration evaluates the Jacobian and solves its
+    # damped systems in blocks of at most LM_BLOCK_ROWS rows: every row takes the
+    # steps it takes in one block, bit for bit, a row abandoned at its start too
+    rows = 2 * LM_BATCH_AXIS_ROWS + 17
+    residual, jacobian, z0, tol, retract = problem(rows)
+    z0[5] = np.nan
+    monkeypatch.setattr(numerics, "LM_BLOCK_ROWS", rows)
+    want_z, want_rn = levenberg_marquardt(residual, jacobian, z0, tol=tol, retract=retract)
+    calls = []  # ("r" or "J", rows) of each residual and Jacobian evaluation
+
+    def logged(kind, fn):
+        return lambda z: calls.append((kind, len(z))) or fn(z)
+
+    monkeypatch.setattr(numerics, "LM_BLOCK_ROWS", block)
+    z, rn = levenberg_marquardt(logged("r", residual), logged("J", jacobian), z0, tol=tol,
+                                retract=retract)
+    assert z.tobytes() == want_z.tobytes()
+    assert rn.tobytes() == want_rn.tobytes()
+    assert np.isinf(rn[5]) and (rn <= tol).mean() > 0.9
+    assert max(k for kind, k in calls if kind == "J") == block
+    # some iteration runs a second damped trial on part of the rows of its first
+    assert any(a == b == "r" and m < k for (a, k), (b, m) in zip(calls[1:], calls[2:]))
