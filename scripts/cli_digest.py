@@ -11,9 +11,12 @@ sha256 of the command's stdout, the label and the command.  The matrix is
 sphere:3 r=3 also as ``--format text`` and at 4500 seeds, where its Newton
 solves along the batch axis in three row blocks), on ut-f (stiefel:4) and on the
 height (ellipsoid:1,2,3, and the torus of revolution (2, 0.5) at level 0.25
-at seeds 0, 1 and 2), ``pairs`` on the ellipsoid (1,2,3), on S^2 (at 2000
-seeds and at 50, where the continuum must not depend on the seed count) and
-on that torus (``--torus 2,0.5``, a continuum of pairs),
+at seeds 0, 1 and 2), ``pairs`` on the ellipsoid (1,2,3), on the ellipsoid
+(0.03,1,30) at 3000 seeds (the row whose pair nullity sits next to the kernel
+threshold: the smallest Hessian eigenvalue of its middle-axis pair is 4.44444e-3
+against a threshold of 4.44544e-3, so a changed bit in the spectrum rule shows
+there), on S^2 (at 2000 seeds and at 50, where the continuum must not depend on
+the seed count) and on that torus (``--torus 2,0.5``, a continuum of pairs),
 ``bound --unit-tangent --m 1 --r 4`` as JSON and as ``--format text``,
 ``plan`` with the product-spheres planner on a 3-slot critical tuple of
 product:1,3 (as JSON and as ``--format csv --samples 64``) and with the sigma-u
@@ -70,6 +73,7 @@ def commands(tmp: str) -> list:
     cmds += [["critfind", "--seed", str(s), "--field", "height",
               "--manifold", "@" + torus_file, "--seeds", "150"] for s in (0, 1, 2)]
     cmds += [["pairs", "--seed", "0", "--ellipsoid", "1,2,3", "--seeds", "3000"],
+             ["pairs", "--seed", "0", "--ellipsoid", "0.03,1,30", "--seeds", "3000"],
              ["pairs", "--seed", "0", "--sphere", "2", "--seeds", "2000"],
              ["pairs", "--seed", "0", "--sphere", "2", "--seeds", "50"],
              ["pairs", "--seed", "0", "--torus", "2,0.5", "--seeds", "2000"],

@@ -73,8 +73,8 @@ def torus_of_revolution_field(major_radius: float, minor_radius: float) -> Const
     """g(x,y,z) = (sqrt(x^2+y^2) - R)^2 + z^2, surface at level r^2."""
     big_r = float(major_radius)
     small_r = float(minor_radius)
-    if not (big_r > small_r > 0):
-        raise WrongSpec("torus requires major_radius > minor_radius > 0")
+    if not (np.isfinite(big_r) and big_r > small_r > 0):
+        raise WrongSpec("torus requires major_radius > minor_radius > 0, major_radius finite")
 
     def value(x):
         x = np.asarray(x, dtype=float)

@@ -18,17 +18,9 @@ Trajectories (``integrate_flow``, ``time_one_map``) take atol = ATOL; flows
 that return only endpoints (``flow_endpoints``, so ``detect_critical``, and
 ``unit_tangent.vertical_flow_endpoints``) take ENDPOINT_ATOL.  The vertical
 flow runs on the fiber kind ``unit_tangent._FrameFibers`` and finishes with
-Newton (``_endpoint_flow``) once Newton is certified, at any gradient norm:
-the driver's stop predicate takes a row out of the flow where the spec's
-Riemannian Hessian is definite with the sign the direction asks for, each
-eigenvalue beyond NEWTON_GUARD_MARGIN (the guard), and one Newton step
-contracts, theta = |simplified second step| / |first step| <= 1/4 (the
-affine-covariant Newton-Kantorovich test).  One ``_newton`` call takes the
-certified rows from that Newton step to grad_tol.  A Newton result is kept
-only if it converged, did not move F against the flow, and the guard admits
-it too, so a limit on a Morse-Bott set or at a saddle is refused; rows
-refused run the plain flow again from their starts, so they end where the
-flow alone ends, by construction.
+Newton once Newton is certified (``_endpoint_flow``).  One rule, ``inertia``,
+judges Hessian eigenvalues wherever they are judged: the Newton guard's
+definiteness, the Morse-Bott merge's kernel and ``navigation``'s pair nullity.
 
 ``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
 gradient, with the analytic Riemannian Hessian P (hess F - S) P (P the tangent
@@ -42,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -207,6 +200,17 @@ POINT_MERGE_DIST = 0.5  # linkage and walk-arrival distance of points with a Hes
 MERGE_KERNEL_TOL = 1e-6  # Hessian eigenvalues below this, relative to 1 + the largest, are 0
 MERGE_STEP = 0.5 * POINT_MERGE_DIST  # predictor step of the Morse-Bott continuation
 MERGE_MAX_STEPS = 100   # predictor-corrector steps per continuation walk
+Inertia = namedtuple("Inertia", "below within above nullity")  # what ``inertia`` returns
+
+
+def inertia(lam, normal: int = 0, tol: float = MERGE_KERNEL_TOL) -> Inertia:
+    """The masks (..., d) of the Hessian eigenvalues lam below -tol s, within tol s and
+    above tol s, s = 1 + max |lambda| per row, and the nullity (...): the count within,
+    less the ``normal`` directions a Riemannian Hessian maps to zero (ambient minus
+    ``ManifoldSpec.dim``).  At MERGE_KERNEL_TOL a nullity > 0 means a Morse-Bott family."""
+    scale = tol * (1.0 + np.abs(lam).max(axis=-1, keepdims=True))
+    within = np.abs(lam) <= scale
+    return Inertia(-lam > scale, within, lam > scale, within.sum(axis=-1) - normal)
 
 
 def _combine(coefs, ks):
@@ -385,12 +389,11 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowC
     two tests hold; it sees the starts and the rows each pass accepts.
 
     Guard: J maps to zero the directions normal to the space the Newton step
-    moves in, the tangent space, of the dimension dim that the spec's
-    ``project_tangent`` projects onto.  The guard admits a row if dim of the
-    eigenvalues of J (one ``eigh``) have the sign ``direction`` asks for
-    (positive for descent), each beyond NEWTON_GUARD_MARGIN (1 + max |lambda|):
-    J is then definite on that space.  So a descent row near a saddle is not
-    polished onto it.
+    moves in, the tangent space, of dimension ``field.spec.dim``.  The guard
+    admits a row if ``inertia`` at tol = NEWTON_GUARD_MARGIN finds that many
+    eigenvalues of J (one ``eigh``) of the sign ``direction`` asks for (positive
+    for descent): J is then definite on that space.  So a descent row near a
+    saddle is not polished onto it.
 
     Certificate: with J^+ the pseudo-inverse over those eigenpairs, the Newton
     step D0 = -J^+ G(x) leads to x1 = project(x + D0), and the simplified step
@@ -421,19 +424,14 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowC
     whose last bits may differ from the per-matrix solve.
     Returns (endpoints, gradient norms, converged mask).
     """
-    dim = None  # the rank of the projector, the same at every point: taken once
-
     def guard(p):
         """(admitted, eigenvalues, eigenvectors, the eigenpairs beyond the margin)."""
-        nonlocal dim
         jac = field.riemannian_hessian(p)
         finite = np.isfinite(jac).all(axis=(1, 2))
         lam, vec = np.linalg.eigh(jac if finite.all() else np.where(finite[:, None, None], jac, 0))
-        beyond = -direction * lam > NEWTON_GUARD_MARGIN * (
-            1.0 + np.abs(lam).max(axis=-1, keepdims=True))
-        if dim is None:  # first called by stop, on rows still flowing, so finite
-            dim = np.trace(mf.project_tangent(field.spec, p[:1], np.eye(p.shape[-1])))
-        return finite & (beyond.sum(axis=-1) > dim - 0.5), lam, vec, beyond
+        below, _, above, _ = inertia(lam, tol=NEWTON_GUARD_MARGIN)
+        beyond = above if direction < 0 else below
+        return finite & (beyond.sum(axis=-1) >= field.spec.dim), lam, vec, beyond
 
     def newton_step(lam, vec, beyond, g):  # -J^+ g over the eigenpairs beyond the margin
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=beyond)
@@ -543,13 +541,11 @@ def _single_linkage(dist, threshold):
 
 
 def _tangent_kernel(field, coords):
-    """Projectors (n, d, d) onto the kernel of the Riemannian Hessian in the tangent
-    spaces at coords.  The eigenvectors E of eigenvalues at most MERGE_KERNEL_TOL
-    (relative to 1 + the largest) span that kernel plus the normal space, which
-    the Hessian maps to zero; P E E^T P drops the normal part."""
+    """Projectors (n, d, d) onto the Riemannian Hessian's kernel in the tangent spaces at
+    coords, for the walks: the eigenvectors E of the eigenvalues ``inertia`` finds within
+    its threshold span that kernel and the normal space; P E E^T P drops the latter."""
     lam, vec = np.linalg.eigh(field.riemannian_hessian(coords))
-    small = np.abs(lam) <= MERGE_KERNEL_TOL * (1.0 + np.abs(lam).max(axis=-1, keepdims=True))
-    kernel_rows = np.swapaxes(vec * small[:, None, :], -1, -2)
+    kernel_rows = np.swapaxes(vec * inertia(lam).within[:, None, :], -1, -2)
     pe = mf.project_tangent(field.spec, coords[:, None, :], kernel_rows)
     return np.swapaxes(pe, -1, -2) @ pe
 
@@ -612,7 +608,7 @@ def _pairwise_distances(q):
 
 def _morse_bott_merge(field, pts, groups, cfg):
     """Component labels of pts, numbered across the value groups (rows of pts,
-    each at one value), from one kernel test of the Riemannian Hessian per point.
+    each at one value), from the ``inertia`` nullity of the Riemannian Hessian per point.
 
     Points with a kernel lie on critical manifolds (Bott, Ann. of Math. 60, 1954)
     and are linked at POINT_MERGE_DIST per group.  A point with none is isolated:
@@ -630,7 +626,8 @@ def _morse_bott_merge(field, pts, groups, cfg):
     of kernel points are numbered first, isolated points after, in row order.
     """
     group = np.repeat(np.arange(len(groups)), [g.size for g in groups])
-    kernel = np.trace(_tangent_kernel(field, pts), axis1=-2, axis2=-1) > 0.5
+    lam = np.linalg.eigh(field.riemannian_hessian(pts))[0]
+    kernel = inertia(lam, pts.shape[-1] - field.spec.dim).nullity > 0
     walkers = [g[kernel[g]] for g in groups]
     labels, dists, n = np.empty(len(pts), dtype=int), {}, 0
     for k, g in enumerate(walkers):

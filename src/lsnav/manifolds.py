@@ -41,8 +41,8 @@ HYPERSURFACE_NEWTON_CAP = 50
 # ---------------------------------------------------------------------------
 
 class ManifoldSpec:
-    """Common base of the manifold kinds: each kind carries its geometry as methods
-    on float arrays of shape (..., ambient_dim) and its JSON tag as ``kind``; the
+    """Common base of the manifold kinds: each kind carries its ``dim``, its geometry as
+    methods on float arrays of shape (..., ambient_dim) and its JSON tag as ``kind``; the
     module functions below call them.  An operation a kind lacks raises WrongSpec."""
 
     def blocks(self) -> tuple:
@@ -186,6 +186,7 @@ class ProductSpheres(_SphereBlocks):
 
     dims: tuple
     kind = "product_spheres"
+    dim = property(lambda self: sum(self.dims))
 
     def __post_init__(self):
         dims = tuple(_integer(d) for d in self.dims)
@@ -232,6 +233,8 @@ def _project_hypersurface(field, level, coords):
 
 class _Hypersurface(ManifoldSpec):
     """Shared geometry of Ellipsoid and ImplicitHypersurface: the level set field = level."""
+
+    dim = property(lambda self: self.ambient_dim - 1)
 
     @property
     def ambient_dim(self) -> int:
@@ -407,6 +410,7 @@ class StiefelV2(ManifoldSpec):
 
     frame_dim: int
     kind = "stiefel_v2"
+    dim = property(lambda self: 2 * self.frame_dim - 3)
 
     def __post_init__(self):
         object.__setattr__(self, "frame_dim", _integer(self.frame_dim))

@@ -21,7 +21,7 @@ import numpy as np
 from . import flow
 from . import manifolds as mf
 from .errors import InvalidPoint, NoPairsFound, NotCriticalTuple, WrongSpec
-from .flow import MERGE_KERNEL_TOL, ScalarField
+from .flow import ScalarField
 from .manifolds import Ellipsoid, ImplicitHypersurface, ProductSpheres, Sphere
 
 # sign tolerance of the classifiers that label flow endpoints (nav and ut-f)
@@ -449,8 +449,8 @@ def _pair_nullity(surf, x, y):
     """Nullity of the Riemannian Hessian of |x - y|^2 on M x M at (x, y): 0 at a
     nondegenerate pair, the family's dimension on a Morse-Bott family (Bott, Ann. of
     Math. 60, 1954).  Its diagonal blocks are each factor's Hessian, its off-diagonal
-    block -2 P_x P_y; eigenvalues within MERGE_KERNEL_TOL of 0 (relative to 1 + the
-    largest) count, less the two normal directions, which it maps to zero."""
+    block -2 P_x P_y; ``flow.inertia`` counts its zero eigenvalues (one ``eigvalsh``),
+    less the 2 (n - dim M) normal directions, which it maps to zero."""
     eye = np.eye(x.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # a Hessian that overflows is refused
         off = -2.0 * surf.tangent_projector(x) @ surf.tangent_projector(y)
@@ -459,8 +459,7 @@ def _pair_nullity(surf, x, y):
     if not np.isfinite(hess).all():
         raise WrongSpec(f"the Hessian of |x - y|^2 at a pair of value {np.sum((x - y) ** 2):.3e} "
                         "overflows on this surface, so its nullity cannot be judged")
-    lam = np.abs(np.linalg.eigvalsh(hess))
-    return int(np.sum(lam <= MERGE_KERNEL_TOL * (1.0 + lam.max()))) - 2
+    return int(flow.inertia(np.linalg.eigvalsh(hess), 2 * (len(x) - surf.dim)).nullity)
 
 
 def _dedup_pairs(x, y, tol):

@@ -288,6 +288,8 @@ class _FrameFibers(StiefelV2):
     Its samples are those of ``StiefelV2``, and it has no JSON form: read back, the
     tag would name the plain kind."""
 
+    dim = property(lambda self: self.frame_dim - 2)  # the fiber sphere S^(m-2)
+
     def sample(self, n, rng):
         return StiefelV2(self.frame_dim).sample(n, rng)
 
@@ -328,13 +330,11 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     Dormand-Prince 5(4) driver of ``flow_endpoints``, from initial step
     flow.FIRST_STEP and held to flow.ENDPOINT_ATOL, never moves f against
     ``direction``; a row leaves it, at any gradient norm, where Newton on the
-    fiber is certified: the kind's Riemannian Hessian (zero in the base
-    columns) is definite with the sign ``direction`` asks for, beyond
-    flow.NEWTON_GUARD_MARGIN (the guard), and one Newton step contracts,
-    theta <= 1/4.  Newton then takes the row to cfg.grad_tol; the first
-    column never moves.  A Newton result that did not converge, moved f
-    against ``direction``, or lies where the guard refuses (a Morse-Bott set
-    or a saddle) is dropped, and the row runs the plain flow again from its start.
+    fiber is certified (``flow._endpoint_flow``: the guard finds the Hessian
+    definite on the fiber sphere, and one Newton step contracts, theta <= 1/4),
+    and Newton takes it to cfg.grad_tol; the first column never moves.  A row
+    whose Newton result is refused (unconverged, uphill, or at a Morse-Bott set
+    or a saddle) runs the plain flow again from its start.
     For ut-f the fiber Hessian is -f P and f is a linear height on each fiber
     sphere, so one Newton step from any point the guard admits lands on the
     section: most rows hand off at their seeds.  A row's result does not

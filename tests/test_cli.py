@@ -379,13 +379,18 @@ INPUT_FILES = {
     "comps-infinite-value.json": '{"components": [{"value": Infinity, "complexity": 1}]}',
     "comps-two-levels.json": '{"components": [{"value": 0, "complexity": 1}, '
                              '{"value": 4, "complexity": 2}]}',
-    # a torus of revolution below its least value 0: no point has g = -1
     # the height of flat space has no critical point for Newton to converge to
     "euclidean.json": '{"kind": "euclidean", "dim": 3}',
+    # a torus of revolution below its least value 0: no point has g = -1
     "torus-level-negative.json": '{"kind": "implicit_hypersurface", "level": -1.0, "field": '
                                  '{"name": "torus_of_revolution", '
                                  '"params": {"major_radius": 2.0, "minor_radius": 0.5}}}',
+    # Python's json reads the token Infinity as a float
+    "torus-infinite-radius.json": '{"kind": "implicit_hypersurface", "level": 1.0, "field": '
+                                  '{"name": "torus_of_revolution", '
+                                  '"params": {"major_radius": Infinity, "minor_radius": 1.0}}}',
 }
+TORUS_RADII = "torus requires major_radius > minor_radius > 0, major_radius finite"
 NAV = ["critfind", "--field", "nav", "--manifold", "sphere:1", "--seeds", "20"]
 PLAN = ["plan", "--planner", "product-spheres", "--manifold", "sphere:1", "--tuple"]
 BOUND = ["bound", "--components"]
@@ -416,6 +421,9 @@ BOUND = ["bound", "--components"]
      "argument --torus: torus requires major_radius > minor_radius > 0"),
     (["pairs", "--torus", "1e160,1e155"], 2,
      "argument --torus: implicit hypersurface level must be finite, got inf"),
+    (["pairs", "--torus", "inf,1"], 2, "argument --torus: " + TORUS_RADII),
+    (["critfind", "--field", "height", "--manifold", "@torus-infinite-radius.json"], 2,
+     "argument --manifold: " + TORUS_RADII),
     (["verify", "--only", "x"], 2, "argument --only: expected criterion numbers 1 to 10, got 'x'"),
     (["verify", "--only", "99"], 2,
      "argument --only: expected criterion numbers 1 to 10, got '99'"),
@@ -468,6 +476,7 @@ BOUND = ["bound", "--components"]
         "pairs-ellipsoid-square-overflows", "pairs-ellipsoid-square-underflows",
         "pairs-sphere-0", "pairs-torus-one-radius", "pairs-torus-three-radii",
         "pairs-torus-minor-above-major", "pairs-torus-level-overflows",
+        "pairs-torus-infinite-radius", "critfind-torus-file-infinite-radius",
         "verify-only-non-numeric", "verify-only-99", "verify-only-0", "critfind-seed-negative",
         "pairs-seed-negative", "verify-seed-negative", "plan-samples-negative",
         "bound-lambda-cut-nan", "critfind-unknown-manifold", "nav-r-1", "nav-r-0",

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from lsnav.manifolds import (
     StiefelV2,
     mult_i,
     project_points,
+    project_tangent,
     project_to_manifold,
     random_points,
 )
@@ -367,13 +369,29 @@ def _plain_vertical_flow(field, starts, direction):
                             FlowConfig(), atol=flow.ENDPOINT_ATOL)
 
 
-def _guard_admits(field, x, direction):
-    """The hand-off guard, rebuilt: the vertical Hessian has frame_dim - 2 (the
-    fiber sphere's dimension) eigenvalues of the direction's sign beyond
-    NEWTON_GUARD_MARGIN (1 + max |lambda|)."""
-    lam = np.linalg.eigvalsh(_fibers(field).riemannian_hessian(x))
+def _reference_guard(field, x, direction):
+    """The hand-off guard as it was written before ``flow.inertia``, on any field:
+    one ``eigh`` of the Riemannian Hessian has as many eigenvalues of the
+    direction's sign beyond NEWTON_GUARD_MARGIN (1 + max |lambda|) as the trace of
+    the tangent projector at the first point."""
+    lam = np.linalg.eigh(field.riemannian_hessian(x))[0]
     margin = flow.NEWTON_GUARD_MARGIN * (1.0 + np.abs(lam).max(axis=-1, keepdims=True))
-    return np.sum(-direction * lam > margin, axis=-1) >= field.spec.frame_dim - 2
+    dim = np.trace(project_tangent(field.spec, x[:1], np.eye(x.shape[-1])))
+    return np.sum(-direction * lam > margin, axis=-1) > dim - 0.5
+
+
+def _guard_admits(field, x, direction):
+    """The hand-off guard, rebuilt, on the fiber kind the vertical flow runs on: the
+    vertical Hessian is definite on the fiber sphere S^(frame_dim - 2)."""
+    return _reference_guard(_fibers(field), x, direction)
+
+
+def _inertia_guard(field, x, direction):
+    """The hand-off guard through ``flow.inertia`` and ``ManifoldSpec.dim``, as
+    ``flow._endpoint_flow`` runs it."""
+    below, _, above, _ = flow.inertia(np.linalg.eigh(field.riemannian_hessian(x))[0],
+                                      tol=flow.NEWTON_GUARD_MARGIN)
+    return (above if direction < 0 else below).sum(axis=-1) >= field.spec.dim
 
 
 def _reference_dp54_step(vfield, project, x, k1, h):
@@ -684,6 +702,21 @@ def test_certified_hand_off_does_not_depend_on_the_other_rows(monkeypatch, case,
         assert np.array_equal(got[others], want[others])
 
 
+@pytest.mark.parametrize("direction", [-1, 1])
+@pytest.mark.parametrize("case", list(CERTIFIED_FLOWS))
+def test_inertia_guard_admits_the_rows_the_old_guard_admits(case, direction):
+    # at the seeds and at the endpoints of the vertical flows, which include
+    # saddles and points of a Morse-Bott circle, the guard through flow.inertia
+    # admits exactly the rows of the rule it replaced
+    make, draw = CERTIFIED_FLOWS[case]
+    field = make()
+    seeds = draw(40, np.random.default_rng(28))
+    ends = vertical_flow_endpoints(field, seeds, direction=direction)[0]
+    for pts in (seeds, ends):
+        got = _inertia_guard(_fibers(field), pts, direction)
+        assert np.array_equal(got, _guard_admits(field, pts, direction))
+
+
 def test_integrate_flow_trace_matches_closed_form():
     spec = Sphere(2)
     start = project_to_manifold(spec, [0.3, 0.1, 0.9])
@@ -983,6 +1016,16 @@ def _torus():
     return ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
 
 
+@pytest.mark.xfail(strict=True, raises=NoConvergedSeeds,
+                   reason="ROADMAP item 18: Newton's step cap is absolute")
+def test_height_on_a_large_ellipsoid_finds_its_two_poles():
+    # the height on 1000 (1, 2, 3) has two critical points, its poles at +-3000
+    spec = Ellipsoid((1000.0, 2000.0, 3000.0))
+    comps = find_critical_components(height_field(spec),
+                                     random_points(spec, 200, np.random.default_rng(0)))
+    assert [round(c.value) for c in comps] == [-3000, 3000]
+
+
 @pytest.mark.parametrize("n_seeds", [50, 100, 400])
 def test_torus_height_gives_one_component_per_critical_circle(n_seeds):
     # the circles z = +-r are Morse-Bott: Newton lands on them at scattered
@@ -1067,17 +1110,69 @@ def test_degenerate_isolated_minimum_is_one_component(a):
     for rng_seed in range(4):
         seeds = random_points(field.spec, 300, np.random.default_rng(rng_seed))
         found = newton_critical_search(field, seeds)
-        kernel = np.trace(flow._tangent_kernel(field, found), axis1=-2, axis2=-1) > 0.5
+        kernel = _kernel_flags(field, found)
         assert 0 < kernel.sum() < len(found)  # the tests disagree
         comps = [c for c in find_critical_components(field, seeds) if abs(c.value) < 1e-6]
         assert sorted(round(float(c.representatives[0, 2])) for c in comps) == [-1, 1]
+
+
+def _kernel_flags(field, pts):
+    """The Morse-Bott merge's kernel test, as ``flow._morse_bott_merge`` runs it: the
+    ``flow.inertia`` nullity of one ``eigh``, less the ambient minus ``spec.dim``
+    normal directions, is positive."""
+    lam = np.linalg.eigh(field.riemannian_hessian(pts))[0]
+    return flow.inertia(lam, pts.shape[-1] - field.spec.dim).nullity > 0
+
+
+def _reference_kernel(field, pts):
+    """The merge's kernel test as it was written before ``flow.inertia``: the
+    eigenvectors E of the eigenvalues within MERGE_KERNEL_TOL (1 + max |lambda|)
+    span the kernel plus the normal space, and the projector P E E^T P onto their
+    tangent part has trace above 1/2."""
+    lam, vec = np.linalg.eigh(field.riemannian_hessian(pts))
+    small = np.abs(lam) <= flow.MERGE_KERNEL_TOL * (1.0 + np.abs(lam).max(axis=-1, keepdims=True))
+    pe = project_tangent(field.spec, pts[:, None, :], np.swapaxes(vec * small[:, None, :], -1, -2))
+    return np.trace(np.swapaxes(pe, -1, -2) @ pe, axis1=-2, axis2=-1) > 0.5
+
+
+SPECTRUM_FIELDS = {
+    "height torus(2,0.5)": lambda: height_field(_torus()),
+    "30 x^4 + y^2": lambda: _quartic_minima(30.0),
+    "100 x^4 + y^2": lambda: _quartic_minima(100.0),
+    "1000 x^4 + y^2": lambda: _quartic_minima(1000.0),
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRUM_FIELDS))
+def test_inertia_keeps_the_old_kernel_test_and_guard(case):
+    # the merge's kernel flags and the guard's admissions through flow.inertia
+    # and ManifoldSpec.dim are those of the rules they replaced, at 300 Newton
+    # points per draw and at the seeds, in both directions.  The torus's Newton
+    # points lie on critical circles; on S^2, a x^4 + y^2 has minima degenerate
+    # along x, whose kernel tests straddle the threshold at a = 30 and 100 and
+    # all read no kernel at a = 1000
+    field = SPECTRUM_FIELDS[case]()
+    flags, admitted = set(), set()
+    for rng_seed in range(4):
+        seeds = random_points(field.spec, 300, np.random.default_rng(rng_seed))
+        found = newton_critical_search(field, seeds)
+        kernel = _kernel_flags(field, found)
+        assert np.array_equal(kernel, _reference_kernel(field, found))
+        flags.update(kernel.tolist())
+        for pts, direction in product((seeds, found), (-1, 1)):
+            got = _inertia_guard(field, pts, direction)
+            assert np.array_equal(got, _reference_guard(field, pts, direction))
+            admitted.update(got.tolist())
+    assert flags == {"height torus(2,0.5)": {True}, "1000 x^4 + y^2": {False}}.get(
+        case, {True, False})
+    assert admitted == {True, False}
 
 
 def _reference_merge(field, pts, dist, cfg):
     """The Morse-Bott merge of one value group on its own, in calls of its own:
     isolated points grouped point by point, each group joining the least label
     within cluster_tol, and kernel points linked and walked."""
-    kernel = np.trace(flow._tangent_kernel(field, pts), axis1=-2, axis2=-1) > 0.5
+    kernel = _reference_kernel(field, pts)
     labels = np.full(len(pts), -1)
     labels[kernel] = flow._single_linkage(dist[np.ix_(kernel, kernel)], flow.POINT_MERGE_DIST)
     n = labels.max() + 1

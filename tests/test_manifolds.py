@@ -29,6 +29,7 @@ from lsnav.manifolds import (
 )
 from lsnav.navigation import find_parallel_pairs, nav_field
 from lsnav.paths import geodesic_to_antipode
+from lsnav.unit_tangent import _FrameFibers
 
 ALL_SPECS = [
     Sphere(1),
@@ -201,6 +202,22 @@ def test_point_and_tangent_validation():
         from lsnav.manifolds import TangentVector
 
         TangentVector(p, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("spec, dim", [
+    (Sphere(1), 1), (Sphere(2), 2), (ProductSpheres((1, 3)), 4), (ProductSpheres((2, 2, 5)), 9),
+    (Ellipsoid((1.0, 2.0, 3.0)), 2), (Ellipsoid((1.0, 1.5, 2.0, 3.0)), 3),
+    (ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25), 2),
+    (StiefelV2(2), 1), (StiefelV2(4), 5), (StiefelV2(8), 13), (Euclidean(3), 3),
+    (_FrameFibers(4), 2), (_FrameFibers(8), 6),
+], ids=lambda v: str(v) if isinstance(v, int) else type(v).__name__)
+def test_dim_is_the_rank_of_the_tangent_projector(spec, dim):
+    # the dimension the spectrum rule discounts normal directions by, per kind
+    # (the frame fibers are the spheres S^(m-2) the vertical flow runs on)
+    pts = random_points(spec, 20, np.random.default_rng(0))
+    traces = np.trace(spec.tangent_projector(pts), axis1=-2, axis2=-1)
+    assert spec.dim == dim
+    assert np.round(traces).tolist() == [dim] * len(pts)
 
 
 def test_spec_json_round_trip():

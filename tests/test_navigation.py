@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lsnav import manifolds as mf
-from lsnav import navigation, numerics
+from lsnav import flow, navigation, numerics
 from lsnav.errors import InvalidPoint, NoPairsFound, NotCriticalTuple, WrongSpec
 from lsnav.manifolds import (
     Ellipsoid,
@@ -334,6 +334,66 @@ def test_pair_hessian_ellipsoid_axis_pairs(semiaxes, indices):
         assert _pair_nullity(surf, x, -x) == 0
         got.append(int(np.sum(lam < 0)))
     assert got == indices
+
+
+def _reference_pair_nullity(surf, x, y):
+    """The pair nullity as it was written before ``flow.inertia``: the block Hessian's
+    eigenvalues (one ``eigvalsh``) within MERGE_KERNEL_TOL (1 + max |lambda|), less a
+    literal 2 for the two normal directions."""
+    eye = np.eye(len(x))
+    off = -2.0 * surf.tangent_projector(x) @ surf.tangent_projector(y)
+    hess = np.block([[surf.riemannian_hessian(x, 2.0 * (x - y), 2.0 * eye), off],
+                     [off.T, surf.riemannian_hessian(y, 2.0 * (y - x), 2.0 * eye)]])
+    lam = np.abs(np.linalg.eigvalsh(hess))
+    return int(np.sum(lam <= flow.MERGE_KERNEL_TOL * (1.0 + lam.max()))) - 2
+
+
+@pytest.mark.parametrize("semiaxes, nullities", [
+    ((1.0, 2.0, 3.0), [0, 0, 0]),
+    ((1.0, 1.0, 3.0), [1, 1, 0]),
+    ((1.0, 1.0, 1.0), [2, 2, 2]),
+    ((0.03, 1.0, 30.0), [1, 1, 0]),
+    ((1e-3, 1.0, 1e3), [2, 2, 2]),
+], ids=["1,2,3", "1,1,3", "sphere", "0.03,1,30", "1e-3,1,1e3"])
+def test_pair_nullity_keeps_the_old_rule(semiaxes, nullities):
+    # at the axis pairs (a_i e_i, -a_i e_i) and at the census's converged pairs,
+    # the nullity through flow.inertia with 2 (n - dim M) normal directions is the
+    # old count.  Every axis pair of a thin ellipsoid is isolated, but those of
+    # (0.03, 1, 30) and (1e-3, 1, 1e3) read nullities above 0: their small
+    # eigenvalues fall within the threshold (ROADMAP item 18)
+    surf = Ellipsoid(semiaxes)
+    got = []
+    for x in np.diag(semiaxes):
+        got.append(_pair_nullity(surf, x, -x))
+        assert got[-1] == _reference_pair_nullity(surf, x, -x)
+    assert got == nullities
+    support = surf.support_field()
+    z = _support_pairs(surf, support, random_points(support[0].spec, 300,
+                                                    np.random.default_rng(0)))
+    for x, y in zip(z[:, :3], z[:, 3:]):
+        assert _pair_nullity(surf, x, y) == _reference_pair_nullity(surf, x, y)
+
+
+def test_pair_nullity_keeps_the_old_rule_on_the_torus():
+    # the double normals of the torus of revolution lie on circles of pairs
+    surf = ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
+    z = navigation._seed_pair_solutions(surf, 100, np.random.default_rng(0))
+    assert len(z) >= 50
+    got = [_pair_nullity(surf, x, y) for x, y in zip(z[:, :3], z[:, 3:])]
+    assert got == [_reference_pair_nullity(surf, x, y) for x, y in zip(z[:, :3], z[:, 3:])]
+    assert min(got) >= 1
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, NoPairsFound),
+                   reason="ROADMAP item 18: the census judges in absolute units")
+@pytest.mark.parametrize("semiaxes, n_seeds", [
+    ((0.03, 1.0, 30.0), 1000),
+    ((1e-4, 2e-4, 3e-4), 1000),
+], ids=["0.03,1,30-reads-a-continuum", "1e-4*(1,2,3)-finds-no-pair"])
+def test_census_of_a_thin_or_small_ellipsoid_counts_its_three_axes(semiaxes, n_seeds):
+    # each ellipsoid with distinct semiaxes has exactly 3 double normals, its axes
+    census = find_parallel_pairs(Ellipsoid(semiaxes), PairSearchConfig(n_seeds=n_seeds))
+    assert census.alpha == 3
 
 
 def test_pair_hessian_sphere_antipodal_nullity():
