@@ -9,7 +9,9 @@ with SRC first on PYTHONPATH, and prints one line per command and tree: the
 sha256 of the command's stdout, the label and the command.  The matrix is
 ``critfind`` on the nav field (sphere:1 r=2, sphere:3 r=3, product:1,3 r=2;
 sphere:3 r=3 also as ``--format text`` and at 4500 seeds, where its Newton
-solves along the batch axis in three row blocks), on ut-f (stiefel:4) and on the
+solves along the batch axis in three row blocks; product:1,1,1 r=3 at the default
+200 seeds, whose 59 distinct labels of three factors each show a slip in the
+label format across many sign patterns), on ut-f (stiefel:4) and on the
 height (ellipsoid:1,2,3, and the torus of revolution (2, 0.5) at level 0.25
 at seeds 0, 1 and 2), ``pairs`` on the ellipsoid (1,2,3), on the ellipsoid
 (0.03,1,30) at 3000 seeds (the row whose pair nullity sits next to the kernel
@@ -68,6 +70,7 @@ def commands(tmp: str) -> list:
                     "--format", "text"],
             crit + ["nav", "--manifold", "sphere:3", "--r", "3", "--seeds", "4500"],
             crit + ["nav", "--manifold", "product:1,3", "--r", "2", "--seeds", "200"],
+            crit + ["nav", "--manifold", "product:1,1,1", "--r", "3"],
             crit + ["ut-f", "--manifold", "stiefel:4", "--seeds", "100"],
             crit + ["height", "--manifold", "ellipsoid:1,2,3", "--seeds", "100"]]
     cmds += [["critfind", "--seed", str(s), "--field", "height",

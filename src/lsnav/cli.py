@@ -4,8 +4,8 @@ Subcommands: critfind (critical-component detection for a named field),
 plan (sequential or fiberwise planner from a tuple file), pairs
 (common-tangent pair search on a hypersurface), bound (upper-bound
 evaluation), verify (the acceptance suite).  Exit codes: 0 success,
-1 domain error, 2 usage error.  Fixing --seed makes the JSON output
-byte-identical across runs on the same platform.
+1 domain error (a MemoryError included), 2 usage error.  Fixing --seed makes
+the JSON output byte-identical across runs on the same platform.
 """
 from __future__ import annotations
 
@@ -115,6 +115,17 @@ _radii = _checked(_numbers, lambda v: len(v) == 2, "major,minor radii")
 _criteria = _checked(lambda text: [int(v) for v in text.split(",")],
                      lambda only: all(1 <= k <= len(acceptance.ALL_CHECKS) for k in only),
                      f"criterion numbers 1 to {len(acceptance.ALL_CHECKS)}")
+# largest --seeds and --samples: a larger count is a usage error, refused before
+# anything is allocated
+MAX_COUNT = 10 ** 6
+
+
+def _count(text: str) -> int:
+    """An integer from 1 to MAX_COUNT, for --seeds and --samples."""
+    value = _positive_int(text)
+    if value > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_COUNT}, got {text!r}")
+    return value
 
 
 def _emit(args, payload, render=None):
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifold", type=_parse_manifold, required=True,
                    help="sphere:N | product:N1,N2 | ellipsoid:a,b,c | stiefel:FRAME_DIM | @spec.json")
     p.add_argument("--r", type=int, default=2, help="number of waypoints for the nav field")
-    p.add_argument("--seeds", type=_positive_int, default=200)
+    p.add_argument("--seeds", type=_count, default=200, help=f"seeds, 1 to {MAX_COUNT}")
     p.add_argument("--grad-tol", type=float, default=1e-8,
                    help="gradient tolerance of a critical point; Newton runs to "
                         "min(this, 1e-10)")
@@ -287,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", required=True, help="JSON file: array of coordinate arrays")
     p.add_argument("--manifold", type=_parse_manifold, required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--samples", type=_positive_int, default=256, help="dense samples for csv export")
+    p.add_argument("--samples", type=_count, default=256,
+                   help=f"dense samples for csv export, 1 to {MAX_COUNT}")
     common_io(p, "csv")
     p.set_defaults(fn=cmd_plan)
 
@@ -305,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sphere dimension n")
     surface.add_argument("--torus", dest="surface", type=_torus, metavar="R,r",
                          help="major,minor radii of a torus of revolution")
-    p.add_argument("--seeds", type=_positive_int, default=10000,
-                   help="seeds: unit directions on an ellipsoid or sphere, else points "
-                        "each paired with the far end of its normal line")
+    p.add_argument("--seeds", type=_count, default=10000,
+                   help=f"seeds, 1 to {MAX_COUNT}: unit directions on an ellipsoid or "
+                        "sphere, else points each paired with the far end of its normal line")
     common_io(p)
     p.set_defaults(fn=cmd_pairs)
 
@@ -349,8 +361,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (LsnavError, OSError) as exc:
-        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+    except (LsnavError, OSError, MemoryError) as exc:
+        name = ("FileNotFound" if isinstance(exc, FileNotFoundError) else
+                "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__)
         print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return 1
 

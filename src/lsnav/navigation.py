@@ -125,20 +125,18 @@ def nav_field(spec, r: int) -> ScalarField:
     classifier = None
     if isinstance(spec, (Sphere, ProductSpheres)):
         def classifier(coords):
-            # NavTuple's check and classify_sphere_critical's signs on all rows at once; that
-            # function labels each distinct pattern (its bits as one byte string) once
+            # NavTuple's check and the block signs on all rows at once; each distinct
+            # pattern (its bits as one byte string) is labelled once, from its signs
             pts = np.asarray(coords, dtype=float).reshape(-1, r, d)
             labels = np.full(len(pts), None, dtype=object)
             on = np.flatnonzero((mf.constraint_residual(spec, pts) <= mf.POINT_TOL).all(axis=1))
-            signs = np.concatenate([slot_signs(pts[on, :1, s:e], pts[on, :, s:e], CLASSIFY_TOL)
-                                    for s, e in mf.sphere_blocks(spec)], axis=1)
-            full = signs.all(axis=1)
-            on, bits = on[full], np.packbits(signs[full] > 0, axis=1)
+            signs = _block_signs(spec, pts[on], CLASSIFY_TOL)
+            full = signs.all(axis=(1, 2))
+            on, signs = on[full], signs[full]
+            bits = np.packbits(signs.reshape(-1, signs.shape[1] * r) > 0, axis=1)
             _, first, inv = np.unique(bits.view(f"V{bits.shape[1]}").ravel(),
                                       return_index=True, return_inverse=True)
-            names = [classify_sphere_critical(NavTuple(spec, p), CLASSIFY_TOL).label
-                     for p in pts[on[first]]]
-            labels[on] = np.array(names, dtype=object)[inv]
+            labels[on] = np.array([SignPattern(signs[i]).label for i in first], dtype=object)[inv]
             return labels
 
     return ScalarField(spec.power(r), value, grad, name=f"nav(r={r})", classifier=classifier,
@@ -199,6 +197,13 @@ def slot_signs(ref, pts, tol: float) -> np.ndarray:
     return np.where(plus, 1, np.where(minus, -1, 0))
 
 
+def _block_signs(spec, pts, tol: float) -> np.ndarray:
+    """slot_signs of every slot of the (n, r, d) tuples pts against their slot 1, one
+    unit-norm block of spec at a time, as an (n, blocks, r) array."""
+    return np.stack([slot_signs(pts[:, :1, s:e], pts[:, :, s:e], tol)
+                     for s, e in mf.sphere_blocks(spec)], axis=1)
+
+
 def classify_sphere_critical(t: NavTuple, tol: float = 1e-9) -> SignPattern:
     """Accept a tuple iff every slot of every factor is within tol of +-(slot 1).
 
@@ -208,10 +213,9 @@ def classify_sphere_critical(t: NavTuple, tol: float = 1e-9) -> SignPattern:
     """
     if not isinstance(t.spec, (Sphere, ProductSpheres)):
         raise WrongSpec("structural classification needs a sphere or product of spheres")
-    signs = [slot_signs(t.points[0, s:e], t.points[:, s:e], tol)
-             for s, e in mf.sphere_blocks(t.spec)]
-    if all(factor.all() for factor in signs):
-        return SignPattern(tuple(signs))
+    signs = _block_signs(t.spec, t.points[None], tol)[0]
+    if signs.all():
+        return SignPattern(signs)
     grad = nav_gradient(t).reshape(-1)
     witness = float(np.linalg.norm(grad))
     direction = grad / witness if witness > 0 else grad

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lsnav import cli
 from lsnav.cli import main
 from lsnav.manifolds import mult_i
 
@@ -367,6 +368,7 @@ def test_pairs_torus(capsys):
 # files read by the bad-input cases below, written into tmp_path
 INPUT_FILES = {
     "object.json": '{"points": [[1, 0], [-1, 0]]}',
+    "antipodal.json": "[[1, 0], [-1, 0]]",
     "malformed.json": "[[1, 0], [-1,",
     "comps-array.json": '[{"value": 0, "complexity": 1}]',
     "comps-no-value.json": '{"components": [{"complexity": 1}]}',
@@ -394,6 +396,8 @@ TORUS_RADII = "torus requires major_radius > minor_radius > 0, major_radius fini
 NAV = ["critfind", "--field", "nav", "--manifold", "sphere:1", "--seeds", "20"]
 PLAN = ["plan", "--planner", "product-spheres", "--manifold", "sphere:1", "--tuple"]
 BOUND = ["bound", "--components"]
+# a count above cli.MAX_COUNT that numpy, too, refuses before it allocates anything
+HUGE = "99999999999999999999"
 
 
 @pytest.mark.parametrize("argv, code, expected", [
@@ -471,6 +475,12 @@ BOUND = ["bound", "--components"]
      "argument --unit-tangent: not allowed with argument --components"),
     (["bound", "--unit-tangent", "--m", "1"], 1, "LsnavError"),
     (["bound", "--product-spheres", "--k", "2"], 1, "LsnavError"),
+    (["critfind", "--field", "height", "--manifold", "sphere:2", "--seeds", HUGE], 2,
+     f"argument --seeds: expected at most 1000000, got '{HUGE}'"),
+    (["pairs", "--sphere", "2", "--seeds", HUGE], 2,
+     f"argument --seeds: expected at most 1000000, got '{HUGE}'"),
+    (PLAN + ["antipodal.json", "--format", "csv", "--samples", HUGE], 2,
+     f"argument --samples: expected at most 1000000, got '{HUGE}'"),
 ], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-ellipsoid-square-overflows", "pairs-ellipsoid-square-underflows",
@@ -490,7 +500,8 @@ BOUND = ["bound", "--components"]
         "pairs-torus-out-of-float-range", "pairs-no-surface", "pairs-two-surfaces",
         "pairs-sphere-and-torus", "bound-no-mode", "bound-two-modes",
         "bound-components-and-unit-tangent", "bound-unit-tangent-no-r",
-        "bound-product-spheres-no-r"])
+        "bound-product-spheres-no-r", "critfind-seeds-huge", "pairs-seeds-huge",
+        "plan-samples-huge"])
 def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, monkeypatch,
                                                capsys):
     # exit 2 with argparse's usage message, or exit 1 with a JSON error on
@@ -517,6 +528,20 @@ def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, m
                 "InvalidPoint": "navigation tuples need r >= 2 slots",
                 "WrongSpec": "nav field on M^1000000000 has 2000000000 coordinates, above 256",
             }[expected]
+
+
+def test_memory_error_ends_in_json_error(monkeypatch, capsys):
+    def exhausted(spec, n, rng):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(cli, "random_points", exhausted)
+    code = main(NAV)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err) == {"error": "MemoryError",
+                                        "message": "Unable to allocate 7.45 GiB for an array"}
 
 
 # Every numeric flag of critfind, pairs, plan and bound, with the argv it is

@@ -1016,14 +1016,20 @@ def _torus():
     return ImplicitHypersurface(torus_of_revolution_field(2.0, 0.5), 0.25)
 
 
-@pytest.mark.xfail(strict=True, raises=NoConvergedSeeds,
-                   reason="ROADMAP item 18: Newton's step cap is absolute")
-def test_height_on_a_large_ellipsoid_finds_its_two_poles():
-    # the height on 1000 (1, 2, 3) has two critical points, its poles at +-3000
-    spec = Ellipsoid((1000.0, 2000.0, 3000.0))
+@pytest.mark.parametrize("scale", [
+    pytest.param(1000.0, marks=pytest.mark.xfail(
+        strict=True, raises=NoConvergedSeeds,
+        reason="ROADMAP item 18: Newton's step cap is absolute")),
+    pytest.param(1e-6, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 18: cluster_tol fuses the poles in absolute units")),
+], ids=["1000*(1,2,3)-converges-nowhere", "1e-6*(1,2,3)-fuses-the-poles"])
+def test_height_on_a_large_ellipsoid_finds_its_two_poles(scale):
+    # the height on scale (1, 2, 3) has two critical points, its poles at +-3 scale
+    spec = Ellipsoid((scale, 2.0 * scale, 3.0 * scale))
     comps = find_critical_components(height_field(spec),
                                      random_points(spec, 200, np.random.default_rng(0)))
-    assert [round(c.value) for c in comps] == [-3000, 3000]
+    assert [round(c.value / scale) for c in comps] == [-3, 3]
 
 
 @pytest.mark.parametrize("n_seeds", [50, 100, 400])

@@ -146,12 +146,15 @@ def test_slot_signs_matches_row_loop():
 
 
 def _classify_row(spec, r, row):
-    """The per-tuple label: None where the tuple is invalid or not critical."""
+    """The per-tuple rule, written out apart from the library's: None where the tuple
+    is off M (NavTuple's check) or some slot is off +-(slot 1), else its label."""
     try:
         t = NavTuple.from_flat(spec, r, row)
-        return classify_sphere_critical(t, tol=navigation.CLASSIFY_TOL).label
-    except (NotCriticalTuple, InvalidPoint):
+    except InvalidPoint:
         return None
+    signs = [slot_signs(t.points[0, s:e], t.points[:, s:e], navigation.CLASSIFY_TOL)
+             for s, e in mf.sphere_blocks(spec)]
+    return SignPattern(tuple(signs)).label if all(f.all() for f in signs) else None
 
 
 @pytest.mark.parametrize("spec, r", [(Sphere(1), 3), (Sphere(3), 3), (ProductSpheres((1, 3)), 2)])
@@ -178,6 +181,9 @@ def test_nav_batch_classifier_matches_row_reference(spec, r):
     assert want.count(None) >= 2 * len(crit) + 3
     for row in batch[:4]:
         assert list(field.classifier(row[None, :])) == [_classify_row(spec, r, row)]
+    # a call with no row on M, or no row at all, labels nothing
+    assert list(field.classifier(np.concatenate([off, bad]))) == [None] * (len(off) + 3)
+    assert field.classifier(batch[:0]).shape == (0,)
 
 
 def test_classify_rejects_with_witness():
@@ -388,8 +394,13 @@ def test_pair_nullity_keeps_the_old_rule_on_the_torus():
                    reason="ROADMAP item 18: the census judges in absolute units")
 @pytest.mark.parametrize("semiaxes, n_seeds", [
     ((0.03, 1.0, 30.0), 1000),
+    ((1e-3, 1.0, 1e3), 1000),
+    ((1e-5, 1.0, 1e5), 1000),
     ((1e-4, 2e-4, 3e-4), 1000),
-], ids=["0.03,1,30-reads-a-continuum", "1e-4*(1,2,3)-finds-no-pair"])
+    ((3e-4, 6e-4, 9e-4), 1000),
+], ids=["0.03,1,30-reads-a-continuum", "1e-3,1,1e3-reads-a-continuum",
+        "1e-5,1,1e5-reads-a-continuum", "1e-4*(1,2,3)-finds-no-pair",
+        "3e-4*(1,2,3)-finds-two-pairs"])
 def test_census_of_a_thin_or_small_ellipsoid_counts_its_three_axes(semiaxes, n_seeds):
     # each ellipsoid with distinct semiaxes has exactly 3 double normals, its axes
     census = find_parallel_pairs(Ellipsoid(semiaxes), PairSearchConfig(n_seeds=n_seeds))
