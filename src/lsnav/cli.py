@@ -115,9 +115,10 @@ _radii = _checked(_numbers, lambda v: len(v) == 2, "major,minor radii")
 _criteria = _checked(lambda text: [int(v) for v in text.split(",")],
                      lambda only: all(1 <= k <= len(acceptance.ALL_CHECKS) for k in only),
                      f"criterion numbers 1 to {len(acceptance.ALL_CHECKS)}")
-# largest --seeds and --samples: a larger count is a usage error, refused before
-# anything is allocated
-MAX_COUNT = 10 ** 6
+# largest --seeds and --samples: every run forms a float64 array of at least one
+# value per seed or sample, and numpy indexes no array of more bytes than intp
+# holds, so a larger count can never run; it is a usage error, refused at parsing
+MAX_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 def _count(text: str) -> int:

@@ -125,18 +125,17 @@ def nav_field(spec, r: int) -> ScalarField:
     classifier = None
     if isinstance(spec, (Sphere, ProductSpheres)):
         def classifier(coords):
-            # NavTuple's check and the block signs on all rows at once; each distinct
-            # pattern (its bits as one byte string) is labelled once, from its signs
+            # NavTuple's check and block signs on all rows; each distinct row is labelled once
             pts = np.asarray(coords, dtype=float).reshape(-1, r, d)
             labels = np.full(len(pts), None, dtype=object)
             on = np.flatnonzero((mf.constraint_residual(spec, pts) <= mf.POINT_TOL).all(axis=1))
-            signs = _block_signs(spec, pts[on], CLASSIFY_TOL)
-            full = signs.all(axis=(1, 2))
-            on, signs = on[full], signs[full]
-            bits = np.packbits(signs.reshape(-1, signs.shape[1] * r) > 0, axis=1)
-            _, first, inv = np.unique(bits.view(f"V{bits.shape[1]}").ravel(),
+            signs = _block_signs(spec, pts[on], CLASSIFY_TOL).astype(np.int8)
+            width = signs.shape[1] * r
+            _, first, inv = np.unique(signs.reshape(-1, width).view(f"V{width}").ravel(),
                                       return_index=True, return_inverse=True)
-            labels[on] = np.array([SignPattern(signs[i]).label for i in first], dtype=object)[inv]
+            names = [SignPattern(signs[i]).label if ok else None
+                     for i, ok in zip(first, signs[first].all(axis=(1, 2)))]
+            labels[on] = np.array(names, dtype=object)[inv]
             return labels
 
     return ScalarField(spec.power(r), value, grad, name=f"nav(r={r})", classifier=classifier,
@@ -198,8 +197,7 @@ def slot_signs(ref, pts, tol: float) -> np.ndarray:
 
 
 def _block_signs(spec, pts, tol: float) -> np.ndarray:
-    """slot_signs of every slot of the (n, r, d) tuples pts against their slot 1, one
-    unit-norm block of spec at a time, as an (n, blocks, r) array."""
+    """slot_signs of the (n, r, d) tuples pts against slot 1, block by block: (n, blocks, r)."""
     return np.stack([slot_signs(pts[:, :1, s:e], pts[:, :, s:e], tol)
                      for s, e in mf.sphere_blocks(spec)], axis=1)
 
@@ -241,10 +239,7 @@ def critical_tuple(spec, pattern: SignPattern, base: np.ndarray) -> NavTuple:
 def random_critical_tuple(spec, r: int, rng: np.random.Generator) -> NavTuple:
     """Random base point and random sign pattern (slot 1 fixed at +1)."""
     base = mf.random_points(spec, 1, rng)[0]
-    signs = tuple(
-        (1,) + tuple(int(s) for s in rng.choice([-1, 1], size=r - 1))
-        for _ in mf.sphere_blocks(spec)
-    )
+    signs = [(1, *rng.choice([-1, 1], size=r - 1)) for _ in mf.sphere_blocks(spec)]
     return critical_tuple(spec, SignPattern(signs), base)
 
 

@@ -476,11 +476,11 @@ HUGE = "99999999999999999999"
     (["bound", "--unit-tangent", "--m", "1"], 1, "LsnavError"),
     (["bound", "--product-spheres", "--k", "2"], 1, "LsnavError"),
     (["critfind", "--field", "height", "--manifold", "sphere:2", "--seeds", HUGE], 2,
-     f"argument --seeds: expected at most 1000000, got '{HUGE}'"),
+     f"argument --seeds: expected at most {cli.MAX_COUNT}, got '{HUGE}'"),
     (["pairs", "--sphere", "2", "--seeds", HUGE], 2,
-     f"argument --seeds: expected at most 1000000, got '{HUGE}'"),
+     f"argument --seeds: expected at most {cli.MAX_COUNT}, got '{HUGE}'"),
     (PLAN + ["antipodal.json", "--format", "csv", "--samples", HUGE], 2,
-     f"argument --samples: expected at most 1000000, got '{HUGE}'"),
+     f"argument --samples: expected at most {cli.MAX_COUNT}, got '{HUGE}'"),
 ], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-ellipsoid-square-overflows", "pairs-ellipsoid-square-underflows",
@@ -531,8 +531,11 @@ def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, m
 
 
 def test_memory_error_ends_in_json_error(monkeypatch, capsys):
+    class _ArrayMemoryError(MemoryError):
+        """Like numpy's MemoryError subclass, named otherwise."""
+
     def exhausted(spec, n, rng):
-        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+        raise _ArrayMemoryError("Unable to allocate 7.45 GiB for an array")
 
     monkeypatch.setattr(cli, "random_points", exhausted)
     code = main(NAV)

@@ -1029,7 +1029,7 @@ def test_height_on_a_large_ellipsoid_finds_its_two_poles(scale):
     spec = Ellipsoid((scale, 2.0 * scale, 3.0 * scale))
     comps = find_critical_components(height_field(spec),
                                      random_points(spec, 200, np.random.default_rng(0)))
-    assert [round(c.value / scale) for c in comps] == [-3, 3]
+    assert [round(1000 * c.value / scale) for c in comps] == [-3000, 3000]
 
 
 @pytest.mark.parametrize("n_seeds", [50, 100, 400])
