@@ -57,7 +57,7 @@ print("\n== special-unitary trivialization ==")
 b0 = np.array([1.0, 0, 0, 0])
 b = rng.standard_normal(4)
 b /= np.linalg.norm(b)
-handle, g = su_trivialization(b0, b, spec)
+handle, g = su_trivialization(b0, b)
 print("  g b0 - b:", np.linalg.norm(unitary_apply(g, b0) - b))
 print("  det g:", np.linalg.det(g))
 w = rng.standard_normal(4)

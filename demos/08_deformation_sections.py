@@ -10,7 +10,6 @@ Both produce paths hitting the prescribed waypoints exactly.
 import numpy as np
 
 from lsnav import (
-    DeformationHandle,
     NavTuple,
     compose_section_through_deformation,
     deformation_to_section,
@@ -27,11 +26,9 @@ def straight_line_to_diagonal(a, s):
     return NavTuple(spec, (1.0 - s) * a.points + s * target)
 
 
-h = DeformationHandle(map=straight_line_to_diagonal)
-
 print("== deformation -> section, r = 3 on the plane ==")
 a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]))
-sec = deformation_to_section(h, a, 3)
+sec = deformation_to_section(straight_line_to_diagonal, a)
 for j, tt in enumerate([0.0, 0.5, 1.0]):
     print(f"  s({tt}) = {np.round(eval_path(sec, tt), 12)}   (waypoint {j}: {a.points[j]})")
 print("  p_3(s) - a:", float(np.max(np.abs(path_fibration(sec, 3).points - a.points))))
@@ -40,12 +37,10 @@ print("  halfway to the first waypoint the path sits on the diagonal point:", mi
 
 print("\n== composing through a deformation ==")
 center = np.array([0.5, 0.5])
-phi = DeformationHandle(
-    map=lambda x, s: NavTuple(spec, x.points + s * (center - x.points) * 0.5)
-)
-target = lambda tup: deformation_to_section(h, tup, 3)
+phi = lambda x, s: NavTuple(spec, x.points + s * (center - x.points) * 0.5)
+target = lambda tup: deformation_to_section(straight_line_to_diagonal, tup)
 x = NavTuple(spec, np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, 2.0]]))
-comp = compose_section_through_deformation(phi, target, x, 3)
+comp = compose_section_through_deformation(phi, target, x)
 print("  p_3(composed) - x:",
       float(np.max(np.abs(path_fibration(comp, 3).points - x.points))))
 print("  segments:", len(comp.segments), "sampled legs (3 per waypoint interval)")

@@ -11,15 +11,15 @@ on that torus; the right-hand side of the vertical flow,
 ``unit_tangent.vertical_pseudo_gradient_coords`` of ut-f, at batch sizes 1,
 500 and 5000 on stiefel:4 and stiefel:8; one stage of the vertical flow, the
 projection onto the fiber kind ``unit_tangent._FrameFibers`` (``project_points``,
-anchored at the first column) and then the stage kernel the flow evaluates,
-``unit_tangent._vertical_pseudo_gradient``, at 1, 50 and 500 rows on each of them;
+anchored at the first column) and then the stage kernel every flow evaluates,
+``flow._pseudo_gradient`` of ut-f on that kind, at 1, 50 and 500 rows on each of them;
 one descending ``unit_tangent.vertical_flow_endpoints`` call of ut-f from 50 seeds on each of
 them; one descending ``flow.flow_endpoints`` call from 50 seeds on the nav
 field of S^3 (r=3, on (S^3)^3), whose critical sets are Morse-Bott, and on
 the coordinate x of that torus, whose critical points are nondegenerate, and
 on the same seeds ``endpoint_flow``, the descending pseudo-gradient flow with
 the vertical flow's certified Newton finish,
-``flow._endpoint_flow(field, -1, flow._pseudo_gradient, seeds, cfg)``;
+``flow._endpoint_flow(field, -1, seeds, cfg)``;
 ``navigation.pair_system_residual`` and ``pair_system_jacobian`` at
 batch sizes 1, 500 and 5000 on the ellipsoids (1,2,3) and (1,1.5,2,3) (three
 and four unknowns per end) and on that torus; one Levenberg-Marquardt
@@ -38,8 +38,12 @@ for one or more source trees of lsnav in one process:
 
 Each ``LABEL=SRC`` argument loads the ``lsnav`` package under SRC as its own
 module, so the trees are timed alternately, repeat by repeat, and a change of
-host speed hits all of them alike.  Every figure is the median and quartiles
-over REPEATS repeats of the time per call, with the calls and rows behind it.
+host speed hits all of them alike.  A tree from before every flow ran
+``flow._pseudo_gradient`` gives the vertical flow its own stage,
+``unit_tangent._vertical_pseudo_gradient``, which its ``vertical_stage`` rows
+time and its counts count, and passes ``_endpoint_flow`` the stage it runs.
+Every figure is the median and quartiles over REPEATS repeats of the time per
+call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
 Gaussian batch, once per batch size, under the kind ``"-"``.  Next to each
 Newton median and each census median stand the Levenberg-Marquardt Jacobian
@@ -174,10 +178,11 @@ def cases(lsnav):
             out.append(("vertical_pseudo_gradient_coords", name, n,
                         lambda f=field, x=pts: ut.vertical_pseudo_gradient_coords(f, x)))
         fibers = dataclasses.replace(field, spec=ut._FrameFibers(field.spec.frame_dim))
+        stage = own_stage(lsnav) or lsnav.flow._pseudo_gradient
         for n in STAGE_BATCHES:
             pts = mf.random_points(field.spec, n, np.random.default_rng([8, n]))
-            out.append(("vertical_stage", name, n, lambda f=fibers, x=pts:
-                        ut._vertical_pseudo_gradient(f, mf.project_points(f.spec, x))))
+            out.append(("vertical_stage", name, n, lambda f=fibers, x=pts, k=stage:
+                        k(f, mf.project_points(f.spec, x))))
         n = FLOW_SEEDS
         seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
         out.append(("vertical_flow_endpoints", name, n,
@@ -188,8 +193,8 @@ def cases(lsnav):
         seeds = mf.random_points(field.spec, n, np.random.default_rng([7, n]))
         out.append(("flow_endpoints", name, n,
                     lambda f=field, x=seeds: lsnav.flow.flow_endpoints(f, x)))
-        out.append(("endpoint_flow", name, n, lambda f=field, x=seeds, fl=lsnav.flow:
-                    fl._endpoint_flow(f, -1, fl._pseudo_gradient, x, fl.FlowConfig())))
+        out.append(("endpoint_flow", name, n,
+                    lambda f=field, x=seeds: endpoint_flow(lsnav, f, x)))
     for name in CLUSTER_PROBLEMS:
         field = newton_field(lsnav, name)
         for n in CLUSTER_BATCHES.get(name, BATCHES):
@@ -221,6 +226,19 @@ def cases(lsnav):
         out.append(("_dedup_pairs", name, len(x), lambda x=x, y=y, k=DEDUP_TAKE[name]:
                     list(islice(nav._dedup_pairs(x, y, nav.PAIR_DEDUP_TOL), k))))
     return out
+
+
+def own_stage(lsnav):
+    """The vertical flow's own stage in a tree from before every flow ran
+    ``flow._pseudo_gradient``, else None."""
+    return getattr(lsnav.unit_tangent, "_vertical_pseudo_gradient", None)
+
+
+def endpoint_flow(lsnav, field, seeds):
+    """``flow._endpoint_flow`` descending from seeds; an older tree is passed its stage."""
+    flow = lsnav.flow
+    stage = (flow._pseudo_gradient,) if own_stage(lsnav) else ()
+    return flow._endpoint_flow(field, -1, *stage, seeds, flow.FlowConfig())
 
 
 def census_rows(lsnav, name: str, search):
@@ -334,12 +352,12 @@ def endpoint_flow_counts(lsnav, call) -> dict:
     """Integrator steps, stage calls and rows, Levenberg-Marquardt Jacobian
     calls and residual rows, and the hand-off's own Hessian calls and rows and
     residual rows, of one call of ``call``.  A step is one ``flow._dp54_step``
-    call, a pass of the integrator over the active rows.  Each
-    ``flow._flow_batch`` call evaluates its stage (the third argument) at the
-    starts and at every stage of every step.  The Newton finish evaluates the
-    residual inside ``levenberg_marquardt``; those rows count as LM residual
-    rows, and each Jacobian evaluation there as one LM Jacobian call, as in
-    ``lm_counts``.  ``flow._endpoint_flow`` also evaluates the field's
+    call, a pass of the integrator over the active rows.  A flow evaluates its
+    stage, ``flow._pseudo_gradient`` (``own_stage`` in an older tree's vertical
+    flow), at the starts and at every stage of every step.  The Newton finish
+    evaluates the residual inside ``levenberg_marquardt``; those rows count as
+    LM residual rows, and each Jacobian evaluation there as one LM Jacobian
+    call, as in ``lm_counts``.  ``flow._endpoint_flow`` also evaluates the field's
     derivatives outside LM, to decide which rows to hand off and which Newton
     results to keep: the guard's Hessian, at the hand-off and at the Newton
     limit, and the contraction certificate's two residuals per row.  They are
@@ -351,7 +369,11 @@ def endpoint_flow_counts(lsnav, call) -> dict:
     the Hessian rows."""
     flow = lsnav.flow
     numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
-    solve, batch, step = numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step
+    solve, step = numerics.levenberg_marquardt, flow._dp54_step
+    stages = [(flow, "_pseudo_gradient")]
+    if own_stage(lsnav):
+        stages.append((lsnav.unit_tangent, "_vertical_pseudo_gradient"))
+    stages = [(module, name, getattr(module, name)) for module, name in stages]
     scalar = flow.ScalarField
     gradient, hessian = scalar.euclidean_gradient_at, scalar.euclidean_hessian_at
     counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_jacobian_calls": 0,
@@ -366,13 +388,13 @@ def endpoint_flow_counts(lsnav, call) -> dict:
         finally:
             busy.pop()
 
-    def counted_batch(field, direction, stage, *args, **kwargs):
-        def counted_stage(f, coords):
+    def counted_stage(stage):
+        def counted(f, coords):
             counts["rhs_calls"] += 1
             counts["rhs_rows"] += len(coords)
             return within("stage", stage, f, coords)
 
-        return batch(field, direction, counted_stage, *args, **kwargs)
+        return counted
 
     def counted_step(*args):
         counts["steps"] += 1
@@ -401,13 +423,16 @@ def endpoint_flow_counts(lsnav, call) -> dict:
             counts["handoff_residual_rows"] -= len(coords)
         return within("hessian", hessian, self, coords)
 
-    numerics.levenberg_marquardt, flow._flow_batch = counted_solve, counted_batch
-    flow._dp54_step = counted_step
+    numerics.levenberg_marquardt, flow._dp54_step = counted_solve, counted_step
+    for module, name, stage in stages:
+        setattr(module, name, counted_stage(stage))
     scalar.euclidean_gradient_at, scalar.euclidean_hessian_at = counted_gradient, counted_hessian
     try:
         call()
     finally:
-        numerics.levenberg_marquardt, flow._flow_batch, flow._dp54_step = solve, batch, step
+        numerics.levenberg_marquardt, flow._dp54_step = solve, step
+        for module, name, stage in stages:
+            setattr(module, name, stage)
         scalar.euclidean_gradient_at, scalar.euclidean_hessian_at = gradient, hessian
     return counts
 

@@ -57,7 +57,6 @@ from .navigation import (
     random_critical_tuple,
 )
 from .paths import (
-    DeformationHandle,
     PathSpec,
     compose_section_through_deformation,
     deformation_to_section,

@@ -43,7 +43,6 @@ from .navigation import (
     random_critical_tuple,
 )
 from .paths import (
-    DeformationHandle,
     compose_section_through_deformation,
     deformation_to_section,
     path_fibration,
@@ -435,9 +434,8 @@ def check_conversions(rng):
             target = np.tile(a.points[0], (a.r, 1))
             return NavTuple(spec, (1.0 - s) * a.points + s * target)
 
-        h = DeformationHandle(map=to_diagonal)
         a = NavTuple(spec, rng.standard_normal((r, 2)))
-        sec = deformation_to_section(h, a, r)
+        sec = deformation_to_section(to_diagonal, a)
         err = np.max(np.abs(path_fibration(sec, r).points - a.points))
         if err > 1e-12:
             problems.append(f"deformation conversion r={r}: knot error {err:.2e}")
@@ -447,10 +445,9 @@ def check_conversions(rng):
         def toward_center(x, s):
             return NavTuple(spec, x.points + 0.5 * s * (center - x.points))
 
-        phi = DeformationHandle(map=toward_center)
-        target = lambda tup: deformation_to_section(h, tup, r)
+        target = lambda tup: deformation_to_section(to_diagonal, tup)
         x = NavTuple(spec, rng.standard_normal((r, 2)))
-        comp = compose_section_through_deformation(phi, target, x, r)
+        comp = compose_section_through_deformation(toward_center, target, x)
         err = np.max(np.abs(path_fibration(comp, r).points - x.points))
         if err > 1e-12:
             problems.append(f"composed conversion r={r}: knot error {err:.2e}")
@@ -472,7 +469,7 @@ def check_equivariance(rng):
         b0 /= np.linalg.norm(b0)
         b = rng.standard_normal(4)
         b /= np.linalg.norm(b)
-        handle, g = su_trivialization(b0, b, spec)
+        handle, g = su_trivialization(b0, b)
         n = g.shape[0]
         worst_unitary = max(worst_unitary, float(np.linalg.norm(
             g.conj().T @ g - np.eye(n))))

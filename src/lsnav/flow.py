@@ -5,22 +5,25 @@ the C^1 ramp that is 1 below 1 and the identity above 2.  It satisfies
 |X| <= 2 min(|grad F|, 1) and DF(X) >= min(|grad F|, |grad F|^2), so the
 negative flow is a strict Lyapunov descent away from critical points.
 
-Batched flows to critical points integrate with an adaptive Dormand-Prince
-5(4) pair (first same as last), re-projecting onto the field's spec after every
-stage; FIRST_STEP is the initial step of every row.  One field evaluation per
-stage gives the vector field and the stopping norm, so an accepted step's norm
-is its last stage's.  A step is accepted only when its local error estimate
-meets min(atol, RTOL |y - x|) and F has not moved against the flow beyond
-rounding, so flows stay Lyapunov-monotone; a row rejected down to a step below
-STEP_FLOOR stops unconverged.  The same driver records single traces (``integrate_flow``)
-and runs the time-1 map; ``detect_critical`` clusters flow endpoints.
+Every flow integrates this X with an adaptive Dormand-Prince 5(4) pair (first
+same as last), re-projecting onto the field's spec after every stage;
+FIRST_STEP is the initial step of every row.  One field evaluation per stage,
+``_pseudo_gradient``, gives the vector field and the stopping norm |grad F|,
+so an accepted step's norm is its last stage's.  A step is accepted only when
+its local error estimate meets min(atol, RTOL |y - x|) and F has not moved
+against the flow beyond rounding, so flows stay Lyapunov-monotone; a row
+rejected down to a step below STEP_FLOOR stops unconverged.  The same driver
+records single traces (``integrate_flow``) and runs the time-1 map;
+``detect_critical`` clusters flow endpoints.
 Trajectories (``integrate_flow``, ``time_one_map``) take atol = ATOL; flows
 that return only endpoints (``flow_endpoints``, so ``detect_critical``, and
 ``unit_tangent.vertical_flow_endpoints``) take ENDPOINT_ATOL.  The vertical
-flow runs on the fiber kind ``unit_tangent._FrameFibers`` and finishes with
-Newton once Newton is certified (``_endpoint_flow``).  One rule, ``inertia``,
-judges Hessian eigenvalues wherever they are judged: the Newton guard's
-definiteness, the Morse-Bott merge's kernel and ``navigation``'s pair nullity.
+flow is the pseudo-gradient flow of the field moved onto the fiber kind
+``unit_tangent._FrameFibers``, whose Riemannian gradient is the vertical one,
+and finishes with Newton once Newton is certified (``_endpoint_flow``).  One
+rule, ``inertia``, judges Hessian eigenvalues wherever they are judged: the
+Newton guard's definiteness, the Morse-Bott merge's kernel and
+``navigation``'s pair nullity.
 
 ``find_critical_components`` runs no flow.  Damped Newton on the Riemannian
 gradient, with the analytic Riemannian Hessian P (hess F - S) P (P the tangent
@@ -54,13 +57,9 @@ def rho(s):
     s = np.asarray(s, dtype=float)
     if np.fmin.reduce(s, axis=None, initial=0.0) < 0:  # fmin skips NaN, which passes
         raise NegativeInput("rho is defined for nonnegative arguments")
-    out = _ramp(s)
-    return float(out) if out.ndim == 0 else out
-
-
-def _ramp(s):  # rho on a float array, without the sign check
     t = np.minimum(np.maximum(s - 1.0, 0.0), 1.0)
-    return np.where(s >= 2.0, s, 1.0 + 2.0 * t**2 - t**3)
+    out = np.where(s >= 2.0, s, 1.0 + 2.0 * t**2 - t**3)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -161,7 +160,7 @@ def pseudo_gradient_coords(field: ScalarField, coords):
 
 
 def _pseudo_gradient(field: ScalarField, coords):
-    """The flow stage of ``pseudo_gradient_coords``: (X, |grad F|)."""
+    """The stage of every flow: (X, |grad F|), X as ``pseudo_gradient_coords``."""
     grad = field.riemannian_gradient(coords)
     gn = np.linalg.norm(grad, axis=-1)
     return np.asarray(1.0 / rho(gn))[..., None] * grad, gn
@@ -234,15 +233,16 @@ def _dp54_step(stage, project, x, k1, h):
     return y, k, gn, err
 
 
-def _flow_batch(field: ScalarField, direction: int, stage, starts, cfg: FlowConfig,
+def _flow_batch(field: ScalarField, direction: int, starts, cfg: FlowConfig,
                 max_time=None, record=None, atol=None, stop=None):
-    """Adaptive Dormand-Prince 5(4) flow of a batch along direction * X, where
-    stage(field, x) = (X, stopping norm), one step size per row, re-projecting
-    onto field.spec with ``project_points`` after every stage (the fiber kind's
-    anchored projection for the vertical flow) and holding -direction * F monotone.
+    """Adaptive Dormand-Prince 5(4) flow of a batch along direction * X, with
+    (X, |grad F|) = ``_pseudo_gradient(field, x)``, one step size per row,
+    re-projecting onto field.spec with ``project_points`` after every stage (the
+    fiber kind's anchored projection for the vertical flow) and holding
+    -direction * F monotone.
 
-    Every row starts at time 0 from step FIRST_STEP.  A row stops once its
-    norm (after a step, its last stage's) is at most grad_tol, at time max_time
+    Every row starts at time 0 from step FIRST_STEP.  A row stops once |grad F|
+    (after a step, its last stage's) is at most grad_tol, at time max_time
     (default MAX_TIME), or when a rejection leaves its step below STEP_FLOOR.
     A step is accepted when its error estimate is at most min(atol, RTOL
     |y - x|), atol defaulting to ATOL (endpoint-only callers pass
@@ -261,7 +261,7 @@ def _flow_batch(field: ScalarField, direction: int, stage, starts, cfg: FlowConf
     atol = ATOL if atol is None else atol
 
     def vfield(x):
-        k, gn = stage(field, x)
+        k, gn = _pseudo_gradient(field, x)
         return direction * k, gn
 
     def proj(x):
@@ -364,7 +364,7 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) 
         coords.append(x[0].copy())
         gns.append(gn[0])
 
-    _flow_batch(field, -1, _pseudo_gradient, start.coords[None, :], cfg, record=record)
+    _flow_batch(field, -1, start.coords[None, :], cfg, record=record)
     coords = np.array(coords)
     return FlowTrace(
         times=np.array(times),
@@ -375,16 +375,16 @@ def integrate_flow(field: ScalarField, start: PointOnM, cfg: FlowConfig = None) 
     )
 
 
-def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowConfig):
+def _endpoint_flow(field: ScalarField, direction: int, starts, cfg: FlowConfig):
     """An endpoint-only flow that finishes with Newton once Newton is certified.
 
-    Everything but the flow's stage comes from the field and its spec: the
-    projection (``project_points``), the residual G = ``riemannian_gradient``
-    and its Jacobian J = ``riemannian_hessian``.  The vertical flow passes a
-    field on the fiber kind ``unit_tangent._FrameFibers``, whose projection is
-    anchored at the first column and whose tangent space is the vertical one.
-    ``_flow_batch`` at ENDPOINT_ATOL runs every row toward cfg.grad_tol,
-    stopping on the norm stage(field, x) returns, |G(x)| to rounding.  Its
+    Everything comes from the field and its spec: the flow's stage
+    (``_pseudo_gradient``), the projection (``project_points``), the residual
+    G = ``riemannian_gradient`` and its Jacobian J = ``riemannian_hessian``.
+    The vertical flow passes a field on the fiber kind
+    ``unit_tangent._FrameFibers``, whose projection is anchored at the first
+    column and whose tangent space is the vertical one.  ``_flow_batch`` at
+    ENDPOINT_ATOL runs every row toward cfg.grad_tol, stopping on |G(x)|.  Its
     stop predicate takes a row out of the flow, at any gradient norm, where
     two tests hold; it sees the starts and the rows each pass accepts.
 
@@ -453,7 +453,7 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowC
         certified[rows[ok]] = True
         return ok
 
-    x, gn = _flow_batch(field, direction, stage, starts, cfg, atol=ENDPOINT_ATOL, stop=stop)
+    x, gn = _flow_batch(field, direction, starts, cfg, atol=ENDPOINT_ATOL, stop=stop)
     go = np.flatnonzero(certified)
     if go.size:
         z, rn = _newton(field, newton[go], cfg.grad_tol)
@@ -464,7 +464,7 @@ def _endpoint_flow(field: ScalarField, direction: int, stage, starts, cfg: FlowC
         x[go[kept]], gn[go[kept]] = z[kept], rn[kept]
         rest = go[~kept]
         if rest.size:
-            x[rest], gn[rest] = _flow_batch(field, direction, stage, np.asarray(starts)[rest], cfg,
+            x[rest], gn[rest] = _flow_batch(field, direction, np.asarray(starts)[rest], cfg,
                                             atol=ENDPOINT_ATOL)
     return x, gn, gn <= cfg.grad_tol
 
@@ -481,7 +481,7 @@ def flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None, direction
     Returns (endpoints, gradient norms, converged mask).
     """
     cfg = cfg or FlowConfig()
-    x, gn = _flow_batch(field, direction, _pseudo_gradient, starts, cfg, atol=ENDPOINT_ATOL)
+    x, gn = _flow_batch(field, direction, starts, cfg, atol=ENDPOINT_ATOL)
     return x, gn, gn <= cfg.grad_tol
 
 
@@ -493,7 +493,7 @@ def time_one_map(field: ScalarField, starts, cfg: FlowConfig = None):
     on t = 1.  A row whose gradient norm reaches cfg.grad_tol stops there,
     before t = 1, as does a row stopped by the step floor.
     """
-    return _flow_batch(field, -1, _pseudo_gradient, starts, cfg or FlowConfig(), max_time=1.0)[0]
+    return _flow_batch(field, -1, starts, cfg or FlowConfig(), max_time=1.0)[0]
 
 
 # ---------------------------------------------------------------------------

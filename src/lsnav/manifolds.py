@@ -27,6 +27,7 @@ from .errors import (
     NotTangent,
     OddLength,
     SingularInput,
+    TooLarge,
     WrongSpec,
 )
 
@@ -34,6 +35,7 @@ POINT_TOL = 1e-9
 TANGENT_TOL = 1e-9
 HYPERSURFACE_NEWTON_TOL = 1e-12
 HYPERSURFACE_NEWTON_CAP = 50
+MAX_FLOAT_VALUES = np.iinfo(np.intp).max // np.dtype(float).itemsize  # most numpy indexes
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +54,8 @@ class ManifoldSpec:
     def power(self, r: int) -> "ManifoldSpec":
         """The manifold M^r (slot-major layout)."""
         raise WrongSpec(f"{type(self).__name__} has no power spec")
+
+    sample_rows = 1  # rows of ambient_dim values that ``sample`` draws per point
 
     def sample(self, n: int, rng: np.random.Generator):
         """n points: Gaussian samples projected onto the manifold."""
@@ -235,6 +239,7 @@ class _Hypersurface(ManifoldSpec):
     """Shared geometry of Ellipsoid and ImplicitHypersurface: the level set field = level."""
 
     dim = property(lambda self: self.ambient_dim - 1)
+    sample_rows = 2  # the first round of ``sample``
 
     @property
     def ambient_dim(self) -> int:
@@ -577,7 +582,13 @@ def project_tangent(spec, coords, w):
 def random_points(spec, n: int, rng: np.random.Generator):
     """Draw n points on the manifold: normalized Gaussians on sphere blocks
     (uniform), polar factors of Gaussian frames, and samples from the bounding
-    box of a hypersurface's constraint field projected onto it."""
+    box of a hypersurface's constraint field projected onto it.  Raises TooLarge,
+    before any draw, where the draw (``sample_rows`` rows of ambient_dim values a
+    point) holds more float64 values than numpy indexes in one array."""
+    values = spec.sample_rows * int(n) * spec.ambient_dim
+    if values > MAX_FLOAT_VALUES:
+        raise TooLarge(f"{n} points on {spec.kind} draw {values} float64 values, "
+                       f"above the {MAX_FLOAT_VALUES} numpy indexes in one array")
     return spec.sample(n, rng)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -305,23 +304,10 @@ def plan_product_odd_spheres(t: NavTuple, pattern: SignPattern,
 # Deformation / section conversions
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class DeformationHandle:
-    """A deformation h(a, t) of tuples in X^r with h(a, 0) = a.
-
-    ``map`` takes a NavTuple and a time in [0, 1] and returns a NavTuple.
-    ``deformation_to_section`` checks that h(a, 1) lies on the diagonal.
-    """
-
-    map: Callable[[NavTuple, float], NavTuple]
-
-    def component(self, j: int, a: NavTuple, t: float) -> np.ndarray:
-        return self.map(a, float(t)).points[j]
-
-    def check_at(self, a: NavTuple, tol: float = 1e-9):
-        start = self.map(a, 0.0).points
-        if np.max(np.linalg.norm(start - a.points, axis=-1)) > tol:
-            raise NotEndingAtDiagonal("deformation does not start at the identity")
+def _check_start(h, a: NavTuple):
+    """Refuse a deformation h(a, s) -> NavTuple whose h(a, 0) is not a."""
+    if np.max(np.linalg.norm(h(a, 0.0).points - a.points, axis=-1)) > CONTINUITY_TOL:
+        raise NotEndingAtDiagonal("deformation does not start at the identity")
 
 
 def _legs(r, pieces):
@@ -334,43 +320,39 @@ def _legs(r, pieces):
                  for j in range(1, r) for k, fn in enumerate(pieces))
 
 
-def deformation_to_section(h: DeformationHandle, a: NavTuple, r: int) -> PathSpec:
-    """Path through the slots of a, riding the deformation to the diagonal
-    and back between consecutive slots.
+def deformation_to_section(h, a: NavTuple) -> PathSpec:
+    """Path through the a.r slots of a, riding the deformation h(a, s) -> NavTuple
+    (h(a, 0) = a) to the diagonal and back between consecutive slots.
 
     On [ (j-1)/(r-1), (j-1/2)/(r-1) ) the path follows component j-1 of the
     deformation forward, on the mirrored half it follows component j
     backward; continuity at the midpoint is exactly the diagonal condition,
     so h(a, 1) off the diagonal by more than 1e-9 raises NotEndingAtDiagonal.
     """
-    if r != a.r:
-        raise WrongSpec("tuple length must equal r")
-    h.check_at(a)
-    end = h.map(a, 1.0).points
+    _check_start(h, a)
+    end = h(a, 1.0).points
     if np.max(np.linalg.norm(end - end[0], axis=-1)) > CONTINUITY_TOL:
         raise NotEndingAtDiagonal("deformation does not end on the diagonal")
-    return PathSpec(_legs(r, (lambda j, s: h.component(j - 1, a, s),
-                              lambda j, s: h.component(j, a, 1.0 - s))), a.spec)
+    return PathSpec(_legs(a.r, (lambda j, s: h(a, float(s)).points[j - 1],
+                                lambda j, s: h(a, float(1.0 - s)).points[j])), a.spec)
 
 
-def compose_section_through_deformation(phi: DeformationHandle, s_target,
-                                        x: NavTuple, r: int) -> PathSpec:
-    """Section at x from a section defined on the deformed tuple.
+def compose_section_through_deformation(phi, s_target, x: NavTuple) -> PathSpec:
+    """Section at x from a section defined on the deformed tuple, phi(x, s) ->
+    NavTuple a deformation with phi(x, 0) = x.
 
-    Each of the r-1 subintervals splits in three: ride the deformation
+    Each of the x.r - 1 subintervals splits in three: ride the deformation
     forward from slot j-1, traverse the target section's path over the same
     subinterval, ride the deformation backward into slot j.
     """
-    if r != x.r:
-        raise WrongSpec("tuple length must equal r")
-    phi.check_at(x)
-    end_tuple = phi.map(x, 1.0)
+    _check_start(phi, x)
+    end_tuple = phi(x, 1.0)
     try:
         target_path = s_target(end_tuple)
     except LsnavError as exc:
         raise TargetDomainMiss(
             f"target section undefined on the deformed tuple: {exc}"
         ) from exc
-    return PathSpec(_legs(r, (lambda j, s: phi.component(j - 1, x, s),
-                              lambda j, s: eval_path(target_path, (j - 1 + s) / (r - 1)),
-                              lambda j, s: phi.component(j, x, 1.0 - s))), x.spec)
+    return PathSpec(_legs(x.r, (lambda j, s: phi(x, float(s)).points[j - 1],
+                                lambda j, s: eval_path(target_path, (j - 1 + s) / (x.r - 1)),
+                                lambda j, s: phi(x, float(1.0 - s)).points[j])), x.spec)

@@ -260,23 +260,16 @@ def random_fiber_tuple(spec: StiefelV2, r: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def vertical_pseudo_gradient_coords(field: ScalarField, coords):
-    """Vertical part of the gradient scaled by 1/rho(|full gradient|)."""
-    return _vertical_pseudo_gradient(field, coords)[0]
+    """The pseudo-gradient X = w / rho(|w|) of f on the fibers, w the vertical
+    gradient: ``flow.pseudo_gradient_coords`` of the field on the fiber kind, and
+    what ``vertical_flow_endpoints`` integrates.  So |X| <= 2 min(|w|, 1) and
+    <w, X> >= min(|w|, |w|^2); for ut-f, |w| <= 1 and X = w."""
+    return flow.pseudo_gradient_coords(_on_fibers(field), coords)
 
 
-def _vertical_pseudo_gradient(field: ScalarField, coords):
-    """The vertical flow's stage (w / rho(|P_tan G|), |w|) in one pass over the row views
-    of X and of the Euclidean gradient G: w is the vertical part of G and of P_tan G, and
-    |P_tan G|^2 = |G|^2 - |sym(X^T G)|^2_F, clamped at 0 (harmless: rho is 1 on [0, 1])."""
-    spec, g = field.spec, field.euclidean_gradient_at(coords)
-    x, rows = spec._rows(coords), spec._rows(g)
-    xg = x @ np.swapaxes(rows, -1, -2)  # entry (k, l) is <x_k, g_l>
-    w = rows[..., 1, :] - np.einsum("...k,...km->...m", xg[..., 1], x)
-    s = xg + np.swapaxes(xg, -1, -2)  # 2 sym(X^T G)
-    tan2 = np.einsum("...i,...i->...", g, g) - 0.25 * np.einsum("...ij,...ij->...", s, s)
-    out = np.zeros_like(g)
-    out[..., spec.frame_dim:] = w / flow._ramp(np.sqrt(np.maximum(tan2, 0.0)))[..., None]
-    return out, np.sqrt(np.einsum("...i,...i->...", w, w))
+def _on_fibers(field: ScalarField) -> ScalarField:
+    """The field on the fiber kind, whose Riemannian gradient is the vertical gradient."""
+    return replace(field, spec=_FrameFibers(_require_frames(field.spec).frame_dim))
 
 
 class _FrameFibers(StiefelV2):
@@ -325,8 +318,9 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
 
     ``flow._endpoint_flow`` on the field moved onto the fiber kind
     ``_FrameFibers``: its projection is anchored at the first column, its
-    tangent space is the vertical space, and the vector field has zero base
-    component, so trajectories stay in their fiber exactly.  The adaptive
+    tangent space is the vertical space, and the vector field,
+    ``vertical_pseudo_gradient_coords``, has zero base component, so
+    trajectories stay in their fiber exactly.  The adaptive
     Dormand-Prince 5(4) driver of ``flow_endpoints``, from initial step
     flow.FIRST_STEP and held to flow.ENDPOINT_ATOL, never moves f against
     ``direction``; a row leaves it, at any gradient norm, where Newton on the
@@ -341,9 +335,7 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     depend on the other rows unless numerics.LM_BATCH_AXIS_ROWS or more rows
     are handed off at once, where the finish switches its solve as LM does.
     """
-    fibers = replace(field, spec=_FrameFibers(_require_frames(field.spec).frame_dim))
-    return flow._endpoint_flow(fibers, direction, _vertical_pseudo_gradient, starts,
-                               cfg or FlowConfig())
+    return flow._endpoint_flow(_on_fibers(field), direction, starts, cfg or FlowConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +427,11 @@ class Trivialization:
     """Fiberwise identification over a neighborhood of b0.
 
     ``section(b)`` returns a special-unitary matrix moving b0 to b; ``psi``
-    splits a frame into (basepoint, fiber element over b0) and ``psi_inv``
-    rebuilds it.  The invariant function is constant under both.
+    splits a frame, whose first len(b0) coordinates are its basepoint, into
+    (basepoint, fiber element over b0) and ``psi_inv`` rebuilds it.  The
+    invariant function is constant under both.
     """
 
-    spec: StiefelV2
     b0: np.ndarray
 
     def section(self, b) -> np.ndarray:
@@ -455,11 +447,11 @@ class Trivialization:
         return u1 @ u0.conj().T
 
     def apply(self, g, frame_coords):
-        x1, x2 = mf.frame_columns(self.spec, np.asarray(frame_coords, dtype=float))
-        return mf.frame_flat(unitary_apply(g, x1), unitary_apply(g, x2))
+        frame, m = np.asarray(frame_coords, dtype=float), len(self.b0)
+        return mf.frame_flat(unitary_apply(g, frame[..., :m]), unitary_apply(g, frame[..., m:]))
 
     def psi(self, frame_coords):
-        x1, _ = mf.frame_columns(self.spec, np.asarray(frame_coords, dtype=float))
+        x1 = np.asarray(frame_coords, dtype=float)[..., :len(self.b0)]
         g = self.section(x1)
         return x1.copy(), self.apply(g.conj().T, frame_coords)
 
@@ -483,7 +475,7 @@ def matrix_to_json(g) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in g]
 
 
-def su_trivialization(b0, b, spec: StiefelV2 = None):
+def su_trivialization(b0, b):
     """Trivialization handle anchored at b0 together with g = section(b).
 
     Returns (handle, g) where g is special unitary with g b0 = b, both within
@@ -493,10 +485,5 @@ def su_trivialization(b0, b, spec: StiefelV2 = None):
     it is the one element of SU(2) with g b0 = b.  b0 and b need one even
     dimension of at least 4 (on C^1, SU(1) moves no basepoint).
     """
-    b0 = np.asarray(b0, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b0.size % 2 != 0:
-        raise WrongDimension("complex pairing needs an even ambient dimension")
-    spec = spec or StiefelV2(b0.size)
-    handle = Trivialization(spec=spec, b0=b0)
+    handle = Trivialization(np.asarray(b0, dtype=float))
     return handle, handle.section(b)

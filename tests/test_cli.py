@@ -481,6 +481,13 @@ HUGE = "99999999999999999999"
      f"argument --seeds: expected at most {cli.MAX_COUNT}, got '{HUGE}'"),
     (PLAN + ["antipodal.json", "--format", "csv", "--samples", HUGE], 2,
      f"argument --samples: expected at most {cli.MAX_COUNT}, got '{HUGE}'"),
+    # counts within cli.MAX_COUNT whose draw numpy cannot index: refused before any draw
+    (["critfind", "--field", "height", "--manifold", "sphere:2", "--seeds", "576460752303423488"],
+     1, "TooLarge"),
+    (["critfind", "--field", "nav", "--manifold", "sphere:3", "--r", "3", "--seeds",
+      "100000000000000000"], 1, "TooLarge"),
+    (["pairs", "--ellipsoid", "1,2,3", "--seeds", "576460752303423488"], 1, "TooLarge"),
+    (["pairs", "--torus", "2,0.5", "--seeds", "250000000000000000"], 1, "TooLarge"),
 ], ids=["critfind-seeds-negative", "critfind-seeds-non-numeric", "pairs-seeds-negative",
         "pairs-ellipsoid-non-numeric", "pairs-ellipsoid-nan", "pairs-ellipsoid-negative",
         "pairs-ellipsoid-square-overflows", "pairs-ellipsoid-square-underflows",
@@ -501,7 +508,8 @@ HUGE = "99999999999999999999"
         "pairs-sphere-and-torus", "bound-no-mode", "bound-two-modes",
         "bound-components-and-unit-tangent", "bound-unit-tangent-no-r",
         "bound-product-spheres-no-r", "critfind-seeds-huge", "pairs-seeds-huge",
-        "plan-samples-huge"])
+        "plan-samples-huge", "critfind-height-draw-too-large", "critfind-nav-draw-too-large",
+        "pairs-ellipsoid-draw-too-large", "pairs-torus-draw-too-large"])
 def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, monkeypatch,
                                                capsys):
     # exit 2 with argparse's usage message, or exit 1 with a JSON error on
@@ -527,6 +535,9 @@ def test_bad_input_ends_in_usage_or_json_error(argv, code, expected, tmp_path, m
             assert payload["message"] == {
                 "InvalidPoint": "navigation tuples need r >= 2 slots",
                 "WrongSpec": "nav field on M^1000000000 has 2000000000 coordinates, above 256",
+                "TooLarge": "100000000000000000 points on product_spheres draw "
+                            "1200000000000000000 float64 values, above the "
+                            "1152921504606846975 numpy indexes in one array",
             }[expected]
 
 

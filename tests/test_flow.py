@@ -39,7 +39,6 @@ from lsnav.manifolds import (
 from lsnav.navigation import nav_field
 from lsnav.unit_tangent import (
     _FrameFibers,
-    _vertical_pseudo_gradient,
     f_ut_coords,
     f_ut_euclidean_gradient,
     f_ut_field,
@@ -365,8 +364,8 @@ def _fibers(field):
 
 def _plain_vertical_flow(field, starts, direction):
     """The vertical flow without its Newton finish: (endpoints, gradient norms)."""
-    return flow._flow_batch(_fibers(field), direction, _vertical_pseudo_gradient, starts,
-                            FlowConfig(), atol=flow.ENDPOINT_ATOL)
+    return flow._flow_batch(_fibers(field), direction, starts, FlowConfig(),
+                            atol=flow.ENDPOINT_ATOL)
 
 
 def _reference_guard(field, x, direction):
@@ -495,8 +494,7 @@ def test_fsal_stopping_norm_leaves_endpoint_flows_bit_identical(case, direction)
     field = make()
     seeds = random_points(field.spec, n, np.random.default_rng(31))
     want = _reference_pseudo_gradient_flow(field, seeds, direction, atol=flow.ENDPOINT_ATOL)
-    got = flow._flow_batch(field, direction, flow._pseudo_gradient, seeds, FlowConfig(),
-                           atol=flow.ENDPOINT_ATOL)
+    got = flow._flow_batch(field, direction, seeds, FlowConfig(), atol=flow.ENDPOINT_ATOL)
     assert want[1].max() <= FlowConfig().grad_tol
     for g, w in zip(got, want):
         assert _same_bits(g, w)
@@ -531,7 +529,7 @@ def test_fsal_stopping_norm_keeps_the_vertical_flow(monkeypatch, frame_dim, dire
     # the reference: ut-f in its composed form, flowed by the reference driver,
     # which stops on |vertical_gradient_coords| evaluated at every accepted point
     # and takes the same hand-off predicate (Newton finish unchanged); the
-    # one-pass stage reads |w| off its own w
+    # flow's stage reads |w| off its own w
     spec = StiefelV2(frame_dim)
     field = f_ut_field(spec)
     seeds = random_points(spec, 50, np.random.default_rng(34))
@@ -540,8 +538,8 @@ def test_fsal_stopping_norm_keeps_the_vertical_flow(monkeypatch, frame_dim, dire
                            lambda x: f_ut_euclidean_gradient(spec, x),
                            euclidean_hessian=field.euclidean_hessian)
 
-    def reference_batch(fld, d, stage, starts, cfg, max_time=None, record=None,
-                        atol=None, stop=None):
+    def reference_batch(fld, d, starts, cfg, max_time=None, record=None, atol=None,
+                        stop=None):
         return _reference_flow_batch(
             fld, d, vertical_pseudo_gradient_coords, project_points,
             lambda f, x: np.linalg.norm(vertical_gradient_coords(f, x), axis=-1),

@@ -31,7 +31,6 @@ from lsnav.navigation import (
 )
 from lsnav.paths import (
     ConstantSegment,
-    DeformationHandle,
     GreatCircleSegment,
     PathSpec,
     SampledSegment,
@@ -205,14 +204,14 @@ def _line_to_diagonal(spec):
         target = np.tile(a.points[0], (a.r, 1))
         return NavTuple(spec, (1.0 - s) * a.points + s * target)
 
-    return DeformationHandle(map=h_map)
+    return h_map
 
 
 def test_deformation_to_section_r2():
     spec = Euclidean(2)
     h = _line_to_diagonal(spec)
     a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0]]))
-    sec = deformation_to_section(h, a, 2)
+    sec = deformation_to_section(h, a)
     assert np.allclose(eval_path(sec, 0.0), a.points[0], atol=1e-12)
     assert np.allclose(eval_path(sec, 1.0), a.points[1], atol=1e-12)
     # midpoint value is the common diagonal point h0(a, 1)
@@ -223,7 +222,7 @@ def test_deformation_to_section_diagonal_constant():
     spec = Euclidean(2)
     h = _line_to_diagonal(spec)
     a = NavTuple(spec, np.tile([1.5, -0.5], (3, 1)))
-    sec = deformation_to_section(h, a, 3)
+    sec = deformation_to_section(h, a)
     ts = np.linspace(0, 1, 64)
     assert np.max(np.abs(sec.eval_many(ts) - np.array([1.5, -0.5]))) <= 1e-12
 
@@ -232,7 +231,7 @@ def test_deformation_to_section_r3_exact_knots():
     spec = Euclidean(2)
     h = _line_to_diagonal(spec)
     a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]))
-    sec = deformation_to_section(h, a, 3)
+    sec = deformation_to_section(h, a)
     assert np.max(np.abs(path_fibration(sec, 3).points - a.points)) <= 1e-12
 
 
@@ -241,19 +240,33 @@ def test_deformation_requires_diagonal_flag():
     # diagonal end is required of every handle, not only of the identity
     spec = Euclidean(2)
     line = _line_to_diagonal(spec)
-    h = DeformationHandle(map=lambda a, s: line.map(a, 0.5 * s))
+    h = lambda a, s: line(a, 0.5 * s)
     a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0]]))
     with pytest.raises(NotEndingAtDiagonal):
-        deformation_to_section(h, a, 2)
+        deformation_to_section(h, a)
 
 
 def test_deformation_checks_diagonal_claim():
     # the identity deformation never reaches the diagonal; the conversion measures that
     spec = Euclidean(2)
-    h = DeformationHandle(map=lambda a, s: a)
+    h = lambda a, s: a
     a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0]]))
     with pytest.raises(NotEndingAtDiagonal):
-        deformation_to_section(h, a, 2)
+        deformation_to_section(h, a)
+
+
+@pytest.mark.parametrize("convert", ["deformation", "compose"])
+def test_deformation_must_start_at_the_tuple(convert):
+    # h(a, 0) off a by more than 1e-9 is refused by both conversions
+    spec = Euclidean(2)
+    line = _line_to_diagonal(spec)
+    h = lambda a, s: NavTuple(spec, line(a, s).points + 1e-8)
+    a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0]]))
+    with pytest.raises(NotEndingAtDiagonal, match="does not start at the identity"):
+        if convert == "deformation":
+            deformation_to_section(h, a)
+        else:
+            compose_section_through_deformation(h, lambda t: deformation_to_section(line, t), a)
 
 
 @pytest.mark.parametrize("miss, ok", [(1e-10, True), (1e-8, False)])
@@ -262,24 +275,23 @@ def test_deformation_end_is_measured_not_declared(miss, ok):
     # within 1e-9 of the diagonal and refuses one farther off
     spec = Euclidean(2)
     line = _line_to_diagonal(spec)
-    h = DeformationHandle(map=lambda a, s: NavTuple(
-        spec, line.map(a, s).points + s * miss * np.arange(a.r)[:, None]))
+    h = lambda a, s: NavTuple(spec, line(a, s).points + s * miss * np.arange(a.r)[:, None])
     a = NavTuple(spec, np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]))
     if ok:
-        sec = deformation_to_section(h, a, 3)
+        sec = deformation_to_section(h, a)
         assert np.max(np.abs(path_fibration(sec, 3).points - a.points)) <= 1e-12
     else:
         with pytest.raises(NotEndingAtDiagonal):
-            deformation_to_section(h, a, 3)
+            deformation_to_section(h, a)
 
 
 def test_compose_identity_deformation():
     spec = Euclidean(2)
     h = _line_to_diagonal(spec)
-    phi = DeformationHandle(map=lambda a, s: a)
-    target = lambda tup: deformation_to_section(h, tup, 3)
+    phi = lambda a, s: a
+    target = lambda tup: deformation_to_section(h, tup)
     x = NavTuple(spec, np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 1.0]]))
-    comp = compose_section_through_deformation(phi, target, x, 3)
+    comp = compose_section_through_deformation(phi, target, x)
     assert np.max(np.abs(path_fibration(comp, 3).points - x.points)) <= 1e-12
 
 
@@ -291,9 +303,7 @@ def test_compose_rotation_on_circle_pairs():
         c, s = np.cos(ang), np.sin(ang)
         return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
-    phi = DeformationHandle(
-        map=lambda a, s: NavTuple(spec, np.array([rot(p, theta * s) for p in a.points]))
-    )
+    phi = lambda a, s: NavTuple(spec, np.array([rot(p, theta * s) for p in a.points]))
 
     def target(tup):
         pat = classify_sphere_critical(tup, tol=1e-6)
@@ -302,7 +312,7 @@ def test_compose_rotation_on_circle_pairs():
     rng = np.random.default_rng(3)
     x0 = random_points(spec, 1, rng)[0]
     x = NavTuple(spec, np.array([x0, -x0]))
-    comp = compose_section_through_deformation(phi, target, x, 2)
+    comp = compose_section_through_deformation(phi, target, x)
     assert np.max(np.abs(path_fibration(comp, 2).points - x.points)) <= 1e-9
     assert comp.constraint_residual(256) <= 1e-9
 
@@ -314,11 +324,11 @@ def _converted(kind, r):
     h = _line_to_diagonal(spec)
     a = NavTuple(spec, np.random.default_rng(r).normal(size=(r, 2)))
     if kind == "deformation":
-        return a, deformation_to_section(h, a, r), 2
+        return a, deformation_to_section(h, a), 2
     shift = np.array([0.7, -0.4])
-    phi = DeformationHandle(map=lambda t, s: NavTuple(spec, t.points + s * shift))
-    target = lambda tup: deformation_to_section(h, tup, r)
-    return a, compose_section_through_deformation(phi, target, a, r), 3
+    phi = lambda t, s: NavTuple(spec, t.points + s * shift)
+    target = lambda tup: deformation_to_section(h, tup)
+    return a, compose_section_through_deformation(phi, target, a), 3
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -335,7 +345,7 @@ def test_conversion_legs_split_evenly_and_hit_the_slots(kind, r):
 
 def test_compose_target_domain_miss():
     spec = Sphere(1)
-    phi = DeformationHandle(map=lambda a, s: a)
+    phi = lambda a, s: a
 
     def target(tup):
         pat = classify_sphere_critical(tup, tol=1e-9)
@@ -343,7 +353,7 @@ def test_compose_target_domain_miss():
 
     x = NavTuple(spec, np.array([[1.0, 0.0], [0.0, 1.0]]))  # not critical
     with pytest.raises(TargetDomainMiss):
-        compose_section_through_deformation(phi, target, x, 2)
+        compose_section_through_deformation(phi, target, x)
 
 
 def test_path_json_round_trip():

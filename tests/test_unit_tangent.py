@@ -9,7 +9,8 @@ from lsnav.errors import (
     WrongDimension,
     WrongSpec,
 )
-from lsnav.flow import ScalarField, rho
+from lsnav import flow
+from lsnav.flow import ScalarField, pseudo_gradient_coords
 from lsnav.manifolds import (
     TANGENT_TOL,
     PointOnM,
@@ -32,7 +33,6 @@ from lsnav.unit_tangent import (
     ProportionalityReport,
     Trivialization,
     _FrameFibers,
-    _vertical_pseudo_gradient,
     base_height_field,
     df_ut,
     f_ut,
@@ -297,36 +297,36 @@ def _scaled_f_ut(spec, scale):
                        lambda x: scale * f_ut_euclidean_gradient(spec, x))
 
 
-# |grad f| = sqrt(2 (1 - f^2)) lies in [0, sqrt 2], so f itself has rows on both
-# sides of 1; the scaled fields put rows in (1, 2] and above 2
+# the vertical gradient of f has |w| = sqrt(1 - f^2) in [0, 1], so f itself has
+# rows where rho is 1; the scaled fields put rows in (1, 2] and above 2
 @pytest.mark.parametrize("frame_dim", [4, 8])
 @pytest.mark.parametrize("scale, low, high", [
     (1.0, -1.0, 1.0), (1.4, 1.0, 2.0), (3.0, 2.0, np.inf),
 ], ids=["rho-one", "rho-blend", "rho-identity"])
-def test_one_pass_vertical_pseudo_gradient_matches_composed_form(frame_dim, scale, low, high):
+def test_vertical_pseudo_gradient_contract(frame_dim, scale, low, high):
     spec = StiefelV2(frame_dim)
     field = _scaled_f_ut(spec, scale)
     pts = random_points(spec, 500, np.random.default_rng(frame_dim))
-    grad = field.riemannian_gradient(pts)
-    gn = np.linalg.norm(grad, axis=-1)
-    rows = (gn > low) & (gn <= high)
+    w = vertical_gradient_coords(field, pts)
+    wn = np.linalg.norm(w, axis=-1)
+    rows = (wn > low) & (wn <= high)
     assert rows.sum() >= 10
-    pts = pts[rows]
-    composed = vertical_project_coords(spec, pts, grad[rows]) / rho(gn[rows])[:, None]
-    got, wn = _vertical_pseudo_gradient(field, pts)
-    assert np.array_equal(vertical_pseudo_gradient_coords(field, pts), got)
-    bound = 1e-14 * (1.0 + np.linalg.norm(field.euclidean_gradient_at(pts), axis=-1))
-    assert (np.abs(got - composed).max(axis=-1) <= bound).all()
-    # the stopping norm the flow reads off the same pass
-    assert (np.abs(wn - np.linalg.norm(vertical_gradient_coords(field, pts), axis=-1))
-            <= bound).all()
-    # a row of a batch is what the row gives alone: bitwise as a batch of one,
-    # and within the bound as a 1-D row, whose products take another matmul path
+    pts, w, wn = pts[rows], w[rows], wn[rows]
+    got = vertical_pseudo_gradient_coords(field, pts)
+    # the pseudo-gradient of f on the fibers, the stage the vertical flow evaluates
+    fibers = replace(field, spec=_FrameFibers(frame_dim))
+    assert np.array_equal(pseudo_gradient_coords(fibers, pts), got)
+    stage, stage_norm = flow._pseudo_gradient(fibers, pts)
+    assert np.array_equal(stage, got) and np.array_equal(stage_norm, wn)
+    # |X| <= 2 min(|w|, 1) and <w, X> >= min(|w|, |w|^2), up to rounding
+    slack = 1e-12 * (1.0 + wn**2)
+    assert (np.linalg.norm(got, axis=-1) <= 2.0 * np.minimum(wn, 1.0) + slack).all()
+    assert (np.sum(w * got, axis=-1) >= np.minimum(wn, wn**2) - slack).all()
+    assert not got[:, :frame_dim].any()
+    # a row of a batch is what the row gives alone, as a batch of one and as a 1-D row
     for i in range(0, len(pts), 7):
-        one, one_norm = _vertical_pseudo_gradient(field, pts[i:i + 1])
-        assert np.array_equal(one[0], got[i]) and one_norm[0] == wn[i]
-        row, row_norm = _vertical_pseudo_gradient(field, pts[i])
-        assert np.abs(row - got[i]).max() <= bound[i] and abs(row_norm - wn[i]) <= bound[i]
+        assert np.array_equal(vertical_pseudo_gradient_coords(field, pts[i:i + 1])[0], got[i])
+        assert np.array_equal(vertical_pseudo_gradient_coords(field, pts[i]), got[i])
 
 
 # Rows of the gradient that fixed-step RK4 at step 1e-2 evaluated on the flows
@@ -362,6 +362,28 @@ def test_vertical_flow_reaches_rotational_sections():
             assert np.array_equal(end[:, :m], seeds[:, :m])
         if spec == SPEC:
             assert 4 * sum(rows) <= FIXED_STEP_GRADIENT_ROWS
+
+
+# Integrator passes (``flow._dp54_step`` calls) of the 50-seed vertical flows of
+# ut-f from rng 7, by frame_dim and direction.  Pinned, so that a change of the
+# flow's work shows here.
+VERTICAL_FLOW_PASSES = {(4, -1): 11, (4, 1): 14, (8, -1): 5, (8, 1): 6}
+
+
+@pytest.mark.parametrize("frame_dim, direction", list(VERTICAL_FLOW_PASSES))
+def test_vertical_flow_integrator_passes(monkeypatch, frame_dim, direction):
+    spec = StiefelV2(frame_dim)
+    seeds = random_points(spec, 50, np.random.default_rng(7))
+    step, passes = flow._dp54_step, []
+
+    def counted(*args):
+        passes.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(flow, "_dp54_step", counted)
+    conv = vertical_flow_endpoints(f_ut_field(spec), seeds, direction=direction)[2]
+    assert conv.all()
+    assert len(passes) == VERTICAL_FLOW_PASSES[frame_dim, direction]
 
 
 def test_vertical_hessian_is_the_fiber_derivative_of_the_vertical_gradient():
@@ -579,11 +601,12 @@ def test_su_trivialization_is_continuous_near_a_generic_basepoint():
     (np.array([1.0, 0.0]), np.array([0.0, 1.0])),  # C^1: SU(1) moves no basepoint
     (np.eye(4)[0], np.eye(6)[2]),
     (np.eye(6)[0], np.eye(4)[2]),
-], ids=["c1", "b-longer", "b-shorter"])
+    (np.eye(5)[0], np.eye(5)[2]),
+], ids=["c1", "b-longer", "b-shorter", "odd"])
 def test_su_trivialization_refuses_dimensions(b0, b):
     with pytest.raises(WrongDimension, match="one even dimension of at least 4"):
         su_trivialization(b0, b)
-    handle = Trivialization(StiefelV2(max(b0.size, b.size)), b0)
+    handle = Trivialization(b0)
     with pytest.raises(WrongDimension, match="one even dimension of at least 4"):
         handle.section(b)
 
