@@ -38,10 +38,7 @@ for one or more source trees of lsnav in one process:
 
 Each ``LABEL=SRC`` argument loads the ``lsnav`` package under SRC as its own
 module, so the trees are timed alternately, repeat by repeat, and a change of
-host speed hits all of them alike.  A tree from before every flow ran
-``flow._pseudo_gradient`` gives the vertical flow its own stage,
-``unit_tangent._vertical_pseudo_gradient``, which its ``vertical_stage`` rows
-time and its counts count, and passes ``_endpoint_flow`` the stage it runs.
+host speed hits all of them alike.
 Every figure is the median and quartiles over REPEATS repeats of the time per
 call, with the calls and rows behind it.
 ``rho`` does not depend on the manifold; it is timed on the row norms of a
@@ -178,11 +175,10 @@ def cases(lsnav):
             out.append(("vertical_pseudo_gradient_coords", name, n,
                         lambda f=field, x=pts: ut.vertical_pseudo_gradient_coords(f, x)))
         fibers = dataclasses.replace(field, spec=ut._FrameFibers(field.spec.frame_dim))
-        stage = own_stage(lsnav) or lsnav.flow._pseudo_gradient
         for n in STAGE_BATCHES:
             pts = mf.random_points(field.spec, n, np.random.default_rng([8, n]))
-            out.append(("vertical_stage", name, n, lambda f=fibers, x=pts, k=stage:
-                        k(f, mf.project_points(f.spec, x))))
+            out.append(("vertical_stage", name, n, lambda f=fibers, x=pts:
+                        lsnav.flow._pseudo_gradient(f, mf.project_points(f.spec, x))))
         n = FLOW_SEEDS
         seeds = mf.random_points(field.spec, n, np.random.default_rng([3, n]))
         out.append(("vertical_flow_endpoints", name, n,
@@ -228,17 +224,9 @@ def cases(lsnav):
     return out
 
 
-def own_stage(lsnav):
-    """The vertical flow's own stage in a tree from before every flow ran
-    ``flow._pseudo_gradient``, else None."""
-    return getattr(lsnav.unit_tangent, "_vertical_pseudo_gradient", None)
-
-
 def endpoint_flow(lsnav, field, seeds):
-    """``flow._endpoint_flow`` descending from seeds; an older tree is passed its stage."""
-    flow = lsnav.flow
-    stage = (flow._pseudo_gradient,) if own_stage(lsnav) else ()
-    return flow._endpoint_flow(field, -1, *stage, seeds, flow.FlowConfig())
+    """``flow._endpoint_flow`` descending from seeds."""
+    return lsnav.flow._endpoint_flow(field, -1, seeds, lsnav.flow.FlowConfig())
 
 
 def census_rows(lsnav, name: str, search):
@@ -353,11 +341,11 @@ def endpoint_flow_counts(lsnav, call) -> dict:
     calls and residual rows, and the hand-off's own Hessian calls and rows and
     residual rows, of one call of ``call``.  A step is one ``flow._dp54_step``
     call, a pass of the integrator over the active rows.  A flow evaluates its
-    stage, ``flow._pseudo_gradient`` (``own_stage`` in an older tree's vertical
-    flow), at the starts and at every stage of every step.  The Newton finish
-    evaluates the residual inside ``levenberg_marquardt``; those rows count as
-    LM residual rows, and each Jacobian evaluation there as one LM Jacobian
-    call, as in ``lm_counts``.  ``flow._endpoint_flow`` also evaluates the field's
+    stage, ``flow._pseudo_gradient``, at the starts and at every stage of every
+    step.  The Newton finish evaluates the residual inside
+    ``levenberg_marquardt``; those rows count as LM residual rows, and each
+    Jacobian evaluation there as one LM Jacobian call, as in ``lm_counts``.
+    ``flow._endpoint_flow`` also evaluates the field's
     derivatives outside LM, to decide which rows to hand off and which Newton
     results to keep: the guard's Hessian, at the hand-off and at the Newton
     limit, and the contraction certificate's two residuals per row.  They are
@@ -369,11 +357,7 @@ def endpoint_flow_counts(lsnav, call) -> dict:
     the Hessian rows."""
     flow = lsnav.flow
     numerics = importlib.import_module(f"{lsnav.__name__}.numerics")
-    solve, step = numerics.levenberg_marquardt, flow._dp54_step
-    stages = [(flow, "_pseudo_gradient")]
-    if own_stage(lsnav):
-        stages.append((lsnav.unit_tangent, "_vertical_pseudo_gradient"))
-    stages = [(module, name, getattr(module, name)) for module, name in stages]
+    solve, step, stage = numerics.levenberg_marquardt, flow._dp54_step, flow._pseudo_gradient
     scalar = flow.ScalarField
     gradient, hessian = scalar.euclidean_gradient_at, scalar.euclidean_hessian_at
     counts = {"steps": 0, "rhs_calls": 0, "rhs_rows": 0, "lm_jacobian_calls": 0,
@@ -388,13 +372,10 @@ def endpoint_flow_counts(lsnav, call) -> dict:
         finally:
             busy.pop()
 
-    def counted_stage(stage):
-        def counted(f, coords):
-            counts["rhs_calls"] += 1
-            counts["rhs_rows"] += len(coords)
-            return within("stage", stage, f, coords)
-
-        return counted
+    def counted_stage(f, coords):
+        counts["rhs_calls"] += 1
+        counts["rhs_rows"] += len(coords)
+        return within("stage", stage, f, coords)
 
     def counted_step(*args):
         counts["steps"] += 1
@@ -424,15 +405,13 @@ def endpoint_flow_counts(lsnav, call) -> dict:
         return within("hessian", hessian, self, coords)
 
     numerics.levenberg_marquardt, flow._dp54_step = counted_solve, counted_step
-    for module, name, stage in stages:
-        setattr(module, name, counted_stage(stage))
+    flow._pseudo_gradient = counted_stage
     scalar.euclidean_gradient_at, scalar.euclidean_hessian_at = counted_gradient, counted_hessian
     try:
         call()
     finally:
         numerics.levenberg_marquardt, flow._dp54_step = solve, step
-        for module, name, stage in stages:
-            setattr(module, name, stage)
+        flow._pseudo_gradient = stage
         scalar.euclidean_gradient_at, scalar.euclidean_hessian_at = gradient, hessian
     return counts
 

@@ -109,11 +109,14 @@ def vertical_project_coords(spec: StiefelV2, coords, vec):
     """Vertical part (0, w) of a tangent frame vector: w is the component of
     the second column orthogonal to the span of both columns.  The horizontal
     part is vec minus the vertical part."""
+    m = spec.frame_dim
     x1, x2 = mf.frame_columns(spec, coords)
     _, y2 = mf.frame_columns(spec, np.asarray(vec, dtype=float))
-    w = y2 - (np.sum(y2 * x1, axis=-1, keepdims=True) * x1
-              + np.sum(y2 * x2, axis=-1, keepdims=True) * x2)
-    return mf.frame_flat(np.zeros_like(w), w)
+    span = (np.add.reduce(y2 * x1, axis=-1, keepdims=True) * x1  # np.sum's bits, not its cost
+            + np.add.reduce(y2 * x2, axis=-1, keepdims=True) * x2)
+    out = np.zeros(span.shape[:-1] + (2 * m,))
+    np.subtract(y2, span, out=out[..., m:])
+    return out
 
 
 def vertical_gradient_coords(field: ScalarField, coords):
@@ -323,7 +326,9 @@ def vertical_flow_endpoints(field: ScalarField, starts, cfg: FlowConfig = None,
     trajectories stay in their fiber exactly.  The adaptive
     Dormand-Prince 5(4) driver of ``flow_endpoints``, from initial step
     flow.FIRST_STEP and held to flow.ENDPOINT_ATOL, never moves f against
-    ``direction``; a row leaves it, at any gradient norm, where Newton on the
+    ``direction``.  At that bound the step of every ut-f row settles at
+    0.25-0.27, so the start FIRST_STEP = 0.25 spends no pass growing it.  A row
+    leaves the flow, at any gradient norm, where Newton on the
     fiber is certified (``flow._endpoint_flow``: the guard finds the Hessian
     definite on the fiber sphere, and one Newton step contracts, theta <= 1/4),
     and Newton takes it to cfg.grad_tol; the first column never moves.  A row

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,19 @@ def test_pairs_on_extreme_semiaxes_answer_or_give_one_error_line(capsys):
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "WrongSpec"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 19: the constraint gradient of a semiaxis below "
+                          "about 1e-77 overflows when squared")
+def test_critfind_on_extreme_semiaxes_warns_nothing(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "critfind", "--field", "height",
+                                 "--manifold", "ellipsoid:1e-154,1,1e154", "--seeds", "5")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_plan_product_spheres(tmp_path, capsys):

@@ -143,7 +143,7 @@ def test_integrate_flow_height_to_south_pole(monkeypatch):
     assert np.linalg.norm(trace.coords[-1] - np.array([0.0, 0.0, -1.0])) <= 1e-6
     assert trace.max_value_increase() <= 1e-10
     # half-step integrator lands at the same endpoint
-    monkeypatch.setattr(flow, "FIRST_STEP", 5e-3)
+    monkeypatch.setattr(flow, "FIRST_STEP", flow.FIRST_STEP / 2)
     half = integrate_flow(field, start)
     assert np.linalg.norm(trace.coords[-1] - half.coords[-1]) <= 1e-6
 
@@ -805,6 +805,45 @@ def test_step_halving_changes_endpoint_little(monkeypatch):
     end2, _, conv2 = flow_endpoints(field, seeds)
     assert conv1.all() and conv2.all()
     assert np.max(np.linalg.norm(end1 - end2, axis=1)) <= 1e-6
+
+
+# Integrator passes (``flow._dp54_step`` calls) of the flows off the fiber kind, pinned
+# as ``test_unit_tangent.py::test_vertical_flow_integrator_passes`` pins the vertical
+# ones: integrate_flow of the height on S^2 from one start, its time-1 map of 50 rows
+# from rng 10, and the endpoint flows of 50 seeds from rng 7, descending.
+FLOW_PASSES = {
+    ("integrate_flow", "height S^2"): 125,
+    ("time_one_map", "height S^2"): 17,
+    ("flow_endpoints", "height S^2"): 41,
+    ("flow_endpoints", "nav (S^3)^3"): 54,
+    ("flow_endpoints", "height ellipsoid(1,2,3)"): 68,
+    ("_endpoint_flow", "nav (S^3)^3"): 54,
+    ("_endpoint_flow", "height ellipsoid(1,2,3)"): 18,
+}
+
+
+@pytest.mark.parametrize("runner, name", list(FLOW_PASSES))
+def test_flow_integrator_passes(monkeypatch, runner, name):
+    field = {"height S^2": lambda: height_field(Sphere(2)),
+             "nav (S^3)^3": lambda: nav_field(Sphere(3), 3),
+             "height ellipsoid(1,2,3)": lambda: height_field(Ellipsoid((1.0, 2.0, 3.0)))}[name]()
+    seeds = random_points(field.spec, 50, np.random.default_rng(7))
+    step, passes = flow._dp54_step, []
+
+    def counted(*args):
+        passes.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(flow, "_dp54_step", counted)
+    if runner == "integrate_flow":
+        integrate_flow(field, project_to_manifold(field.spec, [0.3, 0.1, 0.9]))
+    elif runner == "time_one_map":
+        time_one_map(field, random_points(field.spec, 50, np.random.default_rng(10)))
+    elif runner == "flow_endpoints":
+        assert flow_endpoints(field, seeds)[2].all()
+    else:
+        assert flow._endpoint_flow(field, -1, seeds, FlowConfig())[2].all()
+    assert len(passes) == FLOW_PASSES[runner, name]
 
 
 def test_flow_stops_when_every_step_raises_the_value():
