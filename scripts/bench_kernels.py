@@ -4,7 +4,9 @@ Times ``project_points``, ``project_tangent``, the spec's
 ``riemannian_hessian`` (from a random ambient gradient and symmetric ambient
 Hessian per row) and ``flow.rho`` at batch sizes 1, 500 and 5000 on
 sphere:1^2, (S^3)^3, (S^1 x S^3)^2, stiefel:4, stiefel:8, the ellipsoid
-(1,2,3), the torus of revolution (2, 0.5) and euclidean:3, and
+(1,2,3), the torus of revolution (2, 0.5) and euclidean:3; the support field's own
+``riemannian_hessian`` (the Newton Jacobian of the census) at those batch sizes
+on unit directions, under the kind ``"support ellipsoid(1,2,3)"``; and
 ``flow.newton_critical_search`` at 1 and 500 seeds on the nav field of
 sphere:1 (r=2) and of S^3 (r=3, on (S^3)^3), ut-f on stiefel:4 and the height
 on that torus; the right-hand side of the vertical flow,
@@ -158,6 +160,11 @@ def cases(lsnav):
             out.append(("riemannian_hessian", name, n,
                         lambda s=spec, x=pts, g=w, h=a + np.swapaxes(a, -1, -2):
                             s.riemannian_hessian(x, g, h)))
+    support = manifold(lsnav, "ellipsoid(1,2,3)").support_field()[0]
+    for n in BATCHES:
+        dirs = mf.random_points(support.spec, n, np.random.default_rng([9, n]))
+        out.append(("riemannian_hessian", "support ellipsoid(1,2,3)", n,
+                    lambda f=support, u=dirs: f.riemannian_hessian(u)))
     for n in BATCHES:
         norms = 2.0 * np.abs(np.random.default_rng([0, n]).standard_normal(n))
         out.append(("rho", "-", n, lambda g=norms: lsnav.flow.rho(g)))

@@ -146,6 +146,35 @@ class ScalarField:
         return np.linalg.norm(self.riemannian_gradient(coords), axis=-1)
 
 
+@dataclass(eq=False)
+class _SupportField(ScalarField):
+    """The support field h of ``manifolds.Ellipsoid.support_field``, b2 its squared
+    semiaxes diag(D), with the Riemannian Hessian in closed form."""
+
+    b2: Optional[np.ndarray] = None
+
+    def riemannian_hessian(self, coords):
+        """(D - g g^T) / h - h (I - u u^T) at unit directions u, g the Euclidean gradient,
+        as derived in ``Ellipsoid.support_field``: an (n, n, ...) array built elementwise
+        from vectors along the batch, so a row's bits do not depend on the other rows, and
+        returned as its (..., n, n) view, which ``numerics._normal_equations`` reads in
+        place."""
+        coords = np.asarray(coords, dtype=float)
+        n = coords.shape[-1]
+        h = self.value(coords)
+        u = np.ascontiguousarray(np.moveaxis(coords, -1, 0))
+        b2 = self.b2.reshape((n,) + (1,) * h.ndim)
+        g = b2 * u / h
+        flat = (n * n,) + h.shape  # the diagonal is [:: n + 1] of this reshape
+        out = g[:, None] * -g  # exactly symmetric, as u u^T below
+        out.reshape(flat)[:: n + 1] += b2
+        out /= h
+        p = u[:, None] * u
+        p.reshape(flat)[:: n + 1] -= 1.0
+        out += h * p
+        return np.moveaxis(out, (0, 1), (-2, -1))
+
+
 def _central_differences(fn, coords, scale):
     """Central differences of fn along each ambient coordinate, step scale * (1 + |x|),
     stacked on a new last axis."""

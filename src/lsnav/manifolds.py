@@ -353,8 +353,19 @@ class Ellipsoid(_Hypersurface):
         is the field of M, bit for bit.  The Hessian is (diag(b^2) - g g^T) / h with
         b = a / c and g the gradient, |g_i| <= b_i <= 1.  Since h >= min b, no entry
         exceeds max b^2 / min b <= max a / min a, so it is finite for any semiaxes the
-        spec accepts; a c below max a would let it overflow."""
-        from .flow import ScalarField
+        spec accepts; a c below max a would let it overflow.
+
+        Its Riemannian Hessian on the sphere is in closed form.  With D = diag(b^2),
+        H = (D - g g^T) / h and P = I - u u^T, the generic route computes P H P - <u, g> P.
+        At |u| = 1, <u, g> = h and H u = (D u - h g) / h = 0 (h is homogeneous of degree
+        1), so P H P = H and the Riemannian Hessian is H - h P, which expands to
+        D / h - h I - u g^T - g u^T + 2h u u^T - r r^T / h with r = g - h u the Riemannian
+        gradient.  Its terms are those of H and of h P, at most 1, so it is finite for
+        every accepted semiaxes too.
+        It is built batch axis last, an (n, n, N) array returned as its (N, n, n) view,
+        which ``numerics._normal_equations`` reads in place, where it copies the generic
+        route's C-ordered matrices."""
+        from .flow import _SupportField
 
         mant, exp = np.frexp(max(self.semiaxes))
         c = float(np.ldexp(1.0, int(exp) - int(mant == 0.5)))
@@ -377,8 +388,8 @@ class Ellipsoid(_Hypersurface):
             out /= h[..., None]
             return out
 
-        return ScalarField(Sphere(len(b2) - 1), value, grad, name="support/c",
-                           euclidean_hessian=hess), c
+        return _SupportField(Sphere(len(b2) - 1), value, grad, name="support/c",
+                             euclidean_hessian=hess, b2=b2), c
 
 
 @dataclass(frozen=True)

@@ -472,8 +472,7 @@ def _dedup_pairs(x, y, tol):
     n = x.shape[1]
     diff = np.round(x / (0.1 * tol)) - np.round(y / (0.1 * tol))
     swap = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] > 0  # x > y as tuples
-    cand = np.concatenate([x, y], axis=1)
-    cand[swap] = np.concatenate([y[swap], x[swap]], axis=1)
+    cand = np.where(swap[:, None], np.concatenate([y, x], axis=1), np.concatenate([x, y], axis=1))
     while len(cand):
         rows = np.flatnonzero(cand[:, 0] == cand[:, 0].min())
         for col in cand.T[1:]:  # narrow the ties one column at a time

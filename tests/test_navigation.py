@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lsnav import manifolds as mf
-from lsnav import flow, navigation, numerics
+from lsnav import acceptance, flow, navigation, numerics
 from lsnav.errors import InvalidPoint, NoPairsFound, NotCriticalTuple, WrongSpec
 from lsnav.manifolds import (
     Ellipsoid,
@@ -925,6 +925,63 @@ def test_support_hessian_keeps_the_broadcast_formula_bits(axes):
     g = fld.euclidean_gradient_at(u)
     want = (b2 * np.eye(3) - g[:, :, None] * g[:, None, :]) / h
     assert fld.euclidean_hessian_at(u).tobytes() == want.tobytes()
+
+
+def _support_directions(fld, rows, rng_seed):
+    """rows random unit directions of the support field's sphere, then +-e_i."""
+    eye = np.eye(fld.spec.ambient_dim)
+    return np.concatenate([random_points(fld.spec, rows, np.random.default_rng(rng_seed)),
+                           eye, -eye])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axes", [(1.0, 2.0, 3.0), (0.5, 1.0, 4.0), (1.0, 1.5, 2.0, 3.0),
+                                  (1e-150, 1.0, 1e150), (1e-154, 1.0, 1e154)])
+def test_support_riemannian_hessian_matches_the_generic_route(axes):
+    # the closed form against P (hess h - <u, grad h> I) P from the Euclidean derivatives,
+    # to 1e-14 of the largest term either sums, max b^2 / h: where |u_i| is small for the
+    # largest b_i, entries near h are differences of terms near b_i^2 / h, and both routes
+    # round there alike; finite, symmetric and silent on extreme semiaxes
+    fld, c = Ellipsoid(axes).support_field()
+    u = _support_directions(fld, 10000, 16)
+    got = fld.riemannian_hessian(u)
+    want = Sphere(len(axes) - 1).riemannian_hessian(u, fld.euclidean_gradient_at(u),
+                                                    fld.euclidean_hessian_at(u))
+    assert np.isfinite(got).all()
+    assert (got == np.swapaxes(got, 1, 2)).all()
+    scale = np.max(np.array(axes) / c) ** 2 / fld.value_at(u)
+    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("axes", [(1.0, 2.0, 3.0), (0.5, 1.0, 4.0), (1.0, 1.5, 2.0, 3.0)])
+def test_support_riemannian_hessian_matches_central_differences(axes):
+    # on tangent vectors the Riemannian Hessian is P times the derivative of the
+    # Riemannian gradient, extended off the sphere as P(x) grad h(x)
+    fld, c = Ellipsoid(axes).support_field()
+    u = random_points(fld.spec, 500, np.random.default_rng(17))
+    fd = flow._central_differences(fld.riemannian_gradient, u, flow.FD_SCALE)
+    p = fld.spec.tangent_projector(u)
+    want = np.einsum("nij,njk,nkl->nil", p, fd, p)
+    assert acceptance._relative_error(fld.riemannian_hessian(u), want) <= 1e-5
+
+
+def test_support_riemannian_hessian_keeps_the_batch_axis_last():
+    # numerics reads the (N, n, n) result component-major in place; one direction
+    # gives its (n, n) matrix, bit for bit, and a NaN direction spoils only its row
+    fld, c = Ellipsoid((1.0, 1.5, 2.0, 3.0)).support_field()
+    u = _support_directions(fld, 50, 18)
+    got = fld.riemannian_hessian(u)
+    assert got.shape == (len(u), 4, 4)
+    assert got.transpose(1, 2, 0).flags.c_contiguous
+    for i in (0, 7, len(u) - 1):
+        one = fld.riemannian_hessian(u[i])
+        assert one.shape == (4, 4)
+        assert one.tobytes() == np.ascontiguousarray(got[i]).tobytes()
+    holed = u.copy()
+    holed[7] = np.nan
+    spoiled = fld.riemannian_hessian(holed)
+    assert np.isnan(spoiled[7]).all()
+    assert np.delete(spoiled, 7, axis=0).tobytes() == np.delete(got, 7, axis=0).tobytes()
 
 
 def test_only_the_ellipsoid_offers_a_support_field():
